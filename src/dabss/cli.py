@@ -23,10 +23,10 @@ from . import __version__
 from .config import AppConfig, load_config
 from .dab import FLIP_CURRENT, DabSchedule, build_dab, solve_half_cycle, verify_symmetry
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
-                     ResolventSingularityError, SimilarityError)
+                     ParameterError, ResolventSingularityError, SimilarityError)
 from .oracle import Injection, measure_frequency_response, run_to_steady_state
 from .pwlti import (IdentityCheck, closed_form_state, monodromy, propagate,
-                    relative_residual, solve_periodic_fixed_point)
+                    relative_residual, row_norms, solve_periodic_fixed_point)
 from .smallsignal import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, bode_sweep,
                           difference_envelope, half_cycle_model,
                           resolvent_similarity_residual, sweep_frequencies,
@@ -113,7 +113,8 @@ def _verify_checks(cfg: AppConfig) -> list[IdentityCheck]:
         draws += 1
     checks.append(IdentityCheck("resolvent/similarity-random", worst, tol.resolvent_identity))
 
-    z_grid = [cmath.exp(2j * math.pi * q / 64) for q in range(64)]
+    # exp(2j pi q / n) for q < n, rounded as cmath.exp(2j * math.pi * q / n) rounds it.
+    z_grid = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
     for primary, secondary in ((P_PLUS, S_PLUS), (P_MINUS, S_MINUS)):
         pri = _surface(cfg, primary.label)
         sec = _surface(cfg, secondary.label)
@@ -121,7 +122,7 @@ def _verify_checks(cfg: AppConfig) -> list[IdentityCheck]:
             checks.extend(verify_surface_equivalence(
                 dab, pri, sec, z_grid,
                 rtol=tol.surface_equivalence, similarity_rtol=tol.similarity))
-        except ValueError as exc:
+        except ParameterError as exc:
             # A skewed schedule can make a straddling surface unbuildable;
             # report that as a failing check instead of aborting the table.
             checks.append(IdentityCheck(
@@ -129,24 +130,20 @@ def _verify_checks(cfg: AppConfig) -> list[IdentityCheck]:
                 math.inf, tol.surface_equivalence, str(exc)))
 
     model = half_cycle_model(dab, _surface(cfg, "P+"))
-    dual = max(transfer_difference_residual(model, dab.c_phys,
-                                            cmath.exp(2j * math.pi * q / 100))
-               for q in range(100))
+    dual = transfer_difference_residual(
+        model, dab.c_phys, np.exp(1j * (2.0 * np.pi * np.arange(100) / 100)))
     checks.append(IdentityCheck(
-        "transfer-difference/dual-path", dual, tol.transfer_difference))
+        "transfer-difference/dual-path", float(np.max(dual)), tol.transfer_difference))
     dc = transfer_fixed_freq(model, dab.c_phys, 1.0) - \
         transfer_same_cycle(model, dab.c_phys, 1.0)
     checks.append(IdentityCheck(
         "transfer-difference/dc-zero", float(np.linalg.norm(dc)), tol.transfer_difference))
-    ratio = 0.0
-    for f in sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
-                               cfg.sweep.spacing, model.t_half):
-        z = cmath.exp(2j * math.pi * f * model.t_half)
-        delta = transfer_fixed_freq(model, dab.c_phys, z) - \
-            transfer_same_cycle(model, dab.c_phys, z)
-        bound = difference_envelope(model, dab.c_phys, z)
-        ratio = max(ratio, float(np.linalg.norm(delta)) / bound)
-    checks.append(IdentityCheck("transfer-difference/envelope-ratio", ratio, 1.0))
+    f = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
+                          cfg.sweep.spacing, model.t_half)
+    z = np.exp(2j * np.pi * f * model.t_half)
+    delta = transfer_fixed_freq(model, dab.c_phys, z) - transfer_same_cycle(model, dab.c_phys, z)
+    ratio = np.max(row_norms(delta) / difference_envelope(model, dab.c_phys, z))
+    checks.append(IdentityCheck("transfer-difference/envelope-ratio", float(ratio), 1.0))
     return checks
 
 
@@ -174,8 +171,11 @@ def cmd_bode(args) -> int:
     surface = _surface(cfg, args.surface)
     sweep = cfg.sweep
     kinds = ("fix", "sc") if args.model == "both" else (args.model,)
-    per_kind = {kind: bode_sweep(dab, surface, kind, sweep.f_min, sweep.f_max,
-                                 sweep.points, sweep.spacing) for kind in kinds}
+    try:
+        per_kind = {kind: bode_sweep(dab, surface, kind, sweep.f_min, sweep.f_max,
+                                     sweep.points, sweep.spacing) for kind in kinds}
+    except ParameterError as exc:
+        raise ConfigError(f"unsafe_t3_skew = {cfg.t3_skew!r} s: {exc}") from exc
     header = "f_hz,mag_db_irec,phase_deg_irec,mag_db_vout,phase_deg_vout"
     if args.model == "both":
         header += ",model"
@@ -214,6 +214,10 @@ def _coherent_frequencies(cfg: AppConfig, injection: Injection, t_half: float) -
     # Snap every sweep point to the coherent bin grid m / (measure_periods * Ts),
     # keeping 1 <= m < measure_periods so the injected sinusoid never lands on
     # dc or on the surface Nyquist point.
+    if injection.measure_periods < 2:
+        raise ConfigError(
+            "sim.injection.measure_periods must be at least 2 for a coherent bin strictly "
+            f"between dc and the surface Nyquist frequency, got {injection.measure_periods}")
     period = cfg.converter.period
     window = injection.measure_periods * period
     bins = []
@@ -241,11 +245,11 @@ def cmd_compare(args) -> int:
         f"# steady_state_rel_dev={_fmt(steady_dev)}",
         "f_hz,mag_ratio_irec,phase_diff_deg_irec,mag_ratio_vout,phase_diff_deg_vout",
     ]
-    for f in _coherent_frequencies(cfg, injection, model.t_half):
+    freqs = _coherent_frequencies(cfg, injection, model.t_half)
+    z = np.exp(2j * np.pi * np.array(freqs) * model.t_half)
+    for f, predicted in zip(freqs, transfer_fixed_freq(model, dab.c_phys, z)):
         cfg_f = dataclasses.replace(cfg.sim, injection=dataclasses.replace(injection, f=f))
         measured = measure_frequency_response(dab, surface, cfg_f)
-        z = cmath.exp(2j * math.pi * f * model.t_half)
-        predicted = transfer_fixed_freq(model, dab.c_phys, z)
         cells = [_fmt(f)]
         for pred, meas in zip(predicted, measured):
             cells.append(_fmt(abs(pred) / abs(meas)))
@@ -291,6 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception types of a failed command, by exit code; a skew that empties an
+# interval (ParameterError from build_dab) is a configuration problem.
+_EXIT_CODES = (((ConfigError, ParameterError), 2),
+               ((MarginalSystemError, ResolventSingularityError, SimilarityError), 3),
+               ((ConvergenceError,), 4), ((AmplitudeError,), 5))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -299,18 +310,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MarginalSystemError, ResolventSingularityError, SimilarityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except AmplitudeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

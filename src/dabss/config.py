@@ -152,10 +152,11 @@ def _parse_sweep(raw, params: DabParams) -> SweepSpec:
     _reject_leftovers(table, "sweep")
     if not isinstance(spacing, str):
         raise ConfigError(f"'sweep.spacing' must be a string, got {spacing!r}")
-    return SweepSpec(f_min=_as_number(f_min, "sweep.f_min"),
-                     f_max=_as_number(f_max, "sweep.f_max"),
-                     points=_as_int(points, "sweep.points"),
-                     spacing=spacing)
+    f_max = _as_number(f_max, "sweep.f_max")
+    if f_max > params.fs * (1.0 + 1e-12):
+        raise ConfigError(f"sweep.f_max {f_max!r} exceeds the Nyquist frequency fs = {params.fs!r}")
+    return SweepSpec(f_min=_as_number(f_min, "sweep.f_min"), f_max=f_max,
+                     points=_as_int(points, "sweep.points"), spacing=spacing)
 
 
 def _parse_tolerances(raw) -> Tolerances:

@@ -16,6 +16,7 @@ exact up to the matrix exponential; there is no time-stepping error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ def expm(a: np.ndarray, t: float) -> np.ndarray:
     Parameters
     ----------
     a : np.ndarray
-        Square matrix.
+        Square matrix, or a stack of them with shape (k, n, n).
     t : float
         Scalar horizon, may be zero or negative.
 
@@ -48,10 +49,11 @@ def expm(a: np.ndarray, t: float) -> np.ndarray:
     -------
     np.ndarray
         exp(a*t), computed by scaling-and-squaring with a degree-13 Pade
-        approximant and norm-based scaling (scipy.linalg.expm).
+        approximant and norm-based scaling (scipy.linalg.expm); each matrix
+        of a stack comes out bit for bit as it would on its own.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expm needs a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericInputError("expm input matrix has non-finite entries")
@@ -136,6 +138,17 @@ class Schedule:
     def n_segments(self) -> int:
         return len(self.segments)
 
+    @functools.cached_property
+    def maps(self) -> tuple[SegmentMap, ...]:
+        """Exact maps (`segment_map`) of every segment in order, from one batched expm."""
+        n = self.dim
+        aug = np.zeros((self.n_segments, n + 1, n + 1))
+        aug[:, :n, :n] = [seg.a for seg in self.segments]
+        aug[:, :n, n] = [seg.b @ self.u for seg in self.segments]
+        # Scaling by the durations first is exact to the bit: expm's own `a * t` at t = 1.
+        m = expm(aug * np.array([seg.duration for seg in self.segments])[:, None, None], 1.0)
+        return tuple(SegmentMap(phi=mk[:n, :n], gamma=mk[:n, n]) for mk in m)
+
 
 @dataclass(frozen=True)
 class SegmentMap:
@@ -157,18 +170,10 @@ def segment_map(seg: Segment, u: np.ndarray) -> SegmentMap:
         exp([[a, b u], [0, 0]] * T) = [[phi, gamma], [0, 1]],
 
     which needs no inverse of `a` and is exact for singular state matrices
-    and for zero duration (phi = I, gamma = 0).
+    and for zero duration (phi = I, gamma = 0). It is the map of the
+    one-segment schedule, which checks that `u` fits `b`.
     """
-    u = np.asarray(u, dtype=float)
-    n = seg.dim
-    if u.shape != (seg.b.shape[1],):
-        raise DimensionError(
-            f"input vector shape {u.shape} does not match input matrix columns {seg.b.shape[1]}")
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = seg.a
-    aug[:n, n] = seg.b @ u
-    m = expm(aug, seg.duration)
-    return SegmentMap(phi=m[:n, :n], gamma=m[:n, n])
+    return Schedule(segments=(seg,), u=u).maps[0]
 
 
 def forcing_via_inverse(seg: Segment, u: np.ndarray) -> np.ndarray:
@@ -183,8 +188,8 @@ def forcing_via_inverse(seg: Segment, u: np.ndarray) -> np.ndarray:
 
 
 def segment_maps(schedule: Schedule) -> tuple[SegmentMap, ...]:
-    """Exact maps of every segment in schedule order."""
-    return tuple(segment_map(seg, schedule.u) for seg in schedule.segments)
+    """Exact maps of every segment in schedule order (the schedule's cached `maps`)."""
+    return schedule.maps
 
 
 def reverse_product(matrices, first: int, last: int) -> np.ndarray:
@@ -227,13 +232,7 @@ def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (schedule.dim,):
         raise DimensionError(f"x0 shape {x0.shape} does not match state dimension {schedule.dim}")
-    maps = segment_maps(schedule)
-    phis = [m.phi for m in maps]
-    n = len(maps)
-    out = reverse_product(phis, 1, n) @ x0
-    for i in range(1, n):
-        out = out + reverse_product(phis, i + 1, n) @ maps[i - 1].gamma
-    return out + maps[-1].gamma
+    return monodromy(schedule) @ x0 + periodic_forcing(segment_maps(schedule))
 
 
 def periodic_forcing(maps) -> np.ndarray:
@@ -246,6 +245,17 @@ def periodic_forcing(maps) -> np.ndarray:
     return out
 
 
+def gated_solve(lhs: np.ndarray, rhs: np.ndarray, transition: np.ndarray,
+                cond_limit: float, message: str) -> np.ndarray:
+    """Solve lhs x = rhs unless cond(lhs) is not finite or exceeds cond_limit; then raise
+    MarginalSystemError with `message` (fields cond, limit) and the eigenvalues of `transition`."""
+    cond = np.linalg.cond(lhs)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise MarginalSystemError(message.format(cond=cond, limit=cond_limit),
+                                  eigenvalues=np.linalg.eigvals(transition))
+    return np.linalg.solve(lhs, rhs)
+
+
 def fixed_point_of_maps(maps, cond_limit: float = COND_LIMIT) -> np.ndarray:
     """Periodic fixed point x* of the composed maps: (I - Pi) x* = forcing.
 
@@ -254,15 +264,10 @@ def fixed_point_of_maps(maps, cond_limit: float = COND_LIMIT) -> np.ndarray:
     an eigenvalue of Pi on or near the unit circle makes the periodic
     solution meaningless at double precision.
     """
-    phis = [m.phi for m in maps]
-    pi = reverse_product(phis, 1, len(maps))
-    lhs = np.eye(pi.shape[0]) - pi
-    cond = np.linalg.cond(lhs)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise MarginalSystemError(
-            f"periodic solve is marginal: cond(I - Pi) ~ {cond:.3e} exceeds {cond_limit:.1e}",
-            eigenvalues=np.linalg.eigvals(pi))
-    return np.linalg.solve(lhs, periodic_forcing(maps))
+    pi = reverse_product([m.phi for m in maps], 1, len(maps))
+    return gated_solve(
+        np.eye(pi.shape[0]) - pi, periodic_forcing(maps), pi, cond_limit,
+        "periodic solve is marginal: cond(I - Pi) ~ {cond:.3e} exceeds {limit:.1e}")
 
 
 def solve_periodic_fixed_point(schedule: Schedule, cond_limit: float = COND_LIMIT) -> np.ndarray:
@@ -290,6 +295,13 @@ def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:
     actual = np.asarray(actual)
     expected = np.asarray(expected)
     return float(np.linalg.norm(actual - expected) / (1.0 + np.linalg.norm(expected)))
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """2-norm along the last axis, rounded as np.linalg.norm rounds one vector (one BLAS dot)."""
+    v = np.asarray(v)
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,17 @@ similarity chain numerically.
 
 from __future__ import annotations
 
-import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pwlti
 from .dab import RECTIFY, DabSchedule
-from .errors import MarginalSystemError, ResolventSingularityError, SimilarityError
+from .errors import ParameterError, ResolventSingularityError, SimilarityError
 from .pwlti import IdentityCheck, relative_residual, segment_maps
+
+_POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,11 @@ class HalfCycleModel:
     comp_gain: float
     t_half: float
 
+    @functools.cached_property
+    def poles(self) -> np.ndarray:
+        """Eigenvalues of phi: the poles of every transfer of this model."""
+        return np.linalg.eigvals(self.phi)
+
 
 def half_cycle_model(dab: DabSchedule, surface: Surface,
                      cond_limit: float = pwlti.COND_LIMIT) -> HalfCycleModel:
@@ -108,19 +115,15 @@ def half_cycle_model(dab: DabSchedule, surface: Surface,
     map_b = maps[surface.b - 1]
     t_half = dab.params.t_half
     if not np.isclose(seg_a.duration + seg_b.duration, t_half, rtol=1e-12, atol=0.0):
-        raise ValueError(
+        raise ParameterError(
             f"surface {surface.label} spans {seg_a.duration + seg_b.duration!r} s, "
             f"expected the half cycle {t_half!r} s")
 
     phi = RECTIFY @ map_b.phi @ map_a.phi
     g = RECTIFY @ (map_b.phi @ map_a.gamma + map_b.gamma)
-    lhs = np.eye(2) - phi
-    cond = np.linalg.cond(lhs)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise MarginalSystemError(
-            f"surface {surface.label} fixed point is marginal: cond ~ {cond:.3e}",
-            eigenvalues=np.linalg.eigvals(phi))
-    x_star = np.linalg.solve(lhs, g)
+    x_star = pwlti.gated_solve(
+        np.eye(2) - phi, g, phi, cond_limit,
+        f"surface {surface.label} fixed point is marginal: cond ~ {{cond:.3e}}")
     x_a_end = map_a.phi @ x_star + map_a.gamma
     x_b_end = map_b.phi @ x_a_end + map_b.gamma
 
@@ -139,17 +142,17 @@ def half_cycle_model(dab: DabSchedule, surface: Surface,
         comp_gain=comp_gain, t_half=t_half)
 
 
-def control_input_vector(model: HalfCycleModel, z: complex) -> np.ndarray:
+def control_input_vector(model: HalfCycleModel, z) -> np.ndarray:
     """Control-to-state input vector b(z) = b_cur + z b_next.
 
     The z factor is the one-sample advance of the trailing-edge term: that
     duration is set by the control sample taken at the *next* surface
-    crossing.
+    crossing. A 1-D array of z gives one vector per row.
     """
-    return model.b_cur + z * model.b_next
+    return model.b_cur + np.multiply.outer(z, model.b_next)
 
 
-def rebased_input_vector(model: HalfCycleModel, z: complex) -> np.ndarray:
+def rebased_input_vector(model: HalfCycleModel, z) -> np.ndarray:
     """Input vector of this surface's recursion on its leading partner's clock.
 
     A surface that opens mid-cycle of its partner sees the partner's edges in
@@ -160,74 +163,97 @@ def rebased_input_vector(model: HalfCycleModel, z: complex) -> np.ndarray:
     partner's closing edge and takes the *next* sample (a z factor on b_cur).
     Same physical modulator, re-indexed: b(z) = z b_cur + phi b_next.
     """
-    return z * model.b_cur + model.phi @ model.b_next
+    return np.multiply.outer(z, model.b_cur) + model.phi @ model.b_next
 
 
-def _resolvent_apply(model: HalfCycleModel, z: complex, rhs: np.ndarray) -> np.ndarray:
-    z = complex(z)
-    eigs = np.linalg.eigvals(model.phi)
-    gap = np.min(np.abs(z - eigs))
-    if gap <= 1e-12:
-        raise ResolventSingularityError(
-            f"z = {z!r} is within {gap:.3e} of a pole of the sampled model")
-    n = model.phi.shape[0]
-    return np.linalg.solve(z * np.eye(n) - model.phi, rhs)
+def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
+    """Distance from each z to the nearest pole of the model."""
+    return np.min(np.abs(z[..., None] - model.poles), axis=-1)
 
 
-def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z: complex) -> np.ndarray:
+def _resolvent_apply(model: HalfCycleModel, z, rhs: np.ndarray) -> np.ndarray:
+    """(zI - phi)^{-1} rhs in one stacked solve: rhs is (..., N, n) for N values of z, or (n,)."""
+    z = np.asarray(z, dtype=complex)
+    gaps = _pole_gaps(model, z)
+    if np.any(gaps <= _POLE_GAP):
+        k = np.argmax(gaps <= _POLE_GAP)
+        raise ResolventSingularityError(f"z = {complex(z.flat[k])!r} is within "
+                                        f"{gaps.flat[k]:.3e} of a pole of the sampled model")
+    lhs = z[..., None, None] * np.eye(model.phi.shape[0]) - model.phi
+    return np.linalg.solve(lhs, np.asarray(rhs)[..., None])[..., 0]
+
+
+def _output(c_phys: np.ndarray, states: np.ndarray) -> np.ndarray:
+    # c_phys @ x for every state x, each one 2x2 product rounded as on its own.
+    return (np.asarray(c_phys) @ states[..., None])[..., 0]
+
+
+def _row_residuals(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """relative_residual of each vector along the last axis, bit for bit."""
+    return pwlti.row_norms(actual - expected) / (1.0 + pwlti.row_norms(expected))
+
+
+def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
     """Exact control-to-output transfer at z: c_phys (zI - phi)^{-1} (b_cur + z b_next).
 
     Output pair is [I_rec, V_out]. Evaluate on the unit circle,
-    z = exp(j 2 pi f t_half), for the frequency response.
+    z = exp(j 2 pi f t_half), for the frequency response. A scalar z gives
+    shape (2,), a 1-D array of N values shape (N, 2).
     """
-    return np.asarray(c_phys) @ _resolvent_apply(model, z, control_input_vector(model, z))
+    return _output(c_phys, _resolvent_apply(model, z, control_input_vector(model, z)))
 
 
-def transfer_same_cycle(model: HalfCycleModel, c_phys: np.ndarray, z: complex) -> np.ndarray:
+def transfer_same_cycle(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
     """Same-cycle approximation: both duration terms attributed to the current sample."""
-    return np.asarray(c_phys) @ _resolvent_apply(model, z, model.b_cur + model.b_next)
+    return _output(c_phys, _resolvent_apply(model, z, model.b_cur + model.b_next))
 
 
-def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray,
-                                 z: complex) -> float:
+def _difference_paths(model: HalfCycleModel, c_phys: np.ndarray, z):
+    """Closed-form difference and the subtraction of the two transfers, from one solve."""
+    z = np.asarray(z, dtype=complex)
+    rhs = np.stack(np.broadcast_arrays(control_input_vector(model, z),
+                                       model.b_cur + model.b_next,
+                                       np.multiply.outer(z - 1.0, model.b_next)))
+    fixed, same_cycle, closed = _output(c_phys, _resolvent_apply(model, z, rhs))
+    return closed, fixed - same_cycle
+
+
+def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray, z):
     """Mismatch between the closed-form difference and the two-evaluation subtraction."""
-    z = complex(z)
-    closed = np.asarray(c_phys) @ _resolvent_apply(model, z, (z - 1.0) * model.b_next)
-    subtracted = transfer_fixed_freq(model, c_phys, z) - transfer_same_cycle(model, c_phys, z)
-    return relative_residual(closed, subtracted)
+    return _row_residuals(*_difference_paths(model, c_phys, z))
 
 
-def transfer_difference(model: HalfCycleModel, c_phys: np.ndarray, z: complex,
+def transfer_difference(model: HalfCycleModel, c_phys: np.ndarray, z,
                         rtol: float = 1e-12) -> np.ndarray:
     """Exact-minus-approximate transfer, c_phys (zI - phi)^{-1} (z - 1) b_next.
 
     Computed in closed form and cross-checked against the subtraction of the
-    two transfer evaluations; disagreement beyond `rtol` relative means the
-    implementations have diverged and raises ArithmeticError. Identically
-    zero at z = 1, so the approximation is exact at dc.
+    two transfer evaluations; disagreement beyond `rtol` relative at any z
+    means the implementations have diverged and raises ArithmeticError.
+    Identically zero at z = 1, so the approximation is exact at dc.
     """
-    z = complex(z)
-    res = transfer_difference_residual(model, c_phys, z)
+    closed, subtracted = _difference_paths(model, c_phys, z)
+    res = np.max(_row_residuals(closed, subtracted))
     if res > rtol:
         raise ArithmeticError(
             f"transfer difference paths disagree: residual {res:.3e} exceeds {rtol:.1e}")
-    return np.asarray(c_phys) @ _resolvent_apply(model, z, (z - 1.0) * model.b_next)
+    return closed
 
 
-def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z: complex) -> float:
+def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z):
     """Submultiplicative upper bound on ||transfer_difference|| at z.
 
     |z - 1| ||c_phys|| ||(zI - phi)^{-1}|| ||b_next||, spectral norms. On the
     unit circle |z - 1| = 2 |sin(pi f t_half * ... )| grows linearly in f for
     small f t_half, which bounds how fast the same-cycle approximation decays.
+    A 1-D array of z gives one bound per z.
     """
-    z = complex(z)
-    n = model.phi.shape[0]
-    resolvent = np.linalg.inv(z * np.eye(n) - model.phi)
-    return float(abs(z - 1.0)
-                 * np.linalg.norm(np.asarray(c_phys), 2)
-                 * np.linalg.norm(resolvent, 2)
-                 * np.linalg.norm(model.b_next, 2))
+    z = np.asarray(z, dtype=complex)
+    resolvent = np.linalg.inv(z[..., None, None] * np.eye(model.phi.shape[0]) - model.phi)
+    return (np.hypot(z.real - 1.0, z.imag)
+            * np.linalg.norm(np.asarray(c_phys), 2)
+            * np.linalg.norm(resolvent, 2, axis=(-2, -1))
+            * np.linalg.norm(model.b_next, 2))[()]
 
 
 def resolvent_similarity_residual(a: np.ndarray, t_mat: np.ndarray, z: complex) -> float:
@@ -275,8 +301,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     if ((primary.a, primary.b), (secondary.a, secondary.b)) not in _EQUIVALENT_PAIRS:
         raise ValueError(
             f"surfaces {primary.label} and {secondary.label} are not an equivalence pair")
-    maps = segment_maps(dab.schedule)
-    t_mat = maps[primary.a - 1].phi
+    t_mat = segment_maps(dab.schedule)[primary.a - 1].phi
     cond = np.linalg.cond(t_mat)
     if not np.isfinite(cond) or cond > cond_limit:
         raise SimilarityError(f"similarity transform is singular: cond ~ {cond:.3e}")
@@ -289,20 +314,15 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     checks = [IdentityCheck(
         f"surface-equiv/{primary.label}~{secondary.label}/similarity", sim_res, similarity_rtol)]
 
-    input_res = 0.0
-    flipped_res = 0.0
-    transfer_res = 0.0
-    for z in z_grid:
-        z = complex(z)
-        b_pri = control_input_vector(m_pri, z)
-        b_sec = rebased_input_vector(m_sec, z)
-        mapped = np.linalg.solve(t_mat.astype(complex), b_sec)
-        input_res = max(input_res, relative_residual(b_pri, mapped))
-        flipped_res = max(flipped_res, relative_residual(b_pri, -mapped))
-        h_pri = transfer_fixed_freq(m_pri, c_phys, z)
-        h_chain = c_phys @ np.linalg.solve(
-            t_mat.astype(complex), _resolvent_apply(m_sec, z, b_sec))
-        transfer_res = max(transfer_res, relative_residual(h_pri, h_chain))
+    z = np.asarray(z_grid, dtype=complex)
+    b_pri = control_input_vector(m_pri, z)
+    b_sec = rebased_input_vector(m_sec, z)
+    stacked = np.stack([b_sec, _resolvent_apply(m_sec, z, b_sec)])[..., None]
+    mapped, chained = np.linalg.solve(t_mat.astype(complex), stacked)[..., 0]
+    input_res, flipped_res, transfer_res = (
+        float(np.max(_row_residuals(a, e), initial=0.0)) for a, e in (
+            (b_pri, mapped), (b_pri, -mapped),
+            (transfer_fixed_freq(m_pri, c_phys, z), _output(c_phys, chained))))
 
     note = ""
     if input_res > rtol and flipped_res <= rtol:
@@ -357,13 +377,9 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
         raise ValueError(f"kind must be 'fix' or 'sc', got {kind!r}")
     model = half_cycle_model(dab, surface)
     transfer = transfer_fixed_freq if kind == "fix" else transfer_same_cycle
-    rows = []
-    for f in sweep_frequencies(f_min, f_max, points, spacing, model.t_half):
-        z = cmath.exp(2j * cmath.pi * f * model.t_half)
-        try:
-            h = transfer(model, dab.c_phys, z)
-        except ResolventSingularityError:
-            rows.append(FrequencyResponseRow(f=float(f), h_irec=None, h_vout=None))
-            continue
-        rows.append(FrequencyResponseRow(f=float(f), h_irec=complex(h[0]), h_vout=complex(h[1])))
-    return rows
+    f = sweep_frequencies(f_min, f_max, points, spacing, model.t_half)
+    z = np.exp(2j * np.pi * f * model.t_half)
+    off_pole = _pole_gaps(model, z) > _POLE_GAP
+    h = np.full((f.size, 2), None)  # flagged rows keep None in both channels
+    h[off_pole] = transfer(model, dab.c_phys, z[off_pole])
+    return [FrequencyResponseRow(fk, *hk) for fk, hk in zip(f.tolist(), h.tolist())]

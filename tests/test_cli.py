@@ -217,6 +217,37 @@ class TestFailureExitCodes:
         assert proc.returncode == 5
         assert "amplitude" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["bode", "verify"])
+    def test_sweep_above_the_surface_nyquist_frequency_exits_two(self, config_file, tmp_path,
+                                                                 command):
+        path = config_file(sweep={"f_min": 100.0, "f_max": 500000.0, "points": 5,
+                                  "spacing": "log"})
+        argv = [command, path] + (["--out", str(tmp_path / "b.csv")] if command == "bode" else [])
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "sweep.f_max" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("surface", ["S+", "S-"])
+    def test_bode_on_a_surface_the_skew_breaks_exits_two(self, config_file, tmp_path, surface):
+        path = config_file(extra={"unsafe_t3_skew": 1e-7})
+        proc = run_cli("bode", path, "--surface", surface, "--out", str(tmp_path / "b.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"surface {surface}" in proc.stderr and "unsafe_t3_skew = 1e-07" in proc.stderr
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_skew_that_empties_an_interval_exits_two(self, config_file, tmp_path):
+        path = config_file(extra={"unsafe_t3_skew": 1e-5})
+        proc = run_cli("steady-state", path, "--out", str(tmp_path / "ss.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert "t3_skew" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_compare_with_one_measure_period_names_the_key(self, config_file, tmp_path):
+        path = config_file(sim={"injection": {"measure_periods": 1}})
+        proc = run_cli("compare", path, "--out", str(tmp_path / "cmp.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert "sim.injection.measure_periods" in proc.stderr
+        assert "injection frequency" not in proc.stderr
+
     def test_failed_run_leaves_no_partial_output(self, config_file, tmp_path):
         out = tmp_path / "wf.csv"
         path = config_file(sim={"periods": 2, "convergence_tol": 1e-13})

@@ -131,3 +131,14 @@ class TestRejection:
         conv["D_phase"] = 1.5
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, {"converter": conv}))
+
+
+class TestSweepBand:
+    def test_f_max_above_the_surface_nyquist_frequency_rejected(self, tmp_path):
+        doc = {"converter": dict(REFERENCE_KWARGS), "sweep": {"f_max": 500000.0}}
+        with pytest.raises(ConfigError, match="sweep.f_max"):
+            load_config(write(tmp_path, doc))
+
+    def test_f_max_at_the_surface_nyquist_frequency_accepted(self, tmp_path):
+        doc = {"converter": dict(REFERENCE_KWARGS), "sweep": {"f_max": REFERENCE_KWARGS["fs"]}}
+        assert load_config(write(tmp_path, doc)).sweep.f_max == REFERENCE_KWARGS["fs"]

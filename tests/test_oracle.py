@@ -12,6 +12,7 @@ from dabss import (FLIP_CURRENT, P_PLUS, S_PLUS, AmplitudeError, ConfigError,
                    half_cycle_model, measure_frequency_response, relative_residual,
                    require_coherent, run_to_steady_state, solve_periodic_fixed_point,
                    transfer_fixed_freq)
+from dabss import pwlti
 
 
 class TestInjectionValidation:
@@ -187,3 +188,22 @@ class TestFrequencyResponse:
         cfg = SimConfig(injection=Injection(f=1050.0))
         with pytest.raises(ConfigError):
             measure_frequency_response(ref_dab, P_PLUS, cfg)
+
+
+class TestIndependence:
+    def test_oracle_runs_without_the_closed_form_maps(self, ref_params, monkeypatch):
+        # The oracle shares only expm with the closed-form route: with the
+        # cached segment maps and segment_maps both refusing, it still runs.
+        def refuse(*args):
+            raise AssertionError("the oracle reached the closed-form segment maps")
+
+        monkeypatch.setattr(pwlti.Schedule, "maps", property(refuse))
+        monkeypatch.setattr(pwlti, "segment_maps", refuse)
+        dab = build_dab(ref_params)
+        with pytest.raises(AssertionError):
+            dab.schedule.maps
+        x_star, waveform = run_to_steady_state(dab, SimConfig())
+        assert np.all(np.isfinite(x_star)) and np.all(np.isfinite(waveform.x))
+        injection = Injection(f=2000.0, settle_periods=50, measure_periods=50)
+        h = measure_frequency_response(dab, P_PLUS, SimConfig(injection=injection))
+        assert np.all(np.isfinite(h))

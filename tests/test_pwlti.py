@@ -258,3 +258,55 @@ class TestResidualHelpers:
     def test_identity_check_passed_threshold(self):
         assert IdentityCheck("x", residual=1e-13, tolerance=1e-12).passed
         assert not IdentityCheck("x", residual=2e-12, tolerance=1e-12).passed
+
+
+class TestBatchedSegmentMaps:
+    def test_batched_maps_equal_per_segment_exponentials(self):
+        # Shapes as in the acceptance suite's random schedules: 1 to 6
+        # segments, about one zero duration in ten, input widths 1 and 2.
+        rng = np.random.default_rng(31)
+        for trial in range(200):
+            m = 1 + trial % 2
+            segs = []
+            for _ in range(int(rng.integers(1, 7))):
+                seg = random_stable_segment(rng, 2, m=m)
+                if rng.uniform() < 0.1:
+                    seg = Segment(a=seg.a, b=seg.b, duration=0.0)
+                segs.append(seg)
+            sched = Schedule(segments=tuple(segs), u=rng.standard_normal(m))
+            assert len(sched.maps) == len(segs)
+            for seg, got in zip(segs, sched.maps):
+                aug = np.zeros((3, 3))
+                aug[:2, :2] = seg.a
+                aug[:2, 2] = seg.b @ sched.u
+                single = expm(aug, seg.duration)
+                np.testing.assert_array_equal(got.phi, single[:2, :2])
+                np.testing.assert_array_equal(got.gamma, single[:2, 2])
+                one = segment_map(seg, sched.u)
+                np.testing.assert_array_equal(got.phi, one.phi)
+                np.testing.assert_array_equal(got.gamma, one.gamma)
+
+    def test_maps_are_built_once_per_schedule(self):
+        seg = Segment(a=-np.eye(2), b=np.ones((2, 1)), duration=0.5)
+        sched = Schedule(segments=(seg, seg), u=np.array([1.0]))
+        assert segment_maps(sched) is segment_maps(sched)
+        assert segment_maps(sched) is sched.maps
+
+    def test_maps_keep_the_expm_finiteness_check(self):
+        # Finite b and u whose product overflows: the augmented matrix is not finite.
+        seg = Segment(a=-np.eye(2), b=np.full((2, 1), 1e300), duration=0.5)
+        sched = Schedule(segments=(seg,), u=np.array([1e300]))
+        with np.errstate(over="ignore"), pytest.raises(NumericInputError):
+            segment_maps(sched)
+
+    def test_expm_of_a_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((5, 3, 3))
+        stacked = expm(a, 0.7)
+        for k in range(5):
+            np.testing.assert_array_equal(stacked[k], expm(a[k], 0.7))
+        a[2, 1, 1] = math.nan
+        with pytest.raises(NumericInputError):
+            expm(a, 0.7)
+        with pytest.raises(DimensionError):
+            expm(np.zeros((5, 3, 2)), 0.7)

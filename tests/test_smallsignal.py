@@ -17,6 +17,7 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams,
                    transfer_difference, transfer_difference_residual,
                    transfer_fixed_freq, transfer_same_cycle,
                    verify_surface_equivalence)
+from dabss import smallsignal
 from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params
 
 
@@ -274,3 +275,88 @@ class TestSweeps:
         assert row.flagged
         live = FrequencyResponseRow(f=1.0, h_irec=0j, h_vout=1j)
         assert not live.flagged
+
+
+class TestArrayFrequencyAxis:
+    """A 1-D array of z gives, row by row, exactly what scalar calls give."""
+
+    @staticmethod
+    def z_axis(model, fs: float) -> np.ndarray:
+        # A Bode grid up to the surface Nyquist frequency plus points all round the circle.
+        f = sweep_frequencies(fs / 1000.0, fs, 40, "log", model.t_half)
+        return np.concatenate([np.exp(2j * np.pi * f * model.t_half), unit_circle(24) ** 2])
+
+    def test_array_transfers_equal_scalar_transfers_on_random_designs(self):
+        rng = np.random.default_rng(20_2026)
+        for _ in range(20):
+            params = random_params(rng)
+            dab = build_dab(params)
+            c = dab.c_phys
+            for surface in SURFACES.values():
+                m = half_cycle_model(dab, surface)
+                zs = self.z_axis(m, params.fs)
+                batched = {
+                    "fix": transfer_fixed_freq(m, c, zs),
+                    "sc": transfer_same_cycle(m, c, zs),
+                    "difference": transfer_difference(m, c, zs, rtol=np.inf),
+                    "residual": transfer_difference_residual(m, c, zs),
+                    "envelope": difference_envelope(m, c, zs),
+                }
+                assert batched["fix"].shape == (zs.size, 2)
+                assert batched["envelope"].shape == (zs.size,)
+                for k, z in enumerate(zs.tolist()):
+                    scalar = {
+                        "fix": transfer_fixed_freq(m, c, z),
+                        "sc": transfer_same_cycle(m, c, z),
+                        "difference": transfer_difference(m, c, z, rtol=np.inf),
+                        "residual": transfer_difference_residual(m, c, z),
+                        "envelope": difference_envelope(m, c, z),
+                    }
+                    for name, value in scalar.items():
+                        assert np.array_equal(batched[name][k], value), (surface.label, name, z)
+
+    def test_scalar_z_keeps_the_scalar_shapes(self, ref_dab):
+        m = half_cycle_model(ref_dab, P_PLUS)
+        z = cmath.exp(0.3j)
+        assert transfer_fixed_freq(m, ref_dab.c_phys, z).shape == (2,)
+        assert transfer_difference(m, ref_dab.c_phys, z).shape == (2,)
+        assert isinstance(difference_envelope(m, ref_dab.c_phys, z), float)
+        assert isinstance(transfer_difference_residual(m, ref_dab.c_phys, z), float)
+
+    def test_a_pole_anywhere_in_an_array_raises(self, ref_dab):
+        m = half_cycle_model(ref_dab, P_PLUS)
+        zs = np.array([cmath.exp(0.3j), complex(m.poles[0]), cmath.exp(0.5j)])
+        for transfer in (transfer_fixed_freq, transfer_same_cycle, transfer_difference,
+                         transfer_difference_residual):
+            with pytest.raises(ResolventSingularityError):
+                transfer(m, ref_dab.c_phys, zs)
+
+    def test_difference_solves_once_for_all_three_paths(self, ref_dab, monkeypatch):
+        m = half_cycle_model(ref_dab, P_PLUS)
+        calls = []
+        real = smallsignal._resolvent_apply
+
+        def counted(model, z, rhs):
+            calls.append(np.shape(rhs))
+            return real(model, z, rhs)
+
+        monkeypatch.setattr(smallsignal, "_resolvent_apply", counted)
+        transfer_difference(m, ref_dab.c_phys, unit_circle(25))
+        assert calls == [(3, 25, 2)]
+
+    def test_bode_sweep_flags_the_pole_row_and_keeps_the_others(self, ref_dab, monkeypatch):
+        # A model whose phi is a rotation has its poles on the unit circle, so
+        # the last point of a linear grid ending at the rotation frequency is one.
+        real = half_cycle_model(ref_dab, P_PLUS)
+        theta = 0.8
+        rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        model = dataclasses.replace(real, phi=rotation)
+        monkeypatch.setattr(smallsignal, "half_cycle_model", lambda dab, surface: model)
+        f_pole = theta / (2.0 * np.pi * model.t_half)
+        for kind, transfer in (("fix", transfer_fixed_freq), ("sc", transfer_same_cycle)):
+            rows = bode_sweep(ref_dab, P_PLUS, kind, f_pole / 4.0, f_pole, 7, "linear")
+            assert [row.flagged for row in rows] == [False] * 6 + [True]
+            assert rows[-1].h_irec is None and rows[-1].h_vout is None
+            for row in rows[:-1]:
+                h = transfer(model, ref_dab.c_phys, cmath.exp(2j * cmath.pi * row.f * model.t_half))
+                assert (row.h_irec, row.h_vout) == (complex(h[0]), complex(h[1]))
