@@ -23,7 +23,7 @@ from . import __version__
 from .config import AppConfig, load_config
 from .dab import FLIP_CURRENT, DabSchedule, build_dab, solve_half_cycle, verify_symmetry
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
-                     ParameterError, ResolventSingularityError, SimilarityError)
+                     NumericInputError, ParameterError, ResolventSingularityError, SimilarityError)
 from .oracle import Injection, measure_frequency_response, run_to_steady_state
 from .pwlti import (IdentityCheck, closed_form_state, monodromy, propagate,
                     relative_residual, row_norms, solve_periodic_fixed_point)
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Exception types of a failed command, by exit code; a skew that empties an
 # interval (ParameterError from build_dab) is a configuration problem.
-_EXIT_CODES = (((ConfigError, ParameterError), 2),
+_EXIT_CODES = (((ConfigError, ParameterError, NumericInputError), 2),
                ((MarginalSystemError, ResolventSingularityError, SimilarityError), 3),
                ((ConvergenceError,), 4), ((AmplitudeError,), 5))
 

@@ -16,7 +16,6 @@ at the surface instants, and extract the single coherent DFT bin.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,6 +29,10 @@ from .smallsignal import Surface
 
 # Injection amplitude fallback: fraction of the ramp amplitude.
 DEFAULT_AMPLITUDE_RATIO = 1e-4
+
+# Half cycles whose step maps come from one stacked expm; bounds the memory
+# of a measurement independently of its length.
+HALF_CYCLES_PER_EXPM = 1024
 
 
 @dataclass(frozen=True)
@@ -108,15 +111,19 @@ def require_coherent(injection: Injection, period: float) -> int:
     return int(nearest)
 
 
-def _step_map(a: np.ndarray, b: np.ndarray, u: np.ndarray, dt: float):
-    # Local augmented-exponential discretization; the only shared numeric
-    # kernel with the closed-form route is expm itself.
-    n = a.shape[0]
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = a
-    aug[:n, n] = b @ u
-    m = expm(aug, dt)
-    return m[:n, :n], m[:n, n]
+def _step_maps(dab: DabSchedule, intervals, durations):
+    """(phi, gamma) of each step `intervals[i]` for `durations[i]`, from one expm.
+
+    The oracle discretises with its own augmented matrices [[a, b u], [0, 0]];
+    the only numeric kernel it shares with the closed-form route is expm itself.
+    """
+    segments = dab.schedule.segments
+    n = dab.schedule.dim
+    aug = np.zeros((len(segments), n + 1, n + 1))
+    aug[:, :n, :n] = [seg.a for seg in segments]
+    aug[:, :n, n] = [seg.b @ dab.schedule.u for seg in segments]
+    m = expm(aug[intervals] * np.asarray(durations)[..., None, None], 1.0)
+    return m[..., :n, :n], m[..., :n, n]
 
 
 def _spectral_radius(phis) -> float:
@@ -126,8 +133,10 @@ def _spectral_radius(phis) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(pi))))
 
 
-def _iterate_to_period_start(step_maps, periods: int, tol: float,
-                             rho: float) -> np.ndarray:
+def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
+    rho = _spectral_radius([phi for phi, _ in step_maps])
+    if rho >= 1.0:
+        warnings.warn(f"per-period spectral radius {rho:.6f} >= 1, iteration may not converge")
     x = np.zeros(step_maps[0][0].shape[0])
     prev = x.copy()
     residual = math.inf
@@ -150,30 +159,30 @@ def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
     means the period-to-period state change drops below
     convergence_tol * (1 + ||x||) inside the period budget.
     """
-    segments = dab.schedule.segments
-    u = dab.schedule.u
-    step_maps = [_step_map(seg.a, seg.b, u, seg.duration) for seg in segments]
-    rho = _spectral_radius([m[0] for m in step_maps])
-    if rho >= 1.0:
-        warnings.warn(f"per-period spectral radius {rho:.6f} >= 1, iteration may not converge")
-    x_star = _iterate_to_period_start(step_maps, cfg.periods, cfg.convergence_tol, rho)
-
+    durations = [seg.duration for seg in dab.schedule.segments]
     substeps = cfg.substeps_per_interval
+    n_seg = len(durations)
+    # The period maps and the substep maps, all from one expm.
+    phis, gammas = _step_maps(dab, list(range(n_seg)) * 2,
+                              durations + [d / substeps for d in durations])
+    step_maps = list(zip(phis[:n_seg], gammas[:n_seg]))
+    x_star = _iterate_to_period_start(step_maps, cfg.periods, cfg.convergence_tol)
+
     times = [0.0]
     states = [x_star]
     outputs = [dab.c_intervals[0] @ x_star]
     x = x_star.copy()
     t_start = 0.0
-    for i, seg in enumerate(segments):
-        if seg.duration == 0.0:
+    for i, duration in enumerate(durations):
+        if duration == 0.0:
             continue  # no time passes; a duplicate sample would break monotonicity
-        sub_phi, sub_gamma = _step_map(seg.a, seg.b, u, seg.duration / substeps)
+        sub_phi, sub_gamma = phis[n_seg + i], gammas[n_seg + i]
         for j in range(1, substeps + 1):
             x = sub_phi @ x + sub_gamma
-            times.append(t_start + seg.duration * (j / substeps))
+            times.append(t_start + duration * (j / substeps))
             states.append(x)
             outputs.append(dab.c_intervals[i] @ x)
-        t_start += seg.duration
+        t_start += duration
     waveform = Waveform(t=np.array(times), x=np.array(states), y=np.array(outputs))
     return x_star, waveform
 
@@ -218,52 +227,40 @@ def measure_frequency_response(dab: DabSchedule, surface: Surface, cfg: SimConfi
     f = injection.f
 
     segments = dab.schedule.segments
-    u = dab.schedule.u
     comp_gain = t_half / params.Vr
-    min_duration = min(seg.duration for seg in segments)
-    amp = _resolve_amplitude(injection, params.Vr, comp_gain, min_duration)
+    base = np.array([seg.duration for seg in segments])
+    amp = _resolve_amplitude(injection, params.Vr, comp_gain, float(base.min()))
 
     # Unperturbed pre-run to the periodic orbit, then walk to the surface instant.
-    step_maps = [_step_map(seg.a, seg.b, u, seg.duration) for seg in segments]
-    rho = _spectral_radius([m[0] for m in step_maps])
-    if rho >= 1.0:
-        warnings.warn(f"per-period spectral radius {rho:.6f} >= 1, iteration may not converge")
-    x = _iterate_to_period_start(step_maps, cfg.periods, cfg.convergence_tol, rho)
-    for i in range(surface.a - 1):
-        phi, gamma = step_maps[i]
+    step_maps = list(zip(*_step_maps(dab, list(range(len(segments))), base)))
+    x = _iterate_to_period_start(step_maps, cfg.periods, cfg.convergence_tol)
+    for phi, gamma in step_maps[:surface.a - 1]:
         x = phi @ x + gamma
 
+    # The whole control sequence, hence every half cycle's interval pair and
+    # perturbed durations, is known before the run starts.
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
-    polarity = surface.polarity
+    control = np.array([amp * math.sin(2.0 * math.pi * f * k * t_half)
+                        for k in range(n_half + 1)])
+    ks = np.arange(n_half)
+    intervals = np.stack([(surface.a - 1 + 2 * ks) % 4, (surface.b - 1 + 2 * ks) % 4], axis=1)
+    durations = base[intervals]
+    durations[:, 0] += surface.polarity * comp_gain * control[:-1]
+    durations[:, 1] -= surface.polarity * comp_gain * control[1:]
+    negative = np.flatnonzero((durations < 0.0).any(axis=1))
+    if negative.size:
+        raise AmplitudeError(
+            f"perturbation drove a duration negative at half cycle {negative[0]}")
+
     c_phys = np.asarray(dab.c_phys)
-    cache: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-    def step(interval: int, duration: float):
-        key = (interval, duration)
-        hit = cache.get(key)
-        if hit is None:
-            seg = segments[interval]
-            hit = _step_map(seg.a, seg.b, u, duration)
-            cache[key] = hit
-        return hit
-
     samples = np.empty((n_half, 2))
-    control = np.empty(n_half + 1)
-    for k in range(n_half + 1):
-        control[k] = amp * math.sin(2.0 * math.pi * f * k * t_half)
-    for k in range(n_half):
-        samples[k] = c_phys @ (x if k % 2 == 0 else RECTIFY @ x)
-        ia = (surface.a - 1 + 2 * k) % 4
-        ib = (surface.b - 1 + 2 * k) % 4
-        ta = segments[ia].duration + polarity * comp_gain * control[k]
-        tb = segments[ib].duration - polarity * comp_gain * control[k + 1]
-        if ta < 0.0 or tb < 0.0:
-            raise AmplitudeError(
-                f"perturbation drove a duration negative at half cycle {k}")
-        phi, gamma = step(ia, ta)
-        x = phi @ x + gamma
-        phi, gamma = step(ib, tb)
-        x = phi @ x + gamma
+    for start in range(0, n_half, HALF_CYCLES_PER_EXPM):
+        phis, gammas = _step_maps(dab, intervals[start:start + HALF_CYCLES_PER_EXPM],
+                                  durations[start:start + HALF_CYCLES_PER_EXPM])
+        for k, phi, gamma in zip(range(start, n_half), phis, gammas):
+            samples[k] = c_phys @ (x if k % 2 == 0 else RECTIFY @ x)
+            x = phi[0] @ x + gamma[0]
+            x = phi[1] @ x + gamma[1]
 
     k0 = 2 * injection.settle_periods
     n = 2 * injection.measure_periods

@@ -248,6 +248,17 @@ class TestFailureExitCodes:
         assert "sim.injection.measure_periods" in proc.stderr
         assert "injection frequency" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["steady-state", "verify", "simulate"])
+    def test_non_finite_exponential_is_a_config_error(self, config_file, tmp_path, command):
+        # A 1e-300 F capacitor puts the 1-norm of a*t near 1e295: the
+        # exponential overflows in closed form and in the oracle alike.
+        path = config_file(converter=dict(REFERENCE_KWARGS, Co=1e-300))
+        argv = [command, path] + ([] if command == "verify" else ["--out", str(tmp_path / "o")])
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "matrix exponential is not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_failed_run_leaves_no_partial_output(self, config_file, tmp_path):
         out = tmp_path / "wf.csv"
         path = config_file(sim={"periods": 2, "convergence_tol": 1e-13})
@@ -263,3 +274,14 @@ class TestMisc:
 
     def test_missing_subcommand_is_a_usage_error(self):
         assert run_cli().returncode == 2
+
+    @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version")],
+                             ids=["import", "cli-version"])
+    def test_scipy_is_never_imported(self, argv):
+        # -X importtime lists every module the interpreter imports, one per line.
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "dabss" in imported and "numpy" in imported
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]

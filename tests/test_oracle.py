@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
-from dabss import (FLIP_CURRENT, P_PLUS, S_PLUS, AmplitudeError, ConfigError,
+from dabss import (FLIP_CURRENT, P_PLUS, RECTIFY, S_MINUS, S_PLUS, AmplitudeError, ConfigError,
                    ConvergenceError, Injection, SimConfig, build_dab,
                    half_cycle_model, measure_frequency_response, relative_residual,
                    require_coherent, run_to_steady_state, solve_periodic_fixed_point,
                    transfer_fixed_freq)
-from dabss import pwlti
+from dabss import oracle, pwlti
 
 
 class TestInjectionValidation:
@@ -207,3 +208,93 @@ class TestIndependence:
         injection = Injection(f=2000.0, settle_periods=50, measure_periods=50)
         h = measure_frequency_response(dab, P_PLUS, SimConfig(injection=injection))
         assert np.all(np.isfinite(h))
+
+
+def single_step(dab, interval, duration):
+    """One oracle step map from its own expm call, as the per-step oracle built it."""
+    seg = dab.schedule.segments[interval]
+    aug = np.zeros((3, 3))
+    aug[:2, :2] = seg.a
+    aug[:2, 2] = seg.b @ dab.schedule.u
+    m = pwlti.expm(aug, duration)
+    return m[:2, :2], m[:2, 2]
+
+
+def per_step_response(dab, surface, cfg):
+    """measure_frequency_response one half cycle at a time, each step map its own expm."""
+    injection, params = cfg.injection, dab.params
+    segments = dab.schedule.segments
+    comp_gain = params.t_half / params.Vr
+    amp = oracle._resolve_amplitude(injection, params.Vr, comp_gain,
+                                    min(seg.duration for seg in segments))
+    period_maps = [single_step(dab, i, seg.duration) for i, seg in enumerate(segments)]
+    x = oracle._iterate_to_period_start(period_maps, cfg.periods, cfg.convergence_tol)
+    for phi, gamma in period_maps[:surface.a - 1]:
+        x = phi @ x + gamma
+    n_half = 2 * (injection.settle_periods + injection.measure_periods)
+    control = np.array([amp * math.sin(2.0 * math.pi * injection.f * k * params.t_half)
+                        for k in range(n_half + 1)])
+    samples = np.empty((n_half, 2))
+    for k in range(n_half):
+        samples[k] = dab.c_phys @ (x if k % 2 == 0 else RECTIFY @ x)
+        ia = (surface.a - 1 + 2 * k) % 4
+        ib = (surface.b - 1 + 2 * k) % 4
+        ta = segments[ia].duration + surface.polarity * comp_gain * control[k]
+        tb = segments[ib].duration - surface.polarity * comp_gain * control[k + 1]
+        for interval, duration in ((ia, ta), (ib, tb)):
+            phi, gamma = single_step(dab, interval, duration)
+            x = phi @ x + gamma
+    k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
+    basis = np.exp(-2j * math.pi * injection.f * params.t_half * np.arange(k0, k0 + n))
+    return (basis @ samples[k0:k0 + n]) / (basis @ control[k0:k0 + n])
+
+
+class TestStackedStepMaps:
+    # 3 cycles over a 20-period window of 40 half cycles: coprime, so no
+    # control sample repeats and every step has its own duration.
+    INJECTION = dict(f=15000.0, settle_periods=10, measure_periods=20)
+
+    @pytest.mark.parametrize("surface", [P_PLUS, S_MINUS], ids=lambda s: s.label)
+    @pytest.mark.parametrize("amplitude", [1e-4, None], ids=["explicit", "automatic"])
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
+    def test_response_equals_the_per_step_loop_bit_for_bit(self, ref_dab, monkeypatch,
+                                                          surface, amplitude, block):
+        monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
+        cfg = SimConfig(injection=Injection(amplitude=amplitude, **self.INJECTION))
+        np.testing.assert_array_equal(measure_frequency_response(ref_dab, surface, cfg),
+                                      per_step_response(ref_dab, surface, cfg))
+
+    def test_steady_state_maps_equal_single_calls(self, ref_dab):
+        cfg = SimConfig(substeps_per_interval=8)
+        x_star, waveform = run_to_steady_state(ref_dab, cfg)
+        segments = ref_dab.schedule.segments
+        period_maps = [single_step(ref_dab, i, seg.duration) for i, seg in enumerate(segments)]
+        np.testing.assert_array_equal(
+            x_star, oracle._iterate_to_period_start(period_maps, cfg.periods, cfg.convergence_tol))
+        x, states = x_star, [x_star]
+        for i, seg in enumerate(segments):
+            phi, gamma = single_step(ref_dab, i, seg.duration / 8)
+            for _ in range(8):
+                x = phi @ x + gamma
+                states.append(x)
+        np.testing.assert_array_equal(waveform.x, np.array(states))
+
+    def test_negative_duration_names_the_first_offending_half_cycle(self, ref_dab, monkeypatch):
+        params = ref_dab.params
+        segments = ref_dab.schedule.segments
+        comp_gain = params.t_half / params.Vr
+        amp = 1.5 * min(seg.duration for seg in segments) / comp_gain
+        monkeypatch.setattr(oracle, "_resolve_amplitude", lambda *args: amp)
+        injection = Injection(**self.INJECTION)
+        control = [amp * math.sin(2.0 * math.pi * injection.f * k * params.t_half)
+                   for k in range(2 * 30 + 1)]
+
+        def negative(k):
+            ta = segments[(2 * k) % 4].duration + P_PLUS.polarity * comp_gain * control[k]
+            tb = segments[(1 + 2 * k) % 4].duration - P_PLUS.polarity * comp_gain * control[k + 1]
+            return ta < 0.0 or tb < 0.0
+
+        first = next(k for k in range(2 * 30) if negative(k))
+        assert first > 0
+        with pytest.raises(AmplitudeError, match=rf"negative at half cycle {first}$"):
+            measure_frequency_response(ref_dab, P_PLUS, SimConfig(injection=injection))

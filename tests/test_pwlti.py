@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from dabss import (DimensionError, MarginalSystemError, NumericInputError, Schedule,
-                   Segment, SegmentMap, closed_form_state, expm, fixed_point_of_maps,
+from dabss import (DabParams, DimensionError, MarginalSystemError, NumericInputError, Schedule,
+                   Segment, SegmentMap, build_dab, closed_form_state, expm, fixed_point_of_maps,
                    forcing_via_inverse, monodromy, propagate, relative_residual,
                    reverse_product, segment_map, segment_maps,
                    solve_periodic_fixed_point)
 from dabss.pwlti import IdentityCheck, periodic_forcing
+from tests.conftest import REFERENCE_KWARGS, random_params
 
 
 def random_stable_segment(rng, n, m=1, max_duration=1.0):
@@ -52,6 +53,62 @@ class TestExpm:
     def test_rejects_non_finite_horizon(self):
         with pytest.raises(NumericInputError):
             expm(np.eye(2), math.inf)
+
+    def test_rejects_a_non_finite_result(self):
+        with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
+            expm(np.array([[800.0]]), 1.0)
+
+
+def augmented_step_matrices(dab, substeps=(1,)):
+    """[[a T, b u T], [0, 0]] of every interval, for T = duration / q over each q in substeps."""
+    out = []
+    for seg in dab.schedule.segments:
+        aug = np.zeros((3, 3))
+        aug[:2, :2] = seg.a
+        aug[:2, 2] = seg.b @ dab.schedule.u
+        out += [aug * (seg.duration / q) for q in substeps]
+    return np.array(out)
+
+
+def max_abs_relative(actual, expected):
+    """Per-matrix max |actual - expected| over max |expected|."""
+    return np.abs(actual - expected).max(axis=(-2, -1)) / np.abs(expected).max(axis=(-2, -1))
+
+
+class TestPadeKernel:
+    """The numpy Pade kernel against scipy.linalg.expm, a reference for the tests only."""
+
+    def test_matches_scipy_on_random_designs(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(41)
+        # Period steps and the oracle's 32-substep waveform steps of 500 designs.
+        aug = np.concatenate([augmented_step_matrices(build_dab(random_params(rng)), (1, 32))
+                              for _ in range(500)])
+        assert max_abs_relative(expm(aug, 1.0), linalg.expm(aug)).max() <= 1e-14
+
+    def test_stiff_blocked_design_keeps_its_conserved_state(self):
+        # The marginal design of the CLI suite: a blocking series path, an
+        # unloaded output, about 26 squarings per interval.
+        linalg = pytest.importorskip("scipy.linalg")
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
+        aug = augmented_step_matrices(dab)
+        ours, reference = expm(aug, 1.0), linalg.expm(aug)
+        for m in ours:
+            np.testing.assert_array_equal(m[2], [0.0, 0.0, 1.0])
+        assert max_abs_relative(ours[:, :2, :2], reference[:, :2, :2]).max() <= 1e-14
+        assert max_abs_relative(ours[:, :2, 2:], reference[:, :2, 2:]).max() <= 1e-14
+
+    def test_mixed_norm_stack_matches_single_calls_bit_for_bit(self):
+        # Skew-symmetric matrices keep exp bounded at any norm; 1e8 takes 25
+        # squarings and 1e-6 none, so the squaring mask differs per matrix.
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((6, 3, 3))
+        a = a - np.swapaxes(a, 1, 2)
+        target = np.array([1e-6, 1e8, 1e-6, 3.0, 1e8, 40.0])
+        a *= (target / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+        stacked = expm(a, 1.0)
+        for k in range(len(a)):
+            np.testing.assert_array_equal(stacked[k], expm(a[k], 1.0))
 
 
 class TestSegmentValidation:
