@@ -1,44 +1,25 @@
-"""Exact discrete-time steady-state and sampled small-signal models of dual active bridge converters."""
+"""Exact discrete-time steady-state and sampled small-signal models of dual active bridge converters.
 
-from .config import AppConfig, SweepSpec, Tolerances, load_config
-from .dab import (FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, DabParams, DabSchedule,
-                  build_dab, interval_output, physical_output, solve_half_cycle,
-                  verify_symmetry)
-from .errors import (AmplitudeError, ConfigError, ConvergenceError, DimensionError,
-                     MarginalSystemError, NumericInputError, ParameterError,
-                     ResolventSingularityError, SimilarityError)
-from .oracle import (Injection, SimConfig, Waveform, measure_frequency_response,
-                     require_coherent, run_to_steady_state)
-from .pwlti import (IdentityCheck, Schedule, Segment, SegmentMap, closed_form_state,
-                    expm, fixed_point_of_maps, forcing_via_inverse, monodromy,
-                    propagate, relative_residual, reverse_product, segment_map,
-                    segment_maps, solve_periodic_fixed_point)
-from .smallsignal import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES,
-                          FrequencyResponseRow, HalfCycleModel, Surface, bode_sweep,
-                          control_input_vector, difference_envelope, half_cycle_model,
-                          rebased_input_vector, resolvent_similarity_residual,
-                          sweep_frequencies,
+The top level holds what a typical analysis needs; every other public name
+imports from its module: `dabss.pwlti`, `dabss.dab`, `dabss.smallsignal`,
+`dabss.oracle`, `dabss.config` and `dabss.errors`.
+"""
+
+from .dab import DabParams, build_dab
+from .errors import ResolventSingularityError
+from .oracle import Injection, SimConfig
+from .pwlti import relative_residual, solve_periodic_fixed_point
+from .smallsignal import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, Surface,
+                          difference_envelope, half_cycle_model, sweep_frequencies,
                           transfer_difference, transfer_difference_residual,
-                          transfer_fixed_freq, transfer_same_cycle,
-                          verify_surface_equivalence)
+                          transfer_fixed_freq, transfer_same_cycle)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeError", "AppConfig", "ConfigError", "ConvergenceError", "DabParams",
-    "DabSchedule", "DimensionError", "FLIP_CURRENT", "FLIP_VOLTAGE",
-    "FrequencyResponseRow", "HalfCycleModel", "IdentityCheck", "Injection",
-    "MarginalSystemError", "NumericInputError", "P_MINUS", "P_PLUS",
-    "ParameterError", "RECTIFY", "ResolventSingularityError", "S_MINUS", "S_PLUS",
-    "SURFACES", "Schedule", "Segment", "SegmentMap", "SimConfig", "SimilarityError",
-    "Surface", "SweepSpec", "Tolerances", "Waveform", "bode_sweep", "build_dab",
-    "closed_form_state", "control_input_vector", "difference_envelope", "expm",
-    "fixed_point_of_maps", "forcing_via_inverse", "half_cycle_model",
-    "interval_output", "load_config", "measure_frequency_response", "monodromy",
-    "physical_output", "propagate", "rebased_input_vector", "relative_residual", "require_coherent",
-    "resolvent_similarity_residual", "reverse_product", "run_to_steady_state",
-    "segment_map", "segment_maps", "solve_half_cycle", "solve_periodic_fixed_point",
-    "sweep_frequencies", "transfer_difference", "transfer_difference_residual",
-    "transfer_fixed_freq", "transfer_same_cycle", "verify_surface_equivalence",
-    "verify_symmetry",
+    "DabParams", "Injection", "P_MINUS", "P_PLUS", "ResolventSingularityError",
+    "S_MINUS", "S_PLUS", "SURFACES", "SimConfig", "Surface", "build_dab",
+    "difference_envelope", "half_cycle_model", "relative_residual",
+    "solve_periodic_fixed_point", "sweep_frequencies", "transfer_difference",
+    "transfer_difference_residual", "transfer_fixed_freq", "transfer_same_cycle",
 ]

@@ -51,10 +51,6 @@ def _wrap_degrees(angle: float) -> float:
     return 180.0 if wrapped == -180.0 else wrapped
 
 
-def _build_dab(cfg: AppConfig) -> DabSchedule:
-    return build_dab(cfg.converter, t3_skew=cfg.t3_skew)
-
-
 def _surface(cfg: AppConfig, label: str):
     base = SURFACES[label]
     if label in cfg.polarity_override:
@@ -62,9 +58,7 @@ def _surface(cfg: AppConfig, label: str):
     return base
 
 
-def cmd_steady_state(args) -> int:
-    cfg = load_config(args.config)
-    dab = _build_dab(cfg)
+def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
     if args.method == "full":
         x_star = solve_periodic_fixed_point(dab.schedule)
     else:
@@ -84,8 +78,7 @@ def cmd_steady_state(args) -> int:
     return 0
 
 
-def _verify_checks(cfg: AppConfig) -> list[IdentityCheck]:
-    dab = _build_dab(cfg)
+def _verify_checks(cfg: AppConfig, dab: DabSchedule) -> list[IdentityCheck]:
     tol = cfg.tolerances
     checks = list(verify_symmetry(dab, rtol=tol.half_wave_symmetry))
 
@@ -147,9 +140,8 @@ def _verify_checks(cfg: AppConfig) -> list[IdentityCheck]:
     return checks
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    checks = _verify_checks(cfg)
+def cmd_verify(args, cfg: AppConfig, dab: DabSchedule) -> int:
+    checks = _verify_checks(cfg, dab)
     width = max(len(c.name) for c in checks)
     lines = [f"{'identity':<{width}}  {'residual':>12}  {'tolerance':>12}  status"]
     for c in checks:
@@ -165,9 +157,7 @@ def cmd_verify(args) -> int:
     return 1 if failing else 0
 
 
-def cmd_bode(args) -> int:
-    cfg = load_config(args.config)
-    dab = _build_dab(cfg)
+def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
     surface = _surface(cfg, args.surface)
     sweep = cfg.sweep
     kinds = ("fix", "sc") if args.model == "both" else (args.model,)
@@ -199,9 +189,7 @@ def cmd_bode(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    dab = _build_dab(cfg)
+def cmd_simulate(args, cfg: AppConfig, dab: DabSchedule) -> int:
     _, waveform = run_to_steady_state(dab, cfg.sim)
     lines = ["t,i_L,v_C,i_rec,v_out"]
     for t, x, y in zip(waveform.t, waveform.x, waveform.y):
@@ -229,9 +217,7 @@ def _coherent_frequencies(cfg: AppConfig, injection: Injection, t_half: float) -
     return [m / window for m in sorted(bins)]
 
 
-def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    dab = _build_dab(cfg)
+def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     surface = _surface(cfg, "P+")
     model = half_cycle_model(dab, surface)
 
@@ -245,7 +231,8 @@ def cmd_compare(args) -> int:
         f"# steady_state_rel_dev={_fmt(steady_dev)}",
         "f_hz,mag_ratio_irec,phase_diff_deg_irec,mag_ratio_vout,phase_diff_deg_vout",
     ]
-    freqs = _coherent_frequencies(cfg, injection, model.t_half)
+    freqs = ([injection.f] if injection.f is not None
+             else _coherent_frequencies(cfg, injection, model.t_half))
     z = np.exp(2j * np.pi * np.array(freqs) * model.t_half)
     for f, predicted in zip(freqs, transfer_fixed_freq(model, dab.c_phys, z)):
         cfg_f = dataclasses.replace(cfg.sim, injection=dataclasses.replace(injection, f=f))
@@ -309,7 +296,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        return args.func(args, cfg, build_dab(cfg.converter, t3_skew=cfg.t3_skew))
     except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

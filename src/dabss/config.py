@@ -125,9 +125,7 @@ def _parse_injection(raw) -> Injection:
 
 
 def _parse_sim(raw) -> SimConfig:
-    if raw is None:
-        return SimConfig()
-    table = dict(_require_table(raw, "sim"))
+    table = dict(_require_table({} if raw is None else raw, "sim"))
     periods = _take(table, "sim", "periods", default=SimConfig.periods)
     substeps = _take(table, "sim", "substeps_per_interval", default=SimConfig.substeps_per_interval)
     tol = _take(table, "sim", "convergence_tol", default=SimConfig.convergence_tol)
@@ -141,10 +139,7 @@ def _parse_sim(raw) -> SimConfig:
 
 
 def _parse_sweep(raw, params: DabParams) -> SweepSpec:
-    if raw is None:
-        return SweepSpec(f_min=params.fs / 1000.0, f_max=params.fs / 10.0,
-                         points=25, spacing="log")
-    table = dict(_require_table(raw, "sweep"))
+    table = dict(_require_table({} if raw is None else raw, "sweep"))
     f_min = _take(table, "sweep", "f_min", default=params.fs / 1000.0)
     f_max = _take(table, "sweep", "f_max", default=params.fs / 10.0)
     points = _take(table, "sweep", "points", default=25)
@@ -160,9 +155,7 @@ def _parse_sweep(raw, params: DabParams) -> SweepSpec:
 
 
 def _parse_tolerances(raw) -> Tolerances:
-    if raw is None:
-        return Tolerances()
-    table = dict(_require_table(raw, "tolerances"))
+    table = dict(_require_table({} if raw is None else raw, "tolerances"))
     values = {}
     for name in Tolerances.__dataclass_fields__:
         if name in table:
@@ -172,9 +165,7 @@ def _parse_tolerances(raw) -> Tolerances:
 
 
 def _parse_polarity_override(raw) -> dict:
-    if raw is None:
-        return {}
-    table = _require_table(raw, "unsafe_polarity_override")
+    table = _require_table({} if raw is None else raw, "unsafe_polarity_override")
     override = {}
     for label, value in table.items():
         if label not in SURFACES:
@@ -209,6 +200,9 @@ def load_config(path) -> AppConfig:
     converter = _parse_converter(converter_raw)
     sim = _parse_sim(sim_raw)
     if sim.injection is not None and sim.injection.f is not None:
+        if sim.injection.f >= converter.fs:
+            raise ConfigError(f"sim.injection.f {sim.injection.f!r} is at or above the surface "
+                              f"Nyquist frequency fs = {converter.fs!r}")
         require_coherent(sim.injection, converter.period)
     return AppConfig(
         converter=converter,

@@ -175,7 +175,7 @@ def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck
     ]
 
 
-def solve_half_cycle(dab: DabSchedule, cond_limit: float = pwlti.COND_LIMIT) -> np.ndarray:
+def solve_half_cycle(dab: DabSchedule) -> np.ndarray:
     """Period-start steady state from the first half cycle alone.
 
     Half-wave symmetry reduces the periodic condition x4 = x0 to
@@ -187,7 +187,7 @@ def solve_half_cycle(dab: DabSchedule, cond_limit: float = pwlti.COND_LIMIT) -> 
     m1, m2, _, _ = segment_maps(dab.schedule)
     half = m2.phi @ m1.phi
     return pwlti.gated_solve(
-        FLIP_CURRENT - half, m2.phi @ m1.gamma + m2.gamma, half, cond_limit,
+        FLIP_CURRENT - half, m2.phi @ m1.gamma + m2.gamma, half,
         "half-cycle solve is marginal: cond ~ {cond:.3e} exceeds {limit:.1e}")
 
 

@@ -172,15 +172,11 @@ class Schedule:
     def dim(self) -> int:
         return self.segments[0].dim
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.segments)
-
     @functools.cached_property
     def maps(self) -> tuple[SegmentMap, ...]:
         """Exact maps (`segment_map`) of every segment in order, from one batched expm."""
         n = self.dim
-        aug = np.zeros((self.n_segments, n + 1, n + 1))
+        aug = np.zeros((len(self.segments), n + 1, n + 1))
         aug[:, :n, :n] = [seg.a for seg in self.segments]
         aug[:, :n, n] = [seg.b @ self.u for seg in self.segments]
         # Scaling by the durations first is exact to the bit: expm's own `a * t` at t = 1.
@@ -284,33 +280,33 @@ def periodic_forcing(maps) -> np.ndarray:
 
 
 def gated_solve(lhs: np.ndarray, rhs: np.ndarray, transition: np.ndarray,
-                cond_limit: float, message: str) -> np.ndarray:
-    """Solve lhs x = rhs unless cond(lhs) is not finite or exceeds cond_limit; then raise
+                message: str) -> np.ndarray:
+    """Solve lhs x = rhs unless cond(lhs) is not finite or exceeds COND_LIMIT; then raise
     MarginalSystemError with `message` (fields cond, limit) and the eigenvalues of `transition`."""
     cond = np.linalg.cond(lhs)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise MarginalSystemError(message.format(cond=cond, limit=cond_limit),
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise MarginalSystemError(message.format(cond=cond, limit=COND_LIMIT),
                                   eigenvalues=np.linalg.eigvals(transition))
     return np.linalg.solve(lhs, rhs)
 
 
-def fixed_point_of_maps(maps, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def fixed_point_of_maps(maps) -> np.ndarray:
     """Periodic fixed point x* of the composed maps: (I - Pi) x* = forcing.
 
     Raises MarginalSystemError, carrying the eigenvalues of the monodromy
-    matrix Pi, when the condition estimate of (I - Pi) exceeds `cond_limit`;
+    matrix Pi, when the condition estimate of (I - Pi) exceeds COND_LIMIT;
     an eigenvalue of Pi on or near the unit circle makes the periodic
     solution meaningless at double precision.
     """
     pi = reverse_product([m.phi for m in maps], 1, len(maps))
     return gated_solve(
-        np.eye(pi.shape[0]) - pi, periodic_forcing(maps), pi, cond_limit,
+        np.eye(pi.shape[0]) - pi, periodic_forcing(maps), pi,
         "periodic solve is marginal: cond(I - Pi) ~ {cond:.3e} exceeds {limit:.1e}")
 
 
-def solve_periodic_fixed_point(schedule: Schedule, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def solve_periodic_fixed_point(schedule: Schedule) -> np.ndarray:
     """Steady-state period-boundary state of a schedule."""
-    return fixed_point_of_maps(segment_maps(schedule), cond_limit=cond_limit)
+    return fixed_point_of_maps(segment_maps(schedule))
 
 
 def monodromy(schedule: Schedule) -> np.ndarray:

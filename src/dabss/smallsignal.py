@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +101,7 @@ class HalfCycleModel:
         return np.linalg.eigvals(self.phi)
 
 
-def half_cycle_model(dab: DabSchedule, surface: Surface,
-                     cond_limit: float = pwlti.COND_LIMIT) -> HalfCycleModel:
+def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     """Build the sampled model for one surface of a converter schedule.
 
     The duration sensitivities come from the endpoint identity
@@ -122,7 +122,7 @@ def half_cycle_model(dab: DabSchedule, surface: Surface,
     phi = RECTIFY @ map_b.phi @ map_a.phi
     g = RECTIFY @ (map_b.phi @ map_a.gamma + map_b.gamma)
     x_star = pwlti.gated_solve(
-        np.eye(2) - phi, g, phi, cond_limit,
+        np.eye(2) - phi, g, phi,
         f"surface {surface.label} fixed point is marginal: cond ~ {{cond:.3e}}")
     x_a_end = map_a.phi @ x_star + map_a.gamma
     x_b_end = map_b.phi @ x_a_end + map_b.gamma
@@ -279,8 +279,7 @@ _EQUIVALENT_PAIRS = {((1, 2), (2, 3)), ((3, 4), (4, 1))}
 
 def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Surface,
                                z_grid, rtol: float = 1e-10,
-                               similarity_rtol: float = 1e-12,
-                               cond_limit: float = pwlti.COND_LIMIT) -> list[IdentityCheck]:
+                               similarity_rtol: float = 1e-12) -> list[IdentityCheck]:
     """Numerical check that two surfaces offset by one interval carry the same dynamics.
 
     With T the transition matrix of the primary surface's leading interval
@@ -303,7 +302,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
             f"surfaces {primary.label} and {secondary.label} are not an equivalence pair")
     t_mat = segment_maps(dab.schedule)[primary.a - 1].phi
     cond = np.linalg.cond(t_mat)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > pwlti.COND_LIMIT:
         raise SimilarityError(f"similarity transform is singular: cond ~ {cond:.3e}")
 
     m_pri = half_cycle_model(dab, primary)
@@ -334,8 +333,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     return checks
 
 
-@dataclass(frozen=True)
-class FrequencyResponseRow:
+class FrequencyResponseRow(NamedTuple):
     """One sweep row; transfer values are None when z hit a pole (row flagged)."""
 
     f: float

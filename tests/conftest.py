@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from dabss import RECTIFY, DabParams, build_dab, half_cycle_model
+from dabss import DabParams, build_dab, half_cycle_model
+from dabss.dab import RECTIFY
 from dabss.pwlti import segment_map
 
 # Reference design used throughout the suite. Values chosen so every regime

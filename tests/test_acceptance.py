@@ -18,14 +18,14 @@ import time
 import numpy as np
 import pytest
 
-from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams, Injection,
-                   Schedule, Segment, SimConfig, Surface, build_dab,
-                   difference_envelope, half_cycle_model, measure_frequency_response,
-                   propagate, relative_residual, resolvent_similarity_residual,
-                   reverse_product, run_to_steady_state, segment_maps,
-                   solve_half_cycle, solve_periodic_fixed_point, sweep_frequencies,
-                   transfer_difference, transfer_difference_residual,
-                   transfer_fixed_freq, verify_surface_equivalence, verify_symmetry)
+from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams, Injection, SimConfig,
+                   Surface, build_dab, difference_envelope, half_cycle_model, relative_residual,
+                   solve_periodic_fixed_point, sweep_frequencies, transfer_difference,
+                   transfer_difference_residual, transfer_fixed_freq)
+from dabss.dab import solve_half_cycle, verify_symmetry
+from dabss.oracle import measure_frequency_response, run_to_steady_state
+from dabss.pwlti import Schedule, Segment, propagate, reverse_product, segment_maps
+from dabss.smallsignal import resolvent_similarity_residual, verify_surface_equivalence
 from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params
 
 

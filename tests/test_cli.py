@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from dabss import (P_PLUS, S_PLUS, build_dab, half_cycle_model,
-                   solve_periodic_fixed_point, transfer_fixed_freq)
+from dabss import (P_PLUS, S_PLUS, build_dab, half_cycle_model, solve_periodic_fixed_point,
+                   transfer_fixed_freq)
 from tests.conftest import REFERENCE_KWARGS
 
 
@@ -172,6 +172,20 @@ class TestCompareCommand:
                 assert abs(mag - 1.0) < 0.02
                 assert abs(ph) < 2.0
 
+    def test_set_injection_frequency_is_the_one_bin_measured(self, config_file, tmp_path):
+        out = tmp_path / "cmp.csv"
+        path = config_file(
+            sim={"injection": {"f": 2000.0, "settle_periods": 800, "measure_periods": 50}},
+            sweep={"f_min": 400.0, "f_max": 4000.0, "points": 3, "spacing": "log"})
+        proc = run_cli("compare", path, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows = [list(map(float, line.split(","))) for line in out.read_text().splitlines()[3:]]
+        assert [row[0] for row in rows] == [2000.0]
+        _, mag_i, ph_i, mag_v, ph_v = rows[0]
+        for mag, ph in ((mag_i, ph_i), (mag_v, ph_v)):
+            assert abs(mag - 1.0) < 0.02
+            assert abs(ph) < 2.0
+
 
 class TestFailureExitCodes:
     def test_missing_config_file_is_a_config_error(self, tmp_path):
@@ -247,6 +261,16 @@ class TestFailureExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "sim.injection.measure_periods" in proc.stderr
         assert "injection frequency" not in proc.stderr
+
+    @pytest.mark.parametrize("f", [100e3, 200e3])
+    def test_injection_at_or_above_the_surface_nyquist_frequency_exits_two(
+            self, config_file, tmp_path, f):
+        # Both frequencies are coherent with the 50-period window (fs = 100 kHz).
+        path = config_file(sim={"injection": {"f": f, "measure_periods": 50}})
+        proc = run_cli("compare", path, "--out", str(tmp_path / "cmp.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert "sim.injection.f" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "cmp.csv").exists()
 
     @pytest.mark.parametrize("command", ["steady-state", "verify", "simulate"])
     def test_non_finite_exponential_is_a_config_error(self, config_file, tmp_path, command):

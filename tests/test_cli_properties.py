@@ -1,0 +1,71 @@
+"""Property test: every CLI command ends with a documented exit code on any design.
+
+Drives `dabss.cli.main` in-process over random converters, including nearly
+lossless ones (Rt = Rc = 0), near-marginal ones (a load of 1e6 ohm or more),
+phase shifts next to 0, 0.5 and 1, and L and Co over four decades each. README's exit-code table is the contract: 0, or 2-5
+for a rejected or unsolvable design, and 1 only from `verify`. An exception
+escaping `main` fails the test with its traceback.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dabss.cli import main
+
+README_EXIT_CODES = {0, 1, 2, 3, 4, 5}
+
+
+def log_uniform(lo: float, hi: float):
+    """10 ** e for an exponent e drawn from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+resistance = st.one_of(st.just(0.0), log_uniform(-3.0, -0.5))
+d_phase = st.one_of(
+    st.sampled_from([1e-9, 1e-6, 1e-3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 1.0 - 1e-3,
+                     1.0 - 1e-6, 1.0 - 1e-9]),
+    st.floats(0.01, 0.99))
+
+designs = st.fixed_dictionaries({
+    "n_turns": st.floats(0.5, 2.0),
+    "L": log_uniform(-7.0, -3.0),
+    "Co": log_uniform(-6.0, -2.0),
+    "Rt": resistance,
+    "Rc": resistance,
+    "Ro": st.one_of(log_uniform(0.0, 2.0), log_uniform(6.0, 12.0)),  # 1e6+: near marginal
+    "Vin": st.floats(10.0, 400.0),
+    "fs": log_uniform(4.0, 5.5),
+    "D_phase": d_phase,
+    "Vr": st.just(1.0),
+})
+
+COMMANDS = (("steady-state", ["--method", "full"]), ("steady-state", ["--method", "half"]),
+            ("verify", []), ("bode", ["--model", "both"]), ("simulate", []), ("compare", []))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(converter=designs)
+def test_every_command_exits_with_a_documented_code(tmp_path_factory, converter):
+    work = tmp_path_factory.mktemp("design")
+    config = work / "config.json"
+    fs = converter["fs"]
+    config.write_text(json.dumps({
+        "converter": converter,
+        "sim": {"periods": 2000, "substeps_per_interval": 4,
+                "injection": {"settle_periods": 20, "measure_periods": 10}},
+        "sweep": {"f_min": fs / 1000.0, "f_max": fs / 10.0, "points": 3, "spacing": "log"},
+    }))
+    for command, extra in COMMANDS:
+        argv = [command, str(config), *extra]
+        if command != "verify":
+            argv += ["--out", str(work / f"{command}.out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in README_EXIT_CODES, (command, converter, code)
+        assert code != 1 or command == "verify", (command, converter)

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from dabss import ConfigError, load_config
+from dabss.config import load_config
+from dabss.errors import ConfigError
 from tests.conftest import REFERENCE_KWARGS
 
 

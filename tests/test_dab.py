@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from dabss import (FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, DabParams, DimensionError,
-                   ParameterError, build_dab, interval_output, physical_output,
-                   propagate, relative_residual, solve_half_cycle,
-                   solve_periodic_fixed_point, verify_symmetry)
+from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
+from dabss.dab import (FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, interval_output, physical_output,
+                       solve_half_cycle, verify_symmetry)
+from dabss.errors import DimensionError, ParameterError
+from dabss.pwlti import propagate
 from tests.conftest import REFERENCE_KWARGS, random_params
 
 

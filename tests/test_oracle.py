@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from dabss import (FLIP_CURRENT, P_PLUS, RECTIFY, S_MINUS, S_PLUS, AmplitudeError, ConfigError,
-                   ConvergenceError, Injection, SimConfig, build_dab,
-                   half_cycle_model, measure_frequency_response, relative_residual,
-                   require_coherent, run_to_steady_state, solve_periodic_fixed_point,
-                   transfer_fixed_freq)
+from dabss import (P_PLUS, S_MINUS, S_PLUS, Injection, SimConfig, build_dab, half_cycle_model,
+                   relative_residual, solve_periodic_fixed_point, transfer_fixed_freq)
+from dabss.dab import FLIP_CURRENT, RECTIFY
+from dabss.errors import AmplitudeError, ConfigError, ConvergenceError
+from dabss.oracle import measure_frequency_response, require_coherent, run_to_steady_state
 from dabss import oracle, pwlti
 
 

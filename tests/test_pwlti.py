@@ -7,12 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from dabss import (DabParams, DimensionError, MarginalSystemError, NumericInputError, Schedule,
-                   Segment, SegmentMap, build_dab, closed_form_state, expm, fixed_point_of_maps,
-                   forcing_via_inverse, monodromy, propagate, relative_residual,
-                   reverse_product, segment_map, segment_maps,
-                   solve_periodic_fixed_point)
-from dabss.pwlti import IdentityCheck, periodic_forcing
+from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
+from dabss.errors import DimensionError, MarginalSystemError, NumericInputError
+from dabss.pwlti import (IdentityCheck, Schedule, Segment, SegmentMap, closed_form_state, expm,
+                         fixed_point_of_maps, forcing_via_inverse, monodromy, periodic_forcing,
+                         propagate, reverse_product, segment_map, segment_maps)
 from tests.conftest import REFERENCE_KWARGS, random_params
 
 

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams,
-                   FrequencyResponseRow, ResolventSingularityError, Surface,
-                   bode_sweep, build_dab, control_input_vector, difference_envelope,
-                   half_cycle_model, propagate, rebased_input_vector,
-                   relative_residual, resolvent_similarity_residual,
-                   solve_periodic_fixed_point, sweep_frequencies,
-                   transfer_difference, transfer_difference_residual,
-                   transfer_fixed_freq, transfer_same_cycle,
-                   verify_surface_equivalence)
+                   ResolventSingularityError, Surface, build_dab, difference_envelope,
+                   half_cycle_model, relative_residual, solve_periodic_fixed_point,
+                   sweep_frequencies, transfer_difference, transfer_difference_residual,
+                   transfer_fixed_freq, transfer_same_cycle)
+from dabss.pwlti import propagate
+from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, control_input_vector,
+                               rebased_input_vector, resolvent_similarity_residual,
+                               verify_surface_equivalence)
 from dabss import smallsignal
 from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params
 
@@ -65,7 +65,7 @@ class TestHalfCycleModel:
 
     def test_end_states_chain_through_the_segments(self, ref_dab):
         m = half_cycle_model(ref_dab, P_PLUS)
-        from dabss import RECTIFY
+        from dabss.dab import RECTIFY
         assert relative_residual(RECTIFY @ m.x_b_end, m.x_star) < 1e-12
 
     def test_skewed_timing_rejected_on_straddling_surfaces_only(self, ref_params):
