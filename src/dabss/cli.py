@@ -135,7 +135,11 @@ def _verify_checks(cfg: AppConfig, dab: DabSchedule) -> list[IdentityCheck]:
                           cfg.sweep.spacing, model.t_half)
     z = np.exp(2j * np.pi * f * model.t_half)
     delta = transfer_fixed_freq(model, dab.c_phys, z) - transfer_same_cycle(model, dab.c_phys, z)
-    ratio = np.max(row_norms(delta) / difference_envelope(model, dab.c_phys, z))
+    diff = row_norms(delta)
+    envelope = difference_envelope(model, dab.c_phys, z)
+    # At z = 1 the envelope and the difference both vanish: 0/0 reads as 0.
+    ratio = np.max(np.divide(diff, envelope, out=np.where(diff == 0.0, 0.0, np.inf),
+                             where=envelope != 0.0))
     checks.append(IdentityCheck("transfer-difference/envelope-ratio", float(ratio), 1.0))
     return checks
 

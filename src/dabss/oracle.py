@@ -55,10 +55,13 @@ class Injection:
         if self.amplitude is not None and not (
                 math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise ConfigError(f"injection amplitude must be finite and >= 0, got {self.amplitude!r}")
-        if not (isinstance(self.settle_periods, int) and self.settle_periods >= 0):
-            raise ConfigError(f"settle_periods must be an integer >= 0, got {self.settle_periods!r}")
-        if not (isinstance(self.measure_periods, int) and self.measure_periods >= 1):
-            raise ConfigError(f"measure_periods must be an integer >= 1, got {self.measure_periods!r}")
+        # The caps bound the per-half-cycle control sequence of a measurement.
+        if not (isinstance(self.settle_periods, int) and 0 <= self.settle_periods <= 10**6):
+            raise ConfigError(
+                f"settle_periods must be an integer in [0, 10**6], got {self.settle_periods!r}")
+        if not (isinstance(self.measure_periods, int) and 1 <= self.measure_periods <= 10**6):
+            raise ConfigError(
+                f"measure_periods must be an integer in [1, 10**6], got {self.measure_periods!r}")
 
 
 @dataclass(frozen=True)

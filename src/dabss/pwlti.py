@@ -130,17 +130,10 @@ class Segment:
 
 @dataclass(frozen=True)
 class Schedule:
-    """An ordered tuple of segments driven by one constant input vector.
-
-    The period defaults to the sum of segment durations; passing it
-    explicitly is allowed only when it agrees with that sum to 1e-12
-    relative (it exists as a field so the switching frequency stays an
-    explicit, checkable quantity).
-    """
+    """An ordered tuple of segments driven by one constant input vector."""
 
     segments: tuple[Segment, ...]
     u: np.ndarray
-    period: float | None = None
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -159,18 +152,17 @@ class Schedule:
         if u.shape[0] != m:
             raise DimensionError(
                 f"input vector length {u.shape[0]} does not match input matrix columns {m}")
-        total = math.fsum(seg.duration for seg in segments)
-        if self.period is None:
-            object.__setattr__(self, "period", total)
-        elif not math.isclose(self.period, total, rel_tol=1e-12, abs_tol=0.0):
-            raise NumericInputError(
-                f"period {self.period!r} does not equal the duration sum {total!r}")
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "u", u)
 
     @property
     def dim(self) -> int:
         return self.segments[0].dim
+
+    @property
+    def period(self) -> float:
+        """Sum of the segment durations."""
+        return math.fsum(seg.duration for seg in self.segments)
 
     @functools.cached_property
     def maps(self) -> tuple[SegmentMap, ...]:

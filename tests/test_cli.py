@@ -56,6 +56,14 @@ class TestVerifyCommand:
         assert "RESULT: PASS (19/19)" in proc.stdout
         assert "FAILED" not in proc.stdout
 
+    def test_grid_point_at_z_equal_one_passes(self, config_file):
+        # f_min = 1e-320 rounds the first grid point to z = 1 exactly, where
+        # the transfer difference and its envelope both vanish.
+        proc = run_cli("verify", config_file(sweep={"f_min": 1e-320}))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "RESULT: PASS (19/19)" in proc.stdout
+        assert "Warning" not in proc.stderr
+
     def test_output_is_deterministic(self, config_file):
         path = config_file()
         first = run_cli("verify", path)
@@ -240,6 +248,12 @@ class TestFailureExitCodes:
         proc = run_cli(*argv)
         assert proc.returncode == 2, proc.stderr
         assert "sweep.f_max" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_sweep_points_beyond_the_cap_exit_two(self, config_file):
+        # Rejected by the loader, before any per-point array is allocated.
+        proc = run_cli("verify", config_file(sweep={"points": 10**12}))
+        assert proc.returncode == 2, proc.stderr
+        assert "sweep.points" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("surface", ["S+", "S-"])
     def test_bode_on_a_surface_the_skew_breaks_exits_two(self, config_file, tmp_path, surface):

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from dabss.config import load_config
+from dabss.config import SweepSpec, Tolerances, load_config
+from dabss.dab import DabParams
 from dabss.errors import ConfigError
+from dabss.oracle import Injection, SimConfig
 from tests.conftest import REFERENCE_KWARGS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, doc, name="cfg.json"):
@@ -33,6 +40,30 @@ class TestDefaults:
         assert cfg.tolerances.surface_equivalence == 1e-10
         assert cfg.t3_skew == 0.0
         assert cfg.polarity_override == {}
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        block = re.search(r"### Config file\s+```json\n(.*?)```", README.read_text(), re.S)
+        readme = tmp_path / "readme.json"
+        readme.write_text(block.group(1))
+        converter = json.loads(block.group(1))["converter"]
+        minimal = load_config(write(tmp_path, {"converter": converter}))
+        # README spells out the injection table, whose absence means None.
+        expected = dataclasses.replace(
+            minimal, sim=dataclasses.replace(minimal.sim, injection=Injection()))
+        assert load_config(readme) == expected
+
+    @pytest.mark.parametrize("doc", [
+        {"sim": None}, {"sweep": None}, {"tolerances": None},
+        {"sim": {"injection": None}}, {"unsafe_polarity_override": None},
+    ], ids=["sim", "sweep", "tolerances", "sim.injection", "unsafe_polarity_override"])
+    def test_null_section_reads_as_absent(self, tmp_path, doc):
+        converter = {"converter": dict(REFERENCE_KWARGS)}
+        minimal = load_config(write(tmp_path, converter, "minimal.json"))
+        assert load_config(write(tmp_path, {**converter, **doc})) == minimal
+
+    def test_false_section_is_not_absent(self, tmp_path):
+        with pytest.raises(ConfigError, match="sweep"):
+            load_config(write(tmp_path, {"converter": dict(REFERENCE_KWARGS), "sweep": False}))
 
     def test_sections_override_field_by_field(self, tmp_path):
         doc = {
@@ -132,6 +163,74 @@ class TestRejection:
         conv["D_phase"] = 1.5
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, {"converter": conv}))
+
+
+def _with_value(section: str, key: str, value) -> dict:
+    """The reference config with `section.key` set to `value`."""
+    doc = {"converter": dict(REFERENCE_KWARGS)}
+    if section == "converter":
+        doc["converter"][key] = value
+    elif section == "sim.injection":
+        doc["sim"] = {"injection": {key: value}}
+    else:
+        doc[section] = {key: value}
+    return doc
+
+
+SECTIONS = (("converter", DabParams), ("sim", SimConfig), ("sim.injection", Injection),
+            ("sweep", SweepSpec), ("tolerances", Tolerances))
+WRONG_TYPES = {"bool": True, "string": "1.0", "list": [1.0], "object": {"value": 1.0}}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param(section, f.name, value, id=f"{section}.{f.name}-{kind}")
+    for section, cls in SECTIONS for f in dataclasses.fields(cls)
+    for kind, value in WRONG_TYPES.items()
+    # A string is the right type for the spacing, an object for the injection table.
+    if (f"{section}.{f.name}", kind) not in {("sweep.spacing", "string"),
+                                             ("sim.injection", "object")}
+])
+def test_every_field_rejects_a_wrong_type(tmp_path, section, key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+        load_config(write(tmp_path, _with_value(section, key, value)))
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("section,key", [
+        ("sweep", "points"), ("sim.injection", "settle_periods"),
+        ("sim.injection", "measure_periods")])
+    def test_sizes_above_a_million_rejected(self, tmp_path, section, key):
+        cfg = load_config(write(tmp_path, _with_value(section, key, 10**6)))
+        table = cfg.sweep if section == "sweep" else cfg.sim.injection
+        assert getattr(table, key) == 10**6
+        with pytest.raises(ConfigError, match=key):
+            load_config(write(tmp_path, _with_value(section, key, 10**6 + 1)))
+
+
+class TestUnreadableValues:
+    @pytest.mark.parametrize("section,key", [("converter", "L"), ("sim", "convergence_tol"),
+                                             ("tolerances", "half_cycle")])
+    def test_integer_too_large_for_a_double_rejected(self, tmp_path, section, key):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(write(tmp_path, _with_value(section, key, 10**400)))
+
+    def test_t3_skew_too_large_for_a_double_rejected(self, tmp_path):
+        doc = {"converter": dict(REFERENCE_KWARGS), "unsafe_t3_skew": 10**400}
+        with pytest.raises(ConfigError, match="unsafe_t3_skew"):
+            load_config(write(tmp_path, doc))
+
+    def test_integer_literal_past_the_digit_limit_rejected(self, tmp_path):
+        # Python refuses to parse an integer literal of more than 4300 digits.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"converter": 1' + "0" * 5000 + "}")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(path)
 
 
 class TestSweepBand:

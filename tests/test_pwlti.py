@@ -141,10 +141,6 @@ class TestScheduleValidation:
         sched = Schedule(segments=(self._segment(), self._segment()), u=np.array([1.0]))
         assert math.isclose(sched.period, 1.0, rel_tol=1e-15)
 
-    def test_explicit_period_must_match_sum(self):
-        with pytest.raises(NumericInputError):
-            Schedule(segments=(self._segment(),), u=np.array([1.0]), period=0.5001)
-
     def test_rejects_empty_schedule(self):
         with pytest.raises(DimensionError):
             Schedule(segments=(), u=np.array([1.0]))
