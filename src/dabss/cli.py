@@ -24,7 +24,7 @@ from .config import AppConfig, load_config
 from .dab import FLIP_CURRENT, DabSchedule, build_dab, solve_half_cycle, verify_symmetry
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError, ParameterError, ResolventSingularityError, SimilarityError)
-from .oracle import Injection, measure_frequency_response, run_to_steady_state
+from .oracle import Injection, measure_frequency_responses, run_to_steady_state
 from .pwlti import (IdentityCheck, closed_form_state, monodromy, propagate,
                     relative_residual, row_norms, solve_periodic_fixed_point)
 from .smallsignal import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, bode_sweep,
@@ -238,9 +238,10 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     freqs = ([injection.f] if injection.f is not None
              else _coherent_frequencies(cfg, injection, model.t_half))
     z = np.exp(2j * np.pi * np.array(freqs) * model.t_half)
-    for f, predicted in zip(freqs, transfer_fixed_freq(model, dab.c_phys, z)):
-        cfg_f = dataclasses.replace(cfg.sim, injection=dataclasses.replace(injection, f=f))
-        measured = measure_frequency_response(dab, surface, cfg_f)
+    # Every bin in one oracle run, from the pre-run that run_to_steady_state cached.
+    sim = dataclasses.replace(cfg.sim, injection=injection)
+    for f, predicted, measured in zip(freqs, transfer_fixed_freq(model, dab.c_phys, z),
+                                      measure_frequency_responses(dab, surface, sim, freqs)):
         cells = [_fmt(f)]
         for pred, meas in zip(predicted, measured):
             cells.append(_fmt(abs(pred) / abs(meas)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pwlti
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .pwlti import IdentityCheck, Schedule, Segment, relative_residual, segment_maps
 
 # Involutions of the [i_L, v_C] state.
@@ -189,21 +189,3 @@ def solve_half_cycle(dab: DabSchedule) -> np.ndarray:
     return pwlti.gated_solve(
         FLIP_CURRENT - half, m2.phi @ m1.gamma + m2.gamma, half,
         "half-cycle solve is marginal: cond ~ {cond:.3e} exceeds {limit:.1e}")
-
-
-def interval_output(dab: DabSchedule, x: np.ndarray, interval: int) -> np.ndarray:
-    """Output pair of one subinterval, y = C_interval x (interval is 1-based)."""
-    if interval not in (1, 2, 3, 4):
-        raise IndexError(f"interval must be 1..4, got {interval!r}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise DimensionError(f"state must have shape (2,), got {x.shape}")
-    return dab.c_intervals[interval - 1] @ x
-
-
-def physical_output(dab: DabSchedule, x: np.ndarray) -> np.ndarray:
-    """Physical output pair [I_rec, V_out] = c_phys x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise DimensionError(f"state must have shape (2,), got {x.shape}")
-    return dab.c_phys @ x

@@ -202,17 +202,6 @@ def segment_map(seg: Segment, u: np.ndarray) -> SegmentMap:
     return Schedule(segments=(seg,), u=u).maps[0]
 
 
-def forcing_via_inverse(seg: Segment, u: np.ndarray) -> np.ndarray:
-    """Forced-response vector a^{-1} (phi - I) b u, valid for invertible `a`.
-
-    Kept as an independent cross-check of the augmented-exponential route;
-    only trustworthy while cond(a) stays moderate (callers gate on ~1e8).
-    """
-    phi = expm(seg.a, seg.duration)
-    n = seg.dim
-    return np.linalg.solve(seg.a, (phi - np.eye(n)) @ (seg.b @ np.asarray(u, dtype=float)))
-
-
 def segment_maps(schedule: Schedule) -> tuple[SegmentMap, ...]:
     """Exact maps of every segment in schedule order (the schedule's cached `maps`)."""
     return schedule.maps

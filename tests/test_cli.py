@@ -13,6 +13,7 @@ import pytest
 
 from dabss import (P_PLUS, S_PLUS, build_dab, half_cycle_model, solve_periodic_fixed_point,
                    transfer_fixed_freq)
+from dabss import cli, oracle
 from tests.conftest import REFERENCE_KWARGS
 
 
@@ -180,6 +181,20 @@ class TestCompareCommand:
                 assert abs(mag - 1.0) < 0.02
                 assert abs(ph) < 2.0
 
+    def test_every_bin_shares_one_oracle_pre_run(self, config_file, tmp_path, monkeypatch):
+        calls = []
+        iterate = oracle._iterate_to_period_start
+
+        def counting(*args):
+            calls.append(args)
+            return iterate(*args)
+
+        monkeypatch.setattr(oracle, "_iterate_to_period_start", counting)
+        out = tmp_path / "cmp.csv"
+        assert cli.main(["compare", config_file(), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3 + 21  # the reference sweep's 21 bins
+        assert len(calls) == 1
+
     def test_set_injection_frequency_is_the_one_bin_measured(self, config_file, tmp_path):
         out = tmp_path / "cmp.csv"
         path = config_file(
@@ -232,6 +247,12 @@ class TestFailureExitCodes:
         proc = run_cli("simulate", path, "--out", str(tmp_path / "wf.csv"))
         assert proc.returncode == 4
         assert "no steady state" in proc.stderr
+        assert "spectral radius rho = 0.98995" in proc.stderr
+
+    def test_substeps_above_the_cap_exit_two(self, config_file, tmp_path, capsys):
+        path = config_file(sim={"substeps_per_interval": 10**4 + 1})
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "wf.csv")]) == 2
+        assert "sim.substeps_per_interval" in capsys.readouterr().err
 
     def test_oversized_amplitude_exits_five(self, config_file, tmp_path):
         path = config_file(sim={"injection": {"f": 2000.0, "amplitude": 1e6}})

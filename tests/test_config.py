@@ -28,7 +28,7 @@ class TestDefaults:
     def test_minimal_config_fills_every_default(self, tmp_path):
         cfg = load_config(write(tmp_path, {"converter": dict(REFERENCE_KWARGS)}))
         assert cfg.converter.fs == 100e3
-        assert cfg.sim.periods == 2000
+        assert cfg.sim.periods == 4000
         assert cfg.sim.substeps_per_interval == 32
         assert cfg.sim.convergence_tol == 1e-9
         assert cfg.sim.injection is None
@@ -205,6 +205,13 @@ class TestSizeCaps:
         assert getattr(table, key) == 10**6
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, _with_value(section, key, 10**6 + 1)))
+
+
+    def test_substeps_above_ten_thousand_rejected(self, tmp_path):
+        cfg = load_config(write(tmp_path, _with_value("sim", "substeps_per_interval", 10**4)))
+        assert cfg.sim.substeps_per_interval == 10**4
+        with pytest.raises(ConfigError, match="sim.substeps_per_interval"):
+            load_config(write(tmp_path, _with_value("sim", "substeps_per_interval", 10**4 + 1)))
 
 
 class TestUnreadableValues:

@@ -8,11 +8,28 @@ import numpy as np
 import pytest
 
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
-from dabss.dab import (FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, interval_output, physical_output,
-                       solve_half_cycle, verify_symmetry)
+from dabss.dab import FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, solve_half_cycle, verify_symmetry
 from dabss.errors import DimensionError, ParameterError
 from dabss.pwlti import propagate
 from tests.conftest import REFERENCE_KWARGS, random_params
+
+
+def interval_output(dab, x, interval: int) -> np.ndarray:
+    """Output pair of one subinterval, y = C_interval x (interval is 1-based)."""
+    if interval not in (1, 2, 3, 4):
+        raise IndexError(f"interval must be 1..4, got {interval!r}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise DimensionError(f"state must have shape (2,), got {x.shape}")
+    return dab.c_intervals[interval - 1] @ x
+
+
+def physical_output(dab, x) -> np.ndarray:
+    """Physical output pair [I_rec, V_out] = c_phys x."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise DimensionError(f"state must have shape (2,), got {x.shape}")
+    return dab.c_phys @ x
 
 
 class TestParameters:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from dabss import (P_PLUS, S_MINUS, S_PLUS, Injection, SimConfig, build_dab, hal
                    relative_residual, solve_periodic_fixed_point, transfer_fixed_freq)
 from dabss.dab import FLIP_CURRENT, RECTIFY
 from dabss.errors import AmplitudeError, ConfigError, ConvergenceError
-from dabss.oracle import measure_frequency_response, require_coherent, run_to_steady_state
+from dabss.oracle import (measure_frequency_response, measure_frequency_responses,
+                          require_coherent, run_to_steady_state)
 from dabss import oracle, pwlti
 
 
@@ -40,6 +42,11 @@ class TestSimConfigValidation:
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
+
+    def test_substeps_capped_at_ten_thousand(self):
+        assert SimConfig(substeps_per_interval=10**4).substeps_per_interval == 10**4
+        with pytest.raises(ConfigError, match="sim.substeps_per_interval"):
+            SimConfig(substeps_per_interval=10**4 + 1)
 
 
 class TestCoherence:
@@ -82,6 +89,23 @@ class TestSteadyState:
             run_to_steady_state(ref_dab, SimConfig(periods=3, convergence_tol=1e-13))
         assert err.value.residual > 0.0
         assert 0.9 < err.value.spectral_radius < 1.0
+
+    def test_exhaustion_message_names_rho_and_the_error_bound(self, ref_dab):
+        with pytest.raises(ConvergenceError) as err:
+            run_to_steady_state(ref_dab, SimConfig(periods=3, convergence_tol=1e-13))
+        rho = err.value.spectral_radius
+        assert f"last change {err.value.residual:.3e}" in str(err.value)
+        assert f"spectral radius rho = {rho:.10g}" in str(err.value)
+        assert f"{err.value.residual * rho / (1.0 - rho):.3e} > tol" in str(err.value)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-11])
+    def test_stopping_rule_meets_the_requested_tolerance(self, ref_params, tol):
+        # The period-to-period change alone stopped at 100x tol on this design
+        # (spectral radius 0.98996); scaled by rho / (1 - rho) it bounds the error.
+        x_star, _ = run_to_steady_state(build_dab(ref_params),
+                                        SimConfig(periods=4000, convergence_tol=tol))
+        expected = solve_periodic_fixed_point(build_dab(ref_params).schedule)
+        assert relative_residual(x_star, expected) <= tol
 
     def test_substep_count_does_not_touch_the_fixed_point(self, ref_dab):
         coarse, _ = run_to_steady_state(ref_dab, SimConfig(substeps_per_interval=8))
@@ -208,6 +232,105 @@ class TestIndependence:
         injection = Injection(f=2000.0, settle_periods=50, measure_periods=50)
         h = measure_frequency_response(dab, P_PLUS, SimConfig(injection=injection))
         assert np.all(np.isfinite(h))
+        h = measure_frequency_responses(dab, P_PLUS, SimConfig(injection=injection),
+                                        [2000.0, 6000.0])
+        assert h.shape == (2, 2) and np.all(np.isfinite(h))
+
+
+class TestPreRunCache:
+    @pytest.fixture()
+    def pre_runs(self, monkeypatch):
+        """Counts the unperturbed pre-runs the oracle iterates."""
+        calls = []
+        iterate = oracle._iterate_to_period_start
+
+        def counting(step_maps, periods, tol):
+            calls.append((periods, tol))
+            return iterate(step_maps, periods, tol)
+
+        monkeypatch.setattr(oracle, "_iterate_to_period_start", counting)
+        return calls
+
+    def test_one_pre_run_per_design_and_budget(self, ref_params, pre_runs):
+        dab = build_dab(ref_params)
+        cfg = SimConfig(periods=4000, convergence_tol=1e-11)
+        x_star, _ = run_to_steady_state(dab, cfg)
+        for f in (5000.0, 15000.0, 35000.0):
+            injection = Injection(f=f, settle_periods=10, measure_periods=20)
+            measure_frequency_response(dab, P_PLUS, SimConfig(
+                periods=4000, convergence_tol=1e-11, injection=injection))
+        assert pre_runs == [(4000, 1e-11)]
+        np.testing.assert_array_equal(run_to_steady_state(dab, cfg)[0], x_star)
+        run_to_steady_state(dab, SimConfig(periods=4000, convergence_tol=1e-9))
+        assert pre_runs == [(4000, 1e-11), (4000, 1e-9)]
+        run_to_steady_state(build_dab(ref_params), cfg)
+        assert len(pre_runs) == 3
+
+    def test_callers_get_a_copy(self, ref_params):
+        dab = build_dab(ref_params)
+        x_star, _ = run_to_steady_state(dab, SimConfig())
+        expected = x_star.copy()
+        x_star[:] = 0.0
+        np.testing.assert_array_equal(run_to_steady_state(dab, SimConfig())[0], expected)
+
+
+class TestMultiBin:
+    INJECTION = dict(settle_periods=10, measure_periods=20)
+    # Coherent bins of the 20-period window are multiples of 5 kHz.
+    FREQS = [5000.0, 15000.0, 35000.0, 65000.0, 95000.0]
+
+    @pytest.mark.parametrize("surface", [P_PLUS, S_MINUS], ids=lambda s: s.label)
+    @pytest.mark.parametrize("amplitude", [1e-4, None], ids=["explicit", "automatic"])
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
+    @pytest.mark.parametrize("group", [oracle.BIN_HALF_CYCLES_PER_GROUP, 2 * 60])
+    def test_rows_equal_one_bin_calls(self, ref_dab, monkeypatch, surface, amplitude, block,
+                                      group):
+        # A group budget of 2 x 60 half cycles splits the five bins 2 + 2 + 1.
+        monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
+        monkeypatch.setattr(oracle, "BIN_HALF_CYCLES_PER_GROUP", group)
+        cfg = SimConfig(injection=Injection(amplitude=amplitude, **self.INJECTION))
+        rows = measure_frequency_responses(ref_dab, surface, cfg, self.FREQS)
+        assert rows.shape == (len(self.FREQS), 2)
+        for f, row in zip(self.FREQS, rows):
+            single = measure_frequency_response(ref_dab, surface, SimConfig(
+                injection=Injection(f=f, amplitude=amplitude, **self.INJECTION)))
+            assert np.max(np.abs(row - single) / np.abs(single)) <= 1e-10
+
+    def test_every_bin_must_be_coherent(self, ref_dab):
+        cfg = SimConfig(injection=Injection(**self.INJECTION))
+        with pytest.raises(ConfigError, match="non-coherent"):
+            measure_frequency_responses(ref_dab, P_PLUS, cfg, [5000.0, 7000.0])
+
+    def test_negative_duration_names_the_first_offending_bin(self, ref_dab, monkeypatch):
+        # The first bin in list order that drives a duration negative is named, as alone.
+        segments = ref_dab.schedule.segments
+        comp_gain = ref_dab.params.t_half / ref_dab.params.Vr
+        amp = 1.5 * min(seg.duration for seg in segments) / comp_gain
+        monkeypatch.setattr(oracle, "_resolve_amplitude", lambda *args: amp)
+        cfg = SimConfig(injection=Injection(**self.INJECTION))
+        with pytest.raises(AmplitudeError) as one_bin:
+            measure_frequency_responses(ref_dab, P_PLUS, cfg, [15000.0])
+        with pytest.raises(AmplitudeError) as two_bins:
+            measure_frequency_responses(ref_dab, P_PLUS, cfg, [15000.0, 5000.0])
+        assert str(two_bins.value) == str(one_bin.value)
+        assert str(one_bin.value).startswith("perturbation at 15000.0 Hz drove a duration ")
+
+    def test_memory_does_not_grow_with_the_bin_count(self, ref_dab, monkeypatch):
+        injection = Injection(settle_periods=10, measure_periods=40)
+        monkeypatch.setattr(oracle, "BIN_HALF_CYCLES_PER_GROUP", 2 * 50)
+        cfg = SimConfig(injection=injection)
+        freqs = [2500.0 * m for m in range(1, 33)]
+
+        def peak(bins):
+            tracemalloc.start()
+            try:
+                measure_frequency_responses(ref_dab, P_PLUS, cfg, bins)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        measure_frequency_responses(ref_dab, P_PLUS, cfg, freqs[:1])  # pre-run cached
+        assert peak(freqs) <= 1.5 * peak(freqs[:1])
 
 
 def single_step(dab, interval, duration):

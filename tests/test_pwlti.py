@@ -10,7 +10,7 @@ import pytest
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
 from dabss.errors import DimensionError, MarginalSystemError, NumericInputError
 from dabss.pwlti import (IdentityCheck, Schedule, Segment, SegmentMap, closed_form_state, expm,
-                         fixed_point_of_maps, forcing_via_inverse, monodromy, periodic_forcing,
+                         fixed_point_of_maps, monodromy, periodic_forcing,
                          propagate, reverse_product, segment_map, segment_maps)
 from tests.conftest import REFERENCE_KWARGS, random_params
 
@@ -22,6 +22,16 @@ def random_stable_segment(rng, n, m=1, max_duration=1.0):
     a = a - (shift + rng.uniform(0.5, 2.0)) * np.eye(n)
     b = rng.standard_normal((n, m))
     return Segment(a=a, b=b, duration=float(rng.uniform(0.05, max_duration)))
+
+
+def forcing_via_inverse(seg: Segment, u: np.ndarray) -> np.ndarray:
+    """Forced-response vector a^{-1} (phi - I) b u, valid for invertible `a`.
+
+    An independent cross-check of the augmented-exponential route; only
+    trustworthy while cond(a) stays moderate (callers gate on ~1e8).
+    """
+    phi = expm(seg.a, seg.duration)
+    return np.linalg.solve(seg.a, (phi - np.eye(seg.dim)) @ (seg.b @ np.asarray(u, dtype=float)))
 
 
 class TestExpm:
