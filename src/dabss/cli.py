@@ -25,7 +25,7 @@ from .dab import FLIP_CURRENT, DabSchedule, build_dab, solve_half_cycle, verify_
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError, ParameterError, ResolventSingularityError, SimilarityError)
 from .oracle import Injection, measure_frequency_responses, run_to_steady_state
-from .pwlti import (IdentityCheck, closed_form_state, monodromy, propagate,
+from .pwlti import (IdentityCheck, closed_form_state, cond, monodromy, propagate,
                     relative_residual, row_norms, solve_periodic_fixed_point)
 from .smallsignal import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, bode_sweep,
                           difference_envelope, half_cycle_model,
@@ -85,13 +85,11 @@ def _verify_checks(cfg: AppConfig, dab: DabSchedule) -> list[IdentityCheck]:
     x_full = solve_periodic_fixed_point(dab.schedule)
     x_half = solve_half_cycle(dab)
     states = propagate(dab.schedule, x_full)
-    checks.append(IdentityCheck(
-        "half-cycle/fixed-point-equivalence", relative_residual(x_half, x_full), tol.half_cycle))
-    checks.append(IdentityCheck(
-        "half-cycle/period-closure", relative_residual(states[-1], x_full), tol.half_cycle))
-    checks.append(IdentityCheck(
-        "half-cycle/midcycle-flip", relative_residual(states[1], FLIP_CURRENT @ x_full),
-        tol.half_cycle))
+    for name, actual, expected in (("fixed-point-equivalence", x_half, x_full),
+                                   ("period-closure", states[-1], x_full),
+                                   ("midcycle-flip", states[1], FLIP_CURRENT @ x_full)):
+        checks.append(IdentityCheck(
+            f"half-cycle/{name}", relative_residual(actual, expected), tol.half_cycle))
 
     rng = np.random.default_rng(_VERIFY_SEED)
     worst = 0.0
@@ -100,7 +98,7 @@ def _verify_checks(cfg: AppConfig, dab: DabSchedule) -> list[IdentityCheck]:
         a = rng.standard_normal((2, 2))
         t_mat = rng.standard_normal((2, 2))
         z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
-        if np.linalg.cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(a))) < 0.1:
+        if cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(a))) < 0.1:
             continue
         worst = max(worst, resolvent_similarity_residual(a, t_mat, z))
         draws += 1
@@ -305,6 +303,8 @@ def main(argv=None) -> int:
         return args.func(args, cfg, build_dab(cfg.converter, t3_skew=cfg.t3_skew))
     except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if getattr(exc, "eigenvalues", None) is not None:
+            print("eigenvalues:", *map(complex, exc.eigenvalues), file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 

@@ -175,6 +175,12 @@ class Schedule:
         m = expm(aug * np.array([seg.duration for seg in self.segments])[:, None, None], 1.0)
         return tuple(SegmentMap(phi=mk[:n, :n], gamma=mk[:n, n]) for mk in m)
 
+    @functools.cached_property
+    def period_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (Pi, forcing) of one period, composed once from `maps`."""
+        pi = reverse_product([m.phi for m in self.maps], 1, len(self.maps))
+        return _frozen_array(pi), _frozen_array(periodic_forcing(self.maps))
+
 
 @dataclass(frozen=True)
 class SegmentMap:
@@ -247,7 +253,7 @@ def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (schedule.dim,):
         raise DimensionError(f"x0 shape {x0.shape} does not match state dimension {schedule.dim}")
-    return monodromy(schedule) @ x0 + periodic_forcing(segment_maps(schedule))
+    return schedule.period_map[0] @ x0 + schedule.period_map[1]
 
 
 def periodic_forcing(maps) -> np.ndarray:
@@ -260,15 +266,27 @@ def periodic_forcing(maps) -> np.ndarray:
     return out
 
 
+def cond(m: np.ndarray) -> float:
+    """np.linalg.cond(m) (s_max / s_min, inf if singular) without its wrapper's cost on a 2x2."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[0] / s[-1]) if s[-1] else math.inf
+
+
 def gated_solve(lhs: np.ndarray, rhs: np.ndarray, transition: np.ndarray,
                 message: str) -> np.ndarray:
     """Solve lhs x = rhs unless cond(lhs) is not finite or exceeds COND_LIMIT; then raise
     MarginalSystemError with `message` (fields cond, limit) and the eigenvalues of `transition`."""
-    cond = np.linalg.cond(lhs)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise MarginalSystemError(message.format(cond=cond, limit=COND_LIMIT),
+    c = cond(lhs)
+    if not math.isfinite(c) or c > COND_LIMIT:
+        raise MarginalSystemError(message.format(cond=c, limit=COND_LIMIT),
                                   eigenvalues=np.linalg.eigvals(transition))
     return np.linalg.solve(lhs, rhs)
+
+
+def _periodic_solve(pi: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+    return gated_solve(
+        np.eye(pi.shape[0]) - pi, forcing, pi,
+        "periodic solve is marginal: cond(I - Pi) ~ {cond:.3e} exceeds {limit:.1e}")
 
 
 def fixed_point_of_maps(maps) -> np.ndarray:
@@ -280,24 +298,21 @@ def fixed_point_of_maps(maps) -> np.ndarray:
     solution meaningless at double precision.
     """
     pi = reverse_product([m.phi for m in maps], 1, len(maps))
-    return gated_solve(
-        np.eye(pi.shape[0]) - pi, periodic_forcing(maps), pi,
-        "periodic solve is marginal: cond(I - Pi) ~ {cond:.3e} exceeds {limit:.1e}")
+    return _periodic_solve(pi, periodic_forcing(maps))
 
 
 def solve_periodic_fixed_point(schedule: Schedule) -> np.ndarray:
-    """Steady-state period-boundary state of a schedule."""
-    return fixed_point_of_maps(segment_maps(schedule))
+    """Steady-state period-boundary state of a schedule, from its cached `period_map`."""
+    return _periodic_solve(*schedule.period_map)
 
 
 def monodromy(schedule: Schedule) -> np.ndarray:
-    """One-period state transition matrix Pi = Phi_n ... Phi_1.
+    """One-period state transition matrix Pi = Phi_n ... Phi_1 (read-only, cached).
 
     Its eigenvalues decide stability of the periodic solution: all strictly
     inside the unit circle means the switching cycle is asymptotically stable.
     """
-    maps = segment_maps(schedule)
-    return reverse_product([m.phi for m in maps], 1, len(maps))
+    return schedule.period_map[0]
 
 
 def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:

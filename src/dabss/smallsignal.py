@@ -32,7 +32,7 @@ import numpy as np
 from . import pwlti
 from .dab import RECTIFY, DabSchedule
 from .errors import ParameterError, ResolventSingularityError, SimilarityError
-from .pwlti import IdentityCheck, relative_residual, segment_maps
+from .pwlti import IdentityCheck, relative_residual
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
 
@@ -102,19 +102,20 @@ class HalfCycleModel:
 
 
 def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
-    """Build the sampled model for one surface of a converter schedule.
+    """The sampled model of one surface, built once per `dab` (per Surface, so a polarity
+    override is another key; a failed build is not kept) and shared with read-only arrays.
 
     The duration sensitivities come from the endpoint identity
     d(phi x + gamma)/dT = A (phi x + gamma) + B u: growing a duration extends
     the flow along the local vector field at the segment's end state.
     """
-    maps = segment_maps(dab.schedule)
-    seg_a = dab.schedule.segments[surface.a - 1]
-    seg_b = dab.schedule.segments[surface.b - 1]
-    map_a = maps[surface.a - 1]
-    map_b = maps[surface.b - 1]
+    models = vars(dab).setdefault("_surface_models", {})  # a DabSchedule is unhashable
+    if surface in models:
+        return models[surface]
+    seg_a, seg_b = (dab.schedule.segments[i - 1] for i in (surface.a, surface.b))
+    map_a, map_b = (dab.schedule.maps[i - 1] for i in (surface.a, surface.b))
     t_half = dab.params.t_half
-    if not np.isclose(seg_a.duration + seg_b.duration, t_half, rtol=1e-12, atol=0.0):
+    if not abs(seg_a.duration + seg_b.duration - t_half) <= 1e-12 * abs(t_half):
         raise ParameterError(
             f"surface {surface.label} spans {seg_a.duration + seg_b.duration!r} s, "
             f"expected the half cycle {t_half!r} s")
@@ -134,12 +135,12 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     comp_gain = t_half / dab.params.Vr
     b_cur = surface.polarity * comp_gain * sens_a
     b_next = -surface.polarity * comp_gain * sens_b
-    return HalfCycleModel(
-        surface=surface, phi=phi, g=g, x_star=x_star,
-        x_a_end=x_a_end, x_b_end=x_b_end,
-        sens_a=sens_a, sens_b=sens_b,
-        b_cur=b_cur, b_next=b_next,
-        comp_gain=comp_gain, t_half=t_half)
+    arrays = dict(phi=phi, g=g, x_star=x_star, x_a_end=x_a_end, x_b_end=x_b_end,
+                  sens_a=sens_a, sens_b=sens_b, b_cur=b_cur, b_next=b_next)
+    for value in arrays.values():
+        value.setflags(write=False)  # each one is freshly computed here
+    models[surface] = HalfCycleModel(surface=surface, comp_gain=comp_gain, t_half=t_half, **arrays)
+    return models[surface]
 
 
 def control_input_vector(model: HalfCycleModel, z) -> np.ndarray:
@@ -209,34 +210,52 @@ def transfer_same_cycle(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndar
 
 
 def _difference_paths(model: HalfCycleModel, c_phys: np.ndarray, z):
-    """Closed-form difference and the subtraction of the two transfers, from one solve."""
+    """Closed-form difference, subtraction of the two transfers, and the 3 states solved."""
     z = np.asarray(z, dtype=complex)
     rhs = np.stack(np.broadcast_arrays(control_input_vector(model, z),
                                        model.b_cur + model.b_next,
                                        np.multiply.outer(z - 1.0, model.b_next)))
-    fixed, same_cycle, closed = _output(c_phys, _resolvent_apply(model, z, rhs))
-    return closed, fixed - same_cycle
+    states = _resolvent_apply(model, z, rhs)
+    fixed, same_cycle, closed = _output(c_phys, states)
+    return closed, fixed - same_cycle, states
 
 
 def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray, z):
     """Mismatch between the closed-form difference and the two-evaluation subtraction."""
-    return _row_residuals(*_difference_paths(model, c_phys, z))
+    return _row_residuals(*_difference_paths(model, c_phys, z)[:2])
+
+
+def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtracted):
+    """First-order bound, per z, on the dual-path residual that roundoff alone can cause.
+
+    Each backward-stable solve of (zI - phi) x = b errs by at most 2 u kappa ||x|| (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., Thm 7.2), and c_phys x and
+    the subtraction add about 4 u ||c_phys|| ||x||; near z = 1 the subtraction cancels.
+    """
+    lhs = np.asarray(z, dtype=complex)[..., None, None] * np.eye(model.phi.shape[0]) - model.phi
+    s = np.linalg.svd(lhs, compute_uv=False)
+    kappa = s[..., 0] / s[..., -1]  # s_min > 0: a pole would have raised
+    return (2.0 ** -53 * (2.0 * kappa + 4.0) * np.linalg.norm(np.asarray(c_phys), 2)
+            * pwlti.row_norms(states).sum(axis=0) / (1.0 + pwlti.row_norms(subtracted)))
 
 
 def transfer_difference(model: HalfCycleModel, c_phys: np.ndarray, z,
                         rtol: float = 1e-12) -> np.ndarray:
     """Exact-minus-approximate transfer, c_phys (zI - phi)^{-1} (z - 1) b_next.
 
-    Computed in closed form and cross-checked against the subtraction of the
-    two transfer evaluations; disagreement beyond `rtol` relative at any z
-    means the implementations have diverged and raises ArithmeticError.
+    Cross-checked against the subtraction of the two transfer evaluations: a residual
+    beyond `rtol`, widened by the factor by which the roundoff floor of `_dual_path_floor`
+    exceeds 1e-12 (at the default rtol, max(rtol, floor)), raises ArithmeticError.
     Identically zero at z = 1, so the approximation is exact at dc.
     """
-    closed, subtracted = _difference_paths(model, c_phys, z)
-    res = np.max(_row_residuals(closed, subtracted))
-    if res > rtol:
-        raise ArithmeticError(
-            f"transfer difference paths disagree: residual {res:.3e} exceeds {rtol:.1e}")
+    closed, subtracted, states = _difference_paths(model, c_phys, z)
+    res = _row_residuals(closed, subtracted)
+    if np.any(res > rtol):  # the floor's SVDs only where the plain check trips
+        tol = rtol * np.maximum(1.0, _dual_path_floor(model, c_phys, z, states, subtracted) / 1e-12)
+        k = np.argmax(res - tol)
+        if res.flat[k] > tol.flat[k]:
+            raise ArithmeticError(f"transfer difference paths disagree: residual "
+                                  f"{res.flat[k]:.3e} exceeds {tol.flat[k]:.3e}")
     return closed
 
 
@@ -300,9 +319,9 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     if ((primary.a, primary.b), (secondary.a, secondary.b)) not in _EQUIVALENT_PAIRS:
         raise ValueError(
             f"surfaces {primary.label} and {secondary.label} are not an equivalence pair")
-    t_mat = segment_maps(dab.schedule)[primary.a - 1].phi
-    cond = np.linalg.cond(t_mat)
-    if not np.isfinite(cond) or cond > pwlti.COND_LIMIT:
+    t_mat = dab.schedule.maps[primary.a - 1].phi
+    cond = pwlti.cond(t_mat)
+    if not cond <= pwlti.COND_LIMIT:  # NaN fails too
         raise SimilarityError(f"similarity transform is singular: cond ~ {cond:.3e}")
 
     m_pri = half_cycle_model(dab, primary)
@@ -310,9 +329,6 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     c_phys = np.asarray(dab.c_phys)
 
     sim_res = relative_residual(np.linalg.solve(t_mat, m_sec.phi @ t_mat), m_pri.phi)
-    checks = [IdentityCheck(
-        f"surface-equiv/{primary.label}~{secondary.label}/similarity", sim_res, similarity_rtol)]
-
     z = np.asarray(z_grid, dtype=complex)
     b_pri = control_input_vector(m_pri, z)
     b_sec = rebased_input_vector(m_sec, z)
@@ -326,11 +342,10 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     note = ""
     if input_res > rtol and flipped_res <= rtol:
         note = "matches after a global sign flip: surface polarity mismatch"
-    checks.append(IdentityCheck(
-        f"surface-equiv/{primary.label}~{secondary.label}/input-vector", input_res, rtol, note))
-    checks.append(IdentityCheck(
-        f"surface-equiv/{primary.label}~{secondary.label}/transfer-chain", transfer_res, rtol))
-    return checks
+    name = f"surface-equiv/{primary.label}~{secondary.label}"
+    return [IdentityCheck(f"{name}/similarity", sim_res, similarity_rtol),
+            IdentityCheck(f"{name}/input-vector", input_res, rtol, note),
+            IdentityCheck(f"{name}/transfer-chain", transfer_res, rtol)]
 
 
 class FrequencyResponseRow(NamedTuple):

@@ -241,6 +241,7 @@ class TestFailureExitCodes:
         proc = run_cli("steady-state", path, "--out", str(tmp_path / "ss.json"))
         assert proc.returncode == 3
         assert "marginal" in proc.stderr
+        assert "(1+0j)" in proc.stderr.splitlines()[-1]
 
     def test_exhausted_iteration_budget_exits_four(self, config_file, tmp_path):
         path = config_file(sim={"periods": 2, "convergence_tol": 1e-13})

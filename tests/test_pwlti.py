@@ -9,9 +9,10 @@ import pytest
 
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
 from dabss.errors import DimensionError, MarginalSystemError, NumericInputError
-from dabss.pwlti import (IdentityCheck, Schedule, Segment, SegmentMap, closed_form_state, expm,
-                         fixed_point_of_maps, monodromy, periodic_forcing,
-                         propagate, reverse_product, segment_map, segment_maps)
+from dabss.pwlti import (COND_LIMIT, IdentityCheck, Schedule, Segment, SegmentMap,
+                         closed_form_state, cond, expm, fixed_point_of_maps, monodromy,
+                         periodic_forcing, propagate, reverse_product, segment_map,
+                         segment_maps)
 from tests.conftest import REFERENCE_KWARGS, random_params
 
 
@@ -372,3 +373,64 @@ class TestBatchedSegmentMaps:
             expm(a, 0.7)
         with pytest.raises(DimensionError):
             expm(np.zeros((5, 3, 2)), 0.7)
+
+
+def _earlier_fixed_point(maps) -> np.ndarray:
+    """The period solve as it stood before the period map was cached, formulas copied."""
+    pi = reverse_product([m.phi for m in maps], 1, len(maps))
+    lhs = np.eye(pi.shape[0]) - pi
+    c = np.linalg.cond(lhs)
+    if not np.isfinite(c) or c > COND_LIMIT:
+        raise MarginalSystemError("marginal")
+    return np.linalg.solve(lhs, periodic_forcing(maps))
+
+
+class TestPeriodMapCache:
+    """Pi and the forcing are composed once per schedule, read-only, with the old values."""
+
+    @staticmethod
+    def random_schedule(rng) -> Schedule:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 3))
+        segments = []
+        for _ in range(int(rng.integers(1, 7))):
+            seg = random_stable_segment(rng, n, m)
+            if rng.uniform() < 0.1:
+                seg = Segment(a=seg.a, b=seg.b, duration=0.0)
+            segments.append(seg)
+        return Schedule(segments=tuple(segments), u=rng.standard_normal(m))
+
+    def test_values_match_the_uncached_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(7_2026)
+        for _ in range(200):
+            sched = self.random_schedule(rng)
+            maps = segment_maps(sched)
+            x0 = rng.standard_normal(sched.dim)
+            pi = reverse_product([m.phi for m in maps], 1, len(maps))
+            assert np.array_equal(monodromy(sched), pi)
+            assert np.array_equal(closed_form_state(sched, x0), pi @ x0 + periodic_forcing(maps))
+            try:
+                expected = _earlier_fixed_point(maps)
+            except MarginalSystemError:
+                with pytest.raises(MarginalSystemError):
+                    solve_periodic_fixed_point(sched)
+            else:
+                assert np.array_equal(solve_periodic_fixed_point(sched), expected)
+                assert np.array_equal(fixed_point_of_maps(maps), expected)
+
+    def test_period_map_is_built_once_and_read_only(self):
+        sched = self.random_schedule(np.random.default_rng(8))
+        assert monodromy(sched) is monodromy(sched) is sched.period_map[0]
+        with pytest.raises(ValueError):
+            monodromy(sched)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sched.period_map[1][0] = 1.0
+
+    def test_cond_is_numpys_formula(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 4):
+            for _ in range(25):
+                a = rng.standard_normal((n, n))
+                assert cond(a) == np.linalg.cond(a)
+        assert cond(np.zeros((2, 2))) == math.inf == np.linalg.cond(np.zeros((2, 2)))
+        assert cond(np.array([[1.0, 0.0], [0.0, 0.0]])) == math.inf

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from dabss.pwlti import propagate
 from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, control_input_vector,
                                rebased_input_vector, resolvent_similarity_residual,
                                verify_surface_equivalence)
-from dabss import smallsignal
-from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params
+from dabss import cli, smallsignal
+from dabss.errors import MarginalSystemError, ParameterError
+from dabss.pwlti import monodromy
+from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params, write_config
 
 
 def unit_circle(points: int, t_half: float | None = None) -> np.ndarray:
@@ -360,3 +363,138 @@ class TestArrayFrequencyAxis:
             for row in rows[:-1]:
                 h = transfer(model, ref_dab.c_phys, cmath.exp(2j * cmath.pi * row.f * model.t_half))
                 assert (row.h_irec, row.h_vout) == (complex(h[0]), complex(h[1]))
+
+
+MODEL_ARRAYS = ("phi", "g", "x_star", "x_a_end", "x_b_end", "sens_a", "sens_b", "b_cur", "b_next")
+
+
+@pytest.fixture()
+def model_builds(monkeypatch):
+    """How many HalfCycleModel objects half_cycle_model has built since the test began."""
+    built = []
+    real = smallsignal.HalfCycleModel
+
+    def counted(**fields):
+        built.append(fields["surface"])
+        return real(**fields)
+
+    monkeypatch.setattr(smallsignal, "HalfCycleModel", counted)
+    return built
+
+
+class TestModelCache:
+    """One model per surface and design object, shared read-only, failures never kept."""
+
+    def test_each_surface_model_is_built_once_per_design(self, ref_params):
+        dab = build_dab(ref_params)
+        models = {s: half_cycle_model(dab, s) for s in SURFACES.values()}
+        for surface, model in models.items():
+            assert half_cycle_model(dab, surface) is model
+            assert model.surface is surface
+        fresh = build_dab(ref_params)
+        for surface, model in models.items():
+            assert half_cycle_model(fresh, surface) is not model
+
+    def test_a_polarity_override_gets_its_own_model(self, ref_params):
+        dab = build_dab(ref_params)
+        canonical = half_cycle_model(dab, P_PLUS)
+        flipped = half_cycle_model(dab, dataclasses.replace(P_PLUS, polarity=+1))
+        assert flipped is not canonical
+        assert half_cycle_model(dab, P_PLUS) is canonical
+        assert np.array_equal(flipped.b_cur, -canonical.b_cur)
+        assert np.array_equal(flipped.b_next, -canonical.b_next)
+        for name in ("phi", "g", "x_star"):
+            assert np.array_equal(getattr(flipped, name), getattr(canonical, name))
+
+    def test_model_arrays_and_the_monodromy_are_read_only(self, ref_params):
+        dab = build_dab(ref_params)
+        model = half_cycle_model(dab, S_MINUS)
+        for name in MODEL_ARRAYS:
+            with pytest.raises(ValueError):
+                getattr(model, name)[0] = 1.0
+        with pytest.raises(ValueError):
+            monodromy(dab.schedule)[0, 0] = 1.0
+
+    def test_eight_sweeps_on_one_design_build_four_models(self, ref_params, model_builds):
+        dab = build_dab(ref_params)
+        for surface in SURFACES.values():
+            for kind in ("fix", "sc"):
+                bode_sweep(dab, surface, kind, 100.0, 10e3, 16)
+        assert sorted(s.label for s in model_builds) == sorted(SURFACES)
+
+    def test_bode_both_builds_one_model_and_verify_four(self, tmp_path, model_builds, capsys):
+        path = write_config(tmp_path / "reference.json")
+        assert cli.main(["bode", path, "--model", "both", "--out", str(tmp_path / "b.csv")]) == 0
+        assert len(model_builds) == 1
+        assert cli.main(["verify", path]) == 0
+        assert len(model_builds) == 1 + 4
+
+    def test_a_failed_build_is_not_kept(self, ref_params, model_builds):
+        skewed = build_dab(ref_params, t3_skew=1e-7)
+        for _ in range(3):
+            with pytest.raises(ParameterError):
+                half_cycle_model(skewed, S_PLUS)
+        marginal = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
+        for _ in range(3):
+            with pytest.raises(MarginalSystemError):
+                half_cycle_model(marginal, P_PLUS)
+        assert model_builds == []
+
+
+class TestDualPathFloor:
+    """transfer_difference's cross-check tolerates roundoff and nothing more."""
+
+    @staticmethod
+    def criterion_8_grid(params, model) -> np.ndarray:
+        f = sweep_frequencies(params.fs / 1000.0, params.fs / 10.0, 25, "log", model.t_half)
+        return np.exp(2j * np.pi * f * model.t_half)
+
+    def test_the_first_seed_164_design_passes_its_grid(self):
+        # The first design random_params draws from seed 164: at fs / 1000 its
+        # dual-path residual is 1.07e-12, over the plain 1e-12 check.
+        params = random_params(np.random.default_rng(164))
+        dab = build_dab(params)
+        model = half_cycle_model(dab, P_PLUS)
+        z = self.criterion_8_grid(params, model)
+        assert transfer_difference_residual(model, dab.c_phys, z[0]) > 1e-12
+        transfer_difference(model, dab.c_phys, z)
+        for zk in z.tolist():
+            transfer_difference(model, dab.c_phys, zk)
+
+    def test_the_floor_covers_the_residuals_of_random_designs(self):
+        rng = np.random.default_rng(30_2026)
+        worst = 0.0
+        for _ in range(1000):
+            params = random_params(rng)
+            dab = build_dab(params)
+            for surface in (P_PLUS, S_MINUS):
+                model = half_cycle_model(dab, surface)
+                f = sweep_frequencies(params.fs / 1000.0, params.fs, 24, "log", model.t_half)
+                z = np.concatenate([np.exp(2j * np.pi * f * model.t_half), unit_circle(8)])
+                closed, subtracted, states = smallsignal._difference_paths(model, dab.c_phys, z)
+                floor = smallsignal._dual_path_floor(model, dab.c_phys, z, states, subtracted)
+                res = smallsignal._row_residuals(closed, subtracted)
+                worst = max(worst, float(np.max(res / floor)))
+        assert worst <= 1.0
+
+    def test_a_diverged_closed_path_still_raises(self, monkeypatch):
+        params = random_params(np.random.default_rng(164))
+        dab = build_dab(params)
+        model = half_cycle_model(dab, P_PLUS)
+        z = self.criterion_8_grid(params, model)
+        real = smallsignal._difference_paths
+
+        def perturbed(model, c_phys, z):
+            _, subtracted, states = real(model, c_phys, z)
+            b_next = model.b_next * (1.0 + 1e-6)
+            closed = smallsignal._output(c_phys, smallsignal._resolvent_apply(
+                model, z, np.multiply.outer(np.asarray(z) - 1.0, b_next)))
+            return closed, subtracted, states
+
+        monkeypatch.setattr(smallsignal, "_difference_paths", perturbed)
+        for zk in (z, z[0], z[-1]):
+            with pytest.raises(ArithmeticError) as err:
+                transfer_difference(model, dab.c_phys, zk)
+            residual, tolerance = map(float, re.search(
+                r"residual (\S+) exceeds (\S+)", str(err.value)).groups())
+            assert residual >= 100.0 * tolerance
