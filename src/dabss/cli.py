@@ -21,19 +21,13 @@ import numpy as np
 
 from . import __version__
 from .config import AppConfig, load_config
-from .dab import FLIP_CURRENT, DabSchedule, build_dab, solve_half_cycle, verify_symmetry
+from .dab import DabSchedule, build_dab, solve_half_cycle
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError, ParameterError, ResolventSingularityError, SimilarityError)
 from .oracle import Injection, measure_frequency_responses, run_to_steady_state
-from .pwlti import (IdentityCheck, closed_form_state, cond, monodromy, propagate,
-                    relative_residual, row_norms, solve_periodic_fixed_point)
-from .smallsignal import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, bode_sweep,
-                          difference_envelope, half_cycle_model,
-                          resolvent_similarity_residual, sweep_frequencies,
-                          transfer_difference_residual, transfer_fixed_freq,
-                          transfer_same_cycle, verify_surface_equivalence)
-
-_VERIFY_SEED = 20260816
+from .pwlti import closed_form_state, monodromy, relative_residual, solve_periodic_fixed_point
+from .smallsignal import (SURFACES, bode_sweep, half_cycle_model, identity_checks,
+                          sweep_frequencies, transfer_fixed_freq)
 
 
 def _fmt(value: float) -> str:
@@ -51,11 +45,10 @@ def _wrap_degrees(angle: float) -> float:
     return 180.0 if wrapped == -180.0 else wrapped
 
 
-def _surface(cfg: AppConfig, label: str):
-    base = SURFACES[label]
-    if label in cfg.polarity_override:
-        return dataclasses.replace(base, polarity=cfg.polarity_override[label])
-    return base
+def _surfaces(cfg: AppConfig) -> dict:
+    """SURFACES with the config's polarity overrides applied."""
+    return {label: dataclasses.replace(s, polarity=cfg.polarity_override.get(label, s.polarity))
+            for label, s in SURFACES.items()}
 
 
 def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
@@ -78,72 +71,12 @@ def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
     return 0
 
 
-def _verify_checks(cfg: AppConfig, dab: DabSchedule) -> list[IdentityCheck]:
-    tol = cfg.tolerances
-    checks = list(verify_symmetry(dab, rtol=tol.half_wave_symmetry))
-
-    x_full = solve_periodic_fixed_point(dab.schedule)
-    x_half = solve_half_cycle(dab)
-    states = propagate(dab.schedule, x_full)
-    for name, actual, expected in (("fixed-point-equivalence", x_half, x_full),
-                                   ("period-closure", states[-1], x_full),
-                                   ("midcycle-flip", states[1], FLIP_CURRENT @ x_full)):
-        checks.append(IdentityCheck(
-            f"half-cycle/{name}", relative_residual(actual, expected), tol.half_cycle))
-
-    rng = np.random.default_rng(_VERIFY_SEED)
-    worst = 0.0
-    draws = 0
-    while draws < 20:
-        a = rng.standard_normal((2, 2))
-        t_mat = rng.standard_normal((2, 2))
-        z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
-        if cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(a))) < 0.1:
-            continue
-        worst = max(worst, resolvent_similarity_residual(a, t_mat, z))
-        draws += 1
-    checks.append(IdentityCheck("resolvent/similarity-random", worst, tol.resolvent_identity))
-
-    # exp(2j pi q / n) for q < n, rounded as cmath.exp(2j * math.pi * q / n) rounds it.
-    z_grid = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
-    for primary, secondary in ((P_PLUS, S_PLUS), (P_MINUS, S_MINUS)):
-        pri = _surface(cfg, primary.label)
-        sec = _surface(cfg, secondary.label)
-        try:
-            checks.extend(verify_surface_equivalence(
-                dab, pri, sec, z_grid,
-                rtol=tol.surface_equivalence, similarity_rtol=tol.similarity))
-        except ParameterError as exc:
-            # A skewed schedule can make a straddling surface unbuildable;
-            # report that as a failing check instead of aborting the table.
-            checks.append(IdentityCheck(
-                f"surface-equiv/{pri.label}~{sec.label}/construction",
-                math.inf, tol.surface_equivalence, str(exc)))
-
-    model = half_cycle_model(dab, _surface(cfg, "P+"))
-    dual = transfer_difference_residual(
-        model, dab.c_phys, np.exp(1j * (2.0 * np.pi * np.arange(100) / 100)))
-    checks.append(IdentityCheck(
-        "transfer-difference/dual-path", float(np.max(dual)), tol.transfer_difference))
-    dc = transfer_fixed_freq(model, dab.c_phys, 1.0) - \
-        transfer_same_cycle(model, dab.c_phys, 1.0)
-    checks.append(IdentityCheck(
-        "transfer-difference/dc-zero", float(np.linalg.norm(dc)), tol.transfer_difference))
-    f = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
-                          cfg.sweep.spacing, model.t_half)
-    z = np.exp(2j * np.pi * f * model.t_half)
-    delta = transfer_fixed_freq(model, dab.c_phys, z) - transfer_same_cycle(model, dab.c_phys, z)
-    diff = row_norms(delta)
-    envelope = difference_envelope(model, dab.c_phys, z)
-    # At z = 1 the envelope and the difference both vanish: 0/0 reads as 0.
-    ratio = np.max(np.divide(diff, envelope, out=np.where(diff == 0.0, 0.0, np.inf),
-                             where=envelope != 0.0))
-    checks.append(IdentityCheck("transfer-difference/envelope-ratio", float(ratio), 1.0))
-    return checks
-
-
 def cmd_verify(args, cfg: AppConfig, dab: DabSchedule) -> int:
-    checks = _verify_checks(cfg, dab)
+    sweep = cfg.sweep
+    checks = identity_checks(
+        dab, cfg.tolerances, _surfaces(cfg),
+        sweep_frequencies(sweep.f_min, sweep.f_max, sweep.points, sweep.spacing,
+                          dab.params.t_half))
     width = max(len(c.name) for c in checks)
     lines = [f"{'identity':<{width}}  {'residual':>12}  {'tolerance':>12}  status"]
     for c in checks:
@@ -160,7 +93,7 @@ def cmd_verify(args, cfg: AppConfig, dab: DabSchedule) -> int:
 
 
 def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
-    surface = _surface(cfg, args.surface)
+    surface = _surfaces(cfg)[args.surface]
     sweep = cfg.sweep
     kinds = ("fix", "sc") if args.model == "both" else (args.model,)
     try:
@@ -220,7 +153,7 @@ def _coherent_frequencies(cfg: AppConfig, injection: Injection, t_half: float) -
 
 
 def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
-    surface = _surface(cfg, "P+")
+    surface = _surfaces(cfg)["P+"]
     model = half_cycle_model(dab, surface)
 
     x_model = solve_periodic_fixed_point(dab.schedule)

@@ -12,7 +12,8 @@ which is what the involution constants below encode:
 
 Those structural facts make the second half cycle a sign-conjugated copy of
 the first, so a half-cycle solve with a current-flip boundary condition
-reproduces the full-period steady state. `verify_symmetry` measures the
+reproduces the full-period steady state; `half_cycle_map` forms that map for
+it and for every sampled surface model. `verify_symmetry` measures the
 conjugation identities numerically instead of trusting the construction.
 """
 
@@ -73,8 +74,9 @@ class DabParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
-        if not math.isfinite(self.Vin):
-            raise ParameterError(f"Vin must be finite, got {self.Vin!r}")
+        # With no input every transfer is 0, which has no gain in dB and no ratio.
+        if not (math.isfinite(self.Vin) and self.Vin != 0.0):
+            raise ParameterError(f"Vin must be finite and nonzero, got {self.Vin!r}")
         if not (math.isfinite(self.D_phase) and 0.0 < self.D_phase < 1.0):
             raise ParameterError(f"D_phase must lie in (0, 1), got {self.D_phase!r}")
 
@@ -175,17 +177,21 @@ def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck
     ]
 
 
+def half_cycle_map(dab: DabSchedule, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rectified map x -> phi x + g over intervals `first` and `first % 4 + 1` (one-based):
+
+        phi = RECTIFY phi_b phi_a,   g = RECTIFY (phi_b gamma_a + gamma_b).
+    """
+    map_a, map_b = (dab.schedule.maps[i - 1] for i in (first, first % 4 + 1))
+    return RECTIFY @ map_b.phi @ map_a.phi, RECTIFY @ (map_b.phi @ map_a.gamma + map_b.gamma)
+
+
 def solve_half_cycle(dab: DabSchedule) -> np.ndarray:
     """Period-start steady state from the first half cycle alone.
 
-    Half-wave symmetry reduces the periodic condition x4 = x0 to
-
-        (FLIP_CURRENT - phi2 phi1) x0 = phi2 gamma1 + gamma2,
-
-    a 2x2 solve over half the maps the full-period route needs.
+    Half-wave symmetry reduces the periodic condition x4 = x0 to the fixed point
+    of the rectified map of intervals 1 and 2, a 2x2 solve over half the maps the
+    full-period route needs. RECTIFY only flips signs, so this is the system
+    (FLIP_CURRENT - phi2 phi1) x0 = phi2 gamma1 + gamma2 to the bit.
     """
-    m1, m2, _, _ = segment_maps(dab.schedule)
-    half = m2.phi @ m1.phi
-    return pwlti.gated_solve(
-        FLIP_CURRENT - half, m2.phi @ m1.gamma + m2.gamma, half,
-        "half-cycle solve is marginal: cond ~ {cond:.3e} exceeds {limit:.1e}")
+    return pwlti.fixed_point(*half_cycle_map(dab, 1), "half-cycle solve")

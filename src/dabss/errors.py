@@ -25,10 +25,10 @@ class ConfigError(Exception):
 
 
 class MarginalSystemError(ArithmeticError):
-    """A fixed-point solve is too ill conditioned to trust.
+    """A fixed-point solve is too ill conditioned to trust, or an iteration cannot contract.
 
-    Carries the monodromy eigenvalues (when available) so callers can report
-    why the periodic solution is marginal.
+    Carries the eigenvalues of the map (when available) so callers can report
+    why its fixed point is marginal.
     """
 
     def __init__(self, message: str, eigenvalues=None):

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dab import RECTIFY, DabSchedule
-from .errors import AmplitudeError, ConfigError, ConvergenceError
+from .errors import AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError
 from .pwlti import expm
 from .smallsignal import Surface
 
@@ -143,15 +142,19 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
     between the latest iterate and the fixed point, so the run stops once
     that bound reaches tol * (1 + ||x||). rho is the spectral radius of the
     period map, not a norm of it, so for a non-normal map the bound holds
-    only asymptotically, once the slowest mode dominates the change.
+    only asymptotically, once the slowest mode dominates the change. There is
+    nothing to wait for when rho >= 1: MarginalSystemError, before any period.
     """
     pi = step_maps[0][0]
     for phi, _ in step_maps[1:]:
         pi = phi @ pi
-    rho = float(np.max(np.abs(np.linalg.eigvals(pi))))
-    if rho >= 1.0:
-        warnings.warn(f"per-period spectral radius {rho:.6f} >= 1, iteration may not converge")
-    scale = rho / (1.0 - rho) if rho < 1.0 else math.inf
+    eigenvalues = np.linalg.eigvals(pi)
+    rho = float(np.max(np.abs(eigenvalues)))
+    if not rho < 1.0:
+        raise MarginalSystemError(
+            f"oracle period map is marginal: spectral radius rho = {rho:.10g} is not below 1, so "
+            "iteration from x = 0 cannot settle", eigenvalues=eigenvalues)
+    scale = rho / (1.0 - rho)
     x = np.zeros(step_maps[0][0].shape[0])
     prev = x
     for _ in range(periods):

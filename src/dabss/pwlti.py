@@ -10,7 +10,8 @@ duration T_i with dynamics dx/dt = A_i x + B_i u, the boundary states obey
 
 Chaining the subinterval maps across one switching period gives the state at
 the period boundary in closed form, and the periodic steady state is the
-fixed point of the one-period (monodromy) map. Everything in this module is
+fixed point of the one-period (monodromy) map; `fixed_point` solves it and
+every other x = phi x + gamma of the package. Everything in this module is
 exact up to the matrix exponential; there is no time-stepping error.
 """
 
@@ -272,38 +273,22 @@ def cond(m: np.ndarray) -> float:
     return float(s[0] / s[-1]) if s[-1] else math.inf
 
 
-def gated_solve(lhs: np.ndarray, rhs: np.ndarray, transition: np.ndarray,
-                message: str) -> np.ndarray:
-    """Solve lhs x = rhs unless cond(lhs) is not finite or exceeds COND_LIMIT; then raise
-    MarginalSystemError with `message` (fields cond, limit) and the eigenvalues of `transition`."""
+def fixed_point(phi: np.ndarray, gamma: np.ndarray, what: str) -> np.ndarray:
+    """Fixed point of x -> phi x + gamma (a period, a half cycle, a surface), from
+    (I - phi) x = gamma. An eigenvalue of phi at or near 1 leaves cond(I - phi) not finite or
+    above COND_LIMIT: MarginalSystemError "<what> is marginal: cond ~ ... exceeds 1.0e+12",
+    carrying the eigenvalues of phi."""
+    lhs = np.eye(phi.shape[0]) - phi
     c = cond(lhs)
-    if not math.isfinite(c) or c > COND_LIMIT:
-        raise MarginalSystemError(message.format(cond=c, limit=COND_LIMIT),
-                                  eigenvalues=np.linalg.eigvals(transition))
-    return np.linalg.solve(lhs, rhs)
-
-
-def _periodic_solve(pi: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-    return gated_solve(
-        np.eye(pi.shape[0]) - pi, forcing, pi,
-        "periodic solve is marginal: cond(I - Pi) ~ {cond:.3e} exceeds {limit:.1e}")
-
-
-def fixed_point_of_maps(maps) -> np.ndarray:
-    """Periodic fixed point x* of the composed maps: (I - Pi) x* = forcing.
-
-    Raises MarginalSystemError, carrying the eigenvalues of the monodromy
-    matrix Pi, when the condition estimate of (I - Pi) exceeds COND_LIMIT;
-    an eigenvalue of Pi on or near the unit circle makes the periodic
-    solution meaningless at double precision.
-    """
-    pi = reverse_product([m.phi for m in maps], 1, len(maps))
-    return _periodic_solve(pi, periodic_forcing(maps))
+    if not c <= COND_LIMIT:  # NaN fails too
+        raise MarginalSystemError(f"{what} is marginal: cond ~ {c:.3e} exceeds {COND_LIMIT:.1e}",
+                                  eigenvalues=np.linalg.eigvals(phi))
+    return np.linalg.solve(lhs, gamma)
 
 
 def solve_periodic_fixed_point(schedule: Schedule) -> np.ndarray:
     """Steady-state period-boundary state of a schedule, from its cached `period_map`."""
-    return _periodic_solve(*schedule.period_map)
+    return fixed_point(*schedule.period_map, "periodic solve")
 
 
 def monodromy(schedule: Schedule) -> np.ndarray:

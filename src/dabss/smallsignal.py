@@ -18,19 +18,24 @@ the approximation is exact at dc and degrades linearly with frequency.
 There are four sampling surfaces (either edge polarity on either bridge).
 Models built on different surfaces of the same polarity pair are similar in
 the linear-algebra sense; `verify_surface_equivalence` checks the full
-similarity chain numerically.
+similarity chain numerically. `identity_checks` is the whole suite that
+`dabss verify` prints: the half-wave symmetry and half-cycle identities, the
+resolvent and surface similarities, and the transfer-difference identities.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import pwlti
-from .dab import RECTIFY, DabSchedule
+from .dab import (FLIP_CURRENT, RECTIFY, DabSchedule, half_cycle_map, solve_half_cycle,
+                  verify_symmetry)
 from .errors import ParameterError, ResolventSingularityError, SimilarityError
 from .pwlti import IdentityCheck, relative_residual
 
@@ -120,11 +125,8 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
             f"surface {surface.label} spans {seg_a.duration + seg_b.duration!r} s, "
             f"expected the half cycle {t_half!r} s")
 
-    phi = RECTIFY @ map_b.phi @ map_a.phi
-    g = RECTIFY @ (map_b.phi @ map_a.gamma + map_b.gamma)
-    x_star = pwlti.gated_solve(
-        np.eye(2) - phi, g, phi,
-        f"surface {surface.label} fixed point is marginal: cond ~ {{cond:.3e}}")
+    phi, g = half_cycle_map(dab, surface.a)
+    x_star = pwlti.fixed_point(phi, g, f"surface {surface.label} fixed point")
     x_a_end = map_a.phi @ x_star + map_a.gamma
     x_b_end = map_b.phi @ x_a_end + map_b.gamma
 
@@ -396,3 +398,72 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
     h = np.full((f.size, 2), None)  # flagged rows keep None in both channels
     h[off_pole] = transfer(model, dab.c_phys, z[off_pole])
     return [FrequencyResponseRow(fk, *hk) for fk, hk in zip(f.tolist(), h.tolist())]
+
+
+_RESOLVENT_SEED = 20260816  # seeds the random matrices of the resolvent-similarity check
+
+
+def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[IdentityCheck]:
+    """Every structural identity that `dabss verify` reports, in its table order.
+
+    `tolerances` is a `config.Tolerances`, `surfaces` maps each label of SURFACES to the
+    Surface to check (a polarity override in place of the canonical one), and `freqs` is
+    the sweep grid [Hz] of the envelope-ratio check.
+    """
+    tol = tolerances
+    checks = verify_symmetry(dab, rtol=tol.half_wave_symmetry)
+
+    x_full = pwlti.solve_periodic_fixed_point(dab.schedule)
+    x_half = solve_half_cycle(dab)
+    states = pwlti.propagate(dab.schedule, x_full)
+    for name, actual, expected in (("fixed-point-equivalence", x_half, x_full),
+                                   ("period-closure", states[-1], x_full),
+                                   ("midcycle-flip", states[1], FLIP_CURRENT @ x_full)):
+        checks.append(IdentityCheck(
+            f"half-cycle/{name}", relative_residual(actual, expected), tol.half_cycle))
+
+    rng = np.random.default_rng(_RESOLVENT_SEED)
+    worst = 0.0
+    draws = 0
+    while draws < 20:
+        a = rng.standard_normal((2, 2))
+        t_mat = rng.standard_normal((2, 2))
+        z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
+        if pwlti.cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(a))) < 0.1:
+            continue
+        worst = max(worst, resolvent_similarity_residual(a, t_mat, z))
+        draws += 1
+    checks.append(IdentityCheck("resolvent/similarity-random", worst, tol.resolvent_identity))
+
+    # exp(2j pi q / n) for q < n, rounded as cmath.exp(2j * math.pi * q / n) rounds it.
+    z_grid = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
+    for pri, sec in ((surfaces["P+"], surfaces["S+"]), (surfaces["P-"], surfaces["S-"])):
+        try:
+            checks.extend(verify_surface_equivalence(
+                dab, pri, sec, z_grid,
+                rtol=tol.surface_equivalence, similarity_rtol=tol.similarity))
+        except ParameterError as exc:
+            # A skewed schedule can make a straddling surface unbuildable;
+            # report that as a failing check instead of aborting the table.
+            checks.append(IdentityCheck(
+                f"surface-equiv/{pri.label}~{sec.label}/construction",
+                math.inf, tol.surface_equivalence, str(exc)))
+
+    # One stacked solve for every transfer-difference row: 100 points of the unit
+    # circle (dual path), z = 1 (dc) and the sweep grid (envelope ratio).
+    model = half_cycle_model(dab, surfaces["P+"])
+    sweep = np.exp(2j * np.pi * np.asarray(freqs) * model.t_half)
+    closed, subtracted, _ = _difference_paths(model, dab.c_phys, np.concatenate(
+        [np.exp(1j * (2.0 * np.pi * np.arange(100) / 100)), [1.0], sweep]))
+    dual = _row_residuals(closed[:100], subtracted[:100])
+    checks.append(IdentityCheck(
+        "transfer-difference/dual-path", float(np.max(dual)), tol.transfer_difference))
+    checks.append(IdentityCheck("transfer-difference/dc-zero",
+                                float(np.linalg.norm(subtracted[100])), tol.transfer_difference))
+    diff = pwlti.row_norms(subtracted[101:])
+    envelope = difference_envelope(model, dab.c_phys, sweep)
+    # At z = 1 the envelope and the difference both vanish: 0/0 reads as 0.
+    ratio = np.max(np.divide(diff, envelope, out=np.where(diff == 0.0, 0.0, np.inf),
+                             where=envelope != 0.0))
+    checks.append(IdentityCheck("transfer-difference/envelope-ratio", float(ratio), 1.0))
+    return checks

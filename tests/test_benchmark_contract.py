@@ -5,7 +5,8 @@ every `LAYER_FUNCTIONS` entry on its `dabss.<module>` when a run starts, so a
 name trimmed from either place would break `perfbench/run.py` without any
 other test noticing. A changed signature or a read-only array the benchmark
 writes into would instead make its ops fail, which the benchmark only counts:
-one op of each in-process workload must pass its gate here.
+one op of each in-process workload, and one cold command line run of each of
+the `cli` workload's five commands, must pass its gate here.
 """
 
 from __future__ import annotations
@@ -40,3 +41,18 @@ def test_one_op_of_each_in_process_workload_passes_its_gate(monkeypatch, tmp_pat
     workloads = importlib.import_module("workloads")
     tracer = importlib.import_module("spans").NullTracer()
     workloads.WORKLOADS[workload](1, tmp_path).op(workloads.bind_layers(tracer), tracer)
+
+
+def test_one_op_of_each_cli_command_passes_its_gate(monkeypatch, tmp_path):
+    # Warm-up runs each command once and keeps its bytes; every op then needs
+    # exit 0, `RESULT: PASS` from verify and the same bytes again.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("workloads", "reference", "spans"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("spans").NullTracer()
+    layers = workloads.bind_layers(tracer)
+    cli = workloads.WORKLOADS["cli"](1, tmp_path)
+    cli.warm_up(layers, tracer)
+    for _ in cli.commands:
+        cli.op(layers, tracer)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -242,6 +243,35 @@ class TestFailureExitCodes:
         assert proc.returncode == 3
         assert "marginal" in proc.stderr
         assert "(1+0j)" in proc.stderr.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [("steady-state", "--method", "full"),
+                                      ("steady-state", "--method", "half"),
+                                      ("bode", "--surface", "P+")],
+                             ids=["periodic", "half-cycle", "surface"])
+    def test_every_marginal_fixed_point_reports_one_message(self, config_file, tmp_path, argv):
+        path = config_file(converter=dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30))
+        proc = run_cli(argv[0], path, *argv[1:], "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        error, eigenvalues = proc.stderr.splitlines()
+        assert re.fullmatch(r"error: .+ is marginal: cond ~ \S+ exceeds 1\.0e\+12", error), error
+        assert eigenvalues.startswith("eigenvalues:") and "(1+0j)" in eigenvalues
+
+    def test_simulate_on_a_marginal_design_exits_three(self, config_file, tmp_path):
+        path = config_file(converter=dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30))
+        proc = run_cli("simulate", path, "--out", str(tmp_path / "wf.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert "spectral radius rho = 1 is not below 1" in proc.stderr
+        assert "UserWarning" not in proc.stderr and "oracle.py" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["bode", "compare"])
+    def test_zero_input_voltage_is_a_config_error(self, config_file, tmp_path, command):
+        # With no input every transfer is 0: no gain in dB and no model/measurement ratio.
+        path = config_file(converter=dict(REFERENCE_KWARGS, Vin=0.0))
+        proc = run_cli(command, path, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Vin must be finite and nonzero" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_exhausted_iteration_budget_exits_four(self, config_file, tmp_path):
         path = config_file(sim={"periods": 2, "convergence_tol": 1e-13})

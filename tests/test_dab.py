@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
-from dabss.dab import FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, solve_half_cycle, verify_symmetry
+from dabss import P_PLUS, half_cycle_model
+from dabss.dab import (FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, half_cycle_map, solve_half_cycle,
+                       verify_symmetry)
 from dabss.errors import DimensionError, ParameterError
 from dabss.pwlti import propagate
 from tests.conftest import REFERENCE_KWARGS, random_params
@@ -37,7 +39,7 @@ class TestParameters:
         ("L", 0.0), ("L", -1e-6), ("Co", 0.0), ("Ro", -5.0), ("fs", 0.0),
         ("Vr", 0.0), ("n_turns", -1.0), ("Rt", -0.01), ("Rc", -0.01),
         ("D_phase", 0.0), ("D_phase", 1.0), ("D_phase", 1.5),
-        ("Vin", math.nan), ("fs", math.inf),
+        ("Vin", math.nan), ("Vin", 0.0), ("Vin", -0.0), ("fs", math.inf),
     ])
     def test_out_of_range_values_rejected(self, field, value):
         kwargs = dict(REFERENCE_KWARGS)
@@ -129,6 +131,32 @@ class TestSteadyState:
         full = solve_periodic_fixed_point(ref_dab.schedule)
         half = solve_half_cycle(ref_dab)
         assert relative_residual(half, full) < 1e-10
+
+    def test_half_cycle_solve_is_the_p_plus_surface_fixed_point(self):
+        # One rectified half-cycle map and one fixed-point solve serve both.
+        rng = np.random.default_rng(8_2026)
+        for _ in range(50):
+            dab = build_dab(random_params(rng))
+            assert np.array_equal(solve_half_cycle(dab), half_cycle_model(dab, P_PLUS).x_star)
+
+    def test_half_cycle_solve_keeps_the_flip_current_system_to_the_bit(self):
+        # RECTIFY flips signs only, so the rectified system is the system
+        # (FLIP_CURRENT - phi2 phi1) x = phi2 gamma1 + gamma2 with one row negated.
+        rng = np.random.default_rng(9_2026)
+        for _ in range(50):
+            dab = build_dab(random_params(rng))
+            m1, m2 = dab.schedule.maps[:2]
+            half = m2.phi @ m1.phi
+            expected = np.linalg.solve(FLIP_CURRENT - half, m2.phi @ m1.gamma + m2.gamma)
+            assert np.array_equal(solve_half_cycle(dab), expected)
+
+    @pytest.mark.parametrize("first", [1, 2, 3, 4])
+    def test_half_cycle_map_wraps_from_interval_four_to_one(self, ref_dab, first):
+        maps = ref_dab.schedule.maps
+        map_a, map_b = maps[first - 1], maps[first % 4]
+        phi, g = half_cycle_map(ref_dab, first)
+        assert np.array_equal(phi, RECTIFY @ map_b.phi @ map_a.phi)
+        assert np.array_equal(g, RECTIFY @ (map_b.phi @ map_a.gamma + map_b.gamma))
 
     def test_half_wave_symmetry_of_boundary_states(self, ref_dab):
         x0 = solve_periodic_fixed_point(ref_dab.schedule)

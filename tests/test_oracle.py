@@ -9,13 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dabss import (P_PLUS, S_MINUS, S_PLUS, Injection, SimConfig, build_dab, half_cycle_model,
-                   relative_residual, solve_periodic_fixed_point, transfer_fixed_freq)
+from dabss import (P_PLUS, S_MINUS, S_PLUS, DabParams, Injection, SimConfig, build_dab,
+                   half_cycle_model, relative_residual, solve_periodic_fixed_point,
+                   transfer_fixed_freq)
 from dabss.dab import FLIP_CURRENT, RECTIFY
-from dabss.errors import AmplitudeError, ConfigError, ConvergenceError
+from dabss.errors import AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError
 from dabss.oracle import (measure_frequency_response, measure_frequency_responses,
                           require_coherent, run_to_steady_state)
 from dabss import oracle, pwlti
+from tests.conftest import REFERENCE_KWARGS
 
 
 class TestInjectionValidation:
@@ -97,6 +99,15 @@ class TestSteadyState:
         assert f"last change {err.value.residual:.3e}" in str(err.value)
         assert f"spectral radius rho = {rho:.10g}" in str(err.value)
         assert f"{err.value.residual * rho / (1.0 - rho):.3e} > tol" in str(err.value)
+
+    def test_a_marginal_period_map_raises_instead_of_iterating(self):
+        # A blocking series path and no load conserve the capacitor state, so
+        # the period map keeps an eigenvalue at 1 and no iteration can settle.
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
+        with pytest.raises(MarginalSystemError) as err:
+            run_to_steady_state(dab, SimConfig())
+        assert "spectral radius rho = 1 is not below 1" in str(err.value)
+        assert np.max(np.abs(err.value.eigenvalues)) >= 1.0
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-11])
     def test_stopping_rule_meets_the_requested_tolerance(self, ref_params, tol):

@@ -10,7 +10,7 @@ import pytest
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
 from dabss.errors import DimensionError, MarginalSystemError, NumericInputError
 from dabss.pwlti import (COND_LIMIT, IdentityCheck, Schedule, Segment, SegmentMap,
-                         closed_form_state, cond, expm, fixed_point_of_maps, monodromy,
+                         closed_form_state, cond, expm, fixed_point, monodromy,
                          periodic_forcing, propagate, reverse_product, segment_map,
                          segment_maps)
 from tests.conftest import REFERENCE_KWARGS, random_params
@@ -283,7 +283,9 @@ class TestPeriodicFixedPoint:
         # point equals the final segment's forcing vector alone.
         gammas = [np.array([1.0, -2.0]), np.array([3.0, 4.0]), np.array([-5.0, 6.0])]
         maps = [SegmentMap(phi=np.zeros((2, 2)), gamma=g) for g in gammas]
-        np.testing.assert_allclose(fixed_point_of_maps(maps), gammas[-1], rtol=1e-15)
+        pi = reverse_product([m.phi for m in maps], 1, len(maps))
+        np.testing.assert_allclose(fixed_point(pi, periodic_forcing(maps), "periodic solve"),
+                                   gammas[-1], rtol=1e-15)
         np.testing.assert_allclose(periodic_forcing(maps), gammas[-1], rtol=1e-15)
 
     def test_fixed_point_is_invariant_under_propagation(self):
@@ -416,7 +418,8 @@ class TestPeriodMapCache:
                     solve_periodic_fixed_point(sched)
             else:
                 assert np.array_equal(solve_periodic_fixed_point(sched), expected)
-                assert np.array_equal(fixed_point_of_maps(maps), expected)
+                assert np.array_equal(fixed_point(pi, periodic_forcing(maps), "periodic solve"),
+                                      expected)
 
     def test_period_map_is_built_once_and_read_only(self):
         sched = self.random_schedule(np.random.default_rng(8))

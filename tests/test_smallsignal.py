@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -14,11 +15,13 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams,
                    half_cycle_model, relative_residual, solve_periodic_fixed_point,
                    sweep_frequencies, transfer_difference, transfer_difference_residual,
                    transfer_fixed_freq, transfer_same_cycle)
-from dabss.pwlti import propagate
+from dabss.dab import FLIP_CURRENT, solve_half_cycle, verify_symmetry
+from dabss.pwlti import IdentityCheck, cond, propagate, row_norms
 from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, control_input_vector,
-                               rebased_input_vector, resolvent_similarity_residual,
-                               verify_surface_equivalence)
+                               identity_checks, rebased_input_vector,
+                               resolvent_similarity_residual, verify_surface_equivalence)
 from dabss import cli, smallsignal
+from dabss.config import load_config
 from dabss.errors import MarginalSystemError, ParameterError
 from dabss.pwlti import monodromy
 from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params, write_config
@@ -498,3 +501,92 @@ class TestDualPathFloor:
             residual, tolerance = map(float, re.search(
                 r"residual (\S+) exceeds (\S+)", str(err.value)).groups())
             assert residual >= 100.0 * tolerance
+
+
+def _earlier_verify_checks(cfg, dab):
+    """The verify suite as the command line assembled it before `identity_checks`, copied."""
+    def surface(label):
+        base = SURFACES[label]
+        if label in cfg.polarity_override:
+            return dataclasses.replace(base, polarity=cfg.polarity_override[label])
+        return base
+
+    tol = cfg.tolerances
+    checks = list(verify_symmetry(dab, rtol=tol.half_wave_symmetry))
+    x_full = solve_periodic_fixed_point(dab.schedule)
+    x_half = solve_half_cycle(dab)
+    states = propagate(dab.schedule, x_full)
+    for name, actual, expected in (("fixed-point-equivalence", x_half, x_full),
+                                   ("period-closure", states[-1], x_full),
+                                   ("midcycle-flip", states[1], FLIP_CURRENT @ x_full)):
+        checks.append(IdentityCheck(
+            f"half-cycle/{name}", relative_residual(actual, expected), tol.half_cycle))
+    rng = np.random.default_rng(20260816)
+    worst = 0.0
+    draws = 0
+    while draws < 20:
+        a = rng.standard_normal((2, 2))
+        t_mat = rng.standard_normal((2, 2))
+        z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
+        if cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(a))) < 0.1:
+            continue
+        worst = max(worst, resolvent_similarity_residual(a, t_mat, z))
+        draws += 1
+    checks.append(IdentityCheck("resolvent/similarity-random", worst, tol.resolvent_identity))
+    z_grid = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
+    for primary, secondary in ((P_PLUS, S_PLUS), (P_MINUS, S_MINUS)):
+        pri = surface(primary.label)
+        sec = surface(secondary.label)
+        try:
+            checks.extend(verify_surface_equivalence(
+                dab, pri, sec, z_grid,
+                rtol=tol.surface_equivalence, similarity_rtol=tol.similarity))
+        except ParameterError as exc:
+            checks.append(IdentityCheck(
+                f"surface-equiv/{pri.label}~{sec.label}/construction",
+                math.inf, tol.surface_equivalence, str(exc)))
+    model = half_cycle_model(dab, surface("P+"))
+    dual = transfer_difference_residual(
+        model, dab.c_phys, np.exp(1j * (2.0 * np.pi * np.arange(100) / 100)))
+    checks.append(IdentityCheck(
+        "transfer-difference/dual-path", float(np.max(dual)), tol.transfer_difference))
+    dc = transfer_fixed_freq(model, dab.c_phys, 1.0) - \
+        transfer_same_cycle(model, dab.c_phys, 1.0)
+    checks.append(IdentityCheck(
+        "transfer-difference/dc-zero", float(np.linalg.norm(dc)), tol.transfer_difference))
+    f = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
+                          cfg.sweep.spacing, model.t_half)
+    z = np.exp(2j * np.pi * f * model.t_half)
+    delta = transfer_fixed_freq(model, dab.c_phys, z) - transfer_same_cycle(model, dab.c_phys, z)
+    diff = row_norms(delta)
+    envelope = difference_envelope(model, dab.c_phys, z)
+    ratio = np.max(np.divide(diff, envelope, out=np.where(diff == 0.0, 0.0, np.inf),
+                             where=envelope != 0.0))
+    checks.append(IdentityCheck("transfer-difference/envelope-ratio", float(ratio), 1.0))
+    return checks
+
+
+class TestIdentityChecks:
+    """identity_checks is the suite verify printed before it moved into the library."""
+
+    CONFIGS = {
+        "reference": {},
+        "t3-skew": dict(extra={"unsafe_t3_skew": 5e-8}),
+        "s-plus-override": dict(extra={"unsafe_polarity_override": {"S+": -1}}),
+        # Lossless and nearly marginal: cond(I - Pi) ~ 2.4e5, so roundoff shows.
+        "lossless": dict(converter=dict(REFERENCE_KWARGS, Rt=0.0, Rc=0.0, Ro=1.0, L=8.9e-5,
+                                        Co=6.1e-3, fs=96.7e3, D_phase=1e-6)),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_rows_match_the_earlier_suite_bit_for_bit(self, tmp_path, name):
+        cfg = load_config(write_config(tmp_path / "config.json", **self.CONFIGS[name]))
+        surfaces = {label: dataclasses.replace(s, polarity=cfg.polarity_override.get(
+            label, s.polarity)) for label, s in SURFACES.items()}
+        freqs = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
+                                  cfg.sweep.spacing, cfg.converter.t_half)
+        new = identity_checks(build_dab(cfg.converter, t3_skew=cfg.t3_skew),
+                              cfg.tolerances, surfaces, freqs)
+        old = _earlier_verify_checks(cfg, build_dab(cfg.converter, t3_skew=cfg.t3_skew))
+        assert [(c.name, c.residual, c.tolerance, c.note) for c in new] == \
+            [(c.name, c.residual, c.tolerance, c.note) for c in old]
