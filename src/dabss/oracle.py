@@ -2,11 +2,12 @@
 
 Deliberately dumb: it advances the raw four-interval schedule one segment at
 a time, from a zero initial state, until the period boundary stops moving.
-Each advance is an exact one-segment map built from the augmented
-exponential, so "brute force" refers to iteration count, never integration
-error. The module shares only `pwlti.expm` with the closed-form solvers;
-it builds its own step matrices and never touches reverse products or
-fixed-point solves, which is what makes it a legitimate cross-check.
+Each advance is one exact segment map, the augmented exponential
+[[phi, gamma], [0, 1]] = exp([[a, b u], [0, 0]] T) applied whole to [x; 1],
+so "brute force" refers to iteration count, never integration error. The
+module shares only `pwlti.expm` with the closed-form solvers; it builds its
+own step matrices and never touches reverse products or fixed-point solves,
+which is what makes it a legitimate cross-check.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -120,19 +121,18 @@ def require_coherent(injection: Injection, period: float) -> int:
     return int(nearest)
 
 
-def _step_maps(dab: DabSchedule, intervals, durations):
-    """(phi, gamma) of each step `intervals[i]` for `durations[i]`, from one expm.
+def _step_maps(dab: DabSchedule, intervals, durations) -> np.ndarray:
+    """Map [[phi, gamma], [0, 1]] of each step `intervals[i]` for `durations[i]`, one expm.
 
-    The oracle discretises with its own augmented matrices [[a, b u], [0, 0]];
-    the only numeric kernel it shares with the closed-form route is expm itself.
+    The oracle's own augmented matrices [[a, b u], [0, 0]] share only expm with the closed-form
+    route; expm's LU solve keeps their zero last row, so each map's is exactly [0, ..., 0, 1].
     """
     segments = dab.schedule.segments
     n = dab.schedule.dim
     aug = np.zeros((len(segments), n + 1, n + 1))
     aug[:, :n, :n] = [seg.a for seg in segments]
     aug[:, :n, n] = [seg.b @ dab.schedule.u for seg in segments]
-    m = expm(aug[intervals] * np.asarray(durations)[..., None, None], 1.0)
-    return m[..., :n, :n], m[..., :n, n]
+    return expm(aug[intervals] * np.asarray(durations)[..., None, None], 1.0)
 
 
 def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
@@ -145,9 +145,9 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
     only asymptotically, once the slowest mode dominates the change. There is
     nothing to wait for when rho >= 1: MarginalSystemError, before any period.
     """
-    pi = step_maps[0][0]
-    for phi, _ in step_maps[1:]:
-        pi = phi @ pi
+    pi = step_maps[0][:-1, :-1]
+    for m in step_maps[1:]:
+        pi = m[:-1, :-1] @ pi
     eigenvalues = np.linalg.eigvals(pi)
     rho = float(np.max(np.abs(eigenvalues)))
     if not rho < 1.0:
@@ -155,33 +155,36 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
             f"oracle period map is marginal: spectral radius rho = {rho:.10g} is not below 1, so "
             "iteration from x = 0 cannot settle", eigenvalues=eigenvalues)
     scale = rho / (1.0 - rho)
-    x = np.zeros(step_maps[0][0].shape[0])
-    prev = x
+    xh = np.eye(len(step_maps[0]))[-1]  # [x; 1] at x = 0
+    prev = xh[:-1]
     for _ in range(periods):
-        for phi, gamma in step_maps:
-            x = phi @ x + gamma
+        for m in step_maps:
+            xh = m @ xh
+        x = xh[:-1]
         d = x - prev
         change = math.sqrt(d @ d)
         limit = tol * (1.0 + math.sqrt(x @ x))
         if change * scale <= limit:
             return x
         prev = x
+    bound = change * scale  # logs below, not limit / bound: that underflows for a subnormal tol
+    more = (f"; at rate rho about {math.ceil((math.log(limit) - math.log(bound)) / math.log(rho))}"
+            " more periods would meet it" if limit < bound < math.inf else "")
     raise ConvergenceError(
         f"no steady state within {periods} periods: last change {change:.3e} with spectral "
         f"radius rho = {rho:.10g} bounds the error by change * rho / (1 - rho) = "
-        f"{change * scale:.3e} > tol * (1 + ||x||) = {limit:.3e}",
+        f"{bound:.3e} > tol * (1 + ||x||) = {limit:.3e}{more}",
         residual=change, spectral_radius=rho)
 
 
 def _period_start(dab: DabSchedule, step_maps, cfg: SimConfig) -> np.ndarray:
-    """A copy of the pre-run's state, iterated once per design and (periods, tol)."""
-    # A DabSchedule is frozen and unhashable: keep the runs on the object, as
-    # functools.cached_property keeps Schedule.maps.
+    """The pre-run's state as [x; 1], iterated once per design and (periods, tol)."""
+    # A frozen DabSchedule is unhashable: it keeps its own runs, as Schedule keeps its maps.
     runs = vars(dab).setdefault("_oracle_pre_runs", {})
     key = (cfg.periods, cfg.convergence_tol)
     if key not in runs:
         runs[key] = _iterate_to_period_start(step_maps, *key)
-    return runs[key].copy()
+    return np.append(runs[key], 1.0)
 
 
 def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
@@ -195,27 +198,25 @@ def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
     substeps = cfg.substeps_per_interval
     n_seg = len(durations)
     # The period maps and the substep maps, all from one expm.
-    phis, gammas = _step_maps(dab, list(range(n_seg)) * 2,
-                              durations + [d / substeps for d in durations])
-    x_star = _period_start(dab, list(zip(phis[:n_seg], gammas[:n_seg])), cfg)
+    maps = list(_step_maps(dab, list(range(n_seg)) * 2,
+                           durations + [d / substeps for d in durations]))
+    xh = _period_start(dab, maps[:n_seg], cfg)
 
     times = [0.0]
-    states = [x_star]
-    outputs = [dab.c_intervals[0] @ x_star]
-    x = x_star.copy()
+    states = [xh[:-1]]
+    outputs = [dab.c_intervals[0] @ xh[:-1]]
     t_start = 0.0
-    for i, duration in enumerate(durations):
+    for i, (duration, m) in enumerate(zip(durations, maps[n_seg:])):
         if duration == 0.0:
             continue  # no time passes; a duplicate sample would break monotonicity
-        sub_phi, sub_gamma = phis[n_seg + i], gammas[n_seg + i]
         for j in range(1, substeps + 1):
-            x = sub_phi @ x + sub_gamma
+            xh = m @ xh
             times.append(t_start + duration * (j / substeps))
-            states.append(x)
-            outputs.append(dab.c_intervals[i] @ x)
+            states.append(xh[:-1])
+            outputs.append(dab.c_intervals[i] @ xh[:-1])
         t_start += duration
     waveform = Waveform(t=np.array(times), x=np.array(states), y=np.array(outputs))
-    return x_star, waveform
+    return waveform.x[0].copy(), waveform
 
 
 def _resolve_amplitude(injection: Injection, vr: float, comp_gain: float,
@@ -266,10 +267,10 @@ def measure_frequency_responses(dab: DabSchedule, surface: Surface, cfg: SimConf
     amp = _resolve_amplitude(injection, params.Vr, comp_gain, float(base.min()))
 
     # Unperturbed pre-run to the periodic orbit, then walk to the surface instant.
-    step_maps = list(zip(*_step_maps(dab, list(range(len(base))), base)))
+    step_maps = list(_step_maps(dab, list(range(len(base))), base))
     x0 = _period_start(dab, step_maps, cfg)
-    for phi, gamma in step_maps[:surface.a - 1]:
-        x0 = phi @ x0 + gamma
+    for m in step_maps[:surface.a - 1]:
+        x0 = m @ x0
 
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
     ks = np.arange(n_half)
@@ -300,22 +301,20 @@ def measure_frequency_responses(dab: DabSchedule, surface: Surface, cfg: SimConf
 
 
 def _surface_samples(dab: DabSchedule, intervals, durations, x0: np.ndarray) -> np.ndarray:
-    """Samples c_phys RECTIFY^k x_k, shape (half cycles, bins, 2), of every bin's run from x0."""
+    """Samples c_phys RECTIFY^k x_k, shape (half cycles, bins, 2), of each run from [x0; 1]."""
     n_bins, n_half = durations.shape[:2]
-    # States are (bins, 2, 1) columns: one stacked matmul per step rounds as
-    # phi @ x does bin by bin. An expm stack spans HALF_CYCLES_PER_EXPM // bins half cycles.
-    x = np.repeat(x0[None, :, None], n_bins, axis=0)
-    states = np.empty((n_half, n_bins, 2, 1))
+    # States are (bins, 3, 1) columns [x; 1]: one stacked matmul per step rounds
+    # as m @ x does bin by bin. An expm stack spans HALF_CYCLES_PER_EXPM // bins half cycles.
+    states = np.empty((n_half + 1, n_bins, len(x0), 1))
+    x = states[0]
+    x[...] = x0[:, None]
     block = max(1, HALF_CYCLES_PER_EXPM // n_bins)
     for start in range(0, n_half, block):
-        phis, gammas = _step_maps(dab, intervals[start:start + block],
-                                  durations[:, start:start + block])
+        maps = _step_maps(dab, intervals[start:start + block], durations[:, start:start + block])
         # (half cycle, step, bin) order, contiguous: strided stacks slowed every step.
-        phis = np.ascontiguousarray(phis.transpose(1, 2, 0, 3, 4))
-        gammas = np.ascontiguousarray(gammas.transpose(1, 2, 0, 3)[..., None])
-        for k, phi, gamma in zip(range(start, n_half), phis, gammas):
-            states[k] = x
-            x = phi[0] @ x + gamma[0]
-            x = phi[1] @ x + gamma[1]
-    states[1::2] = RECTIFY @ states[1::2]
-    return (dab.c_phys @ states)[..., 0]
+        maps = np.ascontiguousarray(maps.transpose(1, 2, 0, 3, 4))
+        for m_a, m_b, out in zip(maps[:, 0], maps[:, 1], states[start + 1:]):
+            x = np.matmul(m_b, m_a @ x, out=out)
+    x = states[:n_half, :, :-1]
+    x[1::2] = RECTIFY @ x[1::2]
+    return (dab.c_phys @ x)[..., 0]

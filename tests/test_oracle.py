@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dabss import (P_PLUS, S_MINUS, S_PLUS, DabParams, Injection, SimConfig, build_dab,
+from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, DabParams, Injection, SimConfig, build_dab,
                    half_cycle_model, relative_residual, solve_periodic_fixed_point,
                    transfer_fixed_freq)
 from dabss.dab import FLIP_CURRENT, RECTIFY
 from dabss.errors import AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError
 from dabss.oracle import (measure_frequency_response, measure_frequency_responses,
                           require_coherent, run_to_steady_state)
-from dabss import oracle, pwlti
-from tests.conftest import REFERENCE_KWARGS
+from dabss import dab as dab_module, oracle, pwlti
+from tests.conftest import REFERENCE_KWARGS, random_params
 
 
 class TestInjectionValidation:
@@ -99,6 +100,29 @@ class TestSteadyState:
         assert f"last change {err.value.residual:.3e}" in str(err.value)
         assert f"spectral radius rho = {rho:.10g}" in str(err.value)
         assert f"{err.value.residual * rho / (1.0 - rho):.3e} > tol" in str(err.value)
+
+    def test_exhaustion_message_predicts_the_periods_left(self):
+        # Seed 100 of random_params contracts at rho = 0.99955, so the default
+        # budget ends far from the fixed point; the rate predicts how far.
+        dab = build_dab(random_params(np.random.default_rng(100)))
+        with pytest.raises(ConvergenceError) as err:
+            run_to_steady_state(dab, SimConfig())
+        assert 0.999 < err.value.spectral_radius < 1.0
+        more = int(re.search(r"; at rate rho about (\d+) more periods would meet it$",
+                             str(err.value)).group(1))
+        assert more > 0
+        x_star, _ = run_to_steady_state(dab, SimConfig(periods=2 * (4000 + more)))
+        expected = solve_periodic_fixed_point(dab.schedule)
+        assert relative_residual(x_star, expected) < 1e-6
+
+    def test_a_subnormal_tolerance_still_estimates_the_periods_left(self, ref_dab):
+        tol = 5e-324
+        with pytest.raises(ConvergenceError) as err:
+            run_to_steady_state(ref_dab, SimConfig(periods=3, convergence_tol=tol))
+        rho = err.value.spectral_radius
+        assert tol / (err.value.residual * rho / (1.0 - rho)) == 0.0  # the ratio underflows
+        more = re.search(r"; at rate rho about (\d+) more periods would meet it$", str(err.value))
+        assert int(more.group(1)) > 0
 
     def test_a_marginal_period_map_raises_instead_of_iterating(self):
         # A blocking series path and no load conserve the capacitor state, so
@@ -229,15 +253,22 @@ class TestFrequencyResponse:
 class TestIndependence:
     def test_oracle_runs_without_the_closed_form_maps(self, ref_params, monkeypatch):
         # The oracle shares only expm with the closed-form route: with the
-        # cached segment maps and segment_maps both refusing, it still runs.
+        # segment maps, the period map, the half-cycle map, reverse products
+        # and the fixed-point solve all refusing, it still runs.
         def refuse(*args):
-            raise AssertionError("the oracle reached the closed-form segment maps")
+            raise AssertionError("the oracle reached the closed-form route")
 
         monkeypatch.setattr(pwlti.Schedule, "maps", property(refuse))
-        monkeypatch.setattr(pwlti, "segment_maps", refuse)
+        monkeypatch.setattr(pwlti.Schedule, "period_map", property(refuse))
+        for module, name in ((pwlti, "segment_maps"), (pwlti, "fixed_point"),
+                             (pwlti, "reverse_product"), (dab_module, "half_cycle_map")):
+            monkeypatch.setattr(module, name, refuse)
         dab = build_dab(ref_params)
-        with pytest.raises(AssertionError):
-            dab.schedule.maps
+        for closed_form in (lambda: dab.schedule.maps, lambda: dab.schedule.period_map,
+                            lambda: solve_periodic_fixed_point(dab.schedule),
+                            lambda: dab_module.solve_half_cycle(dab)):
+            with pytest.raises(AssertionError):
+                closed_form()
         x_star, waveform = run_to_steady_state(dab, SimConfig())
         assert np.all(np.isfinite(x_star)) and np.all(np.isfinite(waveform.x))
         injection = Injection(f=2000.0, settle_periods=50, measure_periods=50)
@@ -354,6 +385,24 @@ def single_step(dab, interval, duration):
     return m[:2, :2], m[:2, 2]
 
 
+def phi_gamma_pre_run(period_maps, periods, tol):
+    """The pre-run's stopping rule, stepping x -> phi x + gamma from x = 0."""
+    pi = period_maps[0][0]
+    for phi, _ in period_maps[1:]:
+        pi = phi @ pi
+    rho = float(np.max(np.abs(np.linalg.eigvals(pi))))
+    scale = rho / (1.0 - rho)
+    x = prev = np.zeros(2)
+    for _ in range(periods):
+        for phi, gamma in period_maps:
+            x = phi @ x + gamma
+        d = x - prev
+        if math.sqrt(d @ d) * scale <= tol * (1.0 + math.sqrt(x @ x)):
+            return x
+        prev = x
+    raise AssertionError("the reference pre-run did not settle")
+
+
 def per_step_response(dab, surface, cfg):
     """measure_frequency_response one half cycle at a time, each step map its own expm."""
     injection, params = cfg.injection, dab.params
@@ -362,7 +411,7 @@ def per_step_response(dab, surface, cfg):
     amp = oracle._resolve_amplitude(injection, params.Vr, comp_gain,
                                     min(seg.duration for seg in segments))
     period_maps = [single_step(dab, i, seg.duration) for i, seg in enumerate(segments)]
-    x = oracle._iterate_to_period_start(period_maps, cfg.periods, cfg.convergence_tol)
+    x = phi_gamma_pre_run(period_maps, cfg.periods, cfg.convergence_tol)
     for phi, gamma in period_maps[:surface.a - 1]:
         x = phi @ x + gamma
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
@@ -399,19 +448,24 @@ class TestStackedStepMaps:
                                       per_step_response(ref_dab, surface, cfg))
 
     def test_steady_state_maps_equal_single_calls(self, ref_dab):
-        cfg = SimConfig(substeps_per_interval=8)
-        x_star, waveform = run_to_steady_state(ref_dab, cfg)
-        segments = ref_dab.schedule.segments
-        period_maps = [single_step(ref_dab, i, seg.duration) for i, seg in enumerate(segments)]
-        np.testing.assert_array_equal(
-            x_star, oracle._iterate_to_period_start(period_maps, cfg.periods, cfg.convergence_tol))
-        x, states = x_star, [x_star]
-        for i, seg in enumerate(segments):
-            phi, gamma = single_step(ref_dab, i, seg.duration / 8)
-            for _ in range(8):
-                x = phi @ x + gamma
-                states.append(x)
-        np.testing.assert_array_equal(waveform.x, np.array(states))
+        # Seeds 0-4 of random_params contract at rho = 0.9977-0.9990 and settle
+        # within 50,000 periods.
+        cfg = SimConfig(periods=50_000, substeps_per_interval=8)
+        for seed in (None, 0, 1, 2, 3, 4):
+            dab = ref_dab if seed is None else build_dab(random_params(np.random.default_rng(seed)))
+            x_star, waveform = run_to_steady_state(dab, cfg)
+            segments = dab.schedule.segments
+            period_maps = [single_step(dab, i, seg.duration) for i, seg in enumerate(segments)]
+            np.testing.assert_array_equal(
+                x_star, phi_gamma_pre_run(period_maps, cfg.periods, cfg.convergence_tol),
+                err_msg=f"seed {seed}")
+            x, states = x_star, [x_star]
+            for i, seg in enumerate(segments):
+                phi, gamma = single_step(dab, i, seg.duration / 8)
+                for _ in range(8):
+                    x = phi @ x + gamma
+                    states.append(x)
+            np.testing.assert_array_equal(waveform.x, np.array(states), err_msg=f"seed {seed}")
 
     def test_negative_duration_names_the_first_offending_half_cycle(self, ref_dab, monkeypatch):
         params = ref_dab.params
@@ -432,3 +486,70 @@ class TestStackedStepMaps:
         assert first > 0
         with pytest.raises(AmplitudeError, match=rf"negative at half cycle {first}$"):
             measure_frequency_response(ref_dab, P_PLUS, SimConfig(injection=injection))
+
+
+def phi_gamma_samples(dab, intervals, durations, x0):
+    """Every bin's samples c_phys RECTIFY^k x_k by a batched x -> phi x + gamma recursion.
+
+    The same expm stacks as the oracle, each map split into (phi, gamma); states
+    are (bins, 2, 1) columns advanced by phi @ x + gamma twice per half cycle.
+    """
+    n_bins, n_half = durations.shape[:2]
+    x = np.repeat(x0[None, :, None], n_bins, axis=0)
+    states = np.empty((n_half, n_bins, 2, 1))
+    block = max(1, oracle.HALF_CYCLES_PER_EXPM // n_bins)
+    for start in range(0, n_half, block):
+        m = oracle._step_maps(dab, intervals[start:start + block],
+                              durations[:, start:start + block])
+        phis = np.ascontiguousarray(m[..., :2, :2].transpose(1, 2, 0, 3, 4))
+        gammas = np.ascontiguousarray(m[..., :2, 2].transpose(1, 2, 0, 3)[..., None])
+        for k, phi, gamma in zip(range(start, n_half), phis, gammas):
+            states[k] = x
+            x = phi[0] @ x + gamma[0]
+            x = phi[1] @ x + gamma[1]
+    states[1::2] = RECTIFY @ states[1::2]
+    return (dab.c_phys @ states)[..., 0]
+
+
+class TestHomogeneousStep:
+    """Stepping [x; 1] by whole augmented maps gives the bits of phi x + gamma, off the
+    reference design too."""
+
+    SEEDS = range(5)
+    # These designs contract at rho = 0.9977-0.9990 and settle within 50,000 periods.
+    CFG = dict(periods=50_000, substeps_per_interval=8)
+    INJECTION = dict(settle_periods=10, measure_periods=20)
+
+    @pytest.fixture(scope="class")
+    def designs(self):
+        return {seed: build_dab(random_params(np.random.default_rng(seed))) for seed in self.SEEDS}
+
+    @staticmethod
+    def period_maps(dab):
+        return [single_step(dab, i, seg.duration) for i, seg in enumerate(dab.schedule.segments)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
+    @pytest.mark.parametrize("group", [oracle.BIN_HALF_CYCLES_PER_GROUP, 2 * 60])
+    def test_three_bins_equal_the_phi_gamma_recursion(self, designs, monkeypatch, seed, block,
+                                                      group):
+        # A group budget of 2 x 60 half cycles splits the three bins 2 + 1.
+        dab = designs[seed]
+        surface = (P_PLUS, P_MINUS, S_PLUS, S_MINUS)[seed % 4]
+        monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
+        monkeypatch.setattr(oracle, "BIN_HALF_CYCLES_PER_GROUP", group)
+        cfg = SimConfig(**self.CFG, injection=Injection(**self.INJECTION))
+        window = self.INJECTION["measure_periods"] * dab.params.period
+        freqs = [m / window for m in (1, 3, 7)]
+        rows = measure_frequency_responses(dab, surface, cfg, freqs)
+
+        x0 = phi_gamma_pre_run(self.period_maps(dab), cfg.periods, cfg.convergence_tol)
+        for phi, gamma in self.period_maps(dab)[:surface.a - 1]:
+            x0 = phi @ x0 + gamma
+
+        def reference(dab, intervals, durations, xh0):
+            np.testing.assert_array_equal(xh0, np.append(x0, 1.0))
+            return phi_gamma_samples(dab, intervals, durations, x0)
+
+        monkeypatch.setattr(oracle, "_surface_samples", reference)
+        np.testing.assert_array_equal(rows, measure_frequency_responses(dab, surface, cfg, freqs))
