@@ -157,7 +157,8 @@ def load_config(path) -> AppConfig:
         require_coherent(sim.injection, converter.period)
     sweep = _section(SweepSpec, root.get("sweep"), "sweep",
                      defaults={"f_min": converter.fs / 1000.0, "f_max": converter.fs / 10.0})
-    if sweep.f_max > converter.fs * (1.0 + 1e-12):
+    # sweep_frequencies' own bound: 0.5 / t_half can sit one ulp below fs.
+    if sweep.f_max > (0.5 / converter.t_half) * (1.0 + 1e-12):
         raise ConfigError(
             f"sweep.f_max {sweep.f_max!r} exceeds the Nyquist frequency fs = {converter.fs!r}")
     return AppConfig(

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import pwlti
 from .errors import ParameterError
-from .pwlti import IdentityCheck, Schedule, Segment, relative_residual, segment_maps
+from .pwlti import IdentityCheck, Schedule, Segment, compose, relative_residual
 
 # Involutions of the [i_L, v_C] state.
 # FLIP_VOLTAGE conjugates the reversed-coupling intervals onto the forward
@@ -164,7 +164,7 @@ def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck
     These hold only because intervals pair up in state matrix, input sign,
     and duration; skewing T3 away from T1 must break them.
     """
-    m1, m2, m3, m4 = segment_maps(dab.schedule)
+    m1, m2, m3, m4 = dab.schedule.maps
     s = FLIP_VOLTAGE
     dr = RECTIFY
     return [
@@ -182,8 +182,8 @@ def half_cycle_map(dab: DabSchedule, first: int) -> tuple[np.ndarray, np.ndarray
 
         phi = RECTIFY phi_b phi_a,   g = RECTIFY (phi_b gamma_a + gamma_b).
     """
-    map_a, map_b = (dab.schedule.maps[i - 1] for i in (first, first % 4 + 1))
-    return RECTIFY @ map_b.phi @ map_a.phi, RECTIFY @ (map_b.phi @ map_a.gamma + map_b.gamma)
+    half = compose([dab.schedule.maps[i - 1] for i in (first, first % 4 + 1)])
+    return RECTIFY @ half.phi, RECTIFY @ half.gamma
 
 
 def solve_half_cycle(dab: DabSchedule) -> np.ndarray:

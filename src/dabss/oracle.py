@@ -6,7 +6,7 @@ Each advance is one exact segment map, the augmented exponential
 [[phi, gamma], [0, 1]] = exp([[a, b u], [0, 0]] T) applied whole to [x; 1],
 so "brute force" refers to iteration count, never integration error. The
 module shares only `pwlti.expm` with the closed-form solvers; it builds its
-own step matrices and never touches reverse products or fixed-point solves,
+own step matrices and never touches `pwlti.compose` or fixed-point solves,
 which is what makes it a legitimate cross-check.
 
 Frequency responses are measured the way a network analyzer would: inject a

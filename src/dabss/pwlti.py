@@ -8,11 +8,12 @@ duration T_i with dynamics dx/dt = A_i x + B_i u, the boundary states obey
     Phi_i = exp(A_i T_i),
     Gamma_i = integral_0^{T_i} exp(A_i (T_i - tau)) B_i u dtau.
 
-Chaining the subinterval maps across one switching period gives the state at
-the period boundary in closed form, and the periodic steady state is the
-fixed point of the one-period (monodromy) map; `fixed_point` solves it and
-every other x = phi x + gamma of the package. Everything in this module is
-exact up to the matrix exponential; there is no time-stepping error.
+Chaining the subinterval maps gives the state at the end of the chain in
+closed form; `compose` is the one place a chain is folded into a single map,
+be it the one-period (monodromy) map or a half cycle. The periodic steady
+state is the fixed point of the period map; `fixed_point` solves it and every
+other x = phi x + gamma of the package. Everything in this module is exact up
+to the matrix exponential; there is no time-stepping error.
 """
 
 from __future__ import annotations
@@ -167,7 +168,12 @@ class Schedule:
 
     @functools.cached_property
     def maps(self) -> tuple[SegmentMap, ...]:
-        """Exact maps (`segment_map`) of every segment in order, from one batched expm."""
+        """Exact maps of every segment in order, from one batched augmented exponential
+
+            exp([[a, b u], [0, 0]] * T) = [[phi, gamma], [0, 1]],
+
+        which needs no inverse of `a`, so it is exact for a singular `a` and for T = 0
+        (phi = I, gamma = 0). One segment's map is `Schedule((seg,), u).maps[0]`."""
         n = self.dim
         aug = np.zeros((len(self.segments), n + 1, n + 1))
         aug[:, :n, :n] = [seg.a for seg in self.segments]
@@ -179,8 +185,8 @@ class Schedule:
     @functools.cached_property
     def period_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (Pi, forcing) of one period, composed once from `maps`."""
-        pi = reverse_product([m.phi for m in self.maps], 1, len(self.maps))
-        return _frozen_array(pi), _frozen_array(periodic_forcing(self.maps))
+        period = compose(self.maps)
+        return period.phi, period.gamma
 
 
 @dataclass(frozen=True)
@@ -195,40 +201,17 @@ class SegmentMap:
         object.__setattr__(self, "gamma", _frozen_array(self.gamma))
 
 
-def segment_map(seg: Segment, u: np.ndarray) -> SegmentMap:
-    """Exact discrete map of one segment under constant input.
+def compose(maps) -> SegmentMap:
+    """One map for a chain applied first to last: phi <- phi_k phi, gamma <- phi_k gamma + gamma_k.
 
-    The forced response is obtained from the augmented exponential
-
-        exp([[a, b u], [0, 0]] * T) = [[phi, gamma], [0, 1]],
-
-    which needs no inverse of `a` and is exact for singular state matrices
-    and for zero duration (phi = I, gamma = 0). It is the map of the
-    one-segment schedule, which checks that `u` fits `b`.
-    """
-    return Schedule(segments=(seg,), u=u).maps[0]
-
-
-def segment_maps(schedule: Schedule) -> tuple[SegmentMap, ...]:
-    """Exact maps of every segment in schedule order (the schedule's cached `maps`)."""
-    return schedule.maps
-
-
-def reverse_product(matrices, first: int, last: int) -> np.ndarray:
-    """Reverse-ordered product  M_last @ M_{last-1} @ ... @ M_first.
-
-    Indices are one-based and inclusive, matching the subinterval numbering
-    convention: `first == last` returns a copy of that single matrix. Empty
-    or inverted ranges are errors rather than an implicit identity, because
-    silent identity factors hide indexing bugs in period assembly.
-    """
-    n = len(matrices)
-    if not (1 <= first <= last <= n):
-        raise IndexError(f"reverse_product range [{first}, {last}] invalid for {n} matrices")
-    out = np.array(matrices[first - 1], dtype=float)
-    for j in range(first, last):
-        out = matrices[j] @ out
-    return out
+    phi is the reverse product phi_n (... (phi_2 phi_1)) and gamma the sum of reverse products
+    times each gamma_i, by Horner's rule. An empty chain is an IndexError, not a silent identity
+    that would hide an indexing bug."""
+    phi, gamma = maps[0].phi, maps[0].gamma
+    for m in maps[1:]:
+        phi = m.phi @ phi
+        gamma = m.phi @ gamma + m.gamma
+    return SegmentMap(phi=phi, gamma=gamma)
 
 
 def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
@@ -237,34 +220,18 @@ def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
     if x.shape != (schedule.dim,):
         raise DimensionError(f"x0 shape {x.shape} does not match state dimension {schedule.dim}")
     states = []
-    for m in segment_maps(schedule):
+    for m in schedule.maps:
         x = m.phi @ x + m.gamma
         states.append(x)
     return states
 
 
 def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
-    """End-of-period state assembled from reverse products in one shot.
-
-    x_n = (prod Phi) x0 + sum_{i=1}^{n-1} (Phi_n ... Phi_{i+1}) Gamma_i + Gamma_n.
-
-    Algebraically identical to `propagate(...)[-1]`; kept as a distinct code
-    path so the two can cross-check each other.
-    """
+    """End-of-period state Pi x0 + forcing: `propagate(...)[-1]` in one step of the period map."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (schedule.dim,):
         raise DimensionError(f"x0 shape {x0.shape} does not match state dimension {schedule.dim}")
     return schedule.period_map[0] @ x0 + schedule.period_map[1]
-
-
-def periodic_forcing(maps) -> np.ndarray:
-    """Accumulated forcing of one period: sum of tail products applied to each gamma."""
-    phis = [m.phi for m in maps]
-    n = len(maps)
-    out = np.array(maps[-1].gamma, dtype=float)
-    for i in range(1, n):
-        out = out + reverse_product(phis, i + 1, n) @ maps[i - 1].gamma
-    return out
 
 
 def cond(m: np.ndarray) -> float:

@@ -10,7 +10,7 @@ import pytest
 
 from dabss import DabParams, build_dab, half_cycle_model
 from dabss.dab import RECTIFY
-from dabss.pwlti import segment_map
+from dabss.pwlti import Schedule
 
 # Reference design used throughout the suite. Values chosen so every regime
 # the package cares about is exercised: lossy transformer path, nonzero ESR,
@@ -74,13 +74,27 @@ def fd_sensitivities(dab, surface, delta: float = 1e-9):
     u = dab.schedule.u
 
     def end_state(da: float, db: float) -> np.ndarray:
-        ma = segment_map(dataclasses.replace(seg_a, duration=seg_a.duration + da), u)
-        mb = segment_map(dataclasses.replace(seg_b, duration=seg_b.duration + db), u)
+        ma = Schedule((dataclasses.replace(seg_a, duration=seg_a.duration + da),), u).maps[0]
+        mb = Schedule((dataclasses.replace(seg_b, duration=seg_b.duration + db),), u).maps[0]
         return RECTIFY @ (mb.phi @ (ma.phi @ model.x_star + ma.gamma) + mb.gamma)
 
     fd_a = (end_state(delta, 0.0) - end_state(-delta, 0.0)) / (2.0 * delta)
     fd_b = (end_state(0.0, delta) - end_state(0.0, -delta)) / (2.0 * delta)
     return model, fd_a, fd_b
+
+
+def reverse_product(matrices, first: int, last: int) -> np.ndarray:
+    """The paper's reverse-ordered product M_last @ ... @ M_first (one-based, inclusive),
+    multiplied from the right end: (M_last @ (... @ (M_{first+1} @ M_first))).
+
+    An empty or inverted range is an IndexError, not a silent identity that would hide an
+    indexing bug in the reference sums built from it."""
+    if not (1 <= first <= last <= len(matrices)):
+        raise IndexError(f"reverse_product range [{first}, {last}] invalid for {len(matrices)} matrices")
+    out = matrices[first - 1]
+    for j in range(first, last):
+        out = matrices[j] @ out
+    return out
 
 
 def write_config(path, *, converter=None, sim=None, sweep=None, tolerances=None,

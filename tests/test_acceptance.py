@@ -24,9 +24,9 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams, Inject
                    transfer_difference_residual, transfer_fixed_freq)
 from dabss.dab import solve_half_cycle, verify_symmetry
 from dabss.oracle import measure_frequency_response, run_to_steady_state
-from dabss.pwlti import Schedule, Segment, propagate, reverse_product, segment_maps
+from dabss.pwlti import Schedule, Segment, propagate
 from dabss.smallsignal import resolvent_similarity_residual, verify_surface_equivalence
-from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params
+from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params, reverse_product
 
 
 def _report(num: int, passed: bool, detail: str = "") -> None:
@@ -63,7 +63,7 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(100):
             schedule, x0 = _random_schedule(rng)
-            maps = segment_maps(schedule)
+            maps = schedule.maps
             phis = [m.phi for m in maps]
             states = propagate(schedule, x0)
             for i in range(1, len(maps) + 1):

@@ -301,6 +301,20 @@ class TestFailureExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "sweep.f_max" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["bode", "verify", "compare"])
+    def test_sweep_just_past_the_sampled_bandwidth_exits_two(self, config_file, tmp_path,
+                                                             command):
+        # For this fs the sampled bandwidth 0.5 / (0.5 / fs) is one ulp below fs, so an
+        # f_max within fs's 1e-12 allowance can still lie past the sweep's own bound.
+        fs = 3735.761669977947
+        assert 0.5 / (0.5 / fs) < fs
+        path = config_file(converter=dict(REFERENCE_KWARGS, fs=fs),
+                           sweep={"f_max": fs * (1.0 + 1e-12)})
+        argv = [command, path] + (["--out", str(tmp_path / "o.csv")] if command != "verify" else [])
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "sweep.f_max" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_sweep_points_beyond_the_cap_exit_two(self, config_file):
         # Rejected by the loader, before any per-point array is allocated.
         proc = run_cli("verify", config_file(sweep={"points": 10**12}))

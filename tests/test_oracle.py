@@ -253,15 +253,15 @@ class TestFrequencyResponse:
 class TestIndependence:
     def test_oracle_runs_without_the_closed_form_maps(self, ref_params, monkeypatch):
         # The oracle shares only expm with the closed-form route: with the
-        # segment maps, the period map, the half-cycle map, reverse products
-        # and the fixed-point solve all refusing, it still runs.
+        # segment maps, the period map, the half-cycle map, the composer of
+        # map chains and the fixed-point solve all refusing, it still runs.
         def refuse(*args):
             raise AssertionError("the oracle reached the closed-form route")
 
         monkeypatch.setattr(pwlti.Schedule, "maps", property(refuse))
         monkeypatch.setattr(pwlti.Schedule, "period_map", property(refuse))
-        for module, name in ((pwlti, "segment_maps"), (pwlti, "fixed_point"),
-                             (pwlti, "reverse_product"), (dab_module, "half_cycle_map")):
+        for module, name in ((pwlti, "compose"), (pwlti, "fixed_point"),
+                             (dab_module, "half_cycle_map")):
             monkeypatch.setattr(module, name, refuse)
         dab = build_dab(ref_params)
         for closed_form in (lambda: dab.schedule.maps, lambda: dab.schedule.period_map,

@@ -10,10 +10,9 @@ import pytest
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
 from dabss.errors import DimensionError, MarginalSystemError, NumericInputError
 from dabss.pwlti import (COND_LIMIT, IdentityCheck, Schedule, Segment, SegmentMap,
-                         closed_form_state, cond, expm, fixed_point, monodromy,
-                         periodic_forcing, propagate, reverse_product, segment_map,
-                         segment_maps)
-from tests.conftest import REFERENCE_KWARGS, random_params
+                         closed_form_state, compose, cond, expm, fixed_point, monodromy,
+                         propagate)
+from tests.conftest import REFERENCE_KWARGS, random_params, reverse_product
 
 
 def random_stable_segment(rng, n, m=1, max_duration=1.0):
@@ -23,6 +22,28 @@ def random_stable_segment(rng, n, m=1, max_duration=1.0):
     a = a - (shift + rng.uniform(0.5, 2.0)) * np.eye(n)
     b = rng.standard_normal((n, m))
     return Segment(a=a, b=b, duration=float(rng.uniform(0.05, max_duration)))
+
+
+def random_schedule(rng) -> Schedule:
+    """1 to 6 stable segments of dimension 1 to 4, about one zero duration in ten."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 3))
+    segments = []
+    for _ in range(int(rng.integers(1, 7))):
+        seg = random_stable_segment(rng, n, m)
+        if rng.uniform() < 0.1:
+            seg = Segment(a=seg.a, b=seg.b, duration=0.0)
+        segments.append(seg)
+    return Schedule(segments=tuple(segments), u=rng.standard_normal(m))
+
+
+def sum_of_reverse_products(maps) -> np.ndarray:
+    """The paper's period forcing gamma_n + sum_{i<n} (phi_n ... phi_{i+1}) gamma_i."""
+    phis = [m.phi for m in maps]
+    out = maps[-1].gamma
+    for i in range(1, len(maps)):
+        out = out + reverse_product(phis, i + 1, len(maps)) @ maps[i - 1].gamma
+    return out
 
 
 def forcing_via_inverse(seg: Segment, u: np.ndarray) -> np.ndarray:
@@ -175,7 +196,7 @@ class TestSegmentMap:
         # a = diag(-1, -2), b = e1, u = 1, T = 1:
         # gamma = integral of exp(a s) b u ds = [1 - e^-1, 0]
         seg = Segment(a=np.diag([-1.0, -2.0]), b=np.array([[1.0], [0.0]]), duration=1.0)
-        m = segment_map(seg, np.array([1.0]))
+        m = Schedule((seg,), np.array([1.0])).maps[0]
         np.testing.assert_allclose(m.phi, np.diag([math.exp(-1.0), math.exp(-2.0)]),
                                    rtol=1e-14)
         np.testing.assert_allclose(m.gamma, [1.0 - math.exp(-1.0), 0.0],
@@ -183,14 +204,14 @@ class TestSegmentMap:
 
     def test_zero_duration_gives_identity_and_no_forcing(self):
         seg = Segment(a=np.array([[3.0]]), b=np.array([[5.0]]), duration=0.0)
-        m = segment_map(seg, np.array([2.0]))
+        m = Schedule((seg,), np.array([2.0])).maps[0]
         np.testing.assert_array_equal(m.phi, np.eye(1))
         np.testing.assert_array_equal(m.gamma, np.zeros(1))
 
     def test_singular_state_matrix_integrates_exactly(self):
         # a = 0 is singular; the forced response must still come out as b u T.
         seg = Segment(a=np.zeros((2, 2)), b=np.array([[1.0], [2.0]]), duration=0.25)
-        m = segment_map(seg, np.array([4.0]))
+        m = Schedule((seg,), np.array([4.0])).maps[0]
         np.testing.assert_allclose(m.phi, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(m.gamma, [1.0, 2.0], rtol=1e-14)
 
@@ -201,29 +222,58 @@ class TestSegmentMap:
             if np.linalg.cond(seg.a) > 1e8:
                 continue
             u = rng.standard_normal(1)
-            m = segment_map(seg, u)
+            m = Schedule((seg,), u).maps[0]
             alt = forcing_via_inverse(seg, u)
             assert relative_residual(m.gamma, alt) < 1e-10
 
     def test_rejects_input_shape_mismatch(self):
         seg = Segment(a=np.zeros((2, 2)), b=np.zeros((2, 1)), duration=1.0)
         with pytest.raises(DimensionError):
-            segment_map(seg, np.array([1.0, 2.0]))
+            Schedule((seg,), np.array([1.0, 2.0])).maps[0]
 
 
-class TestReverseProduct:
+class TestCompose:
     def test_hand_example_orders_right_to_left(self):
         m1 = np.array([[1.0, 1.0], [0.0, 1.0]])
         m2 = np.array([[2.0, 0.0], [0.0, 1.0]])
         m3 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = reverse_product([m1, m2, m3], 1, 3)
-        np.testing.assert_array_equal(out, m3 @ m2 @ m1)
+        g1, g2, g3 = np.array([1.0, 2.0]), np.array([-3.0, 5.0]), np.array([7.0, -11.0])
+        out = compose([SegmentMap(m1, g1), SegmentMap(m2, g2), SegmentMap(m3, g3)])
+        np.testing.assert_array_equal(out.phi, m3 @ m2 @ m1)
+        np.testing.assert_array_equal(out.gamma, m3 @ m2 @ g1 + m3 @ g2 + g3)
 
-    def test_single_index_returns_copy(self):
-        m = np.eye(2)
-        out = reverse_product([m], 1, 1)
-        out[0, 0] = 5.0
-        assert m[0, 0] == 1.0
+    def test_one_map_chain_returns_that_map(self):
+        m = SegmentMap(phi=np.array([[0.5, 0.25], [-1.0, 2.0]]), gamma=np.array([3.0, -4.0]))
+        out = compose([m])
+        np.testing.assert_array_equal(out.phi, m.phi)
+        np.testing.assert_array_equal(out.gamma, m.gamma)
+
+    def test_zero_phi_chain_forcing_is_exactly_the_last_gamma(self):
+        gammas = [np.array([1.0, -2.0]), np.array([3.0, 4.0]), np.array([-5.0, 6.0])]
+        out = compose([SegmentMap(phi=np.zeros((2, 2)), gamma=g) for g in gammas])
+        np.testing.assert_array_equal(out.phi, np.zeros((2, 2)))
+        np.testing.assert_array_equal(out.gamma, gammas[-1])
+
+    def test_empty_chain_raises(self):
+        with pytest.raises(IndexError):
+            compose([])
+
+    def test_period_map_is_the_fold_and_pi_the_reverse_product(self):
+        # Pi keeps the paper's reverse product to the bit; the forcing, folded by
+        # Horner's rule, is rounded differently from the paper's sum.
+        rng = np.random.default_rng(7_2026)
+        for _ in range(200):
+            sched = random_schedule(rng)
+            fresh = compose(sched.maps)
+            assert np.array_equal(sched.period_map[0], fresh.phi)
+            assert np.array_equal(sched.period_map[1], fresh.gamma)
+            phis = [m.phi for m in sched.maps]
+            assert np.array_equal(fresh.phi, reverse_product(phis, 1, len(phis)))
+            assert relative_residual(fresh.gamma, sum_of_reverse_products(sched.maps)) < 1e-13
+
+
+class TestReverseProduct:
+    """The one-based reference product the acceptance and compose checks are built from."""
 
     @pytest.mark.parametrize("first,last", [(0, 1), (2, 1), (1, 3), (3, 3)])
     def test_invalid_ranges_raise(self, first, last):
@@ -240,7 +290,7 @@ class TestPropagationAndClosedForm:
         states = propagate(sched, x0)
         assert len(states) == 4
         x = x0
-        for m, got in zip(segment_maps(sched), states):
+        for m, got in zip(sched.maps, states):
             x = m.phi @ x + m.gamma
             np.testing.assert_array_equal(got, x)
 
@@ -282,11 +332,9 @@ class TestPeriodicFixedPoint:
         # With every phi = 0 the period map forgets its start, so the fixed
         # point equals the final segment's forcing vector alone.
         gammas = [np.array([1.0, -2.0]), np.array([3.0, 4.0]), np.array([-5.0, 6.0])]
-        maps = [SegmentMap(phi=np.zeros((2, 2)), gamma=g) for g in gammas]
-        pi = reverse_product([m.phi for m in maps], 1, len(maps))
-        np.testing.assert_allclose(fixed_point(pi, periodic_forcing(maps), "periodic solve"),
+        period = compose([SegmentMap(phi=np.zeros((2, 2)), gamma=g) for g in gammas])
+        np.testing.assert_allclose(fixed_point(period.phi, period.gamma, "periodic solve"),
                                    gammas[-1], rtol=1e-15)
-        np.testing.assert_allclose(periodic_forcing(maps), gammas[-1], rtol=1e-15)
 
     def test_fixed_point_is_invariant_under_propagation(self):
         rng = np.random.default_rng(17)
@@ -347,22 +395,21 @@ class TestBatchedSegmentMaps:
                 single = expm(aug, seg.duration)
                 np.testing.assert_array_equal(got.phi, single[:2, :2])
                 np.testing.assert_array_equal(got.gamma, single[:2, 2])
-                one = segment_map(seg, sched.u)
+                one = Schedule((seg,), sched.u).maps[0]
                 np.testing.assert_array_equal(got.phi, one.phi)
                 np.testing.assert_array_equal(got.gamma, one.gamma)
 
     def test_maps_are_built_once_per_schedule(self):
         seg = Segment(a=-np.eye(2), b=np.ones((2, 1)), duration=0.5)
         sched = Schedule(segments=(seg, seg), u=np.array([1.0]))
-        assert segment_maps(sched) is segment_maps(sched)
-        assert segment_maps(sched) is sched.maps
+        assert sched.maps is sched.maps
 
     def test_maps_keep_the_expm_finiteness_check(self):
         # Finite b and u whose product overflows: the augmented matrix is not finite.
         seg = Segment(a=-np.eye(2), b=np.full((2, 1), 1e300), duration=0.5)
         sched = Schedule(segments=(seg,), u=np.array([1e300]))
         with np.errstate(over="ignore"), pytest.raises(NumericInputError):
-            segment_maps(sched)
+            sched.maps
 
     def test_expm_of_a_stack_matches_each_matrix(self):
         rng = np.random.default_rng(37)
@@ -377,52 +424,46 @@ class TestBatchedSegmentMaps:
             expm(np.zeros((5, 3, 2)), 0.7)
 
 
-def _earlier_fixed_point(maps) -> np.ndarray:
+def _folded_period_map(maps) -> tuple[np.ndarray, np.ndarray]:
+    """Pi and the forcing folded first to last, in the order the period map pins."""
+    pi, forcing = maps[0].phi, maps[0].gamma
+    for m in maps[1:]:
+        pi = m.phi @ pi
+        forcing = m.phi @ forcing + m.gamma
+    return pi, forcing
+
+
+def _earlier_fixed_point(pi, forcing) -> np.ndarray:
     """The period solve as it stood before the period map was cached, formulas copied."""
-    pi = reverse_product([m.phi for m in maps], 1, len(maps))
     lhs = np.eye(pi.shape[0]) - pi
     c = np.linalg.cond(lhs)
     if not np.isfinite(c) or c > COND_LIMIT:
         raise MarginalSystemError("marginal")
-    return np.linalg.solve(lhs, periodic_forcing(maps))
+    return np.linalg.solve(lhs, forcing)
 
 
 class TestPeriodMapCache:
-    """Pi and the forcing are composed once per schedule, read-only, with the old values."""
-
-    @staticmethod
-    def random_schedule(rng) -> Schedule:
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 3))
-        segments = []
-        for _ in range(int(rng.integers(1, 7))):
-            seg = random_stable_segment(rng, n, m)
-            if rng.uniform() < 0.1:
-                seg = Segment(a=seg.a, b=seg.b, duration=0.0)
-            segments.append(seg)
-        return Schedule(segments=tuple(segments), u=rng.standard_normal(m))
+    """Pi and the forcing are composed once per schedule, read-only, with the fold's values."""
 
     def test_values_match_the_uncached_formulas_bit_for_bit(self):
         rng = np.random.default_rng(7_2026)
         for _ in range(200):
-            sched = self.random_schedule(rng)
-            maps = segment_maps(sched)
+            sched = random_schedule(rng)
             x0 = rng.standard_normal(sched.dim)
-            pi = reverse_product([m.phi for m in maps], 1, len(maps))
+            pi, forcing = _folded_period_map(sched.maps)
             assert np.array_equal(monodromy(sched), pi)
-            assert np.array_equal(closed_form_state(sched, x0), pi @ x0 + periodic_forcing(maps))
+            assert np.array_equal(closed_form_state(sched, x0), pi @ x0 + forcing)
             try:
-                expected = _earlier_fixed_point(maps)
+                expected = _earlier_fixed_point(pi, forcing)
             except MarginalSystemError:
                 with pytest.raises(MarginalSystemError):
                     solve_periodic_fixed_point(sched)
             else:
                 assert np.array_equal(solve_periodic_fixed_point(sched), expected)
-                assert np.array_equal(fixed_point(pi, periodic_forcing(maps), "periodic solve"),
-                                      expected)
+                assert np.array_equal(fixed_point(pi, forcing, "periodic solve"), expected)
 
     def test_period_map_is_built_once_and_read_only(self):
-        sched = self.random_schedule(np.random.default_rng(8))
+        sched = random_schedule(np.random.default_rng(8))
         assert monodromy(sched) is monodromy(sched) is sched.period_map[0]
         with pytest.raises(ValueError):
             monodromy(sched)[0, 0] = 1.0
