@@ -23,8 +23,8 @@ from . import __version__
 from .config import AppConfig, load_config
 from .dab import DabSchedule, build_dab, solve_half_cycle
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
-                     NumericInputError, ParameterError, ResolventSingularityError, SimilarityError)
-from .oracle import Injection, measure_frequency_responses, run_to_steady_state
+                     NumericInputError, ParameterError, ResolventSingularityError)
+from .oracle import measure_frequency_responses, run_to_steady_state
 from .pwlti import closed_form_state, monodromy, relative_residual, solve_periodic_fixed_point
 from .smallsignal import (SURFACES, bode_sweep, half_cycle_model, identity_checks,
                           sweep_frequencies, transfer_fixed_freq)
@@ -133,10 +133,11 @@ def cmd_simulate(args, cfg: AppConfig, dab: DabSchedule) -> int:
     return 0
 
 
-def _coherent_frequencies(cfg: AppConfig, injection: Injection, t_half: float) -> list[float]:
+def _coherent_frequencies(cfg: AppConfig, t_half: float) -> list[float]:
     # Snap every sweep point to the coherent bin grid m / (measure_periods * Ts),
     # keeping 1 <= m < measure_periods so the injected sinusoid never lands on
     # dc or on the surface Nyquist point.
+    injection = cfg.sim.injection
     if injection.measure_periods < 2:
         raise ConfigError(
             "sim.injection.measure_periods must be at least 2 for a coherent bin strictly "
@@ -160,19 +161,17 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     x_sim, _ = run_to_steady_state(dab, cfg.sim)
     steady_dev = relative_residual(x_sim, x_model)
 
-    injection = cfg.sim.injection if cfg.sim.injection is not None else Injection()
     lines = [
         f"# x_star=[{_fmt(x_model[0])}, {_fmt(x_model[1])}]",
         f"# steady_state_rel_dev={_fmt(steady_dev)}",
         "f_hz,mag_ratio_irec,phase_diff_deg_irec,mag_ratio_vout,phase_diff_deg_vout",
     ]
-    freqs = ([injection.f] if injection.f is not None
-             else _coherent_frequencies(cfg, injection, model.t_half))
+    freqs = ([cfg.sim.injection.f] if cfg.sim.injection.f is not None
+             else _coherent_frequencies(cfg, model.t_half))
     z = np.exp(2j * np.pi * np.array(freqs) * model.t_half)
     # Every bin in one oracle run, from the pre-run that run_to_steady_state cached.
-    sim = dataclasses.replace(cfg.sim, injection=injection)
     for f, predicted, measured in zip(freqs, transfer_fixed_freq(model, dab.c_phys, z),
-                                      measure_frequency_responses(dab, surface, sim, freqs)):
+                                      measure_frequency_responses(dab, surface, cfg.sim, freqs)):
         cells = [_fmt(f)]
         for pred, meas in zip(predicted, measured):
             cells.append(_fmt(abs(pred) / abs(meas)))
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Exception types of a failed command, by exit code; a skew that empties an
 # interval (ParameterError from build_dab) is a configuration problem.
 _EXIT_CODES = (((ConfigError, ParameterError, NumericInputError), 2),
-               ((MarginalSystemError, ResolventSingularityError, SimilarityError), 3),
+               ((MarginalSystemError, ResolventSingularityError), 3),
                ((ConvergenceError,), 4), ((AmplitudeError,), 5))
 
 

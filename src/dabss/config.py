@@ -150,7 +150,7 @@ def load_config(path) -> AppConfig:
     except ParameterError as exc:
         raise ConfigError(f"converter: {exc}") from exc
     sim = _section(SimConfig, root.get("sim"), "sim")
-    if sim.injection is not None and sim.injection.f is not None:
+    if sim.injection.f is not None:
         if sim.injection.f >= converter.fs:
             raise ConfigError(f"sim.injection.f {sim.injection.f!r} is at or above the surface "
                               f"Nyquist frequency fs = {converter.fs!r}")

@@ -25,10 +25,10 @@ class ConfigError(Exception):
 
 
 class MarginalSystemError(ArithmeticError):
-    """A fixed-point solve is too ill conditioned to trust, or an iteration cannot contract.
+    """A solve is too ill conditioned to trust, or an iteration cannot contract.
 
-    Carries the eigenvalues of the map (when available) so callers can report
-    why its fixed point is marginal.
+    The solve is a fixed point or a similarity transform. Carries the eigenvalues of
+    the map (when available) so callers can report why its fixed point is marginal.
     """
 
     def __init__(self, message: str, eigenvalues=None):
@@ -38,10 +38,6 @@ class MarginalSystemError(ArithmeticError):
 
 class ResolventSingularityError(ArithmeticError):
     """A transfer function was evaluated at (or within 1e-12 of) a pole."""
-
-
-class SimilarityError(ArithmeticError):
-    """A similarity transform matrix is singular or near singular."""
 
 
 class ConvergenceError(RuntimeError):

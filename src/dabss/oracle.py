@@ -76,7 +76,7 @@ class SimConfig:
     periods: int = 4000
     substeps_per_interval: int = 32
     convergence_tol: float = 1e-9
-    injection: Injection | None = None
+    injection: Injection = Injection()
 
     def __post_init__(self):
         if not (isinstance(self.periods, int) and self.periods >= 1):
@@ -240,7 +240,7 @@ def _resolve_amplitude(injection: Injection, vr: float, comp_gain: float,
 
 def measure_frequency_response(dab: DabSchedule, surface: Surface, cfg: SimConfig) -> np.ndarray:
     """The one-bin `measure_frequency_responses`, at f = cfg.injection.f."""
-    return measure_frequency_responses(dab, surface, cfg, [getattr(cfg.injection, "f", None)])[0]
+    return measure_frequency_responses(dab, surface, cfg, [cfg.injection.f])[0]
 
 
 def measure_frequency_responses(dab: DabSchedule, surface: Surface, cfg: SimConfig,
@@ -256,8 +256,6 @@ def measure_frequency_responses(dab: DabSchedule, surface: Surface, cfg: SimConf
     itself, which must sit at the numerical floor. Every bin starts from the
     one cached pre-run, and each row is what its bin gives on its own.
     """
-    if cfg.injection is None:
-        raise ConfigError("measure_frequency_responses needs cfg.injection")
     injection, params = cfg.injection, dab.params
     for f in freqs:
         require_coherent(dataclasses.replace(injection, f=f), params.period)

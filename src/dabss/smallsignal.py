@@ -36,7 +36,7 @@ import numpy as np
 from . import pwlti
 from .dab import (FLIP_CURRENT, RECTIFY, DabSchedule, half_cycle_map, solve_half_cycle,
                   verify_symmetry)
-from .errors import ParameterError, ResolventSingularityError, SimilarityError
+from .errors import MarginalSystemError, ParameterError, ResolventSingularityError
 from .pwlti import IdentityCheck, relative_residual
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
@@ -241,24 +241,38 @@ def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtr
             * pwlti.row_norms(states).sum(axis=0) / (1.0 + pwlti.row_norms(subtracted)))
 
 
+def _dual_path_check(model: HalfCycleModel, c_phys: np.ndarray, z, paths, rtol) -> IdentityCheck:
+    """The dual-path identity over `z`, judged from the `_difference_paths` output `paths`.
+
+    Every residual within `rtol` passes, and the check reports the largest. Otherwise each
+    z gets `rtol` widened by the factor by which the roundoff floor of `_dual_path_floor`
+    exceeds 1e-12 (at the default rtol, max(rtol, floor)), and the check reports the z of
+    largest residual minus tolerance, with the tolerance it was judged by.
+    """
+    closed, subtracted, states = paths
+    res = _row_residuals(closed, subtracted)
+    worst = float(np.max(res, initial=0.0))  # a NaN residual stays NaN and fails
+    if not worst > rtol:  # the floor's SVDs only where the plain check trips
+        return IdentityCheck("transfer-difference/dual-path", worst, rtol)
+    tol = rtol * np.maximum(1.0, _dual_path_floor(model, c_phys, z, states, subtracted) / 1e-12)
+    k = np.argmax(res - tol)
+    return IdentityCheck("transfer-difference/dual-path", float(res.flat[k]), float(tol.flat[k]))
+
+
 def transfer_difference(model: HalfCycleModel, c_phys: np.ndarray, z,
                         rtol: float = 1e-12) -> np.ndarray:
     """Exact-minus-approximate transfer, c_phys (zI - phi)^{-1} (z - 1) b_next.
 
-    Cross-checked against the subtraction of the two transfer evaluations: a residual
-    beyond `rtol`, widened by the factor by which the roundoff floor of `_dual_path_floor`
-    exceeds 1e-12 (at the default rtol, max(rtol, floor)), raises ArithmeticError.
+    Cross-checked against the subtraction of the two transfer evaluations: raises
+    ArithmeticError where `_dual_path_check`, the rule of verify's dual-path row, fails.
     Identically zero at z = 1, so the approximation is exact at dc.
     """
-    closed, subtracted, states = _difference_paths(model, c_phys, z)
-    res = _row_residuals(closed, subtracted)
-    if np.any(res > rtol):  # the floor's SVDs only where the plain check trips
-        tol = rtol * np.maximum(1.0, _dual_path_floor(model, c_phys, z, states, subtracted) / 1e-12)
-        k = np.argmax(res - tol)
-        if res.flat[k] > tol.flat[k]:
-            raise ArithmeticError(f"transfer difference paths disagree: residual "
-                                  f"{res.flat[k]:.3e} exceeds {tol.flat[k]:.3e}")
-    return closed
+    paths = _difference_paths(model, c_phys, z)
+    check = _dual_path_check(model, c_phys, z, paths, rtol)
+    if not check.passed:
+        raise ArithmeticError(f"transfer difference paths disagree: residual "
+                              f"{check.residual:.3e} exceeds {check.tolerance:.3e}")
+    return paths[0]
 
 
 def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z):
@@ -324,7 +338,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     t_mat = dab.schedule.maps[primary.a - 1].phi
     cond = pwlti.cond(t_mat)
     if not cond <= pwlti.COND_LIMIT:  # NaN fails too
-        raise SimilarityError(f"similarity transform is singular: cond ~ {cond:.3e}")
+        raise MarginalSystemError(f"similarity transform is singular: cond ~ {cond:.3e}")
 
     m_pri = half_cycle_model(dab, primary)
     m_sec = half_cycle_model(dab, secondary)
@@ -408,7 +422,8 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
 
     `tolerances` is a `config.Tolerances`, `surfaces` maps each label of SURFACES to the
     Surface to check (a polarity override in place of the canonical one), and `freqs` is
-    the sweep grid [Hz] of the envelope-ratio check.
+    the sweep grid [Hz] of the envelope-ratio check. The dual-path row passes iff
+    `transfer_difference` at `tolerances.transfer_difference` does not raise on its circle.
     """
     tol = tolerances
     checks = verify_symmetry(dab, rtol=tol.half_wave_symmetry)
@@ -452,12 +467,12 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
     # One stacked solve for every transfer-difference row: 100 points of the unit
     # circle (dual path), z = 1 (dc) and the sweep grid (envelope ratio).
     model = half_cycle_model(dab, surfaces["P+"])
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(100) / 100))
     sweep = np.exp(2j * np.pi * np.asarray(freqs) * model.t_half)
-    closed, subtracted, _ = _difference_paths(model, dab.c_phys, np.concatenate(
-        [np.exp(1j * (2.0 * np.pi * np.arange(100) / 100)), [1.0], sweep]))
-    dual = _row_residuals(closed[:100], subtracted[:100])
-    checks.append(IdentityCheck(
-        "transfer-difference/dual-path", float(np.max(dual)), tol.transfer_difference))
+    paths = _difference_paths(model, dab.c_phys, np.concatenate([circle, [1.0], sweep]))
+    checks.append(_dual_path_check(model, dab.c_phys, circle,  # every path is (..., z, state)
+                                   [p[..., :100, :] for p in paths], tol.transfer_difference))
+    subtracted = paths[1]
     checks.append(IdentityCheck("transfer-difference/dc-zero",
                                 float(np.linalg.norm(subtracted[100])), tol.transfer_difference))
     diff = pwlti.row_norms(subtracted[101:])

@@ -87,6 +87,19 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         assert "FAILED: symmetry/phi3-flip-voltage" in proc.stdout
 
+    def test_dual_path_row_takes_the_roundoff_floor_of_transfer_difference(self, config_file):
+        # Nearly unloaded with D_phase = 1e-9: a plain 1e-12 check fails the largest
+        # residual, 1.155e-12, while transfer_difference's roundoff floor passes every point.
+        converter = {"n_turns": 1.995841322100797, "L": 4.23327278452814e-07,
+                     "Co": 0.001784110195335032, "Rt": 0.0, "Rc": 0.16960862543076624,
+                     "Ro": 26498497311.89119, "Vin": 396.879293312669,
+                     "fs": 25064.714806248972, "D_phase": 1e-09, "Vr": 1.0}
+        proc = run_cli("verify", config_file(converter=converter))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert re.search(r"^transfer-difference/dual-path +5\.908e-13 +1\.477e-10  PASS$",
+                         proc.stdout, re.M), proc.stdout
+        assert "RESULT: PASS (19/19)" in proc.stdout
+
 
 class TestBodeCommand:
     def test_rows_cover_the_grid_with_finite_values(self, config_file, tmp_path):
@@ -255,6 +268,14 @@ class TestFailureExitCodes:
         error, eigenvalues = proc.stderr.splitlines()
         assert re.fullmatch(r"error: .+ is marginal: cond ~ \S+ exceeds 1\.0e\+12", error), error
         assert eigenvalues.startswith("eigenvalues:") and "(1+0j)" in eigenvalues
+
+    def test_singular_similarity_transform_exits_three(self, config_file):
+        # Co = 1e-9 makes the leading interval's transition matrix numerically singular.
+        proc = run_cli("verify", config_file(converter=dict(REFERENCE_KWARGS, Co=1e-9)))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: similarity transform is singular: cond ~ 2.049e+18"]
 
     def test_simulate_on_a_marginal_design_exits_three(self, config_file, tmp_path):
         path = config_file(converter=dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30))

@@ -31,7 +31,7 @@ class TestDefaults:
         assert cfg.sim.periods == 4000
         assert cfg.sim.substeps_per_interval == 32
         assert cfg.sim.convergence_tol == 1e-9
-        assert cfg.sim.injection is None
+        assert cfg.sim.injection == Injection()
         # sweep defaults derive from the switching frequency
         assert cfg.sweep.f_min == pytest.approx(100.0)
         assert cfg.sweep.f_max == pytest.approx(10e3)
@@ -47,7 +47,7 @@ class TestDefaults:
         readme.write_text(block.group(1))
         converter = json.loads(block.group(1))["converter"]
         minimal = load_config(write(tmp_path, {"converter": converter}))
-        # README spells out the injection table, whose absence means None.
+        # README spells out the injection table, whose absence means Injection().
         expected = dataclasses.replace(
             minimal, sim=dataclasses.replace(minimal.sim, injection=Injection()))
         assert load_config(readme) == expected

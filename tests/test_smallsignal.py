@@ -21,8 +21,8 @@ from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, control_input_v
                                identity_checks, rebased_input_vector,
                                resolvent_similarity_residual, verify_surface_equivalence)
 from dabss import cli, smallsignal
-from dabss.config import load_config
-from dabss.errors import MarginalSystemError, ParameterError
+from dabss.config import Tolerances, load_config
+from dabss.errors import MarginalSystemError, NumericInputError, ParameterError
 from dabss.pwlti import monodromy
 from tests.conftest import REFERENCE_KWARGS, fd_sensitivities, random_params, write_config
 
@@ -590,3 +590,54 @@ class TestIdentityChecks:
         old = _earlier_verify_checks(cfg, build_dab(cfg.converter, t3_skew=cfg.t3_skew))
         assert [(c.name, c.residual, c.tolerance, c.note) for c in new] == \
             [(c.name, c.residual, c.tolerance, c.note) for c in old]
+
+
+def property_range_params(rng: np.random.Generator) -> DabParams:
+    """One design drawn over the ranges of tests/test_cli_properties.py: nearly lossless,
+    near-marginal loads, phase shifts next to 0, 0.5 and 1, and L and Co over four decades.
+    A draw can be invalid (ParameterError) or unsolvable like the property test's own."""
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    def resistance():
+        return 0.0 if rng.uniform() < 0.5 else log_uniform(-3.0, -0.5)
+
+    edges = [1e-9, 1e-6, 1e-3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9]
+    return DabParams(
+        n_turns=float(rng.uniform(0.5, 2.0)), L=log_uniform(-7.0, -3.0),
+        Co=log_uniform(-6.0, -2.0), Rt=resistance(), Rc=resistance(),
+        Ro=log_uniform(0.0, 2.0) if rng.uniform() < 0.5 else log_uniform(6.0, 12.0),
+        Vin=float(rng.uniform(10.0, 400.0)), fs=log_uniform(4.0, 5.5),
+        D_phase=(edges[rng.integers(len(edges))] if rng.uniform() < 0.5
+                 else float(rng.uniform(0.01, 0.99))),
+        Vr=1.0)
+
+
+class TestDualPathRule:
+    """verify's dual-path row and transfer_difference are one decision."""
+
+    def test_the_row_passes_iff_transfer_difference_accepts_its_circle(self):
+        rng = np.random.default_rng(7)
+        rtol = Tolerances().transfer_difference
+        circle = np.exp(1j * (2.0 * np.pi * np.arange(100) / 100))
+        compared = floored = 0
+        for _ in range(300):
+            try:
+                params = property_range_params(rng)
+                dab = build_dab(params)
+                checks = identity_checks(dab, Tolerances(), SURFACES, sweep_frequencies(
+                    params.fs / 1000.0, params.fs / 10.0, 25, "log", params.t_half))
+            except (ParameterError, NumericInputError, MarginalSystemError,
+                    ResolventSingularityError):  # invalid or unsolvable: exit 2 or 3
+                continue
+            row = next(c for c in checks if c.name == "transfer-difference/dual-path")
+            try:
+                transfer_difference(half_cycle_model(dab, P_PLUS), dab.c_phys, circle, rtol=rtol)
+                accepted = True
+            except ArithmeticError:
+                accepted = False
+            assert row.passed == accepted, params
+            compared += 1
+            floored += row.tolerance > rtol
+        # Enough designs to mean something, and some where the plain check tripped.
+        assert compared >= 250 and floored >= 1, (compared, floored)
