@@ -5,9 +5,10 @@ a time, from a zero initial state, until the period boundary stops moving.
 Each advance is one exact segment map, the augmented exponential
 [[phi, gamma], [0, 1]] = exp([[a, b u], [0, 0]] T) applied whole to [x; 1],
 so "brute force" refers to iteration count, never integration error. The
-module shares only `pwlti.expm` with the closed-form solvers; it builds its
-own step matrices and never touches `pwlti.compose` or fixed-point solves,
-which is what makes it a legitimate cross-check.
+module shares no code path with the closed-form solvers: it builds its own
+step matrices, takes their exponentials with its own element-wise Pade
+kernel, and imports nothing from `pwlti`, which is what makes it a
+legitimate cross-check.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -24,15 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dab import RECTIFY, DabSchedule
-from .errors import AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError
-from .pwlti import expm
+from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
+                     NumericInputError)
 from .smallsignal import Surface
 
 # Injection amplitude fallback: fraction of the ramp amplitude.
 DEFAULT_AMPLITUDE_RATIO = 1e-4
 
-# Half cycles whose step maps come from one stacked expm, counted across the
-# bins of a group; bounds the memory of a measurement independently of its length.
+# Half cycles whose step maps come from one call of the oracle's exponential,
+# counted across the bins of a group; bounds the memory of a measurement
+# independently of its length.
 HALF_CYCLES_PER_EXPM = 1024
 
 # Bins times half cycles of one group of a multi-bin measurement (its control,
@@ -121,18 +123,129 @@ def require_coherent(injection: Injection, period: float) -> int:
     return int(nearest)
 
 
-def _step_maps(dab: DabSchedule, intervals, durations) -> np.ndarray:
-    """Map [[phi, gamma], [0, 1]] of each step `intervals[i]` for `durations[i]`, one expm.
+# Degree-13 Pade coefficients b_0..b_13 and the 1-norm up to which that
+# approximant is exact to double precision without scaling (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+# Squarings at which a roundoff of 2^-53 in the scaled exponential, doubled by
+# every squaring, grows to order one: the modes that survive a step (|lambda T|
+# of order 1 or less) then carry no significant bit, finite or not.
+_MAX_SQUARINGS = 53
 
-    The oracle's own augmented matrices [[a, b u], [0, 0]] share only expm with the closed-form
-    route; expm's LU solve keeps their zero last row, so each map's is exactly [0, ..., 0, 1].
+
+def _mul(p, q):
+    """p[:, :2] @ q for each map of two (2, 2 or 3, N) stacks.
+
+    With p and q the top rows of augmented 3x3 matrices P and Q, and Q's last
+    row zero, these are the top rows of P Q.
+    """
+    out = p[:, :1] * q[0]
+    out += p[:, 1:2] * q[1]
+    return out
+
+
+def _add_to_diagonal(m, c):
+    """m[:, :2] + c I in place, for each map of a (2, 2 or 3, N) stack."""
+    m[0, 0] += c
+    m[1, 1] += c
+
+
+def _ceil_log2(ratio):
+    """ceil(log2(ratio)), at least 0, exactly from the binary exponent."""
+    mantissa, exponent = np.frexp(ratio)
+    return np.maximum(exponent - (mantissa == 0.5), 0)
+
+
+def _step_exponentials(x: np.ndarray) -> np.ndarray:
+    """Top rows [phi | gamma] of [[phi, gamma], [0, 1]] = exp([[A, w], [0, 0]]), per map.
+
+    `x` holds the top rows [A | w], shape (2, 3, N), one map per last index,
+    and the result has the same layout. Degree-13 Pade scaling and squaring
+    (Higham 2005), as `pwlti.expm` does it, written over the six entries:
+    every power M^k = [[A^k, A^(k-1) w], [0, 0]] and every sum of them keeps
+    a last row that is zero but for the identity's 1, so only top rows are
+    formed. The denominator [[Q, q], [0, b0]] leaves q out of
+    r = I + 2 (V - U)^-1 U, so only the 2x2 Q is inverted, by its adjugate
+    (well conditioned at a scaled 1-norm of at most theta13), and
+    [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]. Every step is a ufunc over
+    all maps, and each map takes its own balancing and scaling, so its bits
+    do not depend on the stack it came in.
+
+    The forcing column is first scaled by an exact 2^-k, per map, down to the
+    state block's 1-norm (or theta13), and scaled back after squaring: the
+    similarity diag(1, 1, 2^-k) commutes with exp, and w T, mostly Vin T / L,
+    would otherwise set the squaring count.
+    """
+    # Overflow, division by zero and invalid operations are left to the finiteness checks.
+    with np.errstate(all="ignore"):
+        abs_x = np.abs(x)
+        col_norms = abs_x[0] + abs_x[1]
+        a_norm = np.maximum(col_norms[0], col_norms[1])
+        k = _ceil_log2(col_norms[2] / np.maximum(a_norm, _THETA13))
+        s = _ceil_log2(np.maximum(a_norm, np.ldexp(col_norms[2], -k)) / _THETA13)
+        norm = col_norms.max(initial=0.0)
+        if not (math.isfinite(norm) and s.max(initial=0) < _MAX_SQUARINGS):
+            raise _not_finite(norm)
+        # Products with exact powers of two round as ldexp would, in fewer passes.
+        x = x * np.ldexp(1.0, -np.stack([s, s, k + s]))
+        b = _PADE13
+        x2 = _mul(x, x)
+        x4 = _mul(x2, x2)
+        x6 = _mul(x2, x4)
+        u = _mul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
+        u += b[7] * x6
+        u += b[5] * x4
+        u += b[3] * x2
+        _add_to_diagonal(u, b[1])
+        u = _mul(x, u)
+        u[:, 2] += b[1] * x[:, 2]  # the inner sum's b1 in its last row meets w
+        # q of the denominator drops out of r, so V - U is formed on the 2x2 block alone.
+        a2, a4, a6 = x2[:, :2], x4[:, :2], x6[:, :2]
+        q = _mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+        q += b[6] * a6
+        q += b[4] * a4
+        q += b[2] * a2
+        _add_to_diagonal(q, b[0])
+        q -= u[:, :2]
+        adj = np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]])
+        r = _mul(adj, u)
+        r *= 2.0
+        r /= q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
+        _add_to_diagonal(r, 1.0)
+        for i in range(int(s.max(initial=0))):
+            squared = _mul(r, r)
+            squared[:, 2] += r[:, 2]
+            r = np.where(s > i, squared, r)
+        r[:, 2] *= np.ldexp(1.0, k)
+    if not np.all(np.isfinite(r)):
+        raise _not_finite(norm)
+    return r
+
+
+def _not_finite(norm: float) -> NumericInputError:
+    return NumericInputError(
+        "matrix exponential is not finite: the 1-norm of a*t (state matrix times "
+        f"duration) reaches {norm:.3e}, beyond double precision")
+
+
+def _step_maps(dab: DabSchedule, intervals, durations) -> np.ndarray:
+    """Map [[phi, gamma], [0, 1]] of each step `intervals[i]` for `durations[i]`.
+
+    The oracle's own augmented matrices [[a, b u], [0, 0]] T, all exponentiated in
+    one `_step_exponentials` call; each map's last row is exactly [0, 0, 1].
     """
     segments = dab.schedule.segments
-    n = dab.schedule.dim
-    aug = np.zeros((len(segments), n + 1, n + 1))
-    aug[:, :n, :n] = [seg.a for seg in segments]
-    aug[:, :n, n] = [seg.b @ dab.schedule.u for seg in segments]
-    return expm(aug[intervals] * np.asarray(durations)[..., None, None], 1.0)
+    aug = np.array([np.column_stack([seg.a, seg.b @ dab.schedule.u]) for seg in segments])
+    intervals, durations = np.broadcast_arrays(intervals, np.asarray(durations, dtype=float))
+    # take() keeps each of the six entries contiguous over the maps.
+    entries = _step_exponentials(aug.transpose(1, 2, 0).take(intervals.ravel(), axis=2)
+                                 * durations.ravel())
+    maps = np.zeros((durations.size, 3, 3))
+    maps[:, :2, :] = entries.transpose(2, 0, 1)
+    maps[:, 2, 2] = 1.0
+    return maps.reshape(durations.shape + (3, 3))
 
 
 def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
@@ -197,7 +310,7 @@ def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
     durations = [seg.duration for seg in dab.schedule.segments]
     substeps = cfg.substeps_per_interval
     n_seg = len(durations)
-    # The period maps and the substep maps, all from one expm.
+    # The period maps and the substep maps, all from one exponential call.
     maps = list(_step_maps(dab, list(range(n_seg)) * 2,
                            durations + [d / substeps for d in durations]))
     xh = _period_start(dab, maps[:n_seg], cfg)
@@ -302,7 +415,8 @@ def _surface_samples(dab: DabSchedule, intervals, durations, x0: np.ndarray) -> 
     """Samples c_phys RECTIFY^k x_k, shape (half cycles, bins, 2), of each run from [x0; 1]."""
     n_bins, n_half = durations.shape[:2]
     # States are (bins, 3, 1) columns [x; 1]: one stacked matmul per step rounds
-    # as m @ x does bin by bin. An expm stack spans HALF_CYCLES_PER_EXPM // bins half cycles.
+    # as m @ x does bin by bin. One exponential call spans HALF_CYCLES_PER_EXPM // bins
+    # half cycles.
     states = np.empty((n_half + 1, n_bins, len(x0), 1))
     x = states[0]
     x[...] = x0[:, None]

@@ -97,6 +97,22 @@ def reverse_product(matrices, first: int, last: int) -> np.ndarray:
     return out
 
 
+def augmented_step_matrices(dab, substeps=(1,)):
+    """[[a T, b u T], [0, 0]] of every interval, for T = duration / q over each q in substeps."""
+    out = []
+    for seg in dab.schedule.segments:
+        aug = np.zeros((3, 3))
+        aug[:2, :2] = seg.a
+        aug[:2, 2] = seg.b @ dab.schedule.u
+        out += [aug * (seg.duration / q) for q in substeps]
+    return np.array(out)
+
+
+def max_abs_relative(actual, expected):
+    """Per-matrix max |actual - expected| over max |expected|."""
+    return np.abs(actual - expected).max(axis=(-2, -1)) / np.abs(expected).max(axis=(-2, -1))
+
+
 def write_config(path, *, converter=None, sim=None, sweep=None, tolerances=None,
                  extra=None) -> str:
     """Write a JSON config file and return its path as str."""

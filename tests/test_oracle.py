@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import cmath
+import inspect
 import math
 import re
 import tracemalloc
@@ -14,11 +16,13 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, DabParams, Injection, SimCo
                    half_cycle_model, relative_residual, solve_periodic_fixed_point,
                    transfer_fixed_freq)
 from dabss.dab import FLIP_CURRENT, RECTIFY
-from dabss.errors import AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError
+from dabss.errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
+                          NumericInputError)
 from dabss.oracle import (measure_frequency_response, measure_frequency_responses,
                           require_coherent, run_to_steady_state)
 from dabss import dab as dab_module, oracle, pwlti
-from tests.conftest import REFERENCE_KWARGS, random_params
+from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
+                            random_params)
 
 
 class TestInjectionValidation:
@@ -250,20 +254,94 @@ class TestFrequencyResponse:
             measure_frequency_response(ref_dab, P_PLUS, cfg)
 
 
+def step_exponentials(aug):
+    """The oracle's kernel on a (k, 3, 3) stack of [[a T, w T], [0, 0]], as (k, 3, 3) maps."""
+    entries = oracle._step_exponentials(np.ascontiguousarray(aug[:, :2].transpose(1, 2, 0)))
+    maps = np.zeros(aug.shape)
+    maps[:, :2] = entries.transpose(2, 0, 1)
+    maps[:, 2, 2] = 1.0
+    return maps
+
+
+class TestStepExponentials:
+    """The oracle's element-wise Pade kernel against scipy.linalg.expm, a reference for
+    the tests only, on the sets that check pwlti.expm."""
+
+    def test_matches_scipy_on_random_designs(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(41)
+        # Period steps and the oracle's 32-substep waveform steps of 500 designs.
+        aug = np.concatenate([augmented_step_matrices(build_dab(random_params(rng)), (1, 32))
+                              for _ in range(500)])
+        assert max_abs_relative(step_exponentials(aug), linalg.expm(aug)).max() <= 1e-14
+
+    def test_stiff_blocked_design_keeps_its_conserved_state(self):
+        # A blocking series path and an unloaded output: about 26 squarings per interval.
+        linalg = pytest.importorskip("scipy.linalg")
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
+        reference = linalg.expm(augmented_step_matrices(dab))
+        ours = oracle._step_maps(dab, range(4), [seg.duration for seg in dab.schedule.segments])
+        for m in ours:
+            np.testing.assert_array_equal(m[2], [0.0, 0.0, 1.0])
+        assert max_abs_relative(ours[:, :2, :2], reference[:, :2, :2]).max() <= 1e-14
+        assert max_abs_relative(ours[:, :2, 2:], reference[:, :2, 2:]).max() <= 1e-14
+
+    def test_mixed_norm_stack_matches_single_calls_bit_for_bit(self):
+        # Skew-symmetric state blocks keep exp bounded at any norm; 1e8 takes 25
+        # squarings and 1e-6 none, and the forcing norms set different balancing
+        # shifts, so both differ per map.
+        rng = np.random.default_rng(43)
+        aug = np.zeros((6, 3, 3))
+        aug[:, :2] = rng.standard_normal((6, 2, 3))
+        aug[:, :2, :2] -= np.swapaxes(aug[:, :2, :2], 1, 2)
+        aug[:, :2, :2] *= np.array([1e-6, 1e8, 1e-6, 3.0, 1e8, 40.0])[:, None, None]
+        aug[:, :2, 2] *= np.array([1e3, 1.0, 0.0, 1e-9, 1e12, 40.0])[:, None]
+        stacked = step_exponentials(aug)
+        for k in range(len(aug)):
+            np.testing.assert_array_equal(stacked[k], step_exponentials(aug[k:k + 1])[0])
+
+    def test_zero_duration_is_exactly_the_identity(self, ref_dab):
+        np.testing.assert_array_equal(oracle._step_maps(ref_dab, range(4), [0.0] * 4),
+                                      np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 800.0, 1e300])
+    def test_a_result_beyond_double_precision_raises(self, entry):
+        # 800 overflows; 1e300 needs about 1,000 squarings, whose roundoff leaves
+        # no significant bit even where the result stays finite.
+        aug = np.zeros((2, 3, 3))
+        aug[1, 0, 0] = entry
+        with np.errstate(all="raise"):
+            with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
+                step_exponentials(aug)
+
+    def test_an_unresolvable_design_raises_instead_of_a_finite_map(self):
+        # Co = 1e-300 puts the 1-norm of a T near 3.5e294. Scaling and squaring
+        # in double precision keeps a finite map here, which has lost the slow
+        # mode of the true exponential.
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Co=1e-300)))
+        durations = [seg.duration for seg in dab.schedule.segments]
+        with pytest.raises(NumericInputError, match="reaches 3.497e[+]294, beyond double"):
+            oracle._step_maps(dab, range(4), durations)
+
+
 class TestIndependence:
     def test_oracle_runs_without_the_closed_form_maps(self, ref_params, monkeypatch):
-        # The oracle shares only expm with the closed-form route: with the
-        # segment maps, the period map, the half-cycle map, the composer of
-        # map chains and the fixed-point solve all refusing, it still runs.
+        # The oracle shares no code with the closed-form route: with every
+        # public name of pwlti (expm among them), the segment and period maps
+        # and the half-cycle map all refusing, it still runs.
         def refuse(*args):
             raise AssertionError("the oracle reached the closed-form route")
 
+        dab = build_dab(ref_params)
         monkeypatch.setattr(pwlti.Schedule, "maps", property(refuse))
         monkeypatch.setattr(pwlti.Schedule, "period_map", property(refuse))
-        for module, name in ((pwlti, "compose"), (pwlti, "fixed_point"),
-                             (dab_module, "half_cycle_map")):
-            monkeypatch.setattr(module, name, refuse)
-        dab = build_dab(ref_params)
+        public = [name for name, value in vars(pwlti).items()
+                  if not name.startswith("_") and callable(value)
+                  and getattr(value, "__module__", None) == pwlti.__name__]
+        assert {"expm", "compose", "fixed_point", "Schedule"} <= set(public)
+        for name in public:
+            monkeypatch.setattr(pwlti, name, refuse)
+        monkeypatch.setattr(dab_module, "half_cycle_map", refuse)
         for closed_form in (lambda: dab.schedule.maps, lambda: dab.schedule.period_map,
                             lambda: solve_periodic_fixed_point(dab.schedule),
                             lambda: dab_module.solve_half_cycle(dab)):
@@ -277,6 +355,15 @@ class TestIndependence:
         h = measure_frequency_responses(dab, P_PLUS, SimConfig(injection=injection),
                                         [2000.0, 6000.0])
         assert h.shape == (2, 2) and np.all(np.isfinite(h))
+
+    def test_oracle_imports_nothing_from_pwlti(self):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+        assert not [name for name in imported if name.split(".")[-1] == "pwlti"]
 
 
 class TestPreRunCache:
@@ -376,13 +463,13 @@ class TestMultiBin:
 
 
 def single_step(dab, interval, duration):
-    """One oracle step map from its own expm call, as the per-step oracle built it."""
+    """One oracle step map (phi, gamma) from its own call of the oracle's exponential."""
     seg = dab.schedule.segments[interval]
-    aug = np.zeros((3, 3))
-    aug[:2, :2] = seg.a
-    aug[:2, 2] = seg.b @ dab.schedule.u
-    m = pwlti.expm(aug, duration)
-    return m[:2, :2], m[:2, 2]
+    x = np.zeros((2, 3, 1))
+    x[:, :2, 0] = seg.a * duration
+    x[:, 2, 0] = (seg.b @ dab.schedule.u) * duration
+    entries = oracle._step_exponentials(x)[..., 0]
+    return entries[:, :2], entries[:, 2]
 
 
 def phi_gamma_pre_run(period_maps, periods, tol):
@@ -404,7 +491,7 @@ def phi_gamma_pre_run(period_maps, periods, tol):
 
 
 def per_step_response(dab, surface, cfg):
-    """measure_frequency_response one half cycle at a time, each step map its own expm."""
+    """measure_frequency_response one half cycle at a time, each step map its own call."""
     injection, params = cfg.injection, dab.params
     segments = dab.schedule.segments
     comp_gain = params.t_half / params.Vr
@@ -491,7 +578,7 @@ class TestStackedStepMaps:
 def phi_gamma_samples(dab, intervals, durations, x0):
     """Every bin's samples c_phys RECTIFY^k x_k by a batched x -> phi x + gamma recursion.
 
-    The same expm stacks as the oracle, each map split into (phi, gamma); states
+    The same exponential stacks as the oracle, each map split into (phi, gamma); states
     are (bins, 2, 1) columns advanced by phi @ x + gamma twice per half cycle.
     """
     n_bins, n_half = durations.shape[:2]

@@ -12,7 +12,8 @@ from dabss.errors import DimensionError, MarginalSystemError, NumericInputError
 from dabss.pwlti import (COND_LIMIT, IdentityCheck, Schedule, Segment, SegmentMap,
                          closed_form_state, compose, cond, expm, fixed_point, monodromy,
                          propagate)
-from tests.conftest import REFERENCE_KWARGS, random_params, reverse_product
+from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
+                            random_params, reverse_product)
 
 
 def random_stable_segment(rng, n, m=1, max_duration=1.0):
@@ -88,22 +89,6 @@ class TestExpm:
     def test_rejects_a_non_finite_result(self):
         with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
             expm(np.array([[800.0]]), 1.0)
-
-
-def augmented_step_matrices(dab, substeps=(1,)):
-    """[[a T, b u T], [0, 0]] of every interval, for T = duration / q over each q in substeps."""
-    out = []
-    for seg in dab.schedule.segments:
-        aug = np.zeros((3, 3))
-        aug[:2, :2] = seg.a
-        aug[:2, 2] = seg.b @ dab.schedule.u
-        out += [aug * (seg.duration / q) for q in substeps]
-    return np.array(out)
-
-
-def max_abs_relative(actual, expected):
-    """Per-matrix max |actual - expected| over max |expected|."""
-    return np.abs(actual - expected).max(axis=(-2, -1)) / np.abs(expected).max(axis=(-2, -1))
 
 
 class TestPadeKernel:

@@ -197,6 +197,15 @@ class TestResolventSimilarity:
         a = np.array([[0.0, 1.0], [-2.0, -0.3]])
         assert resolvent_similarity_residual(a, np.eye(2), 2.0 + 1.0j) < 1e-15
 
+    def test_a_stack_of_draws_gives_each_draw_its_own_bits(self):
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((50, 2, 2))
+        t = rng.standard_normal((50, 2, 2))
+        z = 2.0 * np.exp(2j * np.pi * rng.uniform(size=50))
+        np.testing.assert_array_equal(
+            resolvent_similarity_residual(a, t, z),
+            [resolvent_similarity_residual(*draw) for draw in zip(a, t, z)])
+
 
 class TestSurfaceEquivalence:
     @pytest.mark.parametrize("pair", [(P_PLUS, S_PLUS), (P_MINUS, S_MINUS)])
