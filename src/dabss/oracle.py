@@ -2,13 +2,17 @@
 
 Deliberately dumb: it advances the raw four-interval schedule one segment at
 a time, from a zero initial state, until the period boundary stops moving.
-Each advance is one exact segment map, the augmented exponential
-[[phi, gamma], [0, 1]] = exp([[a, b u], [0, 0]] T) applied whole to [x; 1],
-so "brute force" refers to iteration count, never integration error. The
-module shares no code path with the closed-form solvers: it builds its own
-step matrices, takes their exponentials with its own element-wise Pade
-kernel, and imports nothing from `pwlti`, which is what makes it a
-legitimate cross-check.
+Each advance is one exact segment map x -> phi x + gamma, whose six entries
+come from the augmented exponential [[phi, gamma], [0, 1]] =
+exp([[a, b u], [0, 0]] T), so "brute force" refers to iteration count, never
+integration error. Every loop steps the state by the one rule
+
+    x0, x1 = a00*x0 + a01*x1 + g0, a10*x0 + a11*x1 + g1
+
+in Python floats, in that evaluation order. The module shares no code path
+with the closed-form solvers: it builds its own step matrices, takes their
+exponentials with its own element-wise Pade kernel, and imports nothing from
+`pwlti`, which is what makes it a legitimate cross-check.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +37,9 @@ from .smallsignal import Surface
 # Injection amplitude fallback: fraction of the ramp amplitude.
 DEFAULT_AMPLITUDE_RATIO = 1e-4
 
-# Half cycles whose step maps come from one call of the oracle's exponential,
-# counted across the bins of a group; bounds the memory of a measurement
-# independently of its length.
+# Half cycles whose step maps come from one call of the oracle's exponential;
+# bounds the memory of a measurement's step maps independently of its length.
 HALF_CYCLES_PER_EXPM = 1024
-
-# Bins times half cycles of one group of a multi-bin measurement (its control,
-# durations and states); bounds memory independently of the bin count.
-BIN_HALF_CYCLES_PER_GROUP = 2**17
 
 
 @dataclass(frozen=True)
@@ -231,24 +231,27 @@ def _not_finite(norm: float) -> NumericInputError:
 
 
 def _step_maps(dab: DabSchedule, intervals, durations) -> np.ndarray:
-    """Map [[phi, gamma], [0, 1]] of each step `intervals[i]` for `durations[i]`.
+    """Top rows [phi | gamma] of the map of each step `intervals[i]` for `durations[i]`.
 
     The oracle's own augmented matrices [[a, b u], [0, 0]] T, all exponentiated in
-    one `_step_exponentials` call; each map's last row is exactly [0, 0, 1].
+    one `_step_exponentials` call and returned in its (2, 3, steps) layout, the
+    steps in the order of `durations.ravel()`.
     """
     segments = dab.schedule.segments
     aug = np.array([np.column_stack([seg.a, seg.b @ dab.schedule.u]) for seg in segments])
-    intervals, durations = np.broadcast_arrays(intervals, np.asarray(durations, dtype=float))
     # take() keeps each of the six entries contiguous over the maps.
-    entries = _step_exponentials(aug.transpose(1, 2, 0).take(intervals.ravel(), axis=2)
-                                 * durations.ravel())
-    maps = np.zeros((durations.size, 3, 3))
-    maps[:, :2, :] = entries.transpose(2, 0, 1)
-    maps[:, 2, 2] = 1.0
-    return maps.reshape(durations.shape + (3, 3))
+    return _step_exponentials(aug.transpose(1, 2, 0).take(np.ravel(intervals), axis=2)
+                              * np.ravel(durations))
 
 
-def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
+def _rows(entries: np.ndarray, steps: int = 1):
+    """Tuples of floats of `steps` consecutive maps of `entries` each, every map as
+    (a00, a01, g0, a10, a11, g1) with [[a00, a01], [a10, a11]] = phi and (g0, g1) = gamma."""
+    # Unpacked row by row as the loop takes them: a list of every row costs more than the loop.
+    return struct.iter_unpack(f"{6 * steps}d", entries.transpose(2, 0, 1).tobytes())
+
+
+def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float, float]:
     """Period-start state of the unperturbed schedule, iterated from x = 0.
 
     A contraction at rate rho leaves at most change * rho / (1 - rho)
@@ -258,9 +261,10 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
     only asymptotically, once the slowest mode dominates the change. There is
     nothing to wait for when rho >= 1: MarginalSystemError, before any period.
     """
-    pi = step_maps[0][:-1, :-1]
-    for m in step_maps[1:]:
-        pi = m[:-1, :-1] @ pi
+    phis = np.array(step_maps).reshape(-1, 2, 3)[:, :, :2]
+    pi = phis[0]
+    for phi in phis[1:]:
+        pi = phi @ pi
     eigenvalues = np.linalg.eigvals(pi)
     rho = float(np.max(np.abs(eigenvalues)))
     if not rho < 1.0:
@@ -268,18 +272,16 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
             f"oracle period map is marginal: spectral radius rho = {rho:.10g} is not below 1, so "
             "iteration from x = 0 cannot settle", eigenvalues=eigenvalues)
     scale = rho / (1.0 - rho)
-    xh = np.eye(len(step_maps[0]))[-1]  # [x; 1] at x = 0
-    prev = xh[:-1]
+    x0 = x1 = 0.0
     for _ in range(periods):
-        for m in step_maps:
-            xh = m @ xh
-        x = xh[:-1]
-        d = x - prev
-        change = math.sqrt(d @ d)
-        limit = tol * (1.0 + math.sqrt(x @ x))
+        p0, p1 = x0, x1
+        for a00, a01, g0, a10, a11, g1 in step_maps:
+            x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
+        d0, d1 = x0 - p0, x1 - p1
+        change = math.sqrt(d0 * d0 + d1 * d1)
+        limit = tol * (1.0 + math.sqrt(x0 * x0 + x1 * x1))
         if change * scale <= limit:
-            return x
-        prev = x
+            return x0, x1
     bound = change * scale  # logs below, not limit / bound: that underflows for a subnormal tol
     more = (f"; at rate rho about {math.ceil((math.log(limit) - math.log(bound)) / math.log(rho))}"
             " more periods would meet it" if limit < bound < math.inf else "")
@@ -290,14 +292,14 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> np.ndarray:
         residual=change, spectral_radius=rho)
 
 
-def _period_start(dab: DabSchedule, step_maps, cfg: SimConfig) -> np.ndarray:
-    """The pre-run's state as [x; 1], iterated once per design and (periods, tol)."""
+def _period_start(dab: DabSchedule, step_maps, cfg: SimConfig) -> tuple[float, float]:
+    """The pre-run's state (x0, x1), iterated once per design and (periods, tol)."""
     # A frozen DabSchedule is unhashable: it keeps its own runs, as Schedule keeps its maps.
     runs = vars(dab).setdefault("_oracle_pre_runs", {})
     key = (cfg.periods, cfg.convergence_tol)
     if key not in runs:
         runs[key] = _iterate_to_period_start(step_maps, *key)
-    return np.append(runs[key], 1.0)
+    return runs[key]
 
 
 def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
@@ -311,25 +313,26 @@ def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
     substeps = cfg.substeps_per_interval
     n_seg = len(durations)
     # The period maps and the substep maps, all from one exponential call.
-    maps = list(_step_maps(dab, list(range(n_seg)) * 2,
-                           durations + [d / substeps for d in durations]))
-    xh = _period_start(dab, maps[:n_seg], cfg)
+    maps = list(_rows(_step_maps(dab, list(range(n_seg)) * 2,
+                                 durations + [d / substeps for d in durations])))
+    x0, x1 = _period_start(dab, maps[:n_seg], cfg)
 
     times = [0.0]
-    states = [xh[:-1]]
-    outputs = [dab.c_intervals[0] @ xh[:-1]]
+    states = [(x0, x1)]
+    closing = [0]  # the interval whose output matrix each sample carries
     t_start = 0.0
-    for i, (duration, m) in enumerate(zip(durations, maps[n_seg:])):
+    for i, (duration, (a00, a01, g0, a10, a11, g1)) in enumerate(zip(durations, maps[n_seg:])):
         if duration == 0.0:
             continue  # no time passes; a duplicate sample would break monotonicity
         for j in range(1, substeps + 1):
-            xh = m @ xh
+            x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             times.append(t_start + duration * (j / substeps))
-            states.append(xh[:-1])
-            outputs.append(dab.c_intervals[i] @ xh[:-1])
+            states.append((x0, x1))
+        closing += [i] * substeps
         t_start += duration
-    waveform = Waveform(t=np.array(times), x=np.array(states), y=np.array(outputs))
-    return waveform.x[0].copy(), waveform
+    x = np.array(states)
+    y = (np.array(dab.c_intervals)[closing] @ x[..., None])[..., 0]
+    return x[0].copy(), Waveform(t=np.array(times), x=x, y=y)
 
 
 def _resolve_amplitude(injection: Injection, vr: float, comp_gain: float,
@@ -378,55 +381,60 @@ def measure_frequency_responses(dab: DabSchedule, surface: Surface, cfg: SimConf
     amp = _resolve_amplitude(injection, params.Vr, comp_gain, float(base.min()))
 
     # Unperturbed pre-run to the periodic orbit, then walk to the surface instant.
-    step_maps = list(_step_maps(dab, list(range(len(base))), base))
-    x0 = _period_start(dab, step_maps, cfg)
-    for m in step_maps[:surface.a - 1]:
-        x0 = m @ x0
+    step_maps = list(_rows(_step_maps(dab, list(range(len(base))), base)))
+    x0, x1 = _period_start(dab, step_maps, cfg)
+    for a00, a01, g0, a10, a11, g1 in step_maps[:surface.a - 1]:
+        x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
 
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
     ks = np.arange(n_half)
     intervals = np.stack([(surface.a - 1 + 2 * ks) % 4, (surface.b - 1 + 2 * ks) % 4], axis=1)
     k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
-    per_group = max(1, BIN_HALF_CYCLES_PER_GROUP // n_half)
+    unperturbed = base[intervals]
     responses = np.empty((len(freqs), 2), dtype=complex)
-    for first in range(0, len(freqs), per_group):
-        group = [float(f) for f in freqs[first:first + per_group]]
-        # The whole control sequence of each bin, hence every half cycle's
-        # perturbed durations, is known before the run starts; math.sin per
-        # sample rounds as a scalar loop would.
-        phase = 2.0 * math.pi * np.array(group)[:, None] * np.arange(n_half + 1) * t_half
-        control = amp * np.array(list(map(math.sin, phase.flat))).reshape(phase.shape)
+    for i, f in enumerate(freqs):
+        f = float(f)
+        # The whole control sequence, hence every half cycle's perturbed
+        # durations, is known before the run starts; math.sin per sample
+        # rounds as a scalar loop would.
+        phase = 2.0 * math.pi * f * np.arange(n_half + 1) * t_half
+        control = amp * np.fromiter(map(math.sin, phase), float, n_half + 1)
         shift = surface.polarity * comp_gain * control
-        durations = base[intervals] + np.stack([shift[:, :-1], -shift[:, 1:]], axis=-1)
-        bad_bin, bad_k = np.nonzero((durations < 0.0).any(axis=-1))
-        if bad_k.size:
-            raise AmplitudeError(f"perturbation at {group[bad_bin[0]]!r} Hz drove a duration "
-                                 f"negative at half cycle {bad_k[0]}")
-        samples = _surface_samples(dab, intervals, durations, x0)
-        for i, f in enumerate(group):
-            basis = np.exp(-2j * math.pi * f * t_half * np.arange(k0, k0 + n))
-            out_bin = basis @ samples[k0:k0 + n, i]
-            responses[first + i] = ((2.0 / n) * out_bin if amp == 0.0
-                                    else out_bin / (basis @ control[i, k0:k0 + n]))
+        durations = unperturbed + np.stack([shift[:-1], -shift[1:]], axis=-1)
+        if durations.min() < 0.0:
+            bad = np.flatnonzero((durations < 0.0).any(axis=-1))[0]
+            raise AmplitudeError(f"perturbation at {f!r} Hz drove a duration "
+                                 f"negative at half cycle {bad}")
+        samples = _surface_samples(dab, intervals, durations, (x0, x1), k0)
+        basis = np.exp(-2j * math.pi * f * t_half * np.arange(k0, k0 + n))
+        out_bin = basis @ samples
+        responses[i] = ((2.0 / n) * out_bin if amp == 0.0
+                        else out_bin / (basis @ control[k0:k0 + n]))
     return responses
 
 
-def _surface_samples(dab: DabSchedule, intervals, durations, x0: np.ndarray) -> np.ndarray:
-    """Samples c_phys RECTIFY^k x_k, shape (half cycles, bins, 2), of each run from [x0; 1]."""
-    n_bins, n_half = durations.shape[:2]
-    # States are (bins, 3, 1) columns [x; 1]: one stacked matmul per step rounds
-    # as m @ x does bin by bin. One exponential call spans HALF_CYCLES_PER_EXPM // bins
-    # half cycles.
-    states = np.empty((n_half + 1, n_bins, len(x0), 1))
-    x = states[0]
-    x[...] = x0[:, None]
-    block = max(1, HALF_CYCLES_PER_EXPM // n_bins)
-    for start in range(0, n_half, block):
-        maps = _step_maps(dab, intervals[start:start + block], durations[:, start:start + block])
-        # (half cycle, step, bin) order, contiguous: strided stacks slowed every step.
-        maps = np.ascontiguousarray(maps.transpose(1, 2, 0, 3, 4))
-        for m_a, m_b, out in zip(maps[:, 0], maps[:, 1], states[start + 1:]):
-            x = np.matmul(m_b, m_a @ x, out=out)
-    x = states[:n_half, :, :-1]
-    x[1::2] = RECTIFY @ x[1::2]
-    return (dab.c_phys @ x)[..., 0]
+def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int) -> np.ndarray:
+    """Samples c_phys RECTIFY^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`."""
+    x0, x1 = x
+    n_half = len(durations)
+    states = np.empty((n_half - first, 2, 1))
+    for start in range(0, n_half, HALF_CYCLES_PER_EXPM):
+        end = min(start + HALF_CYCLES_PER_EXPM, n_half)
+        # `entries` keeps the previous block's maps alive until this call returns. Freed
+        # before it, they let malloc trim the kernel's scratch memory off the heap after
+        # every block and fault it in again: 12,000 page faults per 21-bin compare.
+        entries = _step_maps(dab, intervals[start:end], durations[start:end])
+        visited = []
+        visit = visited.append
+        for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in _rows(entries, 2):
+            visit(x0)
+            visit(x1)
+            x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
+            x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
+        if end > first:
+            kept = max(start, first)
+            states[kept - first:end - first, :, 0] = np.fromiter(
+                visited, float, len(visited))[2 * (kept - start):].reshape(-1, 2)
+    odd = states[(first + 1) % 2::2]
+    odd[...] = RECTIFY @ odd
+    return (dab.c_phys @ states)[..., 0]

@@ -42,6 +42,10 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+# Squarings at which a roundoff of 2^-53 in the scaled exponential, doubled by
+# every squaring, grows to order one: the modes that survive a step (|lambda T|
+# of order 1 or less) then carry no significant bit, finite or not.
+_MAX_SQUARINGS = 53
 
 
 def expm(a: np.ndarray, t: float) -> np.ndarray:
@@ -66,6 +70,8 @@ def expm(a: np.ndarray, t: float) -> np.ndarray:
         the correction to I, which keeps a stiff matrix squared many times (a
         nearly conserved state) within roundoff of scipy.linalg.expm, where
         (V - U)^-1 (V + U) drifts off the conserved value by about 1e-8.
+        A matrix that needs 53 or more squarings raises like a non-finite
+        result: its roundoff, about 2^s * 2^-53, leaves no significant bit.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -79,6 +85,8 @@ def expm(a: np.ndarray, t: float) -> np.ndarray:
     norms = np.abs(x).sum(axis=-2).max(axis=-1)
     mantissa, exponent = np.frexp(norms / _THETA13)
     s = np.maximum(exponent - (mantissa == 0.5), 0)      # ceil(log2(norm / theta)), >= 0
+    if s.max(initial=0) >= _MAX_SQUARINGS:
+        raise _not_finite(norms.max())
     x = np.ldexp(x, -s[:, None, None])
     b = _PADE13
     ident = np.eye(n)
@@ -96,10 +104,14 @@ def expm(a: np.ndarray, t: float) -> np.ndarray:
             rs = r[squared]
             r[squared] = rs @ rs
     if not np.all(np.isfinite(r)):
-        raise NumericInputError(
-            "matrix exponential is not finite: the 1-norm of a*t (state matrix times "
-            f"duration) reaches {norms.max():.3e}, beyond double precision")
+        raise _not_finite(norms.max())
     return r.reshape(a.shape)
+
+
+def _not_finite(norm: float) -> NumericInputError:
+    return NumericInputError(
+        "matrix exponential is not finite: the 1-norm of a*t (state matrix times "
+        f"duration) reaches {norm:.3e}, beyond double precision")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,12 @@ import pytest
 from dabss import DabParams, build_dab, half_cycle_model
 from dabss.dab import RECTIFY
 from dabss.pwlti import Schedule
+
+# Child interpreters (`python -m dabss.cli`) import dabss from the same src/ as
+# pytest's `pythonpath`, so a bare `pytest` needs no PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 # Reference design used throughout the suite. Values chosen so every regime
 # the package cares about is exercised: lossy transformer path, nonzero ESR,

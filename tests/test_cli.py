@@ -373,11 +373,17 @@ class TestFailureExitCodes:
         assert "sim.injection.f" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "cmp.csv").exists()
 
-    @pytest.mark.parametrize("command", ["steady-state", "verify", "simulate"])
-    def test_non_finite_exponential_is_a_config_error(self, config_file, tmp_path, command):
+    @pytest.mark.parametrize("command, co", [
+        *[pytest.param(command, 1e-300, id=command)
+          for command in ("steady-state", "verify", "simulate")],
+        *[pytest.param(command, 1e-25, id=f"{command}-Co=1e-25")
+          for command in ("steady-state", "bode", "verify", "simulate")]])
+    def test_non_finite_exponential_is_a_config_error(self, config_file, tmp_path, command, co):
         # A 1e-300 F capacitor puts the 1-norm of a*t near 1e295: the
-        # exponential overflows in closed form and in the oracle alike.
-        path = config_file(converter=dict(REFERENCE_KWARGS, Co=1e-300))
+        # exponential overflows in closed form and in the oracle alike. At
+        # 1e-25 F it needs more than 53 squarings, whose roundoff leaves no
+        # significant bit of a finite map.
+        path = config_file(converter=dict(REFERENCE_KWARGS, Co=co))
         argv = [command, path] + ([] if command == "verify" else ["--out", str(tmp_path / "o")])
         proc = run_cli(*argv)
         assert proc.returncode == 2, proc.stderr

@@ -281,10 +281,9 @@ class TestStepExponentials:
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
         reference = linalg.expm(augmented_step_matrices(dab))
         ours = oracle._step_maps(dab, range(4), [seg.duration for seg in dab.schedule.segments])
-        for m in ours:
-            np.testing.assert_array_equal(m[2], [0.0, 0.0, 1.0])
-        assert max_abs_relative(ours[:, :2, :2], reference[:, :2, :2]).max() <= 1e-14
-        assert max_abs_relative(ours[:, :2, 2:], reference[:, :2, 2:]).max() <= 1e-14
+        ours = ours.transpose(2, 0, 1)
+        assert max_abs_relative(ours[:, :, :2], reference[:, :2, :2]).max() <= 1e-14
+        assert max_abs_relative(ours[:, :, 2:], reference[:, :2, 2:]).max() <= 1e-14
 
     def test_mixed_norm_stack_matches_single_calls_bit_for_bit(self):
         # Skew-symmetric state blocks keep exp bounded at any norm; 1e8 takes 25
@@ -301,8 +300,9 @@ class TestStepExponentials:
             np.testing.assert_array_equal(stacked[k], step_exponentials(aug[k:k + 1])[0])
 
     def test_zero_duration_is_exactly_the_identity(self, ref_dab):
-        np.testing.assert_array_equal(oracle._step_maps(ref_dab, range(4), [0.0] * 4),
-                                      np.broadcast_to(np.eye(3), (4, 3, 3)))
+        # Each step's entries (a00, a01, g0, a10, a11, g1): phi = I and gamma = 0.
+        entries = oracle._step_maps(ref_dab, range(4), [0.0] * 4)
+        assert list(oracle._rows(entries)) == [(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)] * 4
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 800.0, 1e300])
     def test_a_result_beyond_double_precision_raises(self, entry):
@@ -403,6 +403,15 @@ class TestPreRunCache:
         np.testing.assert_array_equal(run_to_steady_state(dab, SimConfig())[0], expected)
 
 
+def responses_in_calls(dab, surface, cfg, freqs, group):
+    """`measure_frequency_responses` rows of `freqs`, the bins passed in consecutive calls
+    of at most `group` bins x half cycles each (at least one bin per call)."""
+    injection = cfg.injection
+    per_call = max(1, group // (2 * (injection.settle_periods + injection.measure_periods)))
+    return np.concatenate([measure_frequency_responses(dab, surface, cfg, freqs[i:i + per_call])
+                           for i in range(0, len(freqs), per_call)])
+
+
 class TestMultiBin:
     INJECTION = dict(settle_periods=10, measure_periods=20)
     # Coherent bins of the 20-period window are multiples of 5 kHz.
@@ -411,19 +420,25 @@ class TestMultiBin:
     @pytest.mark.parametrize("surface", [P_PLUS, S_MINUS], ids=lambda s: s.label)
     @pytest.mark.parametrize("amplitude", [1e-4, None], ids=["explicit", "automatic"])
     @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
-    @pytest.mark.parametrize("group", [oracle.BIN_HALF_CYCLES_PER_GROUP, 2 * 60])
+    @pytest.mark.parametrize("group", [2**17, 2 * 60])
     def test_rows_equal_one_bin_calls(self, ref_dab, monkeypatch, surface, amplitude, block,
                                       group):
-        # A group budget of 2 x 60 half cycles splits the five bins 2 + 2 + 1.
+        # Each bin steps on its own, so its row has the bits of its own call, whichever
+        # bins share the call: 2**17 passes the five bins at once, 2 x 60 as 2 + 2 + 1.
         monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
-        monkeypatch.setattr(oracle, "BIN_HALF_CYCLES_PER_GROUP", group)
         cfg = SimConfig(injection=Injection(amplitude=amplitude, **self.INJECTION))
-        rows = measure_frequency_responses(ref_dab, surface, cfg, self.FREQS)
+        rows = responses_in_calls(ref_dab, surface, cfg, self.FREQS, group)
         assert rows.shape == (len(self.FREQS), 2)
         for f, row in zip(self.FREQS, rows):
             single = measure_frequency_response(ref_dab, surface, SimConfig(
                 injection=Injection(f=f, amplitude=amplitude, **self.INJECTION)))
-            assert np.max(np.abs(row - single) / np.abs(single)) <= 1e-10
+            np.testing.assert_array_equal(row, single)
+
+    def test_bin_order_does_not_move_a_row(self, ref_dab):
+        cfg = SimConfig(injection=Injection(**self.INJECTION))
+        rows = measure_frequency_responses(ref_dab, P_PLUS, cfg, self.FREQS)
+        np.testing.assert_array_equal(
+            measure_frequency_responses(ref_dab, P_PLUS, cfg, self.FREQS[::-1]), rows[::-1])
 
     def test_every_bin_must_be_coherent(self, ref_dab):
         cfg = SimConfig(injection=Injection(**self.INJECTION))
@@ -444,9 +459,8 @@ class TestMultiBin:
         assert str(two_bins.value) == str(one_bin.value)
         assert str(one_bin.value).startswith("perturbation at 15000.0 Hz drove a duration ")
 
-    def test_memory_does_not_grow_with_the_bin_count(self, ref_dab, monkeypatch):
+    def test_memory_does_not_grow_with_the_bin_count(self, ref_dab):
         injection = Injection(settle_periods=10, measure_periods=40)
-        monkeypatch.setattr(oracle, "BIN_HALF_CYCLES_PER_GROUP", 2 * 50)
         cfg = SimConfig(injection=injection)
         freqs = [2500.0 * m for m in range(1, 33)]
 
@@ -463,28 +477,37 @@ class TestMultiBin:
 
 
 def single_step(dab, interval, duration):
-    """One oracle step map (phi, gamma) from its own call of the oracle's exponential."""
+    """One oracle step's entries (a00, a01, g0, a10, a11, g1), from its own call of the
+    oracle's exponential."""
     seg = dab.schedule.segments[interval]
     x = np.zeros((2, 3, 1))
     x[:, :2, 0] = seg.a * duration
     x[:, 2, 0] = (seg.b @ dab.schedule.u) * duration
-    entries = oracle._step_exponentials(x)[..., 0]
-    return entries[:, :2], entries[:, 2]
+    return tuple(oracle._step_exponentials(x)[..., 0].ravel().tolist())
+
+
+def step(m, x):
+    """x -> phi x + gamma for one step's entries m, in Python floats in the oracle's order."""
+    a00, a01, g0, a10, a11, g1 = m
+    x0, x1 = x
+    return a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
 
 
 def phi_gamma_pre_run(period_maps, periods, tol):
     """The pre-run's stopping rule, stepping x -> phi x + gamma from x = 0."""
-    pi = period_maps[0][0]
-    for phi, _ in period_maps[1:]:
+    phis = [np.array(m).reshape(2, 3)[:, :2] for m in period_maps]
+    pi = phis[0]
+    for phi in phis[1:]:
         pi = phi @ pi
     rho = float(np.max(np.abs(np.linalg.eigvals(pi))))
     scale = rho / (1.0 - rho)
-    x = prev = np.zeros(2)
+    x = prev = (0.0, 0.0)
     for _ in range(periods):
-        for phi, gamma in period_maps:
-            x = phi @ x + gamma
-        d = x - prev
-        if math.sqrt(d @ d) * scale <= tol * (1.0 + math.sqrt(x @ x)):
+        for m in period_maps:
+            x = step(m, x)
+        (x0, x1), (p0, p1) = x, prev
+        d0, d1 = x0 - p0, x1 - p1
+        if math.sqrt(d0 * d0 + d1 * d1) * scale <= tol * (1.0 + math.sqrt(x0 * x0 + x1 * x1)):
             return x
         prev = x
     raise AssertionError("the reference pre-run did not settle")
@@ -499,21 +522,20 @@ def per_step_response(dab, surface, cfg):
                                     min(seg.duration for seg in segments))
     period_maps = [single_step(dab, i, seg.duration) for i, seg in enumerate(segments)]
     x = phi_gamma_pre_run(period_maps, cfg.periods, cfg.convergence_tol)
-    for phi, gamma in period_maps[:surface.a - 1]:
-        x = phi @ x + gamma
+    for m in period_maps[:surface.a - 1]:
+        x = step(m, x)
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
     control = np.array([amp * math.sin(2.0 * math.pi * injection.f * k * params.t_half)
                         for k in range(n_half + 1)])
     samples = np.empty((n_half, 2))
     for k in range(n_half):
-        samples[k] = dab.c_phys @ (x if k % 2 == 0 else RECTIFY @ x)
+        samples[k] = dab.c_phys @ (np.array(x) if k % 2 == 0 else RECTIFY @ np.array(x))
         ia = (surface.a - 1 + 2 * k) % 4
         ib = (surface.b - 1 + 2 * k) % 4
         ta = segments[ia].duration + surface.polarity * comp_gain * control[k]
         tb = segments[ib].duration - surface.polarity * comp_gain * control[k + 1]
         for interval, duration in ((ia, ta), (ib, tb)):
-            phi, gamma = single_step(dab, interval, duration)
-            x = phi @ x + gamma
+            x = step(single_step(dab, interval, duration), x)
     k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
     basis = np.exp(-2j * math.pi * injection.f * params.t_half * np.arange(k0, k0 + n))
     return (basis @ samples[k0:k0 + n]) / (basis @ control[k0:k0 + n])
@@ -534,6 +556,12 @@ class TestStackedStepMaps:
         np.testing.assert_array_equal(measure_frequency_response(ref_dab, surface, cfg),
                                       per_step_response(ref_dab, surface, cfg))
 
+    def test_a_measurement_without_settling_equals_the_per_step_loop(self, ref_dab):
+        # Every half cycle from the first is sampled.
+        cfg = SimConfig(injection=Injection(**dict(self.INJECTION, settle_periods=0)))
+        np.testing.assert_array_equal(measure_frequency_response(ref_dab, S_PLUS, cfg),
+                                      per_step_response(ref_dab, S_PLUS, cfg))
+
     def test_steady_state_maps_equal_single_calls(self, ref_dab):
         # Seeds 0-4 of random_params contract at rho = 0.9977-0.9990 and settle
         # within 50,000 periods.
@@ -543,14 +571,13 @@ class TestStackedStepMaps:
             x_star, waveform = run_to_steady_state(dab, cfg)
             segments = dab.schedule.segments
             period_maps = [single_step(dab, i, seg.duration) for i, seg in enumerate(segments)]
-            np.testing.assert_array_equal(
-                x_star, phi_gamma_pre_run(period_maps, cfg.periods, cfg.convergence_tol),
-                err_msg=f"seed {seed}")
-            x, states = x_star, [x_star]
+            x = phi_gamma_pre_run(period_maps, cfg.periods, cfg.convergence_tol)
+            np.testing.assert_array_equal(x_star, x, err_msg=f"seed {seed}")
+            states = [x]
             for i, seg in enumerate(segments):
-                phi, gamma = single_step(dab, i, seg.duration / 8)
+                m = single_step(dab, i, seg.duration / 8)
                 for _ in range(8):
-                    x = phi @ x + gamma
+                    x = step(m, x)
                     states.append(x)
             np.testing.assert_array_equal(waveform.x, np.array(states), err_msg=f"seed {seed}")
 
@@ -575,68 +602,71 @@ class TestStackedStepMaps:
             measure_frequency_response(ref_dab, P_PLUS, SimConfig(injection=injection))
 
 
-def phi_gamma_samples(dab, intervals, durations, x0):
-    """Every bin's samples c_phys RECTIFY^k x_k by a batched x -> phi x + gamma recursion.
-
-    The same exponential stacks as the oracle, each map split into (phi, gamma); states
-    are (bins, 2, 1) columns advanced by phi @ x + gamma twice per half cycle.
-    """
-    n_bins, n_half = durations.shape[:2]
-    x = np.repeat(x0[None, :, None], n_bins, axis=0)
-    states = np.empty((n_half, n_bins, 2, 1))
-    block = max(1, oracle.HALF_CYCLES_PER_EXPM // n_bins)
-    for start in range(0, n_half, block):
-        m = oracle._step_maps(dab, intervals[start:start + block],
-                              durations[:, start:start + block])
-        phis = np.ascontiguousarray(m[..., :2, :2].transpose(1, 2, 0, 3, 4))
-        gammas = np.ascontiguousarray(m[..., :2, 2].transpose(1, 2, 0, 3)[..., None])
-        for k, phi, gamma in zip(range(start, n_half), phis, gammas):
-            states[k] = x
-            x = phi[0] @ x + gamma[0]
-            x = phi[1] @ x + gamma[1]
-    states[1::2] = RECTIFY @ states[1::2]
-    return (dab.c_phys @ states)[..., 0]
+def homogeneous_states(dab, cfg):
+    """Pre-run and waveform states of the earlier stepping, kept as a reference for the
+    tests only: [x; 1] advanced by one numpy product with each whole augmented 3x3 map,
+    under the same stopping rule."""
+    substeps = cfg.substeps_per_interval
+    maps = step_exponentials(augmented_step_matrices(dab, (1, substeps)))
+    period_maps, substep_maps = maps[0::2], maps[1::2]
+    pi = period_maps[0][:-1, :-1]
+    for m in period_maps[1:]:
+        pi = m[:-1, :-1] @ pi
+    rho = float(np.max(np.abs(np.linalg.eigvals(pi))))
+    xh = np.array([0.0, 0.0, 1.0])
+    prev = xh[:-1]
+    for _ in range(cfg.periods):
+        for m in period_maps:
+            xh = m @ xh
+        x, d = xh[:-1], xh[:-1] - prev
+        if math.sqrt(d @ d) * rho / (1.0 - rho) <= cfg.convergence_tol * (1.0 + math.sqrt(x @ x)):
+            break
+        prev = x
+    else:
+        raise AssertionError("the reference pre-run did not settle")
+    states = [xh[:-1]]
+    for seg, m in zip(dab.schedule.segments, substep_maps):
+        for _ in range(substeps if seg.duration else 0):
+            xh = m @ xh
+            states.append(xh[:-1])
+    return np.array(states)
 
 
 class TestHomogeneousStep:
-    """Stepping [x; 1] by whole augmented maps gives the bits of phi x + gamma, off the
-    reference design too."""
+    """The scalar step rule against the recursions it must reproduce, off the reference
+    design too: each bin of a multi-bin measurement equals the per-step phi x + gamma loop
+    bit for bit, and the pre-run and waveform states lie within roundoff of the stacked
+    [x; 1] products; both of these runs stop within tol * (1 + ||x||) of the fixed point,
+    so within twice that of each other."""
 
     SEEDS = range(5)
     # These designs contract at rho = 0.9977-0.9990 and settle within 50,000 periods.
     CFG = dict(periods=50_000, substeps_per_interval=8)
     INJECTION = dict(settle_periods=10, measure_periods=20)
 
-    @pytest.fixture(scope="class")
-    def designs(self):
-        return {seed: build_dab(random_params(np.random.default_rng(seed))) for seed in self.SEEDS}
-
-    @staticmethod
-    def period_maps(dab):
-        return [single_step(dab, i, seg.duration) for i, seg in enumerate(dab.schedule.segments)]
-
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
-    @pytest.mark.parametrize("group", [oracle.BIN_HALF_CYCLES_PER_GROUP, 2 * 60])
-    def test_three_bins_equal_the_phi_gamma_recursion(self, designs, monkeypatch, seed, block,
-                                                      group):
-        # A group budget of 2 x 60 half cycles splits the three bins 2 + 1.
-        dab = designs[seed]
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7, 1])
+    @pytest.mark.parametrize("group", [2**17, 2 * 60])
+    def test_three_bins_equal_the_phi_gamma_recursion(self, monkeypatch, seed, block, group):
+        # Blocks of 7 straddle the first measured half cycle (20); blocks of 1 take one
+        # exponential call per half cycle. A group of 2 x 60 passes the bins as 2 + 1.
+        dab = build_dab(random_params(np.random.default_rng(seed)))
         surface = (P_PLUS, P_MINUS, S_PLUS, S_MINUS)[seed % 4]
         monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
-        monkeypatch.setattr(oracle, "BIN_HALF_CYCLES_PER_GROUP", group)
-        cfg = SimConfig(**self.CFG, injection=Injection(**self.INJECTION))
         window = self.INJECTION["measure_periods"] * dab.params.period
         freqs = [m / window for m in (1, 3, 7)]
-        rows = measure_frequency_responses(dab, surface, cfg, freqs)
+        rows = responses_in_calls(
+            dab, surface, SimConfig(**self.CFG, injection=Injection(**self.INJECTION)), freqs,
+            group)
+        for f, row in zip(freqs, rows):
+            cfg = SimConfig(**self.CFG, injection=Injection(f=f, **self.INJECTION))
+            np.testing.assert_array_equal(row, per_step_response(dab, surface, cfg))
 
-        x0 = phi_gamma_pre_run(self.period_maps(dab), cfg.periods, cfg.convergence_tol)
-        for phi, gamma in self.period_maps(dab)[:surface.a - 1]:
-            x0 = phi @ x0 + gamma
-
-        def reference(dab, intervals, durations, xh0):
-            np.testing.assert_array_equal(xh0, np.append(x0, 1.0))
-            return phi_gamma_samples(dab, intervals, durations, x0)
-
-        monkeypatch.setattr(oracle, "_surface_samples", reference)
-        np.testing.assert_array_equal(rows, measure_frequency_responses(dab, surface, cfg, freqs))
+    @pytest.mark.parametrize("seed", [None, *SEEDS], ids=["reference", *map(str, SEEDS)])
+    def test_pre_run_and_waveform_states(self, ref_dab, seed):
+        dab = ref_dab if seed is None else build_dab(random_params(np.random.default_rng(seed)))
+        cfg = SimConfig(**self.CFG)
+        _, waveform = run_to_steady_state(dab, cfg)
+        reference = homogeneous_states(dab, cfg)
+        bound = 2.0 * cfg.convergence_tol * (1.0 + np.linalg.norm(reference, axis=1))
+        assert np.all(np.linalg.norm(waveform.x - reference, axis=1) <= bound)

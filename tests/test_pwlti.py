@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
-from dabss.errors import DimensionError, MarginalSystemError, NumericInputError
+from dabss import pwlti
+from dabss.errors import DimensionError, MarginalSystemError, NumericInputError, ParameterError
 from dabss.pwlti import (COND_LIMIT, IdentityCheck, Schedule, Segment, SegmentMap,
                          closed_form_state, compose, cond, expm, fixed_point, monodromy,
                          propagate)
 from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
                             random_params, reverse_product)
+from tests.test_smallsignal import property_range_params
 
 
 def random_stable_segment(rng, n, m=1, max_duration=1.0):
@@ -89,6 +91,32 @@ class TestExpm:
     def test_rejects_a_non_finite_result(self):
         with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
             expm(np.array([[800.0]]), 1.0)
+
+    def test_rejects_fifty_three_squarings(self):
+        # theta13 * 2^52 takes 52 squarings and theta13 * 2^53 takes 53; exp(-x)
+        # underflows to a finite 0 at both, so only the squaring count tells them apart.
+        np.testing.assert_array_equal(expm(np.array([[-pwlti._THETA13 * 2.0**52]]), 1.0), 0.0)
+        with pytest.raises(NumericInputError, match="reaches 4.839e[+]16, beyond double"):
+            expm(np.array([[-pwlti._THETA13 * 2.0**53]]), 1.0)
+
+    def test_no_design_in_the_property_ranges_nears_the_squaring_cutoff(self):
+        # Bounds of the column sums of [[a, b u], [0, 0]] T over the ranges of
+        # tests/test_cli_properties.py, with T at most the half period 1 / (2 fs):
+        # n >= 0.5, L >= 1e-7, Co >= 1e-6, Rt, Rc <= 10^-0.5, Ro >= 1, Vin <= 400, fs >= 1e4.
+        n, L, Co, r, Ro, Vin, T = 0.5, 1e-7, 1e-6, 10.0**-0.5, 1.0, 400.0, 1.0 / (2.0 * 1e4)
+        bound = T * max((r + r / n**2) / L + 1.0 / (n * Co),  # |a00| + |a10|
+                        1.0 / (n * L) + 1.0 / (Co * Ro),      # |a01| + |a11|
+                        Vin / L)                              # |b u|
+        assert math.ceil(math.log2(bound / pwlti._THETA13)) == 16  # far below 53
+        rng = np.random.default_rng(7)
+        norms = []
+        for _ in range(2000):
+            try:
+                dab = build_dab(property_range_params(rng))
+            except ParameterError:
+                continue
+            norms.append(np.abs(augmented_step_matrices(dab)).sum(axis=-2).max())
+        assert len(norms) > 1000 and max(norms) <= bound
 
 
 class TestPadeKernel:
