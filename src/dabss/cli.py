@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import math
 import sys
@@ -34,10 +35,20 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(out: str, text: str) -> None:
+    """Write `text` to `out` through `<out>.tmp` and a rename. An `out` that cannot be
+    written is a ConfigError naming it, and its temp file does not stay behind."""
+    path = Path(out)
+    if not path.name:  # '' and '.' name no file
+        raise ConfigError(f"--out {out!r} names no file")
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 
 def _wrap_degrees(angle: float) -> float:
@@ -67,7 +78,7 @@ def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
         f"  \"residual\": {_fmt(residual)},\n"
         f"  \"x_star\": [{_fmt(x_star[0])}, {_fmt(x_star[1])}]\n"
         "}\n")
-    _atomic_write(Path(args.out), text)
+    _atomic_write(args.out, text)
     return 0
 
 
@@ -120,7 +131,7 @@ def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
             if args.model == "both":
                 cells.append(kind)
             lines.append(",".join(cells))
-    _atomic_write(Path(args.out), "\n".join(lines) + "\n")
+    _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -129,7 +140,7 @@ def cmd_simulate(args, cfg: AppConfig, dab: DabSchedule) -> int:
     lines = ["t,i_L,v_C,i_rec,v_out"]
     for t, x, y in zip(waveform.t, waveform.x, waveform.y):
         lines.append(",".join(_fmt(v) for v in (t, x[0], x[1], y[0], y[1])))
-    _atomic_write(Path(args.out), "\n".join(lines) + "\n")
+    _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -177,7 +188,7 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
             cells.append(_fmt(abs(pred) / abs(meas)))
             cells.append(_fmt(_wrap_degrees(math.degrees(cmath.phase(pred) - cmath.phase(meas)))))
         lines.append(",".join(cells))
-    _atomic_write(Path(args.out), "\n".join(lines) + "\n")
+    _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 

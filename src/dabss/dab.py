@@ -26,7 +26,7 @@ import numpy as np
 
 from . import pwlti
 from .errors import ParameterError
-from .pwlti import IdentityCheck, Schedule, Segment, compose, relative_residual
+from .pwlti import IdentityCheck, Schedule, Segment, SegmentMap, compose, relative_residual
 
 # Involutions of the [i_L, v_C] state.
 # FLIP_VOLTAGE conjugates the reversed-coupling intervals onto the forward
@@ -177,13 +177,13 @@ def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck
     ]
 
 
-def half_cycle_map(dab: DabSchedule, first: int) -> tuple[np.ndarray, np.ndarray]:
+def half_cycle_map(dab: DabSchedule, first: int) -> SegmentMap:
     """Rectified map x -> phi x + g over intervals `first` and `first % 4 + 1` (one-based):
 
         phi = RECTIFY phi_b phi_a,   g = RECTIFY (phi_b gamma_a + gamma_b).
     """
     half = compose([dab.schedule.maps[i - 1] for i in (first, first % 4 + 1)])
-    return RECTIFY @ half.phi, RECTIFY @ half.gamma
+    return SegmentMap(RECTIFY @ half.phi, RECTIFY @ half.gamma)
 
 
 def solve_half_cycle(dab: DabSchedule) -> np.ndarray:

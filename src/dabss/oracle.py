@@ -292,13 +292,16 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float
         residual=change, spectral_radius=rho)
 
 
-def _period_start(dab: DabSchedule, step_maps, cfg: SimConfig) -> tuple[float, float]:
-    """The pre-run's state (x0, x1), iterated once per design and (periods, tol)."""
+def _period_start(dab: DabSchedule, cfg: SimConfig):
+    """The pre-run's state (x0, x1) and the `_rows` of the four unperturbed step maps it ran
+    on, both made once per design and (periods, tol)."""
     # A frozen DabSchedule is unhashable: it keeps its own runs, as Schedule keeps its maps.
     runs = vars(dab).setdefault("_oracle_pre_runs", {})
     key = (cfg.periods, cfg.convergence_tol)
     if key not in runs:
-        runs[key] = _iterate_to_period_start(step_maps, *key)
+        durations = [seg.duration for seg in dab.schedule.segments]
+        step_maps = list(_rows(_step_maps(dab, range(4), durations)))
+        runs[key] = _iterate_to_period_start(step_maps, *key), step_maps
     return runs[key]
 
 
@@ -309,19 +312,16 @@ def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
     stops by the rule of `_iterate_to_period_start` within cfg.periods, and
     every later call on this `dab` with the same (periods, tol) reuses it.
     """
+    (x0, x1), _ = _period_start(dab, cfg)
     durations = [seg.duration for seg in dab.schedule.segments]
     substeps = cfg.substeps_per_interval
-    n_seg = len(durations)
-    # The period maps and the substep maps, all from one exponential call.
-    maps = list(_rows(_step_maps(dab, list(range(n_seg)) * 2,
-                                 durations + [d / substeps for d in durations])))
-    x0, x1 = _period_start(dab, maps[:n_seg], cfg)
+    substep_maps = _rows(_step_maps(dab, range(4), [d / substeps for d in durations]))
 
     times = [0.0]
     states = [(x0, x1)]
     closing = [0]  # the interval whose output matrix each sample carries
     t_start = 0.0
-    for i, (duration, (a00, a01, g0, a10, a11, g1)) in enumerate(zip(durations, maps[n_seg:])):
+    for i, (duration, (a00, a01, g0, a10, a11, g1)) in enumerate(zip(durations, substep_maps)):
         if duration == 0.0:
             continue  # no time passes; a duplicate sample would break monotonicity
         for j in range(1, substeps + 1):
@@ -381,8 +381,7 @@ def measure_frequency_responses(dab: DabSchedule, surface: Surface, cfg: SimConf
     amp = _resolve_amplitude(injection, params.Vr, comp_gain, float(base.min()))
 
     # Unperturbed pre-run to the periodic orbit, then walk to the surface instant.
-    step_maps = list(_rows(_step_maps(dab, list(range(len(base))), base)))
-    x0, x1 = _period_start(dab, step_maps, cfg)
+    (x0, x1), step_maps = _period_start(dab, cfg)
     for a00, a01, g0, a10, a11, g1 in step_maps[:surface.a - 1]:
         x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,45 +186,44 @@ class Schedule:
             exp([[a, b u], [0, 0]] * T) = [[phi, gamma], [0, 1]],
 
         which needs no inverse of `a`, so it is exact for a singular `a` and for T = 0
-        (phi = I, gamma = 0). One segment's map is `Schedule((seg,), u).maps[0]`."""
+        (phi = I, gamma = 0). Read-only; one segment's map is `Schedule((seg,), u).maps[0]`."""
         n = self.dim
         aug = np.zeros((len(self.segments), n + 1, n + 1))
         aug[:, :n, :n] = [seg.a for seg in self.segments]
         aug[:, :n, n] = [seg.b @ self.u for seg in self.segments]
         # Scaling by the durations first is exact to the bit: expm's own `a * t` at t = 1.
         m = expm(aug * np.array([seg.duration for seg in self.segments])[:, None, None], 1.0)
-        return tuple(SegmentMap(phi=mk[:n, :n], gamma=mk[:n, n]) for mk in m)
+        return tuple(SegmentMap(_frozen_array(mk[:n, :n]), _frozen_array(mk[:n, n])) for mk in m)
 
     @functools.cached_property
-    def period_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (Pi, forcing) of one period, composed once from `maps`."""
-        period = compose(self.maps)
-        return period.phi, period.gamma
+    def period_map(self) -> SegmentMap:
+        """Read-only map (Pi, forcing) of one period, composed once from `maps`."""
+        return compose(self.maps)
 
 
-@dataclass(frozen=True)
-class SegmentMap:
-    """Exact one-segment discrete map x -> phi x + gamma."""
+class SegmentMap(NamedTuple):
+    """Exact discrete map x -> phi x + gamma of one segment or of a chain of them."""
 
     phi: np.ndarray
     gamma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _frozen_array(self.phi))
-        object.__setattr__(self, "gamma", _frozen_array(self.gamma))
 
 
 def compose(maps) -> SegmentMap:
     """One map for a chain applied first to last: phi <- phi_k phi, gamma <- phi_k gamma + gamma_k.
 
     phi is the reverse product phi_n (... (phi_2 phi_1)) and gamma the sum of reverse products
-    times each gamma_i, by Horner's rule. An empty chain is an IndexError, not a silent identity
+    times each gamma_i, by Horner's rule; the two products are made read-only, uncopied. A
+    one-map chain comes back as given. An empty chain is an IndexError, not a silent identity
     that would hide an indexing bug."""
-    phi, gamma = maps[0].phi, maps[0].gamma
-    for m in maps[1:]:
-        phi = m.phi @ phi
-        gamma = m.phi @ gamma + m.gamma
-    return SegmentMap(phi=phi, gamma=gamma)
+    if len(maps) == 1:
+        return maps[0]
+    phi, gamma = maps[0]
+    for phi_k, gamma_k in maps[1:]:
+        phi = phi_k @ phi
+        gamma = phi_k @ gamma + gamma_k
+    phi.setflags(write=False)
+    gamma.setflags(write=False)
+    return SegmentMap(phi, gamma)
 
 
 def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
@@ -243,7 +243,7 @@ def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (schedule.dim,):
         raise DimensionError(f"x0 shape {x0.shape} does not match state dimension {schedule.dim}")
-    return schedule.period_map[0] @ x0 + schedule.period_map[1]
+    return schedule.period_map.phi @ x0 + schedule.period_map.gamma
 
 
 def cond(m: np.ndarray) -> float:
@@ -276,7 +276,7 @@ def monodromy(schedule: Schedule) -> np.ndarray:
     Its eigenvalues decide stability of the periodic solution: all strictly
     inside the unit circle means the switching cycle is asymptotically stable.
     """
-    return schedule.period_map[0]
+    return schedule.period_map.phi
 
 
 def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -171,19 +171,23 @@ def rebased_input_vector(model: HalfCycleModel, z) -> np.ndarray:
 
 def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
     """Distance from each z to the nearest pole of the model."""
-    return np.min(np.abs(z[..., None] - model.poles), axis=-1)
+    return np.abs(z[..., None] - model.poles).min(axis=-1)
+
+
+def _resolvent_lhs(model: HalfCycleModel, z) -> np.ndarray:
+    """zI - phi for each z; ResolventSingularityError if any z is within _POLE_GAP of a pole."""
+    z = np.asarray(z, dtype=complex)
+    gaps = _pole_gaps(model, z)
+    if (gaps <= _POLE_GAP).any():
+        k = np.argmax(gaps <= _POLE_GAP)
+        raise ResolventSingularityError(f"z = {complex(z.flat[k])!r} is within "
+                                        f"{gaps.flat[k]:.3e} of a pole of the sampled model")
+    return z[..., None, None] * np.eye(model.phi.shape[0]) - model.phi
 
 
 def _resolvent_apply(model: HalfCycleModel, z, rhs: np.ndarray) -> np.ndarray:
     """(zI - phi)^{-1} rhs in one stacked solve: rhs is (..., N, n) for N values of z, or (n,)."""
-    z = np.asarray(z, dtype=complex)
-    gaps = _pole_gaps(model, z)
-    if np.any(gaps <= _POLE_GAP):
-        k = np.argmax(gaps <= _POLE_GAP)
-        raise ResolventSingularityError(f"z = {complex(z.flat[k])!r} is within "
-                                        f"{gaps.flat[k]:.3e} of a pole of the sampled model")
-    lhs = z[..., None, None] * np.eye(model.phi.shape[0]) - model.phi
-    return np.linalg.solve(lhs, np.asarray(rhs)[..., None])[..., 0]
+    return np.linalg.solve(_resolvent_lhs(model, z), np.asarray(rhs)[..., None])[..., 0]
 
 
 def _output(c_phys: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -234,9 +238,8 @@ def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtr
     "Accuracy and Stability of Numerical Algorithms", 2nd ed., Thm 7.2), and c_phys x and
     the subtraction add about 4 u ||c_phys|| ||x||; near z = 1 the subtraction cancels.
     """
-    lhs = np.asarray(z, dtype=complex)[..., None, None] * np.eye(model.phi.shape[0]) - model.phi
-    s = np.linalg.svd(lhs, compute_uv=False)
-    kappa = s[..., 0] / s[..., -1]  # s_min > 0: a pole would have raised
+    s = np.linalg.svd(_resolvent_lhs(model, z), compute_uv=False)
+    kappa = s[..., 0] / s[..., -1]  # s_min > 0: the gate keeps z off the poles
     return (2.0 ** -53 * (2.0 * kappa + 4.0) * np.linalg.norm(np.asarray(c_phys), 2)
             * pwlti.row_norms(states).sum(axis=0) / (1.0 + pwlti.row_norms(subtracted)))
 
@@ -281,10 +284,10 @@ def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z):
     |z - 1| ||c_phys|| ||(zI - phi)^{-1}|| ||b_next||, spectral norms. On the
     unit circle |z - 1| = 2 |sin(pi f t_half * ... )| grows linearly in f for
     small f t_half, which bounds how fast the same-cycle approximation decays.
-    A 1-D array of z gives one bound per z.
+    A 1-D array of z gives one bound per z; a z on a pole raises as every transfer does.
     """
     z = np.asarray(z, dtype=complex)
-    resolvent = np.linalg.inv(z[..., None, None] * np.eye(model.phi.shape[0]) - model.phi)
+    resolvent = np.linalg.inv(_resolvent_lhs(model, z))
     return (np.hypot(z.real - 1.0, z.imag)
             * np.linalg.norm(np.asarray(c_phys), 2)
             * np.linalg.norm(resolvent, 2, axis=(-2, -1))

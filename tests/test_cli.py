@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 import re
@@ -12,9 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from dabss import (P_PLUS, S_PLUS, build_dab, half_cycle_model, solve_periodic_fixed_point,
-                   transfer_fixed_freq)
-from dabss import cli, oracle
+from dabss import (P_PLUS, S_PLUS, DabParams, build_dab, half_cycle_model,
+                   solve_periodic_fixed_point, transfer_fixed_freq)
+from dabss import cli, oracle, smallsignal
 from tests.conftest import REFERENCE_KWARGS
 
 
@@ -155,6 +156,31 @@ class TestBodeCommand:
         assert run_cli("bode", path, "--surface", "S+", "--out", str(out_s)).returncode == 0
         # Same dynamics, shifted sampling instant: magnitudes differ in detail.
         assert out_p.read_text() != out_s.read_text()
+
+
+    def test_flagged_rows_warn_and_keep_empty_cells(self, config_file, tmp_path, monkeypatch,
+                                                    capsys):
+        # A model whose phi is a rotation has its poles on the unit circle, so the
+        # last point of a linear grid ending at the rotation frequency is one.
+        real = half_cycle_model(build_dab(DabParams(**REFERENCE_KWARGS)), P_PLUS)
+        theta = 0.8
+        rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        model = dataclasses.replace(real, phi=rotation)
+        monkeypatch.setattr(smallsignal, "half_cycle_model", lambda dab, surface: model)
+        f_pole = theta / (2.0 * np.pi * model.t_half)
+        path = config_file(sweep={"f_min": f_pole / 4.0, "f_max": f_pole, "points": 7,
+                                  "spacing": "linear"})
+        out = tmp_path / "bode.csv"
+        assert cli.main(["bode", path, "--model", "both", "--out", str(out)]) == 0
+        f = cli._fmt(f_pole)
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: sweep point {f} Hz sits on a pole, row flagged"] * 2
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 2 * 7
+        assert lines[-2:] == [f"{f},,,,,fix", f"{f},,,,,sc"]
+        for line in lines[1:-2]:
+            cells = line.split(",")
+            assert all(cells) and all(math.isfinite(float(c)) for c in cells[:5])
 
 
 class TestSimulateCommand:
@@ -395,6 +421,32 @@ class TestFailureExitCodes:
         path = config_file(sim={"periods": 2, "convergence_tol": 1e-13})
         run_cli("simulate", path, "--out", str(out))
         assert not out.exists()
+
+
+class TestUnwritableOut:
+    """Every --out that cannot be written exits 2 with one error line and leaves no temp file."""
+
+    OUTS = {"missing-directory": "missing/out.csv", "file-as-parent": "afile/out.csv",
+            "empty": "", "dot": ".", "existing-directory": "adir"}
+
+    @pytest.mark.parametrize("where", sorted(OUTS))
+    @pytest.mark.parametrize("argv", [["steady-state"], ["bode", "--model", "both"],
+                                      ["simulate"], ["compare"]], ids=lambda a: a[0])
+    def test_exits_two_naming_the_path(self, config_file, tmp_path, monkeypatch, capsys,
+                                       argv, where):
+        path = config_file(sim={"injection": {"settle_periods": 10, "measure_periods": 20}},
+                           sweep={"f_min": 400.0, "f_max": 4000.0, "points": 3,
+                                  "spacing": "log"})
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        out = self.OUTS[where]
+        assert cli.main([argv[0], path, *argv[1:], "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and repr(out) in err[0]
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 class TestMisc:

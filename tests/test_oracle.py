@@ -395,6 +395,27 @@ class TestPreRunCache:
         run_to_steady_state(build_dab(ref_params), cfg)
         assert len(pre_runs) == 3
 
+    def test_the_unperturbed_step_maps_are_made_once(self, ref_params, monkeypatch):
+        # Calls whose first four steps are intervals 1-4 at their own durations: the
+        # pre-run's period maps. Perturbed half cycles never start at the base durations.
+        dab = build_dab(ref_params)
+        base = [seg.duration for seg in dab.schedule.segments]
+        unperturbed = []
+        step_maps = oracle._step_maps
+
+        def counting(dab, intervals, durations):
+            if (np.ravel(intervals)[:4].tolist() == [0, 1, 2, 3]
+                    and np.ravel(durations)[:4].tolist() == base):
+                unperturbed.append(np.size(durations))
+            return step_maps(dab, intervals, durations)
+
+        monkeypatch.setattr(oracle, "_step_maps", counting)
+        run_to_steady_state(dab, SimConfig())
+        for f in (5000.0, 15000.0, 35000.0):
+            injection = Injection(f=f, settle_periods=10, measure_periods=20)
+            measure_frequency_response(dab, P_PLUS, SimConfig(injection=injection))
+        assert unperturbed == [4]
+
     def test_callers_get_a_copy(self, ref_params):
         dab = build_dab(ref_params)
         x_star, _ = run_to_steady_state(dab, SimConfig())

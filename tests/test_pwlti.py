@@ -261,6 +261,19 @@ class TestCompose:
         np.testing.assert_array_equal(out.phi, m.phi)
         np.testing.assert_array_equal(out.gamma, m.gamma)
 
+    def test_one_map_chain_is_the_callers_map_with_its_flags(self):
+        m = SegmentMap(phi=np.array([[0.5, 0.25], [-1.0, 2.0]]), gamma=np.array([3.0, -4.0]))
+        out = compose([m])
+        assert out.phi is m.phi and out.gamma is m.gamma
+        assert out.phi.flags.writeable and out.gamma.flags.writeable
+
+    def test_longer_chains_freeze_only_their_own_products(self):
+        maps = [SegmentMap(phi=np.eye(2) * k, gamma=np.full(2, k)) for k in (1.0, 2.0, 3.0)]
+        out = compose(maps)
+        assert isinstance(out, SegmentMap)
+        assert not out.phi.flags.writeable and not out.gamma.flags.writeable
+        assert all(m.phi.flags.writeable and m.gamma.flags.writeable for m in maps)
+
     def test_zero_phi_chain_forcing_is_exactly_the_last_gamma(self):
         gammas = [np.array([1.0, -2.0]), np.array([3.0, 4.0]), np.array([-5.0, 6.0])]
         out = compose([SegmentMap(phi=np.zeros((2, 2)), gamma=g) for g in gammas])
@@ -482,6 +495,15 @@ class TestPeriodMapCache:
             monodromy(sched)[0, 0] = 1.0
         with pytest.raises(ValueError):
             sched.period_map[1][0] = 1.0
+
+    def test_period_map_is_the_composed_segment_map(self):
+        sched = random_schedule(np.random.default_rng(8))
+        pi, forcing = sched.period_map
+        assert isinstance(sched.period_map, SegmentMap)
+        assert pi is sched.period_map.phi is monodromy(sched)
+        assert forcing is sched.period_map.gamma
+        for m in sched.maps:
+            assert not m.phi.flags.writeable and not m.gamma.flags.writeable
 
     def test_cond_is_numpys_formula(self):
         rng = np.random.default_rng(9)

@@ -342,9 +342,16 @@ class TestArrayFrequencyAxis:
         m = half_cycle_model(ref_dab, P_PLUS)
         zs = np.array([cmath.exp(0.3j), complex(m.poles[0]), cmath.exp(0.5j)])
         for transfer in (transfer_fixed_freq, transfer_same_cycle, transfer_difference,
-                         transfer_difference_residual):
+                         transfer_difference_residual, difference_envelope):
             with pytest.raises(ResolventSingularityError):
                 transfer(m, ref_dab.c_phys, zs)
+
+    def test_the_envelope_at_a_scalar_pole_raises(self, ref_dab):
+        # Inverted at the pole, zI - phi gave a finite bound of about 2.3e16.
+        m = half_cycle_model(ref_dab, P_PLUS)
+        for pole in m.poles:
+            with pytest.raises(ResolventSingularityError, match="of a pole"):
+                difference_envelope(m, ref_dab.c_phys, complex(pole))
 
     def test_difference_solves_once_for_all_three_paths(self, ref_dab, monkeypatch):
         m = half_cycle_model(ref_dab, P_PLUS)
