@@ -15,6 +15,7 @@ import cmath
 import contextlib
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -35,19 +36,35 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _new_temp_file(path: Path) -> tuple[int, Path]:
+    """A file created for writing next to `path` under a fresh random name, never one that
+    exists: its descriptor and its path."""
+    for _ in range(100):
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no unused temporary name next to {str(path)!r}")
+
+
 def _atomic_write(out: str, text: str) -> None:
-    """Write `text` to `out` through `<out>.tmp` and a rename. An `out` that cannot be
-    written is a ConfigError naming it, and its temp file does not stay behind."""
+    """Write `text` to `out` through a temp file of its own (`_new_temp_file`) and a rename,
+    so no other file is touched. An `out` that cannot be written is a ConfigError naming
+    it, and its temp file does not stay behind."""
     path = Path(out)
     if not path.name:  # '' and '.' name no file
         raise ConfigError(f"--out {out!r} names no file")
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = None
     try:
-        tmp.write_text(text)
-        tmp.replace(path)
+        fd, tmp = _new_temp_file(path)
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
         raise ConfigError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 

@@ -13,7 +13,9 @@ closed form; `compose` is the one place a chain is folded into a single map,
 be it the one-period (monodromy) map or a half cycle. The periodic steady
 state is the fixed point of the period map; `fixed_point` solves it and every
 other x = phi x + gamma of the package. Everything in this module is exact up
-to the matrix exponential; there is no time-stepping error.
+to the matrix exponential; there is no time-stepping error. The module also
+holds the resolvent (zI - M)^{-1} of a real 2x2 matrix in closed form
+(`resolvent_solve`), which every small-signal transfer evaluates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, MarginalSystemError, NumericInputError
+from .errors import (DimensionError, MarginalSystemError, NumericInputError,
+                     ResolventSingularityError)
 
 # Condition-estimate ceiling shared by every fixed-point solve in the package.
 COND_LIMIT = 1e12
@@ -296,6 +299,143 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     re, im = v.real[..., None, :], v.imag[..., None, :]
     return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
+
+
+# The 2x2 resolvent (zI - M)^{-1} of a real matrix M in closed form. A complex 2-vector is
+# handled as a "planar" tuple (re0, im0, re1, im1), and every rule below uses only +, -, *,
+# /, sqrt and hypot on its entries: Python floats for one z, float arrays for an array of z.
+# Both round identically, so a scalar z gives bit for bit the row that an array of z gives.
+# Complex products and quotients are spelled out, because CPython and numpy round those
+# differently.
+
+
+def real_sqrt(x):
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def real_hypot(x, y):
+    # Both are the C library's hypot; math.hypot is not.
+    return abs(complex(x, y)) if isinstance(x, float) else np.hypot(x, y)
+
+
+def planar(v: np.ndarray):
+    """(re0, im0, re1, im1) of a complex array of shape (..., 2): Python floats for one vector."""
+    if v.ndim == 1:
+        v0, v1 = v.tolist()
+        return v0.real, v0.imag, v1.real, v1.imag
+    return v[..., 0].real, v[..., 0].imag, v[..., 1].real, v[..., 1].imag
+
+
+def planar_array(vectors, shape: tuple) -> np.ndarray:
+    """The complex array (len(vectors), *shape, 2) of planar vectors, each entry broadcast."""
+    if not shape:
+        return np.array(vectors, dtype=float).view(complex)
+    out = np.empty((len(vectors),) + shape + (4,))
+    for slot, vector in zip(out, vectors):
+        for k, part in enumerate(vector):
+            slot[..., k] = part
+    return out.view(complex)
+
+
+def matrix_times(c: list, v):
+    """c v for the real 2x2 matrix c = [c00, c01, c10, c11] and a planar v."""
+    c00, c01, c10, c11 = c
+    r0, s0, r1, s1 = v
+    return c00 * r0 + c01 * r1, c00 * s0 + c01 * s1, c10 * r0 + c11 * r1, c10 * s0 + c11 * s1
+
+
+def planar_norm(v):
+    """2-norm of a planar vector."""
+    r0, s0, r1, s1 = v
+    return real_sqrt(r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1)
+
+
+def sigma_max_sq(a, b, c, d, y):
+    """Square of the largest singular value of [[a + iy, b], [c, d + iy]] (a, b, c, d, y real).
+
+    It is the larger eigenvalue of H = M M^H, (tr H + sqrt((h11 - h22)^2 + 4 |h12|^2)) / 2,
+    whose discriminant is a sum of squares: no clamp is needed at a double singular value.
+    """
+    h12_re = a * c + b * d
+    h12_im = y * (c - b)
+    h_gap = (a - d) * (a + d) + (b - c) * (b + c)  # h11 - h22
+    trace = a * a + b * b + c * c + d * d + 2.0 * (y * y)
+    return 0.5 * (trace + real_sqrt(h_gap * h_gap + 4.0 * (h12_re * h12_re + h12_im * h12_im)))
+
+
+def two_sum(x, y):
+    """x + y = s + err exactly (Knuth's TwoSum)."""
+    s = x + y
+    y_part = s - x
+    return s, (x - (s - y_part)) + (y - y_part)
+
+
+def two_product(x, y):
+    """x y = p + err exactly, short of overflow and underflow (Dekker's TwoProduct with
+    Veltkamp's split of each factor into two halves of 26 bits)."""
+    p = x * y
+    c = 134217729.0 * x  # 2^27 + 1
+    x_hi = c - (c - x)
+    x_lo = x - x_hi
+    c = 134217729.0 * y
+    y_hi = c - (c - y)
+    y_lo = y - y_hi
+    return p, ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
+
+
+class Matrix2x2(NamedTuple):
+    """A real 2x2 matrix M as Python floats, with m01 m10 = pp + pp_err exactly."""
+
+    m00: float
+    m01: float
+    m10: float
+    m11: float
+    pp: float
+    pp_err: float
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> Matrix2x2:
+        (m00, m01), (m10, m11) = np.asarray(m, dtype=float).tolist()
+        return cls(m00, m01, m10, m11, *two_product(m01, m10))
+
+
+def resolvent_det(m: Matrix2x2, zr, zi):
+    """zI - M = [[a + i zi, -m01], [-m10, d + i zi]] as (a, d), with det_re + i det_im, its
+    determinant, and q = |det|^2.
+
+    Near an eigenvalue the determinant cancels, so it is summed from exact products and
+    exact differences (`two_product`, `two_sum`) and keeps a few ulps of relative accuracy:
+    a rounded determinant would carry the whole condition number of zI - M into a solve.
+    ResolventSingularityError where q is not positive, which only underflow or a z that is
+    not a number reaches off the eigenvalues of M.
+    """
+    a, a_err = two_sum(zr, -m.m00)
+    d, d_err = two_sum(zr, -m.m11)
+    ad, ad_err = two_product(a, d)
+    zz, zz_err = two_product(zi, zi)
+    s, s_err = two_sum(ad, -m.pp)
+    t, t_err = two_sum(s, -zz)
+    det_re = t + ((t_err + s_err) + (ad_err - m.pp_err - zz_err) + (a * d_err + a_err * d))
+    det_im = zi * ((a + d) + (a_err + d_err))
+    q = det_re * det_re + det_im * det_im
+    if not (q > 0.0 if isinstance(q, float) else (q > 0.0).all()):
+        raise ResolventSingularityError("det(zI - M) rounds to zero or is not a number")
+    return a, d, det_re, det_im, q
+
+
+def resolvent_solve(m: Matrix2x2, zr, zi, vectors) -> list:
+    """(zI - M)^{-1} v = adj(zI - M) v / det(zI - M) for each planar v in `vectors`."""
+    a, d, det_re, det_im, q = resolvent_det(m, zr, zi)
+    w_re, w_im = det_re / q, -det_im / q  # 1 / det
+    solved = []
+    for r0, s0, r1, s1 in vectors:
+        n0_re = d * r0 - zi * s0 + m.m01 * r1
+        n0_im = d * s0 + zi * r0 + m.m01 * s1
+        n1_re = m.m10 * r0 + a * r1 - zi * s1
+        n1_im = m.m10 * s0 + a * s1 + zi * r1
+        solved.append((n0_re * w_re - n0_im * w_im, n0_re * w_im + n0_im * w_re,
+                       n1_re * w_re - n1_im * w_im, n1_re * w_im + n1_im * w_re))
+    return solved
 
 
 @dataclass(frozen=True)

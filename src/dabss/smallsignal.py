@@ -13,7 +13,10 @@ collected in HalfCycleModel. Two z-domain transfer functions follow: the
 exact one, where the trailing duration responds to the *next* control
 sample (a z-advance), and the same-cycle approximation that drops the
 advance. Their difference carries an explicit (z - 1) factor, which is why
-the approximation is exact at dc and degrades linearly with frequency.
+the approximation is exact at dc and degrades linearly with frequency. Every
+transfer, and the spectral norms of the difference envelope, come from the
+2x2 resolvent in closed form (`pwlti.resolvent_solve`), the same rule for one
+z and for an array of z.
 
 There are four sampling surfaces (either edge polarity on either bridge).
 Models built on different surfaces of the same polarity pair are similar in
@@ -37,9 +40,12 @@ from . import pwlti
 from .dab import (FLIP_CURRENT, RECTIFY, DabSchedule, half_cycle_map, solve_half_cycle,
                   verify_symmetry)
 from .errors import MarginalSystemError, ParameterError, ResolventSingularityError
-from .pwlti import IdentityCheck, relative_residual
+from .pwlti import (IdentityCheck, Matrix2x2, matrix_times, planar, planar_array, planar_norm,
+                    real_hypot, real_sqrt, relative_residual, resolvent_det, resolvent_solve,
+                    sigma_max_sq)
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
+_FEW_Z = 16  # a transfer at this many z or fewer is evaluated z by z (`_transfer`)
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,18 @@ S_MINUS = Surface("S-", 4, 1, +1)
 SURFACES = {s.label: s for s in (P_PLUS, S_PLUS, P_MINUS, S_MINUS)}
 
 
+class _Entries(NamedTuple):
+    """A model's numbers as Python scalars, for the closed-form resolvent (`resolvent_solve`)."""
+
+    phi: Matrix2x2
+    bc0: float
+    bc1: float
+    bn0: float
+    bn1: float
+    bn_norm: float
+    poles: tuple
+
+
 @dataclass(frozen=True)
 class HalfCycleModel:
     """Rectified one-half-cycle discrete model anchored at one sampling surface.
@@ -104,6 +122,13 @@ class HalfCycleModel:
     def poles(self) -> np.ndarray:
         """Eigenvalues of phi: the poles of every transfer of this model."""
         return np.linalg.eigvals(self.phi)
+
+    @functools.cached_property
+    def _entries(self) -> _Entries:
+        """phi, b_cur, b_next, ||b_next|| and the poles, as Python floats and complex."""
+        (bc0, bc1), (bn0, bn1) = self.b_cur.tolist(), self.b_next.tolist()
+        return _Entries(Matrix2x2.of(self.phi), bc0, bc1, bn0, bn1,
+                        math.sqrt(bn0 * bn0 + bn1 * bn1), tuple(self.poles.tolist()))
 
 
 def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
@@ -171,33 +196,93 @@ def rebased_input_vector(model: HalfCycleModel, z) -> np.ndarray:
 
 def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
     """Distance from each z to the nearest pole of the model."""
-    return np.abs(z[..., None] - model.poles).min(axis=-1)
+    p0, p1 = model._entries.poles
+    return np.minimum(np.abs(z - p0), np.abs(z - p1))
 
 
-def _resolvent_lhs(model: HalfCycleModel, z) -> np.ndarray:
-    """zI - phi for each z; ResolventSingularityError if any z is within _POLE_GAP of a pole."""
+def _z_parts(model: HalfCycleModel, z):
+    """(Re z, Im z): Python floats for one z, float arrays for an array of z.
+
+    ResolventSingularityError if any z is within _POLE_GAP of a pole of the model.
+    """
+    if isinstance(z, (int, float, complex)):  # numpy scalars too
+        z = complex(z)
+        p0, p1 = model._entries.poles
+        gap = min(abs(z - p0), abs(z - p1))
+        if gap <= _POLE_GAP:
+            raise ResolventSingularityError(f"z = {z!r} is within "
+                                            f"{gap:.3e} of a pole of the sampled model")
+        return z.real, z.imag
     z = np.asarray(z, dtype=complex)
     gaps = _pole_gaps(model, z)
     if (gaps <= _POLE_GAP).any():
         k = np.argmax(gaps <= _POLE_GAP)
         raise ResolventSingularityError(f"z = {complex(z.flat[k])!r} is within "
                                         f"{gaps.flat[k]:.3e} of a pole of the sampled model")
-    return z[..., None, None] * np.eye(model.phi.shape[0]) - model.phi
+    return z.real, z.imag
+
+
+def _shape(zr) -> tuple:
+    return () if isinstance(zr, float) else zr.shape
+
+
+def _matrix(c_phys) -> list:
+    """The four entries of a real 2x2 matrix, row by row, as Python floats."""
+    return np.asarray(c_phys, dtype=float).ravel().tolist()
 
 
 def _resolvent_apply(model: HalfCycleModel, z, rhs: np.ndarray) -> np.ndarray:
-    """(zI - phi)^{-1} rhs in one stacked solve: rhs is (..., N, n) for N values of z, or (n,)."""
-    return np.linalg.solve(_resolvent_lhs(model, z), np.asarray(rhs)[..., None])[..., 0]
+    """(zI - phi)^{-1} rhs by `resolvent_solve`: rhs is (..., N, 2) for N values of z, or
+    (..., 2) for one z, and a leading axis stacks right-hand sides."""
+    zr, zi = _z_parts(model, z)
+    rhs = np.asarray(rhs)
+    shape = _shape(zr)
+    vectors = [planar(v) for v in rhs.reshape((-1,) + shape + (2,))]
+    solved = resolvent_solve(model._entries.phi, zr, zi, vectors)
+    return planar_array(solved, shape).reshape(rhs.shape)
+
+
+def _input_vector(e: _Entries, zr, zi):
+    """b_cur + z b_next, planar: the exact model's input."""
+    return e.bc0 + zr * e.bn0, zi * e.bn0, e.bc1 + zr * e.bn1, zi * e.bn1
+
+
+def _same_cycle_vector(e: _Entries, zr, zi):
+    """b_cur + b_next, planar: the same-cycle approximation's input."""
+    return e.bc0 + e.bn0, 0.0, e.bc1 + e.bn1, 0.0
+
+
+def _advance_vector(e: _Entries, zr, zi):
+    """(z - 1) b_next, planar: the difference of the two inputs."""
+    return (zr - 1.0) * e.bn0, zi * e.bn0, (zr - 1.0) * e.bn1, zi * e.bn1
+
+
+def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
+    """c_phys (zI - phi)^{-1} rhs(entries, Re z, Im z), as a complex array (..., 2).
+
+    Up to _FEW_Z values of z go through the rule one by one in Python floats, which costs
+    less than numpy's overhead on some hundred array operations; the bits are the same.
+    """
+    e = model._entries
+    c = _matrix(c_phys)
+    zr, zi = _z_parts(model, z)
+    if isinstance(zr, float) or zr.size > _FEW_Z:
+        solved = resolvent_solve(e.phi, zr, zi, [rhs(e, zr, zi)])
+        return planar_array([matrix_times(c, solved[0])], _shape(zr))[0]
+    rows = [matrix_times(c, resolvent_solve(e.phi, r, i, [rhs(e, r, i)])[0])
+            for r, i in zip(zr.ravel().tolist(), zi.ravel().tolist())]
+    return planar_array(rows, ()).reshape(zr.shape + (2,))
 
 
 def _output(c_phys: np.ndarray, states: np.ndarray) -> np.ndarray:
-    # c_phys @ x for every state x, each one 2x2 product rounded as on its own.
-    return (np.asarray(c_phys) @ states[..., None])[..., 0]
+    """c_phys x for every state x of a complex array (..., 2)."""
+    return planar_array([matrix_times(_matrix(c_phys), planar(states))], states.shape[:-1])[0]
 
 
-def _row_residuals(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """relative_residual of each vector along the last axis, bit for bit."""
-    return pwlti.row_norms(actual - expected) / (1.0 + pwlti.row_norms(expected))
+def _row_residuals(actual: np.ndarray, expected: np.ndarray):
+    """relative_residual of each vector along the last axis: a float for one vector."""
+    a, e = planar(actual), planar(expected)
+    return planar_norm(tuple(x - y for x, y in zip(a, e))) / (1.0 + planar_norm(e))
 
 
 def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
@@ -207,23 +292,27 @@ def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndar
     z = exp(j 2 pi f t_half), for the frequency response. A scalar z gives
     shape (2,), a 1-D array of N values shape (N, 2).
     """
-    return _output(c_phys, _resolvent_apply(model, z, control_input_vector(model, z)))
+    return _transfer(model, c_phys, z, _input_vector)
 
 
 def transfer_same_cycle(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
     """Same-cycle approximation: both duration terms attributed to the current sample."""
-    return _output(c_phys, _resolvent_apply(model, z, model.b_cur + model.b_next))
+    return _transfer(model, c_phys, z, _same_cycle_vector)
 
 
 def _difference_paths(model: HalfCycleModel, c_phys: np.ndarray, z):
     """Closed-form difference, subtraction of the two transfers, and the 3 states solved."""
-    z = np.asarray(z, dtype=complex)
-    rhs = np.stack(np.broadcast_arrays(control_input_vector(model, z),
-                                       model.b_cur + model.b_next,
-                                       np.multiply.outer(z - 1.0, model.b_next)))
+    e = model._entries
+    zr, zi = _z_parts(model, z)
+    shape = _shape(zr)
+    rhs = planar_array([v(e, zr, zi) for v in (_input_vector, _same_cycle_vector,
+                                               _advance_vector)], shape)
     states = _resolvent_apply(model, z, rhs)
-    fixed, same_cycle, closed = _output(c_phys, states)
-    return closed, fixed - same_cycle, states
+    c = _matrix(c_phys)
+    fixed, same_cycle, closed = (matrix_times(c, planar(x)) for x in states)
+    subtracted = tuple(f - s for f, s in zip(fixed, same_cycle))
+    closed, subtracted = planar_array([closed, subtracted], shape)
+    return closed, subtracted, states
 
 
 def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray, z):
@@ -234,14 +323,24 @@ def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray, z):
 def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtracted):
     """First-order bound, per z, on the dual-path residual that roundoff alone can cause.
 
-    Each backward-stable solve of (zI - phi) x = b errs by at most 2 u kappa ||x|| (Higham,
-    "Accuracy and Stability of Numerical Algorithms", 2nd ed., Thm 7.2), and c_phys x and
-    the subtraction add about 4 u ||c_phys|| ||x||; near z = 1 the subtraction cancels.
+    With M = zI - phi, `resolvent_solve` takes det M to a few u of its value, and each
+    entry of adj(M) b is a sum of at most three real products, so it errs by a few u of
+    |adj M||b|, whose norm is at most ||M||_F ||b|| <= sqrt(2) s_max^2 ||x||. Divided by
+    |det M| = s_max s_min, the solve errs by at most c u kappa ||x||, kappa = s_max / s_min =
+    s_max^2 / |det M|, for a small constant c, and comes near that only where adj(M) b
+    cancels: Cramer's rule for n = 2 is forward stable (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., sec. 1.10.1). The floor takes c = 2, the constant of a
+    solve backward stable to u (Thm 7.2). c_phys x and the subtraction add about
+    4 u ||c_phys|| ||x||; near z = 1 the subtraction cancels.
     """
-    s = np.linalg.svd(_resolvent_lhs(model, z), compute_uv=False)
-    kappa = s[..., 0] / s[..., -1]  # s_min > 0: the gate keeps z off the poles
-    return (2.0 ** -53 * (2.0 * kappa + 4.0) * np.linalg.norm(np.asarray(c_phys), 2)
-            * pwlti.row_norms(states).sum(axis=0) / (1.0 + pwlti.row_norms(subtracted)))
+    e = model._entries
+    zr, zi = _z_parts(model, z)
+    a, d, _, _, q = resolvent_det(e.phi, zr, zi)
+    kappa = sigma_max_sq(a, -e.phi.m01, -e.phi.m10, d, zi) / real_sqrt(q)
+    c_norm = math.sqrt(sigma_max_sq(*_matrix(c_phys), 0.0))
+    x_norms = sum(planar_norm(planar(x)) for x in states)
+    return (2.0 ** -53 * (2.0 * kappa + 4.0) * c_norm * x_norms
+            / (1.0 + planar_norm(planar(subtracted))))
 
 
 def _dual_path_check(model: HalfCycleModel, c_phys: np.ndarray, z, paths, rtol) -> IdentityCheck:
@@ -254,10 +353,12 @@ def _dual_path_check(model: HalfCycleModel, c_phys: np.ndarray, z, paths, rtol) 
     """
     closed, subtracted, states = paths
     res = _row_residuals(closed, subtracted)
-    worst = float(np.max(res, initial=0.0))  # a NaN residual stays NaN and fails
-    if not worst > rtol:  # the floor's SVDs only where the plain check trips
+    worst = res if isinstance(res, float) else float(np.max(res, initial=0.0))  # NaN fails
+    if not worst > rtol:  # the floor only where the plain check trips
         return IdentityCheck("transfer-difference/dual-path", worst, rtol)
-    tol = rtol * np.maximum(1.0, _dual_path_floor(model, c_phys, z, states, subtracted) / 1e-12)
+    res = np.asarray(res)
+    tol = rtol * np.maximum(1.0, np.asarray(
+        _dual_path_floor(model, c_phys, z, states, subtracted)) / 1e-12)
     k = np.argmax(res - tol)
     return IdentityCheck("transfer-difference/dual-path", float(res.flat[k]), float(tol.flat[k]))
 
@@ -284,14 +385,15 @@ def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z):
     |z - 1| ||c_phys|| ||(zI - phi)^{-1}|| ||b_next||, spectral norms. On the
     unit circle |z - 1| = 2 |sin(pi f t_half * ... )| grows linearly in f for
     small f t_half, which bounds how fast the same-cycle approximation decays.
-    A 1-D array of z gives one bound per z; a z on a pole raises as every transfer does.
+    ||(zI - phi)^{-1}|| = s_max / |det| of zI - phi, in closed form. A 1-D array of z
+    gives one bound per z; a z on a pole raises as every transfer does.
     """
-    z = np.asarray(z, dtype=complex)
-    resolvent = np.linalg.inv(_resolvent_lhs(model, z))
-    return (np.hypot(z.real - 1.0, z.imag)
-            * np.linalg.norm(np.asarray(c_phys), 2)
-            * np.linalg.norm(resolvent, 2, axis=(-2, -1))
-            * np.linalg.norm(model.b_next, 2))[()]
+    e = model._entries
+    zr, zi = _z_parts(model, z)
+    a, d, _, _, q = resolvent_det(e.phi, zr, zi)
+    resolvent_norm = real_sqrt(sigma_max_sq(a, -e.phi.m01, -e.phi.m10, d, zi) / q)
+    return (real_hypot(zr - 1.0, zi) * math.sqrt(sigma_max_sq(*_matrix(c_phys), 0.0))
+            * resolvent_norm * e.bn_norm)
 
 
 def resolvent_similarity_residual(a: np.ndarray, t_mat: np.ndarray,
@@ -416,9 +518,11 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
     f = sweep_frequencies(f_min, f_max, points, spacing, model.t_half)
     z = np.exp(2j * np.pi * f * model.t_half)
     off_pole = _pole_gaps(model, z) > _POLE_GAP
-    h = np.full((f.size, 2), None)  # flagged rows keep None in both channels
-    h[off_pole] = transfer(model, dab.c_phys, z[off_pole])
-    return [FrequencyResponseRow(fk, *hk) for fk, hk in zip(f.tolist(), h.tolist())]
+    h_irec, h_vout = transfer(model, dab.c_phys, z[off_pole]).T.tolist()
+    for k in np.flatnonzero(~off_pole).tolist():  # flagged rows keep None in both channels
+        h_irec.insert(k, None)
+        h_vout.insert(k, None)
+    return list(map(FrequencyResponseRow, f.tolist(), h_irec, h_vout))
 
 
 _RESOLVENT_SEED = 20260816  # seeds the random matrices of the resolvent-similarity check
@@ -469,8 +573,8 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
                 f"surface-equiv/{pri.label}~{sec.label}/construction",
                 math.inf, tol.surface_equivalence, str(exc)))
 
-    # One stacked solve for every transfer-difference row: 100 points of the unit
-    # circle (dual path), z = 1 (dc) and the sweep grid (envelope ratio).
+    # One `_resolvent_apply` call for every transfer-difference row: 100 points of the
+    # unit circle (dual path), z = 1 (dc) and the sweep grid (envelope ratio).
     model = half_cycle_model(dab, surfaces["P+"])
     circle = np.exp(1j * (2.0 * np.pi * np.arange(100) / 100))
     sweep = np.exp(2j * np.pi * np.asarray(freqs) * model.t_half)

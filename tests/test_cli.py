@@ -90,14 +90,14 @@ class TestVerifyCommand:
 
     def test_dual_path_row_takes_the_roundoff_floor_of_transfer_difference(self, config_file):
         # Nearly unloaded with D_phase = 1e-9: a plain 1e-12 check fails the largest
-        # residual, 1.155e-12, while transfer_difference's roundoff floor passes every point.
+        # residual, 1.099e-12, while transfer_difference's roundoff floor passes every point.
         converter = {"n_turns": 1.995841322100797, "L": 4.23327278452814e-07,
                      "Co": 0.001784110195335032, "Rt": 0.0, "Rc": 0.16960862543076624,
                      "Ro": 26498497311.89119, "Vin": 396.879293312669,
                      "fs": 25064.714806248972, "D_phase": 1e-09, "Vr": 1.0}
         proc = run_cli("verify", config_file(converter=converter))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert re.search(r"^transfer-difference/dual-path +5\.908e-13 +1\.477e-10  PASS$",
+        assert re.search(r"^transfer-difference/dual-path +5\.653e-13 +1\.477e-10  PASS$",
                          proc.stdout, re.M), proc.stdout
         assert "RESULT: PASS (19/19)" in proc.stdout
 
@@ -447,6 +447,27 @@ class TestUnwritableOut:
         assert len(err) == 1 and err[0].startswith("error: ") and repr(out) in err[0]
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+class TestTempFile:
+    """--out goes through a temp file of its own: a user's `<out>.tmp` is never touched."""
+
+    @pytest.mark.parametrize("out, code", [("ss.json", 0), ("adir", 2)],
+                             ids=["success", "failure"])
+    def test_an_existing_out_tmp_survives(self, config_file, tmp_path, monkeypatch, capsys,
+                                          out, code):
+        path = config_file()
+        (tmp_path / "adir").mkdir()  # renaming a file over a directory fails
+        users = tmp_path / f"{out}.tmp"
+        users.write_text("the user's data\n")
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.iterdir())
+        assert cli.main(["steady-state", path, "--out", out]) == code
+        assert users.read_text() == "the user's data\n"
+        created = set(tmp_path.iterdir()) - before
+        assert created == ({tmp_path / out} if code == 0 else set())
+        if code == 0:
+            assert json.loads((tmp_path / out).read_text())["x_star"]
 
 
 class TestMisc:

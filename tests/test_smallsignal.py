@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dabss.pwlti import IdentityCheck, cond, propagate, row_norms
 from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, control_input_vector,
                                identity_checks, rebased_input_vector,
                                resolvent_similarity_residual, verify_surface_equivalence)
-from dabss import cli, smallsignal
+from dabss import cli, pwlti, smallsignal
 from dabss.config import Tolerances, load_config
 from dabss.errors import MarginalSystemError, NumericInputError, ParameterError
 from dabss.pwlti import monodromy
@@ -627,6 +628,85 @@ def property_range_params(rng: np.random.Generator) -> DabParams:
         D_phase=(edges[rng.integers(len(edges))] if rng.uniform() < 0.5
                  else float(rng.uniform(0.01, 0.99))),
         Vr=1.0)
+
+
+class TestClosedFormResolvent:
+    """The closed-form 2x2 rule against numpy.linalg, near the poles too."""
+
+    @staticmethod
+    def designs(count: int):
+        """Solvable random_params and property_range_params designs, each with its z grid:
+        25 log points of the unit circle from fs / 1000 to the surface Nyquist frequency fs,
+        then 4 points 1e-9 to 1e-6 from each pole."""
+        rng = np.random.default_rng(15_2026)
+        found = 0
+        while found < count:
+            try:
+                params = random_params(rng) if found % 2 else property_range_params(rng)
+                dab = build_dab(params)
+                model = half_cycle_model(dab, (P_PLUS, S_MINUS)[found % 4 // 2])
+            except (ParameterError, NumericInputError, MarginalSystemError):
+                continue
+            f = sweep_frequencies(params.fs / 1000.0, params.fs, 25, "log", model.t_half)
+            near = [pole + gap * cmath.exp(2j * math.pi * rng.uniform())
+                    for pole in model.poles.tolist() for gap in (1e-9, 1e-8, 1e-7, 1e-6)]
+            found += 1
+            yield dab, model, np.concatenate([np.exp(2j * np.pi * f * model.t_half), near])
+
+    @staticmethod
+    def solve_floor(model, z) -> np.ndarray:
+        """What the dual-path floor allows one solve: 2^-53 (2 kappa + 4) relative."""
+        return 2.0 ** -53 * (2.0 * np.linalg.cond(z[:, None, None] * np.eye(2) - model.phi) + 4.0)
+
+    def test_solves_and_envelopes_agree_with_numpy_linalg(self):
+        for dab, model, z in self.designs(60):
+            lhs = z[:, None, None] * np.eye(2) - model.phi
+            rhs = control_input_vector(model, z)
+            expected = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+            floor = 2.0 * self.solve_floor(model, z)  # both solves err
+            closed = smallsignal._resolvent_apply(model, z, rhs)
+            assert np.all(row_norms(closed - expected) <= floor * row_norms(expected))
+            envelope = (np.abs(z - 1.0) * np.linalg.norm(dab.c_phys, 2)
+                        * np.linalg.norm(np.linalg.inv(lhs), 2, axis=(-2, -1))
+                        * np.linalg.norm(model.b_next))
+            assert np.all(np.abs(difference_envelope(model, dab.c_phys, z) - envelope)
+                          <= floor * envelope)
+
+    def test_the_envelope_bounds_the_difference(self):
+        for dab, model, z in self.designs(60):
+            diff = row_norms(transfer_difference(model, dab.c_phys, z, rtol=np.inf))
+            assert np.all(diff <= difference_envelope(model, dab.c_phys, z))
+
+    def test_the_determinant_keeps_its_digits_where_it_cancels(self):
+        # Next to a pole det(zI - phi) cancels by up to 1e9; it must still be within a few
+        # ulps of the exact determinant of the floats z and phi (rational arithmetic).
+        for _, model, z in self.designs(20):
+            (p00, p01), (p10, p11) = (map(Fraction, row) for row in model.phi.tolist())
+            m = pwlti.Matrix2x2.of(model.phi)
+            for zk in z[-8:].tolist():  # the points next to the poles
+                _, _, det_re, det_im, _ = pwlti.resolvent_det(m, zk.real, zk.imag)
+                zr, zi = Fraction(zk.real), Fraction(zk.imag)
+                exact_re = (zr - p00) * (zr - p11) - zi * zi - p01 * p10
+                exact_im = zi * (2 * zr - p00 - p11)
+                error = abs(complex(Fraction(det_re) - exact_re, Fraction(det_im) - exact_im))
+                assert error <= 4.0 * 2.0 ** -53 * abs(complex(exact_re, exact_im)), zk
+
+    def test_scalar_z_calls_make_no_numpy_linalg_call(self, ref_dab, monkeypatch):
+        model = half_cycle_model(ref_dab, P_PLUS)
+        model.poles  # the one eigenvalue solve, kept with the model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("solve", "inv", "svd", "norm", "eigvals", "cond"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        c = ref_dab.c_phys
+        for z in (cmath.exp(0.3j), 1.0, complex(model.poles[0]) + 1e-9):
+            for transfer in (transfer_fixed_freq, transfer_same_cycle, transfer_difference,
+                             transfer_difference_residual, difference_envelope):
+                transfer(model, c, z)
+            with pytest.raises(ArithmeticError):  # the roundoff floor of the tripped check
+                transfer_difference(model, c, cmath.exp(0.3j), rtol=1e-300)
 
 
 class TestDualPathRule:
