@@ -16,7 +16,8 @@ advance. Their difference carries an explicit (z - 1) factor, which is why
 the approximation is exact at dc and degrades linearly with frequency. Every
 transfer, and the spectral norms of the difference envelope, come from the
 2x2 resolvent in closed form (`pwlti.resolvent_solve`), the same rule for one
-z and for an array of z.
+z and for an array of z. Complex 2-vectors stay planar, `(re0, im0, re1, im1)`,
+until a transfer is returned or a numpy call whose rounding `verify` prints.
 
 There are four sampling surfaces (either edge polarity on either bridge).
 Models built on different surfaces of the same polarity pair are similar in
@@ -170,30 +171,6 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     return models[surface]
 
 
-def control_input_vector(model: HalfCycleModel, z) -> np.ndarray:
-    """Control-to-state input vector b(z) = b_cur + z b_next.
-
-    The z factor is the one-sample advance of the trailing-edge term: that
-    duration is set by the control sample taken at the *next* surface
-    crossing. A 1-D array of z gives one vector per row.
-    """
-    return model.b_cur + np.multiply.outer(z, model.b_next)
-
-
-def rebased_input_vector(model: HalfCycleModel, z) -> np.ndarray:
-    """Input vector of this surface's recursion on its leading partner's clock.
-
-    A surface that opens mid-cycle of its partner sees the partner's edges in
-    a different order: its opening edge is the partner's internal edge, so the
-    kick there keeps the partner's *current* sample and then rides through the
-    whole half cycle (a phi factor on b_next, whose direction equals that
-    opening kick by half-wave symmetry), while its own internal edge is the
-    partner's closing edge and takes the *next* sample (a z factor on b_cur).
-    Same physical modulator, re-indexed: b(z) = z b_cur + phi b_next.
-    """
-    return np.multiply.outer(z, model.b_cur) + model.phi @ model.b_next
-
-
 def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
     """Distance from each z to the nearest pole of the model."""
     p0, p1 = model._entries.poles
@@ -222,24 +199,14 @@ def _z_parts(model: HalfCycleModel, z):
     return z.real, z.imag
 
 
-def _shape(zr) -> tuple:
-    return () if isinstance(zr, float) else zr.shape
-
-
 def _matrix(c_phys) -> list:
     """The four entries of a real 2x2 matrix, row by row, as Python floats."""
     return np.asarray(c_phys, dtype=float).ravel().tolist()
 
 
-def _resolvent_apply(model: HalfCycleModel, z, rhs: np.ndarray) -> np.ndarray:
-    """(zI - phi)^{-1} rhs by `resolvent_solve`: rhs is (..., N, 2) for N values of z, or
-    (..., 2) for one z, and a leading axis stacks right-hand sides."""
-    zr, zi = _z_parts(model, z)
-    rhs = np.asarray(rhs)
-    shape = _shape(zr)
-    vectors = [planar(v) for v in rhs.reshape((-1,) + shape + (2,))]
-    solved = resolvent_solve(model._entries.phi, zr, zi, vectors)
-    return planar_array(solved, shape).reshape(rhs.shape)
+def _complex(v) -> np.ndarray:
+    """The complex array (..., 2) of one planar vector: shape (2,) for Python floats."""
+    return planar_array([v], np.shape(v[0]))[0]
 
 
 def _input_vector(e: _Entries, zr, zi):
@@ -257,6 +224,22 @@ def _advance_vector(e: _Entries, zr, zi):
     return (zr - 1.0) * e.bn0, zi * e.bn0, (zr - 1.0) * e.bn1, zi * e.bn1
 
 
+def _rebased_vector(model: HalfCycleModel, zr, zi):
+    """Input vector of this surface's recursion on its leading partner's clock, planar.
+
+    A surface that opens mid-cycle of its partner sees the partner's edges in
+    a different order: its opening edge is the partner's internal edge, so the
+    kick there keeps the partner's *current* sample and then rides through the
+    whole half cycle (a phi factor on b_next, whose direction equals that
+    opening kick by half-wave symmetry), while its own internal edge is the
+    partner's closing edge and takes the *next* sample (a z factor on b_cur).
+    Same physical modulator, re-indexed: b(z) = z b_cur + phi b_next.
+    """
+    e = model._entries
+    pb0, pb1 = (model.phi @ model.b_next).tolist()
+    return zr * e.bc0 + pb0, zi * e.bc0, zr * e.bc1 + pb1, zi * e.bc1
+
+
 def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
     """c_phys (zI - phi)^{-1} rhs(entries, Re z, Im z), as a complex array (..., 2).
 
@@ -267,22 +250,16 @@ def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
     c = _matrix(c_phys)
     zr, zi = _z_parts(model, z)
     if isinstance(zr, float) or zr.size > _FEW_Z:
-        solved = resolvent_solve(e.phi, zr, zi, [rhs(e, zr, zi)])
-        return planar_array([matrix_times(c, solved[0])], _shape(zr))[0]
+        return _complex(matrix_times(c, resolvent_solve(e.phi, zr, zi, [rhs(e, zr, zi)])[0]))
     rows = [matrix_times(c, resolvent_solve(e.phi, r, i, [rhs(e, r, i)])[0])
             for r, i in zip(zr.ravel().tolist(), zi.ravel().tolist())]
     return planar_array(rows, ()).reshape(zr.shape + (2,))
 
 
-def _output(c_phys: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """c_phys x for every state x of a complex array (..., 2)."""
-    return planar_array([matrix_times(_matrix(c_phys), planar(states))], states.shape[:-1])[0]
-
-
-def _row_residuals(actual: np.ndarray, expected: np.ndarray):
-    """relative_residual of each vector along the last axis: a float for one vector."""
-    a, e = planar(actual), planar(expected)
-    return planar_norm(tuple(x - y for x, y in zip(a, e))) / (1.0 + planar_norm(e))
+def _row_residuals(actual, expected):
+    """relative_residual of planar vectors: a float for one vector, an array for many."""
+    return (planar_norm(tuple(a - e for a, e in zip(actual, expected)))
+            / (1.0 + planar_norm(expected)))
 
 
 def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
@@ -301,18 +278,15 @@ def transfer_same_cycle(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndar
 
 
 def _difference_paths(model: HalfCycleModel, c_phys: np.ndarray, z):
-    """Closed-form difference, subtraction of the two transfers, and the 3 states solved."""
+    """Closed-form difference, subtraction of the two transfers, and the 3 states solved,
+    all planar, from one `resolvent_solve` call."""
     e = model._entries
     zr, zi = _z_parts(model, z)
-    shape = _shape(zr)
-    rhs = planar_array([v(e, zr, zi) for v in (_input_vector, _same_cycle_vector,
-                                               _advance_vector)], shape)
-    states = _resolvent_apply(model, z, rhs)
+    states = resolvent_solve(e.phi, zr, zi, [v(e, zr, zi) for v in (
+        _input_vector, _same_cycle_vector, _advance_vector)])
     c = _matrix(c_phys)
-    fixed, same_cycle, closed = (matrix_times(c, planar(x)) for x in states)
-    subtracted = tuple(f - s for f, s in zip(fixed, same_cycle))
-    closed, subtracted = planar_array([closed, subtracted], shape)
-    return closed, subtracted, states
+    fixed, same_cycle, closed = (matrix_times(c, x) for x in states)
+    return closed, tuple(f - s for f, s in zip(fixed, same_cycle)), states
 
 
 def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray, z):
@@ -338,9 +312,8 @@ def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtr
     a, d, _, _, q = resolvent_det(e.phi, zr, zi)
     kappa = sigma_max_sq(a, -e.phi.m01, -e.phi.m10, d, zi) / real_sqrt(q)
     c_norm = math.sqrt(sigma_max_sq(*_matrix(c_phys), 0.0))
-    x_norms = sum(planar_norm(planar(x)) for x in states)
-    return (2.0 ** -53 * (2.0 * kappa + 4.0) * c_norm * x_norms
-            / (1.0 + planar_norm(planar(subtracted))))
+    x_norms = sum(planar_norm(x) for x in states)
+    return 2.0 ** -53 * (2.0 * kappa + 4.0) * c_norm * x_norms / (1.0 + planar_norm(subtracted))
 
 
 def _dual_path_check(model: HalfCycleModel, c_phys: np.ndarray, z, paths, rtol) -> IdentityCheck:
@@ -376,7 +349,7 @@ def transfer_difference(model: HalfCycleModel, c_phys: np.ndarray, z,
     if not check.passed:
         raise ArithmeticError(f"transfer difference paths disagree: residual "
                               f"{check.residual:.3e} exceeds {check.tolerance:.3e}")
-    return paths[0]
+    return _complex(paths[0])
 
 
 def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z):
@@ -428,7 +401,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
 
     With T the transition matrix of the primary surface's leading interval
     and b_sec(z) the secondary input vector rebased onto the primary clock
-    (`rebased_input_vector`), the secondary model must satisfy, for every z
+    (`_rebased_vector`), the secondary model must satisfy, for every z
     off the poles:
 
         T^{-1} phi_sec T = phi_pri
@@ -451,18 +424,22 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
 
     m_pri = half_cycle_model(dab, primary)
     m_sec = half_cycle_model(dab, secondary)
-    c_phys = np.asarray(dab.c_phys)
 
     sim_res = relative_residual(np.linalg.solve(t_mat, m_sec.phi @ t_mat), m_pri.phi)
     z = np.asarray(z_grid, dtype=complex)
-    b_pri = control_input_vector(m_pri, z)
-    b_sec = rebased_input_vector(m_sec, z)
-    stacked = np.stack([b_sec, _resolvent_apply(m_sec, z, b_sec)])[..., None]
-    mapped, chained = np.linalg.solve(t_mat.astype(complex), stacked)[..., 0]
+    zr, zi = _z_parts(m_sec, z)
+    b_sec = _rebased_vector(m_sec, zr, zi)
+    x_sec = resolvent_solve(m_sec._entries.phi, zr, zi, [b_sec])
+    stacked = planar_array([b_sec, *x_sec], z.shape)[..., None]  # LAPACK's rounding is printed
+    mapped, chained = map(planar, np.linalg.solve(t_mat.astype(complex), stacked)[..., 0])
+    e = m_pri._entries
+    zr, zi = _z_parts(m_pri, z)
+    b_pri = _input_vector(e, zr, zi)
+    c = _matrix(dab.c_phys)
+    h_pri = matrix_times(c, resolvent_solve(e.phi, zr, zi, [b_pri])[0])
     input_res, flipped_res, transfer_res = (
-        float(np.max(_row_residuals(a, e), initial=0.0)) for a, e in (
-            (b_pri, mapped), (b_pri, -mapped),
-            (transfer_fixed_freq(m_pri, c_phys, z), _output(c_phys, chained))))
+        float(np.max(_row_residuals(actual, expected), initial=0.0)) for actual, expected in (
+            (b_pri, mapped), (b_pri, tuple(-x for x in mapped)), (h_pri, matrix_times(c, chained))))
 
     note = ""
     if input_res > rtol and flipped_res <= rtol:
@@ -573,15 +550,18 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
                 f"surface-equiv/{pri.label}~{sec.label}/construction",
                 math.inf, tol.surface_equivalence, str(exc)))
 
-    # One `_resolvent_apply` call for every transfer-difference row: 100 points of the
+    # One `_difference_paths` call for every transfer-difference row: 100 points of the
     # unit circle (dual path), z = 1 (dc) and the sweep grid (envelope ratio).
     model = half_cycle_model(dab, surfaces["P+"])
     circle = np.exp(1j * (2.0 * np.pi * np.arange(100) / 100))
     sweep = np.exp(2j * np.pi * np.asarray(freqs) * model.t_half)
-    paths = _difference_paths(model, dab.c_phys, np.concatenate([circle, [1.0], sweep]))
-    checks.append(_dual_path_check(model, dab.c_phys, circle,  # every path is (..., z, state)
-                                   [p[..., :100, :] for p in paths], tol.transfer_difference))
-    subtracted = paths[1]
+    closed, subtracted, states = _difference_paths(
+        model, dab.c_phys, np.concatenate([circle, [1.0], sweep]))
+    on_circle = [tuple(part[:100] for part in v) for v in (closed, subtracted, *states)]
+    checks.append(_dual_path_check(model, dab.c_phys, circle,
+                                   (on_circle[0], on_circle[1], on_circle[2:]),
+                                   tol.transfer_difference))
+    subtracted = _complex(subtracted)
     checks.append(IdentityCheck("transfer-difference/dc-zero",
                                 float(np.linalg.norm(subtracted[100])), tol.transfer_difference))
     diff = pwlti.row_norms(subtracted[101:])

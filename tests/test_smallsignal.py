@@ -18,8 +18,7 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams,
                    transfer_fixed_freq, transfer_same_cycle)
 from dabss.dab import FLIP_CURRENT, solve_half_cycle, verify_symmetry
 from dabss.pwlti import IdentityCheck, cond, propagate, row_norms
-from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, control_input_vector,
-                               identity_checks, rebased_input_vector,
+from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, identity_checks,
                                resolvent_similarity_residual, verify_surface_equivalence)
 from dabss import cli, pwlti, smallsignal
 from dabss.config import Tolerances, load_config
@@ -112,10 +111,10 @@ class TestHalfCycleModel:
     def test_input_vector_assembly(self, ref_dab):
         m = half_cycle_model(ref_dab, P_PLUS)
         z = 0.3 + 0.4j
-        np.testing.assert_allclose(control_input_vector(m, z), m.b_cur + z * m.b_next,
-                                   rtol=1e-15)
-        np.testing.assert_allclose(rebased_input_vector(m, z),
-                                   z * m.b_cur + m.phi @ m.b_next, rtol=1e-15)
+        exact = pwlti.planar_array([smallsignal._input_vector(m._entries, z.real, z.imag)], ())
+        rebased = pwlti.planar_array([smallsignal._rebased_vector(m, z.real, z.imag)], ())
+        np.testing.assert_array_equal(exact[0], m.b_cur + z * m.b_next)
+        np.testing.assert_array_equal(rebased[0], z * m.b_cur + m.phi @ m.b_next)
 
 
 class TestTransferFunctions:
@@ -356,16 +355,26 @@ class TestArrayFrequencyAxis:
 
     def test_difference_solves_once_for_all_three_paths(self, ref_dab, monkeypatch):
         m = half_cycle_model(ref_dab, P_PLUS)
-        calls = []
-        real = smallsignal._resolvent_apply
+        solves, conversions = [], []
+        real_solve, real_array = smallsignal.resolvent_solve, smallsignal.planar_array
 
-        def counted(model, z, rhs):
-            calls.append(np.shape(rhs))
-            return real(model, z, rhs)
+        def counted_solve(phi, zr, zi, vectors):
+            solves.append((np.shape(zr), len(vectors)))
+            return real_solve(phi, zr, zi, vectors)
 
-        monkeypatch.setattr(smallsignal, "_resolvent_apply", counted)
+        def counted_array(vectors, shape):
+            conversions.append(shape)
+            return real_array(vectors, shape)
+
+        monkeypatch.setattr(smallsignal, "resolvent_solve", counted_solve)
+        monkeypatch.setattr(smallsignal, "planar_array", counted_array)
         transfer_difference(m, ref_dab.c_phys, unit_circle(25))
-        assert calls == [(3, 25, 2)]
+        assert solves == [((25,), 3)]
+        solves.clear()
+        conversions.clear()
+        transfer_difference(m, ref_dab.c_phys, cmath.exp(0.7j))
+        assert solves == [((), 3)]
+        assert conversions == [()]  # planar to complex once, at the return
 
     def test_bode_sweep_flags_the_pole_row_and_keeps_the_others(self, ref_dab, monkeypatch):
         # A model whose phi is a rotation has its poles on the unit circle, so
@@ -506,9 +515,11 @@ class TestDualPathFloor:
 
         def perturbed(model, c_phys, z):
             _, subtracted, states = real(model, c_phys, z)
-            b_next = model.b_next * (1.0 + 1e-6)
-            closed = smallsignal._output(c_phys, smallsignal._resolvent_apply(
-                model, z, np.multiply.outer(np.asarray(z) - 1.0, b_next)))
+            zr, zi = smallsignal._z_parts(model, z)
+            bn0, bn1 = (model.b_next * (1.0 + 1e-6)).tolist()
+            advance = (zr - 1.0) * bn0, zi * bn0, (zr - 1.0) * bn1, zi * bn1
+            solved = pwlti.resolvent_solve(model._entries.phi, zr, zi, [advance])[0]
+            closed = pwlti.matrix_times(np.ravel(c_phys).tolist(), solved)
             return closed, subtracted, states
 
         monkeypatch.setattr(smallsignal, "_difference_paths", perturbed)
@@ -630,6 +641,98 @@ def property_range_params(rng: np.random.Generator) -> DabParams:
         Vr=1.0)
 
 
+def _complex_route_surface_equivalence(dab, primary, secondary, z_grid, rtol=1e-10,
+                                       similarity_rtol=1e-12):
+    """verify_surface_equivalence as it ran through complex arrays, copied: numpy input
+    vectors, a planar `resolvent_solve` round trip, the complex LAPACK T-solve, and the
+    c_phys products."""
+    t_mat = dab.schedule.maps[primary.a - 1].phi
+    t_cond = cond(t_mat)
+    if not t_cond <= pwlti.COND_LIMIT:
+        raise MarginalSystemError(f"similarity transform is singular: cond ~ {t_cond:.3e}")
+    m_pri = half_cycle_model(dab, primary)
+    m_sec = half_cycle_model(dab, secondary)
+    sim_res = relative_residual(np.linalg.solve(t_mat, m_sec.phi @ t_mat), m_pri.phi)
+    z = np.asarray(z_grid, dtype=complex)
+    b_pri = m_pri.b_cur + np.multiply.outer(z, m_pri.b_next)
+    b_sec = np.multiply.outer(z, m_sec.b_cur) + m_sec.phi @ m_sec.b_next
+    zr, zi = smallsignal._z_parts(m_sec, z)  # the pole gate
+    solved = pwlti.planar_array(pwlti.resolvent_solve(
+        pwlti.Matrix2x2.of(m_sec.phi), zr, zi, [pwlti.planar(b_sec)]), z.shape)[0]
+    mapped, chained = np.linalg.solve(t_mat.astype(complex),
+                                      np.stack([b_sec, solved])[..., None])[..., 0]
+    c = np.ravel(dab.c_phys).tolist()
+    h_chain = pwlti.planar_array([pwlti.matrix_times(c, pwlti.planar(chained))], z.shape)[0]
+
+    def worst(actual, expected):
+        def norm(v):
+            return np.sqrt(v[..., 0].real ** 2 + v[..., 0].imag ** 2
+                           + v[..., 1].real ** 2 + v[..., 1].imag ** 2)
+        return float(np.max(norm(actual - expected) / (1.0 + norm(expected)), initial=0.0))
+
+    input_res, flipped_res = worst(b_pri, mapped), worst(b_pri, -mapped)
+    transfer_res = worst(transfer_fixed_freq(m_pri, dab.c_phys, z), h_chain)
+    note = ""
+    if input_res > rtol and flipped_res <= rtol:
+        note = "matches after a global sign flip: surface polarity mismatch"
+    name = f"surface-equiv/{primary.label}~{secondary.label}"
+    return [IdentityCheck(f"{name}/similarity", sim_res, similarity_rtol),
+            IdentityCheck(f"{name}/input-vector", input_res, rtol, note),
+            IdentityCheck(f"{name}/transfer-chain", transfer_res, rtol)]
+
+
+class TestPlanarSurfaceEquivalence:
+    """verify_surface_equivalence keeps every bit of its earlier complex-array route."""
+
+    GRIDS = (np.exp(1j * (2.0 * np.pi * np.arange(64) / 64)), unit_circle(8))
+    PAIRS = ((P_PLUS, S_PLUS), (P_MINUS, S_MINUS))
+
+    @staticmethod
+    def same_rows_or_error(dab, pri, sec, z):
+        """The rows of both routes, compared bit for bit, or the one error both raise."""
+        try:
+            old = _complex_route_surface_equivalence(dab, pri, sec, z)
+        except (ParameterError, MarginalSystemError, ResolventSingularityError) as exc:
+            with pytest.raises(type(exc)) as err:
+                verify_surface_equivalence(dab, pri, sec, z)
+            assert str(err.value) == str(exc)
+            return None
+        new = verify_surface_equivalence(dab, pri, sec, z)
+        assert [(c.name, float.hex(c.residual), c.tolerance, c.note) for c in new] == \
+            [(c.name, float.hex(c.residual), c.tolerance, c.note) for c in old]
+        return new
+
+    @pytest.mark.parametrize("polarity", [+1, -1])
+    def test_the_reference_design(self, ref_dab, polarity):
+        # polarity -1 is the S+ override of verify's negative path: a sign-flip note.
+        secondary = dataclasses.replace(S_PLUS, polarity=polarity)
+        for z in self.GRIDS:
+            rows = self.same_rows_or_error(ref_dab, P_PLUS, secondary, z)
+            assert (rows[1].note != "") == (polarity == -1)
+            assert self.same_rows_or_error(ref_dab, P_MINUS, S_MINUS, z) is not None
+
+    def test_property_range_designs(self):
+        rng = np.random.default_rng(16_2026)
+        built = 0
+        while built < 50:
+            try:
+                dab = build_dab(property_range_params(rng))
+            except (ParameterError, NumericInputError):
+                continue
+            built += 1
+            for pair in self.PAIRS:
+                self.same_rows_or_error(dab, *pair, self.GRIDS[0])
+
+    def test_a_skewed_schedule_raises_the_same_error(self, ref_params):
+        dab = build_dab(ref_params, t3_skew=5e-8)
+        for pair in self.PAIRS:
+            with pytest.raises(ParameterError) as old:
+                _complex_route_surface_equivalence(dab, *pair, self.GRIDS[0])
+            with pytest.raises(ParameterError) as new:
+                verify_surface_equivalence(dab, *pair, self.GRIDS[0])
+            assert str(new.value) == str(old.value)
+
+
 class TestClosedFormResolvent:
     """The closed-form 2x2 rule against numpy.linalg, near the poles too."""
 
@@ -661,10 +764,12 @@ class TestClosedFormResolvent:
     def test_solves_and_envelopes_agree_with_numpy_linalg(self):
         for dab, model, z in self.designs(60):
             lhs = z[:, None, None] * np.eye(2) - model.phi
-            rhs = control_input_vector(model, z)
-            expected = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+            rhs = smallsignal._input_vector(model._entries, z.real, z.imag)
+            expected = np.linalg.solve(lhs, pwlti.planar_array([rhs], z.shape)[0][..., None])
+            expected = expected[..., 0]
             floor = 2.0 * self.solve_floor(model, z)  # both solves err
-            closed = smallsignal._resolvent_apply(model, z, rhs)
+            closed = pwlti.planar_array(pwlti.resolvent_solve(
+                model._entries.phi, z.real, z.imag, [rhs]), z.shape)[0]
             assert np.all(row_norms(closed - expected) <= floor * row_norms(expected))
             envelope = (np.abs(z - 1.0) * np.linalg.norm(dab.c_phys, 2)
                         * np.linalg.norm(np.linalg.inv(lhs), 2, axis=(-2, -1))
