@@ -143,7 +143,7 @@ def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
             else:
                 cells = [_fmt(row.f)]
                 for h in (row.h_irec, row.h_vout):
-                    cells.append(_fmt(20.0 * math.log10(abs(h))))
+                    cells.append(_fmt(20.0 * math.log10(abs(h)) if h else -math.inf))
                     cells.append(_fmt(math.degrees(cmath.phase(h))))
             if args.model == "both":
                 cells.append(kind)
@@ -202,7 +202,8 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
                                       measure_frequency_responses(dab, surface, cfg.sim, freqs)):
         cells = [_fmt(f)]
         for pred, meas in zip(predicted, measured):
-            cells.append(_fmt(abs(pred) / abs(meas)))
+            with np.errstate(divide="ignore", invalid="ignore"):  # a 0 measured: inf, or nan
+                cells.append(_fmt(abs(pred) / abs(meas)))
             cells.append(_fmt(_wrap_degrees(math.degrees(cmath.phase(pred) - cmath.phase(meas)))))
         lines.append(",".join(cells))
     _atomic_write(args.out, "\n".join(lines) + "\n")

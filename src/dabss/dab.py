@@ -115,17 +115,22 @@ def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
     from T4, deliberately breaking the half-wave timing symmetry while
     keeping the period intact; the symmetry checks must then fail.
     """
-    n, L, Co = params.n_turns, params.L, params.Co
-    rt, rc, ro = params.Rt, params.Rc, params.Ro
-    rc_ro = rc * ro / (ro + rc)  # ESR parallel load
-
-    a_fwd = np.array([
-        [-(n * n * rt + rc_ro) / (n * n * L), ro / (n * L * (ro + rc))],
-        [-ro / (n * Co * (ro + rc)), -1.0 / (Co * (ro + rc))],
-    ])
+    # In numpy floats a denominator that underflows to 0 (n_turns of 1e-300) gives an entry
+    # that is not finite, which Segment rejects; Python floats would raise ZeroDivisionError.
+    n, L, Co, rt, rc, ro = map(np.float64, (params.n_turns, params.L, params.Co,
+                                            params.Rt, params.Rc, params.Ro))
+    with np.errstate(all="ignore"):
+        rc_ro = rc * ro / (ro + rc)  # ESR parallel load
+        a_fwd = np.array([
+            [-(n * n * rt + rc_ro) / (n * n * L), ro / (n * L * (ro + rc))],
+            [-ro / (n * Co * (ro + rc)), -1.0 / (Co * (ro + rc))],
+        ])
+        b_fwd = np.array([[1.0 / L], [0.0]])
+        # The forward intervals' rectifier sign flips the first column.
+        c_rev = pwlti._frozen_array([[1.0 / n, 0.0], [rc_ro / n, ro / (rc + ro)]])
+        c_fwd = pwlti._frozen_array(c_rev @ FLIP_CURRENT)
     # Reversed-coupling intervals: both off-diagonal terms change sign.
     a_rev = a_fwd * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    b_fwd = np.array([[1.0 / L], [0.0]])
     b_rev = -b_fwd
 
     t_half = params.t_half
@@ -144,10 +149,6 @@ def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
     )
     # The structural identities of these segments are measured by verify_symmetry.
     schedule = Schedule(segments=segments, u=np.array([params.Vin]))
-
-    # The forward intervals' rectifier sign flips the first column.
-    c_rev = pwlti._frozen_array([[1.0 / n, 0.0], [rc_ro / n, ro / (rc + ro)]])
-    c_fwd = pwlti._frozen_array(c_rev @ FLIP_CURRENT)
     return DabSchedule(params=params, schedule=schedule,
                        c_intervals=(c_fwd, c_rev, c_rev, c_fwd), c_phys=c_rev)
 

@@ -12,7 +12,7 @@ integration error. Every loop steps the state by the one rule
 in Python floats, in that evaluation order. The module shares no code path
 with the closed-form solvers: it builds its own step matrices, takes their
 exponentials with its own element-wise Pade kernel, and imports nothing from
-`pwlti`, which is what makes it a legitimate cross-check.
+`pwlti` or `smallsignal`, which is what makes it a legitimate cross-check.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -32,7 +32,6 @@ import numpy as np
 from .dab import RECTIFY, DabSchedule
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError)
-from .smallsignal import Surface
 
 # Injection amplitude fallback: fraction of the ramp amplitude.
 DEFAULT_AMPLITUDE_RATIO = 1e-4
@@ -354,14 +353,15 @@ def _resolve_amplitude(injection: Injection, vr: float, comp_gain: float,
     raise AmplitudeError("automatic amplitude halving failed to fit the shortest interval")
 
 
-def measure_frequency_response(dab: DabSchedule, surface: Surface, cfg: SimConfig) -> np.ndarray:
+def measure_frequency_response(dab: DabSchedule, surface, cfg: SimConfig) -> np.ndarray:
     """The one-bin `measure_frequency_responses`, at f = cfg.injection.f."""
     return measure_frequency_responses(dab, surface, cfg, [cfg.injection.f])[0]
 
 
-def measure_frequency_responses(dab: DabSchedule, surface: Surface, cfg: SimConfig,
+def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
                                 freqs) -> np.ndarray:
-    """Injected-sinusoid responses [I_rec, V_out] per volt of control, one row per f in `freqs`.
+    """Injected-sinusoid responses [I_rec, V_out] per volt of control, one row per f in `freqs`,
+    sampled on `surface`, which gives the interval pair `a`, `b` and the comparator `polarity`.
 
     Per half cycle k the leading duration moves by polarity * comp_gain *
     v[k] and the trailing one by -polarity * comp_gain * v[k+1], the

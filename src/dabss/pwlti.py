@@ -52,20 +52,18 @@ _THETA13 = 5.371920351148152
 _MAX_SQUARINGS = 53
 
 
-def expm(a: np.ndarray, t: float) -> np.ndarray:
-    """Matrix exponential exp(a*t); NumericInputError if a*t or the result is not finite.
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential exp(a); NumericInputError if a or the result is not finite.
 
     Parameters
     ----------
     a : np.ndarray
         Square matrix, or a stack of them with shape (k, n, n).
-    t : float
-        Scalar horizon, may be zero or negative.
 
     Returns
     -------
     np.ndarray
-        exp(a*t) by scaling and squaring with the degree-13 Pade approximant
+        exp(a) by scaling and squaring with the degree-13 Pade approximant
         r = p(x) / p(-x) = (V - U)^-1 (V + U) of Higham (2005), "The scaling
         and squaring method for the matrix exponential revisited". Each matrix
         of a stack takes its own scaling 2^-s from its own 1-norm and is
@@ -80,10 +78,8 @@ def expm(a: np.ndarray, t: float) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expm needs a square matrix, got shape {a.shape}")
-    if not math.isfinite(t):
-        raise NumericInputError(f"expm horizon must be finite, got {t!r}")
     n = a.shape[-1]
-    x = (a * t).reshape(-1, n, n)
+    x = a.reshape(-1, n, n)
     if not np.all(np.isfinite(x)):
         raise NumericInputError("expm input matrix has non-finite entries")
     norms = np.abs(x).sum(axis=-2).max(axis=-1)
@@ -177,11 +173,6 @@ class Schedule:
     def dim(self) -> int:
         return self.segments[0].dim
 
-    @property
-    def period(self) -> float:
-        """Sum of the segment durations."""
-        return math.fsum(seg.duration for seg in self.segments)
-
     @functools.cached_property
     def maps(self) -> tuple[SegmentMap, ...]:
         """Exact maps of every segment in order, from one batched augmented exponential
@@ -194,8 +185,7 @@ class Schedule:
         aug = np.zeros((len(self.segments), n + 1, n + 1))
         aug[:, :n, :n] = [seg.a for seg in self.segments]
         aug[:, :n, n] = [seg.b @ self.u for seg in self.segments]
-        # Scaling by the durations first is exact to the bit: expm's own `a * t` at t = 1.
-        m = expm(aug * np.array([seg.duration for seg in self.segments])[:, None, None], 1.0)
+        m = expm(aug * np.array([seg.duration for seg in self.segments])[:, None, None])
         return tuple(SegmentMap(_frozen_array(mk[:n, :n]), _frozen_array(mk[:n, n])) for mk in m)
 
     @functools.cached_property
@@ -319,10 +309,7 @@ def real_hypot(x, y):
 
 
 def planar(v: np.ndarray):
-    """(re0, im0, re1, im1) of a complex array of shape (..., 2): Python floats for one vector."""
-    if v.ndim == 1:
-        v0, v1 = v.tolist()
-        return v0.real, v0.imag, v1.real, v1.imag
+    """(re0, im0, re1, im1) of a complex array of shape (..., 2)."""
     return v[..., 0].real, v[..., 0].imag, v[..., 1].real, v[..., 1].imag
 
 

@@ -449,6 +449,65 @@ class TestUnwritableOut:
         assert (tmp_path / "afile").read_text() == "kept\n"
 
 
+class TestValuesAtTheEdgeOfDoublePrecision:
+    """Converter values whose products or transfers underflow to 0: README exit codes only."""
+
+    SIM = {"periods": 200, "injection": {"settle_periods": 5, "measure_periods": 10}}
+    COMMANDS = (["steady-state"], ["verify"], ["bode", "--model", "both"], ["simulate"],
+                ["compare"])
+
+    def run_all(self, config_file, tmp_path, capsys, converter):
+        """(command, exit code, stderr lines) of every command, run in-process."""
+        path = config_file(converter=dict(REFERENCE_KWARGS, **converter), sim=self.SIM,
+                           sweep={"points": 3})
+        results = []
+        for command, *extra in self.COMMANDS:
+            out = [] if command == "verify" else ["--out", str(tmp_path / command)]
+            code = cli.main([command, path, *extra, *out])
+            results.append((command, code, capsys.readouterr().err.splitlines()))
+        return results
+
+    @pytest.mark.parametrize("converter", [
+        pytest.param(dict(n_turns=1e-300), id="n_turns=1e-300"),
+        pytest.param(dict(n_turns=1e-160, L=1e-170), id="n_turns=1e-160,L=1e-170"),
+        pytest.param(dict(Co=1e-320, Ro=1e-5, Rc=0.0), id="Co=1e-320,Ro=1e-5,Rc=0")])
+    def test_an_underflowing_denominator_is_a_config_error(self, config_file, tmp_path, capsys,
+                                                           converter):
+        # n^2 L, n L (ro + rc) or Co (ro + rc) rounds to 0: a state matrix is not finite.
+        for command, code, err in self.run_all(config_file, tmp_path, capsys, converter):
+            assert code == 2, (command, err)
+            assert len(err) == 1 and err[0].startswith("error: "), (command, err)
+
+    @pytest.mark.parametrize("converter", [
+        pytest.param(dict(Ro=5e-324), id="Ro=5e-324"),
+        pytest.param(dict(Vin=5e-324), id="Vin=5e-324"),
+        pytest.param(dict(Vin=1e-300, Vr=1e300), id="Vin=1e-300,Vr=1e300")])
+    def test_a_transfer_of_zero_exits_with_a_readme_code(self, config_file, tmp_path, capsys,
+                                                         converter):
+        for command, code, err in self.run_all(config_file, tmp_path, capsys, converter):
+            assert code in (0, 2, 3, 4, 5) or (code == 1 and command == "verify"), (command, err)
+            assert code == 0 or err[0].startswith("error: "), (command, err)
+
+    def test_a_zero_magnitude_is_minus_inf_db(self, config_file, tmp_path):
+        # A load of 5e-324 ohm shorts the output: V_out is exactly 0 at every frequency.
+        path = config_file(converter=dict(REFERENCE_KWARGS, Ro=5e-324), sweep={"points": 3})
+        out = tmp_path / "bode.csv"
+        assert cli.main(["bode", path, "--model", "both", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            assert row[3] == "-inf" and math.isfinite(float(row[1])), row
+
+    def test_a_zero_measured_magnitude_is_a_nan_ratio(self, config_file, tmp_path):
+        # With Vin = 5e-324 the model and the measurement are both 0: 0 / 0.
+        path = config_file(converter=dict(REFERENCE_KWARGS, Vin=5e-324), sim=self.SIM,
+                           sweep={"points": 3})
+        out = tmp_path / "compare.csv"
+        assert cli.main(["compare", path, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        assert rows and all(row[1] == "nan" and row[3] == "nan" for row in rows)
+
+
 class TestTempFile:
     """--out goes through a temp file of its own: a user's `<out>.tmp` is never touched."""
 

@@ -78,7 +78,7 @@ class TestScheduleStructure:
         durations = [seg.duration for seg in ref_dab.schedule.segments]
         np.testing.assert_allclose(durations, [d * th, (1 - d) * th, d * th, (1 - d) * th],
                                    rtol=1e-15)
-        assert math.isclose(ref_dab.schedule.period, ref_params.period, rel_tol=1e-15)
+        assert math.isclose(math.fsum(durations), ref_params.period, rel_tol=1e-15)
 
     def test_state_matrices_pair_by_conjugation(self, ref_dab):
         segs = ref_dab.schedule.segments

@@ -363,7 +363,8 @@ class TestIndependence:
                 imported.add(node.module or "")
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 imported.update(alias.name for alias in node.names)
-        assert not [name for name in imported if name.split(".")[-1] == "pwlti"]
+        assert not [name for name in imported
+                    if name.split(".")[-1] in ("pwlti", "smallsignal")]
 
 
 class TestPreRunCache:

@@ -55,49 +55,45 @@ def forcing_via_inverse(seg: Segment, u: np.ndarray) -> np.ndarray:
     An independent cross-check of the augmented-exponential route; only
     trustworthy while cond(a) stays moderate (callers gate on ~1e8).
     """
-    phi = expm(seg.a, seg.duration)
+    phi = expm(seg.a * seg.duration)
     return np.linalg.solve(seg.a, (phi - np.eye(seg.dim)) @ (seg.b @ np.asarray(u, dtype=float)))
 
 
 class TestExpm:
     def test_scalar_decay(self):
-        out = expm(np.array([[-1.0]]), 2.0)
+        out = expm(np.array([[-1.0]]) * 2.0)
         assert out.shape == (1, 1)
         assert math.isclose(out[0, 0], math.exp(-2.0), rel_tol=1e-14)
 
     def test_zero_horizon_is_identity(self):
         a = np.array([[0.0, 1.0], [-4.0, -0.5]])
-        np.testing.assert_array_equal(expm(a, 0.0), np.eye(2))
+        np.testing.assert_array_equal(expm(a * 0.0), np.eye(2))
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4))
-        whole = expm(a, 0.9)
-        split = expm(a, 0.6) @ expm(a, 0.3)
+        whole = expm(a * 0.9)
+        split = expm(a * 0.6) @ expm(a * 0.3)
         assert relative_residual(split, whole) < 1e-13
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            expm(np.zeros((2, 3)), 1.0)
+            expm(np.zeros((2, 3)))
 
     def test_rejects_non_finite_matrix(self):
         with pytest.raises(NumericInputError):
-            expm(np.array([[np.nan]]), 1.0)
-
-    def test_rejects_non_finite_horizon(self):
-        with pytest.raises(NumericInputError):
-            expm(np.eye(2), math.inf)
+            expm(np.array([[np.nan]]))
 
     def test_rejects_a_non_finite_result(self):
         with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
-            expm(np.array([[800.0]]), 1.0)
+            expm(np.array([[800.0]]))
 
     def test_rejects_fifty_three_squarings(self):
         # theta13 * 2^52 takes 52 squarings and theta13 * 2^53 takes 53; exp(-x)
         # underflows to a finite 0 at both, so only the squaring count tells them apart.
-        np.testing.assert_array_equal(expm(np.array([[-pwlti._THETA13 * 2.0**52]]), 1.0), 0.0)
+        np.testing.assert_array_equal(expm(np.array([[-pwlti._THETA13 * 2.0**52]])), 0.0)
         with pytest.raises(NumericInputError, match="reaches 4.839e[+]16, beyond double"):
-            expm(np.array([[-pwlti._THETA13 * 2.0**53]]), 1.0)
+            expm(np.array([[-pwlti._THETA13 * 2.0**53]]))
 
     def test_no_design_in_the_property_ranges_nears_the_squaring_cutoff(self):
         # Bounds of the column sums of [[a, b u], [0, 0]] T over the ranges of
@@ -128,7 +124,7 @@ class TestPadeKernel:
         # Period steps and the oracle's 32-substep waveform steps of 500 designs.
         aug = np.concatenate([augmented_step_matrices(build_dab(random_params(rng)), (1, 32))
                               for _ in range(500)])
-        assert max_abs_relative(expm(aug, 1.0), linalg.expm(aug)).max() <= 1e-14
+        assert max_abs_relative(expm(aug), linalg.expm(aug)).max() <= 1e-14
 
     def test_stiff_blocked_design_keeps_its_conserved_state(self):
         # The marginal design of the CLI suite: a blocking series path, an
@@ -136,7 +132,7 @@ class TestPadeKernel:
         linalg = pytest.importorskip("scipy.linalg")
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
         aug = augmented_step_matrices(dab)
-        ours, reference = expm(aug, 1.0), linalg.expm(aug)
+        ours, reference = expm(aug), linalg.expm(aug)
         for m in ours:
             np.testing.assert_array_equal(m[2], [0.0, 0.0, 1.0])
         assert max_abs_relative(ours[:, :2, :2], reference[:, :2, :2]).max() <= 1e-14
@@ -150,9 +146,9 @@ class TestPadeKernel:
         a = a - np.swapaxes(a, 1, 2)
         target = np.array([1e-6, 1e8, 1e-6, 3.0, 1e8, 40.0])
         a *= (target / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
-        stacked = expm(a, 1.0)
+        stacked = expm(a)
         for k in range(len(a)):
-            np.testing.assert_array_equal(stacked[k], expm(a[k], 1.0))
+            np.testing.assert_array_equal(stacked[k], expm(a[k]))
 
 
 class TestSegmentValidation:
@@ -181,10 +177,6 @@ class TestSegmentValidation:
 class TestScheduleValidation:
     def _segment(self):
         return Segment(a=-np.eye(2), b=np.ones((2, 1)), duration=0.5)
-
-    def test_period_defaults_to_duration_sum(self):
-        sched = Schedule(segments=(self._segment(), self._segment()), u=np.array([1.0]))
-        assert math.isclose(sched.period, 1.0, rel_tol=1e-15)
 
     def test_rejects_empty_schedule(self):
         with pytest.raises(DimensionError):
@@ -382,7 +374,7 @@ class TestPeriodicFixedPoint:
         rng = np.random.default_rng(23)
         seg = random_stable_segment(rng, 3)
         sched = Schedule(segments=(seg,), u=np.array([0.5]))
-        np.testing.assert_allclose(monodromy(sched), expm(seg.a, seg.duration),
+        np.testing.assert_allclose(monodromy(sched), expm(seg.a * seg.duration),
                                    rtol=1e-14)
 
 
@@ -418,7 +410,7 @@ class TestBatchedSegmentMaps:
                 aug = np.zeros((3, 3))
                 aug[:2, :2] = seg.a
                 aug[:2, 2] = seg.b @ sched.u
-                single = expm(aug, seg.duration)
+                single = expm(aug * seg.duration)
                 np.testing.assert_array_equal(got.phi, single[:2, :2])
                 np.testing.assert_array_equal(got.gamma, single[:2, 2])
                 one = Schedule((seg,), sched.u).maps[0]
@@ -440,14 +432,14 @@ class TestBatchedSegmentMaps:
     def test_expm_of_a_stack_matches_each_matrix(self):
         rng = np.random.default_rng(37)
         a = rng.standard_normal((5, 3, 3))
-        stacked = expm(a, 0.7)
+        stacked = expm(a * 0.7)
         for k in range(5):
-            np.testing.assert_array_equal(stacked[k], expm(a[k], 0.7))
+            np.testing.assert_array_equal(stacked[k], expm(a[k] * 0.7))
         a[2, 1, 1] = math.nan
         with pytest.raises(NumericInputError):
-            expm(a, 0.7)
+            expm(a * 0.7)
         with pytest.raises(DimensionError):
-            expm(np.zeros((5, 3, 2)), 0.7)
+            expm(np.zeros((5, 3, 2)))
 
 
 def _folded_period_map(maps) -> tuple[np.ndarray, np.ndarray]:
