@@ -237,7 +237,8 @@ def _step_maps(dab: DabSchedule, intervals, durations) -> np.ndarray:
     steps in the order of `durations.ravel()`.
     """
     segments = dab.schedule.segments
-    aug = np.array([np.column_stack([seg.a, seg.b @ dab.schedule.u]) for seg in segments])
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: _step_exponentials raises
+        aug = np.array([np.column_stack([seg.a, seg.b @ dab.schedule.u]) for seg in segments])
     # take() keeps each of the six entries contiguous over the maps.
     return _step_exponentials(aug.transpose(1, 2, 0).take(np.ravel(intervals), axis=2)
                               * np.ravel(durations))

@@ -184,7 +184,8 @@ class Schedule:
         n = self.dim
         aug = np.zeros((len(self.segments), n + 1, n + 1))
         aug[:, :n, :n] = [seg.a for seg in self.segments]
-        aug[:, :n, n] = [seg.b @ self.u for seg in self.segments]
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: expm raises
+            aug[:, :n, n] = [seg.b @ self.u for seg in self.segments]
         m = expm(aug * np.array([seg.duration for seg in self.segments])[:, None, None])
         return tuple(SegmentMap(_frozen_array(mk[:n, :n]), _frozen_array(mk[:n, n])) for mk in m)
 
@@ -284,13 +285,6 @@ def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:
     return float(np.linalg.norm(actual - expected) / (1.0 + np.linalg.norm(expected)))
 
 
-def row_norms(v: np.ndarray) -> np.ndarray:
-    """2-norm along the last axis, rounded as np.linalg.norm rounds one vector (one BLAS dot)."""
-    v = np.asarray(v)
-    re, im = v.real[..., None, :], v.imag[..., None, :]
-    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
-
-
 # The 2x2 resolvent (zI - M)^{-1} of a real matrix M in closed form. A complex 2-vector is
 # handled as a "planar" tuple (re0, im0, re1, im1), and every rule below uses only +, -, *,
 # /, sqrt and hypot on its entries: Python floats for one z, float arrays for an array of z.
@@ -306,11 +300,6 @@ def real_sqrt(x):
 def real_hypot(x, y):
     # Both are the C library's hypot; math.hypot is not.
     return abs(complex(x, y)) if isinstance(x, float) else np.hypot(x, y)
-
-
-def planar(v: np.ndarray):
-    """(re0, im0, re1, im1) of a complex array of shape (..., 2)."""
-    return v[..., 0].real, v[..., 0].imag, v[..., 1].real, v[..., 1].imag
 
 
 def planar_array(vectors, shape: tuple) -> np.ndarray:

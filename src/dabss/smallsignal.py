@@ -16,8 +16,8 @@ advance. Their difference carries an explicit (z - 1) factor, which is why
 the approximation is exact at dc and degrades linearly with frequency. Every
 transfer, and the spectral norms of the difference envelope, come from the
 2x2 resolvent in closed form (`pwlti.resolvent_solve`), the same rule for one
-z and for an array of z. Complex 2-vectors stay planar, `(re0, im0, re1, im1)`,
-until a transfer is returned or a numpy call whose rounding `verify` prints.
+z and for an array of z, and so does the T-solve of the surface check. Complex
+2-vectors stay planar, `(re0, im0, re1, im1)`, until a transfer is returned.
 
 There are four sampling surfaces (either edge polarity on either bridge).
 Models built on different surfaces of the same polarity pair are similar in
@@ -40,10 +40,10 @@ import numpy as np
 from . import pwlti
 from .dab import (FLIP_CURRENT, RECTIFY, DabSchedule, half_cycle_map, solve_half_cycle,
                   verify_symmetry)
-from .errors import MarginalSystemError, ParameterError, ResolventSingularityError
-from .pwlti import (IdentityCheck, Matrix2x2, matrix_times, planar, planar_array, planar_norm,
-                    real_hypot, real_sqrt, relative_residual, resolvent_det, resolvent_solve,
-                    sigma_max_sq)
+from .errors import (MarginalSystemError, NumericInputError, ParameterError,
+                     ResolventSingularityError)
+from .pwlti import (IdentityCheck, Matrix2x2, matrix_times, planar_array, planar_norm, real_hypot,
+                    real_sqrt, relative_residual, resolvent_det, resolvent_solve, sigma_max_sq)
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
 _FEW_Z = 16  # a transfer at this many z or fewer is evaluated z by z (`_transfer`)
@@ -161,8 +161,12 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     sens_b = RECTIFY @ (seg_b.a @ x_b_end + seg_b.b @ u)
 
     comp_gain = t_half / dab.params.Vr
-    b_cur = surface.polarity * comp_gain * sens_a
-    b_next = -surface.polarity * comp_gain * sens_b
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: raises below
+        b_cur = surface.polarity * comp_gain * sens_a
+        b_next = -surface.polarity * comp_gain * sens_b
+    if not (math.isfinite(comp_gain) and np.isfinite(b_cur).all() and np.isfinite(b_next).all()):
+        raise NumericInputError(f"surface {surface.label} control-input vectors are not finite: "
+                                f"comparator gain T_half / Vr = {comp_gain:.3e} s/V")
     arrays = dict(phi=phi, g=g, x_star=x_star, x_a_end=x_a_end, x_b_end=x_b_end,
                   sens_a=sens_a, sens_b=sens_b, b_cur=b_cur, b_next=b_next)
     for value in arrays.values():
@@ -294,6 +298,16 @@ def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray, z):
     return _row_residuals(*_difference_paths(model, c_phys, z)[:2])
 
 
+def _resolvent_sizes(model: HalfCycleModel, c_phys: np.ndarray, z):
+    """(Re z, Im z, s_max^2 and |det|^2 of zI - phi, ||c_phys||), spectral norms in closed
+    form, behind the `_z_parts` pole gate: what bounds a transfer's size and its roundoff."""
+    phi = model._entries.phi
+    zr, zi = _z_parts(model, z)
+    a, d, _, _, q = resolvent_det(phi, zr, zi)
+    return (zr, zi, sigma_max_sq(a, -phi.m01, -phi.m10, d, zi), q,
+            math.sqrt(sigma_max_sq(*_matrix(c_phys), 0.0)))
+
+
 def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtracted):
     """First-order bound, per z, on the dual-path residual that roundoff alone can cause.
 
@@ -307,11 +321,8 @@ def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtr
     solve backward stable to u (Thm 7.2). c_phys x and the subtraction add about
     4 u ||c_phys|| ||x||; near z = 1 the subtraction cancels.
     """
-    e = model._entries
-    zr, zi = _z_parts(model, z)
-    a, d, _, _, q = resolvent_det(e.phi, zr, zi)
-    kappa = sigma_max_sq(a, -e.phi.m01, -e.phi.m10, d, zi) / real_sqrt(q)
-    c_norm = math.sqrt(sigma_max_sq(*_matrix(c_phys), 0.0))
+    _, _, s_max_sq, q, c_norm = _resolvent_sizes(model, c_phys, z)
+    kappa = s_max_sq / real_sqrt(q)
     x_norms = sum(planar_norm(x) for x in states)
     return 2.0 ** -53 * (2.0 * kappa + 4.0) * c_norm * x_norms / (1.0 + planar_norm(subtracted))
 
@@ -361,12 +372,8 @@ def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z):
     ||(zI - phi)^{-1}|| = s_max / |det| of zI - phi, in closed form. A 1-D array of z
     gives one bound per z; a z on a pole raises as every transfer does.
     """
-    e = model._entries
-    zr, zi = _z_parts(model, z)
-    a, d, _, _, q = resolvent_det(e.phi, zr, zi)
-    resolvent_norm = real_sqrt(sigma_max_sq(a, -e.phi.m01, -e.phi.m10, d, zi) / q)
-    return (real_hypot(zr - 1.0, zi) * math.sqrt(sigma_max_sq(*_matrix(c_phys), 0.0))
-            * resolvent_norm * e.bn_norm)
+    zr, zi, s_max_sq, q, c_norm = _resolvent_sizes(model, c_phys, z)
+    return real_hypot(zr - 1.0, zi) * c_norm * real_sqrt(s_max_sq / q) * model._entries.bn_norm
 
 
 def resolvent_similarity_residual(a: np.ndarray, t_mat: np.ndarray,
@@ -430,8 +437,8 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     zr, zi = _z_parts(m_sec, z)
     b_sec = _rebased_vector(m_sec, zr, zi)
     x_sec = resolvent_solve(m_sec._entries.phi, zr, zi, [b_sec])
-    stacked = planar_array([b_sec, *x_sec], z.shape)[..., None]  # LAPACK's rounding is printed
-    mapped, chained = map(planar, np.linalg.solve(t_mat.astype(complex), stacked)[..., 0])
+    # T^{-1} = (0 I - (-T))^{-1}, by the closed form of every transfer.
+    mapped, chained = resolvent_solve(Matrix2x2.of(-t_mat), 0.0, 0.0, [b_sec, *x_sec])
     e = m_pri._entries
     zr, zi = _z_parts(m_pri, z)
     b_pri = _input_vector(e, zr, zi)
@@ -561,10 +568,9 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
     checks.append(_dual_path_check(model, dab.c_phys, circle,
                                    (on_circle[0], on_circle[1], on_circle[2:]),
                                    tol.transfer_difference))
-    subtracted = _complex(subtracted)
-    checks.append(IdentityCheck("transfer-difference/dc-zero",
-                                float(np.linalg.norm(subtracted[100])), tol.transfer_difference))
-    diff = pwlti.row_norms(subtracted[101:])
+    checks.append(IdentityCheck("transfer-difference/dc-zero", float(planar_norm(
+        tuple(part[100] for part in subtracted))), tol.transfer_difference))
+    diff = planar_norm(tuple(part[101:] for part in subtracted))
     envelope = difference_envelope(model, dab.c_phys, sweep)
     # At z = 1 the envelope and the difference both vanish: 0/0 reads as 0.
     ratio = np.max(np.divide(diff, envelope, out=np.where(diff == 0.0, 0.0, np.inf),

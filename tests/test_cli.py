@@ -488,6 +488,25 @@ class TestValuesAtTheEdgeOfDoublePrecision:
             assert code in (0, 2, 3, 4, 5) or (code == 1 and command == "verify"), (command, err)
             assert code == 0 or err[0].startswith("error: "), (command, err)
 
+    @pytest.mark.parametrize("vin", [1e308, -1e308])
+    def test_an_overflowing_input_column_is_a_config_error(self, config_file, tmp_path, capsys,
+                                                          vin):
+        # b u overflows to inf in both exponentials' augmented matrices: no RuntimeWarning.
+        for command, code, err in self.run_all(config_file, tmp_path, capsys, dict(Vin=vin)):
+            assert code == 2, (command, err)
+            assert len(err) == 1 and err[0].startswith("error: "), (command, err)
+
+    @pytest.mark.parametrize("vr", [1e-307, 5e-324])
+    def test_control_input_vectors_that_are_not_finite_are_a_config_error(
+            self, config_file, tmp_path, capsys, vr):
+        # T_half / Vr times a sensitivity overflows; the steady state needs no input vector,
+        # and the oracle's 200 periods do not settle this lightly damped design.
+        expected = {"steady-state": 0, "verify": 2, "bode": 2, "simulate": 4, "compare": 2}
+        for command, code, err in self.run_all(config_file, tmp_path, capsys, dict(Vr=vr)):
+            assert code == expected[command], (command, err)
+            if code == 2:
+                assert len(err) == 1 and "control-input vectors are not finite" in err[0], err
+
     def test_a_zero_magnitude_is_minus_inf_db(self, config_file, tmp_path):
         # A load of 5e-324 ohm shorts the output: V_out is exactly 0 at every frequency.
         path = config_file(converter=dict(REFERENCE_KWARGS, Ro=5e-324), sweep={"points": 3})
