@@ -19,6 +19,7 @@ conjugation identities numerically instead of trusting the construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import pwlti
 from .errors import ParameterError
-from .pwlti import IdentityCheck, Schedule, Segment, SegmentMap, compose, relative_residual
+from .pwlti import IdentityCheck, Schedule, Segment, SegmentMap, compose, planar_residual
 
 # Involutions of the [i_L, v_C] state.
 # FLIP_VOLTAGE conjugates the reversed-coupling intervals onto the forward
@@ -106,6 +107,13 @@ class DabSchedule:
     c_intervals: tuple[np.ndarray, ...]
     c_phys: np.ndarray
 
+    @functools.cached_property
+    def _intervals(self) -> tuple:
+        """Per interval, in Python floats: phi and the state matrix row by row, gamma, b u."""
+        return tuple((m.phi.ravel().tolist(), m.gamma.tolist(), seg.a.ravel().tolist(),
+                      (seg.b @ self.schedule.u).tolist())
+                     for m, seg in zip(self.schedule.maps, self.schedule.segments))
+
 
 def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
     """Assemble the four-interval schedule for one switching period.
@@ -163,19 +171,17 @@ def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck
         phi3 = Dr phi1 Dr,  phi4 = Dr phi2 Dr.
 
     These hold only because intervals pair up in state matrix, input sign,
-    and duration; skewing T3 away from T1 must break them.
+    and duration; skewing T3 away from T1 must break them. S phi S = Dr phi Dr and -S gamma
+    are exact sign flips, so each S row and its Dr row are one residual, in Python floats.
     """
-    m1, m2, m3, m4 = dab.schedule.maps
-    s = FLIP_VOLTAGE
-    dr = RECTIFY
-    return [
-        IdentityCheck("symmetry/phi3-flip-voltage", relative_residual(m3.phi, s @ m1.phi @ s), rtol),
-        IdentityCheck("symmetry/phi4-flip-voltage", relative_residual(m4.phi, s @ m2.phi @ s), rtol),
-        IdentityCheck("symmetry/gamma3-negated", relative_residual(m3.gamma, -(s @ m1.gamma)), rtol),
-        IdentityCheck("symmetry/gamma4-negated", relative_residual(m4.gamma, -(s @ m2.gamma)), rtol),
-        IdentityCheck("symmetry/phi3-rectify", relative_residual(m3.phi, dr @ m1.phi @ dr), rtol),
-        IdentityCheck("symmetry/phi4-rectify", relative_residual(m4.phi, dr @ m2.phi @ dr), rtol),
-    ]
+    (p1, g1, *_), (p2, g2, *_), (p3, g3, *_), (p4, g4, *_) = dab._intervals
+    phi3, phi4 = (planar_residual(late, (p[0], -p[1], -p[2], p[3]))
+                  for late, p in ((p3, p1), (p4, p2)))
+    gamma3, gamma4 = (planar_residual((*late, 0.0, 0.0), (-g[0], g[1], 0.0, 0.0))
+                      for late, g in ((g3, g1), (g4, g2)))
+    return [IdentityCheck(f"symmetry/{name}", residual, rtol) for name, residual in (
+        ("phi3-flip-voltage", phi3), ("phi4-flip-voltage", phi4), ("gamma3-negated", gamma3),
+        ("gamma4-negated", gamma4), ("phi3-rectify", phi3), ("phi4-rectify", phi4))]
 
 
 def half_cycle_map(dab: DabSchedule, first: int) -> SegmentMap:
@@ -188,11 +194,7 @@ def half_cycle_map(dab: DabSchedule, first: int) -> SegmentMap:
 
 
 def solve_half_cycle(dab: DabSchedule) -> np.ndarray:
-    """Period-start steady state from the first half cycle alone.
-
-    Half-wave symmetry reduces the periodic condition x4 = x0 to the fixed point
-    of the rectified map of intervals 1 and 2, a 2x2 solve over half the maps the
-    full-period route needs. RECTIFY only flips signs, so this is the system
-    (FLIP_CURRENT - phi2 phi1) x0 = phi2 gamma1 + gamma2 to the bit.
-    """
+    """Period-start steady state from the first half cycle alone: half-wave symmetry
+    reduces x4 = x0 to the fixed point of the rectified map of intervals 1 and 2, the system
+    (FLIP_CURRENT - phi2 phi1) x0 = phi2 gamma1 + gamma2 with its first row negated."""
     return pwlti.fixed_point(*half_cycle_map(dab, 1), "half-cycle solve")

@@ -20,6 +20,7 @@ holds the resolvent (zI - M)^{-1} of a real 2x2 matrix in closed form
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -130,7 +131,7 @@ class Segment:
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise DimensionError(
                 f"segment input matrix {b.shape} does not match state dimension {a.shape[0]}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NumericInputError("segment matrices must be finite")
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise NumericInputError(f"segment duration must be finite and >= 0, got {self.duration!r}")
@@ -156,7 +157,7 @@ class Schedule:
         u = _frozen_array(self.u)
         if u.ndim != 1:
             raise DimensionError(f"input vector must be 1-d, got shape {u.shape}")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise NumericInputError("input vector must be finite")
         dim = segments[0].dim
         m = segments[0].b.shape[1]
@@ -250,7 +251,18 @@ def fixed_point(phi: np.ndarray, gamma: np.ndarray, what: str) -> np.ndarray:
     """Fixed point of x -> phi x + gamma (a period, a half cycle, a surface), from
     (I - phi) x = gamma. An eigenvalue of phi at or near 1 leaves cond(I - phi) not finite or
     above COND_LIMIT: MarginalSystemError "<what> is marginal: cond ~ ... exceeds 1.0e+12",
-    carrying the eigenvalues of phi."""
+    carrying the eigenvalues of phi. A 2x2 phi is solved as `resolvent_solve` at z = 1 while
+    its closed-form cond s_max^2 / |det| is at most COND_LIMIT / 2 and det^2 a normal number;
+    otherwise LAPACK's `cond` gives the verdict and the printed value."""
+    if phi.shape == (2, 2):
+        m = Matrix2x2.of(phi)
+        with contextlib.suppress(ResolventSingularityError):  # det(I - phi) 0 or not a number
+            det = a, d, det_re, _, q = resolvent_det(m, 1.0, 0.0)
+            c = sigma_max_sq(a, -m.m01, -m.m10, d, 0.0) / abs(det_re)
+            if c <= COND_LIMIT / 2 and 1e-300 < q < 1e300:
+                g0, g1 = gamma.tolist()
+                (x0, _, x1, _), = resolvent_solve(m, 1.0, 0.0, [(g0, 0.0, g1, 0.0)], det)
+                return np.array([x0, x1])
     lhs = np.eye(phi.shape[0]) - phi
     c = cond(lhs)
     if not c <= COND_LIMIT:  # NaN fails too
@@ -265,21 +277,14 @@ def solve_periodic_fixed_point(schedule: Schedule) -> np.ndarray:
 
 
 def monodromy(schedule: Schedule) -> np.ndarray:
-    """One-period state transition matrix Pi = Phi_n ... Phi_1 (read-only, cached).
-
-    Its eigenvalues decide stability of the periodic solution: all strictly
-    inside the unit circle means the switching cycle is asymptotically stable.
-    """
+    """One-period state transition matrix Pi = Phi_n ... Phi_1 (read-only, cached). The
+    switching cycle is asymptotically stable iff its eigenvalues lie inside the unit circle."""
     return schedule.period_map.phi
 
 
 def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:
-    """||actual - expected|| / (1 + ||expected||).
-
-    The +1 in the denominator acts as an absolute floor so comparisons
-    against near-zero references stay meaningful. Matrices use the
-    Frobenius norm, vectors the 2-norm.
-    """
+    """||actual - expected|| / (1 + ||expected||), Frobenius norm for matrices: the +1 is an
+    absolute floor, so comparisons against near-zero references stay meaningful."""
     actual = np.asarray(actual)
     expected = np.asarray(expected)
     return float(np.linalg.norm(actual - expected) / (1.0 + np.linalg.norm(expected)))
@@ -321,9 +326,21 @@ def matrix_times(c: list, v):
 
 
 def planar_norm(v):
-    """2-norm of a planar vector."""
+    """2-norm of a planar vector: the root of its sum of squares, or hypot's scaled form
+    where that sum reaches 1e150 or overflows."""
     r0, s0, r1, s1 = v
-    return real_sqrt(r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1)
+    if type(r0) is type(s0) is type(r1) is type(s1) is float:  # numpy warns on an overflow
+        s = r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1
+        return real_hypot(real_hypot(r0, s0), real_hypot(r1, s1)) if s >= 1e150 else math.sqrt(s)
+    with np.errstate(over="ignore"):
+        s = r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1
+    return np.where(s >= 1e150, np.hypot(np.hypot(r0, s0), np.hypot(r1, s1)), np.sqrt(s))
+
+
+def planar_residual(actual, expected):
+    """relative_residual of planar vectors: a float for one vector, an array for many."""
+    return (planar_norm(tuple(a - e for a, e in zip(actual, expected)))
+            / (1.0 + planar_norm(expected)))
 
 
 def sigma_max_sq(a, b, c, d, y):
@@ -399,9 +416,10 @@ def resolvent_det(m: Matrix2x2, zr, zi):
     return a, d, det_re, det_im, q
 
 
-def resolvent_solve(m: Matrix2x2, zr, zi, vectors) -> list:
-    """(zI - M)^{-1} v = adj(zI - M) v / det(zI - M) for each planar v in `vectors`."""
-    a, d, det_re, det_im, q = resolvent_det(m, zr, zi)
+def resolvent_solve(m: Matrix2x2, zr, zi, vectors, det=None) -> list:
+    """(zI - M)^{-1} v = adj(zI - M) v / det(zI - M) for each planar v in `vectors`; `det` is
+    `resolvent_det(m, zr, zi)` where the caller has it already."""
+    a, d, det_re, det_im, q = det or resolvent_det(m, zr, zi)
     w_re, w_im = det_re / q, -det_im / q  # 1 / det
     solved = []
     for r0, s0, r1, s1 in vectors:

@@ -38,12 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pwlti
-from .dab import (FLIP_CURRENT, RECTIFY, DabSchedule, half_cycle_map, solve_half_cycle,
-                  verify_symmetry)
+from .dab import FLIP_CURRENT, DabSchedule, half_cycle_map, solve_half_cycle, verify_symmetry
 from .errors import (MarginalSystemError, NumericInputError, ParameterError,
                      ResolventSingularityError)
-from .pwlti import (IdentityCheck, Matrix2x2, matrix_times, planar_array, planar_norm, real_hypot,
-                    real_sqrt, relative_residual, resolvent_det, resolvent_solve, sigma_max_sq)
+from .pwlti import (IdentityCheck, Matrix2x2, matrix_times, planar_array, planar_norm,
+                    planar_residual, real_hypot, real_sqrt, relative_residual, resolvent_det,
+                    resolvent_solve, sigma_max_sq)
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
 _FEW_Z = 16  # a transfer at this many z or fewer is evaluated z by z (`_transfer`)
@@ -129,7 +129,7 @@ class HalfCycleModel:
         """phi, b_cur, b_next, ||b_next|| and the poles, as Python floats and complex."""
         (bc0, bc1), (bn0, bn1) = self.b_cur.tolist(), self.b_next.tolist()
         return _Entries(Matrix2x2.of(self.phi), bc0, bc1, bn0, bn1,
-                        math.sqrt(bn0 * bn0 + bn1 * bn1), tuple(self.poles.tolist()))
+                        planar_norm((bn0, 0.0, bn1, 0.0)), tuple(self.poles.tolist()))
 
 
 def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
@@ -144,7 +144,6 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     if surface in models:
         return models[surface]
     seg_a, seg_b = (dab.schedule.segments[i - 1] for i in (surface.a, surface.b))
-    map_a, map_b = (dab.schedule.maps[i - 1] for i in (surface.a, surface.b))
     t_half = dab.params.t_half
     if not abs(seg_a.duration + seg_b.duration - t_half) <= 1e-12 * abs(t_half):
         raise ParameterError(
@@ -153,26 +152,33 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
 
     phi, g = half_cycle_map(dab, surface.a)
     x_star = pwlti.fixed_point(phi, g, f"surface {surface.label} fixed point")
-    x_a_end = map_a.phi @ x_star + map_a.gamma
-    x_b_end = map_b.phi @ x_a_end + map_b.gamma
-
-    u = dab.schedule.u
-    sens_a = RECTIFY @ map_b.phi @ (seg_a.a @ x_a_end + seg_a.b @ u)
-    sens_b = RECTIFY @ (seg_b.a @ x_b_end + seg_b.b @ u)
-
+    (pa, ga, aa, ua), (pb, gb, ab, ub) = (dab._intervals[i - 1] for i in (surface.a, surface.b))
+    x_a_end = _affine(pa, x_star.tolist(), ga)
+    x_b_end = _affine(pb, x_a_end, gb)
+    # sens_a = RECTIFY phi_b (a_a x_a_end + b_a u), sens_b = RECTIFY (a_b x_b_end + b_b u)
+    flow_a = _affine(pb, _affine(aa, x_a_end, ua), (-0.0, -0.0))  # -0.0 adds exactly 0
+    flow_b = _affine(ab, x_b_end, ub)
+    sens_a, sens_b = (-flow_a[0], flow_a[1]), (-flow_b[0], flow_b[1])
     comp_gain = t_half / dab.params.Vr
-    with np.errstate(over="ignore", invalid="ignore"):  # not finite: raises below
-        b_cur = surface.polarity * comp_gain * sens_a
-        b_next = -surface.polarity * comp_gain * sens_b
-    if not (math.isfinite(comp_gain) and np.isfinite(b_cur).all() and np.isfinite(b_next).all()):
+    b_cur, b_next = ((k * s0, k * s1) for k, (s0, s1) in (
+        (surface.polarity * comp_gain, sens_a), (-surface.polarity * comp_gain, sens_b)))
+    if not all(map(math.isfinite, (comp_gain, *b_cur, *b_next))):
         raise NumericInputError(f"surface {surface.label} control-input vectors are not finite: "
                                 f"comparator gain T_half / Vr = {comp_gain:.3e} s/V")
-    arrays = dict(phi=phi, g=g, x_star=x_star, x_a_end=x_a_end, x_b_end=x_b_end,
-                  sens_a=sens_a, sens_b=sens_b, b_cur=b_cur, b_next=b_next)
-    for value in arrays.values():
-        value.setflags(write=False)  # each one is freshly computed here
-    models[surface] = HalfCycleModel(surface=surface, comp_gain=comp_gain, t_half=t_half, **arrays)
+    for fresh in (phi, g, x_star):  # each one is freshly computed here
+        fresh.setflags(write=False)
+    rows = pwlti._frozen_array([x_a_end, x_b_end, sens_a, sens_b, b_cur, b_next])
+    models[surface] = HalfCycleModel(
+        surface=surface, phi=phi, g=g, x_star=x_star, x_a_end=rows[0], x_b_end=rows[1],
+        sens_a=rows[2], sens_b=rows[3], b_cur=rows[4], b_next=rows[5], comp_gain=comp_gain,
+        t_half=t_half)
     return models[surface]
+
+
+def _affine(m, x, c) -> tuple:
+    """m x + c for a 2x2 m given row by row and 2-vectors x and c, in Python floats."""
+    m00, m01, m10, m11 = m
+    return m00 * x[0] + m01 * x[1] + c[0], m10 * x[0] + m11 * x[1] + c[1]
 
 
 def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
@@ -260,12 +266,6 @@ def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
     return planar_array(rows, ()).reshape(zr.shape + (2,))
 
 
-def _row_residuals(actual, expected):
-    """relative_residual of planar vectors: a float for one vector, an array for many."""
-    return (planar_norm(tuple(a - e for a, e in zip(actual, expected)))
-            / (1.0 + planar_norm(expected)))
-
-
 def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
     """Exact control-to-output transfer at z: c_phys (zI - phi)^{-1} (b_cur + z b_next).
 
@@ -295,7 +295,7 @@ def _difference_paths(model: HalfCycleModel, c_phys: np.ndarray, z):
 
 def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray, z):
     """Mismatch between the closed-form difference and the two-evaluation subtraction."""
-    return _row_residuals(*_difference_paths(model, c_phys, z)[:2])
+    return planar_residual(*_difference_paths(model, c_phys, z)[:2])
 
 
 def _resolvent_sizes(model: HalfCycleModel, c_phys: np.ndarray, z):
@@ -336,7 +336,7 @@ def _dual_path_check(model: HalfCycleModel, c_phys: np.ndarray, z, paths, rtol) 
     largest residual minus tolerance, with the tolerance it was judged by.
     """
     closed, subtracted, states = paths
-    res = _row_residuals(closed, subtracted)
+    res = planar_residual(closed, subtracted)
     worst = res if isinstance(res, float) else float(np.max(res, initial=0.0))  # NaN fails
     if not worst > rtol:  # the floor only where the plain check trips
         return IdentityCheck("transfer-difference/dual-path", worst, rtol)
@@ -445,7 +445,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     c = _matrix(dab.c_phys)
     h_pri = matrix_times(c, resolvent_solve(e.phi, zr, zi, [b_pri])[0])
     input_res, flipped_res, transfer_res = (
-        float(np.max(_row_residuals(actual, expected), initial=0.0)) for actual, expected in (
+        float(np.max(planar_residual(actual, expected), initial=0.0)) for actual, expected in (
             (b_pri, mapped), (b_pri, tuple(-x for x in mapped)), (h_pri, matrix_times(c, chained))))
 
     note = ""
@@ -480,7 +480,11 @@ def sweep_frequencies(f_min: float, f_max: float, points: int, spacing: str,
     if points < 2:
         raise ValueError(f"a sweep needs at least 2 points, got {points!r}")
     if spacing == "log":
-        return np.geomspace(f_min, f_max, points)
+        # np.geomspace's bits (numpy's log10 and power, not libm's), without its wrapper.
+        lo, hi = np.log10([f_min, f_max]).tolist()
+        f = np.power(10.0, np.arange(points) * ((hi - lo) / (points - 1)) + lo)
+        f[0], f[-1] = f_min, f_max
+        return f
     if spacing == "linear":
         return np.linspace(f_min, f_max, points)
     raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")

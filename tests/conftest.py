@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -66,6 +67,22 @@ def random_params(rng: np.random.Generator) -> DabParams:
         D_phase=float(rng.uniform(0.05, 0.45)),
         Vr=float(rng.uniform(0.5, 5.0)),
     )
+
+
+# Forward-error constants of a 2x2 solve M x = b, as multiples of u cond(M) ||x|| (2-norms,
+# u = 2^-53, first order; Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.).
+# LAPACK's LU with partial pivoting has ||dM||_inf <= n^2 gamma_3n rho_n ||M||_inf = 48 u
+# ||M||_inf for n = 2, rho_2 <= 2 (Thm 9.5), so by Thm 7.2 it errs by at most 2 cond_inf(M)
+# 48 u ||x||_inf, at most 192 sqrt(2) u cond(M) ||x|| in 2-norms (cond_inf <= 2 cond,
+# ||.||_2 <= sqrt(2) ||.||_inf).
+LU_SOLVE = 192.0 * math.sqrt(2.0)
+# `pwlti.fixed_point`'s closed form for M = I - phi: each entry of adj(M) b is two products
+# and a sum, over a diagonal entry 1 - phi_ii rounded once, so it errs by gamma_3 of
+# |adj M| |b|, whose norm is at most ||M||_F ||b|| <= sqrt(2) s_max^2 ||x||; over |det M| =
+# s_max s_min that is 3 sqrt(2) u cond(M) ||x||. The determinant, summed from exact products,
+# is within u (1 + 10 u cond) of its value, and 1 / det = det / det^2 and the last product
+# add three roundings: 4 u ||x||, and 1 u more for the second-order terms (cond >= 1).
+CLOSED_FORM_SOLVE = 3.0 * math.sqrt(2.0) + 5.0
 
 
 def fd_sensitivities(dab, surface, delta: float = 1e-9):

@@ -90,14 +90,14 @@ class TestVerifyCommand:
 
     def test_dual_path_row_takes_the_roundoff_floor_of_transfer_difference(self, config_file):
         # Nearly unloaded with D_phase = 1e-9: a plain 1e-12 check fails the largest
-        # residual, 1.099e-12, while transfer_difference's roundoff floor passes every point.
+        # residual, 1.287e-12, while transfer_difference's roundoff floor passes every point.
         converter = {"n_turns": 1.995841322100797, "L": 4.23327278452814e-07,
                      "Co": 0.001784110195335032, "Rt": 0.0, "Rc": 0.16960862543076624,
                      "Ro": 26498497311.89119, "Vin": 396.879293312669,
                      "fs": 25064.714806248972, "D_phase": 1e-09, "Vr": 1.0}
         proc = run_cli("verify", config_file(converter=converter))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert re.search(r"^transfer-difference/dual-path +5\.653e-13 +1\.477e-10  PASS$",
+        assert re.search(r"^transfer-difference/dual-path +6\.934e-13 +1\.477e-10  PASS$",
                          proc.stdout, re.M), proc.stdout
         assert "RESULT: PASS (19/19)" in proc.stdout
 
@@ -506,6 +506,16 @@ class TestValuesAtTheEdgeOfDoublePrecision:
             assert code == expected[command], (command, err)
             if code == 2:
                 assert len(err) == 1 and "control-input vectors are not finite" in err[0], err
+
+    def test_a_small_ramp_amplitude_verifies_without_a_warning(self, config_file, capsys):
+        # Vr = 10^-k scales every transfer by 10^k: from k = 151 on, sums of squares in
+        # verify's norms overflow unless scaled (hypot's form, from 1e150 on). From k = 305
+        # a transfer itself overflows.
+        for k in range(151, 305):
+            path = config_file(converter=dict(REFERENCE_KWARGS, Vr=float(f"1e-{k}")),
+                               sweep={"points": 3})
+            assert cli.main(["verify", path]) == 0, (k, capsys.readouterr().out)
+            assert capsys.readouterr().err == "", k
 
     def test_a_zero_magnitude_is_minus_inf_db(self, config_file, tmp_path):
         # A load of 5e-324 ohm shorts the output: V_out is exactly 0 at every frequency.

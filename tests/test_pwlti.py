@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
 from dabss import pwlti
+from dabss.dab import half_cycle_map
 from dabss.errors import DimensionError, MarginalSystemError, NumericInputError, ParameterError
 from dabss.pwlti import (COND_LIMIT, IdentityCheck, Schedule, Segment, SegmentMap,
                          closed_form_state, compose, cond, expm, fixed_point, monodromy,
                          propagate)
-from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
-                            random_params, reverse_product)
+from tests.conftest import (CLOSED_FORM_SOLVE, LU_SOLVE, REFERENCE_KWARGS,
+                            augmented_step_matrices, max_abs_relative, random_params,
+                            reverse_product)
 from tests.test_smallsignal import property_range_params
 
 
@@ -464,6 +467,8 @@ class TestPeriodMapCache:
     """Pi and the forcing are composed once per schedule, read-only, with the fold's values."""
 
     def test_values_match_the_uncached_formulas_bit_for_bit(self):
+        # Bit for bit but for the 2x2 fixed point, which the closed form solves: it is within
+        # the two solves' first-order forward-error bounds of LAPACK's.
         rng = np.random.default_rng(7_2026)
         for _ in range(200):
             sched = random_schedule(rng)
@@ -476,9 +481,15 @@ class TestPeriodMapCache:
             except MarginalSystemError:
                 with pytest.raises(MarginalSystemError):
                     solve_periodic_fixed_point(sched)
-            else:
-                assert np.array_equal(solve_periodic_fixed_point(sched), expected)
-                assert np.array_equal(fixed_point(pi, forcing, "periodic solve"), expected)
+                continue
+            for got in (solve_periodic_fixed_point(sched),
+                        fixed_point(pi, forcing, "periodic solve")):
+                if sched.dim != 2:
+                    assert np.array_equal(got, expected)
+                    continue
+                allowed = (2.0 ** -53 * (LU_SOLVE + CLOSED_FORM_SOLVE)
+                           * np.linalg.cond(np.eye(2) - pi) * np.linalg.norm(expected))
+                assert np.linalg.norm(got - expected) <= allowed, (got, expected)
 
     def test_period_map_is_built_once_and_read_only(self):
         sched = random_schedule(np.random.default_rng(8))
@@ -505,3 +516,131 @@ class TestPeriodMapCache:
                 assert cond(a) == np.linalg.cond(a)
         assert cond(np.zeros((2, 2))) == math.inf == np.linalg.cond(np.zeros((2, 2)))
         assert cond(np.array([[1.0, 0.0], [0.0, 0.0]])) == math.inf
+
+
+def _exact_solve(phi: np.ndarray, gamma: np.ndarray):
+    """x of (I - phi) x = gamma in rational arithmetic on the floats given, and cond(I - phi)
+    = s_max^2 / |det| from the exact Frobenius norm and determinant."""
+    (p00, p01), (p10, p11) = (map(Fraction, row) for row in phi.tolist())
+    g0, g1 = map(Fraction, gamma.tolist())
+    a, b, c, d = 1 - p00, -p01, -p10, 1 - p11
+    det = a * d - b * c
+    x = ((d * g0 - b * g1) / det, (a * g1 - c * g0) / det)
+    frob = a * a + b * b + c * c + d * d
+    s_max_sq = (float(frob) + math.sqrt(float(frob * frob - 4 * det * det))) / 2.0
+    return x, s_max_sq / abs(float(det))
+
+
+class TestClosedFormFixedPoint:
+    """A 2x2 fixed point is the closed form at z = 1, and LAPACK decides near the limit."""
+
+    @staticmethod
+    def lapack_calls(monkeypatch) -> list:
+        """The matrices that `pwlti.cond`, the LAPACK hand-off, is called on."""
+        calls = []
+        real = pwlti.cond
+        monkeypatch.setattr(pwlti, "cond", lambda m: calls.append(m) or real(m))
+        return calls
+
+    def test_forward_error_is_within_the_derived_bound(self, monkeypatch):
+        # Every solve of the package on 400 property-range designs (the period, and the
+        # half cycle from each interval) against the rational solution of the same floats.
+        lapack = self.lapack_calls(monkeypatch)
+        rng = np.random.default_rng(19_2026)
+        designs = solved = 0
+        worst = 0.0
+        while designs < 400:
+            try:
+                dab = build_dab(property_range_params(rng))
+            except (ParameterError, NumericInputError):
+                continue
+            designs += 1
+            for phi, gamma in [dab.schedule.period_map] + [
+                    half_cycle_map(dab, first) for first in (1, 2, 3, 4)]:
+                try:
+                    got = fixed_point(phi, gamma, "solve")
+                except MarginalSystemError:
+                    continue
+                if lapack:  # handed off: not the closed form
+                    lapack.clear()
+                    continue
+                x, kappa = _exact_solve(phi, gamma)
+                error = math.hypot(*(float(Fraction(g) - e) for g, e in zip(got.tolist(), x)))
+                ratio = error / (2.0 ** -53 * kappa * math.hypot(*map(float, x)))
+                worst = max(worst, ratio)
+                solved += 1
+        assert solved >= 1500 and worst <= CLOSED_FORM_SOLVE, (solved, worst)
+
+    def test_the_verdict_and_message_are_lapacks_across_the_band(self, monkeypatch):
+        # I - phi = Q1 diag(1, 1/kappa) Q2^T over the band, with kappa 1% on either side of
+        # COND_LIMIT / 2 (the hand-off; rounding phi moves cond(I - phi) by about u kappa) and
+        # 1e-6 on either side of COND_LIMIT (the verdict, LAPACK's own).
+        lapack = self.lapack_calls(monkeypatch)
+        rng = np.random.default_rng(20_2026)
+        edges = [COND_LIMIT * f * (1.0 + s * e) for f, e in ((0.5, 1e-2), (1.0, 1e-6))
+                 for s in (-1, 1)]
+        handed = {}
+        for kappa in np.geomspace(1e10, 1e13, 301).tolist() + edges:
+            q1, q2 = (np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+                      for t in rng.uniform(0.0, 2.0 * math.pi, 2))
+            phi = np.eye(2) - q1 @ np.diag([1.0, 1.0 / kappa]) @ q2.T
+            gamma = rng.standard_normal(2)
+            c = cond(np.eye(2) - phi)
+            lapack.clear()
+            if c <= COND_LIMIT:
+                fixed_point(phi, gamma, "test solve")
+            else:
+                with pytest.raises(MarginalSystemError) as err:
+                    fixed_point(phi, gamma, "test solve")
+                assert str(err.value) == f"test solve is marginal: cond ~ {c:.3e} exceeds 1.0e+12"
+            handed[kappa] = bool(lapack)
+            if abs(kappa / (COND_LIMIT / 2) - 1.0) > 1e-3:
+                assert handed[kappa] == (kappa > COND_LIMIT / 2), kappa
+        assert handed[edges[0]] is False and handed[edges[1]] is True
+
+    def test_a_solve_off_the_band_makes_no_numpy_linalg_call(self, ref_dab, monkeypatch):
+        pi, forcing = ref_dab.schedule.period_map
+        expected = np.linalg.solve(np.eye(2) - pi, forcing)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        x = fixed_point(pi, forcing, "periodic solve")
+        for first in (1, 2, 3, 4):
+            fixed_point(*half_cycle_map(ref_dab, first), "half-cycle solve")
+        monkeypatch.undo()
+        assert relative_residual(x, expected) < 1e-13
+
+    def test_a_singular_or_overflowing_system_goes_to_lapack(self):
+        # det(I - phi) = 0 exactly, and det^2 past the float range with cond 1.
+        with pytest.raises(MarginalSystemError, match="cond ~ inf"):
+            fixed_point(np.eye(2), np.ones(2), "identity")
+        phi = np.diag([1.0 - 1e160, 1.0 - 1e160])
+        np.testing.assert_array_equal(fixed_point(phi, np.array([1e160, -2e160]), "big"),
+                                      [1.0, -2.0])
+
+
+class TestPlanarNorm:
+    """The sum of squares where it is below 1e150, hypot's scaled form from there on."""
+
+    def test_the_bits_below_the_threshold_are_the_sum_of_squares(self):
+        rng = np.random.default_rng(21_2026)
+        v = rng.standard_normal((4, 200)) * 10.0 ** rng.uniform(-100, 74, (4, 200))
+        expected = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
+        np.testing.assert_array_equal(pwlti.planar_norm(tuple(v)), expected)
+        assert [pwlti.planar_norm(tuple(col)) for col in v.T.tolist()] == expected.tolist()
+
+    @pytest.mark.parametrize("scale", [1e76, 1e160, 1e300, 1e307])
+    def test_large_vectors_take_hypot_without_overflow(self, scale):
+        # The C library's hypot for one vector and for an array: the same bits either way.
+        v = (3.0 * scale, -0.0, 2.0 * scale, 4.0 * scale)
+        expected = float(np.hypot(np.hypot(v[0], v[1]), np.hypot(v[2], v[3])))
+        assert pwlti.planar_norm(v) == expected == pytest.approx(math.sqrt(29.0) * scale)
+        norms = pwlti.planar_norm(tuple(np.array([x, 1.0]) for x in v))
+        assert norms.tolist() == [expected, 2.0]
+
+    def test_a_nan_stays_nan(self):
+        assert math.isnan(pwlti.planar_norm((math.nan, math.inf, 0.0, 0.0)))
+        assert np.isnan(pwlti.planar_norm((np.array([math.nan]), 1e300, 0.0, 0.0)))
