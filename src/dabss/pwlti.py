@@ -8,15 +8,13 @@ duration T_i with dynamics dx/dt = A_i x + B_i u, the boundary states obey
     Phi_i = exp(A_i T_i),
     Gamma_i = integral_0^{T_i} exp(A_i (T_i - tau)) B_i u dtau.
 
-Chaining the subinterval maps gives the state at the end of the chain in
-closed form; `compose` is the one place a chain is folded into a single map,
-be it the one-period (monodromy) map or a half cycle. The periodic steady
-state is the fixed point of the period map; `fixed_point` solves it and every
-other x = phi x + gamma of the package. Everything in this module is exact up
-to the matrix exponential; there is no time-stepping error. The module also
-holds the resolvent (zI - M)^{-1} of a real 2x2 matrix in closed form
-(`resolvent_solve`), which every small-signal transfer evaluates.
-"""
+Chaining the subinterval maps gives the state at the end of the chain in closed form; `compose`
+is the one place a chain is folded into a single map, be it the one-period (monodromy) map or a
+half cycle. The periodic steady state is the fixed point of the period map; `fixed_point`
+solves it and every other x = phi x + gamma of the package. Everything in this module is exact
+up to roundoff, with no time stepping: the exponential of a 2x2 segment is in closed form
+(`augmented_expm`, no scaling and squaring), as is the resolvent (zI - M)^{-1} of a real 2x2
+matrix (`resolvent_solve`) that every small-signal transfer evaluates."""
 
 from __future__ import annotations
 
@@ -41,78 +39,91 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
-# Degree-13 Pade coefficients b_0..b_13 and the 1-norm up to which that
-# approximant is exact to double precision without scaling (Higham 2005).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-# Squarings at which a roundoff of 2^-53 in the scaled exponential, doubled by
-# every squaring, grows to order one: the modes that survive a step (|lambda T|
-# of order 1 or less) then carry no significant bit, finite or not.
-_MAX_SQUARINGS = 53
+_NORM_LIMIT = 5.371920351148152 * 2.0**52  # theta13 2^52
+_RADIUS, _SPREAD = 1.5, 0.25
+_PHI1_TAYLOR = tuple(1 / math.factorial(k) for k in range(23, 0, -1))  # 1/23!, ..., 1/1!
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential exp(a); NumericInputError if a or the result is not finite.
+def augmented_expm(x00, x01, x10, x11, w0, w1) -> tuple:
+    """exp([[X, w], [0, 0]]) = [[e^X, phi1(X) w], [0, 1]], phi1(X) = (e^X - I) X^-1, of X =
+    [[x00, x01], [x10, x11]] and w = (w0, w1) in Python floats: (e00, e01, e10, e11, g0, g1).
 
-    Parameters
-    ----------
-    a : np.ndarray
-        Square matrix, or a stack of them with shape (k, n, n).
+    In closed form (Higham, "Functions of Matrices", 2008, ch. 10), with eigenvalues mu +- delta:
+    a Taylor series for |mu| + |delta| <= 1.5, whose first omitted term, 1.5^24 / 24!, is below
+    2^-58 of its least coefficient there, e^-1.5 sin(1.5) / 1.5; divided differences at real
+    eigenvalues at least 1 apart; else cosh and sinh of delta. NumericInputError where the
+    input or the result is not finite, or where the 1-norm of [[X, w], [0, 0]] passes theta13
+    2^52, past which the oracle's Pade kernel, the check of these maps, refuses."""
+    c0, c1, c2 = abs(x00) + abs(x10), abs(x01) + abs(x11), abs(w0) + abs(w1)
+    if not (c0 <= _NORM_LIMIT and c1 <= _NORM_LIMIT and c2 <= _NORM_LIMIT):  # NaN fails too
+        raise _exp_error(c0, c1, c2)
+    t, mu = x00 + x11, 0.5 * (x00 + x11)
+    # delta^2 and det X from exact products and sums; the halving is exact.
+    h, h_err = two_sum(0.5 * x00, -0.5 * x11)
+    hh, hh_err = two_product(h, h)
+    p, p_err = two_product(x01, x10)
+    s, s_err = two_sum(hh, p)
+    delta2 = s + (s_err + hh_err + p_err + 2.0 * h * h_err)
+    q, q_err = two_product(x00, x11)
+    s, s_err = two_sum(q, -p)
+    det = s + (s_err + q_err - p_err)
+    # Each regime gives the diagonals of e^X and phi1(X) and eb, pb, the factors of the
+    # off-diagonal entries of X in theirs.
+    try:
+        if abs(mu) + math.sqrt(abs(delta2)) <= _RADIUS:
+            # Horner's rule for phi1 = pa I + pb X (X^2 = t X - det I); e^X = I + X phi1.
+            pa = pb = 0.0
+            for c in _PHI1_TAYLOR:
+                pa, pb = c - pb * det, pa + pb * t
+            ea, eb = 1.0 - pb * det, pa + pb * t
+            e00, e11, p00, p11 = ea + eb * x00, ea + eb * x11, pa + pb * x00, pa + pb * x11
+        elif delta2 > _SPREAD:
+            # f(X) = (f(big) (X - small I) - f(small) (X - big I)) / (big - small), small =
+            # det / big, x_ii - big and x_ii - small as +-(h +- delta), the one that cancels
+            # as -p over the other: a stiff map keeps its slow mode.
+            delta = math.sqrt(delta2)
+            big = mu + math.copysign(delta, mu)
+            small = det / big
+            gap, far = math.copysign(2.0 * delta, mu), h + math.copysign(delta, h)
+            same_sign = math.copysign(1.0, h) == math.copysign(1.0, mu)  # signed zeros too
+            d_big, d_small = (-p / far, far) if same_sign else (far, -p / far)
+            e_big, e_small = math.exp(big), math.exp(small)
+            p_big, p_small = math.expm1(big) / big, math.expm1(small) / small if small else 1.0
+            eb, pb = (e_big - e_small) / gap, (p_big - p_small) / gap
+            e00 = (e_big * d_small - e_small * d_big) / gap
+            e11 = (e_small * d_small - e_big * d_big) / gap
+            p00 = (p_big * d_small - p_small * d_big) / gap
+            p11 = (p_small * d_small - p_big * d_big) / gap
+        else:
+            # Eigenvalues at least 0.5 from 0: e^X = e^mu (cosh delta I + sinh delta / delta N),
+            # e^X - I through expm1(mu), phi1 = adj X (e^X - I) / det with adj X = mu I - N.
+            r = math.sqrt(abs(delta2))
+            if delta2 >= 0.0:
+                cm1, sinhc = 2.0 * math.sinh(0.5 * r) ** 2, math.sinh(r) / r if r else 1.0
+            else:
+                cm1, sinhc = -2.0 * math.sin(0.5 * r) ** 2, math.sin(r) / r
+            e_mu = math.exp(mu)
+            em1 = e_mu * cm1 + math.expm1(mu)
+            ea, eb = e_mu + e_mu * cm1, e_mu * sinhc
+            pa, pb = (mu * em1 - eb * delta2) / det, (mu * eb - em1) / det
+            e00, e11, p00, p11 = ea + eb * h, ea - eb * h, pa + pb * h, pa - pb * h
+    except OverflowError:
+        raise _exp_error(c0, c1, c2) from None
+    out = (e00, eb * x01, eb * x10, e11, p00 * w0 + pb * (x01 * w1), pb * (x10 * w0) + p11 * w1)
+    if not all(map(math.isfinite, out)):
+        raise _exp_error(c0, c1, c2)
+    return out
 
-    Returns
-    -------
-    np.ndarray
-        exp(a) by scaling and squaring with the degree-13 Pade approximant
-        r = p(x) / p(-x) = (V - U)^-1 (V + U) of Higham (2005), "The scaling
-        and squaring method for the matrix exponential revisited". Each matrix
-        of a stack takes its own scaling 2^-s from its own 1-norm and is
-        squared exactly s times, so it comes out bit for bit as it would on
-        its own. r is formed as I + 2 (V - U)^-1 U: the solve then yields only
-        the correction to I, which keeps a stiff matrix squared many times (a
-        nearly conserved state) within roundoff of scipy.linalg.expm, where
-        (V - U)^-1 (V + U) drifts off the conserved value by about 1e-8.
-        A matrix that needs 53 or more squarings raises like a non-finite
-        result: its roundoff, about 2^s * 2^-53, leaves no significant bit.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"expm needs a square matrix, got shape {a.shape}")
-    n = a.shape[-1]
-    x = a.reshape(-1, n, n)
-    if not np.all(np.isfinite(x)):
-        raise NumericInputError("expm input matrix has non-finite entries")
-    norms = np.abs(x).sum(axis=-2).max(axis=-1)
-    mantissa, exponent = np.frexp(norms / _THETA13)
-    s = np.maximum(exponent - (mantissa == 0.5), 0)      # ceil(log2(norm / theta)), >= 0
-    if s.max(initial=0) >= _MAX_SQUARINGS:
-        raise _not_finite(norms.max())
-    x = np.ldexp(x, -s[:, None, None])
-    b = _PADE13
-    ident = np.eye(n)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x2 @ x4
-    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
-    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
-    r = ident + 2.0 * np.linalg.solve(v - u, u)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for i in range(int(s.max(initial=0))):
-            squared = s > i
-            rs = r[squared]
-            r[squared] = rs @ rs
-    if not np.all(np.isfinite(r)):
-        raise _not_finite(norms.max())
-    return r.reshape(a.shape)
 
-
-def _not_finite(norm: float) -> NumericInputError:
-    return NumericInputError(
-        "matrix exponential is not finite: the 1-norm of a*t (state matrix times "
-        f"duration) reaches {norm:.3e}, beyond double precision")
+def _exp_error(*column_sums) -> NumericInputError:
+    norm = max(column_sums)
+    if all(map(math.isfinite, column_sums)) and norm > _NORM_LIMIT:
+        return NumericInputError(
+            "matrix exponential is refused: the 1-norm of a*t (state matrix times duration) "
+            f"reaches {norm:.3e}, above the {_NORM_LIMIT:.3e} up to which the oracle's Pade "
+            "kernel can cross-check it")
+    return NumericInputError("matrix exponential is not finite: the 1-norm of a*t (state "
+                             f"matrix times duration) reaches {norm:.3e}, beyond double precision")
 
 
 @dataclass(frozen=True)
@@ -124,23 +135,16 @@ class Segment:
     duration: float
 
     def __post_init__(self):
-        a = _frozen_array(self.a)
-        b = _frozen_array(self.b)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"segment state matrix must be square, got {a.shape}")
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise DimensionError(
-                f"segment input matrix {b.shape} does not match state dimension {a.shape[0]}")
+        a, b = _frozen_array(self.a), _frozen_array(self.b)
+        if a.shape != (2, 2) or b.ndim != 2 or b.shape[0] != 2:
+            raise DimensionError(f"segment state matrix must be 2x2 and its input matrix have 2 "
+                                 f"rows, got {a.shape} and {b.shape}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NumericInputError("segment matrices must be finite")
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise NumericInputError(f"segment duration must be finite and >= 0, got {self.duration!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -159,36 +163,26 @@ class Schedule:
             raise DimensionError(f"input vector must be 1-d, got shape {u.shape}")
         if not np.isfinite(u).all():
             raise NumericInputError("input vector must be finite")
-        dim = segments[0].dim
         m = segments[0].b.shape[1]
         for k, seg in enumerate(segments):
-            if seg.dim != dim or seg.b.shape[1] != m:
+            if seg.b.shape[1] != m:
                 raise DimensionError(f"segment {k+1} shape disagrees with segment 1")
         if u.shape[0] != m:
-            raise DimensionError(
-                f"input vector length {u.shape[0]} does not match input matrix columns {m}")
+            raise DimensionError(f"input vector length {u.shape[0]} is not the {m} input columns")
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "u", u)
 
-    @property
-    def dim(self) -> int:
-        return self.segments[0].dim
-
     @functools.cached_property
     def maps(self) -> tuple[SegmentMap, ...]:
-        """Exact maps of every segment in order, from one batched augmented exponential
-
-            exp([[a, b u], [0, 0]] * T) = [[phi, gamma], [0, 1]],
-
-        which needs no inverse of `a`, so it is exact for a singular `a` and for T = 0
-        (phi = I, gamma = 0). Read-only; one segment's map is `Schedule((seg,), u).maps[0]`."""
-        n = self.dim
-        aug = np.zeros((len(self.segments), n + 1, n + 1))
-        aug[:, :n, :n] = [seg.a for seg in self.segments]
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite: expm raises
-            aug[:, :n, n] = [seg.b @ self.u for seg in self.segments]
-        m = expm(aug * np.array([seg.duration for seg in self.segments])[:, None, None])
-        return tuple(SegmentMap(_frozen_array(mk[:n, :n]), _frozen_array(mk[:n, n])) for mk in m)
+        """Read-only exact maps of the segments, exp([[a, b u], [0, 0]] T) = [[phi, gamma],
+        [0, 1]] by `augmented_expm`: exact for a singular `a`, and phi = I, gamma = 0 at T = 0.
+        One segment's map is `Schedule((seg,), u).maps[0]`."""
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused below
+            forcing = [(seg.b @ self.u).tolist() for seg in self.segments]
+        entries = [augmented_expm(*(x * seg.duration for x in seg.a.ravel().tolist() + w))
+                   for seg, w in zip(self.segments, forcing)]
+        phis = _frozen_array([(e[:2], e[2:4]) for e in entries])
+        return tuple(map(SegmentMap, phis, _frozen_array([e[4:] for e in entries])))  # views
 
     @functools.cached_property
     def period_map(self) -> SegmentMap:
@@ -224,8 +218,8 @@ def compose(maps) -> SegmentMap:
 def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
     """Boundary states [x_1, ..., x_n] from sequential application of the segment maps."""
     x = np.asarray(x0, dtype=float)
-    if x.shape != (schedule.dim,):
-        raise DimensionError(f"x0 shape {x.shape} does not match state dimension {schedule.dim}")
+    if x.shape != (2,):
+        raise DimensionError(f"x0 shape {x.shape} is not the state's (2,)")
     states = []
     for m in schedule.maps:
         x = m.phi @ x + m.gamma
@@ -236,8 +230,8 @@ def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
 def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
     """End-of-period state Pi x0 + forcing: `propagate(...)[-1]` in one step of the period map."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (schedule.dim,):
-        raise DimensionError(f"x0 shape {x0.shape} does not match state dimension {schedule.dim}")
+    if x0.shape != (2,):
+        raise DimensionError(f"x0 shape {x0.shape} is not the state's (2,)")
     return schedule.period_map.phi @ x0 + schedule.period_map.gamma
 
 
@@ -251,19 +245,18 @@ def fixed_point(phi: np.ndarray, gamma: np.ndarray, what: str) -> np.ndarray:
     """Fixed point of x -> phi x + gamma (a period, a half cycle, a surface), from
     (I - phi) x = gamma. An eigenvalue of phi at or near 1 leaves cond(I - phi) not finite or
     above COND_LIMIT: MarginalSystemError "<what> is marginal: cond ~ ... exceeds 1.0e+12",
-    carrying the eigenvalues of phi. A 2x2 phi is solved as `resolvent_solve` at z = 1 while
-    its closed-form cond s_max^2 / |det| is at most COND_LIMIT / 2 and det^2 a normal number;
+    carrying the eigenvalues of phi. It is solved as `resolvent_solve` at z = 1 while its
+    closed-form cond s_max^2 / |det| is at most COND_LIMIT / 2 and det^2 a normal number;
     otherwise LAPACK's `cond` gives the verdict and the printed value."""
-    if phi.shape == (2, 2):
-        m = Matrix2x2.of(phi)
-        with contextlib.suppress(ResolventSingularityError):  # det(I - phi) 0 or not a number
-            det = a, d, det_re, _, q = resolvent_det(m, 1.0, 0.0)
-            c = sigma_max_sq(a, -m.m01, -m.m10, d, 0.0) / abs(det_re)
-            if c <= COND_LIMIT / 2 and 1e-300 < q < 1e300:
-                g0, g1 = gamma.tolist()
-                (x0, _, x1, _), = resolvent_solve(m, 1.0, 0.0, [(g0, 0.0, g1, 0.0)], det)
-                return np.array([x0, x1])
-    lhs = np.eye(phi.shape[0]) - phi
+    m = Matrix2x2.of(phi)
+    with contextlib.suppress(ResolventSingularityError):  # det(I - phi) 0 or not a number
+        det = a, d, det_re, _, q = resolvent_det(m, 1.0, 0.0)
+        c = sigma_max_sq(a, -m.m01, -m.m10, d, 0.0) / abs(det_re)
+        if c <= COND_LIMIT / 2 and 1e-300 < q < 1e300:
+            g0, g1 = gamma.tolist()
+            (x0, _, x1, _), = resolvent_solve(m, 1.0, 0.0, [(g0, 0.0, g1, 0.0)], det)
+            return np.array([x0, x1])
+    lhs = np.eye(2) - phi
     c = cond(lhs)
     if not c <= COND_LIMIT:  # NaN fails too
         raise MarginalSystemError(f"{what} is marginal: cond ~ {c:.3e} exceeds {COND_LIMIT:.1e}",
@@ -285,17 +278,15 @@ def monodromy(schedule: Schedule) -> np.ndarray:
 def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:
     """||actual - expected|| / (1 + ||expected||), Frobenius norm for matrices: the +1 is an
     absolute floor, so comparisons against near-zero references stay meaningful."""
-    actual = np.asarray(actual)
-    expected = np.asarray(expected)
+    actual, expected = np.asarray(actual), np.asarray(expected)
     return float(np.linalg.norm(actual - expected) / (1.0 + np.linalg.norm(expected)))
 
 
 # The 2x2 resolvent (zI - M)^{-1} of a real matrix M in closed form. A complex 2-vector is
-# handled as a "planar" tuple (re0, im0, re1, im1), and every rule below uses only +, -, *,
-# /, sqrt and hypot on its entries: Python floats for one z, float arrays for an array of z.
-# Both round identically, so a scalar z gives bit for bit the row that an array of z gives.
-# Complex products and quotients are spelled out, because CPython and numpy round those
-# differently.
+# handled as a "planar" tuple (re0, im0, re1, im1), and every rule below uses only +, -, *, /,
+# sqrt and hypot on its entries: Python floats for one z, float arrays for an array of z. Both
+# round identically, so a scalar z gives bit for bit the row that an array of z gives. Complex
+# products and quotients are spelled out, because CPython and numpy round those differently.
 
 
 def real_sqrt(x):
@@ -347,8 +338,7 @@ def sigma_max_sq(a, b, c, d, y):
     """Square of the largest singular value of [[a + iy, b], [c, d + iy]] (a, b, c, d, y real).
 
     It is the larger eigenvalue of H = M M^H, (tr H + sqrt((h11 - h22)^2 + 4 |h12|^2)) / 2,
-    whose discriminant is a sum of squares: no clamp is needed at a double singular value.
-    """
+    whose discriminant is a sum of squares: no clamp is needed at a double singular value."""
     h12_re = a * c + b * d
     h12_im = y * (c - b)
     h_gap = (a - d) * (a + d) + (b - c) * (b + c)  # h11 - h22
@@ -396,12 +386,11 @@ def resolvent_det(m: Matrix2x2, zr, zi):
     """zI - M = [[a + i zi, -m01], [-m10, d + i zi]] as (a, d), with det_re + i det_im, its
     determinant, and q = |det|^2.
 
-    Near an eigenvalue the determinant cancels, so it is summed from exact products and
-    exact differences (`two_product`, `two_sum`) and keeps a few ulps of relative accuracy:
-    a rounded determinant would carry the whole condition number of zI - M into a solve.
-    ResolventSingularityError where q is not positive, which only underflow or a z that is
-    not a number reaches off the eigenvalues of M.
-    """
+    Near an eigenvalue the determinant cancels, so it is summed from exact products and exact
+    differences (`two_product`, `two_sum`) and keeps a few ulps of relative accuracy: a rounded
+    determinant would carry the whole condition number of zI - M into a solve.
+    ResolventSingularityError where q is not positive, which only underflow or a z that is not
+    a number reaches off the eigenvalues of M."""
     a, a_err = two_sum(zr, -m.m00)
     d, d_err = two_sum(zr, -m.m11)
     ad, ad_err = two_product(a, d)

@@ -1,35 +1,32 @@
 """Sampled-data small-signal models of the phase modulator, one per sampling surface.
 
-The modulator fixes one switching edge to the clock and generates the other
-by comparing a control voltage against a ramp, so control perturbations move
-two consecutive durations. Sampling the state at a modulated edge once per
-half cycle and rectifying the inductor current gives a time-invariant
-discrete model
+The modulator fixes one switching edge to the clock and generates the other by comparing a
+control voltage against a ramp, so control perturbations move two consecutive durations.
+Sampling the state at a modulated edge once per half cycle and rectifying the inductor current
+gives a time-invariant discrete model
 
     x_{k+1} = RECTIFY phi_b phi_a x_k + RECTIFY (phi_b gamma_a + gamma_b)
 
-whose fixed point, duration sensitivities, and control-input vectors are
-collected in HalfCycleModel. Two z-domain transfer functions follow: the
-exact one, where the trailing duration responds to the *next* control
-sample (a z-advance), and the same-cycle approximation that drops the
-advance. Their difference carries an explicit (z - 1) factor, which is why
-the approximation is exact at dc and degrades linearly with frequency. Every
-transfer, and the spectral norms of the difference envelope, come from the
-2x2 resolvent in closed form (`pwlti.resolvent_solve`), the same rule for one
-z and for an array of z, and so does the T-solve of the surface check. Complex
-2-vectors stay planar, `(re0, im0, re1, im1)`, until a transfer is returned.
+whose fixed point, duration sensitivities, and control-input vectors are collected in
+HalfCycleModel. Two z-domain transfer functions follow: the exact one, where the trailing
+duration responds to the *next* control sample (a z-advance), and the same-cycle approximation
+that drops the advance. Their difference carries an explicit (z - 1) factor, which is why the
+approximation is exact at dc and degrades linearly with frequency. Every transfer, and the
+spectral norms of the difference envelope, come from the 2x2 resolvent in closed form
+(`pwlti.resolvent_solve`), the same rule for one z and for an array of z, and so does the
+T-solve of the surface check. Complex 2-vectors stay planar, `(re0, im0, re1, im1)`, until a
+transfer is returned.
 
-There are four sampling surfaces (either edge polarity on either bridge).
-Models built on different surfaces of the same polarity pair are similar in
-the linear-algebra sense; `verify_surface_equivalence` checks the full
-similarity chain numerically. `identity_checks` is the whole suite that
-`dabss verify` prints: the half-wave symmetry and half-cycle identities, the
-resolvent and surface similarities, and the transfer-difference identities.
-"""
+There are four sampling surfaces (either edge polarity on either bridge). Models built on
+different surfaces of the same polarity pair are similar in the linear-algebra sense;
+`verify_surface_equivalence` checks the full similarity chain numerically. `identity_checks` is
+the whole suite that `dabss verify` prints: the half-wave symmetry and half-cycle identities,
+the resolvent and surface similarities, and the transfer-difference identities."""
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -46,6 +43,7 @@ from .pwlti import (IdentityCheck, Matrix2x2, matrix_times, planar_array, planar
                     resolvent_solve, sigma_max_sq)
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
+_TRANSFER_MAX = 0.25 * 1.7976931348623157e308  # verify adds up to three transfers
 _FEW_Z = 16  # a transfer at this many z or fewer is evaluated z by z (`_transfer`)
 
 
@@ -53,11 +51,10 @@ _FEW_Z = 16  # a transfer at this many z or fewer is evaluated z by z (`_transfe
 class Surface:
     """One sampling surface: the pair of consecutive intervals (a, b) it spans.
 
-    `polarity` is the comparator logic sign: -1 for the primary-bridge
-    surfaces, +1 for the secondary-bridge surfaces. The canonical instances
-    below carry the correct sign; constructing a Surface with the opposite
-    sign is possible but is meaningful only for sign-mismatch diagnostics.
-    """
+    `polarity` is the comparator logic sign: -1 for the primary-bridge surfaces, +1 for the
+    secondary-bridge surfaces. The canonical instances below carry the correct sign;
+    constructing a Surface with the opposite sign is possible but is meaningful only for
+    sign-mismatch diagnostics."""
 
     label: str
     a: int
@@ -103,8 +100,7 @@ class HalfCycleModel:
     sens_a/sens_b rectified end-state sensitivity to the two durations [state/s]
     b_cur/b_next  control-input vectors of the current / next sample [state/V]
     comp_gain     comparator timing gain T_half/Vr [s/V]
-    t_half        half-cycle duration [s]
-    """
+    t_half        half-cycle duration [s]"""
 
     surface: Surface
     phi: np.ndarray
@@ -136,10 +132,9 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     """The sampled model of one surface, built once per `dab` (per Surface, so a polarity
     override is another key; a failed build is not kept) and shared with read-only arrays.
 
-    The duration sensitivities come from the endpoint identity
-    d(phi x + gamma)/dT = A (phi x + gamma) + B u: growing a duration extends
-    the flow along the local vector field at the segment's end state.
-    """
+    The duration sensitivities come from the endpoint identity d(phi x + gamma)/dT = A (phi x +
+    gamma) + B u: growing a duration extends the flow along the local vector field at the
+    segment's end state."""
     models = vars(dab).setdefault("_surface_models", {})  # a DabSchedule is unhashable
     if surface in models:
         return models[surface]
@@ -162,9 +157,11 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     comp_gain = t_half / dab.params.Vr
     b_cur, b_next = ((k * s0, k * s1) for k, (s0, s1) in (
         (surface.polarity * comp_gain, sens_a), (-surface.polarity * comp_gain, sens_b)))
-    if not all(map(math.isfinite, (comp_gain, *b_cur, *b_next))):
-        raise NumericInputError(f"surface {surface.label} control-input vectors are not finite: "
-                                f"comparator gain T_half / Vr = {comp_gain:.3e} s/V")
+    if not all(map(math.isfinite, (comp_gain, *b_cur, *b_next))) or _transfers_overflow(
+            phi, dab.c_phys, b_cur, b_next):
+        raise NumericInputError(f"surface {surface.label} control-input vectors are not finite "
+                                f"or their transfers overflow: comparator gain T_half / Vr = "
+                                f"{comp_gain:.3e} s/V")
     for fresh in (phi, g, x_star):  # each one is freshly computed here
         fresh.setflags(write=False)
     rows = pwlti._frozen_array([x_a_end, x_b_end, sens_a, sens_b, b_cur, b_next])
@@ -173,6 +170,41 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
         sens_a=rows[2], sens_b=rows[3], b_cur=rows[4], b_next=rows[5], comp_gain=comp_gain,
         t_half=t_half)
     return models[surface]
+
+
+def _transfers_overflow(phi, c_phys, b_cur, b_next) -> bool:
+    """Whether a transfer of `_input_vector` or `_same_cycle_vector` passes _TRANSFER_MAX on
+    |z| = 1 in n = adj(zI - phi) v, x = n / det or c_phys x (then x_fix - x_sc, z x_sc - b_next
+    and verify's sums stay finite). |n|^2 and |det|^2 are quadratics in c = cos(arg z), fitted
+    at c = -1, 0, 1: the peaks lie at c = +-1, at the vertex of |n|^2, where (|n|^2 / |det|^2)'
+    = 0, or at a complex pole's angle, where the fit loses digits; each is evaluated from exact
+    products (`resolvent_det`), |det| floored at _POLE_GAP^2."""
+    c_rows, scale = _matrix(c_phys), max(map(abs, (*b_cur, *b_next)))
+    size = 2.0 + sum(map(abs, phi.ravel().tolist()))
+    if not (1.0 + math.hypot(*c_rows)) * size * size * scale >= 1e280:  # else peaks < 1e304
+        return False
+    m, gain = Matrix2x2.of(phi), max(1.0, math.sqrt(sigma_max_sq(*c_rows, 0.0)))
+    e = _Entries(m, *(x / scale for x in (*b_cur, *b_next)), 0.0, ())
+
+    def sizes(c):  # |n|^2 of both inputs and |det|^2 at z = c + i sqrt(1 - c^2)
+        zi, q = math.sqrt(1.0 - c * c), 0.0
+        with contextlib.suppress(ResolventSingularityError):  # z on a pole
+            q = resolvent_det(m, c, zi)[4]
+        unit = (c - m.m00, c - m.m11, 1.0, 0.0, 1.0)  # det 1: `resolvent_solve` gives adj v
+        return [sum(x * x for x in n) for n in resolvent_solve(
+            m, c, zi, [_input_vector(e, c, zi), _same_cycle_vector(e, c, zi)], unit)], q
+
+    (pm, fm), (p0, f0), (pp, fp) = map(sizes, (-1.0, 0.0, 1.0))
+    f2, f1 = 0.5 * (fp + fm) - f0, 0.5 * (fp - fm)
+    t, d = m.m00 + m.m11, m.m00 * m.m11 - m.pp
+    candidates = [-1.0, 1.0, 0.5 * t / math.sqrt(d) if t * t < 4.0 * d else 1.0]
+    for n2, n1, n0 in ((0.5 * (p + q) - r, 0.5 * (p - q), r) for p, q, r in zip(pp, pm, p0)):
+        qa, qb, qc = n2 * f1 - n1 * f2, n2 * f0 - n0 * f2, n1 * f0 - n0 * f1
+        sq = math.sqrt(max(qb * qb - qa * qc, 0.0))  # none real: any c is a harmless candidate
+        candidates += [(sq - qb) / qa, (-sq - qb) / qa] if qa else [-0.5 * qc / qb] if qb else []
+        candidates.append(-0.5 * n1 / n2 if n2 else 1.0)
+    return not all(math.sqrt(max(n)) * max(1.0, gain / max(math.sqrt(q), _POLE_GAP ** 2)) * scale
+                   < _TRANSFER_MAX for n, q in map(sizes, (c for c in candidates if -1 <= c <= 1)))
 
 
 def _affine(m, x, c) -> tuple:
@@ -190,8 +222,7 @@ def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
 def _z_parts(model: HalfCycleModel, z):
     """(Re z, Im z): Python floats for one z, float arrays for an array of z.
 
-    ResolventSingularityError if any z is within _POLE_GAP of a pole of the model.
-    """
+    ResolventSingularityError if any z is within _POLE_GAP of a pole of the model."""
     if isinstance(z, (int, float, complex)):  # numpy scalars too
         z = complex(z)
         p0, p1 = model._entries.poles
@@ -237,28 +268,25 @@ def _advance_vector(e: _Entries, zr, zi):
 def _rebased_vector(model: HalfCycleModel, zr, zi):
     """Input vector of this surface's recursion on its leading partner's clock, planar.
 
-    A surface that opens mid-cycle of its partner sees the partner's edges in
-    a different order: its opening edge is the partner's internal edge, so the
-    kick there keeps the partner's *current* sample and then rides through the
-    whole half cycle (a phi factor on b_next, whose direction equals that
-    opening kick by half-wave symmetry), while its own internal edge is the
-    partner's closing edge and takes the *next* sample (a z factor on b_cur).
-    Same physical modulator, re-indexed: b(z) = z b_cur + phi b_next.
-    """
+    A surface that opens mid-cycle of its partner sees the partner's edges in a different
+    order: its opening edge is the partner's internal edge, so the kick there keeps the
+    partner's *current* sample and then rides through the whole half cycle (a phi factor on
+    b_next, whose direction equals that opening kick by half-wave symmetry), while its own
+    internal edge is the partner's closing edge and takes the *next* sample (a z factor on
+    b_cur). Same physical modulator, re-indexed: b(z) = z b_cur + phi b_next."""
     e = model._entries
     pb0, pb1 = (model.phi @ model.b_next).tolist()
     return zr * e.bc0 + pb0, zi * e.bc0, zr * e.bc1 + pb1, zi * e.bc1
 
 
-def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
-    """c_phys (zI - phi)^{-1} rhs(entries, Re z, Im z), as a complex array (..., 2).
+def _transfer(model: HalfCycleModel, c_phys, zr, zi, rhs) -> np.ndarray:
+    """c_phys (zI - phi)^{-1} rhs(entries, Re z, Im z) for z off the poles (`_z_parts`), as a
+    complex array (..., 2).
 
-    Up to _FEW_Z values of z go through the rule one by one in Python floats, which costs
-    less than numpy's overhead on some hundred array operations; the bits are the same.
-    """
+    Up to _FEW_Z values of z go through the rule one by one in Python floats, which costs less
+    than numpy's overhead on some hundred array operations; the bits are the same."""
     e = model._entries
     c = _matrix(c_phys)
-    zr, zi = _z_parts(model, z)
     if isinstance(zr, float) or zr.size > _FEW_Z:
         return _complex(matrix_times(c, resolvent_solve(e.phi, zr, zi, [rhs(e, zr, zi)])[0]))
     rows = [matrix_times(c, resolvent_solve(e.phi, r, i, [rhs(e, r, i)])[0])
@@ -269,21 +297,19 @@ def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
 def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
     """Exact control-to-output transfer at z: c_phys (zI - phi)^{-1} (b_cur + z b_next).
 
-    Output pair is [I_rec, V_out]. Evaluate on the unit circle,
-    z = exp(j 2 pi f t_half), for the frequency response. A scalar z gives
-    shape (2,), a 1-D array of N values shape (N, 2).
-    """
-    return _transfer(model, c_phys, z, _input_vector)
+    Output pair is [I_rec, V_out]. Evaluate on the unit circle, z = exp(j 2 pi f t_half), for
+    the frequency response. A scalar z gives shape (2,), a 1-D array of N values shape (N, 2)."""
+    return _transfer(model, c_phys, *_z_parts(model, z), _input_vector)
 
 
 def transfer_same_cycle(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
     """Same-cycle approximation: both duration terms attributed to the current sample."""
-    return _transfer(model, c_phys, z, _same_cycle_vector)
+    return _transfer(model, c_phys, *_z_parts(model, z), _same_cycle_vector)
 
 
 def _difference_paths(model: HalfCycleModel, c_phys: np.ndarray, z):
-    """Closed-form difference, subtraction of the two transfers, and the 3 states solved,
-    all planar, from one `resolvent_solve` call."""
+    """Closed-form difference, subtraction of the two transfers, and the 3 states solved, all
+    planar, from one `resolvent_solve` call."""
     e = model._entries
     zr, zi = _z_parts(model, z)
     states = resolvent_solve(e.phi, zr, zi, [v(e, zr, zi) for v in (
@@ -319,8 +345,7 @@ def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtr
     cancels: Cramer's rule for n = 2 is forward stable (Higham, "Accuracy and Stability of
     Numerical Algorithms", 2nd ed., sec. 1.10.1). The floor takes c = 2, the constant of a
     solve backward stable to u (Thm 7.2). c_phys x and the subtraction add about
-    4 u ||c_phys|| ||x||; near z = 1 the subtraction cancels.
-    """
+    4 u ||c_phys|| ||x||; near z = 1 the subtraction cancels."""
     _, _, s_max_sq, q, c_norm = _resolvent_sizes(model, c_phys, z)
     kappa = s_max_sq / real_sqrt(q)
     x_norms = sum(planar_norm(x) for x in states)
@@ -330,11 +355,10 @@ def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtr
 def _dual_path_check(model: HalfCycleModel, c_phys: np.ndarray, z, paths, rtol) -> IdentityCheck:
     """The dual-path identity over `z`, judged from the `_difference_paths` output `paths`.
 
-    Every residual within `rtol` passes, and the check reports the largest. Otherwise each
-    z gets `rtol` widened by the factor by which the roundoff floor of `_dual_path_floor`
-    exceeds 1e-12 (at the default rtol, max(rtol, floor)), and the check reports the z of
-    largest residual minus tolerance, with the tolerance it was judged by.
-    """
+    Every residual within `rtol` passes, and the check reports the largest. Otherwise each z
+    gets `rtol` widened by the factor by which the roundoff floor of `_dual_path_floor` exceeds
+    1e-12 (at the default rtol, max(rtol, floor)), and the check reports the z of largest
+    residual minus tolerance, with the tolerance it was judged by."""
     closed, subtracted, states = paths
     res = planar_residual(closed, subtracted)
     worst = res if isinstance(res, float) else float(np.max(res, initial=0.0))  # NaN fails
@@ -353,8 +377,7 @@ def transfer_difference(model: HalfCycleModel, c_phys: np.ndarray, z,
 
     Cross-checked against the subtraction of the two transfer evaluations: raises
     ArithmeticError where `_dual_path_check`, the rule of verify's dual-path row, fails.
-    Identically zero at z = 1, so the approximation is exact at dc.
-    """
+    Identically zero at z = 1, so the approximation is exact at dc."""
     paths = _difference_paths(model, c_phys, z)
     check = _dual_path_check(model, c_phys, z, paths, rtol)
     if not check.passed:
@@ -370,8 +393,7 @@ def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z):
     unit circle |z - 1| = 2 |sin(pi f t_half * ... )| grows linearly in f for
     small f t_half, which bounds how fast the same-cycle approximation decays.
     ||(zI - phi)^{-1}|| = s_max / |det| of zI - phi, in closed form. A 1-D array of z
-    gives one bound per z; a z on a pole raises as every transfer does.
-    """
+    gives one bound per z; a z on a pole raises as every transfer does."""
     zr, zi, s_max_sq, q, c_norm = _resolvent_sizes(model, c_phys, z)
     return real_hypot(zr - 1.0, zi) * c_norm * real_sqrt(s_max_sq / q) * model._entries.bn_norm
 
@@ -380,14 +402,11 @@ def resolvent_similarity_residual(a: np.ndarray, t_mat: np.ndarray,
                                   z: complex | np.ndarray) -> float | np.ndarray:
     """Residual of the resolvent similarity identity (zI - T^{-1}AT)^{-1} = T^{-1}(zI - A)^{-1}T.
 
-    Pure linear algebra, valid for any square `a`, invertible `t_mat`, and z
-    off the spectrum; the surface-equivalence checks are this identity
-    applied to the half-cycle maps. Stacks of k draws, `a` and `t_mat` of
-    shape (k, n, n) and `z` of shape (k,), go through one stacked solve and
-    inverse and give the array of k residuals, each with the bits of its own call.
-    """
-    a = np.asarray(a, dtype=complex)
-    t_mat = np.asarray(t_mat, dtype=complex)
+    Pure linear algebra, valid for any square `a`, invertible `t_mat`, and z off the spectrum;
+    the surface-equivalence checks are this identity applied to the half-cycle maps. Stacks of
+    k draws, `a` and `t_mat` of shape (k, n, n) and `z` of shape (k,), go through one stacked
+    solve and inverse and give the array of k residuals, each with the bits of its own call."""
+    a, t_mat = np.asarray(a, dtype=complex), np.asarray(t_mat, dtype=complex)
     eye = np.eye(a.shape[-1])
     z = np.asarray(z, dtype=complex)[..., None, None]
     conjugated = np.linalg.solve(t_mat, a @ t_mat)
@@ -406,21 +425,18 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
                                similarity_rtol: float = 1e-12) -> list[IdentityCheck]:
     """Numerical check that two surfaces offset by one interval carry the same dynamics.
 
-    With T the transition matrix of the primary surface's leading interval
-    and b_sec(z) the secondary input vector rebased onto the primary clock
-    (`_rebased_vector`), the secondary model must satisfy, for every z
-    off the poles:
+    With T the transition matrix of the primary surface's leading interval and b_sec(z) the
+    secondary input vector rebased onto the primary clock (`_rebased_vector`), the secondary
+    model must satisfy, for every z off the poles:
 
         T^{-1} phi_sec T = phi_pri
         b_pri(z) = T^{-1} b_sec(z)
         H_pri(z) = (c_phys T^{-1}) (zI - phi_sec)^{-1} b_sec(z)
 
-    The opposite comparator polarities of the two surfaces are what make the
-    signs meet: give both surfaces the same polarity and the b relation fails
-    by a clean global sign flip. A failing input-vector check is therefore
-    retried negated; if that passes, the note records a polarity mismatch
-    rather than a genuine dynamics difference.
-    """
+    The opposite comparator polarities of the two surfaces are what make the signs meet: give
+    both surfaces the same polarity and the b relation fails by a clean global sign flip. A
+    failing input-vector check is therefore retried negated; if that passes, the note records a
+    polarity mismatch rather than a genuine dynamics difference."""
     if ((primary.a, primary.b), (secondary.a, secondary.b)) not in _EQUIVALENT_PAIRS:
         raise ValueError(
             f"surfaces {primary.label} and {secondary.label} are not an equivalence pair")
@@ -429,8 +445,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     if not cond <= pwlti.COND_LIMIT:  # NaN fails too
         raise MarginalSystemError(f"similarity transform is singular: cond ~ {cond:.3e}")
 
-    m_pri = half_cycle_model(dab, primary)
-    m_sec = half_cycle_model(dab, secondary)
+    m_pri, m_sec = half_cycle_model(dab, primary), half_cycle_model(dab, secondary)
 
     sim_res = relative_residual(np.linalg.solve(t_mat, m_sec.phi @ t_mat), m_pri.phi)
     z = np.asarray(z_grid, dtype=complex)
@@ -448,9 +463,8 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
         float(np.max(planar_residual(actual, expected), initial=0.0)) for actual, expected in (
             (b_pri, mapped), (b_pri, tuple(-x for x in mapped)), (h_pri, matrix_times(c, chained))))
 
-    note = ""
-    if input_res > rtol and flipped_res <= rtol:
-        note = "matches after a global sign flip: surface polarity mismatch"
+    note = ("matches after a global sign flip: surface polarity mismatch"
+            if input_res > rtol and flipped_res <= rtol else "")
     name = f"surface-equiv/{primary.label}~{secondary.label}"
     return [IdentityCheck(f"{name}/similarity", sim_res, similarity_rtol),
             IdentityCheck(f"{name}/input-vector", input_res, rtol, note),
@@ -495,18 +509,18 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
                spacing: str = "log") -> list[FrequencyResponseRow]:
     """Frequency response rows of one surface model over a frequency grid.
 
-    `kind` selects the exact model ("fix") or the same-cycle approximation
-    ("sc"). A grid point landing on a pole is flagged and the sweep
-    continues; flagged rows carry None in both channels.
-    """
+    `kind` selects the exact model ("fix") or the same-cycle approximation ("sc"). A grid point
+    landing on a pole is flagged and the sweep continues; flagged rows carry None in both
+    channels."""
     if kind not in ("fix", "sc"):
         raise ValueError(f"kind must be 'fix' or 'sc', got {kind!r}")
     model = half_cycle_model(dab, surface)
-    transfer = transfer_fixed_freq if kind == "fix" else transfer_same_cycle
     f = sweep_frequencies(f_min, f_max, points, spacing, model.t_half)
     z = np.exp(2j * np.pi * f * model.t_half)
     off_pole = _pole_gaps(model, z) > _POLE_GAP
-    h_irec, h_vout = transfer(model, dab.c_phys, z[off_pole]).T.tolist()
+    z = z[off_pole]  # gated here, so the transfer takes (Re z, Im z) as they are
+    h_irec, h_vout = _transfer(model, dab.c_phys, z.real, z.imag, _input_vector if kind == "fix"
+                               else _same_cycle_vector).T.tolist()
     for k in np.flatnonzero(~off_pole).tolist():  # flagged rows keep None in both channels
         h_irec.insert(k, None)
         h_vout.insert(k, None)
@@ -520,10 +534,9 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
     """Every structural identity that `dabss verify` reports, in its table order.
 
     `tolerances` is a `config.Tolerances`, `surfaces` maps each label of SURFACES to the
-    Surface to check (a polarity override in place of the canonical one), and `freqs` is
-    the sweep grid [Hz] of the envelope-ratio check. The dual-path row passes iff
-    `transfer_difference` at `tolerances.transfer_difference` does not raise on its circle.
-    """
+    Surface to check (a polarity override in place of the canonical one), and `freqs` is the
+    sweep grid [Hz] of the envelope-ratio check. The dual-path row passes iff
+    `transfer_difference` at `tolerances.transfer_difference` does not raise on its circle."""
     tol = tolerances
     checks = verify_symmetry(dab, rtol=tol.half_wave_symmetry)
 
@@ -539,8 +552,7 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
     rng = np.random.default_rng(_RESOLVENT_SEED)
     draws = []
     while len(draws) < 20:
-        a = rng.standard_normal((2, 2))
-        t_mat = rng.standard_normal((2, 2))
+        a, t_mat = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
         if not (pwlti.cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(a))) < 0.1):
             draws.append((a, t_mat, z))
@@ -569,9 +581,8 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
     closed, subtracted, states = _difference_paths(
         model, dab.c_phys, np.concatenate([circle, [1.0], sweep]))
     on_circle = [tuple(part[:100] for part in v) for v in (closed, subtracted, *states)]
-    checks.append(_dual_path_check(model, dab.c_phys, circle,
-                                   (on_circle[0], on_circle[1], on_circle[2:]),
-                                   tol.transfer_difference))
+    checks.append(_dual_path_check(model, dab.c_phys, circle, (
+        on_circle[0], on_circle[1], on_circle[2:]), tol.transfer_difference))
     checks.append(IdentityCheck("transfer-difference/dc-zero", float(planar_norm(
         tuple(part[100] for part in subtracted))), tol.transfer_difference))
     diff = planar_norm(tuple(part[101:] for part in subtracted))

@@ -265,7 +265,7 @@ def step_exponentials(aug):
 
 class TestStepExponentials:
     """The oracle's element-wise Pade kernel against scipy.linalg.expm, a reference for
-    the tests only, on the sets that check pwlti.expm."""
+    the tests only, on the sets that check pwlti.augmented_expm."""
 
     def test_matches_scipy_on_random_designs(self):
         linalg = pytest.importorskip("scipy.linalg")
@@ -326,8 +326,8 @@ class TestStepExponentials:
 
 class TestIndependence:
     def test_oracle_runs_without_the_closed_form_maps(self, ref_params, monkeypatch):
-        # The oracle shares no code with the closed-form route: with every
-        # public name of pwlti (expm among them), the segment and period maps
+        # The oracle shares no code with the closed-form route: with every public
+        # name of pwlti (augmented_expm among them), the segment and period maps
         # and the half-cycle map all refusing, it still runs.
         def refuse(*args):
             raise AssertionError("the oracle reached the closed-form route")
@@ -338,7 +338,7 @@ class TestIndependence:
         public = [name for name, value in vars(pwlti).items()
                   if not name.startswith("_") and callable(value)
                   and getattr(value, "__module__", None) == pwlti.__name__]
-        assert {"expm", "compose", "fixed_point", "Schedule"} <= set(public)
+        assert {"augmented_expm", "compose", "fixed_point", "Schedule"} <= set(public)
         for name in public:
             monkeypatch.setattr(pwlti, name, refuse)
         monkeypatch.setattr(dab_module, "half_cycle_map", refuse)

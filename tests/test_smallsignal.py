@@ -487,7 +487,7 @@ class TestModelCache:
         for _ in range(3):
             with pytest.raises(ParameterError):
                 half_cycle_model(skewed, S_PLUS)
-        marginal = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
+        marginal = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e15, Rc=0.0, Ro=1e30)))
         for _ in range(3):
             with pytest.raises(MarginalSystemError):
                 half_cycle_model(marginal, P_PLUS)
@@ -502,6 +502,95 @@ class TestModelCache:
             with pytest.raises(NumericInputError, match="control-input vectors are not finite"):
                 half_cycle_model(dab, P_PLUS)
         assert model_builds == [] and not vars(dab)["_surface_models"]
+
+    @pytest.mark.parametrize("vr, accepted", [(1e-304, True), (1e-305, False), (1e-306, False)])
+    def test_inputs_whose_transfers_overflow_are_refused(self, ref_params, model_builds, vr,
+                                                         accepted):
+        # b_cur is about 1e306 at Vr = 1e-304 and the response peaks 32 times higher near
+        # z = 1: still finite. Ten times more overflows.
+        dab = build_dab(dataclasses.replace(ref_params, Vr=vr))
+        if accepted:
+            assert np.abs(half_cycle_model(dab, P_PLUS).b_cur).max() > 9e305
+            return
+        with pytest.raises(NumericInputError, match="or their transfers overflow"):
+            half_cycle_model(dab, P_PLUS)
+        assert model_builds == []
+
+    @staticmethod
+    def judged_at_the_float_range(phi, b_cur, b_next, largest) -> list:
+        """`_transfers_overflow` (gain 1) on the inputs scaled so that their largest response
+        `largest` sits 1e-6 below and then 1e-6 above _TRANSFER_MAX."""
+        scale = smallsignal._TRANSFER_MAX / largest
+        return [smallsignal._transfers_overflow(phi, None, *(
+            tuple((np.asarray(v) * scale * factor).tolist()) for v in (b_cur, b_next)))
+            for factor in (1.0 - 1e-6, 1.0 + 1e-6)]
+
+    def test_the_overflow_check_finds_the_peak_response_on_the_unit_circle(self, monkeypatch):
+        # Well-damped designs, scaled so that the largest of |n| = |adj(zI - phi) v| and |x| =
+        # |n| / |det| for both inputs v, sampled on the upper half circle and then around its
+        # largest sample, sits 1e-6 below or above _TRANSFER_MAX.
+        monkeypatch.setattr(smallsignal, "_matrix", lambda c: [1.0, 0.0, 0.0, 0.0])  # gain 1
+
+        def peak(model, theta):
+            z = np.exp(1j * theta)[:, None]
+            m = z[..., None] * np.eye(2) - model.phi
+            x = np.linalg.solve(m, np.stack([model.b_cur + z * model.b_next,
+                                             model.b_cur + model.b_next + 0.0 * z],
+                                            axis=1).transpose(0, 2, 1))
+            size = np.linalg.norm(x, axis=1).max(axis=1) * np.maximum(
+                1.0, np.abs(np.linalg.det(m)))
+            return size.max(), theta[np.argmax(size)]
+
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            model = half_cycle_model(build_dab(random_params(rng)), P_PLUS)
+            _, theta = peak(model, np.linspace(0.0, np.pi, 100_001))
+            largest, _ = peak(model, theta + np.linspace(-1e-4, 1e-4, 20_001))
+            assert self.judged_at_the_float_range(
+                model.phi, model.b_cur, model.b_next, largest) == [False, True]
+
+    @pytest.mark.parametrize("case", ["blocking", "lossless", "complex-pair"])
+    def test_a_pole_near_the_unit_circle_is_judged_at_its_peak(self, monkeypatch, case):
+        # Poles 1e-8 inside the circle: a real one at 1 - 1e-8 with one at 0 (a blocking series
+        # path, unloaded) or next to one 2e-11 from -1 (lossless), and a complex pair at angle
+        # 1, where |det|^2 fitted in cos(theta) keeps no digit. The peak is searched in 40-digit
+        # arithmetic on the floats given, from a grid with the poles' angles, then around it.
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(smallsignal, "_matrix", lambda c: [1.0, 0.0, 0.0, 0.0])  # gain 1
+        if case == "complex-pair":
+            r, t_mat = 1.0 - 1e-8, np.array([[1.0, 0.3], [-0.2, 1.1]])
+            rotation = r * np.array([[math.cos(1.0), -math.sin(1.0)],
+                                     [math.sin(1.0), math.cos(1.0)]])
+            phi = t_mat @ rotation @ np.linalg.inv(t_mat)
+            b_cur, b_next = np.array([1.0, -0.5]), np.array([0.25, 2.0])
+        else:
+            kwargs = (dict(Rt=5e6, Rc=0.0, Ro=1e30) if case == "blocking"
+                      else dict(Rt=0.0, Rc=0.0, Ro=5e6))
+            model = half_cycle_model(build_dab(DabParams(**dict(REFERENCE_KWARGS, **kwargs))),
+                                     P_PLUS)
+            phi, b_cur, b_next = model.phi, model.b_cur, model.b_next
+        gaps = 1.0 - np.abs(np.linalg.eigvals(phi))
+        assert np.any((0.9e-8 < gaps) & (gaps < 1.1e-8)), gaps
+
+        with mpmath.workdps(40):
+            m = mpmath.matrix(phi.tolist())
+            vs = [mpmath.matrix(v.tolist()) for v in (b_cur, b_next)]
+
+            def size(theta):
+                z = mpmath.expj(theta)
+                adj = mpmath.matrix([[z - m[1, 1], m[0, 1]], [m[1, 0], z - m[0, 0]]])
+                det = abs((z - m[0, 0]) * (z - m[1, 1]) - m[0, 1] * m[1, 0])
+                return max(mpmath.norm(adj * (vs[0] + z * vs[1])), mpmath.norm(
+                    adj * (vs[0] + vs[1]))) * max(1, 1 / det)
+
+            grid = list(np.linspace(0.0, np.pi, 1001)) + [
+                abs(cmath.phase(p)) for p in np.linalg.eigvals(phi)]
+            best = max(grid, key=size)
+            for width in (1e-3, 1e-6, 1e-9, 1e-12):
+                best = max((min(max(best + d, 0.0), math.pi)
+                            for d in np.linspace(-width, width, 201)), key=size)
+            largest = float(size(best))
+        assert self.judged_at_the_float_range(phi, b_cur, b_next, largest) == [False, True]
 
 
 class TestDualPathFloor:

@@ -24,8 +24,12 @@ def test_the_scan_dumps_its_designs_and_compares_dumps(tmp_path, capsys):
             assert f"{float.fromhex(residual):.3e}" == printed, name
 
     assert verify_scan.main(["--compare", str(dump), str(dump)]) == 0
-    assert capsys.readouterr().out.startswith(
-        "verdict flips: 0\nchanged exceptions or row lists: 0\n")
+    out = capsys.readouterr().out
+    assert out.startswith("verdict flips: 0\nchanged exceptions or row lists: 0\n")
+    same = [f"  {v} -> {v}: {n}" for v, n in (("fail", len(failed)), ("pass", 20 - len(raised)
+                                                 - len(failed)), ("raise", len(raised))) if n]
+    assert out.endswith("\n".join(["design verdicts, A -> B", *same,
+                                    "exception types changed, A -> B"]) + "\n")
 
     k = next(k for k, r in enumerate(records) if "rows" in r)
     row = records[k]["rows"][0]
@@ -33,4 +37,17 @@ def test_the_scan_dumps_its_designs_and_compares_dumps(tmp_path, capsys):
     flipped = tmp_path / "flipped.jsonl"
     flipped.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert verify_scan.main(["--compare", str(dump), str(flipped)]) == 1
-    assert capsys.readouterr().out.startswith(f"verdict flips: 1\ndesign {k}: {row[0]} ")
+    out = capsys.readouterr().out
+    assert out.startswith(f"verdict flips: 1\ndesign {k}: {row[0]} ")
+    was = verify_scan.verdict(json.loads(dump.read_text().splitlines()[k]))
+    assert f"  {was} -> {verify_scan.verdict(records[k])}: 1\n" in out
+
+    j = next(j for j, r in enumerate(records) if "raised" in r)
+    records[j]["raised"][0] = "NumericInputError"
+    retyped = tmp_path / "retyped.jsonl"
+    retyped.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert verify_scan.main(["--compare", str(dump), str(retyped)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(f"exception types changed, A -> B\n  "
+                        f"{json.loads(dump.read_text().splitlines()[j])['raised'][0]} -> "
+                        f"NumericInputError: 1\n")

@@ -14,8 +14,10 @@ checkout's src/.
 `--dump` writes one JSON line per design: its rows as [name, float.hex residual, printed
 residual, passed], or its exception as [type, message]. `--compare` reads two dumps, say
 of two checkouts, and reports verdict flips, changed exceptions, and per row the designs
-whose residual bits or printed residuals differ; it exits 1 on a flip or a changed
-exception. The file has no test_ prefix, so pytest does not collect it.
+whose residual bits or printed residuals differ, then how many designs went from each
+verdict (pass, fail or raise) to each, and from each exception type to another; it exits 1
+on a flip or a changed exception. The file has no test_ prefix, so pytest does not collect
+it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,13 @@ def summary(records: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def verdict(record: dict) -> str:
+    """pass, fail or raise: the design-level verdict of one record."""
+    if "raised" in record:
+        return "raise"
+    return "pass" if all(row[3] for row in record["rows"]) else "fail"
+
+
 def compare(a: list[dict], b: list[dict]) -> tuple[str, bool]:
     """The differences of two dumps of the same designs, and whether a verdict or an
     exception changed."""
@@ -106,6 +115,14 @@ def compare(a: list[dict], b: list[dict]) -> tuple[str, bool]:
              "designs whose residual differs in bits, in print; its largest move"]
     lines += [f"  {name}: {bits[name]}, {printed[name]}; {ulps[name]:.3g} ulps, "
               f"factor {factor[name]:.3g}" for name in sorted(bits)]
+    verdicts = collections.Counter((verdict(x), verdict(y)) for x, y in zip(a, b))
+    types = collections.Counter((x["raised"][0], y["raised"][0]) for x, y in zip(a, b)
+                                if "raised" in x and "raised" in y
+                                and x["raised"][0] != y["raised"][0])
+    lines.append("design verdicts, A -> B")
+    lines += [f"  {x} -> {y}: {n}" for (x, y), n in sorted(verdicts.items())]
+    lines.append("exception types changed, A -> B")
+    lines += [f"  {x} -> {y}: {n}" for (x, y), n in sorted(types.items())]
     return "\n".join(lines), bool(flips or changed)
 
 
