@@ -27,7 +27,7 @@ import numpy as np
 
 from . import pwlti
 from .errors import ParameterError
-from .pwlti import IdentityCheck, Schedule, Segment, SegmentMap, compose, planar_residual
+from .pwlti import IdentityCheck, Schedule, Segment, compose, planar_residual
 
 # Involutions of the [i_L, v_C] state.
 # FLIP_VOLTAGE conjugates the reversed-coupling intervals onto the forward
@@ -108,11 +108,14 @@ class DabSchedule:
     c_phys: np.ndarray
 
     @functools.cached_property
-    def _intervals(self) -> tuple:
-        """Per interval, in Python floats: phi and the state matrix row by row, gamma, b u."""
-        return tuple((m.phi.ravel().tolist(), m.gamma.tolist(), seg.a.ravel().tolist(),
-                      (seg.b @ self.schedule.u).tolist())
-                     for m, seg in zip(self.schedule.maps, self.schedule.segments))
+    def _half_cycle_phis(self) -> np.ndarray:
+        """RECTIFY phi_b phi_a of the half cycles from intervals 1 to 4, read-only, in numpy's
+        products: each surface model's phi, and the map of LAPACK's verdict on its fixed point."""
+        flat = [x for e in self.schedule._entries for x in e[:4]]
+        phis = np.array(flat + flat[:4]).reshape(5, 2, 2)  # phi_1 again after phi_4
+        out = RECTIFY @ (phis[1:] @ phis[:4])
+        out.setflags(write=False)
+        return out
 
 
 def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
@@ -174,27 +177,47 @@ def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck
     and duration; skewing T3 away from T1 must break them. S phi S = Dr phi Dr and -S gamma
     are exact sign flips, so each S row and its Dr row are one residual, in Python floats.
     """
-    (p1, g1, *_), (p2, g2, *_), (p3, g3, *_), (p4, g4, *_) = dab._intervals
-    phi3, phi4 = (planar_residual(late, (p[0], -p[1], -p[2], p[3]))
-                  for late, p in ((p3, p1), (p4, p2)))
-    gamma3, gamma4 = (planar_residual((*late, 0.0, 0.0), (-g[0], g[1], 0.0, 0.0))
-                      for late, g in ((g3, g1), (g4, g2)))
+    m1, m2, m3, m4 = dab.schedule._entries
+    phi3, phi4 = (planar_residual(late[:4], (p[0], -p[1], -p[2], p[3]))
+                  for late, p in ((m3, m1), (m4, m2)))
+    gamma3, gamma4 = (planar_residual((*late[4:], 0.0, 0.0), (-g[4], g[5], 0.0, 0.0))
+                      for late, g in ((m3, m1), (m4, m2)))
     return [IdentityCheck(f"symmetry/{name}", residual, rtol) for name, residual in (
         ("phi3-flip-voltage", phi3), ("phi4-flip-voltage", phi4), ("gamma3-negated", gamma3),
         ("gamma4-negated", gamma4), ("phi3-rectify", phi3), ("phi4-rectify", phi4))]
 
 
-def half_cycle_map(dab: DabSchedule, first: int) -> SegmentMap:
-    """Rectified map x -> phi x + g over intervals `first` and `first % 4 + 1` (one-based):
+def half_cycle_map(dab: DabSchedule, first: int) -> tuple:
+    """Rectified map x -> phi x + g over intervals `first` and `first % 4 + 1` (one-based), six
+    Python floats (phi row by row, then g) composed from the segments' own:
 
-        phi = RECTIFY phi_b phi_a,   g = RECTIFY (phi_b gamma_a + gamma_b).
-    """
-    half = compose([dab.schedule.maps[i - 1] for i in (first, first % 4 + 1)])
-    return SegmentMap(RECTIFY @ half.phi, RECTIFY @ half.gamma)
+        phi = RECTIFY phi_b phi_a,   g = RECTIFY (phi_b gamma_a + gamma_b),
+
+    where RECTIFY negates row 0."""
+    p00, p01, p10, p11, g0, g1 = compose([dab.schedule._entries[i - 1]
+                                          for i in (first, first % 4 + 1)])
+    return -p00, -p01, p10, p11, -g0, g1
+
+
+def half_cycle_fixed_point(dab: DabSchedule, first: int, what: str) -> tuple:
+    """(`half_cycle_map`, its fixed point) in Python floats, solved once per `dab` and `first`
+    for every caller; a failed solve is not kept, so each caller's `what` names its own error.
+    LAPACK's verdict takes the map in numpy's products, as `_half_cycle_phis` has phi."""
+    solved = vars(dab).setdefault("_half_cycles", {})  # a DabSchedule is unhashable
+    if first not in solved:
+        def arrays():
+            map_a, map_b = (dab.schedule.maps[i - 1] for i in (first, first % 4 + 1))
+            return (dab._half_cycle_phis[first - 1],
+                    RECTIFY @ (map_b.phi @ map_a.gamma + map_b.gamma))
+
+        m = half_cycle_map(dab, first)
+        solved[first] = m, pwlti.fixed_point(m, what, arrays)
+    return solved[first]
 
 
 def solve_half_cycle(dab: DabSchedule) -> np.ndarray:
     """Period-start steady state from the first half cycle alone: half-wave symmetry
     reduces x4 = x0 to the fixed point of the rectified map of intervals 1 and 2, the system
-    (FLIP_CURRENT - phi2 phi1) x0 = phi2 gamma1 + gamma2 with its first row negated."""
-    return pwlti.fixed_point(*half_cycle_map(dab, 1), "half-cycle solve")
+    (FLIP_CURRENT - phi2 phi1) x0 = phi2 gamma1 + gamma2 with its first row negated. It is
+    the P+ surface model's fixed point, from the same solve."""
+    return np.array(half_cycle_fixed_point(dab, 1, "half-cycle solve")[1])

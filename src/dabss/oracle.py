@@ -239,9 +239,9 @@ def _step_maps(dab: DabSchedule, intervals, durations) -> np.ndarray:
     segments = dab.schedule.segments
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: _step_exponentials raises
         aug = np.array([np.column_stack([seg.a, seg.b @ dab.schedule.u]) for seg in segments])
-    # take() keeps each of the six entries contiguous over the maps.
-    return _step_exponentials(aug.transpose(1, 2, 0).take(np.ravel(intervals), axis=2)
-                              * np.ravel(durations))
+        # take() keeps each of the six entries contiguous over the maps.
+        aug = aug.transpose(1, 2, 0).take(np.ravel(intervals), axis=2) * np.ravel(durations)
+    return _step_exponentials(aug)
 
 
 def _rows(entries: np.ndarray, steps: int = 1):

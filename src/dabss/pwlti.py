@@ -9,18 +9,18 @@ duration T_i with dynamics dx/dt = A_i x + B_i u, the boundary states obey
     Gamma_i = integral_0^{T_i} exp(A_i (T_i - tau)) B_i u dtau.
 
 Chaining the subinterval maps gives the state at the end of the chain in closed form; `compose`
-is the one place a chain is folded into a single map, be it the one-period (monodromy) map or a
-half cycle. The periodic steady state is the fixed point of the period map; `fixed_point`
-solves it and every other x = phi x + gamma of the package. Everything in this module is exact
+folds a chain into a single map in Python floats, be it the one-period (monodromy) map or a half
+cycle, and arrays are made from the floats once. The periodic steady state is the fixed point
+of the period map; `fixed_point` solves it and every other x = phi x + gamma of the package. Everything in this module is exact
 up to roundoff, with no time stepping: the exponential of a 2x2 segment is in closed form
 (`augmented_expm`, no scaling and squaring), as is the resolvent (zI - M)^{-1} of a real 2x2
 matrix (`resolvent_solve`) that every small-signal transfer evaluates."""
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -139,7 +139,7 @@ class Segment:
         if a.shape != (2, 2) or b.ndim != 2 or b.shape[0] != 2:
             raise DimensionError(f"segment state matrix must be 2x2 and its input matrix have 2 "
                                  f"rows, got {a.shape} and {b.shape}")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        if not all(map(math.isfinite, a.ravel().tolist() + b.ravel().tolist())):
             raise NumericInputError("segment matrices must be finite")
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise NumericInputError(f"segment duration must be finite and >= 0, got {self.duration!r}")
@@ -161,7 +161,7 @@ class Schedule:
         u = _frozen_array(self.u)
         if u.ndim != 1:
             raise DimensionError(f"input vector must be 1-d, got shape {u.shape}")
-        if not np.isfinite(u).all():
+        if not all(map(math.isfinite, u.tolist())):
             raise NumericInputError("input vector must be finite")
         m = segments[0].b.shape[1]
         for k, seg in enumerate(segments):
@@ -173,21 +173,38 @@ class Schedule:
         object.__setattr__(self, "u", u)
 
     @functools.cached_property
+    def _fields(self) -> tuple[tuple, ...]:
+        """Per segment, its vector field x -> a x + b u as six Python floats: a row by row, then
+        b u, each entry summed from a zero left to right (not finite: refused by `_entries`)."""
+        u = self.u.tolist()
+        return tuple((*seg.a.ravel().tolist(), *(sum(map(operator.mul, row, u))
+                                                 for row in seg.b.tolist()))
+                     for seg in self.segments)
+
+    @functools.cached_property
+    def _entries(self) -> tuple[tuple, ...]:
+        """Per segment, its exact map exp([[a, b u], [0, 0]] T) = [[phi, gamma], [0, 1]] by
+        `augmented_expm` (exact for a singular `a`), six Python floats: phi row by row, gamma."""
+        return tuple(augmented_expm(*(x * seg.duration for x in field))
+                     for seg, field in zip(self.segments, self._fields))
+
+    @functools.cached_property
     def maps(self) -> tuple[SegmentMap, ...]:
-        """Read-only exact maps of the segments, exp([[a, b u], [0, 0]] T) = [[phi, gamma],
-        [0, 1]] by `augmented_expm`: exact for a singular `a`, and phi = I, gamma = 0 at T = 0.
-        One segment's map is `Schedule((seg,), u).maps[0]`."""
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused below
-            forcing = [(seg.b @ self.u).tolist() for seg in self.segments]
-        entries = [augmented_expm(*(x * seg.duration for x in seg.a.ravel().tolist() + w))
-                   for seg, w in zip(self.segments, forcing)]
-        phis = _frozen_array([(e[:2], e[2:4]) for e in entries])
-        return tuple(map(SegmentMap, phis, _frozen_array([e[4:] for e in entries])))  # views
+        """Read-only arrays of `_entries`, phi = I and gamma = 0 at T = 0. One segment's map is
+        `Schedule((seg,), u).maps[0]`."""
+        phis = _frozen_array([e[:4] for e in self._entries]).reshape(-1, 2, 2)
+        return tuple(map(SegmentMap, phis, _frozen_array([e[4:] for e in self._entries])))
+
+    @functools.cached_property
+    def _period(self) -> tuple:
+        """The one-period map (Pi, forcing) as six Python floats, `compose` of `_entries`."""
+        return compose(self._entries)
 
     @functools.cached_property
     def period_map(self) -> SegmentMap:
-        """Read-only map (Pi, forcing) of one period, composed once from `maps`."""
-        return compose(self.maps)
+        """Read-only map (Pi, forcing) of one period: the arrays of `_period`, made once."""
+        rows = _frozen_array(self._period).reshape(3, 2)
+        return SegmentMap(rows[:2], rows[2])
 
 
 class SegmentMap(NamedTuple):
@@ -197,22 +214,20 @@ class SegmentMap(NamedTuple):
     gamma: np.ndarray
 
 
-def compose(maps) -> SegmentMap:
-    """One map for a chain applied first to last: phi <- phi_k phi, gamma <- phi_k gamma + gamma_k.
+def compose(maps) -> tuple:
+    """One map for a chain applied first to last, each map six Python floats, phi row by row
+    and then gamma: phi <- phi_k phi, gamma <- phi_k gamma + gamma_k.
 
     phi is the reverse product phi_n (... (phi_2 phi_1)) and gamma the sum of reverse products
-    times each gamma_i, by Horner's rule; the two products are made read-only, uncopied. A
-    one-map chain comes back as given. An empty chain is an IndexError, not a silent identity
-    that would hide an indexing bug."""
-    if len(maps) == 1:
-        return maps[0]
-    phi, gamma = maps[0]
-    for phi_k, gamma_k in maps[1:]:
-        phi = phi_k @ phi
-        gamma = phi_k @ gamma + gamma_k
-    phi.setflags(write=False)
-    gamma.setflags(write=False)
-    return SegmentMap(phi, gamma)
+    times each gamma_i, by Horner's rule, each entry rounded as written (no fused
+    multiply-add, unlike numpy's 2x2 `@`). A one-map chain gives its own floats. An empty
+    chain is an IndexError, not a silent identity that would hide an indexing bug."""
+    p00, p01, p10, p11, g0, g1 = maps[0]
+    for a00, a01, a10, a11, h0, h1 in maps[1:]:
+        p00, p01, p10, p11, g0, g1 = (
+            a00 * p00 + a01 * p10, a00 * p01 + a01 * p11, a10 * p00 + a11 * p10,
+            a10 * p01 + a11 * p11, a00 * g0 + a01 * g1 + h0, a10 * g0 + a11 * g1 + h1)
+    return p00, p01, p10, p11, g0, g1
 
 
 def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
@@ -238,35 +253,43 @@ def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
 def cond(m: np.ndarray) -> float:
     """np.linalg.cond(m) (s_max / s_min, inf if singular) without its wrapper's cost on a 2x2."""
     s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0] / s[-1]) if s[-1] else math.inf
+    return float(s[0]) / float(s[-1]) if s[-1] else math.inf
 
 
-def fixed_point(phi: np.ndarray, gamma: np.ndarray, what: str) -> np.ndarray:
-    """Fixed point of x -> phi x + gamma (a period, a half cycle, a surface), from
-    (I - phi) x = gamma. An eigenvalue of phi at or near 1 leaves cond(I - phi) not finite or
-    above COND_LIMIT: MarginalSystemError "<what> is marginal: cond ~ ... exceeds 1.0e+12",
-    carrying the eigenvalues of phi. It is solved as `resolvent_solve` at z = 1 while its
-    closed-form cond s_max^2 / |det| is at most COND_LIMIT / 2 and det^2 a normal number;
-    otherwise LAPACK's `cond` gives the verdict and the printed value."""
-    m = Matrix2x2.of(phi)
-    with contextlib.suppress(ResolventSingularityError):  # det(I - phi) 0 or not a number
-        det = a, d, det_re, _, q = resolvent_det(m, 1.0, 0.0)
-        c = sigma_max_sq(a, -m.m01, -m.m10, d, 0.0) / abs(det_re)
-        if c <= COND_LIMIT / 2 and 1e-300 < q < 1e300:
-            g0, g1 = gamma.tolist()
-            (x0, _, x1, _), = resolvent_solve(m, 1.0, 0.0, [(g0, 0.0, g1, 0.0)], det)
-            return np.array([x0, x1])
+def fixed_point(m, what: str, arrays=None) -> tuple:
+    """Fixed point (x0, x1) of x -> phi x + gamma (a period, a half cycle, a surface), from
+    (I - phi) x = gamma, m = (phi00, phi01, phi10, phi11, gamma0, gamma1) in Python floats.
+    An eigenvalue of phi at or near 1 leaves cond(I - phi) not finite or above COND_LIMIT:
+    MarginalSystemError "<what> is marginal: cond ~ ... exceeds 1.0e+12", carrying the
+    eigenvalues of phi. It is solved as `resolvent_solve` at z = 1 while its closed-form cond
+    s_max^2 / |det| is at most COND_LIMIT / 2 and det^2 a normal number; otherwise LAPACK's
+    `cond` decides on the arrays (phi, gamma) of `arrays()`, the map in numpy's products, or
+    else of m."""
+    p00, p01, p10, p11, g0, g1 = m
+    phi = Matrix2x2(p00, p01, p10, p11, *two_product(p01, p10))
+    try:
+        det = a, d, det_re, _, q = resolvent_det(phi, 1.0, 0.0)
+        c = sigma_max_sq(a, -p01, -p10, d, 0.0) / abs(det_re)
+    except ResolventSingularityError:  # det(I - phi) 0 or not a number
+        c = q = math.nan
+    if c <= COND_LIMIT / 2 and 1e-300 < q < 1e300:
+        (x0, _, x1, _), = resolvent_solve(phi, 1.0, 0.0, [(g0, 0.0, g1, 0.0)], det)
+        return x0, x1
+    phi, gamma = arrays() if arrays else (np.array((m[:2], m[2:4])), np.array(m[4:]))
     lhs = np.eye(2) - phi
     c = cond(lhs)
     if not c <= COND_LIMIT:  # NaN fails too
         raise MarginalSystemError(f"{what} is marginal: cond ~ {c:.3e} exceeds {COND_LIMIT:.1e}",
                                   eigenvalues=np.linalg.eigvals(phi))
-    return np.linalg.solve(lhs, gamma)
+    return tuple(np.linalg.solve(lhs, gamma).tolist())
 
 
 def solve_periodic_fixed_point(schedule: Schedule) -> np.ndarray:
-    """Steady-state period-boundary state of a schedule, from its cached `period_map`."""
-    return fixed_point(*schedule.period_map, "periodic solve")
+    """Steady-state period-boundary state of a schedule, from its cached period map."""
+    def arrays():  # the period map in numpy's products, for LAPACK's verdict
+        return functools.reduce(lambda m, k: (k.phi @ m[0], k.phi @ m[1] + k.gamma), schedule.maps)
+
+    return np.array(fixed_point(schedule._period, "periodic solve", arrays))
 
 
 def monodromy(schedule: Schedule) -> np.ndarray:
@@ -377,8 +400,9 @@ class Matrix2x2(NamedTuple):
     pp_err: float
 
     @classmethod
-    def of(cls, m: np.ndarray) -> Matrix2x2:
-        (m00, m01), (m10, m11) = np.asarray(m, dtype=float).tolist()
+    def of(cls, m) -> Matrix2x2:
+        """M from a 2x2 array, or from its four Python floats row by row."""
+        m00, m01, m10, m11 = np.ravel(m).tolist() if isinstance(m, np.ndarray) else m
         return cls(m00, m01, m10, m11, *two_product(m01, m10))
 
 

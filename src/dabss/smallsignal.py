@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pwlti
-from .dab import FLIP_CURRENT, DabSchedule, half_cycle_map, solve_half_cycle, verify_symmetry
+from .dab import (FLIP_CURRENT, DabSchedule, half_cycle_fixed_point, solve_half_cycle,
+                  verify_symmetry)
 from .errors import (MarginalSystemError, NumericInputError, ParameterError,
                      ResolventSingularityError)
 from .pwlti import (IdentityCheck, Matrix2x2, matrix_times, planar_array, planar_norm,
@@ -138,49 +139,52 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     models = vars(dab).setdefault("_surface_models", {})  # a DabSchedule is unhashable
     if surface in models:
         return models[surface]
-    seg_a, seg_b = (dab.schedule.segments[i - 1] for i in (surface.a, surface.b))
+    a, b = surface.a - 1, surface.b - 1
+    span = dab.schedule.segments[a].duration + dab.schedule.segments[b].duration
     t_half = dab.params.t_half
-    if not abs(seg_a.duration + seg_b.duration - t_half) <= 1e-12 * abs(t_half):
+    if not abs(span - t_half) <= 1e-12 * abs(t_half):
         raise ParameterError(
-            f"surface {surface.label} spans {seg_a.duration + seg_b.duration!r} s, "
-            f"expected the half cycle {t_half!r} s")
+            f"surface {surface.label} spans {span!r} s, expected the half cycle {t_half!r} s")
 
-    phi, g = half_cycle_map(dab, surface.a)
-    x_star = pwlti.fixed_point(phi, g, f"surface {surface.label} fixed point")
-    (pa, ga, aa, ua), (pb, gb, ab, ub) = (dab._intervals[i - 1] for i in (surface.a, surface.b))
-    x_a_end = _affine(pa, x_star.tolist(), ga)
-    x_b_end = _affine(pb, x_a_end, gb)
+    m, x_star = half_cycle_fixed_point(dab, surface.a, f"surface {surface.label} fixed point")
+    # phi in numpy's products, as LAPACK's verdict on the fixed point takes it: the poles and
+    # every pole-gap message keep their bits.
+    phi = dab._half_cycle_phis[a]
+    entries, fields = dab.schedule._entries, dab.schedule._fields
+    ma, mb, fa, fb = entries[a], entries[b], fields[a], fields[b]
+    x_a_end = _affine(ma, x_star)
+    x_b_end = _affine(mb, x_a_end)
     # sens_a = RECTIFY phi_b (a_a x_a_end + b_a u), sens_b = RECTIFY (a_b x_b_end + b_b u)
-    flow_a = _affine(pb, _affine(aa, x_a_end, ua), (-0.0, -0.0))  # -0.0 adds exactly 0
-    flow_b = _affine(ab, x_b_end, ub)
+    flow_a = _affine((*mb[:4], -0.0, -0.0), _affine(fa, x_a_end))  # -0.0 adds exactly 0
+    flow_b = _affine(fb, x_b_end)
     sens_a, sens_b = (-flow_a[0], flow_a[1]), (-flow_b[0], flow_b[1])
     comp_gain = t_half / dab.params.Vr
-    b_cur, b_next = ((k * s0, k * s1) for k, (s0, s1) in (
-        (surface.polarity * comp_gain, sens_a), (-surface.polarity * comp_gain, sens_b)))
+    k = surface.polarity * comp_gain
+    b_cur, b_next = (k * sens_a[0], k * sens_a[1]), (-k * sens_b[0], -k * sens_b[1])
     if not all(map(math.isfinite, (comp_gain, *b_cur, *b_next))) or _transfers_overflow(
-            phi, dab.c_phys, b_cur, b_next):
+            phi.ravel().tolist(), dab.c_phys, b_cur, b_next):
         raise NumericInputError(f"surface {surface.label} control-input vectors are not finite "
                                 f"or their transfers overflow: comparator gain T_half / Vr = "
                                 f"{comp_gain:.3e} s/V")
-    for fresh in (phi, g, x_star):  # each one is freshly computed here
-        fresh.setflags(write=False)
-    rows = pwlti._frozen_array([x_a_end, x_b_end, sens_a, sens_b, b_cur, b_next])
+    rows = pwlti._frozen_array((*m[4:], *x_star, *x_a_end, *x_b_end, *sens_a, *sens_b, *b_cur,
+                                *b_next)).reshape(8, 2)
     models[surface] = HalfCycleModel(
-        surface=surface, phi=phi, g=g, x_star=x_star, x_a_end=rows[0], x_b_end=rows[1],
-        sens_a=rows[2], sens_b=rows[3], b_cur=rows[4], b_next=rows[5], comp_gain=comp_gain,
+        surface=surface, phi=phi, g=rows[0], x_star=rows[1], x_a_end=rows[2], x_b_end=rows[3],
+        sens_a=rows[4], sens_b=rows[5], b_cur=rows[6], b_next=rows[7], comp_gain=comp_gain,
         t_half=t_half)
     return models[surface]
 
 
 def _transfers_overflow(phi, c_phys, b_cur, b_next) -> bool:
-    """Whether a transfer of `_input_vector` or `_same_cycle_vector` passes _TRANSFER_MAX on
-    |z| = 1 in n = adj(zI - phi) v, x = n / det or c_phys x (then x_fix - x_sc, z x_sc - b_next
-    and verify's sums stay finite). |n|^2 and |det|^2 are quadratics in c = cos(arg z), fitted
-    at c = -1, 0, 1: the peaks lie at c = +-1, at the vertex of |n|^2, where (|n|^2 / |det|^2)'
-    = 0, or at a complex pole's angle, where the fit loses digits; each is evaluated from exact
-    products (`resolvent_det`), |det| floored at _POLE_GAP^2."""
+    """Whether a transfer of `_input_vector` or `_same_cycle_vector` (phi as four floats row by
+    row) passes _TRANSFER_MAX on |z| = 1 in n = adj(zI - phi) v, x = n / det or c_phys x (then
+    x_fix - x_sc, z x_sc - b_next and verify's sums stay finite). |n|^2 and |det|^2 are
+    quadratics in c = cos(arg z), fitted at c = -1, 0, 1: the peaks lie at c = +-1, at the
+    vertex of |n|^2, where (|n|^2 / |det|^2)' = 0, or at a complex pole's angle, where the fit
+    loses digits; each is evaluated from exact products (`resolvent_det`), |det| floored at
+    _POLE_GAP^2."""
     c_rows, scale = _matrix(c_phys), max(map(abs, (*b_cur, *b_next)))
-    size = 2.0 + sum(map(abs, phi.ravel().tolist()))
+    size = 2.0 + sum(map(abs, phi))
     if not (1.0 + math.hypot(*c_rows)) * size * size * scale >= 1e280:  # else peaks < 1e304
         return False
     m, gain = Matrix2x2.of(phi), max(1.0, math.sqrt(sigma_max_sq(*c_rows, 0.0)))
@@ -207,10 +211,10 @@ def _transfers_overflow(phi, c_phys, b_cur, b_next) -> bool:
                    < _TRANSFER_MAX for n, q in map(sizes, (c for c in candidates if -1 <= c <= 1)))
 
 
-def _affine(m, x, c) -> tuple:
-    """m x + c for a 2x2 m given row by row and 2-vectors x and c, in Python floats."""
-    m00, m01, m10, m11 = m
-    return m00 * x[0] + m01 * x[1] + c[0], m10 * x[0] + m11 * x[1] + c[1]
+def _affine(m, x) -> tuple:
+    """phi x + gamma of a map m given as six Python floats (phi row by row, then gamma)."""
+    m00, m01, m10, m11, c0, c1 = m
+    return m00 * x[0] + m01 * x[1] + c0, m10 * x[0] + m11 * x[1] + c1
 
 
 def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
@@ -285,13 +289,17 @@ def _transfer(model: HalfCycleModel, c_phys, zr, zi, rhs) -> np.ndarray:
 
     Up to _FEW_Z values of z go through the rule one by one in Python floats, which costs less
     than numpy's overhead on some hundred array operations; the bits are the same."""
-    e = model._entries
-    c = _matrix(c_phys)
     if isinstance(zr, float) or zr.size > _FEW_Z:
-        return _complex(matrix_times(c, resolvent_solve(e.phi, zr, zi, [rhs(e, zr, zi)])[0]))
-    rows = [matrix_times(c, resolvent_solve(e.phi, r, i, [rhs(e, r, i)])[0])
-            for r, i in zip(zr.ravel().tolist(), zi.ravel().tolist())]
+        return _complex(_planar_rows(model, c_phys, [(zr, zi)], rhs)[0])
+    rows = _planar_rows(model, c_phys, zip(zr.ravel().tolist(), zi.ravel().tolist()), rhs)
     return planar_array(rows, ()).reshape(zr.shape + (2,))
+
+
+def _planar_rows(model: HalfCycleModel, c_phys, parts, rhs) -> list:
+    """c_phys (zI - phi)^{-1} rhs(entries, Re z, Im z), planar, for each (Re z, Im z) of
+    `parts`: Python floats, or float arrays for many z at once."""
+    e, c = model._entries, _matrix(c_phys)
+    return [matrix_times(c, resolvent_solve(e.phi, r, i, [rhs(e, r, i)])[0]) for r, i in parts]
 
 
 def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
@@ -517,11 +525,20 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
     model = half_cycle_model(dab, surface)
     f = sweep_frequencies(f_min, f_max, points, spacing, model.t_half)
     z = np.exp(2j * np.pi * f * model.t_half)
-    off_pole = _pole_gaps(model, z) > _POLE_GAP
-    z = z[off_pole]  # gated here, so the transfer takes (Re z, Im z) as they are
-    h_irec, h_vout = _transfer(model, dab.c_phys, z.real, z.imag, _input_vector if kind == "fix"
-                               else _same_cycle_vector).T.tolist()
-    for k in np.flatnonzero(~off_pole).tolist():  # flagged rows keep None in both channels
+    rhs = _input_vector if kind == "fix" else _same_cycle_vector
+    if len(z) <= _FEW_Z:  # z by z in Python floats, with the bits of the array path
+        p0, p1 = model._entries.poles
+        zs = z.tolist()
+        flagged = [k for k, zk in enumerate(zs) if not min(abs(zk - p0), abs(zk - p1)) > _POLE_GAP]
+        rows = _planar_rows(model, dab.c_phys, [(zk.real, zk.imag) for k, zk in enumerate(zs)
+                                                if k not in flagged], rhs)
+        h_irec, h_vout = ([complex(r[j], r[j + 1]) for r in rows] for j in (0, 2))
+    else:
+        off_pole = _pole_gaps(model, z) > _POLE_GAP
+        z = z[off_pole]  # gated here, so the transfer takes (Re z, Im z) as they are
+        h_irec, h_vout = _transfer(model, dab.c_phys, z.real, z.imag, rhs).T.tolist()
+        flagged = np.flatnonzero(~off_pole).tolist()
+    for k in flagged:  # flagged rows keep None in both channels
         h_irec.insert(k, None)
         h_vout.insert(k, None)
     return list(map(FrequencyResponseRow, f.tolist(), h_irec, h_vout))

@@ -90,7 +90,7 @@ class TestVerifyCommand:
 
     def test_dual_path_row_takes_the_roundoff_floor_of_transfer_difference(self, config_file):
         # Lossless series path, light load and D_phase = 1e-6: a plain 1e-12 check fails the
-        # largest residual, 1.487e-11, while transfer_difference's roundoff floor passes every
+        # largest residual, 1.005e-11, while transfer_difference's roundoff floor passes every
         # point.
         converter = {"n_turns": 1.1981807695336046, "L": 5.693302585338254e-07,
                      "Co": 0.0006028203491706796, "Rt": 0.0, "Rc": 0.0023304191123274458,
@@ -98,7 +98,7 @@ class TestVerifyCommand:
                      "fs": 16206.278467949383, "D_phase": 1e-06, "Vr": 1.0}
         proc = run_cli("verify", config_file(converter=converter))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert re.search(r"^transfer-difference/dual-path +7\.606e-13 +7\.621e-10  PASS$",
+        assert re.search(r"^transfer-difference/dual-path +9\.870e-13 +7\.621e-10  PASS$",
                          proc.stdout, re.M), proc.stdout
         assert "RESULT: PASS (19/19)" in proc.stdout
 
@@ -296,6 +296,43 @@ class TestFailureExitCodes:
         error, eigenvalues = proc.stderr.splitlines()
         assert re.fullmatch(r"error: .+ is marginal: cond ~ \S+ exceeds 1\.0e\+12", error), error
         assert eigenvalues.startswith("eigenvalues:") and "(1+0j)" in eigenvalues
+
+    @pytest.mark.parametrize("converter", [
+        dict(REFERENCE_KWARGS, Rt=1e15, Rc=0.0, Ro=1e30),
+        # Two lossless, nearly unloaded designs of the verify scan. LAPACK's cond of I - phi
+        # reads 1.766e15 on the half-cycle map in numpy's products and 1.609e15 in the closed
+        # form's float products, and 4.472e12 against inf on the second design's period map.
+        dict(n_turns=1.8172817891274207, L=4.431845374724478e-06, Co=0.004909511760243753,
+             Rt=0.0, Rc=0.0, Ro=507725730937.29315, Vin=107.88970619925567,
+             fs=161829.88327987894, D_phase=0.7127441861955005, Vr=1.0),
+        dict(n_turns=0.6871614533595655, L=0.0009002072473435353, Co=0.0015879796123822085,
+             Rt=0.0, Rc=0.0, Ro=37714501292.14086, Vin=68.05295331031928,
+             fs=276030.1317011144, D_phase=0.500000001, Vr=1.0)],
+        ids=["fixture", "half-cycle", "period"])
+    def test_exit_three_prints_lapacks_cond_and_eigenvalues_of_numpys_products(
+            self, config_file, tmp_path, capsys, converter):
+        from dabss.dab import RECTIFY
+        maps = build_dab(DabParams(**converter)).schedule.maps
+        period = maps[0].phi
+        for m in maps[1:]:
+            period = m.phi @ period
+        half = RECTIFY @ (maps[1].phi @ maps[0].phi)
+        path, out = config_file(converter=converter), str(tmp_path / "out")
+        marginal = 0
+        for argv, what, phi in ((["steady-state", "--method", "full"], "periodic solve", period),
+                                (["steady-state", "--method", "half"], "half-cycle solve", half),
+                                (["bode", "--surface", "P+"], "surface P+ fixed point", half)):
+            code = cli.main([argv[0], path, *argv[1:], "--out", out])
+            c = np.linalg.cond(np.eye(2) - phi)
+            if not c > 1e12:
+                assert code == 0
+                continue
+            marginal += 1
+            assert code == 3
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {what} is marginal: cond ~ {c:.3e} exceeds 1.0e+12",
+                " ".join(["eigenvalues:", *map(str, map(complex, np.linalg.eigvals(phi)))])]
+        assert marginal >= 2
 
     def test_singular_similarity_transform_exits_three(self, config_file):
         # Co = 1e-9 makes the leading interval's transition matrix numerically singular:

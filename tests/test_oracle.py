@@ -8,6 +8,7 @@ import inspect
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,14 @@ class TestStepExponentials:
         durations = [seg.duration for seg in dab.schedule.segments]
         with pytest.raises(NumericInputError, match="reaches 3.497e[+]294, beyond double"):
             oracle._step_maps(dab, range(4), durations)
+
+    def test_durations_that_overflow_a_t_are_refused_without_a_warning(self):
+        # L 4.7e202, Co 8.5e-296 and fs 2.5e-16: the entries of a are finite, a T is not.
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, L=4.7e202, Co=8.5e-296, fs=2.5e-16)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
+                run_to_steady_state(dab, SimConfig())
 
 
 class TestIndependence:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -380,57 +381,78 @@ class TestSegmentMap:
             Schedule((seg,), np.array([1.0, 2.0])).maps[0]
 
 
+def floats(phi, gamma) -> tuple:
+    """A map as `compose` and `fixed_point` take it: six Python floats, phi row by row and then
+    gamma."""
+    return (*np.ravel(phi).tolist(), *np.ravel(gamma).tolist())
+
+
+def float_fold(maps) -> tuple:
+    """The chain first to last in Python floats, each entry rounded as written: the rule that
+    `compose` pins, spelled out on each map's (phi, gamma)."""
+    (p00, p01), (p10, p11) = maps[0][0].tolist()
+    g0, g1 = maps[0][1].tolist()
+    for phi, gamma in maps[1:]:
+        (a00, a01), (a10, a11) = phi.tolist()
+        h0, h1 = gamma.tolist()
+        p00, p01, p10, p11, g0, g1 = (
+            a00 * p00 + a01 * p10, a00 * p01 + a01 * p11, a10 * p00 + a11 * p10,
+            a10 * p01 + a11 * p11, (a00 * g0 + a01 * g1) + h0, (a10 * g0 + a11 * g1) + h1)
+    return p00, p01, p10, p11, g0, g1
+
+
 class TestCompose:
     def test_hand_example_orders_right_to_left(self):
         m1 = np.array([[1.0, 1.0], [0.0, 1.0]])
         m2 = np.array([[2.0, 0.0], [0.0, 1.0]])
         m3 = np.array([[0.0, 1.0], [1.0, 0.0]])
         g1, g2, g3 = np.array([1.0, 2.0]), np.array([-3.0, 5.0]), np.array([7.0, -11.0])
-        out = compose([SegmentMap(m1, g1), SegmentMap(m2, g2), SegmentMap(m3, g3)])
-        np.testing.assert_array_equal(out.phi, m3 @ m2 @ m1)
-        np.testing.assert_array_equal(out.gamma, m3 @ m2 @ g1 + m3 @ g2 + g3)
+        out = compose([floats(m1, g1), floats(m2, g2), floats(m3, g3)])
+        assert out == floats(m3 @ m2 @ m1, m3 @ m2 @ g1 + m3 @ g2 + g3)
 
     def test_one_map_chain_returns_that_map(self):
-        m = SegmentMap(phi=np.array([[0.5, 0.25], [-1.0, 2.0]]), gamma=np.array([3.0, -4.0]))
-        out = compose([m])
-        np.testing.assert_array_equal(out.phi, m.phi)
-        np.testing.assert_array_equal(out.gamma, m.gamma)
+        m = (0.5, 0.25, -1.0, 2.0, 3.0, -4.0)
+        assert compose([m]) == m
 
-    def test_one_map_chain_is_the_callers_map_with_its_flags(self):
-        m = SegmentMap(phi=np.array([[0.5, 0.25], [-1.0, 2.0]]), gamma=np.array([3.0, -4.0]))
-        out = compose([m])
-        assert out.phi is m.phi and out.gamma is m.gamma
-        assert out.phi.flags.writeable and out.gamma.flags.writeable
-
-    def test_longer_chains_freeze_only_their_own_products(self):
-        maps = [SegmentMap(phi=np.eye(2) * k, gamma=np.full(2, k)) for k in (1.0, 2.0, 3.0)]
+    def test_a_chain_is_six_python_floats_and_its_maps_are_untouched(self):
+        maps = [(k, 0.0, 0.0, k, k, k) for k in (1.0, 2.0, 3.0)]
         out = compose(maps)
-        assert isinstance(out, SegmentMap)
-        assert not out.phi.flags.writeable and not out.gamma.flags.writeable
-        assert all(m.phi.flags.writeable and m.gamma.flags.writeable for m in maps)
+        assert out == (6.0, 0.0, 0.0, 6.0, 15.0, 15.0)  # gamma: 3 (2 * 1 + 2) + 3
+        assert all(type(x) is float for x in out)
+        assert maps == [(k, 0.0, 0.0, k, k, k) for k in (1.0, 2.0, 3.0)]
+
+    def test_longer_chains_round_each_entry_as_written(self):
+        # No fused multiply-add: each product is rounded before the sum, as the spelled-out
+        # fold rounds it, on chains of 1 to 6 random maps.
+        rng = np.random.default_rng(6_2026)
+        for _ in range(300):
+            maps = [SegmentMap(rng.standard_normal((2, 2)), rng.standard_normal(2))
+                    for _ in range(int(rng.integers(1, 7)))]
+            assert compose([floats(*m) for m in maps]) == float_fold(maps)
 
     def test_zero_phi_chain_forcing_is_exactly_the_last_gamma(self):
-        gammas = [np.array([1.0, -2.0]), np.array([3.0, 4.0]), np.array([-5.0, 6.0])]
-        out = compose([SegmentMap(phi=np.zeros((2, 2)), gamma=g) for g in gammas])
-        np.testing.assert_array_equal(out.phi, np.zeros((2, 2)))
-        np.testing.assert_array_equal(out.gamma, gammas[-1])
+        gammas = [(1.0, -2.0), (3.0, 4.0), (-5.0, 6.0)]
+        out = compose([(0.0, 0.0, 0.0, 0.0, *g) for g in gammas])
+        assert out == (0.0, 0.0, 0.0, 0.0, *gammas[-1])
 
     def test_empty_chain_raises(self):
         with pytest.raises(IndexError):
             compose([])
 
     def test_period_map_is_the_fold_and_pi_the_reverse_product(self):
-        # Pi keeps the paper's reverse product to the bit; the forcing, folded by
-        # Horner's rule, is rounded differently from the paper's sum.
+        # The period map is the fold of the segment maps to the bit. Pi is the paper's reverse
+        # product up to roundoff (numpy's products fuse some multiply-adds, the fold does not),
+        # and the forcing, folded by Horner's rule, is rounded differently from the paper's sum.
         rng = np.random.default_rng(7_2026)
         for _ in range(200):
             sched = random_schedule(rng)
-            fresh = compose(sched.maps)
-            assert np.array_equal(sched.period_map[0], fresh.phi)
-            assert np.array_equal(sched.period_map[1], fresh.gamma)
+            fresh = compose(sched._entries)
+            assert floats(*sched.period_map) == fresh == float_fold(sched.maps)
             phis = [m.phi for m in sched.maps]
-            assert np.array_equal(fresh.phi, reverse_product(phis, 1, len(phis)))
-            assert relative_residual(fresh.gamma, sum_of_reverse_products(sched.maps)) < 1e-13
+            assert relative_residual(sched.period_map.phi, reverse_product(
+                phis, 1, len(phis))) < 1e-15
+            assert relative_residual(sched.period_map.gamma,
+                                     sum_of_reverse_products(sched.maps)) < 1e-13
 
 
 class TestReverseProduct:
@@ -490,10 +512,10 @@ class TestPeriodicFixedPoint:
     def test_zero_phi_maps_fixed_point_is_last_forcing(self):
         # With every phi = 0 the period map forgets its start, so the fixed
         # point equals the final segment's forcing vector alone.
-        gammas = [np.array([1.0, -2.0]), np.array([3.0, 4.0]), np.array([-5.0, 6.0])]
-        period = compose([SegmentMap(phi=np.zeros((2, 2)), gamma=g) for g in gammas])
-        np.testing.assert_allclose(fixed_point(period.phi, period.gamma, "periodic solve"),
-                                   gammas[-1], rtol=1e-15)
+        gammas = [(1.0, -2.0), (3.0, 4.0), (-5.0, 6.0)]
+        period = compose([(0.0, 0.0, 0.0, 0.0, *g) for g in gammas])
+        np.testing.assert_allclose(fixed_point(period, "periodic solve"), gammas[-1],
+                                   rtol=1e-15)
 
     def test_fixed_point_is_invariant_under_propagation(self):
         rng = np.random.default_rng(17)
@@ -549,7 +571,10 @@ class TestBatchedSegmentMaps:
             sched = Schedule(segments=tuple(segs), u=rng.standard_normal(m))
             assert len(sched.maps) == len(segs)
             for seg, got in zip(segs, sched.maps):
-                single = expm_map(seg.a * seg.duration, (seg.b @ sched.u) * seg.duration)
+                # b u in Python floats, summed left to right from 0 (no fused multiply-add).
+                forcing = np.array([sum(x * y for x, y in zip(row, sched.u.tolist()))
+                                    for row in seg.b.tolist()])
+                single = expm_map(seg.a * seg.duration, forcing * seg.duration)
                 np.testing.assert_array_equal(got.phi, single.phi)
                 np.testing.assert_array_equal(got.gamma, single.gamma)
                 one = Schedule((seg,), sched.u).maps[0]
@@ -579,15 +604,6 @@ class TestBatchedSegmentMaps:
             np.testing.assert_array_equal(together[k].gamma, alone.gamma)
 
 
-def _folded_period_map(maps) -> tuple[np.ndarray, np.ndarray]:
-    """Pi and the forcing folded first to last, in the order the period map pins."""
-    pi, forcing = maps[0].phi, maps[0].gamma
-    for m in maps[1:]:
-        pi = m.phi @ pi
-        forcing = m.phi @ forcing + m.gamma
-    return pi, forcing
-
-
 def _earlier_fixed_point(pi, forcing) -> np.ndarray:
     """The period solve as it stood before the period map was cached, formulas copied."""
     lhs = np.eye(pi.shape[0]) - pi
@@ -607,7 +623,8 @@ class TestPeriodMapCache:
         for _ in range(200):
             sched = random_schedule(rng)
             x0 = rng.standard_normal(2)
-            pi, forcing = _folded_period_map(sched.maps)
+            p00, p01, p10, p11, f0, f1 = float_fold(sched.maps)
+            pi, forcing = np.array([[p00, p01], [p10, p11]]), np.array([f0, f1])
             assert np.array_equal(monodromy(sched), pi)
             assert np.array_equal(closed_form_state(sched, x0), pi @ x0 + forcing)
             try:
@@ -617,7 +634,7 @@ class TestPeriodMapCache:
                     solve_periodic_fixed_point(sched)
                 continue
             for got in (solve_periodic_fixed_point(sched),
-                        fixed_point(pi, forcing, "periodic solve")):
+                        np.array(fixed_point(floats(pi, forcing), "periodic solve"))):
                 allowed = (2.0 ** -53 * (LU_SOLVE + CLOSED_FORM_SOLVE)
                            * np.linalg.cond(np.eye(2) - pi) * np.linalg.norm(expected))
                 assert np.linalg.norm(got - expected) <= allowed, (got, expected)
@@ -648,12 +665,18 @@ class TestPeriodMapCache:
         assert cond(np.zeros((2, 2))) == math.inf == np.linalg.cond(np.zeros((2, 2)))
         assert cond(np.array([[1.0, 0.0], [0.0, 0.0]])) == math.inf
 
+    def test_cond_past_the_float_range_is_inf_without_a_warning(self):
+        # s_max / s_min = 1e310 overflows: inf, as np.linalg.cond has it, and no RuntimeWarning.
+        m = np.array([[1e300, 0.0], [0.0, 1e-10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cond(m) == math.inf == np.linalg.cond(m)
 
-def _exact_solve(phi: np.ndarray, gamma: np.ndarray):
-    """x of (I - phi) x = gamma in rational arithmetic on the floats given, and cond(I - phi)
-    = s_max^2 / |det| from the exact Frobenius norm and determinant."""
-    (p00, p01), (p10, p11) = (map(Fraction, row) for row in phi.tolist())
-    g0, g1 = map(Fraction, gamma.tolist())
+
+def _exact_solve(m: tuple):
+    """x of (I - phi) x = gamma in rational arithmetic on the six floats m of (phi, gamma),
+    and cond(I - phi) = s_max^2 / |det| from the exact Frobenius norm and determinant."""
+    p00, p01, p10, p11, g0, g1 = map(Fraction, m)
     a, b, c, d = 1 - p00, -p01, -p10, 1 - p11
     det = a * d - b * c
     x = ((d * g0 - b * g1) / det, (a * g1 - c * g0) / det)
@@ -686,17 +709,17 @@ class TestClosedFormFixedPoint:
             except (ParameterError, NumericInputError):
                 continue
             designs += 1
-            for phi, gamma in [dab.schedule.period_map] + [
-                    half_cycle_map(dab, first) for first in (1, 2, 3, 4)]:
+            for m in [dab.schedule._period] + [half_cycle_map(dab, first)
+                                               for first in (1, 2, 3, 4)]:
                 try:
-                    got = fixed_point(phi, gamma, "solve")
+                    got = fixed_point(m, "solve")
                 except MarginalSystemError:
                     continue
                 if lapack:  # handed off: not the closed form
                     lapack.clear()
                     continue
-                x, kappa = _exact_solve(phi, gamma)
-                error = math.hypot(*(float(Fraction(g) - e) for g, e in zip(got.tolist(), x)))
+                x, kappa = _exact_solve(m)
+                error = math.hypot(*(float(Fraction(g) - e) for g, e in zip(got, x)))
                 ratio = error / (2.0 ** -53 * kappa * math.hypot(*map(float, x)))
                 worst = max(worst, ratio)
                 solved += 1
@@ -719,10 +742,10 @@ class TestClosedFormFixedPoint:
             c = cond(np.eye(2) - phi)
             lapack.clear()
             if c <= COND_LIMIT:
-                fixed_point(phi, gamma, "test solve")
+                fixed_point(floats(phi, gamma), "test solve")
             else:
                 with pytest.raises(MarginalSystemError) as err:
-                    fixed_point(phi, gamma, "test solve")
+                    fixed_point(floats(phi, gamma), "test solve")
                 assert str(err.value) == f"test solve is marginal: cond ~ {c:.3e} exceeds 1.0e+12"
             handed[kappa] = bool(lapack)
             if abs(kappa / (COND_LIMIT / 2) - 1.0) > 1e-3:
@@ -738,19 +761,18 @@ class TestClosedFormFixedPoint:
 
         for name in np.linalg.__all__:
             monkeypatch.setattr(np.linalg, name, refuse)
-        x = fixed_point(pi, forcing, "periodic solve")
+        x = fixed_point(floats(pi, forcing), "periodic solve")
         for first in (1, 2, 3, 4):
-            fixed_point(*half_cycle_map(ref_dab, first), "half-cycle solve")
+            fixed_point(half_cycle_map(ref_dab, first), "half-cycle solve")
         monkeypatch.undo()
-        assert relative_residual(x, expected) < 1e-13
+        assert relative_residual(np.array(x), expected) < 1e-13
 
     def test_a_singular_or_overflowing_system_goes_to_lapack(self):
         # det(I - phi) = 0 exactly, and det^2 past the float range with cond 1.
         with pytest.raises(MarginalSystemError, match="cond ~ inf"):
-            fixed_point(np.eye(2), np.ones(2), "identity")
-        phi = np.diag([1.0 - 1e160, 1.0 - 1e160])
-        np.testing.assert_array_equal(fixed_point(phi, np.array([1e160, -2e160]), "big"),
-                                      [1.0, -2.0])
+            fixed_point(floats(np.eye(2), np.ones(2)), "identity")
+        assert fixed_point((1.0 - 1e160, 0.0, 0.0, 1.0 - 1e160, 1e160, -2e160), "big") == (
+            1.0, -2.0)
 
 
 class TestPlanarNorm:

@@ -521,7 +521,7 @@ class TestModelCache:
         """`_transfers_overflow` (gain 1) on the inputs scaled so that their largest response
         `largest` sits 1e-6 below and then 1e-6 above _TRANSFER_MAX."""
         scale = smallsignal._TRANSFER_MAX / largest
-        return [smallsignal._transfers_overflow(phi, None, *(
+        return [smallsignal._transfers_overflow(np.ravel(phi).tolist(), None, *(
             tuple((np.asarray(v) * scale * factor).tolist()) for v in (b_cur, b_next)))
             for factor in (1.0 - 1e-6, 1.0 + 1e-6)]
 
