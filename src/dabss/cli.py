@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pwlti
 from .config import AppConfig, load_config
 from .dab import DabSchedule, build_dab, solve_half_cycle
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
@@ -85,7 +85,7 @@ def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
     else:
         x_star = solve_half_cycle(dab)
     residual = relative_residual(closed_form_state(dab.schedule, x_star), x_star)
-    eigs = sorted(np.linalg.eigvals(monodromy(dab.schedule)),
+    eigs = sorted(pwlti.eigenvalues(*monodromy(dab.schedule).ravel().tolist()),
                   key=lambda e: (e.real, e.imag))
     eig_rows = ",\n    ".join(f"[{_fmt(e.real)}, {_fmt(e.imag)}]" for e in eigs)
     text = (

@@ -19,7 +19,6 @@ conjugation identities numerically instead of trusting the construction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -107,16 +106,6 @@ class DabSchedule:
     c_intervals: tuple[np.ndarray, ...]
     c_phys: np.ndarray
 
-    @functools.cached_property
-    def _half_cycle_phis(self) -> np.ndarray:
-        """RECTIFY phi_b phi_a of the half cycles from intervals 1 to 4, read-only, in numpy's
-        products: each surface model's phi, and the map of LAPACK's verdict on its fixed point."""
-        flat = [x for e in self.schedule._entries for x in e[:4]]
-        phis = np.array(flat + flat[:4]).reshape(5, 2, 2)  # phi_1 again after phi_4
-        out = RECTIFY @ (phis[1:] @ phis[:4])
-        out.setflags(write=False)
-        return out
-
 
 def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
     """Assemble the four-interval schedule for one switching period.
@@ -201,17 +190,11 @@ def half_cycle_map(dab: DabSchedule, first: int) -> tuple:
 
 def half_cycle_fixed_point(dab: DabSchedule, first: int, what: str) -> tuple:
     """(`half_cycle_map`, its fixed point) in Python floats, solved once per `dab` and `first`
-    for every caller; a failed solve is not kept, so each caller's `what` names its own error.
-    LAPACK's verdict takes the map in numpy's products, as `_half_cycle_phis` has phi."""
+    for every caller; a failed solve is not kept, so each caller's `what` names its own error."""
     solved = vars(dab).setdefault("_half_cycles", {})  # a DabSchedule is unhashable
     if first not in solved:
-        def arrays():
-            map_a, map_b = (dab.schedule.maps[i - 1] for i in (first, first % 4 + 1))
-            return (dab._half_cycle_phis[first - 1],
-                    RECTIFY @ (map_b.phi @ map_a.gamma + map_b.gamma))
-
         m = half_cycle_map(dab, first)
-        solved[first] = m, pwlti.fixed_point(m, what, arrays)
+        solved[first] = m, pwlti.fixed_point(m, what)
     return solved[first]
 
 

@@ -162,7 +162,7 @@ def _step_exponentials(x: np.ndarray) -> np.ndarray:
 
     `x` holds the top rows [A | w], shape (2, 3, N), one map per last index,
     and the result has the same layout. Degree-13 Pade scaling and squaring
-    (Higham 2005), as `pwlti.expm` does it, written over the six entries:
+    (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), written over the six entries:
     every power M^k = [[A^k, A^(k-1) w], [0, 0]] and every sum of them keeps
     a last row that is zero but for the identity's 1, so only top rows are
     formed. The denominator [[Q, q], [0, b0]] leaves q out of

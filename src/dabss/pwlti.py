@@ -13,8 +13,8 @@ folds a chain into a single map in Python floats, be it the one-period (monodrom
 cycle, and arrays are made from the floats once. The periodic steady state is the fixed point
 of the period map; `fixed_point` solves it and every other x = phi x + gamma of the package. Everything in this module is exact
 up to roundoff, with no time stepping: the exponential of a 2x2 segment is in closed form
-(`augmented_expm`, no scaling and squaring), as is the resolvent (zI - M)^{-1} of a real 2x2
-matrix (`resolvent_solve`) that every small-signal transfer evaluates."""
+(`augmented_expm`, no scaling and squaring), as are the resolvent (zI - M)^{-1} of a real 2x2
+matrix (`resolvent_solve`) that every small-signal transfer evaluates, `cond` and `eigenvalues`."""
 
 from __future__ import annotations
 
@@ -58,15 +58,7 @@ def augmented_expm(x00, x01, x10, x11, w0, w1) -> tuple:
     if not (c0 <= _NORM_LIMIT and c1 <= _NORM_LIMIT and c2 <= _NORM_LIMIT):  # NaN fails too
         raise _exp_error(c0, c1, c2)
     t, mu = x00 + x11, 0.5 * (x00 + x11)
-    # delta^2 and det X from exact products and sums; the halving is exact.
-    h, h_err = two_sum(0.5 * x00, -0.5 * x11)
-    hh, hh_err = two_product(h, h)
-    p, p_err = two_product(x01, x10)
-    s, s_err = two_sum(hh, p)
-    delta2 = s + (s_err + hh_err + p_err + 2.0 * h * h_err)
-    q, q_err = two_product(x00, x11)
-    s, s_err = two_sum(q, -p)
-    det = s + (s_err + q_err - p_err)
+    h, p, delta2, det = _discriminant(x00, x01, x10, x11)
     # Each regime gives the diagonals of e^X and phi1(X) and eb, pb, the factors of the
     # off-diagonal entries of X in theirs.
     try:
@@ -113,6 +105,19 @@ def augmented_expm(x00, x01, x10, x11, w0, w1) -> tuple:
     if not all(map(math.isfinite, out)):
         raise _exp_error(c0, c1, c2)
     return out
+
+
+def _discriminant(x00, x01, x10, x11) -> tuple:
+    """(h, p, delta^2, det X) of X = [[x00, x01], [x10, x11]], eigenvalues (x00 + x11) / 2 +-
+    delta: h = (x00 - x11) / 2, p = x01 x10, delta^2 = h^2 + p, det X from exact products."""
+    h, h_err = two_sum(0.5 * x00, -0.5 * x11)
+    hh, hh_err = two_product(h, h)
+    p, p_err = two_product(x01, x10)
+    s, s_err = two_sum(hh, p)
+    delta2 = s + (s_err + hh_err + p_err + 2.0 * h * h_err)
+    q, q_err = two_product(x00, x11)
+    s, s_err = two_sum(q, -p)
+    return h, p, delta2, s + (s_err + q_err - p_err)
 
 
 def _exp_error(*column_sums) -> NumericInputError:
@@ -250,46 +255,59 @@ def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
     return schedule.period_map.phi @ x0 + schedule.period_map.gamma
 
 
-def cond(m: np.ndarray) -> float:
-    """np.linalg.cond(m) (s_max / s_min, inf if singular) without its wrapper's cost on a 2x2."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0]) / float(s[-1]) if s[-1] else math.inf
+def _scale(*values) -> float:
+    """The power of two, at most 2^1023, that takes the largest |value| to [1/2, 1)."""
+    return math.ldexp(1.0, -max(math.frexp(max(map(abs, values)))[1], -1023))
 
 
-def fixed_point(m, what: str, arrays=None) -> tuple:
-    """Fixed point (x0, x1) of x -> phi x + gamma (a period, a half cycle, a surface), from
-    (I - phi) x = gamma, m = (phi00, phi01, phi10, phi11, gamma0, gamma1) in Python floats.
-    An eigenvalue of phi at or near 1 leaves cond(I - phi) not finite or above COND_LIMIT:
-    MarginalSystemError "<what> is marginal: cond ~ ... exceeds 1.0e+12", carrying the
-    eigenvalues of phi. It is solved as `resolvent_solve` at z = 1 while its closed-form cond
-    s_max^2 / |det| is at most COND_LIMIT / 2 and det^2 a normal number; otherwise LAPACK's
-    `cond` decides on the arrays (phi, gamma) of `arrays()`, the map in numpy's products, or
-    else of m."""
-    p00, p01, p10, p11, g0, g1 = m
-    phi = Matrix2x2(p00, p01, p10, p11, *two_product(p01, p10))
+def _shifted(m, z: float) -> tuple:
+    """zI - M, M = (m00, m01, m10, m11) and z in [0, 1], scaled by the power of two s that takes
+    its largest entry to [1/2, 1), so no product overflows and, short of underflow, no bit moves:
+    (cond(zI - M) = s_max^2 / |det|, `Matrix2x2` of s M, `resolvent_det` at s z, s)."""
+    s = _scale(z - m[0], z - m[3], m[1], m[2])
+    phi = Matrix2x2.of([s * x for x in m])
     try:
-        det = a, d, det_re, _, q = resolvent_det(phi, 1.0, 0.0)
-        c = sigma_max_sq(a, -p01, -p10, d, 0.0) / abs(det_re)
-    except ResolventSingularityError:  # det(I - phi) 0 or not a number
-        c = q = math.nan
-    if c <= COND_LIMIT / 2 and 1e-300 < q < 1e300:
-        (x0, _, x1, _), = resolvent_solve(phi, 1.0, 0.0, [(g0, 0.0, g1, 0.0)], det)
-        return x0, x1
-    phi, gamma = arrays() if arrays else (np.array((m[:2], m[2:4])), np.array(m[4:]))
-    lhs = np.eye(2) - phi
-    c = cond(lhs)
+        det = a, d, det_re, _, _ = resolvent_det(phi, s * z, 0.0)
+    except ResolventSingularityError:  # det 0, or |det| below 1e-154: cond past 1e153
+        return math.inf, phi, None, s
+    return sigma_max_sq(a, -phi.m01, -phi.m10, d, 0.0) / abs(det_re), phi, det, s
+
+
+def cond(m) -> float:
+    """cond(M) = s_max / s_min of a real 2x2 (an array or four floats), inf if singular."""
+    return _shifted(m.ravel().tolist() if isinstance(m, np.ndarray) else m, 0.0)[0]
+
+
+def eigenvalues(m00, m01, m10, m11) -> tuple:
+    """Eigenvalues mu +- delta of [[m00, m01], [m10, m11]], `_discriminant` of the entries scaled
+    by `_scale`: a complex pair as exact conjugates, real ones as big = mu +- |delta| with the
+    sign of mu and small = det / big, so neither cancels; within a few u ||M|| of exact."""
+    s = _scale(m00, m01, m10, m11)
+    x00, x11 = s * m00, s * m11
+    _, _, delta2, det = _discriminant(x00, s * m01, s * m10, x11)
+    mu, r = 0.5 * (x00 + x11), math.sqrt(abs(delta2))
+    if delta2 < 0.0:
+        return complex(mu / s, r / s), complex(mu / s, -r / s)
+    big = mu + math.copysign(r, mu)
+    return complex(big / s), complex(det / big / s if big else 0.0)
+
+
+def fixed_point(m, what: str) -> tuple:
+    """Fixed point (x0, x1) of x -> phi x + gamma (a period, a half cycle, a surface), m = (phi00,
+    phi01, phi10, phi11, gamma0, gamma1) in Python floats scaled as `_shifted` at z = 1 scales:
+    Cramer's rule, one division by det(I - phi). A cond(I - phi) above COND_LIMIT or not finite
+    raises MarginalSystemError "<what> is marginal: cond ~ ... exceeds 1.0e+12", eigenvalues."""
+    c, phi, parts, s = _shifted(m[:4], 1.0)
     if not c <= COND_LIMIT:  # NaN fails too
         raise MarginalSystemError(f"{what} is marginal: cond ~ {c:.3e} exceeds {COND_LIMIT:.1e}",
-                                  eigenvalues=np.linalg.eigvals(phi))
-    return tuple(np.linalg.solve(lhs, gamma).tolist())
+                                  eigenvalues=eigenvalues(*m[:4]))
+    (a, d, det, _, _), g0, g1 = parts, s * m[4], s * m[5]
+    return (d * g0 + phi.m01 * g1) / det, (phi.m10 * g0 + a * g1) / det
 
 
 def solve_periodic_fixed_point(schedule: Schedule) -> np.ndarray:
     """Steady-state period-boundary state of a schedule, from its cached period map."""
-    def arrays():  # the period map in numpy's products, for LAPACK's verdict
-        return functools.reduce(lambda m, k: (k.phi @ m[0], k.phi @ m[1] + k.gamma), schedule.maps)
-
-    return np.array(fixed_point(schedule._period, "periodic solve", arrays))
+    return np.array(fixed_point(schedule._period, "periodic solve"))
 
 
 def monodromy(schedule: Schedule) -> np.ndarray:

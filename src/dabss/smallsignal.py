@@ -87,7 +87,6 @@ class _Entries(NamedTuple):
     bn0: float
     bn1: float
     bn_norm: float
-    poles: tuple
 
 
 @dataclass(frozen=True)
@@ -117,16 +116,16 @@ class HalfCycleModel:
     t_half: float
 
     @functools.cached_property
-    def poles(self) -> np.ndarray:
-        """Eigenvalues of phi: the poles of every transfer of this model."""
-        return np.linalg.eigvals(self.phi)
+    def poles(self) -> tuple:
+        """Eigenvalues of phi (`pwlti.eigenvalues`): the poles of every transfer of this model."""
+        return pwlti.eigenvalues(*self.phi.ravel().tolist())
 
     @functools.cached_property
     def _entries(self) -> _Entries:
-        """phi, b_cur, b_next, ||b_next|| and the poles, as Python floats and complex."""
+        """phi, b_cur, b_next and ||b_next||, as Python floats."""
         (bc0, bc1), (bn0, bn1) = self.b_cur.tolist(), self.b_next.tolist()
         return _Entries(Matrix2x2.of(self.phi), bc0, bc1, bn0, bn1,
-                        planar_norm((bn0, 0.0, bn1, 0.0)), tuple(self.poles.tolist()))
+                        planar_norm((bn0, 0.0, bn1, 0.0)))
 
 
 def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
@@ -147,9 +146,6 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
             f"surface {surface.label} spans {span!r} s, expected the half cycle {t_half!r} s")
 
     m, x_star = half_cycle_fixed_point(dab, surface.a, f"surface {surface.label} fixed point")
-    # phi in numpy's products, as LAPACK's verdict on the fixed point takes it: the poles and
-    # every pole-gap message keep their bits.
-    phi = dab._half_cycle_phis[a]
     entries, fields = dab.schedule._entries, dab.schedule._fields
     ma, mb, fa, fb = entries[a], entries[b], fields[a], fields[b]
     x_a_end = _affine(ma, x_star)
@@ -162,15 +158,15 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     k = surface.polarity * comp_gain
     b_cur, b_next = (k * sens_a[0], k * sens_a[1]), (-k * sens_b[0], -k * sens_b[1])
     if not all(map(math.isfinite, (comp_gain, *b_cur, *b_next))) or _transfers_overflow(
-            phi.ravel().tolist(), dab.c_phys, b_cur, b_next):
+            m[:4], dab.c_phys, b_cur, b_next):
         raise NumericInputError(f"surface {surface.label} control-input vectors are not finite "
                                 f"or their transfers overflow: comparator gain T_half / Vr = "
                                 f"{comp_gain:.3e} s/V")
-    rows = pwlti._frozen_array((*m[4:], *x_star, *x_a_end, *x_b_end, *sens_a, *sens_b, *b_cur,
-                                *b_next)).reshape(8, 2)
+    rows = pwlti._frozen_array((*m, *x_star, *x_a_end, *x_b_end, *sens_a, *sens_b, *b_cur,
+                                *b_next)).reshape(10, 2)
     models[surface] = HalfCycleModel(
-        surface=surface, phi=phi, g=rows[0], x_star=rows[1], x_a_end=rows[2], x_b_end=rows[3],
-        sens_a=rows[4], sens_b=rows[5], b_cur=rows[6], b_next=rows[7], comp_gain=comp_gain,
+        surface=surface, phi=rows[:2], g=rows[2], x_star=rows[3], x_a_end=rows[4], x_b_end=rows[5],
+        sens_a=rows[6], sens_b=rows[7], b_cur=rows[8], b_next=rows[9], comp_gain=comp_gain,
         t_half=t_half)
     return models[surface]
 
@@ -188,7 +184,7 @@ def _transfers_overflow(phi, c_phys, b_cur, b_next) -> bool:
     if not (1.0 + math.hypot(*c_rows)) * size * size * scale >= 1e280:  # else peaks < 1e304
         return False
     m, gain = Matrix2x2.of(phi), max(1.0, math.sqrt(sigma_max_sq(*c_rows, 0.0)))
-    e = _Entries(m, *(x / scale for x in (*b_cur, *b_next)), 0.0, ())
+    e = _Entries(m, *(x / scale for x in (*b_cur, *b_next)), 0.0)
 
     def sizes(c):  # |n|^2 of both inputs and |det|^2 at z = c + i sqrt(1 - c^2)
         zi, q = math.sqrt(1.0 - c * c), 0.0
@@ -219,7 +215,7 @@ def _affine(m, x) -> tuple:
 
 def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
     """Distance from each z to the nearest pole of the model."""
-    p0, p1 = model._entries.poles
+    p0, p1 = model.poles
     return np.minimum(np.abs(z - p0), np.abs(z - p1))
 
 
@@ -229,7 +225,7 @@ def _z_parts(model: HalfCycleModel, z):
     ResolventSingularityError if any z is within _POLE_GAP of a pole of the model."""
     if isinstance(z, (int, float, complex)):  # numpy scalars too
         z = complex(z)
-        p0, p1 = model._entries.poles
+        p0, p1 = model.poles
         gap = min(abs(z - p0), abs(z - p1))
         if gap <= _POLE_GAP:
             raise ResolventSingularityError(f"z = {z!r} is within "
@@ -455,13 +451,14 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
 
     m_pri, m_sec = half_cycle_model(dab, primary), half_cycle_model(dab, secondary)
 
-    sim_res = relative_residual(np.linalg.solve(t_mat, m_sec.phi @ t_mat), m_pri.phi)
     z = np.asarray(z_grid, dtype=complex)
     zr, zi = _z_parts(m_sec, z)
     b_sec = _rebased_vector(m_sec, zr, zi)
     x_sec = resolvent_solve(m_sec._entries.phi, zr, zi, [b_sec])
-    # T^{-1} = (0 I - (-T))^{-1}, by the closed form of every transfer.
-    mapped, chained = resolvent_solve(Matrix2x2.of(-t_mat), 0.0, 0.0, [b_sec, *x_sec])
+    # T^{-1} = (0 I - (-T))^{-1}, by the closed form of every transfer, on phi_sec T too.
+    mapped, chained, *columns = resolvent_solve(Matrix2x2.of(-t_mat), 0.0, 0.0, [
+        b_sec, *x_sec, *((c0, 0.0, c1, 0.0) for c0, c1 in (m_sec.phi @ t_mat).T.tolist())])
+    sim_res = relative_residual(np.array([col[::2] for col in columns]).T, m_pri.phi)
     e = m_pri._entries
     zr, zi = _z_parts(m_pri, z)
     b_pri = _input_vector(e, zr, zi)
@@ -527,7 +524,7 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
     z = np.exp(2j * np.pi * f * model.t_half)
     rhs = _input_vector if kind == "fix" else _same_cycle_vector
     if len(z) <= _FEW_Z:  # z by z in Python floats, with the bits of the array path
-        p0, p1 = model._entries.poles
+        p0, p1 = model.poles
         zs = z.tolist()
         flagged = [k for k, zk in enumerate(zs) if not min(abs(zk - p0), abs(zk - p1)) > _POLE_GAP]
         rows = _planar_rows(model, dab.c_phys, [(zk.real, zk.imag) for k, zk in enumerate(zs)
@@ -571,7 +568,8 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
     while len(draws) < 20:
         a, t_mat = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
-        if not (pwlti.cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(a))) < 0.1):
+        if not (pwlti.cond(t_mat) > 1e6
+                or min(abs(z - e) for e in pwlti.eigenvalues(*a.ravel().tolist())) < 0.1):
             draws.append((a, t_mat, z))
     worst = float(max(resolvent_similarity_residual(*map(np.array, zip(*draws)))))
     checks.append(IdentityCheck("resolvent/similarity-random", worst, tol.resolvent_identity))

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +81,31 @@ LU_SOLVE = 192.0 * math.sqrt(2.0)
 # and a sum, over a diagonal entry 1 - phi_ii rounded once, so it errs by gamma_3 of
 # |adj M| |b|, whose norm is at most ||M||_F ||b|| <= sqrt(2) s_max^2 ||x||; over |det M| =
 # s_max s_min that is 3 sqrt(2) u cond(M) ||x||. The determinant, summed from exact products,
-# is within u (1 + 10 u cond) of its value, and 1 / det = det / det^2 and the last product
-# add three roundings: 4 u ||x||, and 1 u more for the second-order terms (cond >= 1).
-CLOSED_FORM_SOLVE = 3.0 * math.sqrt(2.0) + 5.0
+# is within u (1 + 10 u cond) of its value, and the one division by it adds one rounding:
+# 2 u ||x||, and 1 u more for the second-order terms (cond >= 1). Scaling the map by a power
+# of two first changes no bit.
+CLOSED_FORM_SOLVE = 3.0 * math.sqrt(2.0) + 3.0
+
+
+def exact_cond(m, z) -> float:
+    """cond(zI - M) = s_max^2 / |det| of the four floats m of M, with 50-digit mpmath from
+    the rational Frobenius norm F and determinant D: s_max^2 = (F + sqrt(F^2 - 4 D^2)) / 2."""
+    mpmath = pytest.importorskip("mpmath")
+    p00, p01, p10, p11 = map(Fraction, m)
+    a, b, c, d = z - p00, -p01, -p10, z - p11
+    det, frob = a * d - b * c, a * a + b * b + c * c + d * d
+    if det == 0:
+        return math.inf
+    with mpmath.workdps(50):
+        f, g = (mpmath.mpf(x.numerator) / x.denominator for x in (frob, det))
+        return float((f + mpmath.sqrt(f * f - 4 * g * g)) / (2 * abs(g)))
+
+
+def exact_eigenvalues(m) -> list:
+    """The eigenvalues of the four floats m, with 50-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return [complex(e) for e in mpmath.eig(mpmath.matrix([m[:2], m[2:4]]))[0]]
 
 
 def fd_sensitivities(dab, surface, delta: float = 1e-9):

@@ -15,8 +15,9 @@ import pytest
 
 from dabss import (P_PLUS, S_PLUS, DabParams, build_dab, half_cycle_model,
                    solve_periodic_fixed_point, transfer_fixed_freq)
-from dabss import cli, oracle, smallsignal
-from tests.conftest import REFERENCE_KWARGS
+from dabss import cli, oracle, pwlti, smallsignal
+from dabss.dab import half_cycle_map
+from tests.conftest import REFERENCE_KWARGS, exact_cond, exact_eigenvalues
 
 
 def run_cli(*argv: str):
@@ -90,7 +91,7 @@ class TestVerifyCommand:
 
     def test_dual_path_row_takes_the_roundoff_floor_of_transfer_difference(self, config_file):
         # Lossless series path, light load and D_phase = 1e-6: a plain 1e-12 check fails the
-        # largest residual, 1.005e-11, while transfer_difference's roundoff floor passes every
+        # largest residual, 1.732e-11, while transfer_difference's roundoff floor passes every
         # point.
         converter = {"n_turns": 1.1981807695336046, "L": 5.693302585338254e-07,
                      "Co": 0.0006028203491706796, "Rt": 0.0, "Rc": 0.0023304191123274458,
@@ -98,7 +99,7 @@ class TestVerifyCommand:
                      "fs": 16206.278467949383, "D_phase": 1e-06, "Vr": 1.0}
         proc = run_cli("verify", config_file(converter=converter))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert re.search(r"^transfer-difference/dual-path +9\.870e-13 +7\.621e-10  PASS$",
+        assert re.search(r"^transfer-difference/dual-path +1\.110e-12 +7\.622e-10  PASS$",
                          proc.stdout, re.M), proc.stdout
         assert "RESULT: PASS (19/19)" in proc.stdout
 
@@ -299,9 +300,9 @@ class TestFailureExitCodes:
 
     @pytest.mark.parametrize("converter", [
         dict(REFERENCE_KWARGS, Rt=1e15, Rc=0.0, Ro=1e30),
-        # Two lossless, nearly unloaded designs of the verify scan. LAPACK's cond of I - phi
-        # reads 1.766e15 on the half-cycle map in numpy's products and 1.609e15 in the closed
-        # form's float products, and 4.472e12 against inf on the second design's period map.
+        # Two lossless, nearly unloaded designs of the verify scan. The exact cond of I - phi
+        # is 1.609e15 on the first design's half-cycle map, and inf on the second design's
+        # period map, whose det(I - Pi) is 0 in the floats.
         dict(n_turns=1.8172817891274207, L=4.431845374724478e-06, Co=0.004909511760243753,
              Rt=0.0, Rc=0.0, Ro=507725730937.29315, Vin=107.88970619925567,
              fs=161829.88327987894, D_phase=0.7127441861955005, Vr=1.0),
@@ -309,39 +310,42 @@ class TestFailureExitCodes:
              Rt=0.0, Rc=0.0, Ro=37714501292.14086, Vin=68.05295331031928,
              fs=276030.1317011144, D_phase=0.500000001, Vr=1.0)],
         ids=["fixture", "half-cycle", "period"])
-    def test_exit_three_prints_lapacks_cond_and_eigenvalues_of_numpys_products(
+    def test_exit_three_prints_the_exact_cond_and_eigenvalues_of_the_solved_map(
             self, config_file, tmp_path, capsys, converter):
-        from dabss.dab import RECTIFY
-        maps = build_dab(DabParams(**converter)).schedule.maps
-        period = maps[0].phi
-        for m in maps[1:]:
-            period = m.phi @ period
-        half = RECTIFY @ (maps[1].phi @ maps[0].phi)
+        dab = build_dab(DabParams(**converter))
+        period, half = dab.schedule._period, half_cycle_map(dab, 1)
         path, out = config_file(converter=converter), str(tmp_path / "out")
         marginal = 0
-        for argv, what, phi in ((["steady-state", "--method", "full"], "periodic solve", period),
-                                (["steady-state", "--method", "half"], "half-cycle solve", half),
-                                (["bode", "--surface", "P+"], "surface P+ fixed point", half)):
+        for argv, what, m in ((["steady-state", "--method", "full"], "periodic solve", period),
+                              (["steady-state", "--method", "half"], "half-cycle solve", half),
+                              (["bode", "--surface", "P+"], "surface P+ fixed point", half)):
             code = cli.main([argv[0], path, *argv[1:], "--out", out])
-            c = np.linalg.cond(np.eye(2) - phi)
+            c = exact_cond(m[:4], 1)  # 50-digit mpmath of the map's floats
             if not c > 1e12:
                 assert code == 0
                 continue
             marginal += 1
             assert code == 3
-            assert capsys.readouterr().err.splitlines() == [
-                f"error: {what} is marginal: cond ~ {c:.3e} exceeds 1.0e+12",
-                " ".join(["eigenvalues:", *map(str, map(complex, np.linalg.eigvals(phi)))])]
+            error, eigenvalues = capsys.readouterr().err.splitlines()
+            assert error == f"error: {what} is marginal: cond ~ {c:.3e} exceeds 1.0e+12"
+            assert eigenvalues == " ".join(["eigenvalues:", *map(str, pwlti.eigenvalues(*m[:4]))])
+            for e in pwlti.eigenvalues(*m[:4]):  # a few u ||phi|| off those of 50-digit mpmath
+                assert min(abs(e - x) for x in exact_eigenvalues(m[:4])) <= 4e-16 * math.hypot(
+                    *m[:4])
         assert marginal >= 2
 
     def test_singular_similarity_transform_exits_three(self, config_file):
-        # Co = 1e-9 makes the leading interval's transition matrix numerically singular:
-        # its true cond is about e^150, so the printed value is LAPACK's roundoff-level s_min.
-        proc = run_cli("verify", config_file(converter=dict(REFERENCE_KWARGS, Co=1e-9)))
+        # Co = 1e-9 makes the leading interval's transition matrix numerically singular: the
+        # exact cond of its floats is 4.607e19, which the closed form prints (LAPACK's cond of
+        # the same floats reads 2.885e18 from a roundoff-level s_min).
+        converter = dict(REFERENCE_KWARGS, Co=1e-9)
+        t_mat = build_dab(DabParams(**converter)).schedule.maps[0].phi
+        assert f"{exact_cond((-t_mat).ravel().tolist(), 0):.3e}" == "4.607e+19"
+        proc = run_cli("verify", config_file(converter=converter))
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
-            "error: similarity transform is singular: cond ~ 2.885e+18"]
+            "error: similarity transform is singular: cond ~ 4.607e+19"]
 
     def test_simulate_on_a_marginal_design_exits_three(self, config_file, tmp_path):
         path = config_file(converter=dict(REFERENCE_KWARGS, Rt=1e15, Rc=0.0, Ro=1e30))

@@ -1,10 +1,12 @@
-"""Property test: every CLI command ends with a documented exit code on any design.
+"""Property tests: every CLI command ends with a documented exit code on any design.
 
 Drives `dabss.cli.main` in-process over random converters, including nearly
 lossless ones (Rt = Rc = 0), near-marginal ones (a load of 1e6 ohm or more),
 phase shifts next to 0, 0.5 and 1, and L and Co over four decades each. README's exit-code table is the contract: 0, or 2-5
 for a rejected or unsolvable design, and 1 only from `verify`. An exception
-escaping `main` fails the test with its traceback.
+escaping `main` fails the test with its traceback. A second property draws every
+parameter over most of the double range, with RuntimeWarning as an error: an overflow
+or 0/0 anywhere in a command fails it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,10 +52,23 @@ COMMANDS = (("steady-state", ["--method", "full"]), ("steady-state", ["--method"
             ("verify", []), ("bode", ["--model", "both"]), ("simulate", []), ("compare", []))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(converter=designs)
-def test_every_command_exits_with_a_documented_code(tmp_path_factory, converter):
-    work = tmp_path_factory.mktemp("design")
+wide_designs = st.fixed_dictionaries({
+    "n_turns": log_uniform(-30.0, 30.0),
+    "L": log_uniform(-300.0, 300.0),
+    "Co": log_uniform(-300.0, 300.0),
+    "Rt": st.one_of(st.just(0.0), log_uniform(-300.0, 300.0)),
+    "Rc": st.one_of(st.just(0.0), log_uniform(-300.0, 300.0)),
+    "Ro": log_uniform(-300.0, 300.0),
+    "Vin": log_uniform(-300.0, 300.0),
+    "fs": log_uniform(-30.0, 30.0),
+    "D_phase": d_phase,
+    "Vr": log_uniform(-300.0, 300.0),
+})
+
+
+def run_every_command(work, converter) -> None:
+    """Each command line of COMMANDS on `converter`, in-process: its exit code is in README's
+    table, and 1 only from `verify`."""
     config = work / "config.json"
     fs = converter["fs"]
     config.write_text(json.dumps({
@@ -69,3 +85,20 @@ def test_every_command_exits_with_a_documented_code(tmp_path_factory, converter)
             code = main(argv)
         assert code in README_EXIT_CODES, (command, converter, code)
         assert code != 1 or command == "verify", (command, converter)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(converter=designs)
+def test_every_command_exits_with_a_documented_code(tmp_path_factory, converter):
+    run_every_command(tmp_path_factory.mktemp("design"), converter)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(converter=wide_designs)
+def test_every_command_exits_with_a_documented_code_over_the_double_range(tmp_path_factory,
+                                                                          converter):
+    # The closed-form solves, cond and eigenvalues scale their 2x2 by a power of two: an
+    # overflow of s_max^2 or of a determinant would show here as a RuntimeWarning or a code.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_every_command(tmp_path_factory.mktemp("design"), converter)

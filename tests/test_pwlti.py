@@ -23,8 +23,8 @@ def expm_map(x, w) -> SegmentMap:
     e = augmented_expm(*np.ravel(x).tolist(), *np.ravel(w).tolist())
     return SegmentMap(np.array([e[:2], e[2:4]]), np.array(e[4:]))
 from tests.conftest import (CLOSED_FORM_SOLVE, LU_SOLVE, REFERENCE_KWARGS,
-                            augmented_step_matrices, max_abs_relative, random_params,
-                            reverse_product)
+                            augmented_step_matrices, exact_cond, exact_eigenvalues,
+                            max_abs_relative, random_params, reverse_product)
 from tests.test_smallsignal import property_range_params
 
 
@@ -656,14 +656,10 @@ class TestPeriodMapCache:
         for m in sched.maps:
             assert not m.phi.flags.writeable and not m.gamma.flags.writeable
 
-    def test_cond_is_numpys_formula(self):
-        rng = np.random.default_rng(9)
-        for n in (1, 2, 3, 4):
-            for _ in range(25):
-                a = rng.standard_normal((n, n))
-                assert cond(a) == np.linalg.cond(a)
+    def test_cond_of_a_singular_matrix_is_inf(self):
         assert cond(np.zeros((2, 2))) == math.inf == np.linalg.cond(np.zeros((2, 2)))
         assert cond(np.array([[1.0, 0.0], [0.0, 0.0]])) == math.inf
+        assert cond([1.0, 2.0, 2.0, 4.0]) == math.inf
 
     def test_cond_past_the_float_range_is_inf_without_a_warning(self):
         # s_max / s_min = 1e310 overflows: inf, as np.linalg.cond has it, and no RuntimeWarning.
@@ -675,84 +671,84 @@ class TestPeriodMapCache:
 
 def _exact_solve(m: tuple):
     """x of (I - phi) x = gamma in rational arithmetic on the six floats m of (phi, gamma),
-    and cond(I - phi) = s_max^2 / |det| from the exact Frobenius norm and determinant."""
+    and cond(I - phi) (`exact_cond`)."""
     p00, p01, p10, p11, g0, g1 = map(Fraction, m)
     a, b, c, d = 1 - p00, -p01, -p10, 1 - p11
     det = a * d - b * c
-    x = ((d * g0 - b * g1) / det, (a * g1 - c * g0) / det)
-    frob = a * a + b * b + c * c + d * d
-    s_max_sq = (float(frob) + math.sqrt(float(frob * frob - 4 * det * det))) / 2.0
-    return x, s_max_sq / abs(float(det))
+    return ((d * g0 - b * g1) / det, (a * g1 - c * g0) / det), exact_cond(m[:4], 1)
+
+
+def _solved_maps(seed: int, count: int):
+    """The period map and the four half-cycle maps of `count` property-range designs."""
+    rng = np.random.default_rng(seed)
+    designs = 0
+    while designs < count:
+        try:
+            dab = build_dab(property_range_params(rng))
+        except (ParameterError, NumericInputError):
+            continue
+        designs += 1
+        yield from [dab.schedule._period] + [half_cycle_map(dab, first) for first in (1, 2, 3, 4)]
 
 
 class TestClosedFormFixedPoint:
-    """A 2x2 fixed point is the closed form at z = 1, and LAPACK decides near the limit."""
+    """A 2x2 fixed point, its verdict and its printed cond are the closed form at z = 1."""
 
-    @staticmethod
-    def lapack_calls(monkeypatch) -> list:
-        """The matrices that `pwlti.cond`, the LAPACK hand-off, is called on."""
-        calls = []
-        real = pwlti.cond
-        monkeypatch.setattr(pwlti, "cond", lambda m: calls.append(m) or real(m))
-        return calls
-
-    def test_forward_error_is_within_the_derived_bound(self, monkeypatch):
+    def test_forward_error_is_within_the_derived_bound(self):
         # Every solve of the package on 400 property-range designs (the period, and the
         # half cycle from each interval) against the rational solution of the same floats.
-        lapack = self.lapack_calls(monkeypatch)
-        rng = np.random.default_rng(19_2026)
-        designs = solved = 0
-        worst = 0.0
-        while designs < 400:
+        solved, worst = 0, 0.0
+        for m in _solved_maps(19_2026, 400):
             try:
-                dab = build_dab(property_range_params(rng))
-            except (ParameterError, NumericInputError):
+                got = fixed_point(m, "solve")
+            except MarginalSystemError:
                 continue
-            designs += 1
-            for m in [dab.schedule._period] + [half_cycle_map(dab, first)
-                                               for first in (1, 2, 3, 4)]:
-                try:
-                    got = fixed_point(m, "solve")
-                except MarginalSystemError:
-                    continue
-                if lapack:  # handed off: not the closed form
-                    lapack.clear()
-                    continue
-                x, kappa = _exact_solve(m)
-                error = math.hypot(*(float(Fraction(g) - e) for g, e in zip(got, x)))
-                ratio = error / (2.0 ** -53 * kappa * math.hypot(*map(float, x)))
-                worst = max(worst, ratio)
-                solved += 1
-        assert solved >= 1500 and worst <= CLOSED_FORM_SOLVE, (solved, worst)
+            x, kappa = _exact_solve(m)
+            error = math.hypot(*(float(Fraction(g) - e) for g, e in zip(got, x)))
+            ratio = error / (2.0 ** -53 * kappa * math.hypot(*map(float, x)))
+            worst = max(worst, ratio)
+            solved += 1
+        assert solved >= 1900 and worst <= CLOSED_FORM_SOLVE, (solved, worst)
 
-    def test_the_verdict_and_message_are_lapacks_across_the_band(self, monkeypatch):
-        # I - phi = Q1 diag(1, 1/kappa) Q2^T over the band, with kappa 1% on either side of
-        # COND_LIMIT / 2 (the hand-off; rounding phi moves cond(I - phi) by about u kappa) and
-        # 1e-6 on either side of COND_LIMIT (the verdict, LAPACK's own).
-        lapack = self.lapack_calls(monkeypatch)
+    def test_the_verdict_and_message_follow_the_exact_cond_across_the_band(self):
+        # I - phi = Q1 diag(1, 1/kappa) Q2^T over the band, with kappa 1e-6 on either side of
+        # COND_LIMIT too. Rounding phi moves cond(I - phi) by about u kappa, so the verdict and
+        # the printed cond are judged against the exact cond of the floats phi.
         rng = np.random.default_rng(20_2026)
-        edges = [COND_LIMIT * f * (1.0 + s * e) for f, e in ((0.5, 1e-2), (1.0, 1e-6))
-                 for s in (-1, 1)]
-        handed = {}
+        edges = [COND_LIMIT * (1.0 + s * 1e-6) for s in (-1, 1)]
+        refused = 0
         for kappa in np.geomspace(1e10, 1e13, 301).tolist() + edges:
             q1, q2 = (np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
                       for t in rng.uniform(0.0, 2.0 * math.pi, 2))
             phi = np.eye(2) - q1 @ np.diag([1.0, 1.0 / kappa]) @ q2.T
-            gamma = rng.standard_normal(2)
-            c = cond(np.eye(2) - phi)
-            lapack.clear()
+            m = floats(phi, rng.standard_normal(2))
+            c = exact_cond(m[:4], 1)
             if c <= COND_LIMIT:
-                fixed_point(floats(phi, gamma), "test solve")
-            else:
-                with pytest.raises(MarginalSystemError) as err:
-                    fixed_point(floats(phi, gamma), "test solve")
-                assert str(err.value) == f"test solve is marginal: cond ~ {c:.3e} exceeds 1.0e+12"
-            handed[kappa] = bool(lapack)
-            if abs(kappa / (COND_LIMIT / 2) - 1.0) > 1e-3:
-                assert handed[kappa] == (kappa > COND_LIMIT / 2), kappa
-        assert handed[edges[0]] is False and handed[edges[1]] is True
+                fixed_point(m, "test solve")
+                continue
+            with pytest.raises(MarginalSystemError) as err:
+                fixed_point(m, "test solve")
+            assert str(err.value) == f"test solve is marginal: cond ~ {c:.3e} exceeds 1.0e+12"
+            refused += 1
+        assert 95 <= refused <= 105, refused
 
-    def test_a_solve_off_the_band_makes_no_numpy_linalg_call(self, ref_dab, monkeypatch):
+    def test_the_printed_cond_is_the_exact_cond_of_the_map(self):
+        # Every cond that `fixed_point` judges on 400 property-range designs is within a few
+        # u of the exact cond(I - phi) of its floats, and `cond` likewise of random matrices.
+        worst = 0.0
+        for m in _solved_maps(19_2026, 400):
+            exact = exact_cond(m[:4], 1)
+            c = pwlti._shifted(m[:4], 1.0)[0]
+            assert c == exact if math.isinf(exact) else abs(c - exact) <= 8e-16 * exact, m
+            worst = max(worst, abs(c - exact) / exact if math.isfinite(exact) else 0.0)
+        rng = np.random.default_rng(22_2026)
+        for _ in range(300):
+            t = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-300, 300)
+            exact = exact_cond((-t).ravel().tolist(), 0)
+            assert abs(cond(t) - exact) <= 8e-16 * exact, t
+        assert worst > 0.0
+
+    def test_a_solve_makes_no_numpy_linalg_call(self, ref_dab, monkeypatch):
         pi, forcing = ref_dab.schedule.period_map
         expected = np.linalg.solve(np.eye(2) - pi, forcing)
 
@@ -764,15 +760,68 @@ class TestClosedFormFixedPoint:
         x = fixed_point(floats(pi, forcing), "periodic solve")
         for first in (1, 2, 3, 4):
             fixed_point(half_cycle_map(ref_dab, first), "half-cycle solve")
+        with pytest.raises(MarginalSystemError):
+            fixed_point(floats(np.eye(2), np.ones(2)), "identity")
         monkeypatch.undo()
         assert relative_residual(np.array(x), expected) < 1e-13
 
-    def test_a_singular_or_overflowing_system_goes_to_lapack(self):
-        # det(I - phi) = 0 exactly, and det^2 past the float range with cond 1.
+    def test_a_singular_or_overflowing_system_is_scaled_exactly(self):
+        # det(I - phi) = 0 exactly; det^2 past the float range with cond 1, and I - phi of
+        # 2^-990 next to phi of 1 with cond 1: a power of two scales each, no bit lost.
         with pytest.raises(MarginalSystemError, match="cond ~ inf"):
             fixed_point(floats(np.eye(2), np.ones(2)), "identity")
         assert fixed_point((1.0 - 1e160, 0.0, 0.0, 1.0 - 1e160, 1e160, -2e160), "big") == (
             1.0, -2.0)
+        tiny = 2.0 ** -990
+        assert fixed_point((1.0, tiny, -tiny, 1.0, 3.0 * tiny, -2.0 * tiny), "tiny") == (
+            -2.0, -3.0)
+
+
+class TestClosedFormEigenvalues:
+    """`pwlti.eigenvalues` against 50-digit mpmath of the same floats."""
+
+    U = 2.0 ** -53
+
+    def assert_close(self, m, bound: float = 4.0):
+        """Each eigenvalue within bound u ||m||_F of its exact value; a pair exact conjugates."""
+        ours, exact = pwlti.eigenvalues(*m), exact_eigenvalues(m)
+        scale = math.hypot(*m)
+        for e in ours:
+            assert min(abs(e - x) for x in exact) <= bound * self.U * scale, (m, ours, exact)
+        assert ours[0].imag >= 0.0 and ours[0].imag == -ours[1].imag
+        if ours[0].imag:
+            assert ours[0].real == ours[1].real
+        return ours
+
+    def test_the_maps_of_property_range_designs(self):
+        for m in _solved_maps(23_2026, 400):
+            self.assert_close(m[:4])
+
+    def test_random_matrices_with_complex_pairs_double_and_zero_eigenvalues(self):
+        rng = np.random.default_rng(24_2026)
+        complex_pairs = 0
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-300, 300)
+            m = (rng.standard_normal(4) * scale).tolist()
+            complex_pairs += self.assert_close(m)[0].imag != 0.0
+        assert complex_pairs > 50
+        for m in ([2.0, 1.0, 0.0, 2.0], [3.0, 0.0, 0.0, 3.0], [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 2.0, 4.0], [1e300, -1e300, 1e300, -1e300],
+                  [1.5, -0.25, 1.0, 0.5]):  # the last: (x - 1)^2, a double eigenvalue 1
+            self.assert_close(m)
+        assert pwlti.eigenvalues(0.0, 1.0, -1.0, 0.0) == (1j, -1j)
+        assert pwlti.eigenvalues(1.0, 2.0, 2.0, 4.0) == (5.0, 0.0)
+
+    def test_the_small_eigenvalue_of_the_marginal_fixture_is_resolved(self):
+        # An unloaded output behind a blocking series path: Pi has eigenvalues 1 and about
+        # -4.8e-49, which det(Pi) / 1 gives to a few u of itself (numpy's eigvals gives 0.0).
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e15, Rc=0.0, Ro=1e30)))
+        m = dab.schedule._period[:4]
+        big, small = pwlti.eigenvalues(*m)
+        one, tiny = sorted(exact_eigenvalues(m), key=abs, reverse=True)
+        assert big == 1.0 and abs(one - 1.0) <= self.U
+        assert -5e-49 < small.real < -4.7e-49 and small.imag == 0.0
+        assert abs(small - tiny) <= 4.0 * self.U * abs(tiny)
 
 
 class TestPlanarNorm:

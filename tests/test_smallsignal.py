@@ -16,7 +16,7 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams,
                    half_cycle_model, relative_residual, solve_periodic_fixed_point,
                    sweep_frequencies, transfer_difference, transfer_difference_residual,
                    transfer_fixed_freq, transfer_same_cycle)
-from dabss.dab import FLIP_CURRENT, solve_half_cycle, verify_symmetry
+from dabss.dab import FLIP_CURRENT, half_cycle_map, solve_half_cycle, verify_symmetry
 from dabss.pwlti import IdentityCheck, cond, propagate
 from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, identity_checks,
                                resolvent_similarity_residual, verify_surface_equivalence)
@@ -468,6 +468,14 @@ class TestModelCache:
         with pytest.raises(ValueError):
             monodromy(dab.schedule)[0, 0] = 1.0
 
+    def test_phi_holds_the_floats_its_fixed_point_was_solved_from(self, ref_params):
+        dab = build_dab(ref_params)
+        for surface in SURFACES.values():
+            model, m = half_cycle_model(dab, surface), half_cycle_map(dab, surface.a)
+            assert (*model.phi.ravel().tolist(), *model.g.tolist()) == m
+            assert tuple(model.x_star.tolist()) == pwlti.fixed_point(m, "solve")
+            assert model.poles == pwlti.eigenvalues(*m[:4])
+
     def test_eight_sweeps_on_one_design_build_four_models(self, ref_params, model_builds):
         dab = build_dab(ref_params)
         for surface in SURFACES.values():
@@ -823,8 +831,11 @@ def _allowed_differences(dab, pairs, z, old) -> dict:
 
     A row's residual is max over z of ||actual - y|| / (1 + ||y||), with y = T^{-1} v (the
     input-vector row) or c_phys T^{-1} v (the transfer-chain row). A change dy moves it by
-    at most ||dy|| (1 + r) / (1 + ||y||); computing the residual adds 4 u r to each route, and
-    c_phys y 2 u ||c_phys|| ||T^{-1} v|| to each. The envelope ratio sums its four squares in
+    at most ||dy|| (1 + r) / (1 + ||y||). The similarity row's residual is ||y - phi_pri||_F /
+    (1 + ||phi_pri||_F) with y = T^{-1} (phi_sec T), whose columns are two T-solves, so a
+    change dy moves it by at most ||dy||_F / (1 + ||phi_pri||_F), within the input-vector
+    row's bound. Computing the residual adds 4 u r to each route, and c_phys y 2 u ||c_phys||
+    ||T^{-1} v|| to each. The envelope ratio sums its four squares in
     another order than BLAS (gamma_3 apiece, 6 u apart), so its root is 3 u apart, plus 1 u
     for each root's own rounding: 4 u relative, at most 4 ulps.
     """
@@ -842,7 +853,8 @@ def _allowed_differences(dab, pairs, z, old) -> dict:
         chain = float(np.linalg.norm(dab.c_phys, 2)
                       * np.max(np.linalg.norm(np.linalg.solve(t_mat, x_sec), axis=-2)))
         kappa = float(np.linalg.cond(t_mat))
-        for row, scale, extra in (("input-vector", 1.0, 0.0), ("transfer-chain", chain, 4.0)):
+        for row, scale, extra in (("similarity", 1.0, 0.0), ("input-vector", 1.0, 0.0),
+                                  ("transfer-chain", chain, 4.0)):
             r = residual[f"{name}/{row}"]
             allowed[f"{name}/{row}"] = u * (
                 (_T_SOLVES + extra) * kappa * scale * (1.0 + r) + 8.0 * r)
@@ -937,7 +949,7 @@ class TestClosedFormResolvent:
                 continue
             f = sweep_frequencies(params.fs / 1000.0, params.fs, 25, "log", model.t_half)
             near = [pole + gap * cmath.exp(2j * math.pi * rng.uniform())
-                    for pole in model.poles.tolist() for gap in (1e-9, 1e-8, 1e-7, 1e-6)]
+                    for pole in model.poles for gap in (1e-9, 1e-8, 1e-7, 1e-6)]
             found += 1
             yield dab, model, np.concatenate([np.exp(2j * np.pi * f * model.t_half), near])
 
