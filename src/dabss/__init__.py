@@ -5,9 +5,9 @@ imports from its module: `dabss.pwlti`, `dabss.dab`, `dabss.smallsignal`,
 `dabss.oracle`, `dabss.config` and `dabss.errors`.
 """
 
+from .config import Injection, SimConfig
 from .dab import DabParams, build_dab
 from .errors import ResolventSingularityError
-from .oracle import Injection, SimConfig
 from .pwlti import relative_residual, solve_periodic_fixed_point
 from .smallsignal import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, Surface,
                           difference_envelope, half_cycle_model, sweep_frequencies,

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification failure, 2 configuration problem,
 amplitude violation. Result data goes to output files (or stdout for the
 verify table); diagnostics go to stderr. File writes are
 write-temp-then-rename so a failing command never leaves partial output,
-and all output is byte deterministic for identical inputs.
+and all output is byte deterministic for identical inputs. Only `simulate`
+and `compare` import the simulator, `dabss.oracle`, in their own bodies.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .config import AppConfig, load_config
 from .dab import DabSchedule, build_dab, solve_half_cycle
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError, ParameterError, ResolventSingularityError)
-from .oracle import measure_frequency_responses, run_to_steady_state
 from .pwlti import closed_form_state, monodromy, relative_residual, solve_periodic_fixed_point
 from .smallsignal import (SURFACES, bode_sweep, half_cycle_model, identity_checks,
                           sweep_frequencies, transfer_fixed_freq)
@@ -50,13 +50,15 @@ def _new_temp_file(path: Path) -> tuple[int, Path]:
 
 def _atomic_write(out: str, text: str) -> None:
     """Write `text` to `out` through a temp file of its own (`_new_temp_file`) and a rename,
-    so no other file is touched. An `out` that cannot be written is a ConfigError naming
-    it, and its temp file does not stay behind."""
-    path = Path(out)
-    if not path.name:  # '' and '.' name no file
-        raise ConfigError(f"--out {out!r} names no file")
+    so no other file is touched; a symlink `out` is written through to its target. An `out`
+    that cannot be written, or that exists and is not a regular file (a directory, such as
+    '' or '.', a FIFO, a device), is a ConfigError naming it, and its temp file does not stay
+    behind."""
+    path = Path(os.path.realpath(out))  # past any symlink: the rename replaces its target
     tmp = None
     try:
+        if os.path.lexists(path) and not path.is_file():  # or a looping link realpath kept
+            raise OSError("not a regular file")
         fd, tmp = _new_temp_file(path)
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -153,6 +155,7 @@ def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
 
 
 def cmd_simulate(args, cfg: AppConfig, dab: DabSchedule) -> int:
+    from .oracle import run_to_steady_state
     _, waveform = run_to_steady_state(dab, cfg.sim)
     lines = ["t,i_L,v_C,i_rec,v_out"]
     for t, x, y in zip(waveform.t, waveform.x, waveform.y):
@@ -182,6 +185,7 @@ def _coherent_frequencies(cfg: AppConfig, t_half: float) -> list[float]:
 
 
 def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
+    from .oracle import measure_frequency_responses, run_to_steady_state
     surface = _surfaces(cfg)["P+"]
     model = half_cycle_model(dab, surface)
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Injection, SimConfig, require_coherent
 from .dab import RECTIFY, DabSchedule
-from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
-                     NumericInputError)
+from .errors import AmplitudeError, ConvergenceError, MarginalSystemError, NumericInputError
 
 # Injection amplitude fallback: fraction of the ramp amplitude.
 DEFAULT_AMPLITUDE_RATIO = 1e-4
@@ -39,56 +39,6 @@ DEFAULT_AMPLITUDE_RATIO = 1e-4
 # Half cycles whose step maps come from one call of the oracle's exponential;
 # bounds the memory of a measurement's step maps independently of its length.
 HALF_CYCLES_PER_EXPM = 1024
-
-
-@dataclass(frozen=True)
-class Injection:
-    """Sinusoidal control-voltage perturbation for response measurement.
-
-    `amplitude` of None means: start at DEFAULT_AMPLITUDE_RATIO * Vr and
-    halve automatically while the perturbation would push a duration
-    negative. An explicit amplitude that violates a duration raises instead.
-    """
-
-    f: float | None = None
-    amplitude: float | None = None
-    settle_periods: int = 800
-    measure_periods: int = 1000
-
-    def __post_init__(self):
-        if self.f is not None and not (math.isfinite(self.f) and self.f > 0.0):
-            raise ConfigError(f"injection frequency must be finite and > 0, got {self.f!r}")
-        if self.amplitude is not None and not (
-                math.isfinite(self.amplitude) and self.amplitude >= 0.0):
-            raise ConfigError(f"injection amplitude must be finite and >= 0, got {self.amplitude!r}")
-        # The caps bound the per-half-cycle control sequence of a measurement.
-        if not (isinstance(self.settle_periods, int) and 0 <= self.settle_periods <= 10**6):
-            raise ConfigError(
-                f"settle_periods must be an integer in [0, 10**6], got {self.settle_periods!r}")
-        if not (isinstance(self.measure_periods, int) and 1 <= self.measure_periods <= 10**6):
-            raise ConfigError(
-                f"measure_periods must be an integer in [1, 10**6], got {self.measure_periods!r}")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Iteration budget and sampling density of the simulator."""
-
-    periods: int = 4000
-    substeps_per_interval: int = 32
-    convergence_tol: float = 1e-9
-    injection: Injection = Injection()
-
-    def __post_init__(self):
-        if not (isinstance(self.periods, int) and self.periods >= 1):
-            raise ConfigError(f"periods must be an integer >= 1, got {self.periods!r}")
-        # The cap bounds the sampled waveform, one Python sample per substep.
-        if not (isinstance(self.substeps_per_interval, int)
-                and 1 <= self.substeps_per_interval <= 10**4):
-            raise ConfigError("sim.substeps_per_interval must be an integer in [1, 10**4], "
-                              f"got {self.substeps_per_interval!r}")
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
-            raise ConfigError(f"convergence_tol must be > 0, got {self.convergence_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -103,23 +53,6 @@ class Waveform:
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-
-def require_coherent(injection: Injection, period: float) -> int:
-    """Validate coherent sampling: f * measure_periods * period must be an integer >= 1.
-
-    Returns that integer cycle count. Coherence makes the rectangular-window
-    DFT bin exact, so no leakage correction is ever applied downstream.
-    """
-    if injection.f is None:
-        raise ConfigError("injection frequency is not set")
-    cycles = injection.f * injection.measure_periods * period
-    nearest = round(cycles)
-    if nearest < 1 or abs(cycles - nearest) > 1e-9 * max(1.0, cycles):
-        raise ConfigError(
-            f"non-coherent measurement window: f*measure_periods*Ts = {cycles!r} "
-            "must be a positive integer")
-    return int(nearest)
 
 
 # Degree-13 Pade coefficients b_0..b_13 and the 1-norm up to which that

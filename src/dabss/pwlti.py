@@ -33,8 +33,8 @@ from .errors import (DimensionError, MarginalSystemError, NumericInputError,
 COND_LIMIT = 1e12
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 

@@ -6,7 +6,9 @@ import cmath
 import dataclasses
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -475,7 +477,7 @@ class TestUnwritableOut:
     """Every --out that cannot be written exits 2 with one error line and leaves no temp file."""
 
     OUTS = {"missing-directory": "missing/out.csv", "file-as-parent": "afile/out.csv",
-            "empty": "", "dot": ".", "existing-directory": "adir"}
+            "empty": "", "dot": ".", "existing-directory": "adir", "fifo": "afifo"}
 
     @pytest.mark.parametrize("where", sorted(OUTS))
     @pytest.mark.parametrize("argv", [["steady-state"], ["bode", "--model", "both"],
@@ -487,6 +489,7 @@ class TestUnwritableOut:
                                   "spacing": "log"})
         (tmp_path / "afile").write_text("kept\n")
         (tmp_path / "adir").mkdir()
+        os.mkfifo(tmp_path / "afifo")  # a rename would replace it with a regular file
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.rglob("*"))
         out = self.OUTS[where]
@@ -495,6 +498,19 @@ class TestUnwritableOut:
         assert len(err) == 1 and err[0].startswith("error: ") and repr(out) in err[0]
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "afile").read_text() == "kept\n"
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "afifo").st_mode)
+
+    def test_a_symlink_out_is_written_through_to_its_target(self, config_file, tmp_path,
+                                                            monkeypatch):
+        path = config_file()
+        (tmp_path / "target.json").write_text("old\n")
+        (tmp_path / "link.json").symlink_to("target.json")
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.iterdir())
+        assert cli.main(["steady-state", path, "--out", "link.json"]) == 0
+        assert set(tmp_path.iterdir()) == before
+        assert os.readlink(tmp_path / "link.json") == "target.json"
+        assert json.loads((tmp_path / "target.json").read_text())["x_star"]
 
 
 class TestValuesAtTheEdgeOfDoublePrecision:
@@ -624,13 +640,24 @@ class TestMisc:
     def test_missing_subcommand_is_a_usage_error(self):
         assert run_cli().returncode == 2
 
-    @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version")],
-                             ids=["import", "cli-version"])
-    def test_scipy_is_never_imported(self, argv):
-        # -X importtime lists every module the interpreter imports, one per line.
+    COMMANDS = ("steady-state", "verify", "bode", "simulate", "compare")
+
+    @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version"),
+                                      *(("-m", "dabss.cli", command) for command in COMMANDS)],
+                             ids=["import", "cli-version", *COMMANDS])
+    def test_scipy_is_never_imported(self, config_file, tmp_path, argv):
+        # -X importtime lists every module the interpreter imports, one per line. The
+        # simulator is loaded by the two commands that run it and by nothing else.
+        command = argv[-1]
+        if command in self.COMMANDS:
+            argv += (config_file(sim={"injection": {"settle_periods": 10, "measure_periods": 20}},
+                                 sweep={"f_min": 400.0, "f_max": 4000.0, "points": 3}),)
+            if command != "verify":
+                argv += ("--out", str(tmp_path / "out"))
         proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert "dabss" in imported and "numpy" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
+        assert ("dabss.oracle" in imported) == (command in ("simulate", "compare"))

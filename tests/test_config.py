@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from dabss.config import SweepSpec, Tolerances, load_config
+from dabss import dab, smallsignal
+from dabss.config import Injection, SimConfig, SweepSpec, Tolerances, load_config
 from dabss.dab import DabParams
 from dabss.errors import ConfigError
-from dabss.oracle import Injection, SimConfig
 from tests.conftest import REFERENCE_KWARGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,6 +61,17 @@ class TestDefaults:
         converter = {"converter": dict(REFERENCE_KWARGS)}
         minimal = load_config(write(tmp_path, converter, "minimal.json"))
         assert load_config(write(tmp_path, {**converter, **doc})) == minimal
+
+    @pytest.mark.parametrize("function, parameter, field", [
+        (dab.verify_symmetry, "rtol", "half_wave_symmetry"),
+        (smallsignal.verify_surface_equivalence, "rtol", "surface_equivalence"),
+        (smallsignal.verify_surface_equivalence, "similarity_rtol", "similarity"),
+        (smallsignal.transfer_difference, "rtol", "transfer_difference")],
+        ids=["half_wave_symmetry", "surface_equivalence", "similarity", "transfer_difference"])
+    def test_tolerance_defaults_are_those_of_the_checks(self, function, parameter, field):
+        # A keyword default of a check and the Tolerances field that sets it cannot drift.
+        default = inspect.signature(function).parameters[parameter].default
+        assert default == getattr(Tolerances(), field)
 
     def test_false_section_is_not_absent(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep"):

@@ -16,11 +16,12 @@ import pytest
 from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, DabParams, Injection, SimConfig, build_dab,
                    half_cycle_model, relative_residual, solve_periodic_fixed_point,
                    transfer_fixed_freq)
+from dabss.config import require_coherent
 from dabss.dab import FLIP_CURRENT, RECTIFY
 from dabss.errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                           NumericInputError)
 from dabss.oracle import (measure_frequency_response, measure_frequency_responses,
-                          require_coherent, run_to_steady_state)
+                          run_to_steady_state)
 from dabss import dab as dab_module, oracle, pwlti
 from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
                             random_params)
