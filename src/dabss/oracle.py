@@ -11,8 +11,10 @@ integration error. Every loop steps the state by the one rule
 
 in Python floats, in that evaluation order. The module shares no code path
 with the closed-form solvers: it builds its own step matrices, takes their
-exponentials with its own element-wise Pade kernel, and imports nothing from
-`pwlti` or `smallsignal`, which is what makes it a legitimate cross-check.
+exponentials with its own element-wise Pade kernel (degree 9 or 13, as each
+map's norm calls for), and imports nothing from `pwlti` or `smallsignal`,
+which is what makes it a legitimate cross-check. A measurement allocates the
+kernel's work arrays once and reuses them for all of its exponentials.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+from itertools import islice
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +58,11 @@ class Waveform:
     y: np.ndarray
 
 
-# Degree-13 Pade coefficients b_0..b_13 and the 1-norm up to which that
-# approximant is exact to double precision without scaling (Higham 2005).
+# Pade coefficients b_0..b_m of degrees 9 and 13, and the 1-norms theta_m up to
+# which those approximants are exact to double precision without scaling (Higham 2005).
+_PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+          110880.0, 3960.0, 90.0, 1.0)
+_THETA9 = 2.097847961257068
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
@@ -67,14 +73,38 @@ _THETA13 = 5.371920351148152
 _MAX_SQUARINGS = 53
 
 
-def _mul(p, q):
-    """p[:, :2] @ q for each map of two (2, 2 or 3, N) stacks.
+class _Scratch:
+    """Work arrays of `_step_exponentials` for stacks of up to `maps` maps, cut from one
+    allocation that every call handed this scratch reuses.
+
+    `scratch(name, shape)` is a C-contiguous view of the front of the slot
+    `name`, which holds six entries per map. One allocation, not one per slot:
+    at 2,048 maps it passes malloc's mmap threshold, which glibc raises when
+    such a block is freed, so later measurements take their scratch from the
+    heap without faulting it in again (98 KB slots allocated apiece left about
+    1,900 minor faults per oracle-compare op).
+    """
+
+    SLOTS = ("aug", "group", "stack", "col_norms", "x", "tmp", "x2", "x4", "x6", "x8", "inner",
+             "u", "q", "adj", "r", "squared")
+
+    def __init__(self, maps: int):
+        flat = np.empty(len(self.SLOTS) * 6 * maps)
+        self._slots = dict(zip(self.SLOTS, flat.reshape(len(self.SLOTS), 6 * maps)))
+
+    def __call__(self, name: str, shape) -> np.ndarray:
+        return self._slots[name][:math.prod(shape)].reshape(shape)
+
+
+def _mul(p, q, out, tmp):
+    """p[:, :2] @ q for each map of two (2, 2 or 3, N) stacks, into `out`; `tmp` is
+    scratch of the same shape.
 
     With p and q the top rows of augmented 3x3 matrices P and Q, and Q's last
     row zero, these are the top rows of P Q.
     """
-    out = p[:, :1] * q[0]
-    out += p[:, 1:2] * q[1]
+    np.multiply(p[:, :1], q[0], out=out)
+    out += np.multiply(p[:, 1:2], q[1], out=tmp)
     return out
 
 
@@ -90,69 +120,139 @@ def _ceil_log2(ratio):
     return np.maximum(exponent - (mantissa == 0.5), 0)
 
 
-def _step_exponentials(x: np.ndarray) -> np.ndarray:
+def _step_exponentials(x: np.ndarray, scratch: _Scratch | None = None) -> np.ndarray:
     """Top rows [phi | gamma] of [[phi, gamma], [0, 1]] = exp([[A, w], [0, 0]]), per map.
 
     `x` holds the top rows [A | w], shape (2, 3, N), one map per last index,
-    and the result has the same layout. Degree-13 Pade scaling and squaring
-    (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), written over the six entries:
-    every power M^k = [[A^k, A^(k-1) w], [0, 0]] and every sum of them keeps
-    a last row that is zero but for the identity's 1, so only top rows are
-    formed. The denominator [[Q, q], [0, b0]] leaves q out of
-    r = I + 2 (V - U)^-1 U, so only the 2x2 Q is inverted, by its adjugate
-    (well conditioned at a scaled 1-norm of at most theta13), and
-    [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]. Every step is a ufunc over
-    all maps, and each map takes its own balancing and scaling, so its bits
-    do not depend on the stack it came in.
+    and the result has the same layout. Pade scaling and squaring (Higham,
+    SIAM J. Matrix Anal. Appl. 26(4), 2005) at the degree that each map's own
+    ||A||_1 calls for: up to theta9 the degree-9 approximant and no squaring,
+    above it the degree-13 approximant and the squarings that take ||A||_1 to
+    theta13. A stack whose maps all take one degree is computed as it is, a
+    mixed stack as two contiguous groups gathered by degree. Each map takes
+    its own degree, balancing and scaling, and every step is a ufunc over the
+    maps of a group, so a map's bits do not depend on the stack it came in.
 
     The forcing column is first scaled by an exact 2^-k, per map, down to the
-    state block's 1-norm (or theta13), and scaled back after squaring: the
+    state block's 1-norm (or theta_m), and scaled back after squaring: the
     similarity diag(1, 1, 2^-k) commutes with exp, and w T, mostly Vin T / L,
-    would otherwise set the squaring count.
+    would otherwise set the squaring count. At degree 9, which does not square,
+    the shift only keeps the powers of a forcing column near the overflow
+    threshold finite; short of that it moves no bit.
+
+    Every intermediate is written with `out=` into `scratch`, so the calls
+    that share one reuse its memory; the result is a view into it, valid until
+    its next call. Without `scratch` a call makes its own.
     """
+    if scratch is None:
+        scratch = _Scratch(x.shape[2])
     # Overflow, division by zero and invalid operations are left to the finiteness checks.
     with np.errstate(all="ignore"):
-        abs_x = np.abs(x)
-        col_norms = abs_x[0] + abs_x[1]
+        abs_x = np.abs(x, out=scratch("tmp", x.shape))
+        col_norms = np.add(abs_x[0], abs_x[1], out=scratch("col_norms", x.shape[1:]))
         a_norm = np.maximum(col_norms[0], col_norms[1])
-        k = _ceil_log2(col_norms[2] / np.maximum(a_norm, _THETA13))
-        s = _ceil_log2(np.maximum(a_norm, np.ldexp(col_norms[2], -k)) / _THETA13)
         norm = col_norms.max(initial=0.0)
-        if not (math.isfinite(norm) and s.max(initial=0) < _MAX_SQUARINGS):
+        if not math.isfinite(norm):
             raise _not_finite(norm)
-        # Products with exact powers of two round as ldexp would, in fewer passes.
-        x = x * np.ldexp(1.0, -np.stack([s, s, k + s]))
-        b = _PADE13
-        x2 = _mul(x, x)
-        x4 = _mul(x2, x2)
-        x6 = _mul(x2, x4)
-        u = _mul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
-        u += b[7] * x6
-        u += b[5] * x4
-        u += b[3] * x2
-        _add_to_diagonal(u, b[1])
-        u = _mul(x, u)
-        u[:, 2] += b[1] * x[:, 2]  # the inner sum's b1 in its last row meets w
-        # q of the denominator drops out of r, so V - U is formed on the 2x2 block alone.
-        a2, a4, a6 = x2[:, :2], x4[:, :2], x6[:, :2]
-        q = _mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
-        q += b[6] * a6
-        q += b[4] * a4
-        q += b[2] * a2
-        _add_to_diagonal(q, b[0])
-        q -= u[:, :2]
-        adj = np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]])
-        r = _mul(adj, u)
-        r *= 2.0
-        r /= q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-        _add_to_diagonal(r, 1.0)
-        for i in range(int(s.max(initial=0))):
-            squared = _mul(r, r)
-            squared[:, 2] += r[:, 2]
-            r = np.where(s > i, squared, r)
-        r[:, 2] *= np.ldexp(1.0, k)
+        low = a_norm <= _THETA9
+        n_low = np.count_nonzero(low)
+        if n_low in (0, low.size):
+            r = _scaled_pade(x, col_norms, a_norm, n_low > 0, norm, scratch)
+        else:
+            r = scratch("stack", x.shape)
+            for maps, degree9 in ((np.flatnonzero(low), True), (np.flatnonzero(~low), False)):
+                group = np.take(x, maps, axis=2, out=scratch("group", (2, 3, maps.size)),
+                                mode="clip")
+                r[..., maps] = _scaled_pade(group, col_norms.take(maps, axis=1), a_norm[maps],
+                                            degree9, norm, scratch)
     if not np.all(np.isfinite(r)):
         raise _not_finite(norm)
+    return r
+
+
+def _scaled_pade(x, col_norms, a_norm, degree9: bool, norm, scratch):
+    """`_step_exponentials` of maps that all take degree 9, or all degree 13."""
+    xs = scratch("x", x.shape)
+    if degree9:  # ||A||_1 <= theta9: only the forcing column is scaled, and nothing squared
+        k = _ceil_log2(col_norms[2] / np.maximum(a_norm, _THETA9))
+        squarings = 0
+        xs[:, :2] = x[:, :2]
+        np.multiply(x[:, 2], np.ldexp(1.0, -k), out=xs[:, 2])
+    else:
+        k = _ceil_log2(col_norms[2] / np.maximum(a_norm, _THETA13))
+        s = _ceil_log2(np.maximum(a_norm, np.ldexp(col_norms[2], -k)) / _THETA13)
+        squarings = int(s.max(initial=0))
+        if squarings >= _MAX_SQUARINGS:
+            raise _not_finite(norm)
+        # Products with exact powers of two round as ldexp would, in fewer passes.
+        np.multiply(x, np.ldexp(1.0, -np.stack([s, s, k + s])), out=xs)
+    r = _pade(xs, _PADE9 if degree9 else _PADE13, scratch)
+    squared, tmp = scratch("squared", x.shape), scratch("tmp", x.shape)
+    for i in range(squarings):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
+        _mul(r, r, squared, tmp)
+        squared[:, 2] += r[:, 2]
+        np.copyto(r, squared, where=s > i)
+    r[:, 2] *= np.ldexp(1.0, k)
+    return r
+
+
+def _pade(x, b, scratch):
+    """Top rows of the Pade approximant r(M) = (V - U)^-1 (V + U) with the coefficients `b`
+    of degree 9 or 13, for M = [[A, w], [0, 0]] of top rows `x`.
+
+    Every power M^k = [[A^k, A^(k-1) w], [0, 0]] and every sum of them keeps a
+    last row that is zero but for the identity's 1, so only top rows are
+    formed. The denominator [[Q, q], [0, b0]] leaves q out of
+    r = I + 2 (V - U)^-1 U, so only the 2x2 Q is inverted, by its adjugate
+    (well conditioned at a scaled 1-norm of at most theta_m).
+    """
+    tmp = scratch("tmp", x.shape)
+    x2 = _mul(x, x, scratch("x2", x.shape), tmp)
+    x4 = _mul(x2, x2, scratch("x4", x.shape), tmp)
+    x6 = _mul(x2, x4, scratch("x6", x.shape), tmp)
+    # U = M (b_m M^(m-1) + ... + b3 M^2 + b1 I) with its inner sum in `inner`, whose
+    # terms above M^6 are b9 M^8 at degree 9 and M^6 (b13 M^6 + b11 M^4 + b9 M^2) at 13.
+    inner = scratch("inner", x.shape)
+    if b is _PADE13:
+        np.multiply(x6, b[13], out=tmp)
+        tmp += np.multiply(x4, b[11], out=inner)
+        tmp += np.multiply(x2, b[9], out=inner)
+        _mul(x6, tmp, inner, scratch("u", x.shape))
+    else:
+        x8 = _mul(x4, x4, scratch("x8", x.shape), tmp)
+        np.multiply(x8, b[9], out=inner)
+    inner += np.multiply(x6, b[7], out=tmp)
+    inner += np.multiply(x4, b[5], out=tmp)
+    inner += np.multiply(x2, b[3], out=tmp)
+    _add_to_diagonal(inner, b[1])
+    u = _mul(x, inner, scratch("u", x.shape), tmp)
+    u[:, 2] += np.multiply(x[:, 2], b[1], out=tmp[:, 2])  # the inner sum's b1 in its last row meets w
+    # q of the denominator drops out of r, so V - U is formed on the 2x2 block alone,
+    # its terms above A^6 being b8 A^8 and A^6 (b12 A^6 + b10 A^4 + b8 A^2).
+    a2, a4, a6 = x2[:, :2], x4[:, :2], x6[:, :2]
+    q, tmp2 = scratch("q", a2.shape), tmp[:, :2]
+    if b is _PADE13:
+        np.multiply(a6, b[12], out=inner[:, :2])
+        inner[:, :2] += np.multiply(a4, b[10], out=tmp2)
+        inner[:, :2] += np.multiply(a2, b[8], out=tmp2)
+        _mul(a6, inner[:, :2], q, tmp2)
+    else:
+        np.multiply(x8[:, :2], b[8], out=q)
+    q += np.multiply(a6, b[6], out=tmp2)
+    q += np.multiply(a4, b[4], out=tmp2)
+    q += np.multiply(a2, b[2], out=tmp2)
+    _add_to_diagonal(q, b[0])
+    q -= u[:, :2]
+    adj = scratch("adj", a2.shape)
+    adj[0, 0], adj[1, 1] = q[1, 1], q[0, 0]
+    np.negative(q[0, 1], out=adj[0, 1])
+    np.negative(q[1, 0], out=adj[1, 0])
+    r = _mul(adj, u, scratch("r", x.shape), tmp)
+    r *= 2.0
+    det = np.multiply(q[0, 0], q[1, 1], out=inner[0, 0])
+    det -= np.multiply(q[0, 1], q[1, 0], out=inner[0, 1])
+    r /= det
+    _add_to_diagonal(r, 1.0)
     return r
 
 
@@ -162,19 +262,36 @@ def _not_finite(norm: float) -> NumericInputError:
         f"duration) reaches {norm:.3e}, beyond double precision")
 
 
+def _augmented(dab: DabSchedule) -> np.ndarray:
+    """Top rows [a | b u] of the oracle's own augmented matrices [[a, b u], [0, 0]] of
+    the four intervals, as (2, 3, 4)."""
+    aug = np.empty((2, 3, 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: _step_exponentials raises
+        for i, seg in enumerate(dab.schedule.segments):
+            aug[:, :2, i] = seg.a
+            aug[:, 2, i] = seg.b @ dab.schedule.u
+    return aug
+
+
 def _step_maps(dab: DabSchedule, intervals, durations) -> np.ndarray:
     """Top rows [phi | gamma] of the map of each step `intervals[i]` for `durations[i]`.
 
-    The oracle's own augmented matrices [[a, b u], [0, 0]] T, all exponentiated in
-    one `_step_exponentials` call and returned in its (2, 3, steps) layout, the
-    steps in the order of `durations.ravel()`.
+    The oracle's own augmented matrices times their durations, all exponentiated
+    in one `_step_exponentials` call and returned in its (2, 3, steps) layout,
+    the steps in the order of `durations.ravel()`.
     """
-    segments = dab.schedule.segments
-    with np.errstate(over="ignore", invalid="ignore"):  # not finite: _step_exponentials raises
-        aug = np.array([np.column_stack([seg.a, seg.b @ dab.schedule.u]) for seg in segments])
-        # take() keeps each of the six entries contiguous over the maps.
-        aug = aug.transpose(1, 2, 0).take(np.ravel(intervals), axis=2) * np.ravel(durations)
-    return _step_exponentials(aug)
+    return _exponentials(_augmented(dab), intervals, durations, _Scratch(np.size(durations)))
+
+
+def _exponentials(aug, intervals, durations, scratch: _Scratch) -> np.ndarray:
+    """`_step_maps` of the `_augmented` top rows `aug`, in `scratch`."""
+    intervals = np.ravel(intervals)
+    # take() keeps each of the six entries contiguous over the maps; with indices in range,
+    # "clip" only spares it the temporary copy that the default mode makes of `out`.
+    x = np.take(aug, intervals, axis=2, out=scratch("aug", (2, 3, intervals.size)), mode="clip")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x *= np.ravel(durations)
+    return _step_exponentials(x, scratch)
 
 
 def _rows(entries: np.ndarray, steps: int = 1):
@@ -325,20 +442,22 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
     k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
     unperturbed = base[intervals]
     responses = np.empty((len(freqs), 2), dtype=complex)
+    # The exponential kernel's work arrays, shared by every block and bin.
+    scratch = _Scratch(2 * min(HALF_CYCLES_PER_EXPM, n_half))
     for i, f in enumerate(freqs):
         f = float(f)
         # The whole control sequence, hence every half cycle's perturbed
         # durations, is known before the run starts; math.sin per sample
         # rounds as a scalar loop would.
         phase = 2.0 * math.pi * f * np.arange(n_half + 1) * t_half
-        control = amp * np.fromiter(map(math.sin, phase), float, n_half + 1)
+        control = amp * np.fromiter(map(math.sin, phase.tolist()), float, n_half + 1)
         shift = surface.polarity * comp_gain * control
         durations = unperturbed + np.stack([shift[:-1], -shift[1:]], axis=-1)
         if durations.min() < 0.0:
             bad = np.flatnonzero((durations < 0.0).any(axis=-1))[0]
             raise AmplitudeError(f"perturbation at {f!r} Hz drove a duration "
                                  f"negative at half cycle {bad}")
-        samples = _surface_samples(dab, intervals, durations, (x0, x1), k0)
+        samples = _surface_samples(dab, intervals, durations, (x0, x1), k0, scratch)
         basis = np.exp(-2j * math.pi * f * t_half * np.arange(k0, k0 + n))
         out_bin = basis @ samples
         responses[i] = ((2.0 / n) * out_bin if amp == 0.0
@@ -346,28 +465,34 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
     return responses
 
 
-def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int) -> np.ndarray:
+def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int,
+                     scratch: _Scratch) -> np.ndarray:
     """Samples c_phys RECTIFY^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`."""
     x0, x1 = x
+    aug = _augmented(dab)
     n_half = len(durations)
     states = np.empty((n_half - first, 2, 1))
     for start in range(0, n_half, HALF_CYCLES_PER_EXPM):
         end = min(start + HALF_CYCLES_PER_EXPM, n_half)
-        # `entries` keeps the previous block's maps alive until this call returns. Freed
-        # before it, they let malloc trim the kernel's scratch memory off the heap after
-        # every block and fault it in again: 12,000 page faults per 21-bin compare.
-        entries = _step_maps(dab, intervals[start:end], durations[start:end])
+        # Every block's exponentials are written into the measurement's one scratch, so no
+        # block frees memory for malloc to trim off the heap and fault in again: a first
+        # 21-bin `compare` of the README reference config takes about 300 minor faults,
+        # against 3,200-3,700 with each block's work arrays allocated and freed.
+        rows = _rows(_exponentials(aug, intervals[start:end], durations[start:end], scratch), 2)
+        kept = min(max(start, first), end)  # the settle window's states are not recorded
+        for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in islice(rows, kept - start):
+            x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
+            x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
         visited = []
         visit = visited.append
-        for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in _rows(entries, 2):
+        for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in rows:
             visit(x0)
             visit(x1)
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
         if end > first:
-            kept = max(start, first)
             states[kept - first:end - first, :, 0] = np.fromiter(
-                visited, float, len(visited))[2 * (kept - start):].reshape(-1, 2)
+                visited, float, len(visited)).reshape(-1, 2)
     odd = states[(first + 1) % 2::2]
     odd[...] = RECTIFY @ odd
     return (dab.c_phys @ states)[..., 0]

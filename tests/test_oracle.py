@@ -25,6 +25,7 @@ from dabss.oracle import (measure_frequency_response, measure_frequency_response
 from dabss import dab as dab_module, oracle, pwlti
 from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
                             random_params)
+from tests.test_pwlti import mpmath_expm
 
 
 class TestInjectionValidation:
@@ -290,16 +291,48 @@ class TestStepExponentials:
     def test_mixed_norm_stack_matches_single_calls_bit_for_bit(self):
         # Skew-symmetric state blocks keep exp bounded at any norm; 1e8 takes 25
         # squarings and 1e-6 none, and the forcing norms set different balancing
-        # shifts, so both differ per map.
+        # shifts, so both differ per map. The last four blocks have 1-norms of exactly
+        # theta9 / 2 and theta9 (degree 9), one ulp above theta9 and 4 (degree 13 with
+        # no squaring), so the degree differs per map too.
+        theta9 = oracle._THETA9
         rng = np.random.default_rng(43)
-        aug = np.zeros((6, 3, 3))
-        aug[:, :2] = rng.standard_normal((6, 2, 3))
+        aug = np.zeros((10, 3, 3))
+        aug[:, :2] = rng.standard_normal((10, 2, 3))
         aug[:, :2, :2] -= np.swapaxes(aug[:, :2, :2], 1, 2)
-        aug[:, :2, :2] *= np.array([1e-6, 1e8, 1e-6, 3.0, 1e8, 40.0])[:, None, None]
-        aug[:, :2, 2] *= np.array([1e3, 1.0, 0.0, 1e-9, 1e12, 40.0])[:, None]
+        aug[:6, :2, :2] *= np.array([1e-6, 1e8, 1e-6, 3.0, 1e8, 40.0])[:, None, None]
+        aug[6:, 0, 1] = [theta9 / 2, -theta9, math.nextafter(theta9, math.inf), 4.0]
+        aug[6:, 1, 0] = -aug[6:, 0, 1]
+        aug[:, :2, 2] *= np.array([1e3, 1.0, 0.0, 1e-9, 1e12, 40.0, 1e4, 1.0, 1e6, 1e2])[:, None]
         stacked = step_exponentials(aug)
         for k in range(len(aug)):
             np.testing.assert_array_equal(stacked[k], step_exponentials(aug[k:k + 1])[0])
+
+    @pytest.mark.parametrize("norm", [oracle._THETA9 / 2, oracle._THETA9,
+                                      math.nextafter(oracle._THETA9, math.inf)],
+                             ids=["half theta9", "theta9", "above theta9"])
+    def test_matches_mpmath_at_the_low_degree_bound(self, monkeypatch, norm):
+        # State blocks of 1-norm exactly theta9 / 2, theta9 or one ulp above (column 0
+        # holds +-norm / 2 twice, column 1 less); forcing columns 1e2-1e6 times the
+        # state block's norm set the balancing shift. Degree 9 serves up to theta9 and
+        # degree 13 above it; both measured within 2 u of 50-digit mpmath, bound 4.5 u.
+        rng = np.random.default_rng(59)
+        aug = np.zeros((16, 3, 3))
+        aug[:, :2, 0] = rng.choice([-0.5, 0.5], (16, 2)) * norm
+        aug[:, :2, 1] = rng.uniform(-0.45, 0.45, (16, 2)) * norm
+        aug[:, :2, 2] = rng.standard_normal((16, 2)) * norm * 10.0 ** rng.uniform(2, 6, (16, 1))
+        assert np.all(np.abs(aug[:, :2, :2]).sum(axis=1).max(axis=1) == norm)
+        degrees = []
+        pade = oracle._pade
+
+        def counting(x, b, scratch):
+            degrees.append(len(b) - 1)
+            return pade(x, b, scratch)
+
+        monkeypatch.setattr(oracle, "_pade", counting)
+        ours, reference = step_exponentials(aug), mpmath_expm(aug, dps=50)
+        assert degrees == [9 if norm <= oracle._THETA9 else 13]
+        assert max_abs_relative(ours[:, :2, :2], reference[:, :2, :2]).max() <= 1e-15
+        assert max_abs_relative(ours[:, :2, 2:], reference[:, :2, 2:]).max() <= 1e-15
 
     def test_zero_duration_is_exactly_the_identity(self, ref_dab):
         # Each step's entries (a00, a01, g0, a10, a11, g1): phi = I and gamma = 0.
@@ -587,6 +620,30 @@ class TestStackedStepMaps:
         cfg = SimConfig(injection=Injection(amplitude=amplitude, **self.INJECTION))
         np.testing.assert_array_equal(measure_frequency_response(ref_dab, surface, cfg),
                                       per_step_response(ref_dab, surface, cfg))
+
+    @pytest.mark.parametrize("block", [20, 1])
+    def test_a_settle_window_ending_on_a_block_boundary_equals_the_per_step_loop(
+            self, ref_dab, monkeypatch, block):
+        # The 20 settle half cycles end where a block of 20 (or of 1) ends, so the first
+        # recorded state opens a block.
+        monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
+        cfg = SimConfig(injection=Injection(**self.INJECTION))
+        assert 2 * cfg.injection.settle_periods % block == 0
+        np.testing.assert_array_equal(measure_frequency_response(ref_dab, P_PLUS, cfg),
+                                      per_step_response(ref_dab, P_PLUS, cfg))
+
+    @pytest.mark.parametrize("change, mixed", [(dict(Rc=10.0), False), (dict(Rt=6.0), True)],
+                             ids=["Rc 10", "Rt 6"])
+    def test_designs_near_the_low_degree_bound_equal_the_per_step_loop(self, change, mixed):
+        # Rc = 10 puts the steps' ||a T||_1 near 0.77 and 1.79, both below theta9; Rt = 6
+        # near 0.92 and 2.14, on either side of it, so every block is a mixed stack.
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, **change)))
+        norms = [np.abs(seg.a * seg.duration).sum(axis=0).max() for seg in dab.schedule.segments]
+        assert (max(norms) > oracle._THETA9) == mixed and min(norms) < oracle._THETA9
+        cfg = SimConfig(injection=Injection(**self.INJECTION))
+        for surface in (P_PLUS, S_MINUS):
+            np.testing.assert_array_equal(measure_frequency_response(dab, surface, cfg),
+                                          per_step_response(dab, surface, cfg))
 
     def test_a_measurement_without_settling_equals_the_per_step_loop(self, ref_dab):
         # Every half cycle from the first is sampled.
