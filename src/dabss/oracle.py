@@ -13,7 +13,7 @@ in Python floats, in that evaluation order. The module shares no code path
 with the closed-form solvers: it builds its own step matrices, takes their
 exponentials with its own element-wise Pade kernel (degree 9 or 13, as each
 map's norm calls for), and imports nothing from `pwlti` or `smallsignal`,
-which is what makes it a legitimate cross-check. A measurement allocates the
+which is what makes it a legitimate cross-check. Each thread allocates the
 kernel's work arrays once and reuses them for all of its exponentials.
 
 Frequency responses are measured the way a network analyzer would: inject a
@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+import threading
 from itertools import islice
 from dataclasses import dataclass
 
@@ -41,7 +42,10 @@ DEFAULT_AMPLITUDE_RATIO = 1e-4
 
 # Half cycles whose step maps come from one call of the oracle's exponential;
 # bounds the memory of a measurement's step maps independently of its length.
-HALF_CYCLES_PER_EXPM = 1024
+# A call pays a fixed cost per Pade degree in its stack (some 80 numpy calls, as
+# much as about 1,000 maps' work), so blocks this long keep a design whose two
+# intervals take different degrees cheaper than one degree-13 pass per 1,024.
+HALF_CYCLES_PER_EXPM = 2048
 
 
 @dataclass(frozen=True)
@@ -74,21 +78,18 @@ _MAX_SQUARINGS = 53
 
 
 class _Scratch:
-    """Work arrays of `_step_exponentials` for stacks of up to `maps` maps, cut from one
-    allocation that every call handed this scratch reuses.
+    """Work arrays of `_step_exponentials` for stacks of up to `maps` maps, which every
+    call handed this scratch reuses.
 
     `scratch(name, shape)` is a C-contiguous view of the front of the slot
-    `name`, which holds six entries per map. One allocation, not one per slot:
-    at 2,048 maps it passes malloc's mmap threshold, which glibc raises when
-    such a block is freed, so later measurements take their scratch from the
-    heap without faulting it in again (98 KB slots allocated apiece left about
-    1,900 minor faults per oracle-compare op).
+    `name`, which holds six entries per map.
     """
 
-    SLOTS = ("aug", "group", "stack", "col_norms", "x", "tmp", "x2", "x4", "x6", "x8", "inner",
-             "u", "q", "adj", "r", "squared")
+    SLOTS = ("aug", "stack", "col_norms", "x", "tmp", "x2", "x4", "x6", "x8", "inner", "u", "q",
+             "adj", "r", "squared")
 
     def __init__(self, maps: int):
+        self.maps = maps
         flat = np.empty(len(self.SLOTS) * 6 * maps)
         self._slots = dict(zip(self.SLOTS, flat.reshape(len(self.SLOTS), 6 * maps)))
 
@@ -120,7 +121,7 @@ def _ceil_log2(ratio):
     return np.maximum(exponent - (mantissa == 0.5), 0)
 
 
-def _step_exponentials(x: np.ndarray, scratch: _Scratch | None = None) -> np.ndarray:
+def _step_exponentials(x: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """Top rows [phi | gamma] of [[phi, gamma], [0, 1]] = exp([[A, w], [0, 0]]), per map.
 
     `x` holds the top rows [A | w], shape (2, 3, N), one map per last index,
@@ -128,10 +129,11 @@ def _step_exponentials(x: np.ndarray, scratch: _Scratch | None = None) -> np.nda
     SIAM J. Matrix Anal. Appl. 26(4), 2005) at the degree that each map's own
     ||A||_1 calls for: up to theta9 the degree-9 approximant and no squaring,
     above it the degree-13 approximant and the squarings that take ||A||_1 to
-    theta13. A stack whose maps all take one degree is computed as it is, a
-    mixed stack as two contiguous groups gathered by degree. Each map takes
-    its own degree, balancing and scaling, and every step is a ufunc over the
-    maps of a group, so a map's bits do not depend on the stack it came in.
+    theta13. The maps of each degree are computed together, as a view where
+    they are consecutive in the stack and gathered where they are not. Each
+    map takes its own degree, balancing and scaling, and every step is a ufunc
+    over the maps of a degree, so a map's bits do not depend on the stack it
+    came in.
 
     The forcing column is first scaled by an exact 2^-k, per map, down to the
     state block's 1-norm (or theta_m), and scaled back after squaring: the
@@ -142,10 +144,8 @@ def _step_exponentials(x: np.ndarray, scratch: _Scratch | None = None) -> np.nda
 
     Every intermediate is written with `out=` into `scratch`, so the calls
     that share one reuse its memory; the result is a view into it, valid until
-    its next call. Without `scratch` a call makes its own.
+    its next call.
     """
-    if scratch is None:
-        scratch = _Scratch(x.shape[2])
     # Overflow, division by zero and invalid operations are left to the finiteness checks.
     with np.errstate(all="ignore"):
         abs_x = np.abs(x, out=scratch("tmp", x.shape))
@@ -161,9 +161,9 @@ def _step_exponentials(x: np.ndarray, scratch: _Scratch | None = None) -> np.nda
         else:
             r = scratch("stack", x.shape)
             for maps, degree9 in ((np.flatnonzero(low), True), (np.flatnonzero(~low), False)):
-                group = np.take(x, maps, axis=2, out=scratch("group", (2, 3, maps.size)),
-                                mode="clip")
-                r[..., maps] = _scaled_pade(group, col_norms.take(maps, axis=1), a_norm[maps],
+                if maps[-1] - maps[0] < maps.size:  # consecutive maps: a view, not a gather
+                    maps = slice(maps[0], maps[-1] + 1)
+                r[..., maps] = _scaled_pade(x[..., maps], col_norms[:, maps], a_norm[maps],
                                             degree9, norm, scratch)
     if not np.all(np.isfinite(r)):
         raise _not_finite(norm)
@@ -171,21 +171,18 @@ def _step_exponentials(x: np.ndarray, scratch: _Scratch | None = None) -> np.nda
 
 
 def _scaled_pade(x, col_norms, a_norm, degree9: bool, norm, scratch):
-    """`_step_exponentials` of maps that all take degree 9, or all degree 13."""
-    xs = scratch("x", x.shape)
-    if degree9:  # ||A||_1 <= theta9: only the forcing column is scaled, and nothing squared
-        k = _ceil_log2(col_norms[2] / np.maximum(a_norm, _THETA9))
-        squarings = 0
-        xs[:, :2] = x[:, :2]
-        np.multiply(x[:, 2], np.ldexp(1.0, -k), out=xs[:, 2])
-    else:
-        k = _ceil_log2(col_norms[2] / np.maximum(a_norm, _THETA13))
-        s = _ceil_log2(np.maximum(a_norm, np.ldexp(col_norms[2], -k)) / _THETA13)
-        squarings = int(s.max(initial=0))
-        if squarings >= _MAX_SQUARINGS:
-            raise _not_finite(norm)
-        # Products with exact powers of two round as ldexp would, in fewer passes.
-        np.multiply(x, np.ldexp(1.0, -np.stack([s, s, k + s])), out=xs)
+    """`_step_exponentials` of maps that all take degree 9, or all degree 13.
+
+    At degree 9 the shift takes the forcing column to at most theta9, so with
+    ||A||_1 <= theta9 no map is squared.
+    """
+    k = _ceil_log2(col_norms[2] / np.maximum(a_norm, _THETA9 if degree9 else _THETA13))
+    s = _ceil_log2(np.maximum(a_norm, np.ldexp(col_norms[2], -k)) / _THETA13)
+    squarings = int(s.max(initial=0))
+    if squarings >= _MAX_SQUARINGS:
+        raise _not_finite(norm)
+    # Products with exact powers of two round as ldexp would, in fewer passes.
+    xs = np.multiply(x, np.ldexp(1.0, -np.stack([s, s, k + s])), out=scratch("x", x.shape))
     r = _pade(xs, _PADE9 if degree9 else _PADE13, scratch)
     squared, tmp = scratch("squared", x.shape), scratch("tmp", x.shape)
     for i in range(squarings):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
@@ -226,7 +223,8 @@ def _pade(x, b, scratch):
     inner += np.multiply(x2, b[3], out=tmp)
     _add_to_diagonal(inner, b[1])
     u = _mul(x, inner, scratch("u", x.shape), tmp)
-    u[:, 2] += np.multiply(x[:, 2], b[1], out=tmp[:, 2])  # the inner sum's b1 in its last row meets w
+    # The inner sum's b1 in its last row meets w.
+    u[:, 2] += np.multiply(x[:, 2], b[1], out=tmp[:, 2])
     # q of the denominator drops out of r, so V - U is formed on the 2x2 block alone,
     # its terms above A^6 being b8 A^8 and A^6 (b12 A^6 + b10 A^4 + b8 A^2).
     a2, a4, a6 = x2[:, :2], x4[:, :2], x6[:, :2]
@@ -273,19 +271,23 @@ def _augmented(dab: DabSchedule) -> np.ndarray:
     return aug
 
 
-def _step_maps(dab: DabSchedule, intervals, durations) -> np.ndarray:
+_thread = threading.local()
+
+
+def _step_maps(aug: np.ndarray, intervals, durations) -> np.ndarray:
     """Top rows [phi | gamma] of the map of each step `intervals[i]` for `durations[i]`.
 
-    The oracle's own augmented matrices times their durations, all exponentiated
-    in one `_step_exponentials` call and returned in its (2, 3, steps) layout,
-    the steps in the order of `durations.ravel()`.
+    The `_augmented` top rows `aug` times their durations, all exponentiated in
+    one `_step_exponentials` call and returned in its (2, 3, steps) layout, the
+    steps in the order of `durations.ravel()`. The call works in its thread's
+    one scratch, grown to the largest stack yet and kept for the process, so
+    no design or measurement allocates the kernel's memory or faults it in
+    again; the result is valid until the thread's next call.
     """
-    return _exponentials(_augmented(dab), intervals, durations, _Scratch(np.size(durations)))
-
-
-def _exponentials(aug, intervals, durations, scratch: _Scratch) -> np.ndarray:
-    """`_step_maps` of the `_augmented` top rows `aug`, in `scratch`."""
     intervals = np.ravel(intervals)
+    scratch = getattr(_thread, "scratch", None)
+    if scratch is None or scratch.maps < intervals.size:
+        scratch = _thread.scratch = _Scratch(intervals.size)
     # take() keeps each of the six entries contiguous over the maps; with indices in range,
     # "clip" only spares it the temporary copy that the default mode makes of `out`.
     x = np.take(aug, intervals, axis=2, out=scratch("aug", (2, 3, intervals.size)), mode="clip")
@@ -295,10 +297,15 @@ def _exponentials(aug, intervals, durations, scratch: _Scratch) -> np.ndarray:
 
 
 def _rows(entries: np.ndarray, steps: int = 1):
-    """Tuples of floats of `steps` consecutive maps of `entries` each, every map as
-    (a00, a01, g0, a10, a11, g1) with [[a00, a01], [a10, a11]] = phi and (g0, g1) = gamma."""
+    """Tuples of floats of `steps` maps each, every map as (a00, a01, g0, a10, a11, g1) with
+    [[a00, a01], [a10, a11]] = phi and (g0, g1) = gamma.
+
+    `entries` holds `steps` equal runs of maps one after another, and the i-th
+    tuple takes the i-th map of each run.
+    """
     # Unpacked row by row as the loop takes them: a list of every row costs more than the loop.
-    return struct.iter_unpack(f"{6 * steps}d", entries.transpose(2, 0, 1).tobytes())
+    return struct.iter_unpack(f"{6 * steps}d",
+                              entries.reshape(2, 3, steps, -1).transpose(3, 2, 0, 1).tobytes())
 
 
 def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float, float]:
@@ -350,7 +357,7 @@ def _period_start(dab: DabSchedule, cfg: SimConfig):
     key = (cfg.periods, cfg.convergence_tol)
     if key not in runs:
         durations = [seg.duration for seg in dab.schedule.segments]
-        step_maps = list(_rows(_step_maps(dab, range(4), durations)))
+        step_maps = list(_rows(_step_maps(_augmented(dab), range(4), durations)))
         runs[key] = _iterate_to_period_start(step_maps, *key), step_maps
     return runs[key]
 
@@ -365,7 +372,7 @@ def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
     (x0, x1), _ = _period_start(dab, cfg)
     durations = [seg.duration for seg in dab.schedule.segments]
     substeps = cfg.substeps_per_interval
-    substep_maps = _rows(_step_maps(dab, range(4), [d / substeps for d in durations]))
+    substep_maps = _rows(_step_maps(_augmented(dab), range(4), [d / substeps for d in durations]))
 
     times = [0.0]
     states = [(x0, x1)]
@@ -442,8 +449,6 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
     k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
     unperturbed = base[intervals]
     responses = np.empty((len(freqs), 2), dtype=complex)
-    # The exponential kernel's work arrays, shared by every block and bin.
-    scratch = _Scratch(2 * min(HALF_CYCLES_PER_EXPM, n_half))
     for i, f in enumerate(freqs):
         f = float(f)
         # The whole control sequence, hence every half cycle's perturbed
@@ -457,7 +462,7 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
             bad = np.flatnonzero((durations < 0.0).any(axis=-1))[0]
             raise AmplitudeError(f"perturbation at {f!r} Hz drove a duration "
                                  f"negative at half cycle {bad}")
-        samples = _surface_samples(dab, intervals, durations, (x0, x1), k0, scratch)
+        samples = _surface_samples(dab, intervals, durations, (x0, x1), k0)
         basis = np.exp(-2j * math.pi * f * t_half * np.arange(k0, k0 + n))
         out_bin = basis @ samples
         responses[i] = ((2.0 / n) * out_bin if amp == 0.0
@@ -465,8 +470,7 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
     return responses
 
 
-def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int,
-                     scratch: _Scratch) -> np.ndarray:
+def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int) -> np.ndarray:
     """Samples c_phys RECTIFY^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`."""
     x0, x1 = x
     aug = _augmented(dab)
@@ -474,11 +478,12 @@ def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int,
     states = np.empty((n_half - first, 2, 1))
     for start in range(0, n_half, HALF_CYCLES_PER_EXPM):
         end = min(start + HALF_CYCLES_PER_EXPM, n_half)
-        # Every block's exponentials are written into the measurement's one scratch, so no
-        # block frees memory for malloc to trim off the heap and fault in again: a first
-        # 21-bin `compare` of the README reference config takes about 300 minor faults,
-        # against 3,200-3,700 with each block's work arrays allocated and freed.
-        rows = _rows(_exponentials(aug, intervals[start:end], durations[start:end], scratch), 2)
+        # The block's leading steps, then its trailing ones: where the two intervals take
+        # different Pade degrees, the maps of each degree are consecutive in the stack.
+        # The exponentials reuse the thread's one kernel scratch: a first 21-bin `compare` of
+        # the README reference config takes about 600 minor faults and later ones under 10,
+        # against about 3,800 each with the kernel's work arrays allocated per block.
+        rows = _rows(_step_maps(aug, intervals[start:end].T, durations[start:end].T), 2)
         kept = min(max(start, first), end)  # the settle window's states are not recorded
         for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in islice(rows, kept - start):
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1

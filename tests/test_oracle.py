@@ -259,7 +259,8 @@ class TestFrequencyResponse:
 
 def step_exponentials(aug):
     """The oracle's kernel on a (k, 3, 3) stack of [[a T, w T], [0, 0]], as (k, 3, 3) maps."""
-    entries = oracle._step_exponentials(np.ascontiguousarray(aug[:, :2].transpose(1, 2, 0)))
+    entries = oracle._step_exponentials(np.ascontiguousarray(aug[:, :2].transpose(1, 2, 0)),
+                                        oracle._Scratch(len(aug)))
     maps = np.zeros(aug.shape)
     maps[:, :2] = entries.transpose(2, 0, 1)
     maps[:, 2, 2] = 1.0
@@ -283,7 +284,8 @@ class TestStepExponentials:
         linalg = pytest.importorskip("scipy.linalg")
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
         reference = linalg.expm(augmented_step_matrices(dab))
-        ours = oracle._step_maps(dab, range(4), [seg.duration for seg in dab.schedule.segments])
+        durations = [seg.duration for seg in dab.schedule.segments]
+        ours = oracle._step_maps(oracle._augmented(dab), range(4), durations)
         ours = ours.transpose(2, 0, 1)
         assert max_abs_relative(ours[:, :, :2], reference[:, :2, :2]).max() <= 1e-14
         assert max_abs_relative(ours[:, :, 2:], reference[:, :2, 2:]).max() <= 1e-14
@@ -336,7 +338,7 @@ class TestStepExponentials:
 
     def test_zero_duration_is_exactly_the_identity(self, ref_dab):
         # Each step's entries (a00, a01, g0, a10, a11, g1): phi = I and gamma = 0.
-        entries = oracle._step_maps(ref_dab, range(4), [0.0] * 4)
+        entries = oracle._step_maps(oracle._augmented(ref_dab), range(4), [0.0] * 4)
         assert list(oracle._rows(entries)) == [(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)] * 4
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 800.0, 1e300])
@@ -356,7 +358,7 @@ class TestStepExponentials:
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Co=1e-300)))
         durations = [seg.duration for seg in dab.schedule.segments]
         with pytest.raises(NumericInputError, match="reaches 3.497e[+]294, beyond double"):
-            oracle._step_maps(dab, range(4), durations)
+            oracle._step_maps(oracle._augmented(dab), range(4), durations)
 
     def test_durations_that_overflow_a_t_are_refused_without_a_warning(self):
         # L 4.7e202, Co 8.5e-296 and fs 2.5e-16: the entries of a are finite, a T is not.
@@ -447,11 +449,11 @@ class TestPreRunCache:
         unperturbed = []
         step_maps = oracle._step_maps
 
-        def counting(dab, intervals, durations):
+        def counting(aug, intervals, durations):
             if (np.ravel(intervals)[:4].tolist() == [0, 1, 2, 3]
                     and np.ravel(durations)[:4].tolist() == base):
                 unperturbed.append(np.size(durations))
-            return step_maps(dab, intervals, durations)
+            return step_maps(aug, intervals, durations)
 
         monkeypatch.setattr(oracle, "_step_maps", counting)
         run_to_steady_state(dab, SimConfig())
@@ -459,6 +461,15 @@ class TestPreRunCache:
             injection = Injection(f=f, settle_periods=10, measure_periods=20)
             measure_frequency_response(dab, P_PLUS, SimConfig(injection=injection))
         assert unperturbed == [4]
+
+    def test_designs_and_measurements_share_the_thread_scratch(self, ref_params):
+        # The kernel's work arrays are made once per thread, not per design or call.
+        cfg = SimConfig(injection=Injection(f=15000.0, settle_periods=10, measure_periods=20))
+        measure_frequency_response(build_dab(ref_params), P_PLUS, cfg)
+        scratch = oracle._thread.scratch
+        measure_frequency_response(build_dab(ref_params), S_MINUS, cfg)
+        run_to_steady_state(build_dab(ref_params), SimConfig())
+        assert oracle._thread.scratch is scratch
 
     def test_callers_get_a_copy(self, ref_params):
         dab = build_dab(ref_params)
@@ -548,7 +559,7 @@ def single_step(dab, interval, duration):
     x = np.zeros((2, 3, 1))
     x[:, :2, 0] = seg.a * duration
     x[:, 2, 0] = (seg.b @ dab.schedule.u) * duration
-    return tuple(oracle._step_exponentials(x)[..., 0].ravel().tolist())
+    return tuple(oracle._step_exponentials(x, oracle._Scratch(1))[..., 0].ravel().tolist())
 
 
 def step(m, x):
