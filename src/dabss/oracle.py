@@ -11,10 +11,13 @@ integration error. Every loop steps the state by the one rule
 
 in Python floats, in that evaluation order. The module shares no code path
 with the closed-form solvers: it builds its own step matrices, takes their
-exponentials with its own element-wise Pade kernel (degree 9 or 13, as each
+exponentials with its own Pade scaling and squaring (degree 9 or 13, as each
 map's norm calls for), and imports nothing from `pwlti` or `smallsignal`,
-which is what makes it a legitimate cross-check. Each thread allocates the
-kernel's work arrays once and reuses them for all of its exponentials.
+which is what makes it a legitimate cross-check. The Pade numerator and
+denominator of each interval are tabled once per design as polynomials in
+the step's duration, so each map costs one Horner pass over its interval's
+table. Each thread allocates the kernel's work arrays once and reuses them
+for all of its exponentials, and the scalar loops read the maps in place.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -42,9 +45,8 @@ DEFAULT_AMPLITUDE_RATIO = 1e-4
 
 # Half cycles whose step maps come from one call of the oracle's exponential;
 # bounds the memory of a measurement's step maps independently of its length.
-# A call pays a fixed cost per Pade degree in its stack (some 80 numpy calls, as
-# much as about 1,000 maps' work), so blocks this long keep a design whose two
-# intervals take different degrees cheaper than one degree-13 pass per 1,024.
+# A call pays a fixed cost of some 40 numpy calls: in blocks of 1,024 the
+# oracle-compare measurements of the reference design took about 3% longer.
 HALF_CYCLES_PER_EXPM = 2048
 
 
@@ -77,21 +79,39 @@ _THETA13 = 5.371920351148152
 _MAX_SQUARINGS = 53
 
 
-class _Scratch:
-    """Work arrays of `_step_exponentials` for stacks of up to `maps` maps, which every
-    call handed this scratch reuses.
+@dataclass(frozen=True)
+class _Tables:
+    """What the oracle's exponential needs of each interval [A | w], from `_pade_tables`.
 
-    `scratch(name, shape)` is a C-contiguous view of the front of the slot
-    `name`, which holds six entries per map.
+    `coefficients[i, :, key]` holds the coefficients of sigma^i in the ten
+    entries (u00, u01, ug0, u10, u11, ug1) of U / tau and (v00, v01, v10, v11)
+    of V's state block, as (7, 10, keys), key 2 * interval for degree 9 and
+    2 * interval + 1 for degree 13. `a_norms` is ||A||_1, and `col_norms` the
+    largest column 1-norm of [A | w], which the refusal message reports.
+    `exponents` E and `gamma_exponents` F - E are those of the exact powers of
+    two in ||A||_1 = m 2^E and ||w||_1 = m' 2^F, m and m' in [0.5, 1) (or 0).
     """
 
-    SLOTS = ("aug", "stack", "col_norms", "x", "tmp", "x2", "x4", "x6", "x8", "inner", "u", "q",
-             "adj", "r", "squared")
+    coefficients: np.ndarray
+    a_norms: np.ndarray
+    col_norms: np.ndarray
+    exponents: np.ndarray
+    gamma_exponents: np.ndarray
+
+
+class _Scratch:
+    """Work arrays of `_step_maps` for stacks of up to `maps` maps, which every call
+    handed this scratch reuses.
+
+    `scratch(name, shape)` is a C-contiguous view of the front of the slot
+    `name`, which holds ENTRIES[name] entries per map.
+    """
+
+    ENTRIES = dict(h=10, term=10, r=6, squared=6, tmp=6, maps=6, sigma=1, det=1)
 
     def __init__(self, maps: int):
         self.maps = maps
-        flat = np.empty(len(self.SLOTS) * 6 * maps)
-        self._slots = dict(zip(self.SLOTS, flat.reshape(len(self.SLOTS), 6 * maps)))
+        self._slots = {name: np.empty(n * maps) for name, n in self.ENTRIES.items()}
 
     def __call__(self, name: str, shape) -> np.ndarray:
         return self._slots[name][:math.prod(shape)].reshape(shape)
@@ -109,203 +129,166 @@ def _mul(p, q, out, tmp):
     return out
 
 
-def _add_to_diagonal(m, c):
-    """m[:, :2] + c I in place, for each map of a (2, 2 or 3, N) stack."""
-    m[0, 0] += c
-    m[1, 1] += c
-
-
 def _ceil_log2(ratio):
     """ceil(log2(ratio)), at least 0, exactly from the binary exponent."""
     mantissa, exponent = np.frexp(ratio)
     return np.maximum(exponent - (mantissa == 0.5), 0)
 
 
-def _step_exponentials(x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """Top rows [phi | gamma] of [[phi, gamma], [0, 1]] = exp([[A, w], [0, 0]]), per map.
+def _pade_tables(aug: np.ndarray) -> _Tables:
+    """The `_Tables` of the intervals whose top rows [A | w] `aug` holds, as (2, 3, n).
 
-    `x` holds the top rows [A | w], shape (2, 3, N), one map per last index,
-    and the result has the same layout. Pade scaling and squaring (Higham,
-    SIAM J. Matrix Anal. Appl. 26(4), 2005) at the degree that each map's own
-    ||A||_1 calls for: up to theta9 the degree-9 approximant and no squaring,
-    above it the degree-13 approximant and the squarings that take ||A||_1 to
-    theta13. The maps of each degree are computed together, as a view where
-    they are consecutive in the stack and gathered where they are not. Each
-    map takes its own degree, balancing and scaling, and every step is a ufunc
-    over the maps of a degree, so a map's bits do not depend on the stack it
-    came in.
-
-    The forcing column is first scaled by an exact 2^-k, per map, down to the
-    state block's 1-norm (or theta_m), and scaled back after squaring: the
-    similarity diag(1, 1, 2^-k) commutes with exp, and w T, mostly Vin T / L,
-    would otherwise set the squaring count. At degree 9, which does not square,
-    the shift only keeps the powers of a forcing column near the overflow
-    threshold finite; short of that it moves no bit.
-
-    Every intermediate is written with `out=` into `scratch`, so the calls
-    that share one reuse its memory; the result is a view into it, valid until
-    its next call.
+    A step of duration t through [A | w] maps by exp(M t), M = [[A, w], [0, 0]].
+    With A = 2^E A' and w = 2^F w'' for the exponents of `_Tables`, the powers of
+    the step scaled by 2^-s, X = M t 2^-s, are X^j = [[A'^j, 2^(F-E) A'^(j-1) w''],
+    [0, 0]] tau^j, tau = t 2^(E-s). So each entry of the Pade numerator U (the
+    terms b_j X^j of odd j) and denominator V (even j) is a polynomial in tau, whose
+    coefficients b_j times the top rows of [[A', w''], [0, 0]]^j are tabled here:
+    degree 13's seven terms in sigma = tau^2, and degree 9's five padded with
+    zeros to seven. The factor 2^(F-E) stays out of the tables, since the result's
+    forcing column is linear in U's, through the squarings too. Every scale is an
+    exact power of two, so short of over- or underflow it moves no bit, and no
+    power of a time-scaled design (||A||_1 of 1e155, say) overflows.
     """
-    # Overflow, division by zero and invalid operations are left to the finiteness checks.
+    n = aug.shape[2]
+    # Entries that are not finite are left to the finiteness checks of `_step_maps`.
     with np.errstate(all="ignore"):
-        abs_x = np.abs(x, out=scratch("tmp", x.shape))
-        col_norms = np.add(abs_x[0], abs_x[1], out=scratch("col_norms", x.shape[1:]))
-        a_norm = np.maximum(col_norms[0], col_norms[1])
-        norm = col_norms.max(initial=0.0)
-        if not math.isfinite(norm):
-            raise _not_finite(norm)
-        low = a_norm <= _THETA9
-        n_low = np.count_nonzero(low)
-        if n_low in (0, low.size):
-            r = _scaled_pade(x, col_norms, a_norm, n_low > 0, norm, scratch)
-        else:
-            r = scratch("stack", x.shape)
-            for maps, degree9 in ((np.flatnonzero(low), True), (np.flatnonzero(~low), False)):
-                if maps[-1] - maps[0] < maps.size:  # consecutive maps: a view, not a gather
-                    maps = slice(maps[0], maps[-1] + 1)
-                r[..., maps] = _scaled_pade(x[..., maps], col_norms[:, maps], a_norm[maps],
-                                            degree9, norm, scratch)
-    if not np.all(np.isfinite(r)):
-        raise _not_finite(norm)
-    return r
-
-
-def _scaled_pade(x, col_norms, a_norm, degree9: bool, norm, scratch):
-    """`_step_exponentials` of maps that all take degree 9, or all degree 13.
-
-    At degree 9 the shift takes the forcing column to at most theta9, so with
-    ||A||_1 <= theta9 no map is squared.
-    """
-    k = _ceil_log2(col_norms[2] / np.maximum(a_norm, _THETA9 if degree9 else _THETA13))
-    s = _ceil_log2(np.maximum(a_norm, np.ldexp(col_norms[2], -k)) / _THETA13)
-    squarings = int(s.max(initial=0))
-    if squarings >= _MAX_SQUARINGS:
-        raise _not_finite(norm)
-    # Products with exact powers of two round as ldexp would, in fewer passes.
-    xs = np.multiply(x, np.ldexp(1.0, -np.stack([s, s, k + s])), out=scratch("x", x.shape))
-    r = _pade(xs, _PADE9 if degree9 else _PADE13, scratch)
-    squared, tmp = scratch("squared", x.shape), scratch("tmp", x.shape)
-    for i in range(squarings):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
-        _mul(r, r, squared, tmp)
-        squared[:, 2] += r[:, 2]
-        np.copyto(r, squared, where=s > i)
-    r[:, 2] *= np.ldexp(1.0, k)
-    return r
-
-
-def _pade(x, b, scratch):
-    """Top rows of the Pade approximant r(M) = (V - U)^-1 (V + U) with the coefficients `b`
-    of degree 9 or 13, for M = [[A, w], [0, 0]] of top rows `x`.
-
-    Every power M^k = [[A^k, A^(k-1) w], [0, 0]] and every sum of them keeps a
-    last row that is zero but for the identity's 1, so only top rows are
-    formed. The denominator [[Q, q], [0, b0]] leaves q out of
-    r = I + 2 (V - U)^-1 U, so only the 2x2 Q is inverted, by its adjugate
-    (well conditioned at a scaled 1-norm of at most theta_m).
-    """
-    tmp = scratch("tmp", x.shape)
-    x2 = _mul(x, x, scratch("x2", x.shape), tmp)
-    x4 = _mul(x2, x2, scratch("x4", x.shape), tmp)
-    x6 = _mul(x2, x4, scratch("x6", x.shape), tmp)
-    # U = M (b_m M^(m-1) + ... + b3 M^2 + b1 I) with its inner sum in `inner`, whose
-    # terms above M^6 are b9 M^8 at degree 9 and M^6 (b13 M^6 + b11 M^4 + b9 M^2) at 13.
-    inner = scratch("inner", x.shape)
-    if b is _PADE13:
-        np.multiply(x6, b[13], out=tmp)
-        tmp += np.multiply(x4, b[11], out=inner)
-        tmp += np.multiply(x2, b[9], out=inner)
-        _mul(x6, tmp, inner, scratch("u", x.shape))
-    else:
-        x8 = _mul(x4, x4, scratch("x8", x.shape), tmp)
-        np.multiply(x8, b[9], out=inner)
-    inner += np.multiply(x6, b[7], out=tmp)
-    inner += np.multiply(x4, b[5], out=tmp)
-    inner += np.multiply(x2, b[3], out=tmp)
-    _add_to_diagonal(inner, b[1])
-    u = _mul(x, inner, scratch("u", x.shape), tmp)
-    # The inner sum's b1 in its last row meets w.
-    u[:, 2] += np.multiply(x[:, 2], b[1], out=tmp[:, 2])
-    # q of the denominator drops out of r, so V - U is formed on the 2x2 block alone,
-    # its terms above A^6 being b8 A^8 and A^6 (b12 A^6 + b10 A^4 + b8 A^2).
-    a2, a4, a6 = x2[:, :2], x4[:, :2], x6[:, :2]
-    q, tmp2 = scratch("q", a2.shape), tmp[:, :2]
-    if b is _PADE13:
-        np.multiply(a6, b[12], out=inner[:, :2])
-        inner[:, :2] += np.multiply(a4, b[10], out=tmp2)
-        inner[:, :2] += np.multiply(a2, b[8], out=tmp2)
-        _mul(a6, inner[:, :2], q, tmp2)
-    else:
-        np.multiply(x8[:, :2], b[8], out=q)
-    q += np.multiply(a6, b[6], out=tmp2)
-    q += np.multiply(a4, b[4], out=tmp2)
-    q += np.multiply(a2, b[2], out=tmp2)
-    _add_to_diagonal(q, b[0])
-    q -= u[:, :2]
-    adj = scratch("adj", a2.shape)
-    adj[0, 0], adj[1, 1] = q[1, 1], q[0, 0]
-    np.negative(q[0, 1], out=adj[0, 1])
-    np.negative(q[1, 0], out=adj[1, 0])
-    r = _mul(adj, u, scratch("r", x.shape), tmp)
-    r *= 2.0
-    det = np.multiply(q[0, 0], q[1, 1], out=inner[0, 0])
-    det -= np.multiply(q[0, 1], q[1, 0], out=inner[0, 1])
-    r /= det
-    _add_to_diagonal(r, 1.0)
-    return r
-
-
-def _not_finite(norm: float) -> NumericInputError:
-    return NumericInputError(
-        "matrix exponential is not finite: the 1-norm of a*t (state matrix times "
-        f"duration) reaches {norm:.3e}, beyond double precision")
-
-
-def _augmented(dab: DabSchedule) -> np.ndarray:
-    """Top rows [a | b u] of the oracle's own augmented matrices [[a, b u], [0, 0]] of
-    the four intervals, as (2, 3, 4)."""
-    aug = np.empty((2, 3, 4))
-    with np.errstate(over="ignore", invalid="ignore"):  # not finite: _step_exponentials raises
-        for i, seg in enumerate(dab.schedule.segments):
-            aug[:, :2, i] = seg.a
-            aug[:, 2, i] = seg.b @ dab.schedule.u
-    return aug
+        col_norms = np.abs(aug).sum(axis=0)
+        a_norms = col_norms[:2].max(axis=0)
+        exponents, w_exponents = np.frexp(a_norms)[1], np.frexp(col_norms[2])[1]
+        powers, tmp = np.zeros((14, 2, 3, n)), np.empty((2, 3, n))
+        powers[0, 0, 0] = powers[0, 1, 1] = 1.0
+        powers[1, :, :2] = np.ldexp(aug[:, :2], -exponents)
+        powers[1, :, 2] = np.ldexp(aug[:, 2], -w_exponents)
+        for j in range(2, 14):
+            _mul(powers[1], powers[j - 1], powers[j], tmp)
+        coefficients = np.zeros((7, 10, n, 2))
+        for degree, b in enumerate((_PADE9, _PADE13)):
+            for j, b_j in enumerate(b):
+                if j % 2:
+                    coefficients[j // 2, :6, :, degree] = b_j * powers[j].reshape(6, n)
+                else:
+                    coefficients[j // 2, 6:, :, degree] = b_j * powers[j, :, :2].reshape(4, n)
+    return _Tables(coefficients.reshape(7, 10, 2 * n), a_norms, col_norms.max(axis=0),
+                   exponents, w_exponents - exponents)
 
 
 _thread = threading.local()
 
 
-def _step_maps(aug: np.ndarray, intervals, durations) -> np.ndarray:
-    """Top rows [phi | gamma] of the map of each step `intervals[i]` for `durations[i]`.
+def _step_maps(tables: _Tables, intervals, durations) -> np.ndarray:
+    """Maps [phi | gamma] = top rows of exp([[A, w], [0, 0]] t) of the steps `intervals[i]`
+    for `durations[i]`, from the `tables` of their intervals.
 
-    The `_augmented` top rows `aug` times their durations, all exponentiated in
-    one `_step_exponentials` call and returned in its (2, 3, steps) layout, the
-    steps in the order of `durations.ravel()`. The call works in its thread's
-    one scratch, grown to the largest stack yet and kept for the process, so
-    no design or measurement allocates the kernel's memory or faults it in
-    again; the result is valid until the thread's next call.
+    Returns one C-contiguous (steps, 2, 3) array, the steps in the order of
+    `durations.ravel()`. Pade scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26(4), 2005) at the degree that each map's own ||A t||_1 calls for: up
+    to theta9 the degree-9 approximant and no squaring, above it the degree-13
+    approximant and the squarings that take ||A t||_1 to theta13. Every step is a
+    ufunc over all maps of the stack at once, one pass for both degrees, so a
+    map's bits do not depend on the stack it came in.
+
+    The call works in its thread's one scratch, grown to the largest stack yet and
+    kept for the process, so no design or measurement allocates the kernel's
+    memory or faults it in again; the result is a view into it, valid until the
+    thread's next call.
     """
-    intervals = np.ravel(intervals)
+    intervals, t = np.ravel(intervals), np.ravel(durations)
     scratch = getattr(_thread, "scratch", None)
-    if scratch is None or scratch.maps < intervals.size:
-        scratch = _thread.scratch = _Scratch(intervals.size)
-    # take() keeps each of the six entries contiguous over the maps; with indices in range,
-    # "clip" only spares it the temporary copy that the default mode makes of `out`.
-    x = np.take(aug, intervals, axis=2, out=scratch("aug", (2, 3, intervals.size)), mode="clip")
-    with np.errstate(over="ignore", invalid="ignore"):
-        x *= np.ravel(durations)
-    return _step_exponentials(x, scratch)
+    if scratch is None or scratch.maps < t.size:
+        scratch = _thread.scratch = _Scratch(t.size)
+    # Overflow, division by zero and invalid operations are left to the finiteness checks.
+    with np.errstate(all="ignore"):
+        a_norm = tables.a_norms[intervals] * t
+        top = a_norm.max(initial=0.0)
+        s = _ceil_log2(a_norm / _THETA13) if top > _THETA13 else 0
+        squarings = int(np.max(s))
+        if squarings >= _MAX_SQUARINGS or not math.isfinite(top):
+            raise _not_finite(tables, intervals, t)
+        tau = np.ldexp(t, tables.exponents[intervals] - s)
+        # Horner from the highest term that a map of the stack needs, degree 13's seventh or
+        # degree 9's fifth: the terms above it are 0 for every map, so they move no bit.
+        terms = tables.coefficients[:7 if top > _THETA9 else 5]
+        r = _pade(terms, 2 * intervals + (a_norm > _THETA9), tau, scratch)
+        squared, tmp = scratch("squared", r.shape), scratch("tmp", r.shape)
+        for i in range(squarings):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
+            _mul(r, r, squared, tmp)
+            squared[:, 2] += r[:, 2]
+            np.copyto(r, squared, where=s > i)
+        np.ldexp(r[:, 2], tables.gamma_exponents[intervals], out=r[:, 2])
+        maps = scratch("maps", (t.size, 2, 3))
+        np.copyto(maps.transpose(1, 2, 0), r)
+    if not np.all(np.isfinite(maps)):
+        raise _not_finite(tables, intervals, t)
+    return maps
+
+
+def _pade(terms, keys, tau, scratch):
+    """Top rows of the Pade approximant r = (V - U)^-1 (V + U) of each map, with U and V
+    from the coefficient `terms` of its key at its `tau`, as (2, 3, maps).
+
+    A map's ten entries of U / tau and of V's state block are one Horner pass in
+    sigma = tau^2 over its key's terms; where a degree-9 key meets the two
+    leading terms of degree 13, they are 0, and 0 sigma + 0 is exactly 0. The
+    denominator [[Q, q], [0, b0]] leaves q out of r = I + 2 (V - U)^-1 U, U's
+    last row being zero, so only the 2x2 Q is inverted, by its adjugate (well
+    conditioned at a scaled 1-norm of at most theta_m).
+    """
+    n = tau.size
+    sigma = np.multiply(tau, tau, out=scratch("sigma", (n,)))
+    h, term = scratch("h", (10, n)), scratch("term", (10, n))
+    # take() keeps each entry contiguous over the maps; with keys in range, "clip" only
+    # spares it the temporary copy that the default mode makes of `out`.
+    np.take(terms[-1], keys, axis=1, out=h, mode="clip")
+    for c in terms[-2::-1]:
+        h *= sigma
+        h += np.take(c, keys, axis=1, out=term, mode="clip")
+    u, q = h[:6].reshape(2, 3, n), h[6:].reshape(2, 2, n)
+    u *= tau
+    q -= u[:, :2]
+    r, tmp = scratch("r", (2, 3, n)), scratch("tmp", (3, n))
+    np.multiply(q[1, 1], u[0], out=r[0])  # adj(Q) U, row by row
+    r[0] -= np.multiply(q[0, 1], u[1], out=tmp)
+    np.multiply(q[0, 0], u[1], out=r[1])
+    r[1] -= np.multiply(q[1, 0], u[0], out=tmp)
+    det = np.multiply(q[0, 0], q[1, 1], out=scratch("det", (n,)))
+    det -= np.multiply(q[0, 1], q[1, 0], out=tmp[0])
+    det *= 0.5  # 2 adj(Q) U / det, with the exact factor 2 taken on det alone
+    r /= det
+    r[0, 0] += 1.0
+    r[1, 1] += 1.0
+    return r
+
+
+def _not_finite(tables: _Tables, intervals, t) -> NumericInputError:
+    with np.errstate(all="ignore"):
+        norm = np.max(tables.col_norms[intervals] * t, initial=0.0)
+    return NumericInputError(
+        "matrix exponential is not finite: the 1-norm of a*t (state matrix times "
+        f"duration) reaches {norm:.3e}, beyond double precision")
+
+
+def _tables(dab: DabSchedule) -> _Tables:
+    """The `_pade_tables` of the oracle's own augmented matrices [[a, b u], [0, 0]] of the
+    four intervals, made once per design and kept on it, as `_period_start` keeps its runs."""
+    if "_oracle_tables" not in vars(dab):
+        aug = np.empty((2, 3, 4))
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: _step_maps raises
+            for i, seg in enumerate(dab.schedule.segments):
+                aug[:, :2, i] = seg.a
+                aug[:, 2, i] = seg.b @ dab.schedule.u
+        vars(dab)["_oracle_tables"] = _pade_tables(aug)
+    return vars(dab)["_oracle_tables"]
 
 
 def _rows(entries: np.ndarray, steps: int = 1):
-    """Tuples of floats of `steps` maps each, every map as (a00, a01, g0, a10, a11, g1) with
-    [[a00, a01], [a10, a11]] = phi and (g0, g1) = gamma.
+    """Tuples of floats of `steps` consecutive maps each, every map as (a00, a01, g0, a10,
+    a11, g1) with [[a00, a01], [a10, a11]] = phi and (g0, g1) = gamma.
 
-    `entries` holds `steps` equal runs of maps one after another, and the i-th
-    tuple takes the i-th map of each run.
+    The tuples are read from `entries`, a `_step_maps` result, in place, so they must be
+    read before the thread's next `_step_maps` call.
     """
-    # Unpacked row by row as the loop takes them: a list of every row costs more than the loop.
-    return struct.iter_unpack(f"{6 * steps}d",
-                              entries.reshape(2, 3, steps, -1).transpose(3, 2, 0, 1).tobytes())
+    return struct.iter_unpack(f"{6 * steps}d", entries)
 
 
 def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float, float]:
@@ -357,7 +340,7 @@ def _period_start(dab: DabSchedule, cfg: SimConfig):
     key = (cfg.periods, cfg.convergence_tol)
     if key not in runs:
         durations = [seg.duration for seg in dab.schedule.segments]
-        step_maps = list(_rows(_step_maps(_augmented(dab), range(4), durations)))
+        step_maps = list(_rows(_step_maps(_tables(dab), range(4), durations)))
         runs[key] = _iterate_to_period_start(step_maps, *key), step_maps
     return runs[key]
 
@@ -372,7 +355,7 @@ def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
     (x0, x1), _ = _period_start(dab, cfg)
     durations = [seg.duration for seg in dab.schedule.segments]
     substeps = cfg.substeps_per_interval
-    substep_maps = _rows(_step_maps(_augmented(dab), range(4), [d / substeps for d in durations]))
+    substep_maps = _rows(_step_maps(_tables(dab), range(4), [d / substeps for d in durations]))
 
     times = [0.0]
     states = [(x0, x1)]
@@ -473,17 +456,14 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
 def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int) -> np.ndarray:
     """Samples c_phys RECTIFY^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`."""
     x0, x1 = x
-    aug = _augmented(dab)
+    tables = _tables(dab)
     n_half = len(durations)
     states = np.empty((n_half - first, 2, 1))
     for start in range(0, n_half, HALF_CYCLES_PER_EXPM):
         end = min(start + HALF_CYCLES_PER_EXPM, n_half)
-        # The block's leading steps, then its trailing ones: where the two intervals take
-        # different Pade degrees, the maps of each degree are consecutive in the stack.
-        # The exponentials reuse the thread's one kernel scratch: a first 21-bin `compare` of
-        # the README reference config takes about 600 minor faults and later ones under 10,
-        # against about 3,800 each with the kernel's work arrays allocated per block.
-        rows = _rows(_step_maps(aug, intervals[start:end].T, durations[start:end].T), 2)
+        # A half cycle's two maps are consecutive in the stack, so each row is one half cycle,
+        # read in place from the thread's kernel scratch before the next block's call.
+        rows = _rows(_step_maps(tables, intervals[start:end], durations[start:end]), 2)
         kept = min(max(start, first), end)  # the settle window's states are not recorded
         for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in islice(rows, kept - start):
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1

@@ -572,6 +572,15 @@ class TestValuesAtTheEdgeOfDoublePrecision:
             if code == 2:
                 assert len(err) == 1 and "control-input vectors are not finite" in err[0], err
 
+    def test_a_time_scaled_design_simulates_and_compares(self, config_file, tmp_path):
+        # L and Co times 1e-150 and fs times 1e150: ||a||_1 near 1e155, every a T as in the
+        # reference design. A RuntimeWarning fails the suite.
+        path = config_file(converter=dict(REFERENCE_KWARGS, L=10e-156, Co=100e-156, fs=100e153))
+        for command in ("simulate", "compare"):
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, path, "--out", str(out)]) == 0, command
+            assert out.stat().st_size > 0, command
+
     def test_a_small_ramp_amplitude_verifies_without_a_warning(self, config_file, capsys):
         # Vr = 10^-k scales every transfer by 10^k: from k = 151 on, sums of squares in
         # verify's norms overflow unless scaled (hypot's form, from 1e150 on). From k = 305

@@ -258,17 +258,17 @@ class TestFrequencyResponse:
 
 
 def step_exponentials(aug):
-    """The oracle's kernel on a (k, 3, 3) stack of [[a T, w T], [0, 0]], as (k, 3, 3) maps."""
-    entries = oracle._step_exponentials(np.ascontiguousarray(aug[:, :2].transpose(1, 2, 0)),
-                                        oracle._Scratch(len(aug)))
+    """The oracle's kernel on a (k, 3, 3) stack of [[a T, w T], [0, 0]], as (k, 3, 3) maps:
+    each matrix the table of an interval of its own, stepped for a duration of 1."""
+    tables = oracle._pade_tables(np.ascontiguousarray(aug[:, :2].transpose(1, 2, 0)))
     maps = np.zeros(aug.shape)
-    maps[:, :2] = entries.transpose(2, 0, 1)
+    maps[:, :2] = oracle._step_maps(tables, range(len(aug)), np.ones(len(aug)))
     maps[:, 2, 2] = 1.0
     return maps
 
 
 class TestStepExponentials:
-    """The oracle's element-wise Pade kernel against scipy.linalg.expm, a reference for
+    """The oracle's Pade kernel against scipy.linalg.expm, a reference for
     the tests only, on the sets that check pwlti.augmented_expm."""
 
     def test_matches_scipy_on_random_designs(self):
@@ -285,8 +285,7 @@ class TestStepExponentials:
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
         reference = linalg.expm(augmented_step_matrices(dab))
         durations = [seg.duration for seg in dab.schedule.segments]
-        ours = oracle._step_maps(oracle._augmented(dab), range(4), durations)
-        ours = ours.transpose(2, 0, 1)
+        ours = oracle._step_maps(oracle._tables(dab), range(4), durations)
         assert max_abs_relative(ours[:, :, :2], reference[:, :2, :2]).max() <= 1e-14
         assert max_abs_relative(ours[:, :, 2:], reference[:, :2, 2:]).max() <= 1e-14
 
@@ -326,19 +325,45 @@ class TestStepExponentials:
         degrees = []
         pade = oracle._pade
 
-        def counting(x, b, scratch):
-            degrees.append(len(b) - 1)
-            return pade(x, b, scratch)
+        def counting(terms, keys, tau, scratch):
+            # Odd keys are the intervals' degree-13 tables, even ones their degree-9 tables.
+            degrees.append((len(terms), {13 if key % 2 else 9 for key in keys.tolist()}))
+            return pade(terms, keys, tau, scratch)
 
         monkeypatch.setattr(oracle, "_pade", counting)
         ours, reference = step_exponentials(aug), mpmath_expm(aug, dps=50)
-        assert degrees == [9 if norm <= oracle._THETA9 else 13]
+        assert degrees == [(5, {9}) if norm <= oracle._THETA9 else (7, {13})]
         assert max_abs_relative(ours[:, :2, :2], reference[:, :2, :2]).max() <= 1e-15
         assert max_abs_relative(ours[:, :2, 2:], reference[:, :2, 2:]).max() <= 1e-15
 
+    def test_a_time_scaled_design_keeps_its_step_maps(self, ref_dab):
+        # L and Co times 1e-150 and fs times 1e150 leave every a T as it is, with ||a||_1
+        # near 1e155, whose powers overflow unless each interval's table is scaled by a power
+        # of two. Row-relative, measured 1.1e-16; 4.8e-16 with a T formed per map instead.
+        scaled = build_dab(DabParams(**dict(REFERENCE_KWARGS, L=10e-156, Co=100e-156,
+                                            fs=100e153)))
+        assert max(np.abs(seg.a).sum(axis=0).max() for seg in scaled.schedule.segments) > 1e155
+        maps = [oracle._step_maps(oracle._tables(dab), range(4),
+                                  [seg.duration for seg in dab.schedule.segments]).copy()
+                for dab in (ref_dab, scaled)]
+        rows = np.abs(maps[1] - maps[0]).max(axis=2) / np.abs(maps[0]).max(axis=2)
+        assert rows.max() <= 2e-15
+
+    def test_a_forcing_column_near_the_overflow_threshold_keeps_its_step_maps(self, ref_dab):
+        # Vin of 1e300 puts b u near 1e305, whose degree-9 terms b_j a^(j-1) b u would
+        # overflow unless its own power of two scales it. phi does not see Vin; gamma scales
+        # with it, measured within 2.1e-16 here and with a T formed per map.
+        loud = build_dab(DabParams(**dict(REFERENCE_KWARGS, Vin=1e300)))
+        maps = [oracle._step_maps(oracle._tables(dab), range(4),
+                                  [seg.duration for seg in dab.schedule.segments]).copy()
+                for dab in (ref_dab, loud)]
+        np.testing.assert_array_equal(maps[1][..., :2], maps[0][..., :2])
+        gamma = maps[0][..., 2]
+        assert np.abs(maps[1][..., 2] / 1e298 - gamma).max() <= 1e-15 * np.abs(gamma).max()
+
     def test_zero_duration_is_exactly_the_identity(self, ref_dab):
         # Each step's entries (a00, a01, g0, a10, a11, g1): phi = I and gamma = 0.
-        entries = oracle._step_maps(oracle._augmented(ref_dab), range(4), [0.0] * 4)
+        entries = oracle._step_maps(oracle._tables(ref_dab), range(4), [0.0] * 4)
         assert list(oracle._rows(entries)) == [(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)] * 4
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 800.0, 1e300])
@@ -358,7 +383,7 @@ class TestStepExponentials:
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Co=1e-300)))
         durations = [seg.duration for seg in dab.schedule.segments]
         with pytest.raises(NumericInputError, match="reaches 3.497e[+]294, beyond double"):
-            oracle._step_maps(oracle._augmented(dab), range(4), durations)
+            oracle._step_maps(oracle._tables(dab), range(4), durations)
 
     def test_durations_that_overflow_a_t_are_refused_without_a_warning(self):
         # L 4.7e202, Co 8.5e-296 and fs 2.5e-16: the entries of a are finite, a T is not.
@@ -449,11 +474,11 @@ class TestPreRunCache:
         unperturbed = []
         step_maps = oracle._step_maps
 
-        def counting(aug, intervals, durations):
+        def counting(tables, intervals, durations):
             if (np.ravel(intervals)[:4].tolist() == [0, 1, 2, 3]
                     and np.ravel(durations)[:4].tolist() == base):
                 unperturbed.append(np.size(durations))
-            return step_maps(aug, intervals, durations)
+            return step_maps(tables, intervals, durations)
 
         monkeypatch.setattr(oracle, "_step_maps", counting)
         run_to_steady_state(dab, SimConfig())
@@ -555,11 +580,7 @@ class TestMultiBin:
 def single_step(dab, interval, duration):
     """One oracle step's entries (a00, a01, g0, a10, a11, g1), from its own call of the
     oracle's exponential."""
-    seg = dab.schedule.segments[interval]
-    x = np.zeros((2, 3, 1))
-    x[:, :2, 0] = seg.a * duration
-    x[:, 2, 0] = (seg.b @ dab.schedule.u) * duration
-    return tuple(oracle._step_exponentials(x, oracle._Scratch(1))[..., 0].ravel().tolist())
+    return tuple(oracle._step_maps(oracle._tables(dab), [interval], [duration]).ravel().tolist())
 
 
 def step(m, x):
