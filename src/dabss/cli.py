@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 configuration problem,
 amplitude violation. Result data goes to output files (or stdout for the
 verify table); diagnostics go to stderr. File writes are
 write-temp-then-rename so a failing command never leaves partial output,
-and all output is byte deterministic for identical inputs. Only `simulate`
-and `compare` import the simulator, `dabss.oracle`, in their own bodies.
+and all output is byte deterministic for identical inputs. Each command imports
+what it runs: `steady-state` loads no numpy, `verify`, `bode` and `compare` load
+`dabss.smallsignal`, and `simulate` and `compare` the simulator, `dabss.oracle`.
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, pwlti
+from . import __version__
 from .config import AppConfig, load_config
-from .dab import DabSchedule, build_dab, solve_half_cycle
+from .core import eigenvalues, fixed_point, planar_residual
+from .dab import SURFACES, DabSchedule, build_dab, half_cycle_fixed_point
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError, ParameterError, ResolventSingularityError)
-from .pwlti import closed_form_state, monodromy, relative_residual, solve_periodic_fixed_point
-from .smallsignal import (SURFACES, bode_sweep, half_cycle_model, identity_checks,
-                          sweep_frequencies, transfer_fixed_freq)
 
 
 def _fmt(value: float) -> str:
@@ -82,13 +79,16 @@ def _surfaces(cfg: AppConfig) -> dict:
 
 
 def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
+    # The period map's six floats: the fixed point, its closure Pi x + forcing and eigenvalues.
+    p00, p01, p10, p11, g0, g1 = period = dab.schedule._period
     if args.method == "full":
-        x_star = solve_periodic_fixed_point(dab.schedule)
+        x_star = fixed_point(period, "periodic solve")
     else:
-        x_star = solve_half_cycle(dab)
-    residual = relative_residual(closed_form_state(dab.schedule, x_star), x_star)
-    eigs = sorted(pwlti.eigenvalues(*monodromy(dab.schedule).ravel().tolist()),
-                  key=lambda e: (e.real, e.imag))
+        x_star = half_cycle_fixed_point(dab, 1, "half-cycle solve")[1]
+    x0, x1 = x_star
+    residual = planar_residual((p00 * x0 + p01 * x1 + g0, 0.0, p10 * x0 + p11 * x1 + g1, 0.0),
+                               (x0, 0.0, x1, 0.0))
+    eigs = sorted(eigenvalues(p00, p01, p10, p11), key=lambda e: (e.real, e.imag))
     eig_rows = ",\n    ".join(f"[{_fmt(e.real)}, {_fmt(e.imag)}]" for e in eigs)
     text = (
         "{\n"
@@ -102,6 +102,7 @@ def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
 
 
 def cmd_verify(args, cfg: AppConfig, dab: DabSchedule) -> int:
+    from .smallsignal import identity_checks, sweep_frequencies
     sweep = cfg.sweep
     checks = identity_checks(
         dab, cfg.tolerances, _surfaces(cfg),
@@ -123,6 +124,7 @@ def cmd_verify(args, cfg: AppConfig, dab: DabSchedule) -> int:
 
 
 def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
+    from .smallsignal import bode_sweep
     surface = _surfaces(cfg)[args.surface]
     sweep = cfg.sweep
     kinds = ("fix", "sc") if args.model == "both" else (args.model,)
@@ -165,6 +167,7 @@ def cmd_simulate(args, cfg: AppConfig, dab: DabSchedule) -> int:
 
 
 def _coherent_frequencies(cfg: AppConfig, t_half: float) -> list[float]:
+    from .smallsignal import sweep_frequencies
     # Snap every sweep point to the coherent bin grid m / (measure_periods * Ts),
     # keeping 1 <= m < measure_periods so the injected sinusoid never lands on
     # dc or on the surface Nyquist point.
@@ -185,7 +188,10 @@ def _coherent_frequencies(cfg: AppConfig, t_half: float) -> list[float]:
 
 
 def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
+    import numpy as np
     from .oracle import measure_frequency_responses, run_to_steady_state
+    from .pwlti import relative_residual, solve_periodic_fixed_point
+    from .smallsignal import half_cycle_model, transfer_fixed_freq
     surface = _surfaces(cfg)["P+"]
     model = half_cycle_model(dab, surface)
 

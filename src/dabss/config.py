@@ -15,9 +15,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .dab import DabParams
+from .dab import SURFACES, DabParams
 from .errors import ConfigError, ParameterError
-from .smallsignal import SURFACES
 
 
 @dataclass(frozen=True)

@@ -15,27 +15,35 @@ the first, so a half-cycle solve with a current-flip boundary condition
 reproduces the full-period steady state; `half_cycle_map` forms that map for
 it and for every sampled surface model. `verify_symmetry` measures the
 conjugation identities numerically instead of trusting the construction.
+The model is Python floats, and arrays are made when first asked for (no numpy import).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import pwlti
+from .core import IdentityCheck, compose, fixed_point, planar_residual
 from .errors import ParameterError
-from .pwlti import IdentityCheck, Schedule, Segment, compose, planar_residual
+from .pwlti import Schedule, Segment, _frozen_array
 
-# Involutions of the [i_L, v_C] state.
+if TYPE_CHECKING:
+    import numpy as np
+
+# Involutions of the [i_L, v_C] state, read-only arrays made on first use (`__getattr__`).
 # FLIP_VOLTAGE conjugates the reversed-coupling intervals onto the forward
 # ones; FLIP_CURRENT is the half-wave symmetry boundary condition. RECTIFY,
 # the fixed inductor-current sign flip of the sampled-data models, is the
 # same matrix under the name its role there calls for.
-FLIP_VOLTAGE = pwlti._frozen_array([[1.0, 0.0], [0.0, -1.0]])
-FLIP_CURRENT = pwlti._frozen_array([[-1.0, 0.0], [0.0, 1.0]])
-RECTIFY = FLIP_CURRENT
+def __getattr__(name: str):
+    if name not in ("FLIP_VOLTAGE", "FLIP_CURRENT", "RECTIFY"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    flip_current = _frozen_array([[-1.0, 0.0], [0.0, 1.0]])
+    globals().update(FLIP_VOLTAGE=_frozen_array([[1.0, 0.0], [0.0, -1.0]]),
+                     FLIP_CURRENT=flip_current, RECTIFY=flip_current)
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,36 @@ class DabParams:
 
 
 @dataclass(frozen=True)
+class Surface:
+    """One sampling surface: the pair of consecutive intervals (a, b) it spans.
+
+    `polarity` is the comparator logic sign: -1 for the primary-bridge surfaces, +1 for the
+    secondary-bridge surfaces. The canonical instances below carry the correct sign;
+    constructing a Surface with the opposite sign is possible but is meaningful only for
+    sign-mismatch diagnostics."""
+
+    label: str
+    a: int
+    b: int
+    polarity: int
+
+    def __post_init__(self):
+        if (self.a, self.b) not in {(1, 2), (2, 3), (3, 4), (4, 1)}:
+            raise ValueError(f"surface intervals must be consecutive, got ({self.a}, {self.b})")
+        if self.polarity not in (-1, 1):
+            raise ValueError(f"surface polarity must be +-1, got {self.polarity!r}")
+        if not self.label:
+            raise ValueError("surface label must be non-empty")
+
+
+P_PLUS = Surface("P+", 1, 2, -1)
+S_PLUS = Surface("S+", 2, 3, +1)
+P_MINUS = Surface("P-", 3, 4, -1)
+S_MINUS = Surface("S-", 4, 1, +1)
+SURFACES = {s.label: s for s in (P_PLUS, S_PLUS, P_MINUS, S_MINUS)}
+
+
+@dataclass(frozen=True)
 class DabSchedule:
     """A converter schedule bundled with its output matrices.
 
@@ -98,13 +136,23 @@ class DabSchedule:
     interval). `c_phys` maps the state to the physical output pair
     [I_rec, V_out] and feeds every transfer-function computation; it is
     the matrix of the reversed-coupling intervals 2 and 3, and differs from
-    that of intervals 1 and 4 in the sign of the first column.
-    """
+    that of intervals 1 and 4 in the sign of the first column. Both are
+    read-only arrays made from `c_rev` when first asked for."""
 
     params: DabParams
     schedule: Schedule
-    c_intervals: tuple[np.ndarray, ...]
-    c_phys: np.ndarray
+    c_rev: tuple  # c_phys row by row
+
+    @functools.cached_property
+    def c_phys(self) -> np.ndarray:
+        return _frozen_array((self.c_rev[:2], self.c_rev[2:]))
+
+    @functools.cached_property
+    def c_intervals(self) -> tuple[np.ndarray, ...]:
+        # c_phys FLIP_CURRENT: the first column negated, a 0 to +0.0 as the products give it.
+        c00, c01, c10, c11 = self.c_rev
+        c_fwd = _frozen_array(((0.0 - c00, c01), (0.0 - c10, c11)))
+        return c_fwd, self.c_phys, self.c_phys, c_fwd
 
 
 def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
@@ -115,24 +163,6 @@ def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
     from T4, deliberately breaking the half-wave timing symmetry while
     keeping the period intact; the symmetry checks must then fail.
     """
-    # In numpy floats a denominator that underflows to 0 (n_turns of 1e-300) gives an entry
-    # that is not finite, which Segment rejects; Python floats would raise ZeroDivisionError.
-    n, L, Co, rt, rc, ro = map(np.float64, (params.n_turns, params.L, params.Co,
-                                            params.Rt, params.Rc, params.Ro))
-    with np.errstate(all="ignore"):
-        rc_ro = rc * ro / (ro + rc)  # ESR parallel load
-        a_fwd = np.array([
-            [-(n * n * rt + rc_ro) / (n * n * L), ro / (n * L * (ro + rc))],
-            [-ro / (n * Co * (ro + rc)), -1.0 / (Co * (ro + rc))],
-        ])
-        b_fwd = np.array([[1.0 / L], [0.0]])
-        # The forward intervals' rectifier sign flips the first column.
-        c_rev = pwlti._frozen_array([[1.0 / n, 0.0], [rc_ro / n, ro / (rc + ro)]])
-        c_fwd = pwlti._frozen_array(c_rev @ FLIP_CURRENT)
-    # Reversed-coupling intervals: both off-diagonal terms change sign.
-    a_rev = a_fwd * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    b_rev = -b_fwd
-
     t_half = params.t_half
     t1 = params.D_phase * t_half
     t2 = t_half - t1
@@ -141,6 +171,16 @@ def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
     if t3 < 0.0 or t4 < 0.0:
         raise ParameterError(f"t3_skew {t3_skew!r} pushes a duration negative")
 
+    n, L, Co, rt, rc, ro = params.n_turns, params.L, params.Co, params.Rt, params.Rc, params.Ro
+    rc_ro = rc * ro / (ro + rc)  # ESR parallel load
+    try:
+        a00, a01 = -(n * n * rt + rc_ro) / (n * n * L), ro / (n * L * (ro + rc))
+        a10, a11 = -ro / (n * Co * (ro + rc)), -1.0 / (Co * (ro + rc))
+    except ZeroDivisionError:  # a denominator that underflows to 0 (n_turns of 1e-300)
+        a00 = a01 = a10 = a11 = math.nan  # not finite: Segment refuses it
+    # Reversed-coupling intervals: both off-diagonal terms change sign.
+    a_fwd, a_rev = ((a00, a01), (a10, a11)), ((a00, -a01), (-a10, a11))
+    b_fwd, b_rev = ((1.0 / L,), (0.0,)), ((-1.0 / L,), (-0.0,))
     segments = (
         Segment(a_fwd, b_fwd, t1),
         Segment(a_rev, b_fwd, t2),
@@ -148,9 +188,8 @@ def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
         Segment(a_fwd, b_rev, t4),
     )
     # The structural identities of these segments are measured by verify_symmetry.
-    schedule = Schedule(segments=segments, u=np.array([params.Vin]))
-    return DabSchedule(params=params, schedule=schedule,
-                       c_intervals=(c_fwd, c_rev, c_rev, c_fwd), c_phys=c_rev)
+    return DabSchedule(params=params, schedule=Schedule(segments, (params.Vin,)),
+                       c_rev=(1.0 / n, 0.0, rc_ro / n, ro / (rc + ro)))
 
 
 def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck]:
@@ -191,10 +230,10 @@ def half_cycle_map(dab: DabSchedule, first: int) -> tuple:
 def half_cycle_fixed_point(dab: DabSchedule, first: int, what: str) -> tuple:
     """(`half_cycle_map`, its fixed point) in Python floats, solved once per `dab` and `first`
     for every caller; a failed solve is not kept, so each caller's `what` names its own error."""
-    solved = vars(dab).setdefault("_half_cycles", {})  # a DabSchedule is unhashable
+    solved = vars(dab).setdefault("_half_cycles", {})
     if first not in solved:
         m = half_cycle_map(dab, first)
-        solved[first] = m, pwlti.fixed_point(m, what)
+        solved[first] = m, fixed_point(m, what)
     return solved[first]
 
 
@@ -203,4 +242,5 @@ def solve_half_cycle(dab: DabSchedule) -> np.ndarray:
     reduces x4 = x0 to the fixed point of the rectified map of intervals 1 and 2, the system
     (FLIP_CURRENT - phi2 phi1) x0 = phi2 gamma1 + gamma2 with its first row negated. It is
     the P+ surface model's fixed point, from the same solve."""
+    import numpy as np
     return np.array(half_cycle_fixed_point(dab, 1, "half-cycle solve")[1])

@@ -12,7 +12,7 @@ integration error. Every loop steps the state by the one rule
 in Python floats, in that evaluation order. The module shares no code path
 with the closed-form solvers: it builds its own step matrices, takes their
 exponentials with its own Pade scaling and squaring (degree 9 or 13, as each
-map's norm calls for), and imports nothing from `pwlti` or `smallsignal`,
+map's norm calls for), and imports nothing from `core`, `pwlti` or `smallsignal`,
 which is what makes it a legitimate cross-check. The Pade numerator and
 denominator of each interval are tabled once per design as polynomials in
 the step's duration, so each map costs one Horner pass over its interval's
@@ -86,15 +86,15 @@ class _Tables:
     `coefficients[i, :, key]` holds the coefficients of sigma^i in the ten
     entries (u00, u01, ug0, u10, u11, ug1) of U / tau and (v00, v01, v10, v11)
     of V's state block, as (7, 10, keys), key 2 * interval for degree 9 and
-    2 * interval + 1 for degree 13. `a_norms` is ||A||_1, and `col_norms` the
-    largest column 1-norm of [A | w], which the refusal message reports.
+    2 * interval + 1 for degree 13. `a_norms` is ||A||_1 and `w_norms` ||w||_1,
+    whose products with a step's duration the refusal message reports.
     `exponents` E and `gamma_exponents` F - E are those of the exact powers of
     two in ||A||_1 = m 2^E and ||w||_1 = m' 2^F, m and m' in [0.5, 1) (or 0).
     """
 
     coefficients: np.ndarray
     a_norms: np.ndarray
-    col_norms: np.ndarray
+    w_norms: np.ndarray
     exponents: np.ndarray
     gamma_exponents: np.ndarray
 
@@ -169,8 +169,8 @@ def _pade_tables(aug: np.ndarray) -> _Tables:
                     coefficients[j // 2, :6, :, degree] = b_j * powers[j].reshape(6, n)
                 else:
                     coefficients[j // 2, 6:, :, degree] = b_j * powers[j, :, :2].reshape(4, n)
-    return _Tables(coefficients.reshape(7, 10, 2 * n), a_norms, col_norms.max(axis=0),
-                   exponents, w_exponents - exponents)
+    return _Tables(coefficients.reshape(7, 10, 2 * n), a_norms, col_norms[2], exponents,
+                   w_exponents - exponents)
 
 
 _thread = threading.local()
@@ -261,11 +261,15 @@ def _pade(terms, keys, tau, scratch):
 
 
 def _not_finite(tables: _Tables, intervals, t) -> NumericInputError:
+    """The refusal of the steps' maps: it names w t where ||A t||_1 is finite and ||w t||_1 is
+    above it or not a number, and A t otherwise."""
     with np.errstate(all="ignore"):
-        norm = np.max(tables.col_norms[intervals] * t, initial=0.0)
-    return NumericInputError(
-        "matrix exponential is not finite: the 1-norm of a*t (state matrix times "
-        f"duration) reaches {norm:.3e}, beyond double precision")
+        a, w = (float(np.max(norms[intervals] * t, initial=0.0))
+                for norms in (tables.a_norms, tables.w_norms))
+    what, norm = (("b*u*t (input column times duration)", w) if math.isfinite(a) and not w <= a
+                  else ("a*t (state matrix times duration)", a))
+    return NumericInputError(f"matrix exponential is not finite: the 1-norm of {what} reaches "
+                             f"{norm:.3e}, beyond double precision")
 
 
 def _tables(dab: DabSchedule) -> _Tables:

@@ -8,182 +8,95 @@ duration T_i with dynamics dx/dt = A_i x + B_i u, the boundary states obey
     Phi_i = exp(A_i T_i),
     Gamma_i = integral_0^{T_i} exp(A_i (T_i - tau)) B_i u dtau.
 
-Chaining the subinterval maps gives the state at the end of the chain in closed form; `compose`
-folds a chain into a single map in Python floats, be it the one-period (monodromy) map or a half
-cycle, and arrays are made from the floats once. The periodic steady state is the fixed point
-of the period map; `fixed_point` solves it and every other x = phi x + gamma of the package. Everything in this module is exact
-up to roundoff, with no time stepping: the exponential of a 2x2 segment is in closed form
-(`augmented_expm`, no scaling and squaring), as are the resolvent (zI - M)^{-1} of a real 2x2
-matrix (`resolvent_solve`) that every small-signal transfer evaluates, `cond` and `eigenvalues`."""
+A `Schedule` keeps each segment's field, its map (`core.augmented_expm`) and the period map
+(`core.compose`) as Python floats, and makes read-only arrays of them only where they are asked
+for. The functions at the end are the array edges, each importing numpy when it runs."""
 
 from __future__ import annotations
 
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .core import augmented_expm, compose, fixed_point
+from .errors import DimensionError, NumericInputError
 
-from .errors import (DimensionError, MarginalSystemError, NumericInputError,
-                     ResolventSingularityError)
-
-# Condition-estimate ceiling shared by every fixed-point solve in the package.
-COND_LIMIT = 1e12
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _frozen_array(values) -> np.ndarray:
+    import numpy as np
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
 
-_NORM_LIMIT = 5.371920351148152 * 2.0**52  # theta13 2^52
-_RADIUS, _SPREAD = 1.5, 0.25
-_PHI1_TAYLOR = tuple(1 / math.factorial(k) for k in range(23, 0, -1))  # 1/23!, ..., 1/1!
-
-
-def augmented_expm(x00, x01, x10, x11, w0, w1) -> tuple:
-    """exp([[X, w], [0, 0]]) = [[e^X, phi1(X) w], [0, 1]], phi1(X) = (e^X - I) X^-1, of X =
-    [[x00, x01], [x10, x11]] and w = (w0, w1) in Python floats: (e00, e01, e10, e11, g0, g1).
-
-    In closed form (Higham, "Functions of Matrices", 2008, ch. 10), with eigenvalues mu +- delta:
-    a Taylor series for |mu| + |delta| <= 1.5, whose first omitted term, 1.5^24 / 24!, is below
-    2^-58 of its least coefficient there, e^-1.5 sin(1.5) / 1.5; divided differences at real
-    eigenvalues at least 1 apart; else cosh and sinh of delta. NumericInputError where the
-    input or the result is not finite, or where the 1-norm of [[X, w], [0, 0]] passes theta13
-    2^52, past which the oracle's Pade kernel, the check of these maps, refuses."""
-    c0, c1, c2 = abs(x00) + abs(x10), abs(x01) + abs(x11), abs(w0) + abs(w1)
-    if not (c0 <= _NORM_LIMIT and c1 <= _NORM_LIMIT and c2 <= _NORM_LIMIT):  # NaN fails too
-        raise _exp_error(c0, c1, c2)
-    t, mu = x00 + x11, 0.5 * (x00 + x11)
-    h, p, delta2, det = _discriminant(x00, x01, x10, x11)
-    # Each regime gives the diagonals of e^X and phi1(X) and eb, pb, the factors of the
-    # off-diagonal entries of X in theirs.
+def _float_rows(m) -> tuple:
+    """A matrix, an array or rows of numbers, as a tuple of rows of Python floats."""
     try:
-        if abs(mu) + math.sqrt(abs(delta2)) <= _RADIUS:
-            # Horner's rule for phi1 = pa I + pb X (X^2 = t X - det I); e^X = I + X phi1.
-            pa = pb = 0.0
-            for c in _PHI1_TAYLOR:
-                pa, pb = c - pb * det, pa + pb * t
-            ea, eb = 1.0 - pb * det, pa + pb * t
-            e00, e11, p00, p11 = ea + eb * x00, ea + eb * x11, pa + pb * x00, pa + pb * x11
-        elif delta2 > _SPREAD:
-            # f(X) = (f(big) (X - small I) - f(small) (X - big I)) / (big - small), small =
-            # det / big, x_ii - big and x_ii - small as +-(h +- delta), the one that cancels
-            # as -p over the other: a stiff map keeps its slow mode.
-            delta = math.sqrt(delta2)
-            big = mu + math.copysign(delta, mu)
-            small = det / big
-            gap, far = math.copysign(2.0 * delta, mu), h + math.copysign(delta, h)
-            same_sign = math.copysign(1.0, h) == math.copysign(1.0, mu)  # signed zeros too
-            d_big, d_small = (-p / far, far) if same_sign else (far, -p / far)
-            e_big, e_small = math.exp(big), math.exp(small)
-            p_big, p_small = math.expm1(big) / big, math.expm1(small) / small if small else 1.0
-            eb, pb = (e_big - e_small) / gap, (p_big - p_small) / gap
-            e00 = (e_big * d_small - e_small * d_big) / gap
-            e11 = (e_small * d_small - e_big * d_big) / gap
-            p00 = (p_big * d_small - p_small * d_big) / gap
-            p11 = (p_small * d_small - p_big * d_big) / gap
-        else:
-            # Eigenvalues at least 0.5 from 0: e^X = e^mu (cosh delta I + sinh delta / delta N),
-            # e^X - I through expm1(mu), phi1 = adj X (e^X - I) / det with adj X = mu I - N.
-            r = math.sqrt(abs(delta2))
-            if delta2 >= 0.0:
-                cm1, sinhc = 2.0 * math.sinh(0.5 * r) ** 2, math.sinh(r) / r if r else 1.0
-            else:
-                cm1, sinhc = -2.0 * math.sin(0.5 * r) ** 2, math.sin(r) / r
-            e_mu = math.exp(mu)
-            em1 = e_mu * cm1 + math.expm1(mu)
-            ea, eb = e_mu + e_mu * cm1, e_mu * sinhc
-            pa, pb = (mu * em1 - eb * delta2) / det, (mu * eb - em1) / det
-            e00, e11, p00, p11 = ea + eb * h, ea - eb * h, pa + pb * h, pa - pb * h
-    except OverflowError:
-        raise _exp_error(c0, c1, c2) from None
-    out = (e00, eb * x01, eb * x10, e11, p00 * w0 + pb * (x01 * w1), pb * (x10 * w0) + p11 * w1)
-    if not all(map(math.isfinite, out)):
-        raise _exp_error(c0, c1, c2)
-    return out
+        return tuple(tuple(map(float, row)) for row in (m.tolist() if hasattr(m, "tolist") else m))
+    except TypeError:  # a vector, or a stack of matrices
+        raise DimensionError("segment matrices must be 2-d") from None
 
 
-def _discriminant(x00, x01, x10, x11) -> tuple:
-    """(h, p, delta^2, det X) of X = [[x00, x01], [x10, x11]], eigenvalues (x00 + x11) / 2 +-
-    delta: h = (x00 - x11) / 2, p = x01 x10, delta^2 = h^2 + p, det X from exact products."""
-    h, h_err = two_sum(0.5 * x00, -0.5 * x11)
-    hh, hh_err = two_product(h, h)
-    p, p_err = two_product(x01, x10)
-    s, s_err = two_sum(hh, p)
-    delta2 = s + (s_err + hh_err + p_err + 2.0 * h * h_err)
-    q, q_err = two_product(x00, x11)
-    s, s_err = two_sum(q, -p)
-    return h, p, delta2, s + (s_err + q_err - p_err)
-
-
-def _exp_error(*column_sums) -> NumericInputError:
-    norm = max(column_sums)
-    if all(map(math.isfinite, column_sums)) and norm > _NORM_LIMIT:
-        return NumericInputError(
-            "matrix exponential is refused: the 1-norm of a*t (state matrix times duration) "
-            f"reaches {norm:.3e}, above the {_NORM_LIMIT:.3e} up to which the oracle's Pade "
-            "kernel can cross-check it")
-    return NumericInputError("matrix exponential is not finite: the 1-norm of a*t (state "
-                             f"matrix times duration) reaches {norm:.3e}, beyond double precision")
-
-
-@dataclass(frozen=True)
 class Segment:
-    """One subinterval of a switching period: dx/dt = a x + b u for `duration` seconds."""
+    """One subinterval of a switching period: dx/dt = a x + b u for `duration` seconds.
 
-    a: np.ndarray
-    b: np.ndarray
-    duration: float
+    `a` (2x2) and `b` (2 rows) are given as arrays or as rows of numbers and kept as rows of
+    Python floats; `a` and `b` read back as read-only arrays, made when first asked for."""
 
-    def __post_init__(self):
-        a, b = _frozen_array(self.a), _frozen_array(self.b)
-        if a.shape != (2, 2) or b.ndim != 2 or b.shape[0] != 2:
-            raise DimensionError(f"segment state matrix must be 2x2 and its input matrix have 2 "
-                                 f"rows, got {a.shape} and {b.shape}")
-        if not all(map(math.isfinite, a.ravel().tolist() + b.ravel().tolist())):
+    def __init__(self, a, b, duration: float):
+        self._a, self._b, self.duration = _float_rows(a), _float_rows(b), duration
+        if [*map(len, self._a)] != [2, 2] or len(self._b) != 2 or len({*map(len, self._b)}) != 1:
+            raise DimensionError("segment state matrix must be 2x2 and its input matrix have 2 "
+                                 f"rows of one width, got {self._a} and {self._b}")
+        if not all(map(math.isfinite, (*self._a[0], *self._a[1], *self._b[0], *self._b[1]))):
             raise NumericInputError("segment matrices must be finite")
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
-            raise NumericInputError(f"segment duration must be finite and >= 0, got {self.duration!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        if not (math.isfinite(duration) and duration >= 0.0):
+            raise NumericInputError(f"segment duration must be finite and >= 0, got {duration!r}")
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        return _frozen_array(self._a)
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        return _frozen_array(self._b)
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """An ordered tuple of segments driven by one constant input vector."""
+    """An ordered tuple of segments driven by one constant input vector `u`, given as an array
+    or a sequence of numbers and kept as Python floats; `u` reads back as a read-only array."""
 
-    segments: tuple[Segment, ...]
-    u: np.ndarray
-
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        if not segments:
+    def __init__(self, segments, u):
+        self.segments = tuple(segments)
+        if not self.segments:
             raise DimensionError("schedule needs at least one segment")
-        u = _frozen_array(self.u)
-        if u.ndim != 1:
-            raise DimensionError(f"input vector must be 1-d, got shape {u.shape}")
-        if not all(map(math.isfinite, u.tolist())):
+        try:
+            self._u = tuple(map(float, u.tolist() if hasattr(u, "tolist") else u))
+        except TypeError:
+            raise DimensionError("input vector must be 1-d") from None
+        if not all(map(math.isfinite, self._u)):
             raise NumericInputError("input vector must be finite")
-        m = segments[0].b.shape[1]
-        for k, seg in enumerate(segments):
-            if seg.b.shape[1] != m:
+        m = len(self.segments[0]._b[0])
+        for k, seg in enumerate(self.segments):
+            if len(seg._b[0]) != m:
                 raise DimensionError(f"segment {k+1} shape disagrees with segment 1")
-        if u.shape[0] != m:
-            raise DimensionError(f"input vector length {u.shape[0]} is not the {m} input columns")
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "u", u)
+        if len(self._u) != m:
+            raise DimensionError(f"input vector length {len(self._u)} is not the {m} input columns")
+
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        return _frozen_array(self._u)
 
     @functools.cached_property
     def _fields(self) -> tuple[tuple, ...]:
         """Per segment, its vector field x -> a x + b u as six Python floats: a row by row, then
         b u, each entry summed from a zero left to right (not finite: refused by `_entries`)."""
-        u = self.u.tolist()
-        return tuple((*seg.a.ravel().tolist(), *(sum(map(operator.mul, row, u))
-                                                 for row in seg.b.tolist()))
+        return tuple((*seg._a[0], *seg._a[1], *(sum(map(operator.mul, row, self._u))
+                                                for row in seg._b))
                      for seg in self.segments)
 
     @functools.cached_property
@@ -219,24 +132,9 @@ class SegmentMap(NamedTuple):
     gamma: np.ndarray
 
 
-def compose(maps) -> tuple:
-    """One map for a chain applied first to last, each map six Python floats, phi row by row
-    and then gamma: phi <- phi_k phi, gamma <- phi_k gamma + gamma_k.
-
-    phi is the reverse product phi_n (... (phi_2 phi_1)) and gamma the sum of reverse products
-    times each gamma_i, by Horner's rule, each entry rounded as written (no fused
-    multiply-add, unlike numpy's 2x2 `@`). A one-map chain gives its own floats. An empty
-    chain is an IndexError, not a silent identity that would hide an indexing bug."""
-    p00, p01, p10, p11, g0, g1 = maps[0]
-    for a00, a01, a10, a11, h0, h1 in maps[1:]:
-        p00, p01, p10, p11, g0, g1 = (
-            a00 * p00 + a01 * p10, a00 * p01 + a01 * p11, a10 * p00 + a11 * p10,
-            a10 * p01 + a11 * p11, a00 * g0 + a01 * g1 + h0, a10 * g0 + a11 * g1 + h1)
-    return p00, p01, p10, p11, g0, g1
-
-
 def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
     """Boundary states [x_1, ..., x_n] from sequential application of the segment maps."""
+    import numpy as np
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
         raise DimensionError(f"x0 shape {x.shape} is not the state's (2,)")
@@ -249,64 +147,16 @@ def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
 
 def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
     """End-of-period state Pi x0 + forcing: `propagate(...)[-1]` in one step of the period map."""
+    import numpy as np
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise DimensionError(f"x0 shape {x0.shape} is not the state's (2,)")
     return schedule.period_map.phi @ x0 + schedule.period_map.gamma
 
 
-def _scale(*values) -> float:
-    """The power of two, at most 2^1023, that takes the largest |value| to [1/2, 1)."""
-    return math.ldexp(1.0, -max(math.frexp(max(map(abs, values)))[1], -1023))
-
-
-def _shifted(m, z: float) -> tuple:
-    """zI - M, M = (m00, m01, m10, m11) and z in [0, 1], scaled by the power of two s that takes
-    its largest entry to [1/2, 1), so no product overflows and, short of underflow, no bit moves:
-    (cond(zI - M) = s_max^2 / |det|, `Matrix2x2` of s M, `resolvent_det` at s z, s)."""
-    s = _scale(z - m[0], z - m[3], m[1], m[2])
-    phi = Matrix2x2.of([s * x for x in m])
-    try:
-        det = a, d, det_re, _, _ = resolvent_det(phi, s * z, 0.0)
-    except ResolventSingularityError:  # det 0, or |det| below 1e-154: cond past 1e153
-        return math.inf, phi, None, s
-    return sigma_max_sq(a, -phi.m01, -phi.m10, d, 0.0) / abs(det_re), phi, det, s
-
-
-def cond(m) -> float:
-    """cond(M) = s_max / s_min of a real 2x2 (an array or four floats), inf if singular."""
-    return _shifted(m.ravel().tolist() if isinstance(m, np.ndarray) else m, 0.0)[0]
-
-
-def eigenvalues(m00, m01, m10, m11) -> tuple:
-    """Eigenvalues mu +- delta of [[m00, m01], [m10, m11]], `_discriminant` of the entries scaled
-    by `_scale`: a complex pair as exact conjugates, real ones as big = mu +- |delta| with the
-    sign of mu and small = det / big, so neither cancels; within a few u ||M|| of exact."""
-    s = _scale(m00, m01, m10, m11)
-    x00, x11 = s * m00, s * m11
-    _, _, delta2, det = _discriminant(x00, s * m01, s * m10, x11)
-    mu, r = 0.5 * (x00 + x11), math.sqrt(abs(delta2))
-    if delta2 < 0.0:
-        return complex(mu / s, r / s), complex(mu / s, -r / s)
-    big = mu + math.copysign(r, mu)
-    return complex(big / s), complex(det / big / s if big else 0.0)
-
-
-def fixed_point(m, what: str) -> tuple:
-    """Fixed point (x0, x1) of x -> phi x + gamma (a period, a half cycle, a surface), m = (phi00,
-    phi01, phi10, phi11, gamma0, gamma1) in Python floats scaled as `_shifted` at z = 1 scales:
-    Cramer's rule, one division by det(I - phi). A cond(I - phi) above COND_LIMIT or not finite
-    raises MarginalSystemError "<what> is marginal: cond ~ ... exceeds 1.0e+12", eigenvalues."""
-    c, phi, parts, s = _shifted(m[:4], 1.0)
-    if not c <= COND_LIMIT:  # NaN fails too
-        raise MarginalSystemError(f"{what} is marginal: cond ~ {c:.3e} exceeds {COND_LIMIT:.1e}",
-                                  eigenvalues=eigenvalues(*m[:4]))
-    (a, d, det, _, _), g0, g1 = parts, s * m[4], s * m[5]
-    return (d * g0 + phi.m01 * g1) / det, (phi.m10 * g0 + a * g1) / det
-
-
 def solve_periodic_fixed_point(schedule: Schedule) -> np.ndarray:
-    """Steady-state period-boundary state of a schedule, from its cached period map."""
+    """Steady-state period-boundary state of a schedule, an array, from its cached period map."""
+    import numpy as np
     return np.array(fixed_point(schedule._period, "periodic solve"))
 
 
@@ -319,159 +169,6 @@ def monodromy(schedule: Schedule) -> np.ndarray:
 def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:
     """||actual - expected|| / (1 + ||expected||), Frobenius norm for matrices: the +1 is an
     absolute floor, so comparisons against near-zero references stay meaningful."""
+    import numpy as np
     actual, expected = np.asarray(actual), np.asarray(expected)
     return float(np.linalg.norm(actual - expected) / (1.0 + np.linalg.norm(expected)))
-
-
-# The 2x2 resolvent (zI - M)^{-1} of a real matrix M in closed form. A complex 2-vector is
-# handled as a "planar" tuple (re0, im0, re1, im1), and every rule below uses only +, -, *, /,
-# sqrt and hypot on its entries: Python floats for one z, float arrays for an array of z. Both
-# round identically, so a scalar z gives bit for bit the row that an array of z gives. Complex
-# products and quotients are spelled out, because CPython and numpy round those differently.
-
-
-def real_sqrt(x):
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
-
-
-def real_hypot(x, y):
-    # Both are the C library's hypot; math.hypot is not.
-    return abs(complex(x, y)) if isinstance(x, float) else np.hypot(x, y)
-
-
-def planar_array(vectors, shape: tuple) -> np.ndarray:
-    """The complex array (len(vectors), *shape, 2) of planar vectors, each entry broadcast."""
-    if not shape:
-        return np.array(vectors, dtype=float).view(complex)
-    out = np.empty((len(vectors),) + shape + (4,))
-    for slot, vector in zip(out, vectors):
-        for k, part in enumerate(vector):
-            slot[..., k] = part
-    return out.view(complex)
-
-
-def matrix_times(c: list, v):
-    """c v for the real 2x2 matrix c = [c00, c01, c10, c11] and a planar v."""
-    c00, c01, c10, c11 = c
-    r0, s0, r1, s1 = v
-    return c00 * r0 + c01 * r1, c00 * s0 + c01 * s1, c10 * r0 + c11 * r1, c10 * s0 + c11 * s1
-
-
-def planar_norm(v):
-    """2-norm of a planar vector: the root of its sum of squares, or hypot's scaled form
-    where that sum reaches 1e150 or overflows."""
-    r0, s0, r1, s1 = v
-    if type(r0) is type(s0) is type(r1) is type(s1) is float:  # numpy warns on an overflow
-        s = r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1
-        return real_hypot(real_hypot(r0, s0), real_hypot(r1, s1)) if s >= 1e150 else math.sqrt(s)
-    with np.errstate(over="ignore"):
-        s = r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1
-    return np.where(s >= 1e150, np.hypot(np.hypot(r0, s0), np.hypot(r1, s1)), np.sqrt(s))
-
-
-def planar_residual(actual, expected):
-    """relative_residual of planar vectors: a float for one vector, an array for many."""
-    return (planar_norm(tuple(a - e for a, e in zip(actual, expected)))
-            / (1.0 + planar_norm(expected)))
-
-
-def sigma_max_sq(a, b, c, d, y):
-    """Square of the largest singular value of [[a + iy, b], [c, d + iy]] (a, b, c, d, y real).
-
-    It is the larger eigenvalue of H = M M^H, (tr H + sqrt((h11 - h22)^2 + 4 |h12|^2)) / 2,
-    whose discriminant is a sum of squares: no clamp is needed at a double singular value."""
-    h12_re = a * c + b * d
-    h12_im = y * (c - b)
-    h_gap = (a - d) * (a + d) + (b - c) * (b + c)  # h11 - h22
-    trace = a * a + b * b + c * c + d * d + 2.0 * (y * y)
-    return 0.5 * (trace + real_sqrt(h_gap * h_gap + 4.0 * (h12_re * h12_re + h12_im * h12_im)))
-
-
-def two_sum(x, y):
-    """x + y = s + err exactly (Knuth's TwoSum)."""
-    s = x + y
-    y_part = s - x
-    return s, (x - (s - y_part)) + (y - y_part)
-
-
-def two_product(x, y):
-    """x y = p + err exactly, short of overflow and underflow (Dekker's TwoProduct with
-    Veltkamp's split of each factor into two halves of 26 bits)."""
-    p = x * y
-    c = 134217729.0 * x  # 2^27 + 1
-    x_hi = c - (c - x)
-    x_lo = x - x_hi
-    c = 134217729.0 * y
-    y_hi = c - (c - y)
-    y_lo = y - y_hi
-    return p, ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
-
-
-class Matrix2x2(NamedTuple):
-    """A real 2x2 matrix M as Python floats, with m01 m10 = pp + pp_err exactly."""
-
-    m00: float
-    m01: float
-    m10: float
-    m11: float
-    pp: float
-    pp_err: float
-
-    @classmethod
-    def of(cls, m) -> Matrix2x2:
-        """M from a 2x2 array, or from its four Python floats row by row."""
-        m00, m01, m10, m11 = np.ravel(m).tolist() if isinstance(m, np.ndarray) else m
-        return cls(m00, m01, m10, m11, *two_product(m01, m10))
-
-
-def resolvent_det(m: Matrix2x2, zr, zi):
-    """zI - M = [[a + i zi, -m01], [-m10, d + i zi]] as (a, d), with det_re + i det_im, its
-    determinant, and q = |det|^2.
-
-    Near an eigenvalue the determinant cancels, so it is summed from exact products and exact
-    differences (`two_product`, `two_sum`) and keeps a few ulps of relative accuracy: a rounded
-    determinant would carry the whole condition number of zI - M into a solve.
-    ResolventSingularityError where q is not positive, which only underflow or a z that is not
-    a number reaches off the eigenvalues of M."""
-    a, a_err = two_sum(zr, -m.m00)
-    d, d_err = two_sum(zr, -m.m11)
-    ad, ad_err = two_product(a, d)
-    zz, zz_err = two_product(zi, zi)
-    s, s_err = two_sum(ad, -m.pp)
-    t, t_err = two_sum(s, -zz)
-    det_re = t + ((t_err + s_err) + (ad_err - m.pp_err - zz_err) + (a * d_err + a_err * d))
-    det_im = zi * ((a + d) + (a_err + d_err))
-    q = det_re * det_re + det_im * det_im
-    if not (q > 0.0 if isinstance(q, float) else (q > 0.0).all()):
-        raise ResolventSingularityError("det(zI - M) rounds to zero or is not a number")
-    return a, d, det_re, det_im, q
-
-
-def resolvent_solve(m: Matrix2x2, zr, zi, vectors, det=None) -> list:
-    """(zI - M)^{-1} v = adj(zI - M) v / det(zI - M) for each planar v in `vectors`; `det` is
-    `resolvent_det(m, zr, zi)` where the caller has it already."""
-    a, d, det_re, det_im, q = det or resolvent_det(m, zr, zi)
-    w_re, w_im = det_re / q, -det_im / q  # 1 / det
-    solved = []
-    for r0, s0, r1, s1 in vectors:
-        n0_re = d * r0 - zi * s0 + m.m01 * r1
-        n0_im = d * s0 + zi * r0 + m.m01 * s1
-        n1_re = m.m10 * r0 + a * r1 - zi * s1
-        n1_im = m.m10 * s0 + a * s1 + zi * r1
-        solved.append((n0_re * w_re - n0_im * w_im, n0_re * w_im + n0_im * w_re,
-                       n1_re * w_re - n1_im * w_im, n1_re * w_im + n1_im * w_re))
-    return solved
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """One named residual check, as reported by the verification suites."""
-
-    name: str
-    residual: float
-    tolerance: float
-    note: str = field(default="")
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance

@@ -13,7 +13,7 @@ duration responds to the *next* control sample (a z-advance), and the same-cycle
 that drops the advance. Their difference carries an explicit (z - 1) factor, which is why the
 approximation is exact at dc and degrades linearly with frequency. Every transfer, and the
 spectral norms of the difference envelope, come from the 2x2 resolvent in closed form
-(`pwlti.resolvent_solve`), the same rule for one z and for an array of z, and so does the
+(`core.resolvent_solve`), the same rule for one z and for an array of z, and so does the
 T-solve of the surface check. Complex 2-vectors stay planar, `(re0, im0, re1, im1)`, until a
 transfer is returned.
 
@@ -35,47 +35,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pwlti
-from .dab import (FLIP_CURRENT, DabSchedule, half_cycle_fixed_point, solve_half_cycle,
+from .core import (COND_LIMIT, IdentityCheck, Matrix2x2, _flat, cond, eigenvalues, matrix_times,
+                   planar_norm, planar_residual, real_hypot, real_sqrt, resolvent_det,
+                   resolvent_solve, sigma_max_sq)
+from .dab import (FLIP_CURRENT, DabSchedule, Surface, half_cycle_fixed_point, solve_half_cycle,
                   verify_symmetry)
+from .dab import P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES  # noqa: F401  (re-exported)
 from .errors import (MarginalSystemError, NumericInputError, ParameterError,
                      ResolventSingularityError)
-from .pwlti import (IdentityCheck, Matrix2x2, matrix_times, planar_array, planar_norm,
-                    planar_residual, real_hypot, real_sqrt, relative_residual, resolvent_det,
-                    resolvent_solve, sigma_max_sq)
+from .pwlti import _frozen_array, relative_residual
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
 _TRANSFER_MAX = 0.25 * 1.7976931348623157e308  # verify adds up to three transfers
 _FEW_Z = 16  # a transfer at this many z or fewer is evaluated z by z (`_transfer`)
-
-
-@dataclass(frozen=True)
-class Surface:
-    """One sampling surface: the pair of consecutive intervals (a, b) it spans.
-
-    `polarity` is the comparator logic sign: -1 for the primary-bridge surfaces, +1 for the
-    secondary-bridge surfaces. The canonical instances below carry the correct sign;
-    constructing a Surface with the opposite sign is possible but is meaningful only for
-    sign-mismatch diagnostics."""
-
-    label: str
-    a: int
-    b: int
-    polarity: int
-
-    def __post_init__(self):
-        if (self.a, self.b) not in {(1, 2), (2, 3), (3, 4), (4, 1)}:
-            raise ValueError(f"surface intervals must be consecutive, got ({self.a}, {self.b})")
-        if self.polarity not in (-1, 1):
-            raise ValueError(f"surface polarity must be +-1, got {self.polarity!r}")
-        if not self.label:
-            raise ValueError("surface label must be non-empty")
-
-
-P_PLUS = Surface("P+", 1, 2, -1)
-S_PLUS = Surface("S+", 2, 3, +1)
-P_MINUS = Surface("P-", 3, 4, -1)
-S_MINUS = Surface("S-", 4, 1, +1)
-SURFACES = {s.label: s for s in (P_PLUS, S_PLUS, P_MINUS, S_MINUS)}
 
 
 class _Entries(NamedTuple):
@@ -117,8 +89,8 @@ class HalfCycleModel:
 
     @functools.cached_property
     def poles(self) -> tuple:
-        """Eigenvalues of phi (`pwlti.eigenvalues`): the poles of every transfer of this model."""
-        return pwlti.eigenvalues(*self.phi.ravel().tolist())
+        """Eigenvalues of phi (`core.eigenvalues`): the poles of every transfer of this model."""
+        return eigenvalues(*self.phi.ravel().tolist())
 
     @functools.cached_property
     def _entries(self) -> _Entries:
@@ -135,7 +107,7 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     The duration sensitivities come from the endpoint identity d(phi x + gamma)/dT = A (phi x +
     gamma) + B u: growing a duration extends the flow along the local vector field at the
     segment's end state."""
-    models = vars(dab).setdefault("_surface_models", {})  # a DabSchedule is unhashable
+    models = vars(dab).setdefault("_surface_models", {})
     if surface in models:
         return models[surface]
     a, b = surface.a - 1, surface.b - 1
@@ -162,7 +134,7 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
         raise NumericInputError(f"surface {surface.label} control-input vectors are not finite "
                                 f"or their transfers overflow: comparator gain T_half / Vr = "
                                 f"{comp_gain:.3e} s/V")
-    rows = pwlti._frozen_array((*m, *x_star, *x_a_end, *x_b_end, *sens_a, *sens_b, *b_cur,
+    rows = _frozen_array((*m, *x_star, *x_a_end, *x_b_end, *sens_a, *sens_b, *b_cur,
                                 *b_next)).reshape(10, 2)
     models[surface] = HalfCycleModel(
         surface=surface, phi=rows[:2], g=rows[2], x_star=rows[3], x_a_end=rows[4], x_b_end=rows[5],
@@ -179,7 +151,7 @@ def _transfers_overflow(phi, c_phys, b_cur, b_next) -> bool:
     vertex of |n|^2, where (|n|^2 / |det|^2)' = 0, or at a complex pole's angle, where the fit
     loses digits; each is evaluated from exact products (`resolvent_det`), |det| floored at
     _POLE_GAP^2."""
-    c_rows, scale = _matrix(c_phys), max(map(abs, (*b_cur, *b_next)))
+    c_rows, scale = _flat(c_phys), max(map(abs, (*b_cur, *b_next)))
     size = 2.0 + sum(map(abs, phi))
     if not (1.0 + math.hypot(*c_rows)) * size * size * scale >= 1e280:  # else peaks < 1e304
         return False
@@ -240,9 +212,15 @@ def _z_parts(model: HalfCycleModel, z):
     return z.real, z.imag
 
 
-def _matrix(c_phys) -> list:
-    """The four entries of a real 2x2 matrix, row by row, as Python floats."""
-    return np.asarray(c_phys, dtype=float).ravel().tolist()
+def planar_array(vectors, shape: tuple) -> np.ndarray:
+    """The complex array (len(vectors), *shape, 2) of planar vectors, each entry broadcast."""
+    if not shape:
+        return np.array(vectors, dtype=float).view(complex)
+    out = np.empty((len(vectors),) + shape + (4,))
+    for slot, vector in zip(out, vectors):
+        for k, part in enumerate(vector):
+            slot[..., k] = part
+    return out.view(complex)
 
 
 def _complex(v) -> np.ndarray:
@@ -294,7 +272,7 @@ def _transfer(model: HalfCycleModel, c_phys, zr, zi, rhs) -> np.ndarray:
 def _planar_rows(model: HalfCycleModel, c_phys, parts, rhs) -> list:
     """c_phys (zI - phi)^{-1} rhs(entries, Re z, Im z), planar, for each (Re z, Im z) of
     `parts`: Python floats, or float arrays for many z at once."""
-    e, c = model._entries, _matrix(c_phys)
+    e, c = model._entries, _flat(c_phys)
     return [matrix_times(c, resolvent_solve(e.phi, r, i, [rhs(e, r, i)])[0]) for r, i in parts]
 
 
@@ -318,7 +296,7 @@ def _difference_paths(model: HalfCycleModel, c_phys: np.ndarray, z):
     zr, zi = _z_parts(model, z)
     states = resolvent_solve(e.phi, zr, zi, [v(e, zr, zi) for v in (
         _input_vector, _same_cycle_vector, _advance_vector)])
-    c = _matrix(c_phys)
+    c = _flat(c_phys)
     fixed, same_cycle, closed = (matrix_times(c, x) for x in states)
     return closed, tuple(f - s for f, s in zip(fixed, same_cycle)), states
 
@@ -335,7 +313,7 @@ def _resolvent_sizes(model: HalfCycleModel, c_phys: np.ndarray, z):
     zr, zi = _z_parts(model, z)
     a, d, _, _, q = resolvent_det(phi, zr, zi)
     return (zr, zi, sigma_max_sq(a, -phi.m01, -phi.m10, d, zi), q,
-            math.sqrt(sigma_max_sq(*_matrix(c_phys), 0.0)))
+            math.sqrt(sigma_max_sq(*_flat(c_phys), 0.0)))
 
 
 def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtracted):
@@ -445,9 +423,9 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
         raise ValueError(
             f"surfaces {primary.label} and {secondary.label} are not an equivalence pair")
     t_mat = dab.schedule.maps[primary.a - 1].phi
-    cond = pwlti.cond(t_mat)
-    if not cond <= pwlti.COND_LIMIT:  # NaN fails too
-        raise MarginalSystemError(f"similarity transform is singular: cond ~ {cond:.3e}")
+    kappa = cond(t_mat)
+    if not kappa <= COND_LIMIT:  # NaN fails too
+        raise MarginalSystemError(f"similarity transform is singular: cond ~ {kappa:.3e}")
 
     m_pri, m_sec = half_cycle_model(dab, primary), half_cycle_model(dab, secondary)
 
@@ -462,7 +440,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     e = m_pri._entries
     zr, zi = _z_parts(m_pri, z)
     b_pri = _input_vector(e, zr, zi)
-    c = _matrix(dab.c_phys)
+    c = _flat(dab.c_phys)
     h_pri = matrix_times(c, resolvent_solve(e.phi, zr, zi, [b_pri])[0])
     input_res, flipped_res, transfer_res = (
         float(np.max(planar_residual(actual, expected), initial=0.0)) for actual, expected in (
@@ -568,8 +546,8 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
     while len(draws) < 20:
         a, t_mat = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
-        if not (pwlti.cond(t_mat) > 1e6
-                or min(abs(z - e) for e in pwlti.eigenvalues(*a.ravel().tolist())) < 0.1):
+        if not (cond(t_mat) > 1e6
+                or min(abs(z - e) for e in eigenvalues(*a.ravel().tolist())) < 0.1):
             draws.append((a, t_mat, z))
     worst = float(max(resolvent_similarity_residual(*map(np.array, zip(*draws)))))
     checks.append(IdentityCheck("resolvent/similarity-random", worst, tol.resolvent_identity))

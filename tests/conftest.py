@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -14,7 +13,7 @@ import pytest
 
 from dabss import DabParams, build_dab, half_cycle_model
 from dabss.dab import RECTIFY
-from dabss.pwlti import Schedule
+from dabss.pwlti import Schedule, Segment
 
 # Child interpreters (`python -m dabss.cli`) import dabss from the same src/ as
 # pytest's `pythonpath`, so a bare `pytest` needs no PYTHONPATH.
@@ -77,7 +76,7 @@ def random_params(rng: np.random.Generator) -> DabParams:
 # 48 u ||x||_inf, at most 192 sqrt(2) u cond(M) ||x|| in 2-norms (cond_inf <= 2 cond,
 # ||.||_2 <= sqrt(2) ||.||_inf).
 LU_SOLVE = 192.0 * math.sqrt(2.0)
-# `pwlti.fixed_point`'s closed form for M = I - phi: each entry of adj(M) b is two products
+# `core.fixed_point`'s closed form for M = I - phi: each entry of adj(M) b is two products
 # and a sum, over a diagonal entry 1 - phi_ii rounded once, so it errs by gamma_3 of
 # |adj M| |b|, whose norm is at most ||M||_F ||b|| <= sqrt(2) s_max^2 ||x||; over |det M| =
 # s_max s_min that is 3 sqrt(2) u cond(M) ||x||. The determinant, summed from exact products,
@@ -122,8 +121,8 @@ def fd_sensitivities(dab, surface, delta: float = 1e-9):
     u = dab.schedule.u
 
     def end_state(da: float, db: float) -> np.ndarray:
-        ma = Schedule((dataclasses.replace(seg_a, duration=seg_a.duration + da),), u).maps[0]
-        mb = Schedule((dataclasses.replace(seg_b, duration=seg_b.duration + db),), u).maps[0]
+        ma = Schedule((Segment(seg_a.a, seg_a.b, seg_a.duration + da),), u).maps[0]
+        mb = Schedule((Segment(seg_b.a, seg_b.b, seg_b.duration + db),), u).maps[0]
         return RECTIFY @ (mb.phi @ (ma.phi @ model.x_star + ma.gamma) + mb.gamma)
 
     fd_a = (end_state(delta, 0.0) - end_state(-delta, 0.0)) / (2.0 * delta)

@@ -17,7 +17,7 @@ import pytest
 
 from dabss import (P_PLUS, S_PLUS, DabParams, build_dab, half_cycle_model,
                    solve_periodic_fixed_point, transfer_fixed_freq)
-from dabss import cli, oracle, pwlti, smallsignal
+from dabss import cli, core, oracle, smallsignal
 from dabss.dab import half_cycle_map
 from tests.conftest import REFERENCE_KWARGS, exact_cond, exact_eigenvalues
 
@@ -25,6 +25,12 @@ from tests.conftest import REFERENCE_KWARGS, exact_cond, exact_eigenvalues
 def run_cli(*argv: str):
     return subprocess.run([sys.executable, "-m", "dabss.cli", *argv],
                           capture_output=True, text=True)
+
+
+def run_cli_without_numpy(*argv: str):
+    """`run_cli` in an interpreter where `import numpy` fails."""
+    script = "import sys; sys.modules['numpy'] = None; from dabss.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
 
 
 class TestSteadyStateCommand:
@@ -53,6 +59,37 @@ class TestSteadyStateCommand:
         x_full = json.loads(full_out.read_text())["x_star"]
         x_half = json.loads(half_out.read_text())["x_star"]
         np.testing.assert_allclose(x_half, x_full, rtol=1e-12)
+
+
+class TestSteadyStateWithoutNumpy:
+    """`steady-state` runs on the float core alone: with numpy unimportable it writes the bytes,
+    exit codes and messages of a normal run."""
+
+    @pytest.mark.parametrize("method", ["full", "half"])
+    def test_writes_the_bytes_of_a_normal_run(self, config_file, tmp_path, method):
+        path = config_file()
+        outputs = []
+        for k, run in enumerate((run_cli, run_cli_without_numpy)):
+            out = tmp_path / f"ss{k}.json"
+            proc = run("steady-state", path, "--method", method, "--out", str(out))
+            assert proc.returncode == 0 and not proc.stderr, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("method", ["full", "half"])
+    @pytest.mark.parametrize("converter, code, message", [
+        pytest.param(dict(Rt=1e15, Rc=0.0, Ro=1e30), 3, "\neigenvalues: ", id="blocking"),
+        # Python floats raise ZeroDivisionError where n^2 L underflows to 0.
+        pytest.param(dict(n_turns=1e-300), 2, "segment matrices must be finite",
+                     id="n_turns=1e-300"),
+        pytest.param(dict(Vin=1e308), 2, "b*u*t (input column times duration)", id="Vin=1e308")])
+    def test_fails_as_a_normal_run(self, config_file, tmp_path, method, converter, code, message):
+        path = config_file(converter=dict(REFERENCE_KWARGS, **converter))
+        argv = ("steady-state", path, "--method", method, "--out", str(tmp_path / "ss.json"))
+        normal, without = run_cli(*argv), run_cli_without_numpy(*argv)
+        assert without.returncode == normal.returncode == code, without.stderr
+        assert without.stderr == normal.stderr and message in without.stderr
+        assert "Traceback" not in without.stderr and not (tmp_path / "ss.json").exists()
 
 
 class TestVerifyCommand:
@@ -330,8 +367,8 @@ class TestFailureExitCodes:
             assert code == 3
             error, eigenvalues = capsys.readouterr().err.splitlines()
             assert error == f"error: {what} is marginal: cond ~ {c:.3e} exceeds 1.0e+12"
-            assert eigenvalues == " ".join(["eigenvalues:", *map(str, pwlti.eigenvalues(*m[:4]))])
-            for e in pwlti.eigenvalues(*m[:4]):  # a few u ||phi|| off those of 50-digit mpmath
+            assert eigenvalues == " ".join(["eigenvalues:", *map(str, core.eigenvalues(*m[:4]))])
+            for e in core.eigenvalues(*m[:4]):  # a few u ||phi|| off those of 50-digit mpmath
                 assert min(abs(e - x) for x in exact_eigenvalues(m[:4])) <= 4e-16 * math.hypot(
                     *m[:4])
         assert marginal >= 2
@@ -556,9 +593,12 @@ class TestValuesAtTheEdgeOfDoublePrecision:
     def test_an_overflowing_input_column_is_a_config_error(self, config_file, tmp_path, capsys,
                                                           vin):
         # b u overflows to inf in both exponentials' augmented matrices: no RuntimeWarning.
+        # The closed form and the oracle both name the input column, not a t (near 0.1 here).
         for command, code, err in self.run_all(config_file, tmp_path, capsys, dict(Vin=vin)):
             assert code == 2, (command, err)
-            assert len(err) == 1 and err[0].startswith("error: "), (command, err)
+            assert len(err) == 1 and err[0] == (
+                "error: matrix exponential is not finite: the 1-norm of b*u*t (input column "
+                "times duration) reaches inf, beyond double precision"), (command, err)
 
     @pytest.mark.parametrize("vr", [1e-305, 1e-306, 1e-307, 5e-324])
     def test_control_input_vectors_that_are_not_finite_are_a_config_error(
@@ -649,14 +689,44 @@ class TestMisc:
     def test_missing_subcommand_is_a_usage_error(self):
         assert run_cli().returncode == 2
 
+    def test_top_level_names_load_on_first_use(self):
+        # A fresh interpreter: `import dabss` loads no numpy, and every name of __all__ is
+        # the object its module defines, listed by dir() and bound by a star import.
+        script = """if True:
+            import importlib, sys
+            import dabss
+            assert "numpy" not in sys.modules
+            assert set(dabss.__all__) <= set(dir(dabss))
+            for name in dabss.__all__:
+                module = importlib.import_module("dabss." + dabss._EXPORTS[name])
+                assert getattr(dabss, name) is getattr(module, name), name
+            namespace = {}
+            exec("from dabss import *", namespace)
+            assert set(dabss.__all__) <= namespace.keys()
+            try:
+                dabss.no_such_name
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc)
+            else:
+                raise AssertionError("an unknown name resolved")
+            """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     COMMANDS = ("steady-state", "verify", "bode", "simulate", "compare")
+    # Whether each command line loads numpy, dabss.smallsignal and dabss.oracle: numpy where
+    # arrays are made, the surface models where a transfer is evaluated, the simulator
+    # where it runs. `import dabss`, `--version` and `steady-state` load none of them.
+    LOADS = {"import": (False, False, False), "cli-version": (False, False, False),
+             "steady-state": (False, False, False), "verify": (True, True, False),
+             "bode": (True, True, False), "simulate": (True, False, True),
+             "compare": (True, True, True)}
 
     @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version"),
                                       *(("-m", "dabss.cli", command) for command in COMMANDS)],
                              ids=["import", "cli-version", *COMMANDS])
-    def test_scipy_is_never_imported(self, config_file, tmp_path, argv):
-        # -X importtime lists every module the interpreter imports, one per line. The
-        # simulator is loaded by the two commands that run it and by nothing else.
+    def test_scipy_is_never_imported(self, config_file, tmp_path, argv, request):
+        # -X importtime lists every module the interpreter imports, one per line.
         command = argv[-1]
         if command in self.COMMANDS:
             argv += (config_file(sim={"injection": {"settle_periods": 10, "measure_periods": 20}},
@@ -667,6 +737,7 @@ class TestMisc:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-        assert "dabss" in imported and "numpy" in imported
+        assert "dabss" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
-        assert ("dabss.oracle" in imported) == (command in ("simulate", "compare"))
+        loads = tuple(name in imported for name in ("numpy", "dabss.smallsignal", "dabss.oracle"))
+        assert loads == self.LOADS[request.node.callspec.id]

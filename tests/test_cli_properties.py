@@ -6,7 +6,8 @@ phase shifts next to 0, 0.5 and 1, and L and Co over four decades each. README's
 for a rejected or unsolvable design, and 1 only from `verify`. An exception
 escaping `main` fails the test with its traceback. A second property draws every
 parameter over most of the double range, with RuntimeWarning as an error: an overflow
-or 0/0 anywhere in a command fails it.
+or 0/0 anywhere in a command fails it. A third property holds `steady-state`, which runs on
+Python floats alone, to the library's array functions over the draws of both.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dabss.cli import main
+from dabss import core
+from dabss.cli import _EXIT_CODES, main
+from dabss.dab import DabParams, build_dab
+from dabss.pwlti import monodromy, solve_periodic_fixed_point
 
 README_EXIT_CODES = {0, 1, 2, 3, 4, 5}
 
@@ -102,3 +106,29 @@ def test_every_command_exits_with_a_documented_code_over_the_double_range(tmp_pa
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         run_every_command(tmp_path_factory.mktemp("design"), converter)
+
+
+@settings(max_examples=140, deadline=None, derandomize=True, database=None)
+@given(converter=st.one_of(designs, wide_designs))
+def test_steady_state_floats_are_the_array_functions_bit_for_bit(tmp_path_factory, converter):
+    # x_star and the eigenvalues of Pi that `steady-state` writes, from the period map's six
+    # floats, are those of solve_periodic_fixed_point and of the monodromy array, bit for bit;
+    # where either fails, both fail with an exception of one exit code. Most wide draws fail,
+    # so the first property's draws join them.
+    work = tmp_path_factory.mktemp("design")
+    config, out = work / "config.json", work / "ss.json"
+    config.write_text(json.dumps({"converter": converter}))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["steady-state", str(config), "--out", str(out)])
+    try:
+        schedule = build_dab(DabParams(**converter)).schedule
+        x_star = solve_periodic_fixed_point(schedule).tolist()
+        eigs = sorted(core.eigenvalues(*monodromy(schedule).ravel().tolist()),
+                      key=lambda e: (e.real, e.imag))
+    except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
+        assert code == next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds)), exc
+        return
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["x_star"] == x_star
+    assert [complex(re, im) for re, im in doc["eigenvalues_of_Pi"]] == eigs

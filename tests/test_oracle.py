@@ -22,7 +22,7 @@ from dabss.errors import (AmplitudeError, ConfigError, ConvergenceError, Margina
                           NumericInputError)
 from dabss.oracle import (measure_frequency_response, measure_frequency_responses,
                           run_to_steady_state)
-from dabss import dab as dab_module, oracle, pwlti
+from dabss import core, dab as dab_module, oracle, pwlti
 from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
                             random_params)
 from tests.test_pwlti import mpmath_expm
@@ -269,7 +269,7 @@ def step_exponentials(aug):
 
 class TestStepExponentials:
     """The oracle's Pade kernel against scipy.linalg.expm, a reference for
-    the tests only, on the sets that check pwlti.augmented_expm."""
+    the tests only, on the sets that check core.augmented_expm."""
 
     def test_matches_scipy_on_random_designs(self):
         linalg = pytest.importorskip("scipy.linalg")
@@ -397,20 +397,21 @@ class TestStepExponentials:
 class TestIndependence:
     def test_oracle_runs_without_the_closed_form_maps(self, ref_params, monkeypatch):
         # The oracle shares no code with the closed-form route: with every public
-        # name of pwlti (augmented_expm among them), the segment and period maps
-        # and the half-cycle map all refusing, it still runs.
+        # name of core and pwlti (augmented_expm among them), wherever it is bound,
+        # the segment and period maps and the half-cycle map all refusing, it still runs.
         def refuse(*args):
             raise AssertionError("the oracle reached the closed-form route")
 
         dab = build_dab(ref_params)
         monkeypatch.setattr(pwlti.Schedule, "maps", property(refuse))
         monkeypatch.setattr(pwlti.Schedule, "period_map", property(refuse))
-        public = [name for name, value in vars(pwlti).items()
+        public = {name for module in (core, pwlti) for name, value in vars(module).items()
                   if not name.startswith("_") and callable(value)
-                  and getattr(value, "__module__", None) == pwlti.__name__]
-        assert {"augmented_expm", "compose", "fixed_point", "Schedule"} <= set(public)
-        for name in public:
-            monkeypatch.setattr(pwlti, name, refuse)
+                  and getattr(value, "__module__", None) == module.__name__}
+        assert {"augmented_expm", "compose", "fixed_point", "Schedule"} <= public
+        for module in (core, pwlti, dab_module):
+            for name in public & vars(module).keys():
+                monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(dab_module, "half_cycle_map", refuse)
         for closed_form in (lambda: dab.schedule.maps, lambda: dab.schedule.period_map,
                             lambda: solve_periodic_fixed_point(dab.schedule),
@@ -434,7 +435,7 @@ class TestIndependence:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 imported.update(alias.name for alias in node.names)
         assert not [name for name in imported
-                    if name.split(".")[-1] in ("pwlti", "smallsignal")]
+                    if name.split(".")[-1] in ("core", "pwlti", "smallsignal")]
 
 
 class TestPreRunCache:

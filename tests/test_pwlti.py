@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
-from dabss import pwlti
+from dabss import core
 from dabss.dab import half_cycle_map
 from dabss.errors import DimensionError, MarginalSystemError, NumericInputError, ParameterError
-from dabss.pwlti import (COND_LIMIT, IdentityCheck, Schedule, Segment, SegmentMap,
-                         augmented_expm, closed_form_state, compose, cond, fixed_point,
-                         monodromy, propagate)
+from dabss.core import COND_LIMIT, IdentityCheck, augmented_expm, compose, cond, fixed_point
+from dabss.pwlti import Schedule, Segment, SegmentMap, closed_form_state, monodromy, propagate
 
 
 def expm_map(x, w) -> SegmentMap:
@@ -137,7 +136,7 @@ class TestAugmentedExpm:
     def test_the_refusal_sits_exactly_at_theta13_times_2_to_the_52(self):
         # The oracle's Pade kernel takes 52 squarings at this 1-norm and 53 above it. exp(-x)
         # underflows to a finite 0 on both sides, so only the norm tells them apart.
-        limit = pwlti._NORM_LIMIT
+        limit = core._NORM_LIMIT
         m = expm_map(np.diag([-limit, 0.0]), [0.0, 1.0])
         np.testing.assert_array_equal(m.phi, np.diag([0.0, 1.0]))
         np.testing.assert_array_equal(m.gamma, [0.0, 1.0])
@@ -156,7 +155,7 @@ class TestAugmentedExpm:
         bound = T * max((r + r / n**2) / L + 1.0 / (n * Co),  # |a00| + |a10|
                         1.0 / (n * L) + 1.0 / (Co * Ro),      # |a01| + |a11|
                         Vin / L)                              # |b u|
-        assert math.ceil(math.log2(bound / (pwlti._NORM_LIMIT / 2.0**52))) == 16  # far below 53
+        assert math.ceil(math.log2(bound / (core._NORM_LIMIT / 2.0**52))) == 16  # far below 53
         rng = np.random.default_rng(7)
         norms = []
         for _ in range(2000):
@@ -238,10 +237,10 @@ def _ulps(x, steps=(-1, 0, 1)):
 
 
 def _regime(mu, delta2) -> str:
-    """The regime of X = [[mu, delta2], [1, mu]], by the thresholds of pwlti."""
-    if abs(mu) + math.sqrt(abs(delta2)) <= pwlti._RADIUS:
+    """The regime of X = [[mu, delta2], [1, mu]], by the thresholds of the closed form."""
+    if abs(mu) + math.sqrt(abs(delta2)) <= core._RADIUS:
         return "taylor"
-    if delta2 > pwlti._SPREAD:
+    if delta2 > core._SPREAD:
         return "real pair"
     return "cosh" if delta2 >= 0.0 else "cos"
 
@@ -738,7 +737,7 @@ class TestClosedFormFixedPoint:
         worst = 0.0
         for m in _solved_maps(19_2026, 400):
             exact = exact_cond(m[:4], 1)
-            c = pwlti._shifted(m[:4], 1.0)[0]
+            c = core._shifted(m[:4], 1.0)[0]
             assert c == exact if math.isinf(exact) else abs(c - exact) <= 8e-16 * exact, m
             worst = max(worst, abs(c - exact) / exact if math.isfinite(exact) else 0.0)
         rng = np.random.default_rng(22_2026)
@@ -778,13 +777,13 @@ class TestClosedFormFixedPoint:
 
 
 class TestClosedFormEigenvalues:
-    """`pwlti.eigenvalues` against 50-digit mpmath of the same floats."""
+    """`core.eigenvalues` against 50-digit mpmath of the same floats."""
 
     U = 2.0 ** -53
 
     def assert_close(self, m, bound: float = 4.0):
         """Each eigenvalue within bound u ||m||_F of its exact value; a pair exact conjugates."""
-        ours, exact = pwlti.eigenvalues(*m), exact_eigenvalues(m)
+        ours, exact = core.eigenvalues(*m), exact_eigenvalues(m)
         scale = math.hypot(*m)
         for e in ours:
             assert min(abs(e - x) for x in exact) <= bound * self.U * scale, (m, ours, exact)
@@ -809,15 +808,15 @@ class TestClosedFormEigenvalues:
                   [0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 2.0, 4.0], [1e300, -1e300, 1e300, -1e300],
                   [1.5, -0.25, 1.0, 0.5]):  # the last: (x - 1)^2, a double eigenvalue 1
             self.assert_close(m)
-        assert pwlti.eigenvalues(0.0, 1.0, -1.0, 0.0) == (1j, -1j)
-        assert pwlti.eigenvalues(1.0, 2.0, 2.0, 4.0) == (5.0, 0.0)
+        assert core.eigenvalues(0.0, 1.0, -1.0, 0.0) == (1j, -1j)
+        assert core.eigenvalues(1.0, 2.0, 2.0, 4.0) == (5.0, 0.0)
 
     def test_the_small_eigenvalue_of_the_marginal_fixture_is_resolved(self):
         # An unloaded output behind a blocking series path: Pi has eigenvalues 1 and about
         # -4.8e-49, which det(Pi) / 1 gives to a few u of itself (numpy's eigvals gives 0.0).
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e15, Rc=0.0, Ro=1e30)))
         m = dab.schedule._period[:4]
-        big, small = pwlti.eigenvalues(*m)
+        big, small = core.eigenvalues(*m)
         one, tiny = sorted(exact_eigenvalues(m), key=abs, reverse=True)
         assert big == 1.0 and abs(one - 1.0) <= self.U
         assert -5e-49 < small.real < -4.7e-49 and small.imag == 0.0
@@ -831,18 +830,18 @@ class TestPlanarNorm:
         rng = np.random.default_rng(21_2026)
         v = rng.standard_normal((4, 200)) * 10.0 ** rng.uniform(-100, 74, (4, 200))
         expected = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
-        np.testing.assert_array_equal(pwlti.planar_norm(tuple(v)), expected)
-        assert [pwlti.planar_norm(tuple(col)) for col in v.T.tolist()] == expected.tolist()
+        np.testing.assert_array_equal(core.planar_norm(tuple(v)), expected)
+        assert [core.planar_norm(tuple(col)) for col in v.T.tolist()] == expected.tolist()
 
     @pytest.mark.parametrize("scale", [1e76, 1e160, 1e300, 1e307])
     def test_large_vectors_take_hypot_without_overflow(self, scale):
         # The C library's hypot for one vector and for an array: the same bits either way.
         v = (3.0 * scale, -0.0, 2.0 * scale, 4.0 * scale)
         expected = float(np.hypot(np.hypot(v[0], v[1]), np.hypot(v[2], v[3])))
-        assert pwlti.planar_norm(v) == expected == pytest.approx(math.sqrt(29.0) * scale)
-        norms = pwlti.planar_norm(tuple(np.array([x, 1.0]) for x in v))
+        assert core.planar_norm(v) == expected == pytest.approx(math.sqrt(29.0) * scale)
+        norms = core.planar_norm(tuple(np.array([x, 1.0]) for x in v))
         assert norms.tolist() == [expected, 2.0]
 
     def test_a_nan_stays_nan(self):
-        assert math.isnan(pwlti.planar_norm((math.nan, math.inf, 0.0, 0.0)))
-        assert np.isnan(pwlti.planar_norm((np.array([math.nan]), 1e300, 0.0, 0.0)))
+        assert math.isnan(core.planar_norm((math.nan, math.inf, 0.0, 0.0)))
+        assert np.isnan(core.planar_norm((np.array([math.nan]), 1e300, 0.0, 0.0)))

@@ -17,10 +17,11 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams,
                    sweep_frequencies, transfer_difference, transfer_difference_residual,
                    transfer_fixed_freq, transfer_same_cycle)
 from dabss.dab import FLIP_CURRENT, half_cycle_map, solve_half_cycle, verify_symmetry
-from dabss.pwlti import IdentityCheck, cond, propagate
+from dabss.core import IdentityCheck, cond
+from dabss.pwlti import propagate
 from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, identity_checks,
                                resolvent_similarity_residual, verify_surface_equivalence)
-from dabss import cli, pwlti, smallsignal
+from dabss import cli, core, smallsignal
 from dabss.config import Tolerances, load_config
 from dabss.errors import MarginalSystemError, NumericInputError, ParameterError
 from dabss.pwlti import monodromy
@@ -123,8 +124,8 @@ class TestHalfCycleModel:
     def test_input_vector_assembly(self, ref_dab):
         m = half_cycle_model(ref_dab, P_PLUS)
         z = 0.3 + 0.4j
-        exact = pwlti.planar_array([smallsignal._input_vector(m._entries, z.real, z.imag)], ())
-        rebased = pwlti.planar_array([smallsignal._rebased_vector(m, z.real, z.imag)], ())
+        exact = smallsignal.planar_array([smallsignal._input_vector(m._entries, z.real, z.imag)], ())
+        rebased = smallsignal.planar_array([smallsignal._rebased_vector(m, z.real, z.imag)], ())
         np.testing.assert_array_equal(exact[0], m.b_cur + z * m.b_next)
         np.testing.assert_array_equal(rebased[0], z * m.b_cur + m.phi @ m.b_next)
 
@@ -473,8 +474,8 @@ class TestModelCache:
         for surface in SURFACES.values():
             model, m = half_cycle_model(dab, surface), half_cycle_map(dab, surface.a)
             assert (*model.phi.ravel().tolist(), *model.g.tolist()) == m
-            assert tuple(model.x_star.tolist()) == pwlti.fixed_point(m, "solve")
-            assert model.poles == pwlti.eigenvalues(*m[:4])
+            assert tuple(model.x_star.tolist()) == core.fixed_point(m, "solve")
+            assert model.poles == core.eigenvalues(*m[:4])
 
     def test_eight_sweeps_on_one_design_build_four_models(self, ref_params, model_builds):
         dab = build_dab(ref_params)
@@ -537,7 +538,7 @@ class TestModelCache:
         # Well-damped designs, scaled so that the largest of |n| = |adj(zI - phi) v| and |x| =
         # |n| / |det| for both inputs v, sampled on the upper half circle and then around its
         # largest sample, sits 1e-6 below or above _TRANSFER_MAX.
-        monkeypatch.setattr(smallsignal, "_matrix", lambda c: [1.0, 0.0, 0.0, 0.0])  # gain 1
+        monkeypatch.setattr(smallsignal, "_flat", lambda c: [1.0, 0.0, 0.0, 0.0])  # gain 1
 
         def peak(model, theta):
             z = np.exp(1j * theta)[:, None]
@@ -564,7 +565,7 @@ class TestModelCache:
         # 1, where |det|^2 fitted in cos(theta) keeps no digit. The peak is searched in 40-digit
         # arithmetic on the floats given, from a grid with the poles' angles, then around it.
         mpmath = pytest.importorskip("mpmath")
-        monkeypatch.setattr(smallsignal, "_matrix", lambda c: [1.0, 0.0, 0.0, 0.0])  # gain 1
+        monkeypatch.setattr(smallsignal, "_flat", lambda c: [1.0, 0.0, 0.0, 0.0])  # gain 1
         if case == "complex-pair":
             r, t_mat = 1.0 - 1e-8, np.array([[1.0, 0.3], [-0.2, 1.1]])
             rotation = r * np.array([[math.cos(1.0), -math.sin(1.0)],
@@ -633,7 +634,7 @@ class TestDualPathFloor:
                 z = np.concatenate([np.exp(2j * np.pi * f * model.t_half), unit_circle(8)])
                 closed, subtracted, states = smallsignal._difference_paths(model, dab.c_phys, z)
                 floor = smallsignal._dual_path_floor(model, dab.c_phys, z, states, subtracted)
-                res = pwlti.planar_residual(closed, subtracted)
+                res = core.planar_residual(closed, subtracted)
                 worst = max(worst, float(np.max(res / floor)))
         assert worst <= 1.0
 
@@ -649,8 +650,8 @@ class TestDualPathFloor:
             zr, zi = smallsignal._z_parts(model, z)
             bn0, bn1 = (model.b_next * (1.0 + 1e-6)).tolist()
             advance = (zr - 1.0) * bn0, zi * bn0, (zr - 1.0) * bn1, zi * bn1
-            solved = pwlti.resolvent_solve(model._entries.phi, zr, zi, [advance])[0]
-            closed = pwlti.matrix_times(np.ravel(c_phys).tolist(), solved)
+            solved = core.resolvent_solve(model._entries.phi, zr, zi, [advance])[0]
+            closed = core.matrix_times(np.ravel(c_phys).tolist(), solved)
             return closed, subtracted, states
 
         monkeypatch.setattr(smallsignal, "_difference_paths", perturbed)
@@ -782,7 +783,7 @@ def _complex_route_surface_equivalence(dab, primary, secondary, z_grid, rtol=1e-
     c_phys products."""
     t_mat = dab.schedule.maps[primary.a - 1].phi
     t_cond = cond(t_mat)
-    if not t_cond <= pwlti.COND_LIMIT:
+    if not t_cond <= core.COND_LIMIT:
         raise MarginalSystemError(f"similarity transform is singular: cond ~ {t_cond:.3e}")
     m_pri = half_cycle_model(dab, primary)
     m_sec = half_cycle_model(dab, secondary)
@@ -791,12 +792,12 @@ def _complex_route_surface_equivalence(dab, primary, secondary, z_grid, rtol=1e-
     b_pri = m_pri.b_cur + np.multiply.outer(z, m_pri.b_next)
     b_sec = np.multiply.outer(z, m_sec.b_cur) + m_sec.phi @ m_sec.b_next
     zr, zi = smallsignal._z_parts(m_sec, z)  # the pole gate
-    solved = pwlti.planar_array(pwlti.resolvent_solve(
-        pwlti.Matrix2x2.of(m_sec.phi), zr, zi, [planar(b_sec)]), z.shape)[0]
+    solved = smallsignal.planar_array(core.resolvent_solve(
+        core.Matrix2x2.of(m_sec.phi), zr, zi, [planar(b_sec)]), z.shape)[0]
     mapped, chained = np.linalg.solve(t_mat.astype(complex),
                                       np.stack([b_sec, solved])[..., None])[..., 0]
     c = np.ravel(dab.c_phys).tolist()
-    h_chain = pwlti.planar_array([pwlti.matrix_times(c, planar(chained))], z.shape)[0]
+    h_chain = smallsignal.planar_array([core.matrix_times(c, planar(chained))], z.shape)[0]
 
     def worst(actual, expected):
         def norm(v):
@@ -962,10 +963,10 @@ class TestClosedFormResolvent:
         for dab, model, z in self.designs(60):
             lhs = z[:, None, None] * np.eye(2) - model.phi
             rhs = smallsignal._input_vector(model._entries, z.real, z.imag)
-            expected = np.linalg.solve(lhs, pwlti.planar_array([rhs], z.shape)[0][..., None])
+            expected = np.linalg.solve(lhs, smallsignal.planar_array([rhs], z.shape)[0][..., None])
             expected = expected[..., 0]
             floor = 2.0 * self.solve_floor(model, z)  # both solves err
-            closed = pwlti.planar_array(pwlti.resolvent_solve(
+            closed = smallsignal.planar_array(core.resolvent_solve(
                 model._entries.phi, z.real, z.imag, [rhs]), z.shape)[0]
             assert np.all(row_norms(closed - expected) <= floor * row_norms(expected))
             envelope = (np.abs(z - 1.0) * np.linalg.norm(dab.c_phys, 2)
@@ -984,9 +985,9 @@ class TestClosedFormResolvent:
         # ulps of the exact determinant of the floats z and phi (rational arithmetic).
         for _, model, z in self.designs(20):
             (p00, p01), (p10, p11) = (map(Fraction, row) for row in model.phi.tolist())
-            m = pwlti.Matrix2x2.of(model.phi)
+            m = core.Matrix2x2.of(model.phi)
             for zk in z[-8:].tolist():  # the points next to the poles
-                _, _, det_re, det_im, _ = pwlti.resolvent_det(m, zk.real, zk.imag)
+                _, _, det_re, det_im, _ = core.resolvent_det(m, zk.real, zk.imag)
                 zr, zi = Fraction(zk.real), Fraction(zk.imag)
                 exact_re = (zr - p00) * (zr - p11) - zi * zi - p01 * p10
                 exact_im = zi * (2 * zr - p00 - p11)
