@@ -198,8 +198,13 @@ def real_sqrt(x):
 
 
 def real_hypot(x, y):
-    # Both are the C library's hypot; math.hypot is not.
-    return abs(complex(x, y)) if isinstance(x, float) else _numpy().hypot(x, y)
+    # Both are the C library's hypot, inf past the float range; math.hypot is not.
+    if not isinstance(x, float):
+        return _numpy().hypot(x, y)
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.inf
 
 
 def matrix_times(c: list, v):
@@ -211,15 +216,16 @@ def matrix_times(c: list, v):
 
 def planar_norm(v):
     """2-norm of a planar vector: the root of its sum of squares, or hypot's scaled form
-    where that sum reaches 1e150 or overflows."""
+    where that sum reaches 1e150 or overflows; inf, with no error or warning, past the float
+    range."""
     r0, s0, r1, s1 = v
     if type(r0) is type(s0) is type(r1) is type(s1) is float:  # numpy warns on an overflow
         s = r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1
         return real_hypot(real_hypot(r0, s0), real_hypot(r1, s1)) if s >= 1e150 else math.sqrt(s)
     np = _numpy()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
         s = r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1
-    return np.where(s >= 1e150, np.hypot(np.hypot(r0, s0), np.hypot(r1, s1)), np.sqrt(s))
+        return np.where(s >= 1e150, np.hypot(np.hypot(r0, s0), np.hypot(r1, s1)), np.sqrt(s))
 
 
 def planar_residual(actual, expected):

@@ -185,30 +185,28 @@ def _affine(m, x) -> tuple:
     return m00 * x[0] + m01 * x[1] + c0, m10 * x[0] + m11 * x[1] + c1
 
 
-def _pole_gaps(model: HalfCycleModel, z: np.ndarray) -> np.ndarray:
-    """Distance from each z to the nearest pole of the model."""
+def _near_pole(model: HalfCycleModel, z):
+    """(near, gap): whether z lies within _POLE_GAP of a pole of the model, and its distance to
+    the nearest one; Python values for one complex z, arrays for an array of z."""
     p0, p1 = model.poles
-    return np.minimum(np.abs(z - p0), np.abs(z - p1))
+    if isinstance(z, complex):
+        gap = min(abs(z - p0), abs(z - p1))
+    else:
+        gap = np.minimum(np.abs(z - p0), np.abs(z - p1))
+    return gap <= _POLE_GAP, gap
 
 
 def _z_parts(model: HalfCycleModel, z):
     """(Re z, Im z): Python floats for one z, float arrays for an array of z.
 
     ResolventSingularityError if any z is within _POLE_GAP of a pole of the model."""
-    if isinstance(z, (int, float, complex)):  # numpy scalars too
-        z = complex(z)
-        p0, p1 = model.poles
-        gap = min(abs(z - p0), abs(z - p1))
-        if gap <= _POLE_GAP:
-            raise ResolventSingularityError(f"z = {z!r} is within "
-                                            f"{gap:.3e} of a pole of the sampled model")
-        return z.real, z.imag
-    z = np.asarray(z, dtype=complex)
-    gaps = _pole_gaps(model, z)
-    if (gaps <= _POLE_GAP).any():
-        k = np.argmax(gaps <= _POLE_GAP)
-        raise ResolventSingularityError(f"z = {complex(z.flat[k])!r} is within "
-                                        f"{gaps.flat[k]:.3e} of a pole of the sampled model")
+    one = isinstance(z, (int, float, complex))  # numpy scalars too
+    z = complex(z) if one else np.asarray(z, dtype=complex)
+    near, gap = _near_pole(model, z)
+    if near if one else near.any():
+        k = 0 if one else np.argmax(near)
+        raise ResolventSingularityError(f"z = {complex(np.ravel(z)[k])!r} is within "
+                                        f"{np.ravel(gap)[k]:.3e} of a pole of the sampled model")
     return z.real, z.imag
 
 
@@ -501,18 +499,10 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
     f = sweep_frequencies(f_min, f_max, points, spacing, model.t_half)
     z = np.exp(2j * np.pi * f * model.t_half)
     rhs = _input_vector if kind == "fix" else _same_cycle_vector
-    if len(z) <= _FEW_Z:  # z by z in Python floats, with the bits of the array path
-        p0, p1 = model.poles
-        zs = z.tolist()
-        flagged = [k for k, zk in enumerate(zs) if not min(abs(zk - p0), abs(zk - p1)) > _POLE_GAP]
-        rows = _planar_rows(model, dab.c_phys, [(zk.real, zk.imag) for k, zk in enumerate(zs)
-                                                if k not in flagged], rhs)
-        h_irec, h_vout = ([complex(r[j], r[j + 1]) for r in rows] for j in (0, 2))
-    else:
-        off_pole = _pole_gaps(model, z) > _POLE_GAP
-        z = z[off_pole]  # gated here, so the transfer takes (Re z, Im z) as they are
-        h_irec, h_vout = _transfer(model, dab.c_phys, z.real, z.imag, rhs).T.tolist()
-        flagged = np.flatnonzero(~off_pole).tolist()
+    near, _ = _near_pole(model, z)
+    z = z[~near]  # gated here, so the transfer takes (Re z, Im z) as they are
+    h_irec, h_vout = _transfer(model, dab.c_phys, z.real, z.imag, rhs).T.tolist()
+    flagged = np.flatnonzero(near).tolist()
     for k in flagged:  # flagged rows keep None in both channels
         h_irec.insert(k, None)
         h_vout.insert(k, None)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,42 +68,39 @@ def random_params(rng: np.random.Generator) -> DabParams:
     )
 
 
-# Forward-error constants of a 2x2 solve M x = b, as multiples of u cond(M) ||x|| (2-norms,
-# u = 2^-53, first order; Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.).
-# LAPACK's LU with partial pivoting has ||dM||_inf <= n^2 gamma_3n rho_n ||M||_inf = 48 u
-# ||M||_inf for n = 2, rho_2 <= 2 (Thm 9.5), so by Thm 7.2 it errs by at most 2 cond_inf(M)
-# 48 u ||x||_inf, at most 192 sqrt(2) u cond(M) ||x|| in 2-norms (cond_inf <= 2 cond,
-# ||.||_2 <= sqrt(2) ||.||_inf).
-LU_SOLVE = 192.0 * math.sqrt(2.0)
-# `core.fixed_point`'s closed form for M = I - phi: each entry of adj(M) b is two products
-# and a sum, over a diagonal entry 1 - phi_ii rounded once, so it errs by gamma_3 of
+# Forward errors of the closed-form solve of a 2x2 M x = b, as multiples of u cond(M) ||x||
+# (2-norms, u = 2^-53, first order; Higham, "Accuracy and Stability of Numerical Algorithms",
+# 2nd ed.). Each entry of adj(M) b is two products and a sum, so it errs by gamma_2 of
 # |adj M| |b|, whose norm is at most ||M||_F ||b|| <= sqrt(2) s_max^2 ||x||; over |det M| =
-# s_max s_min that is 3 sqrt(2) u cond(M) ||x||. The determinant, summed from exact products,
-# is within u (1 + 10 u cond) of its value, and the one division by it adds one rounding:
-# 2 u ||x||, and 1 u more for the second-order terms (cond >= 1). Scaling the map by a power
-# of two first changes no bit.
+# s_max s_min that is 2 sqrt(2) u cond(M) ||x||. The determinant, summed from exact products, is
+# within u (1 + 10 u cond) of its value, and the division by it adds a rounding: 2 u ||x||, and
+# 1 u more for the second-order terms (cond >= 1). So errs `core.resolvent_solve` on T y = v at
+# z = 0 on -T (T_SOLVE; the real and imaginary parts apiece), and `core.fixed_point`, whose
+# M = I - phi rounds each diagonal entry once, by gamma_3 in place of gamma_2 (CLOSED_FORM_SOLVE;
+# scaling the map by a power of two first changes no bit).
+T_SOLVE = 2.0 * math.sqrt(2.0) + 3.0
 CLOSED_FORM_SOLVE = 3.0 * math.sqrt(2.0) + 3.0
 
 
-def exact_cond(m, z) -> float:
-    """cond(zI - M) = s_max^2 / |det| of the four floats m of M, with 50-digit mpmath from
-    the rational Frobenius norm F and determinant D: s_max^2 = (F + sqrt(F^2 - 4 D^2)) / 2."""
-    mpmath = pytest.importorskip("mpmath")
-    p00, p01, p10, p11 = map(Fraction, m)
-    a, b, c, d = z - p00, -p01, -p10, z - p11
-    det, frob = a * d - b * c, a * a + b * b + c * c + d * d
-    if det == 0:
-        return math.inf
-    with mpmath.workdps(50):
-        f, g = (mpmath.mpf(x.numerator) / x.denominator for x in (frob, det))
-        return float((f + mpmath.sqrt(f * f - 4 * g * g)) / (2 * abs(g)))
+def property_range_params(rng: np.random.Generator) -> DabParams:
+    """One design drawn over the ranges of tests/test_cli_properties.py: nearly lossless,
+    near-marginal loads, phase shifts next to 0, 0.5 and 1, and L and Co over four decades.
+    A draw can be invalid (ParameterError) or unsolvable like the property test's own."""
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
 
+    def resistance():
+        return 0.0 if rng.uniform() < 0.5 else log_uniform(-3.0, -0.5)
 
-def exact_eigenvalues(m) -> list:
-    """The eigenvalues of the four floats m, with 50-digit mpmath."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        return [complex(e) for e in mpmath.eig(mpmath.matrix([m[:2], m[2:4]]))[0]]
+    edges = [1e-9, 1e-6, 1e-3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9]
+    return DabParams(
+        n_turns=float(rng.uniform(0.5, 2.0)), L=log_uniform(-7.0, -3.0),
+        Co=log_uniform(-6.0, -2.0), Rt=resistance(), Rc=resistance(),
+        Ro=log_uniform(0.0, 2.0) if rng.uniform() < 0.5 else log_uniform(6.0, 12.0),
+        Vin=float(rng.uniform(10.0, 400.0)), fs=log_uniform(4.0, 5.5),
+        D_phase=(edges[rng.integers(len(edges))] if rng.uniform() < 0.5
+                 else float(rng.uniform(0.01, 0.99))),
+        Vr=1.0)
 
 
 def fd_sensitivities(dab, surface, delta: float = 1e-9):

@@ -19,7 +19,8 @@ from dabss import (P_PLUS, S_PLUS, DabParams, build_dab, half_cycle_model,
                    solve_periodic_fixed_point, transfer_fixed_freq)
 from dabss import cli, core, oracle, smallsignal
 from dabss.dab import half_cycle_map
-from tests.conftest import REFERENCE_KWARGS, exact_cond, exact_eigenvalues
+from tests import reference
+from tests.conftest import REFERENCE_KWARGS
 
 
 def run_cli(*argv: str):
@@ -359,7 +360,7 @@ class TestFailureExitCodes:
                               (["steady-state", "--method", "half"], "half-cycle solve", half),
                               (["bode", "--surface", "P+"], "surface P+ fixed point", half)):
             code = cli.main([argv[0], path, *argv[1:], "--out", out])
-            c = exact_cond(m[:4], 1)  # 50-digit mpmath of the map's floats
+            c = reference.cond(m[:4], 1.0)  # 50-digit mpmath of the map's floats
             if not c > 1e12:
                 assert code == 0
                 continue
@@ -369,7 +370,7 @@ class TestFailureExitCodes:
             assert error == f"error: {what} is marginal: cond ~ {c:.3e} exceeds 1.0e+12"
             assert eigenvalues == " ".join(["eigenvalues:", *map(str, core.eigenvalues(*m[:4]))])
             for e in core.eigenvalues(*m[:4]):  # a few u ||phi|| off those of 50-digit mpmath
-                assert min(abs(e - x) for x in exact_eigenvalues(m[:4])) <= 4e-16 * math.hypot(
+                assert min(abs(e - x) for x in reference.eigenvalues(m)) <= 4e-16 * math.hypot(
                     *m[:4])
         assert marginal >= 2
 
@@ -379,7 +380,7 @@ class TestFailureExitCodes:
         # the same floats reads 2.885e18 from a roundoff-level s_min).
         converter = dict(REFERENCE_KWARGS, Co=1e-9)
         t_mat = build_dab(DabParams(**converter)).schedule.maps[0].phi
-        assert f"{exact_cond((-t_mat).ravel().tolist(), 0):.3e}" == "4.607e+19"
+        assert f"{reference.cond(t_mat.ravel().tolist()):.3e}" == "4.607e+19"
         proc = run_cli("verify", config_file(converter=converter))
         assert proc.returncode == 3
         assert proc.stdout == ""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from dabss.dab import (FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, half_cycle_map, solv
                        verify_symmetry)
 from dabss.errors import DimensionError, ParameterError
 from dabss.pwlti import propagate
-from tests.conftest import CLOSED_FORM_SOLVE, LU_SOLVE, REFERENCE_KWARGS, random_params
+from tests import reference
+from tests.conftest import CLOSED_FORM_SOLVE, REFERENCE_KWARGS, random_params
 
 
 def interval_output(dab, x, interval: int) -> np.ndarray:
@@ -143,17 +143,16 @@ class TestSteadyState:
     def test_half_cycle_solve_keeps_the_flip_current_system(self):
         # RECTIFY flips signs only, so the rectified system is the system
         # (FLIP_CURRENT - phi2 phi1) x = phi2 gamma1 + gamma2 with one row negated, to the
-        # bit. Its closed-form solve is within the two solves' forward-error bounds of
-        # LAPACK's solve of the latter.
+        # bit, and the exact solve of the half-cycle map's floats solves both. The closed form
+        # is within its forward-error bound of it.
         rng = np.random.default_rng(9_2026)
         for _ in range(50):
             dab = build_dab(random_params(rng))
-            m1, m2 = dab.schedule.maps[:2]
-            lhs = FLIP_CURRENT - m2.phi @ m1.phi
-            expected = np.linalg.solve(lhs, m2.phi @ m1.gamma + m2.gamma)
-            allowed = (2.0 ** -53 * (LU_SOLVE + CLOSED_FORM_SOLVE) * np.linalg.cond(lhs)
-                       * np.linalg.norm(expected))
-            assert np.linalg.norm(solve_half_cycle(dab) - expected) <= allowed
+            m = half_cycle_map(dab, 1)
+            expected = reference.fixed_point(m)
+            allowed = (2.0 ** -53 * CLOSED_FORM_SOLVE * reference.cond(m[:4], 1.0)
+                       * reference.norm(expected))
+            assert reference.distance(solve_half_cycle(dab).tolist(), expected) <= allowed
 
     @pytest.mark.parametrize("first", [1, 2, 3, 4])
     def test_half_cycle_map_wraps_from_interval_four_to_one(self, ref_dab, first):
@@ -170,23 +169,23 @@ class TestSteadyState:
             -((b00 * ga0 + b01 * ga1) + gb0), (b10 * ga0 + b11 * ga1) + gb1)
 
     def test_half_cycle_map_is_the_exact_product_to_roundoff(self):
-        # Against the rational product of the same float maps, each entry, a sum of n = 2
-        # (phi) or 3 (g) terms, errs by at most n u times the sum of their magnitudes
-        # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., sec. 3.1).
-        # On these random designs that is within 8 ulps of each exact entry.
+        # Against the exact product of the same float maps, each entry, a sum of n = 2 (phi)
+        # or 3 (g) terms, errs by at most n u times the sum of their magnitudes, the entry of
+        # the product of the maps' magnitudes (Higham, "Accuracy and Stability of Numerical
+        # Algorithms", 2nd ed., sec. 3.1). On these random designs that is within 8 ulps of
+        # each exact entry.
         rng = np.random.default_rng(10_2026)
         for _ in range(50):
             dab = build_dab(random_params(rng))
+            magnitudes = [tuple(map(abs, m)) for m in dab.schedule._entries]
             for first in (1, 2, 3, 4):
-                a00, a01, a10, a11, ga0, ga1 = map(Fraction, dab.schedule._entries[first - 1])
-                b00, b01, b10, b11, gb0, gb1 = map(Fraction, dab.schedule._entries[first % 4])
-                terms = [(-b00 * a00, -b01 * a10), (-b00 * a01, -b01 * a11),
-                         (b10 * a00, b11 * a10), (b10 * a01, b11 * a11),
-                         (-b00 * ga0, -b01 * ga1, -gb0), (b10 * ga0, b11 * ga1, gb1)]
-                for got, parts in zip(half_cycle_map(dab, first), terms):
-                    error = abs(Fraction(got) - sum(parts))
-                    assert error <= len(parts) * Fraction(2.0 ** -53) * sum(map(abs, parts))
-                    assert error <= 8 * Fraction(math.ulp(float(sum(parts))))
+                exact = reference.half_cycle_map(dab.schedule._entries, first)
+                sizes = reference.fold([magnitudes[first - 1], magnitudes[first % 4]])
+                for got, e, size, n in zip(half_cycle_map(dab, first), exact, sizes,
+                                           (2, 2, 2, 2, 3, 3)):
+                    error = reference.distance([got], [e])
+                    assert error <= n * 2.0 ** -53 * reference.norm([size])
+                    assert error <= 8 * math.ulp(reference.norm([e]))
 
     def test_half_wave_symmetry_of_boundary_states(self, ref_dab):
         x0 = solve_periodic_fixed_point(ref_dab.schedule)

@@ -23,9 +23,9 @@ from dabss.errors import (AmplitudeError, ConfigError, ConvergenceError, Margina
 from dabss.oracle import (measure_frequency_response, measure_frequency_responses,
                           run_to_steady_state)
 from dabss import core, dab as dab_module, oracle, pwlti
+from tests import reference
 from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
                             random_params)
-from tests.test_pwlti import mpmath_expm
 
 
 class TestInjectionValidation:
@@ -283,11 +283,11 @@ class TestStepExponentials:
         # A blocking series path and an unloaded output: about 26 squarings per interval.
         linalg = pytest.importorskip("scipy.linalg")
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
-        reference = linalg.expm(augmented_step_matrices(dab))
+        expected = linalg.expm(augmented_step_matrices(dab))
         durations = [seg.duration for seg in dab.schedule.segments]
         ours = oracle._step_maps(oracle._tables(dab), range(4), durations)
-        assert max_abs_relative(ours[:, :, :2], reference[:, :2, :2]).max() <= 1e-14
-        assert max_abs_relative(ours[:, :, 2:], reference[:, :2, 2:]).max() <= 1e-14
+        assert max_abs_relative(ours[:, :, :2], expected[:, :2, :2]).max() <= 1e-14
+        assert max_abs_relative(ours[:, :, 2:], expected[:, :2, 2:]).max() <= 1e-14
 
     def test_mixed_norm_stack_matches_single_calls_bit_for_bit(self):
         # Skew-symmetric state blocks keep exp bounded at any norm; 1e8 takes 25
@@ -331,10 +331,10 @@ class TestStepExponentials:
             return pade(terms, keys, tau, scratch)
 
         monkeypatch.setattr(oracle, "_pade", counting)
-        ours, reference = step_exponentials(aug), mpmath_expm(aug, dps=50)
+        ours, exact = step_exponentials(aug), reference.expm(aug)
         assert degrees == [(5, {9}) if norm <= oracle._THETA9 else (7, {13})]
-        assert max_abs_relative(ours[:, :2, :2], reference[:, :2, :2]).max() <= 1e-15
-        assert max_abs_relative(ours[:, :2, 2:], reference[:, :2, 2:]).max() <= 1e-15
+        assert max_abs_relative(ours[:, :2, :2], exact[:, :2, :2]).max() <= 1e-15
+        assert max_abs_relative(ours[:, :2, 2:], exact[:, :2, 2:]).max() <= 1e-15
 
     def test_a_time_scaled_design_keeps_its_step_maps(self, ref_dab):
         # L and Co times 1e-150 and fs times 1e150 leave every a T as it is, with ||a||_1

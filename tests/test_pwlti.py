@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,10 +20,10 @@ def expm_map(x, w) -> SegmentMap:
     """`augmented_expm` of a 2x2 `x` and a 2-vector `w` as the map (e^x, phi1(x) w)."""
     e = augmented_expm(*np.ravel(x).tolist(), *np.ravel(w).tolist())
     return SegmentMap(np.array([e[:2], e[2:4]]), np.array(e[4:]))
-from tests.conftest import (CLOSED_FORM_SOLVE, LU_SOLVE, REFERENCE_KWARGS,
-                            augmented_step_matrices, exact_cond, exact_eigenvalues,
-                            max_abs_relative, random_params, reverse_product)
-from tests.test_smallsignal import property_range_params
+from tests import reference
+from tests.conftest import (CLOSED_FORM_SOLVE, REFERENCE_KWARGS, augmented_step_matrices,
+                            max_abs_relative, property_range_params, random_params,
+                            reverse_product)
 
 
 def random_stable_segment(rng, m=1, max_duration=1.0):
@@ -74,17 +73,6 @@ def closed_form(aug: np.ndarray) -> np.ndarray:
         m[:2, :2], m[:2, 2] = expm_map(k[:2, :2], k[:2, 2])
         m[2, 2] = 1.0
     return out
-
-
-def mpmath_expm(aug: np.ndarray, dps: int = 40) -> np.ndarray:
-    """exp of each (3, 3) matrix of a stack in `dps`-digit arithmetic, rounded to floats."""
-    mpmath = pytest.importorskip("mpmath")
-    out = []
-    with mpmath.workdps(dps):
-        for k in aug:
-            m = mpmath.expm(mpmath.matrix(k.tolist()))
-            out.append([[float(m[i, j]) for j in range(3)] for i in range(3)])
-    return np.array(out)
 
 
 def augmented(x, w) -> np.ndarray:
@@ -168,8 +156,8 @@ class TestAugmentedExpm:
 
 
 class TestClosedFormKernel:
-    """The closed form against scipy.linalg.expm and 40-digit mpmath, references for the
-    tests only."""
+    """The closed form against scipy.linalg.expm and 50-digit mpmath (`reference.expm`),
+    references for the tests only."""
 
     def test_matches_scipy_on_random_designs(self):
         linalg = pytest.importorskip("scipy.linalg")
@@ -189,28 +177,23 @@ class TestClosedFormKernel:
             except (ParameterError, NumericInputError):
                 continue
         aug = np.array(aug)
-        assert max_abs_relative(closed_form(aug), mpmath_expm(aug)).max() <= 1e-14
+        assert max_abs_relative(closed_form(aug), reference.expm(aug)).max() <= 1e-14
 
     def test_stiff_blocked_design_keeps_its_slow_mode(self):
         # The nearly marginal design: a blocking series path and an unloaded output make
         # eigenvalues of a T near -1e8 and -1e-11. scipy is 3.5e-11 off here.
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
         aug = augmented_step_matrices(dab)
-        ours, reference = closed_form(aug), mpmath_expm(aug, dps=50)
-        assert max_abs_relative(ours[:, :2, :2], reference[:, :2, :2]).max() <= 1e-14
-        assert max_abs_relative(ours[:, :2, 2:], reference[:, :2, 2:]).max() <= 1e-14
+        ours, exact = closed_form(aug), reference.expm(aug)
+        assert max_abs_relative(ours[:, :2, :2], exact[:, :2, :2]).max() <= 1e-14
+        assert max_abs_relative(ours[:, :2, 2:], exact[:, :2, 2:]).max() <= 1e-14
 
     def test_the_period_map_of_the_stiff_design_leaks_its_slow_mode(self):
         # The capacitor discharges through Rt in 1 - T / (Rt Co) = 1 - 1.0e-10 per period:
         # Pi's slow eigenvalue is not 1, and cond(I - Pi) is about 1e10, below COND_LIMIT.
-        mpmath = pytest.importorskip("mpmath")
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
-        with mpmath.workdps(50):
-            pi = mpmath.eye(2)
-            for k in augmented_step_matrices(dab):
-                pi = mpmath.expm(mpmath.matrix(k.tolist()))[0:2, 0:2] * pi
-            leak = 1 - max(mpmath.re(e) for e in mpmath.eig(pi)[0])
-            leak = float(leak)
+        pi = reference.fold(reference.segment_maps(dab.schedule))  # 50 digits
+        leak = 1.0 - max(e.real for e in reference.eigenvalues(pi))
         assert leak == pytest.approx(1e-10, rel=1e-3)
         slow = max(np.linalg.eigvals(monodromy(dab.schedule)).real)
         assert 1.0 - slow == pytest.approx(leak, rel=1e-4)
@@ -246,7 +229,7 @@ def _regime(mu, delta2) -> str:
 
 
 class TestRegimeBoundaries:
-    """Each threshold at +-1 ulp: every side within 1e-15 of 40-digit mpmath, and no jump
+    """Each threshold at +-1 ulp: every side within 1e-15 of 50-digit mpmath, and no jump
     between neighbours beyond roundoff."""
 
     @pytest.mark.parametrize("points, regimes", [
@@ -267,7 +250,7 @@ class TestRegimeBoundaries:
         assert [_regime(mu, delta2) for mu, delta2 in points] == regimes
         aug = np.concatenate([augmented([[mu, delta2], [1.0, mu]], _W) for mu, delta2 in points])
         maps = closed_form(aug)
-        assert max_abs_relative(maps, mpmath_expm(aug)).max() <= 1e-15
+        assert max_abs_relative(maps, reference.expm(aug)).max() <= 1e-15
         jumps = max_abs_relative(maps[1:], maps[:-1])
         assert jumps.max() <= 1e-15, jumps
 
@@ -275,7 +258,7 @@ class TestRegimeBoundaries:
     def test_signed_zeros_on_the_diagonal_of_a_real_pair(self, x00, x11):
         # h = (x00 - x11) / 2 and mu = (x00 + x11) / 2 are zeros of either sign here.
         aug = augmented([[x00, 2.0], [2.0, x11]], _W)
-        assert max_abs_relative(closed_form(aug), mpmath_expm(aug)).max() <= 1e-15
+        assert max_abs_relative(closed_form(aug), reference.expm(aug)).max() <= 1e-15
 
     def test_a_real_pair_through_a_zero_eigenvalue(self):
         # X = [[-3, 1], [3, -1 + d]] has mu near -2 and delta^2 near 4, and det X = -3 d:
@@ -283,7 +266,7 @@ class TestRegimeBoundaries:
         points = [((-3.0, 1.0), (3.0, -1.0 + d)) for d in (-1e-17, -1e-300, 0.0, 1e-300, 1e-17)]
         aug = np.concatenate([augmented(x, _W) for x in points])
         maps = closed_form(aug)
-        assert max_abs_relative(maps, mpmath_expm(aug)).max() <= 1e-15
+        assert max_abs_relative(maps, reference.expm(aug)).max() <= 1e-15
         assert max_abs_relative(maps[1:], maps[:-1]).max() <= 1e-15
 
 
@@ -603,21 +586,12 @@ class TestBatchedSegmentMaps:
             np.testing.assert_array_equal(together[k].gamma, alone.gamma)
 
 
-def _earlier_fixed_point(pi, forcing) -> np.ndarray:
-    """The period solve as it stood before the period map was cached, formulas copied."""
-    lhs = np.eye(pi.shape[0]) - pi
-    c = np.linalg.cond(lhs)
-    if not np.isfinite(c) or c > COND_LIMIT:
-        raise MarginalSystemError("marginal")
-    return np.linalg.solve(lhs, forcing)
-
-
 class TestPeriodMapCache:
     """Pi and the forcing are composed once per schedule, read-only, with the fold's values."""
 
     def test_values_match_the_uncached_formulas_bit_for_bit(self):
-        # Bit for bit but for the fixed point, which the closed form solves: it is within the
-        # two solves' first-order forward-error bounds of LAPACK's.
+        # Bit for bit but for the fixed point, which the closed form solves: it is within its
+        # first-order forward-error bound of the exact solve of the same floats.
         rng = np.random.default_rng(7_2026)
         for _ in range(200):
             sched = random_schedule(rng)
@@ -626,17 +600,16 @@ class TestPeriodMapCache:
             pi, forcing = np.array([[p00, p01], [p10, p11]]), np.array([f0, f1])
             assert np.array_equal(monodromy(sched), pi)
             assert np.array_equal(closed_form_state(sched, x0), pi @ x0 + forcing)
-            try:
-                expected = _earlier_fixed_point(pi, forcing)
-            except MarginalSystemError:
+            kappa = reference.cond([p00, p01, p10, p11], 1.0)
+            if not kappa <= COND_LIMIT:
                 with pytest.raises(MarginalSystemError):
                     solve_periodic_fixed_point(sched)
                 continue
-            for got in (solve_periodic_fixed_point(sched),
-                        np.array(fixed_point(floats(pi, forcing), "periodic solve"))):
-                allowed = (2.0 ** -53 * (LU_SOLVE + CLOSED_FORM_SOLVE)
-                           * np.linalg.cond(np.eye(2) - pi) * np.linalg.norm(expected))
-                assert np.linalg.norm(got - expected) <= allowed, (got, expected)
+            x = reference.fixed_point((p00, p01, p10, p11, f0, f1))
+            allowed = 2.0 ** -53 * CLOSED_FORM_SOLVE * kappa * reference.norm(x)
+            for got in (solve_periodic_fixed_point(sched).tolist(),
+                        fixed_point(floats(pi, forcing), "periodic solve")):
+                assert reference.distance(got, x) <= allowed, (got, x)
 
     def test_period_map_is_built_once_and_read_only(self):
         sched = random_schedule(np.random.default_rng(8))
@@ -656,25 +629,16 @@ class TestPeriodMapCache:
             assert not m.phi.flags.writeable and not m.gamma.flags.writeable
 
     def test_cond_of_a_singular_matrix_is_inf(self):
-        assert cond(np.zeros((2, 2))) == math.inf == np.linalg.cond(np.zeros((2, 2)))
+        assert cond(np.zeros((2, 2))) == math.inf == reference.cond([0.0] * 4)
         assert cond(np.array([[1.0, 0.0], [0.0, 0.0]])) == math.inf
         assert cond([1.0, 2.0, 2.0, 4.0]) == math.inf
 
     def test_cond_past_the_float_range_is_inf_without_a_warning(self):
-        # s_max / s_min = 1e310 overflows: inf, as np.linalg.cond has it, and no RuntimeWarning.
+        # s_max / s_min = 1e310 overflows: inf, as the exact cond rounds, and no RuntimeWarning.
         m = np.array([[1e300, 0.0], [0.0, 1e-10]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert cond(m) == math.inf == np.linalg.cond(m)
-
-
-def _exact_solve(m: tuple):
-    """x of (I - phi) x = gamma in rational arithmetic on the six floats m of (phi, gamma),
-    and cond(I - phi) (`exact_cond`)."""
-    p00, p01, p10, p11, g0, g1 = map(Fraction, m)
-    a, b, c, d = 1 - p00, -p01, -p10, 1 - p11
-    det = a * d - b * c
-    return ((d * g0 - b * g1) / det, (a * g1 - c * g0) / det), exact_cond(m[:4], 1)
+            assert cond(m) == math.inf == reference.cond(m.ravel().tolist())
 
 
 def _solved_maps(seed: int, count: int):
@@ -702,9 +666,9 @@ class TestClosedFormFixedPoint:
                 got = fixed_point(m, "solve")
             except MarginalSystemError:
                 continue
-            x, kappa = _exact_solve(m)
-            error = math.hypot(*(float(Fraction(g) - e) for g, e in zip(got, x)))
-            ratio = error / (2.0 ** -53 * kappa * math.hypot(*map(float, x)))
+            x = reference.fixed_point(m)
+            ratio = reference.distance(got, x) / (
+                2.0 ** -53 * reference.cond(m[:4], 1.0) * reference.norm(x))
             worst = max(worst, ratio)
             solved += 1
         assert solved >= 1900 and worst <= CLOSED_FORM_SOLVE, (solved, worst)
@@ -721,7 +685,7 @@ class TestClosedFormFixedPoint:
                       for t in rng.uniform(0.0, 2.0 * math.pi, 2))
             phi = np.eye(2) - q1 @ np.diag([1.0, 1.0 / kappa]) @ q2.T
             m = floats(phi, rng.standard_normal(2))
-            c = exact_cond(m[:4], 1)
+            c = reference.cond(m[:4], 1.0)
             if c <= COND_LIMIT:
                 fixed_point(m, "test solve")
                 continue
@@ -736,33 +700,16 @@ class TestClosedFormFixedPoint:
         # u of the exact cond(I - phi) of its floats, and `cond` likewise of random matrices.
         worst = 0.0
         for m in _solved_maps(19_2026, 400):
-            exact = exact_cond(m[:4], 1)
+            exact = reference.cond(m[:4], 1.0)
             c = core._shifted(m[:4], 1.0)[0]
             assert c == exact if math.isinf(exact) else abs(c - exact) <= 8e-16 * exact, m
             worst = max(worst, abs(c - exact) / exact if math.isfinite(exact) else 0.0)
         rng = np.random.default_rng(22_2026)
         for _ in range(300):
             t = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-300, 300)
-            exact = exact_cond((-t).ravel().tolist(), 0)
+            exact = reference.cond(t.ravel().tolist())
             assert abs(cond(t) - exact) <= 8e-16 * exact, t
         assert worst > 0.0
-
-    def test_a_solve_makes_no_numpy_linalg_call(self, ref_dab, monkeypatch):
-        pi, forcing = ref_dab.schedule.period_map
-        expected = np.linalg.solve(np.eye(2) - pi, forcing)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.linalg called")
-
-        for name in np.linalg.__all__:
-            monkeypatch.setattr(np.linalg, name, refuse)
-        x = fixed_point(floats(pi, forcing), "periodic solve")
-        for first in (1, 2, 3, 4):
-            fixed_point(half_cycle_map(ref_dab, first), "half-cycle solve")
-        with pytest.raises(MarginalSystemError):
-            fixed_point(floats(np.eye(2), np.ones(2)), "identity")
-        monkeypatch.undo()
-        assert relative_residual(np.array(x), expected) < 1e-13
 
     def test_a_singular_or_overflowing_system_is_scaled_exactly(self):
         # det(I - phi) = 0 exactly; det^2 past the float range with cond 1, and I - phi of
@@ -777,13 +724,13 @@ class TestClosedFormFixedPoint:
 
 
 class TestClosedFormEigenvalues:
-    """`core.eigenvalues` against 50-digit mpmath of the same floats."""
+    """`core.eigenvalues` against 50-digit mpmath of the same floats (`reference.eigenvalues`)."""
 
     U = 2.0 ** -53
 
     def assert_close(self, m, bound: float = 4.0):
         """Each eigenvalue within bound u ||m||_F of its exact value; a pair exact conjugates."""
-        ours, exact = core.eigenvalues(*m), exact_eigenvalues(m)
+        ours, exact = core.eigenvalues(*m), reference.eigenvalues(m)
         scale = math.hypot(*m)
         for e in ours:
             assert min(abs(e - x) for x in exact) <= bound * self.U * scale, (m, ours, exact)
@@ -817,7 +764,7 @@ class TestClosedFormEigenvalues:
         dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e15, Rc=0.0, Ro=1e30)))
         m = dab.schedule._period[:4]
         big, small = core.eigenvalues(*m)
-        one, tiny = sorted(exact_eigenvalues(m), key=abs, reverse=True)
+        one, tiny = sorted(reference.eigenvalues(m), key=abs, reverse=True)
         assert big == 1.0 and abs(one - 1.0) <= self.U
         assert -5e-49 < small.real < -4.7e-49 and small.imag == 0.0
         assert abs(small - tiny) <= 4.0 * self.U * abs(tiny)
@@ -841,6 +788,16 @@ class TestPlanarNorm:
         assert core.planar_norm(v) == expected == pytest.approx(math.sqrt(29.0) * scale)
         norms = core.planar_norm(tuple(np.array([x, 1.0]) for x in v))
         assert norms.tolist() == [expected, 2.0]
+
+    def test_a_norm_past_the_float_range_is_inf_without_an_error_or_a_warning(self):
+        # One vector and an array: the vector's sum of squares and its hypot overflow.
+        v = (1.5e308, 0.0, 1.5e308, 0.0)
+        arrays = tuple(np.array([x, 1.0]) for x in v)
+        assert core.planar_norm(v) == core.planar_residual(v, (0.0,) * 4) == math.inf
+        for got in (core.planar_norm(arrays), core.planar_residual(arrays, (0.0,) * 4)):
+            assert got.tolist() == [math.inf, 2.0]
+        assert core.planar_residual(v, v) == 0.0
+        assert core.planar_residual(arrays, arrays).tolist() == [0.0, 0.0]
 
     def test_a_nan_stays_nan(self):
         assert math.isnan(core.planar_norm((math.nan, math.inf, 0.0, 0.0)))

@@ -1,6 +1,6 @@
 """The verdict scan of `dabss verify`: `identity_checks` over seeded property-range designs.
 
-Draws designs with `property_range_params` (tests/test_smallsignal.py) from
+Draws designs with `property_range_params` (tests/conftest.py) from
 `numpy.random.default_rng(7)` and runs `identity_checks` on each with the default
 `Tolerances`, on 25 log points from fs/1000 to fs/10. Prints the FAIL count of each row
 and the totals of designs that pass every row, fail one, and raise (exit 2 or 3).
@@ -38,7 +38,7 @@ sys.path.append(str(_ROOT / "src"))  # after PYTHONPATH
 from dabss import SURFACES, build_dab, sweep_frequencies  # noqa: E402
 from dabss.config import Tolerances  # noqa: E402
 from dabss.smallsignal import identity_checks  # noqa: E402
-from tests.test_smallsignal import property_range_params  # noqa: E402
+from tests.conftest import property_range_params  # noqa: E402
 
 
 def scan(designs: int, seed: int = 7) -> list[dict]:
