@@ -11,9 +11,9 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {name: module for module, names in (  # each top-level name, by its module
-    ("config", "Injection SimConfig"), ("errors", "ResolventSingularityError"),
+    ("config", "Injection SimConfig"), ("core", "relative_residual"),
     ("dab", "DabParams P_MINUS P_PLUS S_MINUS S_PLUS SURFACES Surface build_dab"),
-    ("pwlti", "relative_residual solve_periodic_fixed_point"),
+    ("errors", "ResolventSingularityError"), ("pwlti", "solve_periodic_fixed_point"),
     ("smallsignal", "difference_envelope half_cycle_model sweep_frequencies transfer_difference "
                     "transfer_difference_residual transfer_fixed_freq transfer_same_cycle"))
     for name in names.split()}

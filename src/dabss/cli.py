@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import AppConfig, load_config
-from .core import eigenvalues, fixed_point, planar_residual
+from .core import _affine, eigenvalues, fixed_point, relative_residual
 from .dab import SURFACES, DabSchedule, build_dab, half_cycle_fixed_point
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError, ParameterError, ResolventSingularityError)
@@ -80,15 +80,13 @@ def _surfaces(cfg: AppConfig) -> dict:
 
 def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
     # The period map's six floats: the fixed point, its closure Pi x + forcing and eigenvalues.
-    p00, p01, p10, p11, g0, g1 = period = dab.schedule._period
+    period = dab.schedule._period
     if args.method == "full":
         x_star = fixed_point(period, "periodic solve")
     else:
         x_star = half_cycle_fixed_point(dab, 1, "half-cycle solve")[1]
-    x0, x1 = x_star
-    residual = planar_residual((p00 * x0 + p01 * x1 + g0, 0.0, p10 * x0 + p11 * x1 + g1, 0.0),
-                               (x0, 0.0, x1, 0.0))
-    eigs = sorted(eigenvalues(p00, p01, p10, p11), key=lambda e: (e.real, e.imag))
+    residual = relative_residual(_affine(period, x_star), x_star)
+    eigs = sorted(eigenvalues(*period[:4]), key=lambda e: (e.real, e.imag))
     eig_rows = ",\n    ".join(f"[{_fmt(e.real)}, {_fmt(e.imag)}]" for e in eigs)
     text = (
         "{\n"
@@ -190,12 +188,11 @@ def _coherent_frequencies(cfg: AppConfig, t_half: float) -> list[float]:
 def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     import numpy as np
     from .oracle import measure_frequency_responses, run_to_steady_state
-    from .pwlti import relative_residual, solve_periodic_fixed_point
     from .smallsignal import half_cycle_model, transfer_fixed_freq
     surface = _surfaces(cfg)["P+"]
     model = half_cycle_model(dab, surface)
 
-    x_model = solve_periodic_fixed_point(dab.schedule)
+    x_model = fixed_point(dab.schedule._period, "periodic solve")
     x_sim, _ = run_to_steady_state(dab, cfg.sim)
     steady_dev = relative_residual(x_sim, x_model)
 

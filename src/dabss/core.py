@@ -6,6 +6,7 @@ The resolvent (`resolvent_solve`) and the planar helpers also take float arrays 
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -125,6 +126,12 @@ def compose(maps) -> tuple:
     return p00, p01, p10, p11, g0, g1
 
 
+def _affine(m, x) -> tuple:
+    """phi x + gamma of a map m of six Python floats, each entry rounded as `compose` rounds it."""
+    m00, m01, m10, m11, c0, c1 = m
+    return m00 * x[0] + m01 * x[1] + c0, m10 * x[0] + m11 * x[1] + c1
+
+
 def _scale(*values) -> float:
     """The power of two, at most 2^1023, that takes the largest |value| to [1/2, 1)."""
     return math.ldexp(1.0, -max(math.frexp(max(map(abs, values)))[1], -1023))
@@ -215,23 +222,76 @@ def matrix_times(c: list, v):
 
 
 def planar_norm(v):
-    """2-norm of a planar vector: the root of its sum of squares, or hypot's scaled form
-    where that sum reaches 1e150 or overflows; inf, with no error or warning, past the float
-    range."""
-    r0, s0, r1, s1 = v
-    if type(r0) is type(s0) is type(r1) is type(s1) is float:  # numpy warns on an overflow
-        s = r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1
-        return real_hypot(real_hypot(r0, s0), real_hypot(r1, s1)) if s >= 1e150 else math.sqrt(s)
+    """2-norm of a planar vector of any number of parts: the root of its sum of squares, or
+    where that sum reaches 1e150 or overflows, hypot of pairs of parts, then of pairs of those
+    (`_hypot_tree`); inf, with no error or warning, past the float range."""
+    if all(type(p) is float for p in v):  # numpy warns on an overflow
+        return _float_norm(v)
     np = _numpy()
     with np.errstate(over="ignore"):  # a norm past the float range is inf
-        s = r0 * r0 + s0 * s0 + r1 * r1 + s1 * s1
-        return np.where(s >= 1e150, np.hypot(np.hypot(r0, s0), np.hypot(r1, s1)), np.sqrt(s))
+        s = functools.reduce(lambda s, p: s + p * p, v[1:], v[0] * v[0])
+        return np.where(s >= 1e150, _hypot_tree(v, np.hypot), np.sqrt(s))
+
+
+def _float_norm(v) -> float:
+    s = 0.0
+    for p in v:  # left to right: sum() compensates from Python 3.12 on
+        s += p * p
+    return _hypot_tree(v, real_hypot) if s >= 1e150 else math.sqrt(s)
+
+
+def _hypot_tree(v, hypot):
+    """hypot of pairs of parts, then of pairs of those, down to one; a lone part pairs with 0."""
+    v = list(map(hypot, v[::2], (*v[1::2], 0.0)))  # map stops at the shorter
+    return v[0] if len(v) == 1 else _hypot_tree(v, hypot)
 
 
 def planar_residual(actual, expected):
-    """relative_residual of planar vectors: a float for one vector, an array for many."""
-    return (planar_norm(tuple(a - e for a, e in zip(actual, expected)))
-            / (1.0 + planar_norm(expected)))
+    """||actual - expected|| / (1 + ||expected||) of planar vectors of any number of parts
+    (`planar_norm`): a float for Python floats, an array for float arrays (many vectors).
+    Where a difference or ||expected|| of finite parts passes the float range, the parts and the
+    1 are scaled first by the power of two that takes the largest part to [2^999, 2^1000), which
+    leaves the quotient as it is; every other input keeps its bits. No input warns."""
+    if all(type(p) is float for v in (actual, expected) for p in v):
+        return _float_residual(actual, expected)
+    np = _numpy()
+    with np.errstate(over="ignore", invalid="ignore"):  # as silent as the rule of one vector
+        diff, size = _norms(actual, expected, planar_norm)
+        res = diff / (1.0 + size)
+        if np.isinf(diff + size).any():  # those vectors by the rule of one vector
+            res = np.array(res)
+            for k in map(tuple, np.argwhere(np.isinf(diff + size))):
+                one = [float(np.broadcast_to(p, res.shape)[k]) for p in (*actual, *expected)]
+                res[k] = _float_residual(one[:len(actual)], one[len(actual):])
+    return res
+
+
+def _float_residual(actual, expected) -> float:
+    s, (diff, size) = 1.0, _norms(actual, expected, _float_norm)
+    if math.inf in (diff, size) and all(map(math.isfinite, (*actual, *expected))):
+        s = math.ldexp(_scale(*actual, *expected), 1000)
+        diff, size = _norms([s * p for p in actual], [s * p for p in expected], _float_norm)
+    return diff / (s + size)
+
+
+def _norms(actual, expected, norm) -> tuple:
+    """(||actual - expected||, ||expected||) of planar vectors with as many parts."""
+    return norm([a - e for a, e in zip(actual, expected, strict=True)]), norm(expected)
+
+
+def relative_residual(actual, expected) -> float:
+    """||actual - expected|| / (1 + ||expected||) of two numbers, sequences or arrays: the
+    `planar_residual` of the real and imaginary parts of their entries (Frobenius for matrices).
+    The +1 is an absolute floor, so comparisons against near-zero references stay meaningful."""
+    return _float_residual(_parts(actual), _parts(expected))
+
+
+def _parts(x) -> list:
+    """Real and imaginary part of each entry of a number, a sequence or an array, in row order."""
+    x = x.tolist() if hasattr(x, "tolist") else x
+    if isinstance(x, (int, float, complex)):
+        return [float(x.real), float(x.imag)]
+    return [p for e in x for p in ((e, 0.0) if type(e) is float else _parts(e))]
 
 
 def sigma_max_sq(a, b, c, d, y):

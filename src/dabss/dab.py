@@ -3,19 +3,19 @@
 State is x = [i_L, v_C] (primary-referred series inductor current, output
 capacitor voltage). One switching period splits into four subintervals set
 by the bridge switch pattern; the pattern repeats with half-wave symmetry,
-which is what the involution constants below encode:
+which the sign flips S = diag(1, -1) and Dr = diag(-1, 1) express:
 
 * intervals 1 and 4 share the forward state matrix, intervals 2 and 3 the
-  reversed one (both off-diagonal couplings flip sign),
+  reversed one (both off-diagonal couplings flip sign: conjugation by S),
 * the input column flips sign between the first and second half cycle,
 * durations satisfy T1 = T3 and T2 = T4.
 
 Those structural facts make the second half cycle a sign-conjugated copy of
-the first, so a half-cycle solve with a current-flip boundary condition
+the first, so a half-cycle solve with the boundary condition x(T/2) = Dr x(0)
 reproduces the full-period steady state; `half_cycle_map` forms that map for
-it and for every sampled surface model. `verify_symmetry` measures the
-conjugation identities numerically instead of trusting the construction.
-The model is Python floats, and arrays are made when first asked for (no numpy import).
+it and for every sampled surface model, and `verify_symmetry` measures the
+conjugation identities numerically. The model is Python floats with no numpy
+import, each flip a sign change, and arrays are made when first asked for.
 """
 
 from __future__ import annotations
@@ -31,19 +31,6 @@ from .pwlti import Schedule, Segment, _frozen_array
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Involutions of the [i_L, v_C] state, read-only arrays made on first use (`__getattr__`).
-# FLIP_VOLTAGE conjugates the reversed-coupling intervals onto the forward
-# ones; FLIP_CURRENT is the half-wave symmetry boundary condition. RECTIFY,
-# the fixed inductor-current sign flip of the sampled-data models, is the
-# same matrix under the name its role there calls for.
-def __getattr__(name: str):
-    if name not in ("FLIP_VOLTAGE", "FLIP_CURRENT", "RECTIFY"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    flip_current = _frozen_array([[-1.0, 0.0], [0.0, 1.0]])
-    globals().update(FLIP_VOLTAGE=_frozen_array([[1.0, 0.0], [0.0, -1.0]]),
-                     FLIP_CURRENT=flip_current, RECTIFY=flip_current)
-    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -149,7 +136,7 @@ class DabSchedule:
 
     @functools.cached_property
     def c_intervals(self) -> tuple[np.ndarray, ...]:
-        # c_phys FLIP_CURRENT: the first column negated, a 0 to +0.0 as the products give it.
+        # c_phys Dr: the first column negated, a 0 to +0.0 as the products give it.
         c00, c01, c10, c11 = self.c_rev
         c_fwd = _frozen_array(((0.0 - c00, c01), (0.0 - c10, c11)))
         return c_fwd, self.c_phys, self.c_phys, c_fwd
@@ -195,7 +182,7 @@ def build_dab(params: DabParams, t3_skew: float = 0.0) -> DabSchedule:
 def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck]:
     """Residuals of the half-wave conjugation identities between the two half cycles.
 
-    With S = FLIP_VOLTAGE and Dr = RECTIFY the second-half maps must satisfy
+    With S = diag(1, -1) and Dr = diag(-1, 1) the second-half maps must satisfy
 
         phi3 = S phi1 S,   phi4 = S phi2 S,
         gamma3 = -S gamma1, gamma4 = -S gamma2,
@@ -208,8 +195,7 @@ def verify_symmetry(dab: DabSchedule, rtol: float = 1e-12) -> list[IdentityCheck
     m1, m2, m3, m4 = dab.schedule._entries
     phi3, phi4 = (planar_residual(late[:4], (p[0], -p[1], -p[2], p[3]))
                   for late, p in ((m3, m1), (m4, m2)))
-    gamma3, gamma4 = (planar_residual((*late[4:], 0.0, 0.0), (-g[4], g[5], 0.0, 0.0))
-                      for late, g in ((m3, m1), (m4, m2)))
+    gamma3, gamma4 = (planar_residual(late[4:], (-g[4], g[5])) for late, g in ((m3, m1), (m4, m2)))
     return [IdentityCheck(f"symmetry/{name}", residual, rtol) for name, residual in (
         ("phi3-flip-voltage", phi3), ("phi4-flip-voltage", phi4), ("gamma3-negated", gamma3),
         ("gamma4-negated", gamma4), ("phi3-rectify", phi3), ("phi4-rectify", phi4))]
@@ -219,9 +205,9 @@ def half_cycle_map(dab: DabSchedule, first: int) -> tuple:
     """Rectified map x -> phi x + g over intervals `first` and `first % 4 + 1` (one-based), six
     Python floats (phi row by row, then g) composed from the segments' own:
 
-        phi = RECTIFY phi_b phi_a,   g = RECTIFY (phi_b gamma_a + gamma_b),
+        phi = Dr phi_b phi_a,   g = Dr (phi_b gamma_a + gamma_b),
 
-    where RECTIFY negates row 0."""
+    where Dr = diag(-1, 1), the rectification, negates row 0."""
     p00, p01, p10, p11, g0, g1 = compose([dab.schedule._entries[i - 1]
                                           for i in (first, first % 4 + 1)])
     return -p00, -p01, p10, p11, -g0, g1
@@ -240,7 +226,7 @@ def half_cycle_fixed_point(dab: DabSchedule, first: int, what: str) -> tuple:
 def solve_half_cycle(dab: DabSchedule) -> np.ndarray:
     """Period-start steady state from the first half cycle alone: half-wave symmetry
     reduces x4 = x0 to the fixed point of the rectified map of intervals 1 and 2, the system
-    (FLIP_CURRENT - phi2 phi1) x0 = phi2 gamma1 + gamma2 with its first row negated. It is
+    (Dr - phi2 phi1) x0 = phi2 gamma1 + gamma2 with its first row negated. It is
     the P+ surface model's fixed point, from the same solve."""
     import numpy as np
     return np.array(half_cycle_fixed_point(dab, 1, "half-cycle solve")[1])

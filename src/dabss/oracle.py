@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Injection, SimConfig, require_coherent
-from .dab import RECTIFY, DabSchedule
+from .dab import DabSchedule
 from .errors import AmplitudeError, ConvergenceError, MarginalSystemError, NumericInputError
 
 # Injection amplitude fallback: fraction of the ramp amplitude.
@@ -411,8 +411,8 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
     Per half cycle k the leading duration moves by polarity * comp_gain *
     v[k] and the trailing one by -polarity * comp_gain * v[k+1], the
     physical state advances through the true (unrectified) interval pair,
-    and the sample RECTIFY^k x_k is taken at the surface instant. After the
-    settle window the coherent DFT bin of output over input at
+    and the sample Dr^k x_k, Dr = diag(-1, 1), is taken at the surface
+    instant. After the settle window the coherent DFT bin of output over input at
     z = exp(j 2 pi f t_half) is returned; with zero amplitude, the output bin
     itself, which must sit at the numerical floor. Every bin starts from the
     one cached pre-run, and each row is what its bin gives on its own.
@@ -458,7 +458,7 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
 
 
 def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int) -> np.ndarray:
-    """Samples c_phys RECTIFY^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`."""
+    """Samples c_phys Dr^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`."""
     x0, x1 = x
     tables = _tables(dab)
     n_half = len(durations)
@@ -482,6 +482,5 @@ def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int) -> n
         if end > first:
             states[kept - first:end - first, :, 0] = np.fromiter(
                 visited, float, len(visited)).reshape(-1, 2)
-    odd = states[(first + 1) % 2::2]
-    odd[...] = RECTIFY @ odd
+    states[(first + 1) % 2::2, 0] *= -1.0  # Dr: the inductor current negated
     return (dab.c_phys @ states)[..., 0]

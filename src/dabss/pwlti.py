@@ -10,7 +10,8 @@ duration T_i with dynamics dx/dt = A_i x + B_i u, the boundary states obey
 
 A `Schedule` keeps each segment's field, its map (`core.augmented_expm`) and the period map
 (`core.compose`) as Python floats, and makes read-only arrays of them only where they are asked
-for. The functions at the end are the array edges, each importing numpy when it runs."""
+for. The functions at the end are the array edges: each steps or solves those floats by the
+rules of `core` and imports numpy only to return an array."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import augmented_expm, compose, fixed_point
+from .core import _affine, augmented_expm, compose, fixed_point
 from .errors import DimensionError, NumericInputError
 
 if TYPE_CHECKING:
@@ -132,26 +133,27 @@ class SegmentMap(NamedTuple):
     gamma: np.ndarray
 
 
-def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
-    """Boundary states [x_1, ..., x_n] from sequential application of the segment maps."""
+def _run(maps, x0) -> list[np.ndarray]:
+    """The state after each map of `maps` (six floats each), stepped from x0 by `core._affine`."""
     import numpy as np
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
         raise DimensionError(f"x0 shape {x.shape} is not the state's (2,)")
-    states = []
-    for m in schedule.maps:
-        x = m.phi @ x + m.gamma
-        states.append(x)
+    x, states = tuple(x.tolist()), []
+    for m in maps:
+        x = _affine(m, x)
+        states.append(np.array(x))
     return states
+
+
+def propagate(schedule: Schedule, x0: np.ndarray) -> list[np.ndarray]:
+    """Boundary states [x_1, ..., x_n], each segment's map applied in turn to x0."""
+    return _run(schedule._entries, x0)
 
 
 def closed_form_state(schedule: Schedule, x0: np.ndarray) -> np.ndarray:
     """End-of-period state Pi x0 + forcing: `propagate(...)[-1]` in one step of the period map."""
-    import numpy as np
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2,):
-        raise DimensionError(f"x0 shape {x0.shape} is not the state's (2,)")
-    return schedule.period_map.phi @ x0 + schedule.period_map.gamma
+    return _run([schedule._period], x0)[0]
 
 
 def solve_periodic_fixed_point(schedule: Schedule) -> np.ndarray:
@@ -164,11 +166,3 @@ def monodromy(schedule: Schedule) -> np.ndarray:
     """One-period state transition matrix Pi = Phi_n ... Phi_1 (read-only, cached). The
     switching cycle is asymptotically stable iff its eigenvalues lie inside the unit circle."""
     return schedule.period_map.phi
-
-
-def relative_residual(actual: np.ndarray, expected: np.ndarray) -> float:
-    """||actual - expected|| / (1 + ||expected||), Frobenius norm for matrices: the +1 is an
-    absolute floor, so comparisons against near-zero references stay meaningful."""
-    import numpy as np
-    actual, expected = np.asarray(actual), np.asarray(expected)
-    return float(np.linalg.norm(actual - expected) / (1.0 + np.linalg.norm(expected)))

@@ -3,7 +3,7 @@
 The modulator fixes one switching edge to the clock and generates the other by comparing a
 control voltage against a ramp, so control perturbations move two consecutive durations.
 Sampling the state at a modulated edge once per half cycle and rectifying the inductor current
-gives a time-invariant discrete model
+(RECTIFY = diag(-1, 1)) gives a time-invariant discrete model
 
     x_{k+1} = RECTIFY phi_b phi_a x_k + RECTIFY (phi_b gamma_a + gamma_b)
 
@@ -35,15 +35,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pwlti
-from .core import (COND_LIMIT, IdentityCheck, Matrix2x2, _flat, cond, eigenvalues, matrix_times,
-                   planar_norm, planar_residual, real_hypot, real_sqrt, resolvent_det,
-                   resolvent_solve, sigma_max_sq)
-from .dab import (FLIP_CURRENT, DabSchedule, Surface, half_cycle_fixed_point, solve_half_cycle,
-                  verify_symmetry)
+from .core import (COND_LIMIT, IdentityCheck, Matrix2x2, _affine, _flat, compose, cond,
+                   eigenvalues, matrix_times, planar_norm, planar_residual, real_hypot,
+                   real_sqrt, relative_residual, resolvent_det, resolvent_solve, sigma_max_sq)
+from .dab import DabSchedule, Surface, half_cycle_fixed_point, solve_half_cycle, verify_symmetry
 from .dab import P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES  # noqa: F401  (re-exported)
 from .errors import (MarginalSystemError, NumericInputError, ParameterError,
                      ResolventSingularityError)
-from .pwlti import _frozen_array, relative_residual
+from .pwlti import _frozen_array
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
 _TRANSFER_MAX = 0.25 * 1.7976931348623157e308  # verify adds up to three transfers
@@ -96,8 +95,7 @@ class HalfCycleModel:
     def _entries(self) -> _Entries:
         """phi, b_cur, b_next and ||b_next||, as Python floats."""
         (bc0, bc1), (bn0, bn1) = self.b_cur.tolist(), self.b_next.tolist()
-        return _Entries(Matrix2x2.of(self.phi), bc0, bc1, bn0, bn1,
-                        planar_norm((bn0, 0.0, bn1, 0.0)))
+        return _Entries(Matrix2x2.of(self.phi), bc0, bc1, bn0, bn1, planar_norm((bn0, bn1)))
 
 
 def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
@@ -179,12 +177,6 @@ def _transfers_overflow(phi, c_phys, b_cur, b_next) -> bool:
                    < _TRANSFER_MAX for n, q in map(sizes, (c for c in candidates if -1 <= c <= 1)))
 
 
-def _affine(m, x) -> tuple:
-    """phi x + gamma of a map m given as six Python floats (phi row by row, then gamma)."""
-    m00, m01, m10, m11, c0, c1 = m
-    return m00 * x[0] + m01 * x[1] + c0, m10 * x[0] + m11 * x[1] + c1
-
-
 def _near_pole(model: HalfCycleModel, z):
     """(near, gap): whether z lies within _POLE_GAP of a pole of the model, and its distance to
     the nearest one; Python values for one complex z, arrays for an array of z."""
@@ -251,7 +243,7 @@ def _rebased_vector(model: HalfCycleModel, zr, zi):
     internal edge is the partner's closing edge and takes the *next* sample (a z factor on
     b_cur). Same physical modulator, re-indexed: b(z) = z b_cur + phi b_next."""
     e = model._entries
-    pb0, pb1 = (model.phi @ model.b_next).tolist()
+    pb0, pb1 = _affine((*e.phi[:4], -0.0, -0.0), (e.bn0, e.bn1))  # -0.0 adds exactly 0
     return zr * e.bc0 + pb0, zi * e.bc0, zr * e.bc1 + pb1, zi * e.bc1
 
 
@@ -420,7 +412,7 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     if ((primary.a, primary.b), (secondary.a, secondary.b)) not in _EQUIVALENT_PAIRS:
         raise ValueError(
             f"surfaces {primary.label} and {secondary.label} are not an equivalence pair")
-    t_mat = dab.schedule.maps[primary.a - 1].phi
+    t_mat = dab.schedule._entries[primary.a - 1][:4]
     kappa = cond(t_mat)
     if not kappa <= COND_LIMIT:  # NaN fails too
         raise MarginalSystemError(f"similarity transform is singular: cond ~ {kappa:.3e}")
@@ -432,9 +424,10 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
     b_sec = _rebased_vector(m_sec, zr, zi)
     x_sec = resolvent_solve(m_sec._entries.phi, zr, zi, [b_sec])
     # T^{-1} = (0 I - (-T))^{-1}, by the closed form of every transfer, on phi_sec T too.
-    mapped, chained, *columns = resolvent_solve(Matrix2x2.of(-t_mat), 0.0, 0.0, [
-        b_sec, *x_sec, *((c0, 0.0, c1, 0.0) for c0, c1 in (m_sec.phi @ t_mat).T.tolist())])
-    sim_res = relative_residual(np.array([col[::2] for col in columns]).T, m_pri.phi)
+    p00, p01, p10, p11 = compose([(*t_mat, 0.0, 0.0), (*m_sec._entries.phi[:4], 0.0, 0.0)])[:4]
+    mapped, chained, col0, col1 = resolvent_solve(Matrix2x2.of([-x for x in t_mat]), 0.0, 0.0, [
+        b_sec, *x_sec, (p00, 0.0, p10, 0.0), (p01, 0.0, p11, 0.0)])
+    sim_res = planar_residual((col0[0], col1[0], col0[2], col1[2]), m_pri._entries.phi[:4])
     e = m_pri._entries
     zr, zi = _z_parts(m_pri, z)
     b_pri = _input_vector(e, zr, zi)
@@ -527,7 +520,7 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
     states = pwlti.propagate(dab.schedule, x_full)
     for name, actual, expected in (("fixed-point-equivalence", x_half, x_full),
                                    ("period-closure", states[-1], x_full),
-                                   ("midcycle-flip", states[1], FLIP_CURRENT @ x_full)):
+                                   ("midcycle-flip", states[1], (-x_full[0], x_full[1]))):
         checks.append(IdentityCheck(
             f"half-cycle/{name}", relative_residual(actual, expected), tol.half_cycle))
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dabss import DabParams, build_dab, half_cycle_model
-from dabss.dab import RECTIFY
 from dabss.pwlti import Schedule, Segment
 
 # Child interpreters (`python -m dabss.cli`) import dabss from the same src/ as
@@ -115,11 +114,12 @@ def fd_sensitivities(dab, surface, delta: float = 1e-9):
     seg_a = dab.schedule.segments[surface.a - 1]
     seg_b = dab.schedule.segments[surface.b - 1]
     u = dab.schedule.u
+    rectify = np.diag([-1.0, 1.0])  # the inductor current negated
 
     def end_state(da: float, db: float) -> np.ndarray:
         ma = Schedule((Segment(seg_a.a, seg_a.b, seg_a.duration + da),), u).maps[0]
         mb = Schedule((Segment(seg_b.a, seg_b.b, seg_b.duration + db),), u).maps[0]
-        return RECTIFY @ (mb.phi @ (ma.phi @ model.x_star + ma.gamma) + mb.gamma)
+        return rectify @ (mb.phi @ (ma.phi @ model.x_star + ma.gamma) + mb.gamma)
 
     fd_a = (end_state(delta, 0.0) - end_state(-delta, 0.0)) / (2.0 * delta)
     fd_b = (end_state(0.0, delta) - end_state(0.0, -delta)) / (2.0 * delta)

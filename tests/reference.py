@@ -39,6 +39,14 @@ def distance(got, exact) -> float:
                  for g, e in zip(got, exact)])
 
 
+def residual(actual, expected):
+    """||actual - expected|| / (1 + ||expected||) of floats, both sums of squares exact, the
+    roots and the quotient in 50 digits (not rounded to a float)."""
+    diff = sum((Fraction(a) - Fraction(e)) ** 2 for a, e in zip(actual, expected, strict=True))
+    size = sum(Fraction(e) ** 2 for e in expected)
+    return _mp.sqrt(_mpf(diff)) / (1 + _mp.sqrt(_mpf(size)))
+
+
 def fold(maps) -> tuple:
     """The map of a chain applied first to last: phi_n (... phi_1) and the sum of reverse
     products times each gamma_i."""

@@ -9,12 +9,15 @@ import pytest
 
 from dabss import DabParams, build_dab, relative_residual, solve_periodic_fixed_point
 from dabss import P_PLUS, half_cycle_model
-from dabss.dab import (FLIP_CURRENT, FLIP_VOLTAGE, RECTIFY, half_cycle_map, solve_half_cycle,
-                       verify_symmetry)
+from dabss.dab import half_cycle_map, solve_half_cycle, verify_symmetry
 from dabss.errors import DimensionError, ParameterError
 from dabss.pwlti import propagate
 from tests import reference
 from tests.conftest import CLOSED_FORM_SOLVE, REFERENCE_KWARGS, random_params
+
+# The sign flips of the [i_L, v_C] state: S conjugates the reversed-coupling intervals onto the
+# forward ones, and DR, the current flip, is the half-wave boundary condition.
+S, DR = np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])
 
 
 def interval_output(dab, x, interval: int) -> np.ndarray:
@@ -58,20 +61,6 @@ class TestParameters:
         DabParams(**kwargs)
 
 
-class TestInvolutions:
-    """The three sign matrices must be involutions with the expected relations."""
-
-    @pytest.mark.parametrize("mat", [FLIP_VOLTAGE, FLIP_CURRENT, RECTIFY])
-    def test_each_is_an_involution(self, mat):
-        np.testing.assert_array_equal(mat @ mat, np.eye(2))
-
-    def test_rectify_is_negated_voltage_flip(self):
-        np.testing.assert_array_equal(RECTIFY, -FLIP_VOLTAGE)
-
-    def test_rectify_equals_current_flip(self):
-        np.testing.assert_array_equal(RECTIFY @ FLIP_CURRENT, np.eye(2))
-
-
 class TestScheduleStructure:
     def test_durations_follow_phase_split(self, ref_params, ref_dab):
         d = ref_params.D_phase
@@ -85,7 +74,7 @@ class TestScheduleStructure:
         segs = ref_dab.schedule.segments
         np.testing.assert_array_equal(segs[3].a, segs[0].a)
         np.testing.assert_array_equal(segs[2].a, segs[1].a)
-        np.testing.assert_allclose(segs[1].a, FLIP_VOLTAGE @ segs[0].a @ FLIP_VOLTAGE,
+        np.testing.assert_allclose(segs[1].a, S @ segs[0].a @ S,
                                    rtol=1e-15)
 
     def test_input_matrices_flip_sign_at_half_period(self, ref_dab):
@@ -99,7 +88,7 @@ class TestScheduleStructure:
         np.testing.assert_array_equal(c1, c4)
         np.testing.assert_array_equal(c2, c3)
         # The rectifier sign lives in the current column alone.
-        np.testing.assert_array_equal(c2, c1 @ FLIP_CURRENT)
+        np.testing.assert_array_equal(c2, c1 @ DR)
         np.testing.assert_array_equal(c2, ref_dab.c_phys)
 
     def test_zero_esr_collapses_physical_output(self):
@@ -141,8 +130,8 @@ class TestSteadyState:
             assert np.array_equal(solve_half_cycle(dab), half_cycle_model(dab, P_PLUS).x_star)
 
     def test_half_cycle_solve_keeps_the_flip_current_system(self):
-        # RECTIFY flips signs only, so the rectified system is the system
-        # (FLIP_CURRENT - phi2 phi1) x = phi2 gamma1 + gamma2 with one row negated, to the
+        # DR flips signs only, so the rectified system is the system
+        # (DR - phi2 phi1) x = phi2 gamma1 + gamma2 with one row negated, to the
         # bit, and the exact solve of the half-cycle map's floats solves both. The closed form
         # is within its forward-error bound of it.
         rng = np.random.default_rng(9_2026)
@@ -156,8 +145,8 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("first", [1, 2, 3, 4])
     def test_half_cycle_map_wraps_from_interval_four_to_one(self, ref_dab, first):
-        # RECTIFY phi_b phi_a and RECTIFY (phi_b gamma_a + gamma_b) in Python floats, each
-        # entry rounded as written (no fused multiply-add), RECTIFY negating row 0.
+        # DR phi_b phi_a and DR (phi_b gamma_a + gamma_b) in Python floats, each
+        # entry rounded as written (no fused multiply-add), DR negating row 0.
         maps = ref_dab.schedule.maps
         map_a, map_b = maps[first - 1], maps[first % 4]
         (a00, a01), (a10, a11) = map_a.phi.tolist()
@@ -190,8 +179,8 @@ class TestSteadyState:
     def test_half_wave_symmetry_of_boundary_states(self, ref_dab):
         x0 = solve_periodic_fixed_point(ref_dab.schedule)
         x1, x2, x3, x4 = propagate(ref_dab.schedule, x0)
-        assert relative_residual(x2, FLIP_CURRENT @ x0) < 1e-10
-        assert relative_residual(x3, FLIP_CURRENT @ x1) < 1e-10
+        assert relative_residual(x2, DR @ x0) < 1e-10
+        assert relative_residual(x3, DR @ x1) < 1e-10
         assert relative_residual(x4, x0) < 1e-10
 
     def test_random_designs_close_their_period(self):

@@ -454,10 +454,13 @@ class TestPropagationAndClosedForm:
         x0 = rng.standard_normal(2)
         states = propagate(sched, x0)
         assert len(states) == 4
-        x = x0
+        # The float step rule, each entry rounded as written (no fused multiply-add).
+        x0_, x1_ = x0.tolist()
         for m, got in zip(sched.maps, states):
-            x = m.phi @ x + m.gamma
-            np.testing.assert_array_equal(got, x)
+            (p00, p01), (p10, p11) = m.phi.tolist()
+            g0, g1 = m.gamma.tolist()
+            x0_, x1_ = p00 * x0_ + p01 * x1_ + g0, p10 * x0_ + p11 * x1_ + g1
+            assert got.tolist() == [x0_, x1_]
 
     def test_propagate_rejects_bad_initial_shape(self):
         seg = Segment(a=-np.eye(2), b=np.ones((2, 1)), duration=1.0)
@@ -532,6 +535,35 @@ class TestResidualHelpers:
     def test_relative_residual_near_zero_reference(self):
         assert relative_residual(np.array([1e-8]), np.array([0.0])) == pytest.approx(1e-8)
 
+    @pytest.mark.parametrize("shape,complex_", [((2,), False), ((2,), True), ((2, 2), False),
+                                                ((2, 2), True)])
+    def test_relative_residual_is_the_planar_rule_within_its_roundoff_bound(self, shape,
+                                                                             complex_):
+        # relative_residual is planar_residual of the real and imaginary parts, entry by entry.
+        # Of n parts, the sum of squares of the differences errs by at most gamma_n relative
+        # (one product and at most n - 1 additions on each nonnegative term), so the root of it
+        # by n/2 u and its rounding by u more, and the subtractions move the norm by u: n/2 + 2.
+        # 1 + ||expected|| errs by as much (u for the +1 in place of the subtractions), and the
+        # quotient by u: (n + 5) u to first order, gamma_{n+5} in all.
+        rng = np.random.default_rng(28_2026)
+        n = 2 * math.prod(shape)
+        bound = (n + 5) * 2.0 ** -53 / (1.0 - (n + 5) * 2.0 ** -53)
+
+        def draw():  # parts spread over 40 decades
+            x, y = rng.standard_normal((2, *shape)) * 10.0 ** rng.uniform(-20, 20, (2, *shape))
+            return x + 1j * y if complex_ else x
+
+        for k in range(400):
+            expected = draw()
+            # A third of the draws nearly cancel: actual within 1e-9 of expected.
+            actual = expected * (1.0 + 1e-9 * draw()) if k % 3 == 0 else draw()
+            a, e = ([p for z in np.ravel(x).tolist() for p in (z.real, z.imag)]
+                    for x in (actual, expected))
+            got = relative_residual(actual, expected)
+            assert type(got) is float and float.hex(got) == float.hex(core.planar_residual(a, e))
+            exact = reference.residual(a, e)
+            assert reference.distance([got], [exact]) <= bound * reference.norm([exact])
+
     def test_identity_check_passed_threshold(self):
         assert IdentityCheck("x", residual=1e-13, tolerance=1e-12).passed
         assert not IdentityCheck("x", residual=2e-12, tolerance=1e-12).passed
@@ -599,7 +631,9 @@ class TestPeriodMapCache:
             p00, p01, p10, p11, f0, f1 = float_fold(sched.maps)
             pi, forcing = np.array([[p00, p01], [p10, p11]]), np.array([f0, f1])
             assert np.array_equal(monodromy(sched), pi)
-            assert np.array_equal(closed_form_state(sched, x0), pi @ x0 + forcing)
+            x0_, x1_ = x0.tolist()
+            assert closed_form_state(sched, x0).tolist() == [p00 * x0_ + p01 * x1_ + f0,
+                                                             p10 * x0_ + p11 * x1_ + f1]
             kappa = reference.cond([p00, p01, p10, p11], 1.0)
             if not kappa <= COND_LIMIT:
                 with pytest.raises(MarginalSystemError):
@@ -798,6 +832,27 @@ class TestPlanarNorm:
             assert got.tolist() == [math.inf, 2.0]
         assert core.planar_residual(v, v) == 0.0
         assert core.planar_residual(arrays, arrays).tolist() == [0.0, 0.0]
+
+    def test_a_residual_past_the_float_range_is_scaled_without_a_warning(self):
+        # The differences or ||expected|| overflow on finite parts: the parts and the 1 are
+        # scaled by a power of two instead, so the quotient comes out as it is (RuntimeWarning
+        # is an error in this suite).
+        big = 1.5e308
+        cases = [((big, 0.0, big, 0.0), (-big, 0.0, -big, 0.0), 2.0),
+                 ((0.0, 0.0, big, 0.0), (big, 0.0, big, 0.0), math.sqrt(0.5)),
+                 ((big, 0.0, big, 0.0), (2.0, 2.0, 2.0, 2.0), big / 5.0 * math.sqrt(2.0))]
+        for actual, expected, value in cases:
+            assert core.planar_residual(actual, expected) == pytest.approx(value, rel=1e-15)
+            assert relative_residual(np.array(actual[::2]) + 1j * np.array(actual[1::2]),
+                                     np.array(expected[::2]) + 1j * np.array(expected[1::2])
+                                     ) == core.planar_residual(actual, expected)
+        # An array gives each vector's own bits: the scaled ones and the plain one beside them.
+        plain = ((3.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0))
+        arrays = [tuple(np.array(p) for p in zip(*(case[j] for case in (*cases, plain))))
+                  for j in (0, 1)]
+        assert core.planar_residual(*arrays).tolist() == [
+            core.planar_residual(*case[:2]) for case in (*cases, plain)]
+        assert core.planar_residual(*plain) == 2.0 / (1.0 + math.sqrt(2.0))
 
     def test_a_nan_stays_nan(self):
         assert math.isnan(core.planar_norm((math.nan, math.inf, 0.0, 0.0)))

@@ -16,9 +16,9 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams,
                    half_cycle_model, relative_residual, solve_periodic_fixed_point,
                    sweep_frequencies, transfer_difference, transfer_difference_residual,
                    transfer_fixed_freq, transfer_same_cycle)
-from dabss.dab import FLIP_CURRENT, half_cycle_map, solve_half_cycle, verify_symmetry
+from dabss.dab import half_cycle_map, solve_half_cycle, verify_symmetry
 from dabss.core import IdentityCheck, cond
-from dabss.pwlti import propagate
+from dabss.pwlti import closed_form_state, propagate
 from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, identity_checks,
                                resolvent_similarity_residual, verify_surface_equivalence)
 from dabss import cli, core, smallsignal
@@ -86,8 +86,7 @@ class TestHalfCycleModel:
 
     def test_end_states_chain_through_the_segments(self, ref_dab):
         m = half_cycle_model(ref_dab, P_PLUS)
-        from dabss.dab import RECTIFY
-        assert relative_residual(RECTIFY @ m.x_b_end, m.x_star) < 1e-12
+        assert relative_residual(np.diag([-1.0, 1.0]) @ m.x_b_end, m.x_star) < 1e-12
 
     def test_skewed_timing_rejected_on_straddling_surfaces_only(self, ref_params):
         skewed = build_dab(ref_params, t3_skew=0.01 * ref_params.t_half)
@@ -660,7 +659,7 @@ def _earlier_verify_checks(cfg, dab, surfaces):
     states = propagate(dab.schedule, x_full)
     for name, actual, expected in (("fixed-point-equivalence", x_half, x_full),
                                    ("period-closure", states[-1], x_full),
-                                   ("midcycle-flip", states[1], FLIP_CURRENT @ x_full)):
+                                   ("midcycle-flip", states[1], (-x_full[0], x_full[1]))):
         checks.append(IdentityCheck(
             f"half-cycle/{name}", relative_residual(actual, expected), tol.half_cycle))
     rng = np.random.default_rng(20260816)
@@ -891,6 +890,40 @@ class TestClosedFormResolvent:
                 transfer(model, c, z)
             with pytest.raises(ArithmeticError):  # the roundoff floor of the tripped check
                 transfer_difference(model, c, cmath.exp(0.3j), rtol=1e-300)
+
+    def test_verify_calls_numpy_linalg_only_for_the_random_resolvent_row(self, ref_dab,
+                                                                          monkeypatch):
+        # The closed-form path has one arithmetic, the float rules of dabss.core: only the
+        # LAPACK cross-check of random matrices, resolvent_similarity_residual, calls LAPACK.
+        inside, calls = [False], []
+        real_row = smallsignal.resolvent_similarity_residual
+
+        def row(*args):
+            inside[0] = True
+            try:
+                return real_row(*args)
+            finally:
+                inside[0] = False
+
+        for name in ("solve", "inv", "svd", "norm", "eig", "eigvals", "cond", "det"):
+            def guarded(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(inside[0])
+                if not inside[0]:
+                    raise AssertionError(f"numpy.linalg.{_name} called")
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, guarded)
+        monkeypatch.setattr(smallsignal, "resolvent_similarity_residual", row)
+        p = ref_dab.params
+        identity_checks(ref_dab, Tolerances(), SURFACES, sweep_frequencies(
+            p.fs / 1000.0, p.fs / 10.0, 25, "log", p.t_half))
+        assert calls and all(calls)
+        calls.clear()
+        x = solve_periodic_fixed_point(ref_dab.schedule)
+        relative_residual(closed_form_state(ref_dab.schedule, x),
+                          propagate(ref_dab.schedule, x)[-1])
+        relative_residual(np.eye(2) * (1.0 + 1j), ref_dab.c_phys)
+        assert calls == []
 
 
 class TestDualPathRule:
