@@ -6,8 +6,9 @@ amplitude violation. Result data goes to output files (or stdout for the
 verify table); diagnostics go to stderr. File writes are
 write-temp-then-rename so a failing command never leaves partial output,
 and all output is byte deterministic for identical inputs. Each command imports
-what it runs: `steady-state` loads no numpy, `verify`, `bode` and `compare` load
-`dabss.smallsignal`, and `simulate` and `compare` the simulator, `dabss.oracle`.
+what it runs: `verify`, `bode` and `compare` load `dabss.smallsignal`, and
+`simulate` and `compare` the simulator, `dabss.oracle`, with numpy. `steady-state`,
+`verify` and `bode` run on Python floats and load no numpy.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
              else _coherent_frequencies(cfg, model.t_half))
     z = np.exp(2j * np.pi * np.array(freqs) * model.t_half)
     # Every bin in one oracle run, from the pre-run that run_to_steady_state cached.
-    for f, predicted, measured in zip(freqs, transfer_fixed_freq(model, dab.c_phys, z),
+    for f, predicted, measured in zip(freqs, transfer_fixed_freq(model, dab.c_rev, z),
                                       measure_frequency_responses(dab, surface, cfg.sim, freqs)):
         cells = [_fmt(f)]
         for pred, meas in zip(predicted, measured):

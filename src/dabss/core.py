@@ -6,6 +6,7 @@ The resolvent (`resolvent_solve`) and the planar helpers also take float arrays 
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -206,12 +207,32 @@ def real_sqrt(x):
 
 def real_hypot(x, y):
     # Both are the C library's hypot, inf past the float range; math.hypot is not.
-    if not isinstance(x, float):
-        return _numpy().hypot(x, y)
+    return complex_abs(complex(x, y)) if isinstance(x, float) else _numpy().hypot(x, y)
+
+
+def complex_abs(z):
+    """|z| as `real_hypot` of its parts: of a Python complex, or entry by entry of an array."""
+    if not isinstance(z, complex):
+        return _numpy().hypot(z.real, z.imag)
     try:
-        return abs(complex(x, y))
+        return abs(z)
     except OverflowError:
         return math.inf
+
+
+def complex_exp(z):
+    """e^z: `cmath.exp` of a Python complex, numpy's exp of a complex array. Both take e^(iy)
+    from the C library's cos and sin of y, so one z and an array of z round alike."""
+    return cmath.exp(z) if isinstance(z, complex) else _numpy().exp(z)
+
+
+def to_complex(re, im):
+    """re + i im, both signed zeros kept: a complex of floats, a complex array of arrays."""
+    if isinstance(re, float):
+        return complex(re, im)
+    out = re.astype(complex)  # re an array, of the shape of the result
+    out.imag = im
+    return out
 
 
 def matrix_times(c: list, v):
@@ -230,7 +251,8 @@ def planar_norm(v):
     np = _numpy()
     with np.errstate(over="ignore"):  # a norm past the float range is inf
         s = functools.reduce(lambda s, p: s + p * p, v[1:], v[0] * v[0])
-        return np.where(s >= 1e150, _hypot_tree(v, np.hypot), np.sqrt(s))
+        big = s >= 1e150
+        return np.where(big, _hypot_tree(v, np.hypot), np.sqrt(s)) if big.any() else np.sqrt(s)
 
 
 def _float_norm(v) -> float:

@@ -11,11 +11,10 @@ whose fixed point, duration sensitivities, and control-input vectors are collect
 HalfCycleModel. Two z-domain transfer functions follow: the exact one, where the trailing
 duration responds to the *next* control sample (a z-advance), and the same-cycle approximation
 that drops the advance. Their difference carries an explicit (z - 1) factor, which is why the
-approximation is exact at dc and degrades linearly with frequency. Every transfer, and the
-spectral norms of the difference envelope, come from the 2x2 resolvent in closed form
-(`core.resolvent_solve`), the same rule for one z and for an array of z, and so does the
-T-solve of the surface check. Complex 2-vectors stay planar, `(re0, im0, re1, im1)`, until a
-transfer is returned.
+approximation is exact at dc and degrades linearly with frequency. Every transfer, the spectral
+norms of the difference envelope and the T-solve of the surface check come from the 2x2
+resolvent in closed form (`core.resolvent_solve`), on planar complex 2-vectors `(re0, im0, re1,
+im1)`. Many z go through one rule, `_over_z`, which spares a command numpy's import.
 
 There are four sampling surfaces (either edge polarity on either bridge). Models built on
 different surfaces of the same polarity pair are similar in the linear-algebra sense;
@@ -29,24 +28,27 @@ import cmath
 import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate, repeat
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from . import pwlti
-from .core import (COND_LIMIT, IdentityCheck, Matrix2x2, _affine, _flat, compose, cond,
-                   eigenvalues, matrix_times, planar_norm, planar_residual, real_hypot,
-                   real_sqrt, relative_residual, resolvent_det, resolvent_solve, sigma_max_sq)
-from .dab import DabSchedule, Surface, half_cycle_fixed_point, solve_half_cycle, verify_symmetry
+from .core import (COND_LIMIT, IdentityCheck, Matrix2x2, _affine, _flat, _numpy, complex_abs,
+                   complex_exp, compose, cond, eigenvalues, fixed_point, matrix_times,
+                   planar_norm, planar_residual, real_sqrt, relative_residual, resolvent_det,
+                   resolvent_solve, sigma_max_sq, to_complex)
+from .dab import DabSchedule, Surface, half_cycle_fixed_point, verify_symmetry
 from .dab import P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES  # noqa: F401  (re-exported)
 from .errors import (MarginalSystemError, NumericInputError, ParameterError,
                      ResolventSingularityError)
 from .pwlti import _frozen_array
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
 _TRANSFER_MAX = 0.25 * 1.7976931348623157e308  # verify adds up to three transfers
-_FEW_Z = 16  # a transfer at this many z or fewer is evaluated z by z (`_transfer`)
+_FEW_Z = 16  # this many z or fewer run z by z in Python floats (`_over_z`)
 
 
 class _Entries(NamedTuple):
@@ -62,9 +64,11 @@ class _Entries(NamedTuple):
 
 @dataclass(frozen=True)
 class HalfCycleModel:
-    """Rectified one-half-cycle discrete model anchored at one sampling surface.
+    """Rectified one-half-cycle discrete model anchored at one sampling surface. `floats` holds
+    its ten rows of two Python floats, row by row, each read back as a read-only array made
+    when first asked for:
 
-    phi, g        rectified transition matrix and forcing vector
+    phi, g        rectified transition matrix (two rows) and forcing vector
     x_star        sampled fixed point (surface steady state)
     x_a_end       state at the internal switching edge, from x_star
     x_b_end       state at the closing edge, before rectification
@@ -74,37 +78,32 @@ class HalfCycleModel:
     t_half        half-cycle duration [s]"""
 
     surface: Surface
-    phi: np.ndarray
-    g: np.ndarray
-    x_star: np.ndarray
-    x_a_end: np.ndarray
-    x_b_end: np.ndarray
-    sens_a: np.ndarray
-    sens_b: np.ndarray
-    b_cur: np.ndarray
-    b_next: np.ndarray
+    floats: tuple
     comp_gain: float
     t_half: float
+
+    phi, g, x_star, x_a_end, x_b_end, sens_a, sens_b, b_cur, b_next = (functools.cached_property(
+        lambda self, k=k: _frozen_array(self.floats).reshape(10, 2)[k])
+        for k in (slice(2), *range(2, 10)))
 
     @functools.cached_property
     def poles(self) -> tuple:
         """Eigenvalues of phi (`core.eigenvalues`): the poles of every transfer of this model."""
-        return eigenvalues(*self.phi.ravel().tolist())
+        return eigenvalues(*self.floats[:4])
 
     @functools.cached_property
     def _entries(self) -> _Entries:
-        """phi, b_cur, b_next and ||b_next||, as Python floats."""
-        (bc0, bc1), (bn0, bn1) = self.b_cur.tolist(), self.b_next.tolist()
-        return _Entries(Matrix2x2.of(self.phi), bc0, bc1, bn0, bn1, planar_norm((bn0, bn1)))
+        """phi, b_cur, b_next and ||b_next||, from `floats`."""
+        f = self.floats
+        return _Entries(Matrix2x2.of(f[:4]), *f[16:], planar_norm(f[18:]))
 
 
 def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     """The sampled model of one surface, built once per `dab` (per Surface, so a polarity
-    override is another key; a failed build is not kept) and shared with read-only arrays.
-
-    The duration sensitivities come from the endpoint identity d(phi x + gamma)/dT = A (phi x +
-    gamma) + B u: growing a duration extends the flow along the local vector field at the
-    segment's end state."""
+    override is another key; a failed build is not kept) and shared. The duration
+    sensitivities come from the endpoint identity d(phi x + gamma)/dT = A (phi x + gamma) +
+    B u: growing a duration extends the flow along the local vector field at the segment's end
+    state."""
     models = vars(dab).setdefault("_surface_models", {})
     if surface in models:
         return models[surface]
@@ -128,16 +127,13 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     k = surface.polarity * comp_gain
     b_cur, b_next = (k * sens_a[0], k * sens_a[1]), (-k * sens_b[0], -k * sens_b[1])
     if not all(map(math.isfinite, (comp_gain, *b_cur, *b_next))) or _transfers_overflow(
-            m[:4], dab.c_phys, b_cur, b_next):
+            m[:4], dab.c_rev, b_cur, b_next):
         raise NumericInputError(f"surface {surface.label} control-input vectors are not finite "
                                 f"or their transfers overflow: comparator gain T_half / Vr = "
                                 f"{comp_gain:.3e} s/V")
-    rows = _frozen_array((*m, *x_star, *x_a_end, *x_b_end, *sens_a, *sens_b, *b_cur,
-                                *b_next)).reshape(10, 2)
     models[surface] = HalfCycleModel(
-        surface=surface, phi=rows[:2], g=rows[2], x_star=rows[3], x_a_end=rows[4], x_b_end=rows[5],
-        sens_a=rows[6], sens_b=rows[7], b_cur=rows[8], b_next=rows[9], comp_gain=comp_gain,
-        t_half=t_half)
+        surface=surface, floats=(*m, *x_star, *x_a_end, *x_b_end, *sens_a, *sens_b, *b_cur,
+                                 *b_next), comp_gain=comp_gain, t_half=t_half)
     return models[surface]
 
 
@@ -177,45 +173,52 @@ def _transfers_overflow(phi, c_phys, b_cur, b_next) -> bool:
                    < _TRANSFER_MAX for n, q in map(sizes, (c for c in candidates if -1 <= c <= 1)))
 
 
-def _near_pole(model: HalfCycleModel, z):
-    """(near, gap): whether z lies within _POLE_GAP of a pole of the model, and its distance to
-    the nearest one; Python values for one complex z, arrays for an array of z."""
-    p0, p1 = model.poles
-    if isinstance(z, complex):
-        gap = min(abs(z - p0), abs(z - p1))
-    else:
-        gap = np.minimum(np.abs(z - p0), np.abs(z - p1))
-    return gap <= _POLE_GAP, gap
+def _over_z(body, points: list, near) -> list:
+    """[None if near(p) else body(p) for p in points], rows of Python scalars, for a list of
+    numbers (z, or frequencies): more than _FEW_Z points go through `near` and `body` once, as
+    arrays, where numpy is loaded already (a caller with arrays), else one by one in floats,
+    which `core` rounds as it rounds arrays."""
+    np = sys.modules.get("numpy")
+    if np is None or len(points) <= _FEW_Z:
+        return [None if near(p) else body(p) for p in points]
+    x = np.array(points)
+    skip = near(x)
+    kept = x[~skip] if (skipped := skip.any()) else x
+    rows = zip(*(v.tolist() for v in body(kept)))  # each value an array
+    return [None if s else next(rows) for s in skip.tolist()] if skipped else list(rows)
 
 
-def _z_parts(model: HalfCycleModel, z):
-    """(Re z, Im z): Python floats for one z, float arrays for an array of z.
-
-    ResolventSingularityError if any z is within _POLE_GAP of a pole of the model."""
-    one = isinstance(z, (int, float, complex))  # numpy scalars too
-    z = complex(z) if one else np.asarray(z, dtype=complex)
-    near, gap = _near_pole(model, z)
-    if near if one else near.any():
-        k = 0 if one else np.argmax(near)
-        raise ResolventSingularityError(f"z = {complex(np.ravel(z)[k])!r} is within "
-                                        f"{np.ravel(gap)[k]:.3e} of a pole of the sampled model")
-    return z.real, z.imag
+def _pole_gap(poles: tuple, z):
+    """The distance from z to the nearest of `poles`, the hypot of the parts of z - pole
+    (`core.complex_abs`): a float for one complex z, an array with its bits for a complex array."""
+    gaps = [complex_abs(z - p) for p in poles]
+    return min(gaps) if isinstance(z, complex) else functools.reduce(_numpy().minimum, gaps)
 
 
-def planar_array(vectors, shape: tuple) -> np.ndarray:
-    """The complex array (len(vectors), *shape, 2) of planar vectors, each entry broadcast."""
-    if not shape:
-        return np.array(vectors, dtype=float).view(complex)
-    out = np.empty((len(vectors),) + shape + (4,))
-    for slot, vector in zip(out, vectors):
-        for k, part in enumerate(vector):
-            slot[..., k] = part
-    return out.view(complex)
+def _evaluate(z, body, poles: tuple) -> tuple:
+    """(zs, rows): z as a list of Python complex (one number, or the entries of a sequence or
+    array) and the row of `body` at each (`_over_z`), once none lies within _POLE_GAP of one of
+    `poles`: else ResolventSingularityError at the first z that does."""
+    one = isinstance(z, (int, float, complex))
+    zs = [complex(z)] if one else [*map(complex, z.ravel().tolist() if hasattr(z, "ravel") else z)]
+    rows = ([None if _pole_gap(poles, zs[0]) <= _POLE_GAP else body(zs[0])] if one  # no loop
+            else _over_z(body, zs, lambda w: _pole_gap(poles, w) <= _POLE_GAP))
+    if None in rows:
+        w = zs[rows.index(None)]
+        raise ResolventSingularityError(
+            f"z = {w!r} is within {_pole_gap(poles, w):.3e} of a pole of the sampled model")
+    return zs, rows
 
 
-def _complex(v) -> np.ndarray:
-    """The complex array (..., 2) of one planar vector: shape (2,) for Python floats."""
-    return planar_array([v], np.shape(v[0]))[0]
+def _shaped(z, values, pairs: bool = False):
+    """`values`, a float per z or (`pairs`) a planar pair of floats per z, as a public function
+    returns them: for one number z its float or a complex array (2,), else an array of the shape
+    of z (and 2)."""
+    if isinstance(z, (int, float, complex)):
+        return _numpy().array(values[0], dtype=float).view(complex) if pairs else values[0]
+    out = _numpy().array(values, dtype=float)
+    out = out.reshape(-1, 4).view(complex) if pairs else out
+    return out.reshape(_numpy().shape(z) + out.shape[1:])
 
 
 def _input_vector(e: _Entries, zr, zi):
@@ -234,159 +237,162 @@ def _advance_vector(e: _Entries, zr, zi):
 
 
 def _rebased_vector(model: HalfCycleModel, zr, zi):
-    """Input vector of this surface's recursion on its leading partner's clock, planar.
-
-    A surface that opens mid-cycle of its partner sees the partner's edges in a different
-    order: its opening edge is the partner's internal edge, so the kick there keeps the
-    partner's *current* sample and then rides through the whole half cycle (a phi factor on
-    b_next, whose direction equals that opening kick by half-wave symmetry), while its own
-    internal edge is the partner's closing edge and takes the *next* sample (a z factor on
-    b_cur). Same physical modulator, re-indexed: b(z) = z b_cur + phi b_next."""
+    """Input vector of this surface's recursion on its leading partner's clock, planar. A
+    surface that opens mid-cycle of its partner sees the partner's edges in a different order:
+    its opening edge is the partner's internal edge, so the kick there keeps the partner's
+    *current* sample and then rides through the whole half cycle (a phi factor on b_next, whose
+    direction equals that opening kick by half-wave symmetry), while its own internal edge is
+    the partner's closing edge and takes the *next* sample (a z factor on b_cur). Same physical
+    modulator, re-indexed: b(z) = z b_cur + phi b_next."""
     e = model._entries
     pb0, pb1 = _affine((*e.phi[:4], -0.0, -0.0), (e.bn0, e.bn1))  # -0.0 adds exactly 0
     return zr * e.bc0 + pb0, zi * e.bc0, zr * e.bc1 + pb1, zi * e.bc1
 
 
-def _transfer(model: HalfCycleModel, c_phys, zr, zi, rhs) -> np.ndarray:
-    """c_phys (zI - phi)^{-1} rhs(entries, Re z, Im z) for z off the poles (`_z_parts`), as a
-    complex array (..., 2).
-
-    Up to _FEW_Z values of z go through the rule one by one in Python floats, which costs less
-    than numpy's overhead on some hundred array operations; the bits are the same."""
-    if isinstance(zr, float) or zr.size > _FEW_Z:
-        return _complex(_planar_rows(model, c_phys, [(zr, zi)], rhs)[0])
-    rows = _planar_rows(model, c_phys, zip(zr.ravel().tolist(), zi.ravel().tolist()), rhs)
-    return planar_array(rows, ()).reshape(zr.shape + (2,))
+def _response(model: HalfCycleModel, c: list, rhs, zr, zi):
+    """c (zI - phi)^{-1} rhs(entries, Re z, Im z), planar, for z off the poles."""
+    e = model._entries
+    return matrix_times(c, resolvent_solve(e.phi, zr, zi, [rhs(e, zr, zi)])[0])
 
 
-def _planar_rows(model: HalfCycleModel, c_phys, parts, rhs) -> list:
-    """c_phys (zI - phi)^{-1} rhs(entries, Re z, Im z), planar, for each (Re z, Im z) of
-    `parts`: Python floats, or float arrays for many z at once."""
-    e, c = model._entries, _flat(c_phys)
-    return [matrix_times(c, resolvent_solve(e.phi, r, i, [rhs(e, r, i)])[0]) for r, i in parts]
+def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
+    """`_response` at z, one number or an array: a complex array z.shape + (2,)."""
+    c = _flat(c_phys)
+    _, rows = _evaluate(z, lambda w: _response(model, c, rhs, w.real, w.imag), model.poles)
+    return _shaped(z, rows, pairs=True)
 
 
 def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
-    """Exact control-to-output transfer at z: c_phys (zI - phi)^{-1} (b_cur + z b_next).
-
-    Output pair is [I_rec, V_out]. Evaluate on the unit circle, z = exp(j 2 pi f t_half), for
-    the frequency response. A scalar z gives shape (2,), a 1-D array of N values shape (N, 2)."""
-    return _transfer(model, c_phys, *_z_parts(model, z), _input_vector)
+    """Exact control-to-output transfer at z: c_phys (zI - phi)^{-1} (b_cur + z b_next), the
+    output pair [I_rec, V_out]; on the unit circle, z = exp(j 2 pi f t_half), the frequency
+    response. A scalar z gives shape (2,), a 1-D array of N values shape (N, 2)."""
+    return _transfer(model, c_phys, z, _input_vector)
 
 
 def transfer_same_cycle(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
     """Same-cycle approximation: both duration terms attributed to the current sample."""
-    return _transfer(model, c_phys, *_z_parts(model, z), _same_cycle_vector)
+    return _transfer(model, c_phys, z, _same_cycle_vector)
 
 
-def _difference_paths(model: HalfCycleModel, c_phys: np.ndarray, z):
-    """Closed-form difference, subtraction of the two transfers, and the 3 states solved, all
-    planar, from one `resolvent_solve` call."""
-    e = model._entries
-    zr, zi = _z_parts(model, z)
-    states = resolvent_solve(e.phi, zr, zi, [v(e, zr, zi) for v in (
+def _difference_states(model: HalfCycleModel, z) -> list:
+    """The states of the exact, same-cycle and advance inputs at z, planar, from one solve."""
+    e, zr, zi = model._entries, z.real, z.imag
+    return resolvent_solve(e.phi, zr, zi, [v(e, zr, zi) for v in (
         _input_vector, _same_cycle_vector, _advance_vector)])
-    c = _flat(c_phys)
-    fixed, same_cycle, closed = (matrix_times(c, x) for x in states)
-    return closed, tuple(f - s for f, s in zip(fixed, same_cycle)), states
+
+
+def _difference_row(model: HalfCycleModel, c: list, z) -> tuple:
+    """At z or an array: the closed-form difference, planar, the subtracted one, their residual."""
+    fixed, same_cycle, closed = (matrix_times(c, x) for x in _difference_states(model, z))
+    subtracted = tuple(f - s for f, s in zip(fixed, same_cycle))
+    return (*closed, *subtracted, planar_residual(closed, subtracted))
 
 
 def transfer_difference_residual(model: HalfCycleModel, c_phys: np.ndarray, z):
     """Mismatch between the closed-form difference and the two-evaluation subtraction."""
-    return planar_residual(*_difference_paths(model, c_phys, z)[:2])
+    _, rows = _evaluate(z, functools.partial(_difference_row, model, _flat(c_phys)), model.poles)
+    return _shaped(z, [row[8] for row in rows])
 
 
-def _resolvent_sizes(model: HalfCycleModel, c_phys: np.ndarray, z):
-    """(Re z, Im z, s_max^2 and |det|^2 of zI - phi, ||c_phys||), spectral norms in closed
-    form, behind the `_z_parts` pole gate: what bounds a transfer's size and its roundoff."""
+def _resolvent_sizes(model: HalfCycleModel, zr, zi):
+    """(s_max^2, |det|^2) of zI - phi in closed form, for z off the poles: what bounds a
+    transfer's size and its roundoff."""
     phi = model._entries.phi
-    zr, zi = _z_parts(model, z)
     a, d, _, _, q = resolvent_det(phi, zr, zi)
-    return (zr, zi, sigma_max_sq(a, -phi.m01, -phi.m10, d, zi), q,
-            math.sqrt(sigma_max_sq(*_flat(c_phys), 0.0)))
+    return sigma_max_sq(a, -phi.m01, -phi.m10, d, zi), q
 
 
-def _dual_path_floor(model: HalfCycleModel, c_phys: np.ndarray, z, states, subtracted):
-    """First-order bound, per z, on the dual-path residual that roundoff alone can cause.
-
-    With M = zI - phi, `resolvent_solve` takes det M to a few u of its value, and each
-    entry of adj(M) b is a sum of at most three real products, so it errs by a few u of
-    |adj M||b|, whose norm is at most ||M||_F ||b|| <= sqrt(2) s_max^2 ||x||. Divided by
+def _dual_path_floor(model: HalfCycleModel, c: list, z: complex, row: tuple) -> float:
+    """First-order bound on the dual-path residual that roundoff alone can cause at one z, from
+    its `_difference_row`. With M = zI - phi, `resolvent_solve` takes det M to a few u of its
+    value, and each entry of adj(M) b is a sum of at most three real products, so it errs by a
+    few u of |adj M||b|, whose norm is at most ||M||_F ||b|| <= sqrt(2) s_max^2 ||x||. Divided by
     |det M| = s_max s_min, the solve errs by at most c u kappa ||x||, kappa = s_max / s_min =
-    s_max^2 / |det M|, for a small constant c, and comes near that only where adj(M) b
-    cancels: Cramer's rule for n = 2 is forward stable (Higham, "Accuracy and Stability of
-    Numerical Algorithms", 2nd ed., sec. 1.10.1). The floor takes c = 2, the constant of a
-    solve backward stable to u (Thm 7.2). c_phys x and the subtraction add about
-    4 u ||c_phys|| ||x||; near z = 1 the subtraction cancels."""
-    _, _, s_max_sq, q, c_norm = _resolvent_sizes(model, c_phys, z)
-    kappa = s_max_sq / real_sqrt(q)
-    x_norms = sum(planar_norm(x) for x in states)
-    return 2.0 ** -53 * (2.0 * kappa + 4.0) * c_norm * x_norms / (1.0 + planar_norm(subtracted))
+    s_max^2 / |det M|, for a small constant c, and comes near that only where adj(M) b cancels:
+    Cramer's rule for n = 2 is forward stable (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., sec. 1.10.1). The floor takes c = 2, the constant of a solve backward
+    stable to u (Thm 7.2). c_phys x and the subtraction add about 4 u ||c_phys|| ||x||; near
+    z = 1 the subtraction cancels."""
+    s_max_sq, q = _resolvent_sizes(model, z.real, z.imag)
+    kappa = s_max_sq / math.sqrt(q)
+    x_norms = sum(map(planar_norm, _difference_states(model, z)))
+    c_norm = math.sqrt(sigma_max_sq(*c, 0.0))
+    return 2.0 ** -53 * (2.0 * kappa + 4.0) * c_norm * x_norms / (1.0 + planar_norm(row[4:8]))
 
 
-def _dual_path_check(model: HalfCycleModel, c_phys: np.ndarray, z, paths, rtol) -> IdentityCheck:
-    """The dual-path identity over `z`, judged from the `_difference_paths` output `paths`.
+def _worst(values) -> float:
+    """The largest of 0 and `values`, NaN if one is NaN: a NaN residual fails its check."""
+    values = [0.0, *values]
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
-    Every residual within `rtol` passes, and the check reports the largest. Otherwise each z
-    gets `rtol` widened by the factor by which the roundoff floor of `_dual_path_floor` exceeds
-    1e-12 (at the default rtol, max(rtol, floor)), and the check reports the z of largest
-    residual minus tolerance, with the tolerance it was judged by."""
-    closed, subtracted, states = paths
-    res = planar_residual(closed, subtracted)
-    worst = res if isinstance(res, float) else float(np.max(res, initial=0.0))  # NaN fails
+
+def _dual_path_check(model: HalfCycleModel, c: list, z: list, rows: list, rtol: float) -> tuple:
+    """(residual, tolerance) of the dual-path identity over the list `z`, judged from their
+    `_difference_row`s `rows`: every residual within `rtol` passes, and the check reports the
+    largest. Otherwise each z gets `rtol` widened by the factor by which the roundoff floor of
+    `_dual_path_floor` exceeds 1e-12 (at the default rtol, max(rtol, floor)), and the check
+    reports the z of largest residual minus tolerance, with the tolerance it was judged by."""
+    worst = _worst([row[8] for row in rows])
     if not worst > rtol:  # the floor only where the plain check trips
-        return IdentityCheck("transfer-difference/dual-path", worst, rtol)
-    res = np.asarray(res)
-    tol = rtol * np.maximum(1.0, np.asarray(
-        _dual_path_floor(model, c_phys, z, states, subtracted)) / 1e-12)
-    k = np.argmax(res - tol)
-    return IdentityCheck("transfer-difference/dual-path", float(res.flat[k]), float(tol.flat[k]))
+        return worst, rtol
+    judged = ((row[8], rtol * max(1.0, _dual_path_floor(model, c, w, row) / 1e-12))
+              for w, row in zip(z, rows))
+    return max(judged, key=lambda judged: judged[0] - judged[1])
 
 
 def transfer_difference(model: HalfCycleModel, c_phys: np.ndarray, z,
                         rtol: float = 1e-12) -> np.ndarray:
-    """Exact-minus-approximate transfer, c_phys (zI - phi)^{-1} (z - 1) b_next.
-
-    Cross-checked against the subtraction of the two transfer evaluations: raises
-    ArithmeticError where `_dual_path_check`, the rule of verify's dual-path row, fails.
-    Identically zero at z = 1, so the approximation is exact at dc."""
-    paths = _difference_paths(model, c_phys, z)
-    check = _dual_path_check(model, c_phys, z, paths, rtol)
-    if not check.passed:
+    """Exact-minus-approximate transfer, c_phys (zI - phi)^{-1} (z - 1) b_next, cross-checked
+    against the subtraction of the two transfer evaluations: raises ArithmeticError where
+    `_dual_path_check`, the rule of verify's dual-path row, fails. Identically zero at z = 1,
+    so the approximation is exact at dc."""
+    c = _flat(c_phys)
+    zs, rows = _evaluate(z, functools.partial(_difference_row, model, c), model.poles)
+    residual, tolerance = _dual_path_check(model, c, zs, rows, rtol)
+    if not residual <= tolerance:  # NaN fails too
         raise ArithmeticError(f"transfer difference paths disagree: residual "
-                              f"{check.residual:.3e} exceeds {check.tolerance:.3e}")
-    return _complex(paths[0])
+                              f"{residual:.3e} exceeds {tolerance:.3e}")
+    return _shaped(z, [row[:4] for row in rows], pairs=True)
+
+
+def _envelope(model: HalfCycleModel, c_norm: float, z) -> tuple:
+    """(|z - 1| c_norm ||(zI - phi)^{-1}|| ||b_next||,) at z, or an array of z."""
+    s_max_sq, q = _resolvent_sizes(model, z.real, z.imag)
+    return complex_abs(z - 1.0) * c_norm * real_sqrt(s_max_sq / q) * model._entries.bn_norm,
 
 
 def difference_envelope(model: HalfCycleModel, c_phys: np.ndarray, z):
-    """Submultiplicative upper bound on ||transfer_difference|| at z.
-
-    |z - 1| ||c_phys|| ||(zI - phi)^{-1}|| ||b_next||, spectral norms. On the
-    unit circle |z - 1| = 2 |sin(pi f t_half * ... )| grows linearly in f for
-    small f t_half, which bounds how fast the same-cycle approximation decays.
-    ||(zI - phi)^{-1}|| = s_max / |det| of zI - phi, in closed form. A 1-D array of z
-    gives one bound per z; a z on a pole raises as every transfer does."""
-    zr, zi, s_max_sq, q, c_norm = _resolvent_sizes(model, c_phys, z)
-    return real_hypot(zr - 1.0, zi) * c_norm * real_sqrt(s_max_sq / q) * model._entries.bn_norm
+    """Bound |z - 1| ||c_phys|| ||(zI - phi)^{-1}|| ||b_next|| on ||transfer_difference|| at z,
+    spectral norms in closed form. On the unit circle |z - 1| = 2 |sin(pi f t_half)| grows
+    linearly in f for small f t_half, which bounds how fast the same-cycle approximation
+    decays. A 1-D array of z gives one bound per z; a z on a pole raises as every transfer does."""
+    c_norm = math.sqrt(sigma_max_sq(*_flat(c_phys), 0.0))
+    _, rows = _evaluate(z, functools.partial(_envelope, model, c_norm), model.poles)
+    return _shaped(z, [bound for bound, in rows])
 
 
-def resolvent_similarity_residual(a: np.ndarray, t_mat: np.ndarray,
-                                  z: complex | np.ndarray) -> float | np.ndarray:
-    """Residual of the resolvent similarity identity (zI - T^{-1}AT)^{-1} = T^{-1}(zI - A)^{-1}T.
+def resolvent_similarity_residual(a, t_mat, z: complex) -> float:
+    """Residual of the resolvent identity (zI - T^{-1}AT)^{-1} = T^{-1}(zI - A)^{-1}T of real 2x2
+    `a` and invertible `t_mat` (`core._flat`) at z off the spectrum, in closed form (`_similar`);
+    the surface-equivalence checks apply it to the half-cycle maps."""
+    a, t, z = _flat(a), _flat(t_mat), complex(z)
+    t_solve, conjugated = _similar(t, a)
+    lhs = resolvent_solve(Matrix2x2.of(conjugated), z.real, z.imag,
+                          [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)])
+    rhs = t_solve(resolvent_solve(Matrix2x2.of(a), z.real, z.imag,
+                                  [(t[0], 0.0, t[2], 0.0), (t[1], 0.0, t[3], 0.0)]))
+    return planar_residual((*lhs[0], *lhs[1]), (*rhs[0], *rhs[1]))
 
-    Pure linear algebra, valid for any square `a`, invertible `t_mat`, and z off the spectrum;
-    the surface-equivalence checks are this identity applied to the half-cycle maps. Stacks of
-    k draws, `a` and `t_mat` of shape (k, n, n) and `z` of shape (k,), go through one stacked
-    solve and inverse and give the array of k residuals, each with the bits of its own call."""
-    a, t_mat = np.asarray(a, dtype=complex), np.asarray(t_mat, dtype=complex)
-    eye = np.eye(a.shape[-1])
-    z = np.asarray(z, dtype=complex)[..., None, None]
-    conjugated = np.linalg.solve(t_mat, a @ t_mat)
-    lhs = np.linalg.inv(z * eye - conjugated)
-    rhs = np.linalg.solve(t_mat, np.linalg.inv(z * eye - a) @ t_mat)
-    if a.ndim == 2:
-        return relative_residual(lhs, rhs)
-    return np.array([relative_residual(left, right) for left, right in zip(lhs, rhs)])
+
+def _similar(t, a) -> tuple:
+    """(T^{-1} of planar vectors, T^{-1} A T row by row) of real 2x2 T and A (four floats each):
+    T^{-1} = (0 I - (-T))^{-1} in closed form, on the columns of A T (`core.compose`) too."""
+    t_neg = Matrix2x2.of([-x for x in t])
+    det = resolvent_det(t_neg, 0.0, 0.0)
+    t_solve = functools.partial(resolvent_solve, t_neg, 0.0, 0.0, det=det)
+    p00, p01, p10, p11 = compose([(*t, 0.0, 0.0), (*a, 0.0, 0.0)])[:4]
+    c0, c1 = t_solve([(p00, 0.0, p10, 0.0), (p01, 0.0, p11, 0.0)])
+    return t_solve, (c0[0], c1[0], c0[2], c1[2])
 
 
 _EQUIVALENT_PAIRS = {((1, 2), (2, 3)), ((3, 4), (4, 1))}
@@ -395,11 +401,10 @@ _EQUIVALENT_PAIRS = {((1, 2), (2, 3)), ((3, 4), (4, 1))}
 def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Surface,
                                z_grid, rtol: float = 1e-10,
                                similarity_rtol: float = 1e-12) -> list[IdentityCheck]:
-    """Numerical check that two surfaces offset by one interval carry the same dynamics.
-
-    With T the transition matrix of the primary surface's leading interval and b_sec(z) the
-    secondary input vector rebased onto the primary clock (`_rebased_vector`), the secondary
-    model must satisfy, for every z off the poles:
+    """Numerical check that two surfaces offset by one interval carry the same dynamics. With T
+    the transition matrix of the primary surface's leading interval and b_sec(z) the secondary
+    input vector rebased onto the primary clock (`_rebased_vector`), the secondary model must
+    satisfy, for every z off the poles:
 
         T^{-1} phi_sec T = phi_pri
         b_pri(z) = T^{-1} b_sec(z)
@@ -418,25 +423,22 @@ def verify_surface_equivalence(dab: DabSchedule, primary: Surface, secondary: Su
         raise MarginalSystemError(f"similarity transform is singular: cond ~ {kappa:.3e}")
 
     m_pri, m_sec = half_cycle_model(dab, primary), half_cycle_model(dab, secondary)
+    t_solve, conjugated = _similar(t_mat, m_sec.floats[:4])
+    sim_res = planar_residual(conjugated, m_pri.floats[:4])
+    c, e = dab.c_rev, m_pri._entries
 
-    z = np.asarray(z_grid, dtype=complex)
-    zr, zi = _z_parts(m_sec, z)
-    b_sec = _rebased_vector(m_sec, zr, zi)
-    x_sec = resolvent_solve(m_sec._entries.phi, zr, zi, [b_sec])
-    # T^{-1} = (0 I - (-T))^{-1}, by the closed form of every transfer, on phi_sec T too.
-    p00, p01, p10, p11 = compose([(*t_mat, 0.0, 0.0), (*m_sec._entries.phi[:4], 0.0, 0.0)])[:4]
-    mapped, chained, col0, col1 = resolvent_solve(Matrix2x2.of([-x for x in t_mat]), 0.0, 0.0, [
-        b_sec, *x_sec, (p00, 0.0, p10, 0.0), (p01, 0.0, p11, 0.0)])
-    sim_res = planar_residual((col0[0], col1[0], col0[2], col1[2]), m_pri._entries.phi[:4])
-    e = m_pri._entries
-    zr, zi = _z_parts(m_pri, z)
-    b_pri = _input_vector(e, zr, zi)
-    c = _flat(dab.c_phys)
-    h_pri = matrix_times(c, resolvent_solve(e.phi, zr, zi, [b_pri])[0])
-    input_res, flipped_res, transfer_res = (
-        float(np.max(planar_residual(actual, expected), initial=0.0)) for actual, expected in (
-            (b_pri, mapped), (b_pri, tuple(-x for x in mapped)), (h_pri, matrix_times(c, chained))))
+    def residuals(w):  # input-vector, flipped and transfer-chain, at z = w
+        zr, zi = w.real, w.imag
+        b_sec = _rebased_vector(m_sec, zr, zi)
+        x_sec = resolvent_solve(m_sec._entries.phi, zr, zi, [b_sec])[0]
+        mapped, chained = t_solve([b_sec, x_sec])
+        b_pri = _input_vector(e, zr, zi)
+        h_pri = _response(m_pri, c, _input_vector, zr, zi)
+        return (planar_residual(b_pri, mapped), planar_residual(b_pri, tuple(-x for x in mapped)),
+                planar_residual(h_pri, matrix_times(c, chained)))
 
+    _, rows = _evaluate(z_grid, residuals, m_sec.poles + m_pri.poles)
+    input_res, flipped_res, transfer_res = [*map(_worst, zip(*rows))] or [0.0] * 3
     note = ("matches after a global sign flip: surface polarity mismatch"
             if input_res > rtol and flipped_res <= rtol else "")
     name = f"surface-equiv/{primary.label}~{secondary.label}"
@@ -458,8 +460,10 @@ class FrequencyResponseRow(NamedTuple):
 
 
 def sweep_frequencies(f_min: float, f_max: float, points: int, spacing: str,
-                      t_half: float) -> np.ndarray:
-    """Sweep grid in hertz; capped at the surface Nyquist frequency 1/(2 t_half)."""
+                      t_half: float) -> list[float]:
+    """Sweep grid in hertz, a list of floats; capped at the surface Nyquist frequency
+    1/(2 t_half). A log grid is 10^e over evenly spaced exponents e, by the C library's log10
+    and pow, whose bits are the same on every host; a linear grid has np.linspace's."""
     nyquist = 0.5 / t_half
     if not (0.0 < f_min < f_max):
         raise ValueError(f"need 0 < f_min < f_max, got {f_min!r}, {f_max!r}")
@@ -467,80 +471,77 @@ def sweep_frequencies(f_min: float, f_max: float, points: int, spacing: str,
         raise ValueError(f"f_max {f_max!r} exceeds the sampled bandwidth {nyquist!r}")
     if points < 2:
         raise ValueError(f"a sweep needs at least 2 points, got {points!r}")
+    if spacing not in ("log", "linear"):
+        raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+    lo, hi = (math.log10(f_min), math.log10(f_max)) if spacing == "log" else (f_min, f_max)
+    step = (hi - lo) / (points - 1)
     if spacing == "log":
-        # np.geomspace's bits (numpy's log10 and power, not libm's), without its wrapper.
-        lo, hi = np.log10([f_min, f_max]).tolist()
-        f = np.power(10.0, np.arange(points) * ((hi - lo) / (points - 1)) + lo)
-        f[0], f[-1] = f_min, f_max
-        return f
-    if spacing == "linear":
-        return np.linspace(f_min, f_max, points)
-    raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+        return [f_min, *[10.0 ** (k * step + lo) for k in range(1, points - 1)], f_max]
+    return [f_min, *[k * step + lo for k in range(1, points - 1)], f_max]
 
 
 def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
                f_min: float, f_max: float, points: int,
                spacing: str = "log") -> list[FrequencyResponseRow]:
-    """Frequency response rows of one surface model over a frequency grid.
-
-    `kind` selects the exact model ("fix") or the same-cycle approximation ("sc"). A grid point
-    landing on a pole is flagged and the sweep continues; flagged rows carry None in both
-    channels."""
+    """Frequency response rows of one surface model over a frequency grid. `kind` selects the
+    exact model ("fix") or the same-cycle approximation ("sc"). A grid point landing on a pole
+    is flagged and the sweep continues; flagged rows carry None in both channels."""
     if kind not in ("fix", "sc"):
         raise ValueError(f"kind must be 'fix' or 'sc', got {kind!r}")
     model = half_cycle_model(dab, surface)
     f = sweep_frequencies(f_min, f_max, points, spacing, model.t_half)
-    z = np.exp(2j * np.pi * f * model.t_half)
-    rhs = _input_vector if kind == "fix" else _same_cycle_vector
-    near, _ = _near_pole(model, z)
-    z = z[~near]  # gated here, so the transfer takes (Re z, Im z) as they are
-    h_irec, h_vout = _transfer(model, dab.c_phys, z.real, z.imag, rhs).T.tolist()
-    flagged = np.flatnonzero(near).tolist()
-    for k in flagged:  # flagged rows keep None in both channels
-        h_irec.insert(k, None)
-        h_vout.insert(k, None)
-    return list(map(FrequencyResponseRow, f.tolist(), h_irec, h_vout))
+    c, rhs = dab.c_rev, _input_vector if kind == "fix" else _same_cycle_vector
+
+    def near(f):  # z = e^(2 pi i f t_half) of one frequency or of an array of them
+        return _pole_gap(model.poles, complex_exp(2j * math.pi * f * model.t_half)) <= _POLE_GAP
+
+    def row(f):
+        z = complex_exp(2j * math.pi * f * model.t_half)
+        r0, s0, r1, s1 = _response(model, c, rhs, z.real, z.imag)
+        return f, to_complex(r0, s0), to_complex(r1, s1)
+
+    rows = _over_z(row, f, near)
+    if None not in rows:  # no Python call per row
+        return list(map(tuple.__new__, repeat(FrequencyResponseRow), rows))
+    return [FrequencyResponseRow(*(row or (fk, None, None))) for fk, row in zip(f, rows)]
 
 
 _RESOLVENT_SEED = 20260816  # seeds the random matrices of the resolvent-similarity check
 
 
 def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[IdentityCheck]:
-    """Every structural identity that `dabss verify` reports, in its table order.
-
-    `tolerances` is a `config.Tolerances`, `surfaces` maps each label of SURFACES to the
+    """Every structural identity that `dabss verify` reports, in its table order. `tolerances`
+    is a `config.Tolerances`, `surfaces` maps each label of SURFACES to the
     Surface to check (a polarity override in place of the canonical one), and `freqs` is the
     sweep grid [Hz] of the envelope-ratio check. The dual-path row passes iff
     `transfer_difference` at `tolerances.transfer_difference` does not raise on its circle."""
+    import random
     tol = tolerances
     checks = verify_symmetry(dab, rtol=tol.half_wave_symmetry)
 
-    x_full = pwlti.solve_periodic_fixed_point(dab.schedule)
-    x_half = solve_half_cycle(dab)
-    states = pwlti.propagate(dab.schedule, x_full)
+    x_full = fixed_point(dab.schedule._period, "periodic solve")
+    x_half = half_cycle_fixed_point(dab, 1, "half-cycle solve")[1]
+    states = [*accumulate(dab.schedule._entries, lambda x, m: _affine(m, x), initial=x_full)]
     for name, actual, expected in (("fixed-point-equivalence", x_half, x_full),
                                    ("period-closure", states[-1], x_full),
-                                   ("midcycle-flip", states[1], (-x_full[0], x_full[1]))):
+                                   ("midcycle-flip", states[2], (-x_full[0], x_full[1]))):
         checks.append(IdentityCheck(
             f"half-cycle/{name}", relative_residual(actual, expected), tol.half_cycle))
 
-    rng = np.random.default_rng(_RESOLVENT_SEED)
-    draws = []
-    while len(draws) < 20:
-        a, t_mat = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-        z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
-        if not (cond(t_mat) > 1e6
-                or min(abs(z - e) for e in eigenvalues(*a.ravel().tolist())) < 0.1):
-            draws.append((a, t_mat, z))
-    worst = float(max(resolvent_similarity_residual(*map(np.array, zip(*draws)))))
-    checks.append(IdentityCheck("resolvent/similarity-random", worst, tol.resolvent_identity))
+    rng, residuals = random.Random(_RESOLVENT_SEED), []
+    while len(residuals) < 20:
+        a, t_mat = ([rng.gauss(0.0, 1.0) for _ in range(4)] for _ in range(2))
+        z = 2.0 * cmath.exp(2j * math.pi * rng.random())
+        if not (cond(t_mat) > 1e6 or min(abs(z - e) for e in eigenvalues(*a)) < 0.1):
+            residuals.append(resolvent_similarity_residual(a, t_mat, z))
+    checks.append(IdentityCheck("resolvent/similarity-random", _worst(residuals),
+                                tol.resolvent_identity))
 
-    # exp(2j pi q / n) for q < n, rounded as cmath.exp(2j * math.pi * q / n) rounds it.
-    z_grid = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
+    circle64, circle100 = ([cmath.exp(2j * math.pi * q / n) for q in range(n)] for n in (64, 100))
     for pri, sec in ((surfaces["P+"], surfaces["S+"]), (surfaces["P-"], surfaces["S-"])):
         try:
             checks.extend(verify_surface_equivalence(
-                dab, pri, sec, z_grid,
+                dab, pri, sec, circle64,
                 rtol=tol.surface_equivalence, similarity_rtol=tol.similarity))
         except ParameterError as exc:
             # A skewed schedule can make a straddling surface unbuildable;
@@ -549,22 +550,20 @@ def identity_checks(dab: DabSchedule, tolerances, surfaces, freqs) -> list[Ident
                 f"surface-equiv/{pri.label}~{sec.label}/construction",
                 math.inf, tol.surface_equivalence, str(exc)))
 
-    # One `_difference_paths` call for every transfer-difference row: 100 points of the
+    # One `_difference_row` evaluation for every transfer-difference row: 100 points of the
     # unit circle (dual path), z = 1 (dc) and the sweep grid (envelope ratio).
-    model = half_cycle_model(dab, surfaces["P+"])
-    circle = np.exp(1j * (2.0 * np.pi * np.arange(100) / 100))
-    sweep = np.exp(2j * np.pi * np.asarray(freqs) * model.t_half)
-    closed, subtracted, states = _difference_paths(
-        model, dab.c_phys, np.concatenate([circle, [1.0], sweep]))
-    on_circle = [tuple(part[:100] for part in v) for v in (closed, subtracted, *states)]
-    checks.append(_dual_path_check(model, dab.c_phys, circle, (
-        on_circle[0], on_circle[1], on_circle[2:]), tol.transfer_difference))
-    checks.append(IdentityCheck("transfer-difference/dc-zero", float(planar_norm(
-        tuple(part[100] for part in subtracted))), tol.transfer_difference))
-    diff = planar_norm(tuple(part[101:] for part in subtracted))
-    envelope = difference_envelope(model, dab.c_phys, sweep)
+    model, c = half_cycle_model(dab, surfaces["P+"]), dab.c_rev
+    sweep = [cmath.exp(2j * math.pi * f * model.t_half) for f in freqs]
+    _, rows = _evaluate([*circle100, 1 + 0j, *sweep],
+                        functools.partial(_difference_row, model, c), model.poles)
+    checks.append(IdentityCheck("transfer-difference/dual-path", *_dual_path_check(
+        model, c, circle100, rows[:100], tol.transfer_difference)))
+    checks.append(IdentityCheck("transfer-difference/dc-zero", planar_norm(rows[100][4:8]),
+                                tol.transfer_difference))
     # At z = 1 the envelope and the difference both vanish: 0/0 reads as 0.
-    ratio = np.max(np.divide(diff, envelope, out=np.where(diff == 0.0, 0.0, np.inf),
-                             where=envelope != 0.0))
-    checks.append(IdentityCheck("transfer-difference/envelope-ratio", float(ratio), 1.0))
+    ratios = [d / bound if bound else math.inf if d else 0.0 for d, (bound,) in zip(
+        (planar_norm(row[4:8]) for row in rows[101:]),
+        _evaluate(sweep, functools.partial(_envelope, model, math.sqrt(sigma_max_sq(*c, 0.0))),
+                  model.poles)[1])]
+    checks.append(IdentityCheck("transfer-difference/envelope-ratio", _worst(ratios), 1.0))
     return checks

@@ -93,6 +93,35 @@ class TestSteadyStateWithoutNumpy:
         assert "Traceback" not in without.stderr and not (tmp_path / "ss.json").exists()
 
 
+class TestVerifyAndBodeWithoutNumpy:
+    """`verify` and `bode` run on the float rules alone: with numpy unimportable they print and
+    write the bytes of a normal run and of an in-process run, whose sweep of more than 16
+    points, numpy loaded, goes through arrays."""
+
+    SWEEPS = {"default": None, "40-points": {"f_min": 10.0, "f_max": 40000.0, "points": 40}}
+
+    @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS)
+    def test_verify_prints_the_bytes_of_a_normal_run(self, config_file, capsys, sweep):
+        path = config_file(sweep=sweep)
+        normal, without = run_cli("verify", path), run_cli_without_numpy("verify", path)
+        assert without.returncode == normal.returncode == 0, without.stderr
+        assert cli.main(["verify", path]) == 0
+        assert without.stdout == normal.stdout == capsys.readouterr().out
+        assert not without.stderr
+
+    @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS)
+    def test_bode_writes_the_bytes_of_a_normal_run(self, config_file, tmp_path, sweep):
+        path = config_file(sweep=sweep)
+        outputs = []
+        for k, run in enumerate((run_cli, run_cli_without_numpy)):
+            out = tmp_path / f"bode{k}.csv"
+            proc = run("bode", path, "--model", "both", "--out", str(out))
+            assert proc.returncode == 0 and not proc.stderr, proc.stderr
+            outputs.append(out.read_bytes())
+        assert cli.main(["bode", path, "--model", "both", "--out", str(tmp_path / "b.csv")]) == 0
+        assert outputs[0] == outputs[1] == (tmp_path / "b.csv").read_bytes()
+
+
 class TestVerifyCommand:
     def test_reference_design_passes_every_check(self, config_file):
         proc = run_cli("verify", config_file())
@@ -207,7 +236,7 @@ class TestBodeCommand:
         real = half_cycle_model(build_dab(DabParams(**REFERENCE_KWARGS)), P_PLUS)
         theta = 0.8
         rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        model = dataclasses.replace(real, phi=rotation)
+        model = dataclasses.replace(real, floats=(*rotation.ravel().tolist(), *real.floats[4:]))
         monkeypatch.setattr(smallsignal, "half_cycle_model", lambda dab, surface: model)
         f_pole = theta / (2.0 * np.pi * model.t_half)
         path = config_file(sweep={"f_min": f_pole / 4.0, "f_max": f_pole, "points": 7,
@@ -716,11 +745,11 @@ class TestMisc:
 
     COMMANDS = ("steady-state", "verify", "bode", "simulate", "compare")
     # Whether each command line loads numpy, dabss.smallsignal and dabss.oracle: numpy where
-    # arrays are made, the surface models where a transfer is evaluated, the simulator
-    # where it runs. `import dabss`, `--version` and `steady-state` load none of them.
+    # the simulator runs, the surface models where a transfer is evaluated. `import dabss`,
+    # `--version` and `steady-state` load none of them, `verify` and `bode` no numpy.
     LOADS = {"import": (False, False, False), "cli-version": (False, False, False),
-             "steady-state": (False, False, False), "verify": (True, True, False),
-             "bode": (True, True, False), "simulate": (True, False, True),
+             "steady-state": (False, False, False), "verify": (False, True, False),
+             "bode": (False, True, False), "simulate": (True, False, True),
              "compare": (True, True, True)}
 
     @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version"),

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
+import json
 import math
+import random
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -125,10 +130,12 @@ class TestHalfCycleModel:
     def test_input_vector_assembly(self, ref_dab):
         m = half_cycle_model(ref_dab, P_PLUS)
         z = 0.3 + 0.4j
-        exact = smallsignal.planar_array([smallsignal._input_vector(m._entries, z.real, z.imag)], ())
-        rebased = smallsignal.planar_array([smallsignal._rebased_vector(m, z.real, z.imag)], ())
-        np.testing.assert_array_equal(exact[0], m.b_cur + z * m.b_next)
-        np.testing.assert_array_equal(rebased[0], z * m.b_cur + m.phi @ m.b_next)
+        exact = smallsignal._shaped(
+            z, [smallsignal._input_vector(m._entries, z.real, z.imag)], pairs=True)
+        rebased = smallsignal._shaped(
+            z, [smallsignal._rebased_vector(m, z.real, z.imag)], pairs=True)
+        np.testing.assert_array_equal(exact, m.b_cur + z * m.b_next)
+        np.testing.assert_array_equal(rebased, z * m.b_cur + m.phi @ m.b_next)
 
 
 class TestTransferFunctions:
@@ -200,9 +207,8 @@ class TestResolventSimilarity:
     def test_random_conjugations_satisfy_the_identity(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            n = int(rng.integers(2, 6))
-            a = rng.standard_normal((n, n))
-            t = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+            a = rng.standard_normal((2, 2))
+            t = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
             if np.linalg.cond(t) > 1e6:
                 continue
             z = complex(2.0 * np.exp(2j * np.pi * rng.uniform()))
@@ -212,14 +218,14 @@ class TestResolventSimilarity:
         a = np.array([[0.0, 1.0], [-2.0, -0.3]])
         assert resolvent_similarity_residual(a, np.eye(2), 2.0 + 1.0j) < 1e-15
 
-    def test_a_stack_of_draws_gives_each_draw_its_own_bits(self):
+    def test_arrays_and_floats_give_the_same_bits(self):
         rng = np.random.default_rng(37)
-        a = rng.standard_normal((50, 2, 2))
-        t = rng.standard_normal((50, 2, 2))
-        z = 2.0 * np.exp(2j * np.pi * rng.uniform(size=50))
-        np.testing.assert_array_equal(
-            resolvent_similarity_residual(a, t, z),
-            [resolvent_similarity_residual(*draw) for draw in zip(a, t, z)])
+        for a, t, z in zip(rng.standard_normal((50, 2, 2)), rng.standard_normal((50, 2, 2)),
+                           2.0 * np.exp(2j * np.pi * rng.uniform(size=50))):
+            residual = resolvent_similarity_residual(a, t, z)
+            assert type(residual) is float
+            assert residual == resolvent_similarity_residual(
+                a.ravel().tolist(), t.ravel().tolist(), complex(z))
 
 
 class TestSurfaceEquivalence:
@@ -263,7 +269,7 @@ class TestSweeps:
         np.testing.assert_array_equal(grid, [100.0, 5000.0])
 
     def test_log_grid_hits_endpoints_and_is_geometric(self):
-        grid = sweep_frequencies(10.0, 10000.0, 4, "log", t_half=5e-6)
+        grid = np.array(sweep_frequencies(10.0, 10000.0, 4, "log", t_half=5e-6))
         assert grid[0] == 10.0 and grid[-1] == 10000.0
         ratios = grid[1:] / grid[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
@@ -279,17 +285,29 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_frequencies(t_half=5e-6, **kwargs)
 
-    def test_log_grids_keep_the_bits_of_numpy_geomspace(self):
-        # The same numpy log10 and power as np.geomspace: a grid from the C library's
-        # functions would differ on most draws.
+    def test_log_grids_are_the_c_librarys_powers_of_ten(self):
+        # np.geomspace's exponents k (hi - lo) / (points - 1) + lo, from the C library's log10
+        # and raised by its pow, both the same on every glibc host; numpy's log10 and power
+        # can take SIMD kernels that differ by CPU.
         rng = np.random.default_rng(22_2026)
         for _ in range(20_000):
             f_min = float(10.0 ** rng.uniform(-3.0, 6.0))
             f_max = f_min * float(10.0 ** rng.uniform(1e-9, 6.0))
             points = int(rng.integers(2, 130))
             grid = sweep_frequencies(f_min, f_max, points, "log", t_half=1e-30)
-            expected = np.geomspace(f_min, f_max, points)
-            assert grid.tobytes() == expected.tobytes(), (f_min, f_max, points)
+            lo, hi = math.log10(f_min), math.log10(f_max)
+            exponents = np.arange(points) * ((hi - lo) / (points - 1)) + lo
+            expected = [f_min, *map(math.pow, [10.0] * points, exponents[1:-1].tolist()), f_max]
+            assert type(grid) is list and grid == expected, (f_min, f_max, points)
+
+    def test_linear_grids_keep_the_bits_of_numpy_linspace(self):
+        rng = np.random.default_rng(23_2026)
+        for _ in range(2_000):
+            f_min = float(10.0 ** rng.uniform(-3.0, 6.0))
+            f_max = f_min * float(10.0 ** rng.uniform(1e-9, 6.0))
+            points = int(rng.integers(2, 130))
+            grid = sweep_frequencies(f_min, f_max, points, "linear", t_half=1e-30)
+            assert grid == np.linspace(f_min, f_max, points).tolist(), (f_min, f_max, points)
 
     def test_band_edge_is_allowed(self):
         grid = sweep_frequencies(10.0, 1e5, 3, "log", t_half=5e-6)
@@ -325,7 +343,7 @@ class TestArrayFrequencyAxis:
     @staticmethod
     def z_axis(model, fs: float) -> np.ndarray:
         # A Bode grid up to the surface Nyquist frequency plus points all round the circle.
-        f = sweep_frequencies(fs / 1000.0, fs, 40, "log", model.t_half)
+        f = np.array(sweep_frequencies(fs / 1000.0, fs, 40, "log", model.t_half))
         return np.concatenate([np.exp(2j * np.pi * f * model.t_half), unit_circle(24) ** 2])
 
     def test_array_transfers_equal_scalar_transfers_on_random_designs(self):
@@ -365,6 +383,13 @@ class TestArrayFrequencyAxis:
         assert isinstance(difference_envelope(m, ref_dab.c_phys, z), float)
         assert isinstance(transfer_difference_residual(m, ref_dab.c_phys, z), float)
 
+    def test_an_empty_array_keeps_the_array_shapes(self, ref_dab):
+        m, empty = half_cycle_model(ref_dab, P_PLUS), np.array([], dtype=complex)
+        for transfer in (transfer_fixed_freq, transfer_same_cycle, transfer_difference):
+            assert transfer(m, ref_dab.c_phys, empty).shape == (0, 2)
+        for bound in (difference_envelope, transfer_difference_residual):
+            assert bound(m, ref_dab.c_phys, empty).shape == (0,)
+
     def test_a_pole_anywhere_in_an_array_raises(self, ref_dab):
         m = half_cycle_model(ref_dab, P_PLUS)
         zs = np.array([cmath.exp(0.3j), complex(m.poles[0]), cmath.exp(0.5j)])
@@ -383,25 +408,25 @@ class TestArrayFrequencyAxis:
     def test_difference_solves_once_for_all_three_paths(self, ref_dab, monkeypatch):
         m = half_cycle_model(ref_dab, P_PLUS)
         solves, conversions = [], []
-        real_solve, real_array = smallsignal.resolvent_solve, smallsignal.planar_array
+        real_solve, real_shaped = smallsignal.resolvent_solve, smallsignal._shaped
 
         def counted_solve(phi, zr, zi, vectors):
             solves.append((np.shape(zr), len(vectors)))
             return real_solve(phi, zr, zi, vectors)
 
-        def counted_array(vectors, shape):
-            conversions.append(shape)
-            return real_array(vectors, shape)
+        def counted_shaped(z, values, pairs=False):
+            conversions.append(len(values))
+            return real_shaped(z, values, pairs)
 
         monkeypatch.setattr(smallsignal, "resolvent_solve", counted_solve)
-        monkeypatch.setattr(smallsignal, "planar_array", counted_array)
+        monkeypatch.setattr(smallsignal, "_shaped", counted_shaped)
         transfer_difference(m, ref_dab.c_phys, unit_circle(25))
         assert solves == [((25,), 3)]
         solves.clear()
         conversions.clear()
         transfer_difference(m, ref_dab.c_phys, cmath.exp(0.7j))
         assert solves == [((), 3)]
-        assert conversions == [()]  # planar to complex once, at the return
+        assert conversions == [1]  # planar to complex once, at the return
 
     def test_bode_sweep_flags_the_pole_row_and_keeps_the_others(self, ref_dab, monkeypatch):
         # A model whose phi is a rotation has its poles on the unit circle, so
@@ -409,7 +434,7 @@ class TestArrayFrequencyAxis:
         real = half_cycle_model(ref_dab, P_PLUS)
         theta = 0.8
         rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        model = dataclasses.replace(real, phi=rotation)
+        model = dataclasses.replace(real, floats=(*rotation.ravel().tolist(), *real.floats[4:]))
         monkeypatch.setattr(smallsignal, "half_cycle_model", lambda dab, surface: model)
         f_pole = theta / (2.0 * np.pi * model.t_half)
         for kind, transfer in (("fix", transfer_fixed_freq), ("sc", transfer_same_cycle)):
@@ -593,7 +618,8 @@ class TestDualPathFloor:
 
     @staticmethod
     def criterion_8_grid(params, model) -> np.ndarray:
-        f = sweep_frequencies(params.fs / 1000.0, params.fs / 10.0, 25, "log", model.t_half)
+        f = np.array(sweep_frequencies(params.fs / 1000.0, params.fs / 10.0, 25, "log",
+                                       model.t_half))
         return np.exp(2j * np.pi * f * model.t_half)
 
     def test_the_first_seed_164_design_passes_its_grid(self):
@@ -616,12 +642,14 @@ class TestDualPathFloor:
             dab = build_dab(params)
             for surface in (P_PLUS, S_MINUS):
                 model = half_cycle_model(dab, surface)
-                f = sweep_frequencies(params.fs / 1000.0, params.fs, 24, "log", model.t_half)
+                f = np.array(sweep_frequencies(params.fs / 1000.0, params.fs, 24, "log",
+                                               model.t_half))
                 z = np.concatenate([np.exp(2j * np.pi * f * model.t_half), unit_circle(8)])
-                closed, subtracted, states = smallsignal._difference_paths(model, dab.c_phys, z)
-                floor = smallsignal._dual_path_floor(model, dab.c_phys, z, states, subtracted)
-                res = core.planar_residual(closed, subtracted)
-                worst = max(worst, float(np.max(res / floor)))
+                for zk, row in zip(*smallsignal._evaluate(z, functools.partial(
+                        smallsignal._difference_row, model, dab.c_rev), model.poles)):
+                    floor = smallsignal._dual_path_floor(model, dab.c_rev, zk, row)
+                    assert row[8] == core.planar_residual(row[:4], row[4:8])
+                    worst = max(worst, row[8] / floor)
         assert worst <= 1.0
 
     def test_a_diverged_closed_path_still_raises(self, monkeypatch):
@@ -629,18 +657,18 @@ class TestDualPathFloor:
         dab = build_dab(params)
         model = half_cycle_model(dab, P_PLUS)
         z = self.criterion_8_grid(params, model)
-        real = smallsignal._difference_paths
+        real = smallsignal._difference_row
 
-        def perturbed(model, c_phys, z):
-            _, subtracted, states = real(model, c_phys, z)
-            zr, zi = smallsignal._z_parts(model, z)
+        def perturbed(model, c, z):  # one z or an array of them, as the real row
+            row = real(model, c, z)
+            zr, zi = z.real, z.imag
             bn0, bn1 = (model.b_next * (1.0 + 1e-6)).tolist()
             advance = (zr - 1.0) * bn0, zi * bn0, (zr - 1.0) * bn1, zi * bn1
             solved = core.resolvent_solve(model._entries.phi, zr, zi, [advance])[0]
-            closed = core.matrix_times(np.ravel(c_phys).tolist(), solved)
-            return closed, subtracted, states
+            closed = core.matrix_times(c, solved)
+            return (*closed, *row[4:8], core.planar_residual(closed, row[4:8]))
 
-        monkeypatch.setattr(smallsignal, "_difference_paths", perturbed)
+        monkeypatch.setattr(smallsignal, "_difference_row", perturbed)
         for zk in (z, z[0], z[-1]):
             with pytest.raises(ArithmeticError) as err:
                 transfer_difference(model, dab.c_phys, zk)
@@ -662,14 +690,14 @@ def _earlier_verify_checks(cfg, dab, surfaces):
                                    ("midcycle-flip", states[1], (-x_full[0], x_full[1]))):
         checks.append(IdentityCheck(
             f"half-cycle/{name}", relative_residual(actual, expected), tol.half_cycle))
-    rng = np.random.default_rng(20260816)
+    rng = random.Random(20260816)  # the draws and rule of the closed-form row
     worst = 0.0
     draws = 0
     while draws < 20:
-        a = rng.standard_normal((2, 2))
-        t_mat = rng.standard_normal((2, 2))
-        z = 2.0 * cmath.exp(2j * math.pi * rng.uniform())
-        if cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(a))) < 0.1:
+        a = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        t_mat = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        z = 2.0 * cmath.exp(2j * math.pi * rng.random())
+        if cond(t_mat) > 1e6 or np.min(np.abs(z - np.linalg.eigvals(np.reshape(a, (2, 2))))) < 0.1:
             continue
         worst = max(worst, resolvent_similarity_residual(a, t_mat, z))
         draws += 1
@@ -692,8 +720,8 @@ def _earlier_verify_checks(cfg, dab, surfaces):
         transfer_same_cycle(model, dab.c_phys, 1.0)
     checks.append(IdentityCheck(
         "transfer-difference/dc-zero", float(np.linalg.norm(dc)), tol.transfer_difference))
-    f = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
-                          cfg.sweep.spacing, model.t_half)
+    f = np.array(sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
+                                   cfg.sweep.spacing, model.t_half))
     z = np.exp(2j * np.pi * f * model.t_half)
     delta = transfer_fixed_freq(model, dab.c_phys, z) - transfer_same_cycle(model, dab.c_phys, z)
     diff = row_norms(delta)
@@ -737,23 +765,87 @@ class TestIdentityChecks:
         assert abs(n.residual - o.residual) <= 4.0 * math.ulp(o.residual)
 
 
+# Every identity_checks residual and the P+ bode_sweep rows of 40 points, as float.hex, of the
+# config files named: run in process, numpy loaded, many z go through arrays; run where numpy
+# cannot be imported, z by z in Python floats.
+FLOAT_PATH_PROBE = """
+import dataclasses
+from dabss import P_PLUS, SURFACES, build_dab, sweep_frequencies
+from dabss.config import load_config
+from dabss.smallsignal import bode_sweep, identity_checks
+
+
+def probe(paths):
+    out = []
+    for path in paths:
+        cfg = load_config(path)
+        dab = build_dab(cfg.converter, t3_skew=cfg.t3_skew)
+        surfaces = {label: dataclasses.replace(s, polarity=cfg.polarity_override.get(
+            label, s.polarity)) for label, s in SURFACES.items()}
+        freqs = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
+                                  cfg.sweep.spacing, cfg.converter.t_half)
+        out.append([[c.name, c.residual.hex()] for c in identity_checks(
+            dab, cfg.tolerances, surfaces, freqs)])
+        fs = cfg.converter.fs
+        out.append([[x.hex() for h in row[1:] for x in (h.real, h.imag)] + [row.f.hex()]
+                    for kind in ("fix", "sc")
+                    for row in bode_sweep(dab, P_PLUS, kind, fs / 1000.0, fs / 2.0, 40)])
+    return out
+"""
+
+
+class TestFloatPath:
+    """Many z z by z in Python floats, as a command with no numpy runs them, give the bits of
+    the array path of an in-process caller."""
+
+    def test_identity_checks_and_bode_rows_match_an_interpreter_without_numpy(self, tmp_path):
+        paths = [write_config(tmp_path / f"{name}.json", **kwargs)
+                 for name, kwargs in TestIdentityChecks.CONFIGS.items()]
+        script = ("import json, sys; sys.modules['numpy'] = None\n" + FLOAT_PATH_PROBE
+                  + "\nprint(json.dumps(probe(sys.argv[1:])))")
+        proc = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        namespace = {}
+        exec(FLOAT_PATH_PROBE, namespace)
+        in_process = namespace["probe"](paths)
+        assert json.loads(proc.stdout) == in_process
+        assert len(in_process) == 8 and all(len(rows) == 80 for rows in in_process[1::2])
+
+    def test_scalar_and_array_pole_gaps_agree_bit_for_bit(self):
+        # z from 1e-14 to 1e-4 of each pole, across the 1e-12 gate, and on the unit circle. The
+        # gap is the hypot of the parts for one z and for an array: numpy's complex abs, the
+        # earlier array rule, rounds otherwise on some inputs.
+        rng = np.random.default_rng(29_2026)
+        for _ in range(20):
+            model = half_cycle_model(build_dab(random_params(rng)), P_PLUS)
+            z = [p + gap * cmath.exp(2j * math.pi * rng.uniform()) for p in model.poles
+                 for gap in (10.0 ** rng.uniform(-14.0, -4.0, 100)).tolist()]
+            z += np.exp(2j * np.pi * rng.uniform(size=100)).tolist()
+            gaps = smallsignal._pole_gap(model.poles, np.array(z)).tolist()
+            assert [g.hex() for g in gaps] == [
+                smallsignal._pole_gap(model.poles, w).hex() for w in z]
+            assert any(g <= smallsignal._POLE_GAP for g in gaps)
+
+
 def checked_surface_rows(dab, primary, secondary, z, **tolerances) -> list:
-    """verify_surface_equivalence's rows, once each vector of its T-solve, `core.resolvent_solve`
-    at z = 0 on -T (the columns of phi_sec T, then b_sec and x_sec at each z), is within
-    T_SOLVE u cond(T) ||y|| of the exact solve y of the same floats, 1 u more for rounding y."""
+    """verify_surface_equivalence's rows, once each vector of its T-solves, `core.resolvent_solve`
+    at z = 0 on -T (the columns of phi_sec T, then b_sec and x_sec at each z, z by z or as
+    arrays), is within T_SOLVE u cond(T) ||y|| of the exact solve y of the same floats, 1 u more
+    for rounding y."""
     calls = []
 
     def recorded(m, zr, zi, vectors, det=None):
         solved = core.resolvent_solve(m, zr, zi, vectors, det)
-        if isinstance(zr, float):  # the transfers pass arrays of z
+        if isinstance(zr, float) and zr == zi == 0.0:  # not a transfer: those take |z| = 1
             calls.append((m, vectors, solved))
         return solved
 
     with mock.patch.object(smallsignal, "resolvent_solve", recorded):
         rows = verify_surface_equivalence(dab, primary, secondary, z, **tolerances)
-    (m, vectors, solved), = calls
+    (m,) = {m for m, _, _ in calls}
     given, got = (np.concatenate([np.stack(np.broadcast_arrays(*v), axis=-1).reshape(-1, 4)
-                                  for v in planars]) for planars in (vectors, solved))
+                                  for call in calls for v in call[k]]) for k in (1, 2))
     t = [-x for x in m[:4]]
     re, im = (np.array(reference.solve(t, zip(given[:, j], given[:, j + 2])), dtype=float)
               for j in (0, 1))
@@ -832,7 +924,7 @@ class TestClosedFormResolvent:
                 model = half_cycle_model(dab, (P_PLUS, S_MINUS)[found % 4 // 2])
             except (ParameterError, NumericInputError, MarginalSystemError):
                 continue
-            f = sweep_frequencies(params.fs / 1000.0, params.fs, 25, "log", model.t_half)
+            f = np.array(sweep_frequencies(params.fs / 1000.0, params.fs, 25, "log", model.t_half))
             near = [pole + gap * cmath.exp(2j * math.pi * rng.uniform())
                     for pole in model.poles for gap in (1e-9, 1e-8, 1e-7, 1e-6)]
             found += 1
@@ -891,34 +983,17 @@ class TestClosedFormResolvent:
             with pytest.raises(ArithmeticError):  # the roundoff floor of the tripped check
                 transfer_difference(model, c, cmath.exp(0.3j), rtol=1e-300)
 
-    def test_verify_calls_numpy_linalg_only_for_the_random_resolvent_row(self, ref_dab,
-                                                                          monkeypatch):
-        # The closed-form path has one arithmetic, the float rules of dabss.core: only the
-        # LAPACK cross-check of random matrices, resolvent_similarity_residual, calls LAPACK.
-        inside, calls = [False], []
-        real_row = smallsignal.resolvent_similarity_residual
-
-        def row(*args):
-            inside[0] = True
-            try:
-                return real_row(*args)
-            finally:
-                inside[0] = False
-
+    def test_verify_calls_no_numpy_linalg(self, ref_dab, monkeypatch):
+        # The closed-form path has one arithmetic, the float rules of dabss.core, the random
+        # resolvent-similarity row included; the sweep grid of 25 points runs as arrays.
+        calls = []
         for name in ("solve", "inv", "svd", "norm", "eig", "eigvals", "cond", "det"):
-            def guarded(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append(inside[0])
-                if not inside[0]:
-                    raise AssertionError(f"numpy.linalg.{_name} called")
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, guarded)
-        monkeypatch.setattr(smallsignal, "resolvent_similarity_residual", row)
+            monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kwargs: calls.append(
+                _name))
         p = ref_dab.params
-        identity_checks(ref_dab, Tolerances(), SURFACES, sweep_frequencies(
+        checks = identity_checks(ref_dab, Tolerances(), SURFACES, sweep_frequencies(
             p.fs / 1000.0, p.fs / 10.0, 25, "log", p.t_half))
-        assert calls and all(calls)
-        calls.clear()
+        assert calls == [] and all(c.passed for c in checks)
         x = solve_periodic_fixed_point(ref_dab.schedule)
         relative_residual(closed_form_state(ref_dab.schedule, x),
                           propagate(ref_dab.schedule, x)[-1])
