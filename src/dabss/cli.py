@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import AppConfig, load_config
-from .core import _affine, eigenvalues, fixed_point, relative_residual
+from .core import _affine, complex_abs, eigenvalues, fixed_point, relative_residual
 from .dab import SURFACES, DabSchedule, build_dab, half_cycle_fixed_point
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError, ParameterError, ResolventSingularityError)
@@ -71,6 +71,15 @@ def _atomic_write(out: str, text: str) -> None:
 def _wrap_degrees(angle: float) -> float:
     wrapped = (angle + 180.0) % 360.0 - 180.0
     return 180.0 if wrapped == -180.0 else wrapped
+
+
+def _modulus(h: complex, f: float) -> float:
+    """|h| of a transfer at f hertz (`core.complex_abs`), refused where it passes the float
+    range though both parts are finite."""
+    size = complex_abs(h)
+    if size == math.inf:
+        raise NumericInputError(f"|H| at f = {f!r} Hz passes the float range")
+    return size
 
 
 def _surfaces(cfg: AppConfig) -> dict:
@@ -146,7 +155,8 @@ def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
             else:
                 cells = [_fmt(row.f)]
                 for h in (row.h_irec, row.h_vout):
-                    cells.append(_fmt(20.0 * math.log10(abs(h)) if h else -math.inf))
+                    size = _modulus(h, row.f)
+                    cells.append(_fmt(20.0 * math.log10(size) if size else -math.inf))
                     cells.append(_fmt(math.degrees(cmath.phase(h))))
             if args.model == "both":
                 cells.append(kind)
@@ -193,6 +203,13 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     surface = _surfaces(cfg)["P+"]
     model = half_cycle_model(dab, surface)
 
+    # The predicted transfers first: one past the float range is refused before the oracle runs.
+    freqs = ([cfg.sim.injection.f] if cfg.sim.injection.f is not None
+             else _coherent_frequencies(cfg, model.t_half))
+    z = np.exp(2j * np.pi * np.array(freqs) * model.t_half)
+    predicted = [[(h, _modulus(h, f)) for h in row]
+                 for f, row in zip(freqs, transfer_fixed_freq(model, dab.c_rev, z).tolist())]
+
     x_model = fixed_point(dab.schedule._period, "periodic solve")
     x_sim, _ = run_to_steady_state(dab, cfg.sim)
     steady_dev = relative_residual(x_sim, x_model)
@@ -202,16 +219,13 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
         f"# steady_state_rel_dev={_fmt(steady_dev)}",
         "f_hz,mag_ratio_irec,phase_diff_deg_irec,mag_ratio_vout,phase_diff_deg_vout",
     ]
-    freqs = ([cfg.sim.injection.f] if cfg.sim.injection.f is not None
-             else _coherent_frequencies(cfg, model.t_half))
-    z = np.exp(2j * np.pi * np.array(freqs) * model.t_half)
     # Every bin in one oracle run, from the pre-run that run_to_steady_state cached.
-    for f, predicted, measured in zip(freqs, transfer_fixed_freq(model, dab.c_rev, z),
-                                      measure_frequency_responses(dab, surface, cfg.sim, freqs)):
+    measured = measure_frequency_responses(dab, surface, cfg.sim, freqs).tolist()
+    for f, row, row_measured in zip(freqs, predicted, measured):
         cells = [_fmt(f)]
-        for pred, meas in zip(predicted, measured):
+        for (pred, size), meas in zip(row, row_measured):
             with np.errstate(divide="ignore", invalid="ignore"):  # a 0 measured: inf, or nan
-                cells.append(_fmt(abs(pred) / abs(meas)))
+                cells.append(_fmt(np.float64(size) / complex_abs(meas)))
             cells.append(_fmt(_wrap_degrees(math.degrees(cmath.phase(pred) - cmath.phase(meas)))))
         lines.append(",".join(cells))
     _atomic_write(args.out, "\n".join(lines) + "\n")

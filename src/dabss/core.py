@@ -205,13 +205,15 @@ def real_sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else _numpy().sqrt(x)
 
 
-def real_hypot(x, y):
-    # Both are the C library's hypot, inf past the float range; math.hypot is not.
-    return complex_abs(complex(x, y)) if isinstance(x, float) else _numpy().hypot(x, y)
+def real_hypot(x: float, y: float) -> float:
+    # The C library's hypot of two floats (`complex_abs`), inf past the float range; math.hypot
+    # is not the C library's.
+    return complex_abs(complex(x, y))
 
 
 def complex_abs(z):
-    """|z| as `real_hypot` of its parts: of a Python complex, or entry by entry of an array."""
+    """|z| as the C library's hypot of its parts, inf past the float range: of a Python complex,
+    or entry by entry of an array."""
     if not isinstance(z, complex):
         return _numpy().hypot(z.real, z.imag)
     try:

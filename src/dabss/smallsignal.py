@@ -14,7 +14,8 @@ that drops the advance. Their difference carries an explicit (z - 1) factor, whi
 approximation is exact at dc and degrades linearly with frequency. Every transfer, the spectral
 norms of the difference envelope and the T-solve of the surface check come from the 2x2
 resolvent in closed form (`core.resolvent_solve`), on planar complex 2-vectors `(re0, im0, re1,
-im1)`. Many z go through one rule, `_over_z`, which spares a command numpy's import.
+im1)`. Many z go through one rule, `_over_z`, which spares a command numpy's import and
+refuses a value past the float range where it is computed.
 
 There are four sampling surfaces (either edge polarity on either bridge). Models built on
 different surfaces of the same polarity pair are similar in the linear-algebra sense;
@@ -47,7 +48,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
-_TRANSFER_MAX = 0.25 * 1.7976931348623157e308  # verify adds up to three transfers
 _FEW_Z = 16  # this many z or fewer run z by z in Python floats (`_over_z`)
 
 
@@ -103,7 +103,8 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     override is another key; a failed build is not kept) and shared. The duration
     sensitivities come from the endpoint identity d(phi x + gamma)/dT = A (phi x + gamma) +
     B u: growing a duration extends the flow along the local vector field at the segment's end
-    state."""
+    state. NumericInputError where the control-input vectors are not finite; a transfer past
+    the float range is refused where it is evaluated (`_over_z`)."""
     models = vars(dab).setdefault("_surface_models", {})
     if surface in models:
         return models[surface]
@@ -126,66 +127,40 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     comp_gain = t_half / dab.params.Vr
     k = surface.polarity * comp_gain
     b_cur, b_next = (k * sens_a[0], k * sens_a[1]), (-k * sens_b[0], -k * sens_b[1])
-    if not all(map(math.isfinite, (comp_gain, *b_cur, *b_next))) or _transfers_overflow(
-            m[:4], dab.c_rev, b_cur, b_next):
-        raise NumericInputError(f"surface {surface.label} control-input vectors are not finite "
-                                f"or their transfers overflow: comparator gain T_half / Vr = "
-                                f"{comp_gain:.3e} s/V")
+    if not all(map(math.isfinite, (comp_gain, *b_cur, *b_next))):
+        raise NumericInputError(f"surface {surface.label} control-input vectors are not finite: "
+                                f"comparator gain T_half / Vr = {comp_gain:.3e} s/V")
     models[surface] = HalfCycleModel(
         surface=surface, floats=(*m, *x_star, *x_a_end, *x_b_end, *sens_a, *sens_b, *b_cur,
                                  *b_next), comp_gain=comp_gain, t_half=t_half)
     return models[surface]
 
 
-def _transfers_overflow(phi, c_phys, b_cur, b_next) -> bool:
-    """Whether a transfer of `_input_vector` or `_same_cycle_vector` (phi as four floats row by
-    row) passes _TRANSFER_MAX on |z| = 1 in n = adj(zI - phi) v, x = n / det or c_phys x (then
-    x_fix - x_sc, z x_sc - b_next and verify's sums stay finite). |n|^2 and |det|^2 are
-    quadratics in c = cos(arg z), fitted at c = -1, 0, 1: the peaks lie at c = +-1, at the
-    vertex of |n|^2, where (|n|^2 / |det|^2)' = 0, or at a complex pole's angle, where the fit
-    loses digits; each is evaluated from exact products (`resolvent_det`), |det| floored at
-    _POLE_GAP^2."""
-    c_rows, scale = _flat(c_phys), max(map(abs, (*b_cur, *b_next)))
-    size = 2.0 + sum(map(abs, phi))
-    if not (1.0 + math.hypot(*c_rows)) * size * size * scale >= 1e280:  # else peaks < 1e304
-        return False
-    m, gain = Matrix2x2.of(phi), max(1.0, math.sqrt(sigma_max_sq(*c_rows, 0.0)))
-    e = _Entries(m, *(x / scale for x in (*b_cur, *b_next)), 0.0)
-
-    def sizes(c):  # |n|^2 of both inputs and |det|^2 at z = c + i sqrt(1 - c^2)
-        zi, q = math.sqrt(1.0 - c * c), 0.0
-        with contextlib.suppress(ResolventSingularityError):  # z on a pole
-            q = resolvent_det(m, c, zi)[4]
-        unit = (c - m.m00, c - m.m11, 1.0, 0.0, 1.0)  # det 1: `resolvent_solve` gives adj v
-        return [sum(x * x for x in n) for n in resolvent_solve(
-            m, c, zi, [_input_vector(e, c, zi), _same_cycle_vector(e, c, zi)], unit)], q
-
-    (pm, fm), (p0, f0), (pp, fp) = map(sizes, (-1.0, 0.0, 1.0))
-    f2, f1 = 0.5 * (fp + fm) - f0, 0.5 * (fp - fm)
-    t, d = m.m00 + m.m11, m.m00 * m.m11 - m.pp
-    candidates = [-1.0, 1.0, 0.5 * t / math.sqrt(d) if t * t < 4.0 * d else 1.0]
-    for n2, n1, n0 in ((0.5 * (p + q) - r, 0.5 * (p - q), r) for p, q, r in zip(pp, pm, p0)):
-        qa, qb, qc = n2 * f1 - n1 * f2, n2 * f0 - n0 * f2, n1 * f0 - n0 * f1
-        sq = math.sqrt(max(qb * qb - qa * qc, 0.0))  # none real: any c is a harmless candidate
-        candidates += [(sq - qb) / qa, (-sq - qb) / qa] if qa else [-0.5 * qc / qb] if qb else []
-        candidates.append(-0.5 * n1 / n2 if n2 else 1.0)
-    return not all(math.sqrt(max(n)) * max(1.0, gain / max(math.sqrt(q), _POLE_GAP ** 2)) * scale
-                   < _TRANSFER_MAX for n, q in map(sizes, (c for c in candidates if -1 <= c <= 1)))
-
-
-def _over_z(body, points: list, near) -> list:
+def _over_z(body, points: list, near, where: str = "z = {!r}") -> list:
     """[None if near(p) else body(p) for p in points], rows of Python scalars, for a list of
     numbers (z, or frequencies): more than _FEW_Z points go through `near` and `body` once, as
     arrays, where numpy is loaded already (a caller with arrays), else one by one in floats,
-    which `core` rounds as it rounds arrays."""
+    which `core` rounds as it rounds arrays. A value past the float range is refused (`_finite`);
+    in an array pass, where only an overflow or an invalid operation makes one, that raises and
+    the pass is redone point by point, so both ways refuse the same points and neither warns."""
     np = sys.modules.get("numpy")
-    if np is None or len(points) <= _FEW_Z:
-        return [None if near(p) else body(p) for p in points]
-    x = np.array(points)
-    skip = near(x)
-    kept = x[~skip] if (skipped := skip.any()) else x
-    rows = zip(*(v.tolist() for v in body(kept)))  # each value an array
-    return [None if s else next(rows) for s in skip.tolist()] if skipped else list(rows)
+    if np is not None and len(points) > _FEW_Z:
+        x = np.array(points)
+        with contextlib.suppress(FloatingPointError), np.errstate(over="raise", invalid="raise"):
+            skip = near(x)
+            kept = x[~skip] if (skipped := skip.any()) else x
+            rows = zip(*(v.tolist() for v in body(kept)))  # each value an array
+            return [None if s else next(rows) for s in skip.tolist()] if skipped else list(rows)
+    return _finite([None if near(p) else body(p) for p in points], points, where)
+
+
+def _finite(rows: list, points: list, where: str = "z = {!r}") -> list:
+    """`rows`, once every value in them is finite (a flagged row, None, holds none; a finite sum
+    clears a row at once): else NumericInputError at the first of `points` where one is not."""
+    for p, row in zip(points, rows):
+        if row is not None and not cmath.isfinite(sum(row)) and not all(map(cmath.isfinite, row)):
+            raise NumericInputError(f"a value at {where.format(p)} passes the float range")
+    return rows
 
 
 def _pole_gap(poles: tuple, z):
@@ -197,8 +172,9 @@ def _pole_gap(poles: tuple, z):
 
 def _evaluate(z, body, poles: tuple) -> tuple:
     """(zs, rows): z as a list of Python complex (one number, or the entries of a sequence or
-    array) and the row of `body` at each (`_over_z`), once none lies within _POLE_GAP of one of
-    `poles`: else ResolventSingularityError at the first z that does."""
+    array) and the row of `body` at each (`_over_z`; a value past the float range is refused),
+    once none lies within _POLE_GAP of one of `poles`: else ResolventSingularityError at the
+    first z that does."""
     one = isinstance(z, (int, float, complex))
     zs = [complex(z)] if one else [*map(complex, z.ravel().tolist() if hasattr(z, "ravel") else z)]
     rows = ([None if _pole_gap(poles, zs[0]) <= _POLE_GAP else body(zs[0])] if one  # no loop
@@ -207,6 +183,8 @@ def _evaluate(z, body, poles: tuple) -> tuple:
         w = zs[rows.index(None)]
         raise ResolventSingularityError(
             f"z = {w!r} is within {_pole_gap(poles, w):.3e} of a pole of the sampled model")
+    if one and not math.isfinite(sum(rows[0])):  # `_finite`'s screen with no call: one is hot
+        _finite(rows, zs)
     return zs, rows
 
 
@@ -312,12 +290,14 @@ def _dual_path_floor(model: HalfCycleModel, c: list, z: complex, row: tuple) -> 
     Cramer's rule for n = 2 is forward stable (Higham, "Accuracy and Stability of Numerical
     Algorithms", 2nd ed., sec. 1.10.1). The floor takes c = 2, the constant of a solve backward
     stable to u (Thm 7.2). c_phys x and the subtraction add about 4 u ||c_phys|| ||x||; near
-    z = 1 the subtraction cancels."""
+    z = 1 the subtraction cancels. A floor past the float range is refused as a row value is."""
     s_max_sq, q = _resolvent_sizes(model, z.real, z.imag)
     kappa = s_max_sq / math.sqrt(q)
     x_norms = sum(map(planar_norm, _difference_states(model, z)))
     c_norm = math.sqrt(sigma_max_sq(*c, 0.0))
-    return 2.0 ** -53 * (2.0 * kappa + 4.0) * c_norm * x_norms / (1.0 + planar_norm(row[4:8]))
+    floor = 2.0 ** -53 * (2.0 * kappa + 4.0) * c_norm * x_norms / (1.0 + planar_norm(row[4:8]))
+    _finite([(floor,)], [z])
+    return floor
 
 
 def _worst(values) -> float:
@@ -500,7 +480,7 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
         r0, s0, r1, s1 = _response(model, c, rhs, z.real, z.imag)
         return f, to_complex(r0, s0), to_complex(r1, s1)
 
-    rows = _over_z(row, f, near)
+    rows = _over_z(row, f, near, "f = {!r} Hz")
     if None not in rows:  # no Python call per row
         return list(map(tuple.__new__, repeat(FrequencyResponseRow), rows))
     return [FrequencyResponseRow(*(row or (fk, None, None))) for fk, row in zip(f, rows)]

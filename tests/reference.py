@@ -143,24 +143,3 @@ def segment_maps(schedule) -> list:
         e = _mp.expm(_mp.matrix([[x00, x01, w0], [x10, x11, w1], [0, 0, 0]]))
         out.append((e[0, 0], e[0, 1], e[1, 0], e[1, 1], e[0, 2], e[1, 2]))
     return out
-
-
-def peak_response(phi, b_cur, b_next, angles) -> float:
-    """The largest max(|adj(zI - phi) v|) max(1, 1 / |det(zI - phi)|) over both inputs v,
-    b_cur + z b_next and b_cur + b_next, at z = e^{i theta}: the best theta of `angles`, then of
-    201 points around the best in each width from 1e-3 down to 1e-12."""
-    m = _mp.matrix(np.asarray(phi).tolist())
-    vs = [_mp.matrix(np.asarray(v).tolist()) for v in (b_cur, b_next)]
-
-    def size(theta):
-        z = _mp.expj(theta)
-        adj = _mp.matrix([[z - m[1, 1], m[0, 1]], [m[1, 0], z - m[0, 0]]])
-        det = abs((z - m[0, 0]) * (z - m[1, 1]) - m[0, 1] * m[1, 0])
-        return max(_mp.norm(adj * (vs[0] + z * vs[1])), _mp.norm(adj * (vs[0] + vs[1]))) * max(
-            1, 1 / det)
-
-    best = max(angles, key=size)
-    for width in (1e-3, 1e-6, 1e-9, 1e-12):
-        best = max((min(max(best + d, 0.0), math.pi) for d in np.linspace(-width, width, 201)),
-                   key=size)
-    return float(size(best))

@@ -20,7 +20,7 @@ from dabss import (P_PLUS, S_PLUS, DabParams, build_dab, half_cycle_model,
 from dabss import cli, core, oracle, smallsignal
 from dabss.dab import half_cycle_map
 from tests import reference
-from tests.conftest import REFERENCE_KWARGS
+from tests.conftest import REFERENCE_KWARGS, random_params
 
 
 def run_cli(*argv: str):
@@ -120,6 +120,43 @@ class TestVerifyAndBodeWithoutNumpy:
             outputs.append(out.read_bytes())
         assert cli.main(["bode", path, "--model", "both", "--out", str(tmp_path / "b.csv")]) == 0
         assert outputs[0] == outputs[1] == (tmp_path / "b.csv").read_bytes()
+
+    RAMPS = {**{f"Vr=2^-{k}": 2.0 ** -k for k in range(1009, 1015)}, "Vr=1e-305": 1e-305,
+             "Vr=1e-306": 1e-306}
+
+    @pytest.mark.parametrize("command", ["verify", "bode"])
+    @pytest.mark.parametrize("vr", RAMPS.values(), ids=RAMPS)
+    def test_refuses_as_a_normal_run_where_values_pass_the_float_range(
+            self, config_file, tmp_path, capsys, monkeypatch, vr, command):
+        # Where a transfer or a verify row passes the float range, the arrays of an in-process
+        # run and the floats of an interpreter without numpy refuse at the same z or frequency.
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        path = config_file(converter=dict(REFERENCE_KWARGS, Vr=vr), sweep=self.SWEEPS["40-points"])
+        extra = [[] if command == "verify" else ["--model", "both", "--out", str(tmp_path / f"{k}")]
+                 for k in range(2)]
+        code = cli.main([command, path, *extra[0]])
+        normal = capsys.readouterr()
+        without = run_cli_without_numpy(command, path, *extra[1])
+        assert (without.returncode, without.stderr, without.stdout) == (code, normal.err, normal.out)
+        assert code == 0 or (code == 2 and normal.err.startswith("error: a value at ")), normal.err
+        if command == "bode" and code == 0:
+            assert (tmp_path / "0").read_bytes() == (tmp_path / "1").read_bytes()
+
+    def test_a_design_whose_roundoff_floor_passes_the_float_range_is_refused(
+            self, config_file, capsys, monkeypatch):
+        # The first random_params design of seed 164 at Vr 2^-1012, where a roundoff floor on
+        # its criterion-8 grid passes the float range (`TestDualPathFloor`). verify's own rows
+        # pass it first, at z = 1: refused alike with and without numpy, never a PASS with an
+        # inf tolerance.
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        params = dataclasses.replace(random_params(np.random.default_rng(164)), Vr=2.0 ** -1012)
+        path = config_file(converter=dataclasses.asdict(params))
+        code = cli.main(["verify", path])
+        normal = capsys.readouterr()
+        without = run_cli_without_numpy("verify", path)
+        assert (without.returncode, without.stderr, without.stdout) == (code, normal.err, normal.out)
+        assert code == 2 and re.fullmatch(r"error: a value at z = \(.*\) passes the float range\n",
+                                          normal.err), normal.err
 
 
 class TestVerifyCommand:
@@ -633,14 +670,38 @@ class TestValuesAtTheEdgeOfDoublePrecision:
     @pytest.mark.parametrize("vr", [1e-305, 1e-306, 1e-307, 5e-324])
     def test_control_input_vectors_that_are_not_finite_are_a_config_error(
             self, config_file, tmp_path, capsys, vr):
-        # T_half / Vr times a sensitivity overflows, or from 1e-305 on the transfers of the
-        # finite vectors would; the steady state needs no input vector, and the oracle's 200
-        # periods do not settle this lightly damped design.
-        expected = {"steady-state": 0, "verify": 2, "bode": 2, "simulate": 4, "compare": 2}
+        # From 1e-307 on T_half / Vr times a sensitivity overflows. At 1e-305 and 1e-306 the
+        # vectors are finite: a verify row passes the float range where it is evaluated, while
+        # the 3-point sweep and compare's predicted transfers stay finite, so compare follows the
+        # oracle, whose 200 periods do not settle this lightly damped design. The steady state
+        # needs no input vector.
+        built = vr > 1e-307
+        expected = {"steady-state": 0, "verify": 2, "bode": 0 if built else 2, "simulate": 4,
+                    "compare": 4 if built else 2}
+        message = "passes the float range" if built else "control-input vectors are not finite"
         for command, code, err in self.run_all(config_file, tmp_path, capsys, dict(Vr=vr)):
             assert code == expected[command], (command, err)
             if code == 2:
-                assert len(err) == 1 and "control-input vectors are not finite" in err[0], err
+                assert len(err) == 1 and message in err[0], err
+        if built:
+            rows = [line.split(",")[:-1] for line in (tmp_path / "bode").read_text().splitlines()]
+            assert len(rows) == 7 and all(map(math.isfinite, map(float, sum(rows[1:], []))))
+
+    def test_a_transfer_whose_modulus_overflows_is_a_config_error(self, config_file, tmp_path,
+                                                                   capsys, monkeypatch):
+        # Vr = 165.11 / DBL_MAX / 1.01, where 165.11 is |H_vout| at 100 Hz for Vr = 1: both parts
+        # of that transfer are finite and its modulus is not. bode refuses it, in process and
+        # without numpy, and compare before it simulates.
+        path = config_file(converter=dict(REFERENCE_KWARGS, Vr=9.09e-307), sweep={"points": 3})
+        message = ["error: |H| at f = 100.0 Hz passes the float range"]
+        monkeypatch.setattr(oracle, "run_to_steady_state", lambda *_: pytest.fail("simulated"))
+        for command, *extra in (["bode", "--model", "both"], ["compare"]):
+            out = tmp_path / command
+            assert cli.main([command, path, *extra, "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err.splitlines() == message, command
+            assert not out.exists()
+        proc = run_cli_without_numpy("bode", path, "--model", "both", "--out", str(tmp_path / "b"))
+        assert proc.returncode == 2 and proc.stderr.splitlines() == message, proc.stderr
 
     def test_a_time_scaled_design_simulates_and_compares(self, config_file, tmp_path):
         # L and Co times 1e-150 and fs times 1e150: ||a||_1 near 1e155, every a T as in the

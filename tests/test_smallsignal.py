@@ -539,78 +539,57 @@ class TestModelCache:
                 half_cycle_model(dab, P_PLUS)
         assert model_builds == [] and not vars(dab)["_surface_models"]
 
-    @pytest.mark.parametrize("vr, accepted", [(1e-304, True), (1e-305, False), (1e-306, False)])
+    @pytest.mark.parametrize("vr, first", [(1e-304, None), (1e-305, 32), (1e-306, 0)])
     def test_inputs_whose_transfers_overflow_are_refused(self, ref_params, model_builds, vr,
-                                                         accepted):
-        # b_cur is about 1e306 at Vr = 1e-304 and the response peaks 32 times higher near
-        # z = 1: still finite. Ten times more overflows.
+                                                         first):
+        # The largest entry of b_cur and b_next is 99.4 / Vr: finite, so each model builds. At
+        # Vr = 1, |H_vout| is 194.5 at z = 1 and |H_irec| 3284 at z = -1, next to the pole at
+        # -0.97 (3461 same-cycle): on the 64-point circle the transfers stay finite at 1e-304,
+        # and pass the float range at z = -1 from 1e-305 on and at z = 1 from 1e-306 on. They
+        # are refused at the first z where they do, as an array and z by z alike.
         dab = build_dab(dataclasses.replace(ref_params, Vr=vr))
-        if accepted:
-            assert np.abs(half_cycle_model(dab, P_PLUS).b_cur).max() > 9e305
-            return
-        with pytest.raises(NumericInputError, match="or their transfers overflow"):
-            half_cycle_model(dab, P_PLUS)
-        assert model_builds == []
+        model = half_cycle_model(dab, P_PLUS)
+        assert len(model_builds) == 1
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
+        for transfer in (transfer_fixed_freq, transfer_same_cycle):
+            if first is None:
+                assert np.isfinite(transfer(model, dab.c_rev, circle)).all()
+                continue
+            message = re.escape(f"a value at z = {complex(circle[first])!r} passes the float range")
+            for z in (circle, circle.tolist(), complex(circle[first])):
+                with pytest.raises(NumericInputError, match=message):
+                    transfer(model, dab.c_rev, z)
 
-    @staticmethod
-    def judged_at_the_float_range(phi, b_cur, b_next, largest) -> list:
-        """`_transfers_overflow` (gain 1) on the inputs scaled so that their largest response
-        `largest` sits 1e-6 below and then 1e-6 above _TRANSFER_MAX."""
-        scale = smallsignal._TRANSFER_MAX / largest
-        return [smallsignal._transfers_overflow(np.ravel(phi).tolist(), None, *(
-            tuple((np.asarray(v) * scale * factor).tolist()) for v in (b_cur, b_next)))
-            for factor in (1.0 - 1e-6, 1.0 + 1e-6)]
 
-    def test_the_overflow_check_finds_the_peak_response_on_the_unit_circle(self, monkeypatch):
-        # Well-damped designs, scaled so that the largest of |n| = |adj(zI - phi) v| and |x| =
-        # |n| / |det| for both inputs v, sampled on the upper half circle and then around its
-        # largest sample, sits 1e-6 below or above _TRANSFER_MAX.
-        monkeypatch.setattr(smallsignal, "_flat", lambda c: [1.0, 0.0, 0.0, 0.0])  # gain 1
+class TestRampScalingLaw:
+    """Vr enters a model only through the comparator gain T_half / Vr, so Vr 2^-k scales every
+    transfer by exactly 2^k: bit for bit, until a value passes the float range, which is
+    refused where it is evaluated and not by the model's build."""
 
-        def peak(model, theta):
-            z = np.exp(1j * theta)[:, None]
-            m = z[..., None] * np.eye(2) - model.phi
-            x = np.linalg.solve(m, np.stack([model.b_cur + z * model.b_next,
-                                             model.b_cur + model.b_next + 0.0 * z],
-                                            axis=1).transpose(0, 2, 1))
-            size = np.linalg.norm(x, axis=1).max(axis=1) * np.maximum(
-                1.0, np.abs(np.linalg.det(m)))
-            return size.max(), theta[np.argmax(size)]
+    def test_transfers_scale_by_powers_of_two_until_evaluation_refuses(self):
+        rng = np.random.default_rng(30_2026)
+        circle = np.exp(2j * np.pi * np.arange(24) / 24)  # more than 16 z: as arrays
 
-        rng = np.random.default_rng(23)
-        for _ in range(12):
-            model = half_cycle_model(build_dab(random_params(rng)), P_PLUS)
-            _, theta = peak(model, np.linspace(0.0, np.pi, 100_001))
-            largest, _ = peak(model, theta + np.linspace(-1e-4, 1e-4, 20_001))
-            assert self.judged_at_the_float_range(
-                model.phi, model.b_cur, model.b_next, largest) == [False, True]
+        def transfers(params, k):
+            dab = build_dab(dataclasses.replace(params, Vr=params.Vr * 2.0 ** -k))
+            model = half_cycle_model(dab, P_PLUS)  # never the refusal: outside the caller's try
+            return lambda: [transfer_fixed_freq(model, dab.c_rev, circle),
+                            transfer_same_cycle(model, dab.c_rev, circle),
+                            *(np.array([row[1:] for row in bode_sweep(  # z by z
+                                dab, P_PLUS, kind, params.fs / 1000.0, params.fs / 2.0, 4)])
+                              for kind in ("fix", "sc"))]
 
-    @pytest.mark.parametrize("case", ["blocking", "lossless", "complex-pair"])
-    def test_a_pole_near_the_unit_circle_is_judged_at_its_peak(self, monkeypatch, case):
-        # Poles 1e-8 inside the circle: a real one at 1 - 1e-8 with one at 0 (a blocking series
-        # path, unloaded) or next to one 2e-11 from -1 (lossless), and a complex pair at angle
-        # 1, where |det|^2 fitted in cos(theta) keeps no digit. The peak is searched in 50-digit
-        # arithmetic on the floats given, from a grid with the poles' angles, then around it.
-        monkeypatch.setattr(smallsignal, "_flat", lambda c: [1.0, 0.0, 0.0, 0.0])  # gain 1
-        if case == "complex-pair":
-            r, t_mat = 1.0 - 1e-8, np.array([[1.0, 0.3], [-0.2, 1.1]])
-            rotation = r * np.array([[math.cos(1.0), -math.sin(1.0)],
-                                     [math.sin(1.0), math.cos(1.0)]])
-            phi = t_mat @ rotation @ np.linalg.inv(t_mat)
-            b_cur, b_next = np.array([1.0, -0.5]), np.array([0.25, 2.0])
-        else:
-            kwargs = (dict(Rt=5e6, Rc=0.0, Ro=1e30) if case == "blocking"
-                      else dict(Rt=0.0, Rc=0.0, Ro=5e6))
-            model = half_cycle_model(build_dab(DabParams(**dict(REFERENCE_KWARGS, **kwargs))),
-                                     P_PLUS)
-            phi, b_cur, b_next = model.phi, model.b_cur, model.b_next
-        gaps = 1.0 - np.abs(np.linalg.eigvals(phi))
-        assert np.any((0.9e-8 < gaps) & (gaps < 1.1e-8)), gaps
-
-        angles = [*np.linspace(0.0, np.pi, 1001), *(abs(cmath.phase(p)) for p in
-                                                     np.linalg.eigvals(phi))]
-        largest = reference.peak_response(phi, b_cur, b_next, angles)
-        assert self.judged_at_the_float_range(phi, b_cur, b_next, largest) == [False, True]
+        for params in (DabParams(**REFERENCE_KWARGS), random_params(rng), random_params(rng)):
+            base = transfers(params, 0)()
+            for k in range(1, 1100):
+                evaluate = transfers(params, k)
+                try:
+                    scaled = evaluate()
+                except NumericInputError as exc:
+                    assert "passes the float range" in str(exc)
+                    break
+                assert [v.tobytes() for v in scaled] == [(v * 2.0 ** k).tobytes() for v in base], k
+            assert 1000 < k < 1099, k
 
 
 class TestDualPathFloor:
@@ -633,6 +612,25 @@ class TestDualPathFloor:
         transfer_difference(model, dab.c_phys, z)
         for zk in z.tolist():
             transfer_difference(model, dab.c_phys, zk)
+
+    def test_a_floor_past_the_float_range_is_refused(self):
+        # The same design at Vr 2^-1012: every row of its grid is finite and the plain check
+        # trips, but kappa ||c_phys|| ||x|| of a floor passes the float range. Judged against an
+        # inf tolerance, any residual would pass; the floor is refused as a row value is.
+        params = random_params(np.random.default_rng(164))
+        for k in (1011, 1012):
+            dab = build_dab(dataclasses.replace(params, Vr=2.0 ** -k))
+            model = half_cycle_model(dab, P_PLUS)
+            z = self.criterion_8_grid(params, model)
+            residuals = transfer_difference_residual(model, dab.c_phys, z)
+            assert np.isfinite(residuals).all() and residuals.max() > 1e-12
+            for zk in (z, z.tolist()):
+                if k == 1011:
+                    transfer_difference(model, dab.c_phys, zk)
+                    continue
+                with pytest.raises(NumericInputError, match=r"^a value at z = \(.*\) passes the "
+                                                            r"float range$"):
+                    transfer_difference(model, dab.c_phys, zk)
 
     def test_the_floor_covers_the_residuals_of_random_designs(self):
         rng = np.random.default_rng(30_2026)
