@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
-import dataclasses
 import math
 import os
 import sys
@@ -84,7 +83,7 @@ def _modulus(h: complex, f: float) -> float:
 
 def _surfaces(cfg: AppConfig) -> dict:
     """SURFACES with the config's polarity overrides applied."""
-    return {label: dataclasses.replace(s, polarity=cfg.polarity_override.get(label, s.polarity))
+    return {label: s._replace(polarity=cfg.polarity_override.get(label, s.polarity))
             for label, s in SURFACES.items()}
 
 

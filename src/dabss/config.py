@@ -1,8 +1,9 @@
 """Configuration document: JSON, SI base units, strict key checking.
 
-Each section is read into the dataclass it configures, whose fields give
-its keys, types and defaults. Unknown keys are rejected at every level so a
-typo like "Dphase" fails loudly instead of silently running on a default.
+Each section is read into the class it configures, a NamedTuple (SimConfig
+aside), whose fields give its keys, types and defaults. Unknown keys are
+rejected at every level so a typo like "Dphase" fails loudly instead of
+silently running on a default.
 Numeric fields reject booleans (a JSON `true` is not a number here). The
 two `unsafe_*` keys exist only to drive the negative verification paths and
 default to inert.
@@ -12,15 +13,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
+from .core import validated
 from .dab import SURFACES, DabParams
 from .errors import ConfigError, ParameterError
 
 
-@dataclass(frozen=True)
-class Injection:
+@validated
+class Injection(NamedTuple):
     """Sinusoidal control-voltage perturbation for response measurement.
 
     `amplitude` of None means: start at oracle.DEFAULT_AMPLITUDE_RATIO * Vr and
@@ -33,7 +36,7 @@ class Injection:
     settle_periods: int = 800
     measure_periods: int = 1000
 
-    def __post_init__(self):
+    def _check(self):
         if self.f is not None and not (math.isfinite(self.f) and self.f > 0.0):
             raise ConfigError(f"injection frequency must be finite and > 0, got {self.f!r}")
         if self.amplitude is not None and not (
@@ -48,6 +51,7 @@ class Injection:
                 f"measure_periods must be an integer in [1, 10**6], got {self.measure_periods!r}")
 
 
+# A frozen dataclass, not a NamedTuple: callers copy it with `dataclasses.replace`.
 @dataclass(frozen=True)
 class SimConfig:
     """Iteration budget and sampling density of the simulator."""
@@ -69,6 +73,11 @@ class SimConfig:
             raise ConfigError(f"convergence_tol must be > 0, got {self.convergence_tol!r}")
 
 
+# `_section` reads a section's keys as a NamedTuple gives them.
+SimConfig._fields = tuple(SimConfig.__dataclass_fields__)
+SimConfig._field_defaults = {k: f.default for k, f in SimConfig.__dataclass_fields__.items()}
+
+
 def require_coherent(injection: Injection, period: float) -> int:
     """Validate coherent sampling: f * measure_periods * period must be an integer >= 1.
 
@@ -86,14 +95,14 @@ def require_coherent(injection: Injection, period: float) -> int:
     return int(nearest)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+@validated
+class SweepSpec(NamedTuple):
     f_min: float
     f_max: float
     points: int = 25
     spacing: str = "log"
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.f_min) and math.isfinite(self.f_max)
                 and 0.0 < self.f_min < self.f_max):
             raise ConfigError(f"sweep needs 0 < f_min < f_max, got {self.f_min!r}, {self.f_max!r}")
@@ -104,8 +113,8 @@ class SweepSpec:
             raise ConfigError(f"sweep spacing must be 'log' or 'linear', got {self.spacing!r}")
 
 
-@dataclass(frozen=True)
-class Tolerances:
+@validated
+class Tolerances(NamedTuple):
     """Identity-suite tolerances; every field is overridable from the config."""
 
     half_wave_symmetry: float = 1e-12
@@ -115,21 +124,19 @@ class Tolerances:
     surface_equivalence: float = 1e-10
     transfer_difference: float = 1e-12
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
+    def _check(self):
+        for name, value in zip(self._fields, self):
             if not (isinstance(value, float) and math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"tolerance {name} must be a finite float > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class AppConfig:
+class AppConfig(NamedTuple):
     converter: DabParams
     sim: SimConfig
     sweep: SweepSpec
     tolerances: Tolerances
-    t3_skew: float = 0.0
-    polarity_override: dict = field(default_factory=dict)
+    t3_skew: float
+    polarity_override: dict
 
 
 def _require_table(value, name: str) -> dict:
@@ -159,21 +166,24 @@ def _convert(annotation: str, value, name: str):
 
 
 def _section(cls, raw, name: str, defaults=None):
-    """Build the dataclass `cls` from the JSON table `raw` of config section `name`.
+    """Build the section class `cls` from the JSON table `raw` of config section `name`.
 
-    A null section reads as empty. Present keys are type-checked from the field
-    annotations, absent ones take `defaults`, then the field default. Range
-    checks stay in `cls.__post_init__`.
+    A null section reads as empty. Present keys are type-checked from the text of the field
+    annotations (a NamedTuple keeps each as a `typing.ForwardRef` of its text), absent ones take
+    `defaults`, then the field default. Range checks stay in the class (`_check`,
+    `SimConfig.__post_init__`).
     """
     table = dict(_require_table({} if raw is None else raw, name))
     values = {}
-    for f in fields(cls):
-        if f.name in table:
-            values[f.name] = _convert(f.type, table.pop(f.name), f"{name}.{f.name}")
-        elif defaults and f.name in defaults:
-            values[f.name] = defaults[f.name]
-        elif f.default is MISSING:
-            raise ConfigError(f"missing required key '{name}.{f.name}'")
+    for key in cls._fields:
+        if key in table:
+            annotation = cls.__annotations__[key]
+            values[key] = _convert(getattr(annotation, "__forward_arg__", annotation),
+                                   table.pop(key), f"{name}.{key}")
+        elif defaults and key in defaults:
+            values[key] = defaults[key]
+        elif key not in cls._field_defaults:
+            raise ConfigError(f"missing required key '{name}.{key}'")
     if table:
         raise ConfigError(f"unknown key(s) in '{name}': {', '.join(sorted(table))}")
     return cls(**values)

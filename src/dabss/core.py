@@ -9,7 +9,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import MarginalSystemError, NumericInputError, ResolventSingularityError
@@ -406,15 +405,31 @@ def resolvent_solve(m: Matrix2x2, zr, zi, vectors, det=None) -> list:
     return solved
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """One named residual check, as reported by the verification suites."""
 
     name: str
     residual: float
     tolerance: float
-    note: str = field(default="")
+    note: str = ""
 
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
+
+
+def validated(cls):
+    """Class decorator: the NamedTuple `cls` runs its `_check(self)` on every instance it makes,
+    from its constructor and from `_make`, which `_replace` builds through (a NamedTuple's own
+    `_make` calls `tuple.__new__` and would skip the check)."""
+    new = cls.__new__
+
+    @functools.wraps(new)
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, values: cls(*values))
+    return cls

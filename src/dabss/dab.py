@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import IdentityCheck, compose, fixed_point, planar_residual
+from .core import IdentityCheck, compose, fixed_point, planar_residual, validated
 from .errors import ParameterError
 from .pwlti import Schedule, Segment, _frozen_array
 
@@ -33,8 +32,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class DabParams:
+@validated
+class DabParams(NamedTuple):
     """Physical converter parameters, SI units throughout.
 
     n_turns  transformer turns ratio (primary:secondary = n:1)
@@ -60,7 +59,7 @@ class DabParams:
     D_phase: float
     Vr: float
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("n_turns", "L", "Co", "Ro", "fs", "Vr"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -84,8 +83,8 @@ class DabParams:
         return 0.5 / self.fs
 
 
-@dataclass(frozen=True)
-class Surface:
+@validated
+class Surface(NamedTuple):
     """One sampling surface: the pair of consecutive intervals (a, b) it spans.
 
     `polarity` is the comparator logic sign: -1 for the primary-bridge surfaces, +1 for the
@@ -98,7 +97,7 @@ class Surface:
     b: int
     polarity: int
 
-    def __post_init__(self):
+    def _check(self):
         if (self.a, self.b) not in {(1, 2), (2, 3), (3, 4), (4, 1)}:
             raise ValueError(f"surface intervals must be consecutive, got ({self.a}, {self.b})")
         if self.polarity not in (-1, 1):
@@ -114,7 +113,6 @@ S_MINUS = Surface("S-", 4, 1, +1)
 SURFACES = {s.label: s for s in (P_PLUS, S_PLUS, P_MINUS, S_MINUS)}
 
 
-@dataclass(frozen=True)
 class DabSchedule:
     """A converter schedule bundled with its output matrices.
 
@@ -124,11 +122,11 @@ class DabSchedule:
     [I_rec, V_out] and feeds every transfer-function computation; it is
     the matrix of the reversed-coupling intervals 2 and 3, and differs from
     that of intervals 1 and 4 in the sign of the first column. Both are
-    read-only arrays made from `c_rev` when first asked for."""
+    read-only arrays made from `c_rev`, c_phys row by row, when first asked for. What is
+    solved from the design is kept in its `vars()`, as `Schedule` keeps its maps."""
 
-    params: DabParams
-    schedule: Schedule
-    c_rev: tuple  # c_phys row by row
+    def __init__(self, params: DabParams, schedule: Schedule, c_rev: tuple):
+        self.params, self.schedule, self.c_rev = params, schedule, c_rev
 
     @functools.cached_property
     def c_phys(self) -> np.ndarray:

@@ -27,12 +27,11 @@ at the surface instants, and extract the single coherent DFT bin.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import struct
 import threading
 from itertools import islice
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +49,7 @@ DEFAULT_AMPLITUDE_RATIO = 1e-4
 HALF_CYCLES_PER_EXPM = 2048
 
 
-@dataclass(frozen=True)
-class Waveform:
+class Waveform(NamedTuple):
     """Sampled final-period trajectory: time axis, states, per-interval outputs.
 
     `t` is relative to the start of the exported period, strictly
@@ -79,8 +77,7 @@ _THETA13 = 5.371920351148152
 _MAX_SQUARINGS = 53
 
 
-@dataclass(frozen=True)
-class _Tables:
+class _Tables(NamedTuple):
     """What the oracle's exponential needs of each interval [A | w], from `_pade_tables`.
 
     `coefficients[i, :, key]` holds the coefficients of sigma^i in the ten
@@ -339,7 +336,8 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float
 def _period_start(dab: DabSchedule, cfg: SimConfig):
     """The pre-run's state (x0, x1) and the `_rows` of the four unperturbed step maps it ran
     on, both made once per design and (periods, tol)."""
-    # A frozen DabSchedule is unhashable: it keeps its own runs, as Schedule keeps its maps.
+    # The design keeps its own runs, as Schedule keeps its maps: a cache keyed by it would keep
+    # every design alive.
     runs = vars(dab).setdefault("_oracle_pre_runs", {})
     key = (cfg.periods, cfg.convergence_tol)
     if key not in runs:
@@ -419,7 +417,7 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
     """
     injection, params = cfg.injection, dab.params
     for f in freqs:
-        require_coherent(dataclasses.replace(injection, f=f), params.period)
+        require_coherent(injection._replace(f=f), params.period)
     t_half = params.t_half
     comp_gain = t_half / params.Vr
     base = np.array([seg.duration for seg in dab.schedule.segments])

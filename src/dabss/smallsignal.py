@@ -30,7 +30,6 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -62,7 +61,6 @@ class _Entries(NamedTuple):
     bn_norm: float
 
 
-@dataclass(frozen=True)
 class HalfCycleModel:
     """Rectified one-half-cycle discrete model anchored at one sampling surface. `floats` holds
     its ten rows of two Python floats, row by row, each read back as a read-only array made
@@ -77,10 +75,8 @@ class HalfCycleModel:
     comp_gain     comparator timing gain T_half/Vr [s/V]
     t_half        half-cycle duration [s]"""
 
-    surface: Surface
-    floats: tuple
-    comp_gain: float
-    t_half: float
+    def __init__(self, surface: Surface, floats: tuple, comp_gain: float, t_half: float):
+        self.surface, self.floats, self.comp_gain, self.t_half = surface, floats, comp_gain, t_half
 
     phi, g, x_star, x_a_end, x_b_end, sens_a, sens_b, b_cur, b_next = (functools.cached_property(
         lambda self, k=k: _frozen_array(self.floats).reshape(10, 2)[k])
@@ -136,22 +132,25 @@ def half_cycle_model(dab: DabSchedule, surface: Surface) -> HalfCycleModel:
     return models[surface]
 
 
-def _over_z(body, points: list, near, where: str = "z = {!r}") -> list:
-    """[None if near(p) else body(p) for p in points], rows of Python scalars, for a list of
-    numbers (z, or frequencies): more than _FEW_Z points go through `near` and `body` once, as
-    arrays, where numpy is loaded already (a caller with arrays), else one by one in floats,
-    which `core` rounds as it rounds arrays. A value past the float range is refused (`_finite`);
-    in an array pass, where only an overflow or an invalid operation makes one, that raises and
-    the pass is redone point by point, so both ways refuse the same points and neither warns."""
+def _over_z(body, points: list, near, where: str = "z = {!r}", at=None) -> list:
+    """[None if near(w) else body(w) for w in map(at, points)], rows of Python scalars, for a list
+    of numbers (z, or frequencies and `at`, which gives their z once for `near` and `body`): more
+    than _FEW_Z points go through `at`, `near` and `body` once, as arrays, where numpy is loaded
+    already (a caller with arrays), else one by one in floats, which `core` rounds as it rounds
+    arrays. A value past the float range is refused (`_finite`); in an array pass, where only an
+    overflow or an invalid operation makes one, that raises and the pass is redone point by
+    point, so both ways refuse the same points and neither warns."""
     np = sys.modules.get("numpy")
     if np is not None and len(points) > _FEW_Z:
         x = np.array(points)
         with contextlib.suppress(FloatingPointError), np.errstate(over="raise", invalid="raise"):
+            x = at(x) if at else x
             skip = near(x)
             kept = x[~skip] if (skipped := skip.any()) else x
             rows = zip(*(v.tolist() for v in body(kept)))  # each value an array
             return [None if s else next(rows) for s in skip.tolist()] if skipped else list(rows)
-    return _finite([None if near(p) else body(p) for p in points], points, where)
+    return _finite([None if near(w) else body(w) for w in (map(at, points) if at else points)],
+                   points, where)
 
 
 def _finite(rows: list, points: list, where: str = "z = {!r}") -> list:
@@ -472,18 +471,20 @@ def bode_sweep(dab: DabSchedule, surface: Surface, kind: str,
     f = sweep_frequencies(f_min, f_max, points, spacing, model.t_half)
     c, rhs = dab.c_rev, _input_vector if kind == "fix" else _same_cycle_vector
 
-    def near(f):  # z = e^(2 pi i f t_half) of one frequency or of an array of them
-        return _pole_gap(model.poles, complex_exp(2j * math.pi * f * model.t_half)) <= _POLE_GAP
+    def at(f):  # z = e^(2 pi i f t_half) of one frequency or of an array of them
+        return complex_exp(2j * math.pi * f * model.t_half)
 
-    def row(f):
-        z = complex_exp(2j * math.pi * f * model.t_half)
+    def near(z):
+        return _pole_gap(model.poles, z) <= _POLE_GAP
+
+    def row(z):
         r0, s0, r1, s1 = _response(model, c, rhs, z.real, z.imag)
-        return f, to_complex(r0, s0), to_complex(r1, s1)
+        return to_complex(r0, s0), to_complex(r1, s1)
 
-    rows = _over_z(row, f, near, "f = {!r} Hz")
+    rows = _over_z(row, f, near, "f = {!r} Hz", at)
     if None not in rows:  # no Python call per row
-        return list(map(tuple.__new__, repeat(FrequencyResponseRow), rows))
-    return [FrequencyResponseRow(*(row or (fk, None, None))) for fk, row in zip(f, rows)]
+        return list(map(tuple.__new__, repeat(FrequencyResponseRow), zip(f, *zip(*rows))))
+    return [FrequencyResponseRow(fk, *(row or (None, None))) for fk, row in zip(f, rows)]
 
 
 _RESOLVENT_SEED = 20260816  # seeds the random matrices of the resolvent-similarity check

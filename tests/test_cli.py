@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
 import os
@@ -19,6 +18,7 @@ from dabss import (P_PLUS, S_PLUS, DabParams, build_dab, half_cycle_model,
                    solve_periodic_fixed_point, transfer_fixed_freq)
 from dabss import cli, core, oracle, smallsignal
 from dabss.dab import half_cycle_map
+from dabss.smallsignal import HalfCycleModel
 from tests import reference
 from tests.conftest import REFERENCE_KWARGS, random_params
 
@@ -149,8 +149,8 @@ class TestVerifyAndBodeWithoutNumpy:
         # pass it first, at z = 1: refused alike with and without numpy, never a PASS with an
         # inf tolerance.
         monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
-        params = dataclasses.replace(random_params(np.random.default_rng(164)), Vr=2.0 ** -1012)
-        path = config_file(converter=dataclasses.asdict(params))
+        params = random_params(np.random.default_rng(164))._replace(Vr=2.0 ** -1012)
+        path = config_file(converter=params._asdict())
         code = cli.main(["verify", path])
         normal = capsys.readouterr()
         without = run_cli_without_numpy("verify", path)
@@ -273,7 +273,8 @@ class TestBodeCommand:
         real = half_cycle_model(build_dab(DabParams(**REFERENCE_KWARGS)), P_PLUS)
         theta = 0.8
         rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        model = dataclasses.replace(real, floats=(*rotation.ravel().tolist(), *real.floats[4:]))
+        model = HalfCycleModel(real.surface, (*rotation.ravel().tolist(), *real.floats[4:]),
+                               real.comp_gain, real.t_half)
         monkeypatch.setattr(smallsignal, "half_cycle_model", lambda dab, surface: model)
         f_pole = theta / (2.0 * np.pi * model.t_half)
         path = config_file(sweep={"f_min": f_pole / 4.0, "f_max": f_pole, "points": 7,
@@ -832,3 +833,24 @@ class TestMisc:
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
         loads = tuple(name in imported for name in ("numpy", "dabss.smallsignal", "dabss.oracle"))
         assert loads == self.LOADS[request.node.callspec.id]
+
+    def test_the_float_modules_load_neither_dataclasses_nor_inspect(self):
+        # A frozen dataclass costs a cold command about 0.7 ms to create, and `import
+        # dataclasses` loads `inspect`: the modules every numpy-free command runs on use
+        # NamedTuples and plain classes. SimConfig, which perfbench copies with
+        # `dataclasses.replace`, is the one dataclass left.
+        script = """if True:
+            import sys
+            import dabss.core, dabss.pwlti, dabss.dab, dabss.smallsignal
+            print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
+            import dataclasses
+            import dabss.cli, dabss.config, dabss.errors, dabss.oracle
+            print(sorted(f"{name}.{value.__name__}" for name, module in sys.modules.items()
+                         if name.startswith("dabss") for value in vars(module).values()
+                         if isinstance(value, type) and dataclasses.is_dataclass(value)
+                         and value.__module__ == name))
+            """
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "['dabss.config.SimConfig']"]

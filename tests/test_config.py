@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -12,8 +13,8 @@ import pytest
 
 from dabss import dab, smallsignal
 from dabss.config import Injection, SimConfig, SweepSpec, Tolerances, load_config
-from dabss.dab import DabParams
-from dabss.errors import ConfigError
+from dabss.dab import P_PLUS, DabParams, Surface
+from dabss.errors import ConfigError, ParameterError
 from tests.conftest import REFERENCE_KWARGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,8 +50,8 @@ class TestDefaults:
         converter = json.loads(block.group(1))["converter"]
         minimal = load_config(write(tmp_path, {"converter": converter}))
         # README spells out the injection table, whose absence means Injection().
-        expected = dataclasses.replace(
-            minimal, sim=dataclasses.replace(minimal.sim, injection=Injection()))
+        expected = minimal._replace(
+            sim=dataclasses.replace(minimal.sim, injection=Injection()))
         assert load_config(readme) == expected
 
     @pytest.mark.parametrize("doc", [
@@ -177,6 +178,50 @@ class TestRejection:
             load_config(write(tmp_path, {"converter": conv}))
 
 
+# A valid instance of each validated record class, one field set to a bad value, and the error
+# its check raises with the exact message.
+VALID = {DabParams: DabParams(**REFERENCE_KWARGS), Surface: P_PLUS, Injection: Injection(f=1e3),
+         SweepSpec: SweepSpec(1.0, 10.0), Tolerances: Tolerances()}
+INVALID = [
+    (DabParams, "Vr", -1.0, ParameterError, "Vr must be finite and > 0, got -1.0"),
+    (DabParams, "Rt", -0.01, ParameterError, "Rt must be finite and >= 0, got -0.01"),
+    (DabParams, "Vin", 0.0, ParameterError, "Vin must be finite and nonzero, got 0.0"),
+    (DabParams, "D_phase", 1.0, ParameterError, "D_phase must lie in (0, 1), got 1.0"),
+    (Surface, "b", 3, ValueError, "surface intervals must be consecutive, got (1, 3)"),
+    (Surface, "polarity", 0, ValueError, "surface polarity must be +-1, got 0"),
+    (Surface, "label", "", ValueError, "surface label must be non-empty"),
+    (Injection, "f", -1.0, ConfigError, "injection frequency must be finite and > 0, got -1.0"),
+    (Injection, "amplitude", math.nan, ConfigError,
+     "injection amplitude must be finite and >= 0, got nan"),
+    (Injection, "settle_periods", -1, ConfigError,
+     "settle_periods must be an integer in [0, 10**6], got -1"),
+    (Injection, "measure_periods", 0, ConfigError,
+     "measure_periods must be an integer in [1, 10**6], got 0"),
+    (SweepSpec, "f_min", 20.0, ConfigError, "sweep needs 0 < f_min < f_max, got 20.0, 10.0"),
+    (SweepSpec, "points", 1, ConfigError, "sweep.points must be an integer in [2, 10**6], got 1"),
+    (SweepSpec, "spacing", "cubic", ConfigError,
+     "sweep spacing must be 'log' or 'linear', got 'cubic'"),
+    (Tolerances, "half_cycle", 0.0, ConfigError,
+     "tolerance half_cycle must be a finite float > 0, got 0.0"),
+    (Tolerances, "similarity", 1, ConfigError,
+     "tolerance similarity must be a finite float > 0, got 1"),
+]
+
+
+@pytest.mark.parametrize("cls,key,value,error,message", INVALID,
+                         ids=[f"{cls.__name__}.{key}" for cls, key, *_ in INVALID])
+@pytest.mark.parametrize("path", ["positional", "keyword", "_replace"])
+def test_every_construction_path_validates(cls, key, value, error, message, path):
+    valid = VALID[cls]
+    values = {**valid._asdict(), key: value}
+    build = {"positional": lambda: cls(*values.values()), "keyword": lambda: cls(**values),
+             "_replace": lambda: valid._replace(**{key: value})}[path]
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+    assert type(valid._replace(**{key: getattr(valid, key)})) is cls  # a valid copy still builds
+
+
 def _with_value(section: str, key: str, value) -> dict:
     """The reference config with `section.key` set to `value`."""
     doc = {"converter": dict(REFERENCE_KWARGS)}
@@ -195,11 +240,11 @@ WRONG_TYPES = {"bool": True, "string": "1.0", "list": [1.0], "object": {"value":
 
 
 @pytest.mark.parametrize("section,key,value", [
-    pytest.param(section, f.name, value, id=f"{section}.{f.name}-{kind}")
-    for section, cls in SECTIONS for f in dataclasses.fields(cls)
+    pytest.param(section, key, value, id=f"{section}.{key}-{kind}")
+    for section, cls in SECTIONS for key in cls._fields
     for kind, value in WRONG_TYPES.items()
     # A string is the right type for the spacing, an object for the injection table.
-    if (f"{section}.{f.name}", kind) not in {("sweep.spacing", "string"),
+    if (f"{section}.{key}", kind) not in {("sweep.spacing", "string"),
                                              ("sim.injection", "object")}
 ])
 def test_every_field_rejects_a_wrong_type(tmp_path, section, key, value):

@@ -170,8 +170,7 @@ class TestWaveform:
         # Skew T3 to swallow T4 entirely; the sampler must drop the empty
         # interval instead of duplicating its boundary. D = 1/2 keeps the
         # duration arithmetic exact so T4 lands on 0.0, not on an ulp of it.
-        import dataclasses
-        params = dataclasses.replace(ref_params, D_phase=0.5)
+        params = ref_params._replace(D_phase=0.5)
         skew = params.t_half - params.D_phase * params.t_half
         dab = build_dab(params, t3_skew=skew)
         assert dab.schedule.segments[3].duration == 0.0

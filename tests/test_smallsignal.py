@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import json
 import math
@@ -24,7 +23,7 @@ from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams,
 from dabss.dab import half_cycle_map, solve_half_cycle, verify_symmetry
 from dabss.core import IdentityCheck, cond
 from dabss.pwlti import closed_form_state, propagate
-from dabss.smallsignal import (FrequencyResponseRow, bode_sweep, identity_checks,
+from dabss.smallsignal import (FrequencyResponseRow, HalfCycleModel, bode_sweep, identity_checks,
                                resolvent_similarity_residual, verify_surface_equivalence)
 from dabss import cli, core, smallsignal
 from dabss.config import Tolerances, load_config
@@ -109,7 +108,7 @@ class TestHalfCycleModel:
 
     def test_ramp_amplitude_only_scales_the_control_gain(self, ref_params):
         base = half_cycle_model(build_dab(ref_params), P_PLUS)
-        doubled_params = dataclasses.replace(ref_params, Vr=2.0 * ref_params.Vr)
+        doubled_params = ref_params._replace(Vr=2.0 * ref_params.Vr)
         doubled = half_cycle_model(build_dab(doubled_params), P_PLUS)
         np.testing.assert_array_equal(doubled.phi, base.phi)
         np.testing.assert_array_equal(doubled.x_star, base.x_star)
@@ -434,7 +433,8 @@ class TestArrayFrequencyAxis:
         real = half_cycle_model(ref_dab, P_PLUS)
         theta = 0.8
         rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        model = dataclasses.replace(real, floats=(*rotation.ravel().tolist(), *real.floats[4:]))
+        model = HalfCycleModel(real.surface, (*rotation.ravel().tolist(), *real.floats[4:]),
+                               real.comp_gain, real.t_half)
         monkeypatch.setattr(smallsignal, "half_cycle_model", lambda dab, surface: model)
         f_pole = theta / (2.0 * np.pi * model.t_half)
         for kind, transfer in (("fix", transfer_fixed_freq), ("sc", transfer_same_cycle)):
@@ -479,7 +479,7 @@ class TestModelCache:
     def test_a_polarity_override_gets_its_own_model(self, ref_params):
         dab = build_dab(ref_params)
         canonical = half_cycle_model(dab, P_PLUS)
-        flipped = half_cycle_model(dab, dataclasses.replace(P_PLUS, polarity=+1))
+        flipped = half_cycle_model(dab, P_PLUS._replace(polarity=+1))
         assert flipped is not canonical
         assert half_cycle_model(dab, P_PLUS) is canonical
         assert np.array_equal(flipped.b_cur, -canonical.b_cur)
@@ -533,7 +533,7 @@ class TestModelCache:
     def test_control_input_vectors_that_are_not_finite_raise_and_are_not_kept(
             self, ref_params, model_builds, vr):
         # T_half / Vr is 5e301 or inf: b_cur overflows, silently (warnings fail this suite).
-        dab = build_dab(dataclasses.replace(ref_params, Vr=vr))
+        dab = build_dab(ref_params._replace(Vr=vr))
         for _ in range(2):
             with pytest.raises(NumericInputError, match="control-input vectors are not finite"):
                 half_cycle_model(dab, P_PLUS)
@@ -547,7 +547,7 @@ class TestModelCache:
         # -0.97 (3461 same-cycle): on the 64-point circle the transfers stay finite at 1e-304,
         # and pass the float range at z = -1 from 1e-305 on and at z = 1 from 1e-306 on. They
         # are refused at the first z where they do, as an array and z by z alike.
-        dab = build_dab(dataclasses.replace(ref_params, Vr=vr))
+        dab = build_dab(ref_params._replace(Vr=vr))
         model = half_cycle_model(dab, P_PLUS)
         assert len(model_builds) == 1
         circle = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -560,6 +560,15 @@ class TestModelCache:
                 with pytest.raises(NumericInputError, match=message):
                     transfer(model, dab.c_rev, z)
 
+    @pytest.mark.parametrize("points", [4, 40], ids=["z-by-z", "arrays"])
+    def test_a_sweep_names_the_frequency_it_refuses(self, ref_params, points):
+        # At Vr = 1e-305 the transfers pass the float range at z = -1, the sweep's last point.
+        dab = build_dab(ref_params._replace(Vr=1e-305))
+        message = re.escape(f"a value at f = {ref_params.fs!r} Hz passes the float range")
+        for kind in ("fix", "sc"):
+            with pytest.raises(NumericInputError, match=message):
+                bode_sweep(dab, P_PLUS, kind, 100.0, ref_params.fs, points)
+
 
 class TestRampScalingLaw:
     """Vr enters a model only through the comparator gain T_half / Vr, so Vr 2^-k scales every
@@ -571,7 +580,7 @@ class TestRampScalingLaw:
         circle = np.exp(2j * np.pi * np.arange(24) / 24)  # more than 16 z: as arrays
 
         def transfers(params, k):
-            dab = build_dab(dataclasses.replace(params, Vr=params.Vr * 2.0 ** -k))
+            dab = build_dab(params._replace(Vr=params.Vr * 2.0 ** -k))
             model = half_cycle_model(dab, P_PLUS)  # never the refusal: outside the caller's try
             return lambda: [transfer_fixed_freq(model, dab.c_rev, circle),
                             transfer_same_cycle(model, dab.c_rev, circle),
@@ -619,7 +628,7 @@ class TestDualPathFloor:
         # inf tolerance, any residual would pass; the floor is refused as a row value is.
         params = random_params(np.random.default_rng(164))
         for k in (1011, 1012):
-            dab = build_dab(dataclasses.replace(params, Vr=2.0 ** -k))
+            dab = build_dab(params._replace(Vr=2.0 ** -k))
             model = half_cycle_model(dab, P_PLUS)
             z = self.criterion_8_grid(params, model)
             residuals = transfer_difference_residual(model, dab.c_phys, z)
@@ -748,7 +757,7 @@ class TestIdentityChecks:
     @pytest.mark.parametrize("name", CONFIGS)
     def test_rows_match_the_earlier_suite_bit_for_bit(self, tmp_path, name):
         cfg = load_config(write_config(tmp_path / "config.json", **self.CONFIGS[name]))
-        surfaces = {label: dataclasses.replace(s, polarity=cfg.polarity_override.get(
+        surfaces = {label: s._replace(polarity=cfg.polarity_override.get(
             label, s.polarity)) for label, s in SURFACES.items()}
         freqs = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
                                   cfg.sweep.spacing, cfg.converter.t_half)
@@ -767,7 +776,6 @@ class TestIdentityChecks:
 # config files named: run in process, numpy loaded, many z go through arrays; run where numpy
 # cannot be imported, z by z in Python floats.
 FLOAT_PATH_PROBE = """
-import dataclasses
 from dabss import P_PLUS, SURFACES, build_dab, sweep_frequencies
 from dabss.config import load_config
 from dabss.smallsignal import bode_sweep, identity_checks
@@ -778,7 +786,7 @@ def probe(paths):
     for path in paths:
         cfg = load_config(path)
         dab = build_dab(cfg.converter, t3_skew=cfg.t3_skew)
-        surfaces = {label: dataclasses.replace(s, polarity=cfg.polarity_override.get(
+        surfaces = {label: s._replace(polarity=cfg.polarity_override.get(
             label, s.polarity)) for label, s in SURFACES.items()}
         freqs = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
                                   cfg.sweep.spacing, cfg.converter.t_half)
@@ -872,7 +880,7 @@ class TestPlanarSurfaceEquivalence:
     @pytest.mark.parametrize("polarity", [+1, -1])
     def test_the_reference_design(self, ref_dab, polarity):
         # polarity -1 is the S+ override of verify's negative path: a sign-flip note.
-        secondary = dataclasses.replace(S_PLUS, polarity=polarity)
+        secondary = S_PLUS._replace(polarity=polarity)
         for z in self.GRIDS:
             rows = checked_surface_rows(ref_dab, P_PLUS, secondary, z)
             assert (rows[1].note != "") == (polarity == -1)
