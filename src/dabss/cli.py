@@ -81,12 +81,6 @@ def _modulus(h: complex, f: float) -> float:
     return size
 
 
-def _surfaces(cfg: AppConfig) -> dict:
-    """SURFACES with the config's polarity overrides applied."""
-    return {label: s._replace(polarity=cfg.polarity_override.get(label, s.polarity))
-            for label, s in SURFACES.items()}
-
-
 def cmd_steady_state(args, cfg: AppConfig, dab: DabSchedule) -> int:
     # The period map's six floats: the fixed point, its closure Pi x + forcing and eigenvalues.
     period = dab.schedule._period
@@ -112,7 +106,7 @@ def cmd_verify(args, cfg: AppConfig, dab: DabSchedule) -> int:
     from .smallsignal import identity_checks, sweep_frequencies
     sweep = cfg.sweep
     checks = identity_checks(
-        dab, cfg.tolerances, _surfaces(cfg),
+        dab, cfg.tolerances, cfg.surfaces,
         sweep_frequencies(sweep.f_min, sweep.f_max, sweep.points, sweep.spacing,
                           dab.params.t_half))
     width = max(len(c.name) for c in checks)
@@ -132,7 +126,7 @@ def cmd_verify(args, cfg: AppConfig, dab: DabSchedule) -> int:
 
 def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
     from .smallsignal import bode_sweep
-    surface = _surfaces(cfg)[args.surface]
+    surface = cfg.surfaces[args.surface]
     sweep = cfg.sweep
     kinds = ("fix", "sc") if args.model == "both" else (args.model,)
     try:
@@ -199,7 +193,7 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     import numpy as np
     from .oracle import measure_frequency_responses, run_to_steady_state
     from .smallsignal import half_cycle_model, transfer_fixed_freq
-    surface = _surfaces(cfg)["P+"]
+    surface = cfg.surfaces["P+"]
     model = half_cycle_model(dab, surface)
 
     # The predicted transfers first: one past the float range is refused before the oracle runs.

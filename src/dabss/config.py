@@ -136,7 +136,7 @@ class AppConfig(NamedTuple):
     sweep: SweepSpec
     tolerances: Tolerances
     t3_skew: float
-    polarity_override: dict
+    surfaces: dict  # label -> Surface: SURFACES with `unsafe_polarity_override` applied
 
 
 def _require_table(value, name: str) -> dict:
@@ -189,16 +189,17 @@ def _section(cls, raw, name: str, defaults=None):
     return cls(**values)
 
 
-def _parse_polarity_override(raw) -> dict:
+def _surfaces(raw) -> dict:
+    """SURFACES with the polarities of the `unsafe_polarity_override` table `raw` applied."""
     table = _require_table({} if raw is None else raw, "unsafe_polarity_override")
-    override = {}
+    surfaces = dict(SURFACES)
     for label, value in table.items():
         if label not in SURFACES:
             raise ConfigError(f"unsafe_polarity_override: unknown surface {label!r}")
         if value not in (-1, 1) or isinstance(value, bool):
             raise ConfigError(f"unsafe_polarity_override[{label!r}] must be -1 or 1, got {value!r}")
-        override[label] = int(value)
-    return override
+        surfaces[label] = SURFACES[label]._replace(polarity=int(value))
+    return surfaces
 
 
 def load_config(path) -> AppConfig:
@@ -239,4 +240,4 @@ def load_config(path) -> AppConfig:
     return AppConfig(
         converter, sim, sweep, _section(Tolerances, root.get("tolerances"), "tolerances"),
         t3_skew=_convert("float", root.get("unsafe_t3_skew", 0.0), "unsafe_t3_skew"),
-        polarity_override=_parse_polarity_override(root.get("unsafe_polarity_override")))
+        surfaces=_surfaces(root.get("unsafe_polarity_override")))

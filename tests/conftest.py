@@ -1,16 +1,22 @@
-"""Shared fixtures: the reference converter, random parameter draws, config files."""
+"""Shared fixtures: the reference converter, random parameter draws, config files, and
+`run_cli`, the suite's one way to run a command."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dabss import DabParams, build_dab, half_cycle_model
+from dabss import DabParams, build_dab, cli, half_cycle_model
 from dabss.pwlti import Schedule, Segment
 
 # Child interpreters (`python -m dabss.cli`) import dabss from the same src/ as
@@ -18,6 +24,44 @@ from dabss.pwlti import Schedule, Segment
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
                   os.environ.get("PYTHONPATH")]))
+
+# README's exit-code table: 0 success, 1 a failing `verify`, 2-5 a refused or unsolvable run.
+README_EXIT_CODES = frozenset(range(6))
+# The commands that run on Python floats alone: a cold run of any of them loads no numpy.
+NUMPY_FREE_COMMANDS = ("steady-state", "verify", "bode")
+# The first line of a script after which `import numpy` fails, as where numpy is not installed.
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """`dabss *argv`, run in this process by `dabss.cli.main`, with stdout and stderr captured
+    as `subprocess.run` captures them. A warning goes to the captured stderr, as an interpreter
+    prints it.
+
+    Fails the test where an exception escapes `main` (a traceback at the command line), where
+    the exit code is not in README's table, or where a command other than `verify` exits 1.
+    For NUMPY_FREE_COMMANDS `import numpy` fails during the call, so the command takes the
+    float path of a cold run, and a numpy import in it escapes as an exception."""
+    command = argv[0] if argv else None
+    out, err = io.StringIO(), io.StringIO()
+    numpy = sys.modules["numpy"]
+    if command in NUMPY_FREE_COMMANDS:
+        sys.modules["numpy"] = None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            code = cli.main(list(argv))
+    except Exception as exc:
+        pytest.fail(f"`dabss {' '.join(argv)}` raised {exc!r}")
+    finally:
+        sys.modules["numpy"] = numpy
+    if code not in README_EXIT_CODES or (code == 1 and command != "verify"):
+        pytest.fail(f"`dabss {' '.join(argv)}` exited {code!r}: README's table has 0 and 2-5, "
+                    "and 1 from verify")
+    err.writelines(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line)
+                   for w in caught)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
 
 # Reference design used throughout the suite. Values chosen so every regime
 # the package cares about is exercised: lossy transformer path, nonzero ESR,

@@ -1,4 +1,20 @@
-"""End-to-end tests of the command line interface via subprocess."""
+"""End-to-end tests of the command line interface.
+
+Every command runs in process through `tests.conftest.run_cli`, which holds it to README's
+exit-code table and `steady-state`, `verify` and `bode` to loading no numpy. These tests start
+an interpreter, because the process is what they test:
+
+- `TestSteadyStateWithoutNumpy`, `TestVerifyAndBodeWithoutNumpy` and
+  `test_a_transfer_whose_modulus_overflows_is_a_config_error`, through `run_cli_without_numpy`:
+  numpy is blocked before dabss is imported, as where numpy is not installed;
+- `TestMisc`'s import gates, `test_scipy_is_never_imported` (`-X importtime`),
+  `test_top_level_names_load_on_first_use` and
+  `test_the_float_modules_load_neither_dataclasses_nor_inspect`: only a fresh interpreter shows
+  what a cold command line or `import dabss` loads.
+
+The numpy-free tests also run `cli.main` with numpy loaded, whose sweeps of more than 16 points
+go through arrays, and compare its bytes with the float path's.
+"""
 
 from __future__ import annotations
 
@@ -20,17 +36,13 @@ from dabss import cli, core, oracle, smallsignal
 from dabss.dab import half_cycle_map
 from dabss.smallsignal import HalfCycleModel
 from tests import reference
-from tests.conftest import REFERENCE_KWARGS, random_params
-
-
-def run_cli(*argv: str):
-    return subprocess.run([sys.executable, "-m", "dabss.cli", *argv],
-                          capture_output=True, text=True)
+from tests.conftest import (BLOCK_NUMPY, NUMPY_FREE_COMMANDS, REFERENCE_KWARGS, random_params,
+                            run_cli)
 
 
 def run_cli_without_numpy(*argv: str):
-    """`run_cli` in an interpreter where `import numpy` fails."""
-    script = "import sys; sys.modules['numpy'] = None; from dabss.cli import main; sys.exit(main())"
+    """A command in a new interpreter where `import numpy` fails."""
+    script = BLOCK_NUMPY + "from dabss.cli import main; sys.exit(main())"
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
 
 
@@ -79,7 +91,7 @@ class TestSteadyStateWithoutNumpy:
 
     @pytest.mark.parametrize("method", ["full", "half"])
     @pytest.mark.parametrize("converter, code, message", [
-        pytest.param(dict(Rt=1e15, Rc=0.0, Ro=1e30), 3, "\neigenvalues: ", id="blocking"),
+        pytest.param(dict(Rt=1e15, Rc=0.0, Ro=1e30), 3, "\neigenvalues: (1+0j) ", id="blocking"),
         # Python floats raise ZeroDivisionError where n^2 L underflows to 0.
         pytest.param(dict(n_turns=1e-300), 2, "segment matrices must be finite",
                      id="n_turns=1e-300"),
@@ -94,9 +106,9 @@ class TestSteadyStateWithoutNumpy:
 
 
 class TestVerifyAndBodeWithoutNumpy:
-    """`verify` and `bode` run on the float rules alone: with numpy unimportable they print and
-    write the bytes of a normal run and of an in-process run, whose sweep of more than 16
-    points, numpy loaded, goes through arrays."""
+    """`verify` and `bode` run on the float rules alone: in an interpreter where numpy cannot
+    be imported they print and write the bytes of `run_cli`'s run and of an in-process run with
+    numpy loaded, whose sweep of more than 16 points goes through arrays."""
 
     SWEEPS = {"default": None, "40-points": {"f_min": 10.0, "f_max": 40000.0, "points": 40}}
 
@@ -121,26 +133,33 @@ class TestVerifyAndBodeWithoutNumpy:
         assert cli.main(["bode", path, "--model", "both", "--out", str(tmp_path / "b.csv")]) == 0
         assert outputs[0] == outputs[1] == (tmp_path / "b.csv").read_bytes()
 
-    RAMPS = {**{f"Vr=2^-{k}": 2.0 ** -k for k in range(1009, 1015)}, "Vr=1e-305": 1e-305,
-             "Vr=1e-306": 1e-306}
+    # The ramp amplitude Vr, the sweep, and the exit codes of verify and bode there.
+    RAMPS = {**{f"Vr=2^-{k}": (2.0 ** -k, "40-points", 0 if k < 1013 else 2, 0)
+                for k in range(1009, 1015)},
+             "Vr=1e-305": (1e-305, "40-points", 2, 0), "Vr=1e-306": (1e-306, "40-points", 2, 2),
+             "Vr=1e-305,default-sweep": (1e-305, "default", 2, 0)}
 
     @pytest.mark.parametrize("command", ["verify", "bode"])
-    @pytest.mark.parametrize("vr", RAMPS.values(), ids=RAMPS)
+    @pytest.mark.parametrize("vr, sweep, verify_code, bode_code", RAMPS.values(), ids=RAMPS)
     def test_refuses_as_a_normal_run_where_values_pass_the_float_range(
-            self, config_file, tmp_path, capsys, monkeypatch, vr, command):
+            self, config_file, tmp_path, capsys, monkeypatch, command, vr, sweep, verify_code,
+            bode_code):
         # Where a transfer or a verify row passes the float range, the arrays of an in-process
         # run and the floats of an interpreter without numpy refuse at the same z or frequency.
+        # Where bode writes its sweep, every value in it is finite.
         monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
-        path = config_file(converter=dict(REFERENCE_KWARGS, Vr=vr), sweep=self.SWEEPS["40-points"])
+        path = config_file(converter=dict(REFERENCE_KWARGS, Vr=vr), sweep=self.SWEEPS[sweep])
         extra = [[] if command == "verify" else ["--model", "both", "--out", str(tmp_path / f"{k}")]
                  for k in range(2)]
         code = cli.main([command, path, *extra[0]])
         normal = capsys.readouterr()
         without = run_cli_without_numpy(command, path, *extra[1])
         assert (without.returncode, without.stderr, without.stdout) == (code, normal.err, normal.out)
-        assert code == 0 or (code == 2 and normal.err.startswith("error: a value at ")), normal.err
+        assert code == (verify_code if command == "verify" else bode_code), normal.err
+        assert code == 0 or normal.err.startswith("error: a value at "), normal.err
         if command == "bode" and code == 0:
             assert (tmp_path / "0").read_bytes() == (tmp_path / "1").read_bytes()
+            assert not re.search(rb"inf|nan", (tmp_path / "0").read_bytes(), re.I)
 
     def test_a_design_whose_roundoff_floor_passes_the_float_range_is_refused(
             self, config_file, capsys, monkeypatch):
@@ -266,8 +285,7 @@ class TestBodeCommand:
         assert out_p.read_text() != out_s.read_text()
 
 
-    def test_flagged_rows_warn_and_keep_empty_cells(self, config_file, tmp_path, monkeypatch,
-                                                    capsys):
+    def test_flagged_rows_warn_and_keep_empty_cells(self, config_file, tmp_path, monkeypatch):
         # A model whose phi is a rotation has its poles on the unit circle, so the
         # last point of a linear grid ending at the rotation frequency is one.
         real = half_cycle_model(build_dab(DabParams(**REFERENCE_KWARGS)), P_PLUS)
@@ -280,9 +298,10 @@ class TestBodeCommand:
         path = config_file(sweep={"f_min": f_pole / 4.0, "f_max": f_pole, "points": 7,
                                   "spacing": "linear"})
         out = tmp_path / "bode.csv"
-        assert cli.main(["bode", path, "--model", "both", "--out", str(out)]) == 0
+        proc = run_cli("bode", path, "--model", "both", "--out", str(out))
+        assert proc.returncode == 0
         f = cli._fmt(f_pole)
-        assert capsys.readouterr().err.splitlines() == [
+        assert proc.stderr.splitlines() == [
             f"warning: sweep point {f} Hz sits on a pole, row flagged"] * 2
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * 7
@@ -340,7 +359,7 @@ class TestCompareCommand:
 
         monkeypatch.setattr(oracle, "_iterate_to_period_start", counting)
         out = tmp_path / "cmp.csv"
-        assert cli.main(["compare", config_file(), "--out", str(out)]) == 0
+        assert run_cli("compare", config_file(), "--out", str(out)).returncode == 0
         assert len(out.read_text().splitlines()) == 3 + 21  # the reference sweep's 21 bins
         assert len(calls) == 1
 
@@ -418,7 +437,7 @@ class TestFailureExitCodes:
              fs=276030.1317011144, D_phase=0.500000001, Vr=1.0)],
         ids=["fixture", "half-cycle", "period"])
     def test_exit_three_prints_the_exact_cond_and_eigenvalues_of_the_solved_map(
-            self, config_file, tmp_path, capsys, converter):
+            self, config_file, tmp_path, converter):
         dab = build_dab(DabParams(**converter))
         period, half = dab.schedule._period, half_cycle_map(dab, 1)
         path, out = config_file(converter=converter), str(tmp_path / "out")
@@ -426,14 +445,14 @@ class TestFailureExitCodes:
         for argv, what, m in ((["steady-state", "--method", "full"], "periodic solve", period),
                               (["steady-state", "--method", "half"], "half-cycle solve", half),
                               (["bode", "--surface", "P+"], "surface P+ fixed point", half)):
-            code = cli.main([argv[0], path, *argv[1:], "--out", out])
+            proc = run_cli(argv[0], path, *argv[1:], "--out", out)
             c = reference.cond(m[:4], 1.0)  # 50-digit mpmath of the map's floats
             if not c > 1e12:
-                assert code == 0
+                assert proc.returncode == 0
                 continue
             marginal += 1
-            assert code == 3
-            error, eigenvalues = capsys.readouterr().err.splitlines()
+            assert proc.returncode == 3
+            error, eigenvalues = proc.stderr.splitlines()
             assert error == f"error: {what} is marginal: cond ~ {c:.3e} exceeds 1.0e+12"
             assert eigenvalues == " ".join(["eigenvalues:", *map(str, core.eigenvalues(*m[:4]))])
             for e in core.eigenvalues(*m[:4]):  # a few u ||phi|| off those of 50-digit mpmath
@@ -478,10 +497,11 @@ class TestFailureExitCodes:
         assert "no steady state" in proc.stderr
         assert "spectral radius rho = 0.98995" in proc.stderr
 
-    def test_substeps_above_the_cap_exit_two(self, config_file, tmp_path, capsys):
+    def test_substeps_above_the_cap_exit_two(self, config_file, tmp_path):
         path = config_file(sim={"substeps_per_interval": 10**4 + 1})
-        assert cli.main(["simulate", path, "--out", str(tmp_path / "wf.csv")]) == 2
-        assert "sim.substeps_per_interval" in capsys.readouterr().err
+        proc = run_cli("simulate", path, "--out", str(tmp_path / "wf.csv"))
+        assert proc.returncode == 2
+        assert "sim.substeps_per_interval" in proc.stderr
 
     def test_oversized_amplitude_exits_five(self, config_file, tmp_path):
         path = config_file(sim={"injection": {"f": 2000.0, "amplitude": 1e6}})
@@ -550,17 +570,21 @@ class TestFailureExitCodes:
         assert "sim.injection.f" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "cmp.csv").exists()
 
-    @pytest.mark.parametrize("command, co", [
-        *[pytest.param(command, 1e-300, id=command)
+    @pytest.mark.parametrize("command, converter", [
+        *[pytest.param(command, dict(Co=1e-300), id=command)
           for command in ("steady-state", "verify", "simulate")],
-        *[pytest.param(command, 1e-25, id=f"{command}-Co=1e-25")
-          for command in ("steady-state", "bode", "verify", "simulate")]])
-    def test_non_finite_exponential_is_a_config_error(self, config_file, tmp_path, command, co):
+        *[pytest.param(command, dict(Co=1e-25), id=f"{command}-Co=1e-25")
+          for command in ("steady-state", "bode", "verify", "simulate")],
+        pytest.param("simulate", dict(L=4.7e202, Co=8.5e-296, fs=2.5e-16),
+                     id="simulate-L=4.7e202,Co=8.5e-296,fs=2.5e-16")])
+    def test_non_finite_exponential_is_a_config_error(self, config_file, tmp_path, command,
+                                                      converter):
         # A 1e-300 F capacitor puts the 1-norm of a*t near 1e295, and 1e-25 F near 1e20:
         # the oracle's Pade kernel would need more than 53 squarings, whose roundoff leaves
         # no significant bit of a finite map, so it refuses, and so does the closed form,
-        # whose maps the oracle could then not cross-check.
-        path = config_file(converter=dict(REFERENCE_KWARGS, Co=co))
+        # whose maps the oracle could then not cross-check. With L 4.7e202, Co 8.5e-296 and
+        # fs 2.5e-16 the entries of a are finite, and the oracle's a*t overflows.
+        path = config_file(converter=dict(REFERENCE_KWARGS, **converter))
         argv = [command, path] + ([] if command == "verify" else ["--out", str(tmp_path / "o")])
         proc = run_cli(*argv)
         assert proc.returncode == 2, proc.stderr
@@ -587,8 +611,7 @@ class TestUnwritableOut:
     @pytest.mark.parametrize("where", sorted(OUTS))
     @pytest.mark.parametrize("argv", [["steady-state"], ["bode", "--model", "both"],
                                       ["simulate"], ["compare"]], ids=lambda a: a[0])
-    def test_exits_two_naming_the_path(self, config_file, tmp_path, monkeypatch, capsys,
-                                       argv, where):
+    def test_exits_two_naming_the_path(self, config_file, tmp_path, monkeypatch, argv, where):
         path = config_file(sim={"injection": {"settle_periods": 10, "measure_periods": 20}},
                            sweep={"f_min": 400.0, "f_max": 4000.0, "points": 3,
                                   "spacing": "log"})
@@ -598,8 +621,9 @@ class TestUnwritableOut:
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.rglob("*"))
         out = self.OUTS[where]
-        assert cli.main([argv[0], path, *argv[1:], "--out", out]) == 2
-        err = capsys.readouterr().err.splitlines()
+        proc = run_cli(argv[0], path, *argv[1:], "--out", out)
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and repr(out) in err[0]
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "afile").read_text() == "kept\n"
@@ -612,7 +636,7 @@ class TestUnwritableOut:
         (tmp_path / "link.json").symlink_to("target.json")
         monkeypatch.chdir(tmp_path)
         before = set(tmp_path.iterdir())
-        assert cli.main(["steady-state", path, "--out", "link.json"]) == 0
+        assert run_cli("steady-state", path, "--out", "link.json").returncode == 0
         assert set(tmp_path.iterdir()) == before
         assert os.readlink(tmp_path / "link.json") == "target.json"
         assert json.loads((tmp_path / "target.json").read_text())["x_star"]
@@ -625,25 +649,25 @@ class TestValuesAtTheEdgeOfDoublePrecision:
     COMMANDS = (["steady-state"], ["verify"], ["bode", "--model", "both"], ["simulate"],
                 ["compare"])
 
-    def run_all(self, config_file, tmp_path, capsys, converter):
+    def run_all(self, config_file, tmp_path, converter):
         """(command, exit code, stderr lines) of every command, run in-process."""
         path = config_file(converter=dict(REFERENCE_KWARGS, **converter), sim=self.SIM,
                            sweep={"points": 3})
         results = []
         for command, *extra in self.COMMANDS:
             out = [] if command == "verify" else ["--out", str(tmp_path / command)]
-            code = cli.main([command, path, *extra, *out])
-            results.append((command, code, capsys.readouterr().err.splitlines()))
+            proc = run_cli(command, path, *extra, *out)
+            results.append((command, proc.returncode, proc.stderr.splitlines()))
         return results
 
     @pytest.mark.parametrize("converter", [
         pytest.param(dict(n_turns=1e-300), id="n_turns=1e-300"),
         pytest.param(dict(n_turns=1e-160, L=1e-170), id="n_turns=1e-160,L=1e-170"),
         pytest.param(dict(Co=1e-320, Ro=1e-5, Rc=0.0), id="Co=1e-320,Ro=1e-5,Rc=0")])
-    def test_an_underflowing_denominator_is_a_config_error(self, config_file, tmp_path, capsys,
+    def test_an_underflowing_denominator_is_a_config_error(self, config_file, tmp_path,
                                                            converter):
         # n^2 L, n L (ro + rc) or Co (ro + rc) rounds to 0: a state matrix is not finite.
-        for command, code, err in self.run_all(config_file, tmp_path, capsys, converter):
+        for command, code, err in self.run_all(config_file, tmp_path, converter):
             assert code == 2, (command, err)
             assert len(err) == 1 and err[0].startswith("error: "), (command, err)
 
@@ -651,18 +675,16 @@ class TestValuesAtTheEdgeOfDoublePrecision:
         pytest.param(dict(Ro=5e-324), id="Ro=5e-324"),
         pytest.param(dict(Vin=5e-324), id="Vin=5e-324"),
         pytest.param(dict(Vin=1e-300, Vr=1e300), id="Vin=1e-300,Vr=1e300")])
-    def test_a_transfer_of_zero_exits_with_a_readme_code(self, config_file, tmp_path, capsys,
-                                                         converter):
-        for command, code, err in self.run_all(config_file, tmp_path, capsys, converter):
+    def test_a_transfer_of_zero_exits_with_a_readme_code(self, config_file, tmp_path, converter):
+        for command, code, err in self.run_all(config_file, tmp_path, converter):
             assert code in (0, 2, 3, 4, 5) or (code == 1 and command == "verify"), (command, err)
             assert code == 0 or err[0].startswith("error: "), (command, err)
 
     @pytest.mark.parametrize("vin", [1e308, -1e308])
-    def test_an_overflowing_input_column_is_a_config_error(self, config_file, tmp_path, capsys,
-                                                          vin):
+    def test_an_overflowing_input_column_is_a_config_error(self, config_file, tmp_path, vin):
         # b u overflows to inf in both exponentials' augmented matrices: no RuntimeWarning.
         # The closed form and the oracle both name the input column, not a t (near 0.1 here).
-        for command, code, err in self.run_all(config_file, tmp_path, capsys, dict(Vin=vin)):
+        for command, code, err in self.run_all(config_file, tmp_path, dict(Vin=vin)):
             assert code == 2, (command, err)
             assert len(err) == 1 and err[0] == (
                 "error: matrix exponential is not finite: the 1-norm of b*u*t (input column "
@@ -670,7 +692,7 @@ class TestValuesAtTheEdgeOfDoublePrecision:
 
     @pytest.mark.parametrize("vr", [1e-305, 1e-306, 1e-307, 5e-324])
     def test_control_input_vectors_that_are_not_finite_are_a_config_error(
-            self, config_file, tmp_path, capsys, vr):
+            self, config_file, tmp_path, vr):
         # From 1e-307 on T_half / Vr times a sensitivity overflows. At 1e-305 and 1e-306 the
         # vectors are finite: a verify row passes the float range where it is evaluated, while
         # the 3-point sweep and compare's predicted transfers stay finite, so compare follows the
@@ -680,7 +702,7 @@ class TestValuesAtTheEdgeOfDoublePrecision:
         expected = {"steady-state": 0, "verify": 2, "bode": 0 if built else 2, "simulate": 4,
                     "compare": 4 if built else 2}
         message = "passes the float range" if built else "control-input vectors are not finite"
-        for command, code, err in self.run_all(config_file, tmp_path, capsys, dict(Vr=vr)):
+        for command, code, err in self.run_all(config_file, tmp_path, dict(Vr=vr)):
             assert code == expected[command], (command, err)
             if code == 2:
                 assert len(err) == 1 and message in err[0], err
@@ -689,7 +711,7 @@ class TestValuesAtTheEdgeOfDoublePrecision:
             assert len(rows) == 7 and all(map(math.isfinite, map(float, sum(rows[1:], []))))
 
     def test_a_transfer_whose_modulus_overflows_is_a_config_error(self, config_file, tmp_path,
-                                                                   capsys, monkeypatch):
+                                                                   monkeypatch):
         # Vr = 165.11 / DBL_MAX / 1.01, where 165.11 is |H_vout| at 100 Hz for Vr = 1: both parts
         # of that transfer are finite and its modulus is not. bode refuses it, in process and
         # without numpy, and compare before it simulates.
@@ -698,30 +720,39 @@ class TestValuesAtTheEdgeOfDoublePrecision:
         monkeypatch.setattr(oracle, "run_to_steady_state", lambda *_: pytest.fail("simulated"))
         for command, *extra in (["bode", "--model", "both"], ["compare"]):
             out = tmp_path / command
-            assert cli.main([command, path, *extra, "--out", str(out)]) == 2, command
-            assert capsys.readouterr().err.splitlines() == message, command
+            proc = run_cli(command, path, *extra, "--out", str(out))
+            assert proc.returncode == 2, command
+            assert proc.stderr.splitlines() == message, command
             assert not out.exists()
         proc = run_cli_without_numpy("bode", path, "--model", "both", "--out", str(tmp_path / "b"))
         assert proc.returncode == 2 and proc.stderr.splitlines() == message, proc.stderr
 
-    def test_a_time_scaled_design_simulates_and_compares(self, config_file, tmp_path):
+    @pytest.mark.parametrize("converter", [
         # L and Co times 1e-150 and fs times 1e150: ||a||_1 near 1e155, every a T as in the
-        # reference design. A RuntimeWarning fails the suite.
-        path = config_file(converter=dict(REFERENCE_KWARGS, L=10e-156, Co=100e-156, fs=100e153))
+        # reference design.
+        pytest.param(dict(L=10e-156, Co=100e-156, fs=100e153), id="time-scaled"),
+        # The oracle's exponential by degree: Rt 50 puts every step on degree 13 with one or two
+        # squarings, Rc 10 every step below theta9 (degree 9), and Rt 6 the steps on either side
+        # of theta9, a mixed stack.
+        pytest.param(dict(Rt=50.0), id="Rt=50"), pytest.param(dict(Rc=10.0), id="Rc=10"),
+        pytest.param(dict(Rt=6.0), id="Rt=6")])
+    def test_a_design_simulates_and_compares(self, config_file, tmp_path, converter):
+        # A RuntimeWarning fails the suite.
+        path = config_file(converter=dict(REFERENCE_KWARGS, **converter))
         for command in ("simulate", "compare"):
             out = tmp_path / f"{command}.csv"
-            assert cli.main([command, path, "--out", str(out)]) == 0, command
+            assert run_cli(command, path, "--out", str(out)).returncode == 0, command
             assert out.stat().st_size > 0, command
 
-    def test_a_small_ramp_amplitude_verifies_without_a_warning(self, config_file, capsys):
+    def test_a_small_ramp_amplitude_verifies_without_a_warning(self, config_file):
         # Vr = 10^-k scales every transfer by 10^k: from k = 151 on, sums of squares in
         # verify's norms overflow unless scaled (hypot's form, from 1e150 on). From k = 305
-        # a transfer itself overflows.
-        for k in range(151, 305):
-            path = config_file(converter=dict(REFERENCE_KWARGS, Vr=float(f"1e-{k}")),
-                               sweep={"points": 3})
-            assert cli.main(["verify", path]) == 0, (k, capsys.readouterr().out)
-            assert capsys.readouterr().err == "", k
+        # a transfer itself overflows. k = 200 runs the default sweep as well.
+        for k, sweep in [*((k, {"points": 3}) for k in range(151, 305)), (200, None)]:
+            path = config_file(converter=dict(REFERENCE_KWARGS, Vr=float(f"1e-{k}")), sweep=sweep)
+            proc = run_cli("verify", path)
+            assert proc.returncode == 0, (k, proc.stdout)
+            assert proc.stderr == "", k
 
     def test_a_zero_magnitude_is_minus_inf_db(self, config_file, tmp_path):
         # A load of 5e-324 ohm shorts the output: V_out is exactly 0 at every frequency.
@@ -731,7 +762,7 @@ class TestValuesAtTheEdgeOfDoublePrecision:
         # transfer is exactly 0, while the exact model's, with its z b_next, is finite.
         path = config_file(converter=dict(REFERENCE_KWARGS, Ro=5e-324), sweep={"points": 3})
         out = tmp_path / "bode.csv"
-        assert cli.main(["bode", path, "--model", "both", "--out", str(out)]) == 0
+        assert run_cli("bode", path, "--model", "both", "--out", str(out)).returncode == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 6
         for row in rows:
@@ -746,7 +777,7 @@ class TestValuesAtTheEdgeOfDoublePrecision:
         path = config_file(converter=dict(REFERENCE_KWARGS, Vin=5e-324), sim=self.SIM,
                            sweep={"points": 3})
         out = tmp_path / "compare.csv"
-        assert cli.main(["compare", path, "--out", str(out)]) == 0
+        assert run_cli("compare", path, "--out", str(out)).returncode == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
         assert rows and all(row[1] == "nan" and row[3] == "nan" for row in rows)
 
@@ -756,15 +787,14 @@ class TestTempFile:
 
     @pytest.mark.parametrize("out, code", [("ss.json", 0), ("adir", 2)],
                              ids=["success", "failure"])
-    def test_an_existing_out_tmp_survives(self, config_file, tmp_path, monkeypatch, capsys,
-                                          out, code):
+    def test_an_existing_out_tmp_survives(self, config_file, tmp_path, monkeypatch, out, code):
         path = config_file()
         (tmp_path / "adir").mkdir()  # renaming a file over a directory fails
         users = tmp_path / f"{out}.tmp"
         users.write_text("the user's data\n")
         monkeypatch.chdir(tmp_path)
         before = set(tmp_path.iterdir())
-        assert cli.main(["steady-state", path, "--out", out]) == code
+        assert run_cli("steady-state", path, "--out", out).returncode == code
         assert users.read_text() == "the user's data\n"
         created = set(tmp_path.iterdir()) - before
         assert created == ({tmp_path / out} if code == 0 else set())
@@ -772,7 +802,34 @@ class TestTempFile:
             assert json.loads((tmp_path / out).read_text())["x_star"]
 
 
+def _after_importing_numpy(function):
+    """`function`, called after an `import numpy`."""
+    def wrapped(*args):
+        import numpy  # noqa: F401
+        return function(*args)
+    return wrapped
+
+
 class TestMisc:
+    @pytest.mark.parametrize("command, module, name, replacement, failure", [
+        pytest.param("verify", smallsignal, "identity_checks",
+                     _after_importing_numpy(smallsignal.identity_checks),
+                     "raised ModuleNotFoundError", id="numpy-import"),
+        pytest.param("steady-state", cli, "cmd_steady_state", lambda *_: {}["x_star"],
+                     "raised KeyError", id="exception"),
+        pytest.param("bode", cli, "cmd_bode", lambda *_: 1, "exited 1:", id="bode-exits-1"),
+        pytest.param("simulate", cli, "cmd_simulate", lambda *_: 7, "exited 7:", id="exit-7")])
+    def test_run_cli_fails_a_command_that_breaks_the_contract(
+            self, config_file, tmp_path, monkeypatch, command, module, name, replacement,
+            failure):
+        # A numpy import in a numpy-free command, a traceback, exit 1 from a command other than
+        # verify, and an exit code outside README's table.
+        monkeypatch.setattr(module, name, replacement)
+        out = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+        with pytest.raises(pytest.fail.Exception, match=f"`dabss {command} .*` {failure}"):
+            run_cli(command, config_file(), *out)
+        assert sys.modules["numpy"] is np
+
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.returncode == 0
@@ -787,6 +844,7 @@ class TestMisc:
         script = """if True:
             import importlib, sys
             import dabss
+            assert dabss.relative_residual((3.0, 0.0), (1.0, 0.0)) == 1.0
             assert "numpy" not in sys.modules
             assert set(dabss.__all__) <= set(dir(dabss))
             for name in dabss.__all__:
@@ -806,13 +864,12 @@ class TestMisc:
         assert proc.returncode == 0, proc.stderr
 
     COMMANDS = ("steady-state", "verify", "bode", "simulate", "compare")
-    # Whether each command line loads numpy, dabss.smallsignal and dabss.oracle: numpy where
-    # the simulator runs, the surface models where a transfer is evaluated. `import dabss`,
-    # `--version` and `steady-state` load none of them, `verify` and `bode` no numpy.
-    LOADS = {"import": (False, False, False), "cli-version": (False, False, False),
-             "steady-state": (False, False, False), "verify": (False, True, False),
-             "bode": (False, True, False), "simulate": (True, False, True),
-             "compare": (True, True, True)}
+    # Whether each command line loads dabss.smallsignal and dabss.oracle: the surface models
+    # where a transfer is evaluated, the simulator where it runs. numpy loads with the simulator
+    # only: neither `import dabss`, `--version` nor NUMPY_FREE_COMMANDS load it.
+    LOADS = {"import": (False, False), "cli-version": (False, False),
+             "steady-state": (False, False), "verify": (True, False), "bode": (True, False),
+             "simulate": (False, True), "compare": (True, True)}
 
     @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version"),
                                       *(("-m", "dabss.cli", command) for command in COMMANDS)],
@@ -832,7 +889,9 @@ class TestMisc:
         assert "dabss" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
         loads = tuple(name in imported for name in ("numpy", "dabss.smallsignal", "dabss.oracle"))
-        assert loads == self.LOADS[request.node.callspec.id]
+        case = request.node.callspec.id
+        assert loads == (case in self.COMMANDS and case not in NUMPY_FREE_COMMANDS,
+                         *self.LOADS[case])
 
     def test_the_float_modules_load_neither_dataclasses_nor_inspect(self):
         # A frozen dataclass costs a cold command about 0.7 ms to create, and `import

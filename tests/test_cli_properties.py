@@ -1,19 +1,19 @@
 """Property tests: every CLI command ends with a documented exit code on any design.
 
-Drives `dabss.cli.main` in-process over random converters, including nearly
-lossless ones (Rt = Rc = 0), near-marginal ones (a load of 1e6 ohm or more),
-phase shifts next to 0, 0.5 and 1, and L and Co over four decades each. README's exit-code table is the contract: 0, or 2-5
-for a rejected or unsolvable design, and 1 only from `verify`. An exception
-escaping `main` fails the test with its traceback. A second property draws every
-parameter over most of the double range, with RuntimeWarning as an error: an overflow
-or 0/0 anywhere in a command fails it. A third property holds `steady-state`, which runs on
-Python floats alone, to the library's array functions over the draws of both.
+Runs every command in process through `tests.conftest.run_cli` over random converters,
+including nearly lossless ones (Rt = Rc = 0), near-marginal ones (a load of 1e6 ohm or more),
+phase shifts next to 0, 0.5 and 1, and L and Co over four decades each. README's exit-code
+table is the contract, which `run_cli` holds every run to: 0, or 2-5 for a rejected or
+unsolvable design, and 1 only from `verify`. An exception escaping `main` fails the test with
+its traceback, and so does a numpy import in `steady-state`, `verify` or `bode`. A second
+property draws every parameter over most of the double range, with RuntimeWarning as an
+error: an overflow or 0/0 anywhere in a command fails it. A third property holds
+`steady-state`, which runs on Python floats alone, to the library's array functions over the
+draws of both.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import warnings
 
@@ -21,11 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dabss import core
-from dabss.cli import _EXIT_CODES, main
+from dabss.cli import _EXIT_CODES
 from dabss.dab import DabParams, build_dab
 from dabss.pwlti import monodromy, solve_periodic_fixed_point
-
-README_EXIT_CODES = {0, 1, 2, 3, 4, 5}
+from tests.conftest import run_cli
 
 
 def log_uniform(lo: float, hi: float):
@@ -71,8 +70,7 @@ wide_designs = st.fixed_dictionaries({
 
 
 def run_every_command(work, converter) -> None:
-    """Each command line of COMMANDS on `converter`, in-process: its exit code is in README's
-    table, and 1 only from `verify`."""
+    """Each command line of COMMANDS on `converter`, through `run_cli`."""
     config = work / "config.json"
     fs = converter["fs"]
     config.write_text(json.dumps({
@@ -85,10 +83,7 @@ def run_every_command(work, converter) -> None:
         argv = [command, str(config), *extra]
         if command != "verify":
             argv += ["--out", str(work / f"{command}.out")]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-        assert code in README_EXIT_CODES, (command, converter, code)
-        assert code != 1 or command == "verify", (command, converter)
+        run_cli(*argv)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -118,8 +113,7 @@ def test_steady_state_floats_are_the_array_functions_bit_for_bit(tmp_path_factor
     work = tmp_path_factory.mktemp("design")
     config, out = work / "config.json", work / "ss.json"
     config.write_text(json.dumps({"converter": converter}))
-    with contextlib.redirect_stderr(io.StringIO()):
-        code = main(["steady-state", str(config), "--out", str(out)])
+    code = run_cli("steady-state", str(config), "--out", str(out)).returncode
     try:
         schedule = build_dab(DabParams(**converter)).schedule
         x_star = solve_periodic_fixed_point(schedule).tolist()

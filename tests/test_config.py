@@ -13,7 +13,7 @@ import pytest
 
 from dabss import dab, smallsignal
 from dabss.config import Injection, SimConfig, SweepSpec, Tolerances, load_config
-from dabss.dab import P_PLUS, DabParams, Surface
+from dabss.dab import P_MINUS, P_PLUS, S_PLUS, SURFACES, DabParams, Surface
 from dabss.errors import ConfigError, ParameterError
 from tests.conftest import REFERENCE_KWARGS
 
@@ -41,7 +41,7 @@ class TestDefaults:
         assert cfg.tolerances.half_wave_symmetry == 1e-12
         assert cfg.tolerances.surface_equivalence == 1e-10
         assert cfg.t3_skew == 0.0
-        assert cfg.polarity_override == {}
+        assert cfg.surfaces == SURFACES
 
     def test_readme_config_block_is_the_defaults(self, tmp_path):
         block = re.search(r"### Config file\s+```json\n(.*?)```", README.read_text(), re.S)
@@ -104,7 +104,8 @@ class TestUnsafeKeys:
         doc = {"converter": dict(REFERENCE_KWARGS),
                "unsafe_polarity_override": {"S+": -1, "P-": 1}}
         cfg = load_config(write(tmp_path, doc))
-        assert cfg.polarity_override == {"S+": -1, "P-": 1}
+        assert cfg.surfaces == {**SURFACES, "S+": S_PLUS._replace(polarity=-1),
+                                "P-": P_MINUS._replace(polarity=1)}
 
     def test_unknown_surface_label_rejected(self, tmp_path):
         doc = {"converter": dict(REFERENCE_KWARGS),

@@ -25,13 +25,13 @@ from dabss.core import IdentityCheck, cond
 from dabss.pwlti import closed_form_state, propagate
 from dabss.smallsignal import (FrequencyResponseRow, HalfCycleModel, bode_sweep, identity_checks,
                                resolvent_similarity_residual, verify_surface_equivalence)
-from dabss import cli, core, smallsignal
+from dabss import core, smallsignal
 from dabss.config import Tolerances, load_config
 from dabss.errors import MarginalSystemError, NumericInputError, ParameterError
 from dabss.pwlti import monodromy
 from tests import reference
-from tests.conftest import (REFERENCE_KWARGS, T_SOLVE, fd_sensitivities, property_range_params,
-                            random_params, write_config)
+from tests.conftest import (BLOCK_NUMPY, REFERENCE_KWARGS, T_SOLVE, fd_sensitivities,
+                            property_range_params, random_params, run_cli, write_config)
 
 
 def unit_circle(points: int, t_half: float | None = None) -> np.ndarray:
@@ -511,11 +511,12 @@ class TestModelCache:
                 bode_sweep(dab, surface, kind, 100.0, 10e3, 16)
         assert sorted(s.label for s in model_builds) == sorted(SURFACES)
 
-    def test_bode_both_builds_one_model_and_verify_four(self, tmp_path, model_builds, capsys):
+    def test_bode_both_builds_one_model_and_verify_four(self, tmp_path, model_builds):
         path = write_config(tmp_path / "reference.json")
-        assert cli.main(["bode", path, "--model", "both", "--out", str(tmp_path / "b.csv")]) == 0
+        assert run_cli("bode", path, "--model", "both", "--out", str(tmp_path / "b.csv")
+                       ).returncode == 0
         assert len(model_builds) == 1
-        assert cli.main(["verify", path]) == 0
+        assert run_cli("verify", path).returncode == 0
         assert len(model_builds) == 1 + 4
 
     def test_a_failed_build_is_not_kept(self, ref_params, model_builds):
@@ -757,13 +758,12 @@ class TestIdentityChecks:
     @pytest.mark.parametrize("name", CONFIGS)
     def test_rows_match_the_earlier_suite_bit_for_bit(self, tmp_path, name):
         cfg = load_config(write_config(tmp_path / "config.json", **self.CONFIGS[name]))
-        surfaces = {label: s._replace(polarity=cfg.polarity_override.get(
-            label, s.polarity)) for label, s in SURFACES.items()}
         freqs = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
                                   cfg.sweep.spacing, cfg.converter.t_half)
         new = identity_checks(build_dab(cfg.converter, t3_skew=cfg.t3_skew),
-                              cfg.tolerances, surfaces, freqs)
-        old = _earlier_verify_checks(cfg, build_dab(cfg.converter, t3_skew=cfg.t3_skew), surfaces)
+                              cfg.tolerances, cfg.surfaces, freqs)
+        old = _earlier_verify_checks(cfg, build_dab(cfg.converter, t3_skew=cfg.t3_skew),
+                                     cfg.surfaces)
         assert [(c.name, c.tolerance, c.note, c.passed) for c in new] == \
             [(c.name, c.tolerance, c.note, c.passed) for c in old]
         *rows, (n, o) = zip(new, old)
@@ -776,7 +776,7 @@ class TestIdentityChecks:
 # config files named: run in process, numpy loaded, many z go through arrays; run where numpy
 # cannot be imported, z by z in Python floats.
 FLOAT_PATH_PROBE = """
-from dabss import P_PLUS, SURFACES, build_dab, sweep_frequencies
+from dabss import P_PLUS, build_dab, sweep_frequencies
 from dabss.config import load_config
 from dabss.smallsignal import bode_sweep, identity_checks
 
@@ -786,12 +786,10 @@ def probe(paths):
     for path in paths:
         cfg = load_config(path)
         dab = build_dab(cfg.converter, t3_skew=cfg.t3_skew)
-        surfaces = {label: s._replace(polarity=cfg.polarity_override.get(
-            label, s.polarity)) for label, s in SURFACES.items()}
         freqs = sweep_frequencies(cfg.sweep.f_min, cfg.sweep.f_max, cfg.sweep.points,
                                   cfg.sweep.spacing, cfg.converter.t_half)
         out.append([[c.name, c.residual.hex()] for c in identity_checks(
-            dab, cfg.tolerances, surfaces, freqs)])
+            dab, cfg.tolerances, cfg.surfaces, freqs)])
         fs = cfg.converter.fs
         out.append([[x.hex() for h in row[1:] for x in (h.real, h.imag)] + [row.f.hex()]
                     for kind in ("fix", "sc")
@@ -807,7 +805,7 @@ class TestFloatPath:
     def test_identity_checks_and_bode_rows_match_an_interpreter_without_numpy(self, tmp_path):
         paths = [write_config(tmp_path / f"{name}.json", **kwargs)
                  for name, kwargs in TestIdentityChecks.CONFIGS.items()]
-        script = ("import json, sys; sys.modules['numpy'] = None\n" + FLOAT_PATH_PROBE
+        script = (BLOCK_NUMPY + "import json\n" + FLOAT_PATH_PROBE
                   + "\nprint(json.dumps(probe(sys.argv[1:])))")
         proc = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True,
                               text=True)
