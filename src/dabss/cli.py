@@ -7,8 +7,10 @@ verify table); diagnostics go to stderr. File writes are
 write-temp-then-rename so a failing command never leaves partial output,
 and all output is byte deterministic for identical inputs. Each command imports
 what it runs: `verify`, `bode` and `compare` load `dabss.smallsignal`, and
-`simulate` and `compare` the simulator, `dabss.oracle`, with numpy. `steady-state`,
-`verify` and `bode` run on Python floats and load no numpy.
+`simulate` and `compare` the simulator, `dabss.oracle`. `steady-state`, `verify`,
+`bode` and `simulate` run on Python floats and load no numpy, short of a sweep of
+more than 12,000 points, which imports it where it can (`smallsignal._over_z`);
+`compare` loads it for the oracle's frequency-response measurement.
 """
 
 from __future__ import annotations
@@ -159,11 +161,9 @@ def cmd_bode(args, cfg: AppConfig, dab: DabSchedule) -> int:
 
 
 def cmd_simulate(args, cfg: AppConfig, dab: DabSchedule) -> int:
-    from .oracle import run_to_steady_state
-    _, waveform = run_to_steady_state(dab, cfg.sim)
-    lines = ["t,i_L,v_C,i_rec,v_out"]
-    for t, x, y in zip(waveform.t, waveform.x, waveform.y):
-        lines.append(",".join(_fmt(v) for v in (t, x[0], x[1], y[0], y[1])))
+    from .oracle import _waveform
+    _, rows = _waveform(dab, cfg.sim)
+    lines = ["t,i_L,v_C,i_rec,v_out", *(",".join(map(_fmt, row)) for row in rows)]
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -12,12 +12,19 @@ integration error. Every loop steps the state by the one rule
 in Python floats, in that evaluation order. The module shares no code path
 with the closed-form solvers: it builds its own step matrices, takes their
 exponentials with its own Pade scaling and squaring (degree 9 or 13, as each
-map's norm calls for), and imports nothing from `core`, `pwlti` or `smallsignal`,
-which is what makes it a legitimate cross-check. The Pade numerator and
-denominator of each interval are tabled once per design as polynomials in
-the step's duration, so each map costs one Horner pass over its interval's
-table. Each thread allocates the kernel's work arrays once and reuses them
-for all of its exponentials, and the scalar loops read the maps in place.
+map's norm calls for), finds the period map's eigenvalues by its own 2x2 rule,
+and imports nothing from `core`, `pwlti` or `smallsignal`, which is what makes
+it a legitimate cross-check. The Pade numerator and denominator of each
+interval are tabled once per design, in Python floats, as polynomials in the
+step's duration, so each map costs one Horner pass over its interval's table.
+
+The kernel has two forms that give the same bits. `_step_rows` runs a few maps
+in Python floats: the pre-run's period maps and the waveform's substep maps, so
+`run_to_steady_state` computes in floats and `simulate` loads no numpy.
+`_step_maps` runs a stack of maps as numpy arrays: the perturbed half cycles of
+a frequency-response measurement, whose thread allocates the kernel's work
+arrays once and reuses them for all of its exponentials, while the scalar loops
+read the maps in place. numpy is imported there and at the public array edge.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -31,13 +38,14 @@ import math
 import struct
 import threading
 from itertools import islice
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import Injection, SimConfig, require_coherent
 from .dab import DabSchedule
 from .errors import AmplitudeError, ConvergenceError, MarginalSystemError, NumericInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Injection amplitude fallback: fraction of the ramp amplitude.
 DEFAULT_AMPLITUDE_RATIO = 1e-4
@@ -78,22 +86,23 @@ _MAX_SQUARINGS = 53
 
 
 class _Tables(NamedTuple):
-    """What the oracle's exponential needs of each interval [A | w], from `_pade_tables`.
+    """What the oracle's exponential needs of each interval [A | w], from `_pade_tables`, in
+    Python floats (`_step_maps` reads them as arrays, `_arrays`).
 
-    `coefficients[i, :, key]` holds the coefficients of sigma^i in the ten
-    entries (u00, u01, ug0, u10, u11, ug1) of U / tau and (v00, v01, v10, v11)
-    of V's state block, as (7, 10, keys), key 2 * interval for degree 9 and
-    2 * interval + 1 for degree 13. `a_norms` is ||A||_1 and `w_norms` ||w||_1,
-    whose products with a step's duration the refusal message reports.
-    `exponents` E and `gamma_exponents` F - E are those of the exact powers of
-    two in ||A||_1 = m 2^E and ||w||_1 = m' 2^F, m and m' in [0.5, 1) (or 0).
+    `coefficients[key][i]` holds the coefficients of sigma^i, i = 0..6, in the ten entries
+    (u00, u01, ug0, u10, u11, ug1) of U / tau and (v00, v01, v10, v11) of V's state block, key
+    2 * interval for degree 9 (its five terms padded with zeros to seven) and 2 * interval + 1
+    for degree 13. `a_norms` is ||A||_1 and `w_norms` ||w||_1, whose products with a step's
+    duration the refusal message reports. `exponents` E and `gamma_exponents` F - E are those
+    of the exact powers of two in ||A||_1 = m 2^E and ||w||_1 = m' 2^F, m and m' in [0.5, 1)
+    (or 0).
     """
 
-    coefficients: np.ndarray
-    a_norms: np.ndarray
-    w_norms: np.ndarray
-    exponents: np.ndarray
-    gamma_exponents: np.ndarray
+    coefficients: tuple
+    a_norms: tuple
+    w_norms: tuple
+    exponents: tuple
+    gamma_exponents: tuple
 
 
 class _Scratch:
@@ -107,6 +116,7 @@ class _Scratch:
     ENTRIES = dict(h=10, term=10, r=6, squared=6, tmp=6, maps=6, sigma=1, det=1)
 
     def __init__(self, maps: int):
+        import numpy as np
         self.maps = maps
         self._slots = {name: np.empty(n * maps) for name, n in self.ENTRIES.items()}
 
@@ -121,19 +131,26 @@ def _mul(p, q, out, tmp):
     With p and q the top rows of augmented 3x3 matrices P and Q, and Q's last
     row zero, these are the top rows of P Q.
     """
+    import numpy as np
     np.multiply(p[:, :1], q[0], out=out)
     out += np.multiply(p[:, 1:2], q[1], out=tmp)
     return out
 
 
-def _ceil_log2(ratio):
-    """ceil(log2(ratio)), at least 0, exactly from the binary exponent."""
-    mantissa, exponent = np.frexp(ratio)
-    return np.maximum(exponent - (mantissa == 0.5), 0)
+def _largest(values) -> float:
+    """The largest of 0.0 and `values`, NaN where one is NaN, as numpy's max(initial=0.0)."""
+    top = 0.0
+    for v in values:
+        if not v <= top:  # larger, or NaN
+            top = v
+            if v != v:
+                break
+    return top
 
 
-def _pade_tables(aug: np.ndarray) -> _Tables:
-    """The `_Tables` of the intervals whose top rows [A | w] `aug` holds, as (2, 3, n).
+def _pade_tables(intervals) -> _Tables:
+    """The `_Tables` of the intervals [A | w], each given as the row of floats (a00, a01, w0,
+    a10, a11, w1).
 
     A step of duration t through [A | w] maps by exp(M t), M = [[A, w], [0, 0]].
     With A = 2^E A' and w = 2^F w'' for the exponents of `_Tables`, the powers of
@@ -145,32 +162,92 @@ def _pade_tables(aug: np.ndarray) -> _Tables:
     zeros to seven. The factor 2^(F-E) stays out of the tables, since the result's
     forcing column is linear in U's, through the squarings too. Every scale is an
     exact power of two, so short of over- or underflow it moves no bit, and no
-    power of a time-scaled design (||A||_1 of 1e155, say) overflows.
+    power of a time-scaled design (||A||_1 of 1e155, say) overflows. Entries that
+    are not finite are left to the finiteness checks of the kernels.
     """
-    n = aug.shape[2]
-    # Entries that are not finite are left to the finiteness checks of `_step_maps`.
-    with np.errstate(all="ignore"):
-        col_norms = np.abs(aug).sum(axis=0)
-        a_norms = col_norms[:2].max(axis=0)
-        exponents, w_exponents = np.frexp(a_norms)[1], np.frexp(col_norms[2])[1]
-        powers, tmp = np.zeros((14, 2, 3, n)), np.empty((2, 3, n))
-        powers[0, 0, 0] = powers[0, 1, 1] = 1.0
-        powers[1, :, :2] = np.ldexp(aug[:, :2], -exponents)
-        powers[1, :, 2] = np.ldexp(aug[:, 2], -w_exponents)
-        for j in range(2, 14):
-            _mul(powers[1], powers[j - 1], powers[j], tmp)
-        coefficients = np.zeros((7, 10, n, 2))
-        for degree, b in enumerate((_PADE9, _PADE13)):
-            for j, b_j in enumerate(b):
+    coefficients, norms = [], []
+    for a00, a01, w0, a10, a11, w1 in intervals:
+        c0, c1, w_norm = abs(a00) + abs(a10), abs(a01) + abs(a11), abs(w0) + abs(w1)
+        a_norm = c1 if c0 < c1 or c1 != c1 else c0  # the larger, NaN where either is
+        e, f = math.frexp(a_norm)[1], math.frexp(w_norm)[1]
+        x00, x01, x10, x11 = (math.ldexp(v, -e) for v in (a00, a01, a10, a11))
+        # The top rows of X^0, X^1, ..., X^13 of X = [[A', w''], [0, 0]], X^j = X X^(j-1).
+        powers = [(1.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+                  (x00, x01, math.ldexp(w0, -f), x10, x11, math.ldexp(w1, -f))]
+        for _ in range(12):
+            p00, p01, p02, p10, p11, p12 = powers[-1]
+            powers.append((x00 * p00 + x01 * p10, x00 * p01 + x01 * p11, x00 * p02 + x01 * p12,
+                           x10 * p00 + x11 * p10, x10 * p01 + x11 * p11, x10 * p02 + x11 * p12))
+        for b in (_PADE9, _PADE13):
+            terms = [[0.0] * 10 for _ in range(7)]
+            for j, (b_j, p) in enumerate(zip(b, powers)):
                 if j % 2:
-                    coefficients[j // 2, :6, :, degree] = b_j * powers[j].reshape(6, n)
+                    terms[j // 2][:6] = [b_j * v for v in p]
                 else:
-                    coefficients[j // 2, 6:, :, degree] = b_j * powers[j, :, :2].reshape(4, n)
-    return _Tables(coefficients.reshape(7, 10, 2 * n), a_norms, col_norms[2], exponents,
-                   w_exponents - exponents)
+                    terms[j // 2][6:] = [b_j * v for v in (p[0], p[1], p[3], p[4])]
+            coefficients.append(tuple(map(tuple, terms)))
+        norms.append((a_norm, w_norm, e, f - e))
+    return _Tables(tuple(coefficients), *zip(*norms))
+
+
+def _arrays(tables: _Tables) -> _Tables:
+    """`tables` as the arrays that `_step_maps` indexes: `coefficients` as (7, 10, keys), the
+    norms and exponents as one entry per interval."""
+    import numpy as np
+    return _Tables(np.ascontiguousarray(np.array(tables.coefficients).transpose(1, 2, 0)),
+                   np.array(tables.a_norms), np.array(tables.w_norms),
+                   np.array(tables.exponents, dtype=np.intc),
+                   np.array(tables.gamma_exponents, dtype=np.intc))
 
 
 _thread = threading.local()
+
+
+def _step_rows(tables: _Tables, intervals, durations) -> list:
+    """The maps of `_step_maps` in Python floats, bit for bit: one row (a00, a01, g0, a10, a11,
+    g1) per step, for the few steps of a pre-run or a waveform.
+
+    The same tables, degree and squaring rule, and every operation of `_step_maps` in its
+    order on one map: IEEE products, sums and quotients, `frexp` and `ldexp`. A map's Horner
+    pass runs over as many terms as the whole stack's, as in `_step_maps`, so even the sign of
+    a zero is the same. What makes an entry of `_step_maps` inf or NaN (a division by zero, an
+    `ldexp` past the float range) is its refusal here too.
+    """
+    intervals, durations = list(intervals), list(durations)
+    a_norms = [tables.a_norms[i] * t for i, t in zip(intervals, durations)]
+    top = _largest(a_norms)
+    squarings = ([max(e - (m == 0.5), 0) for m, e in (math.frexp(a / _THETA13) for a in a_norms)]
+                 if top > _THETA13 else [0] * len(a_norms))
+    if not math.isfinite(top) or max(squarings, default=0) >= _MAX_SQUARINGS:
+        raise _not_finite(tables, intervals, durations)
+    n_terms = 7 if top > _THETA9 else 5
+    rows = []
+    try:
+        for i, t, a_norm, s in zip(intervals, durations, a_norms, squarings):
+            tau = math.ldexp(t, tables.exponents[i] - s)
+            sigma = tau * tau
+            terms = tables.coefficients[2 * i + (a_norm > _THETA9)][:n_terms]
+            h = terms[-1]
+            for c in terms[-2::-1]:
+                h = [x * sigma + y for x, y in zip(h, c)]
+            u00, u01, u02, u10, u11, u12 = (x * tau for x in h[:6])
+            q00, q01, q10, q11 = h[6] - u00, h[7] - u01, h[8] - u10, h[9] - u11
+            det = (q00 * q11 - q01 * q10) * 0.5
+            r00, r01, r02 = ((q11 * u00 - q01 * u10) / det + 1.0, (q11 * u01 - q01 * u11) / det,
+                             (q11 * u02 - q01 * u12) / det)
+            r10, r11, r12 = ((q00 * u10 - q10 * u00) / det, (q00 * u11 - q10 * u01) / det + 1.0,
+                             (q00 * u12 - q10 * u02) / det)
+            for _ in range(s):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
+                r00, r01, r02, r10, r11, r12 = (
+                    r00 * r00 + r01 * r10, r00 * r01 + r01 * r11, r00 * r02 + r01 * r12 + r02,
+                    r10 * r00 + r11 * r10, r10 * r01 + r11 * r11, r10 * r02 + r11 * r12 + r12)
+            g = tables.gamma_exponents[i]
+            rows.append((r00, r01, math.ldexp(r02, g), r10, r11, math.ldexp(r12, g)))
+    except (ZeroDivisionError, OverflowError):
+        raise _not_finite(tables, intervals, durations) from None
+    if not all(map(math.isfinite, (v for row in rows for v in row))):
+        raise _not_finite(tables, intervals, durations)
+    return rows
 
 
 def _step_maps(tables: _Tables, intervals, durations) -> np.ndarray:
@@ -188,35 +265,45 @@ def _step_maps(tables: _Tables, intervals, durations) -> np.ndarray:
     The call works in its thread's one scratch, grown to the largest stack yet and
     kept for the process, so no design or measurement allocates the kernel's
     memory or faults it in again; the result is a view into it, valid until the
-    thread's next call.
+    thread's next call. The thread also keeps the `_arrays` of the last tables it
+    was handed.
     """
+    import numpy as np
     intervals, t = np.ravel(intervals), np.ravel(durations)
     scratch = getattr(_thread, "scratch", None)
     if scratch is None or scratch.maps < t.size:
         scratch = _thread.scratch = _Scratch(t.size)
+    held = getattr(_thread, "tables", None)
+    if held is None or held[0] is not tables:
+        held = _thread.tables = tables, _arrays(tables)
+    arrays = held[1]
     # Overflow, division by zero and invalid operations are left to the finiteness checks.
     with np.errstate(all="ignore"):
-        a_norm = tables.a_norms[intervals] * t
+        a_norm = arrays.a_norms[intervals] * t
         top = a_norm.max(initial=0.0)
-        s = _ceil_log2(a_norm / _THETA13) if top > _THETA13 else 0
+        if top > _THETA13:  # ceil(log2(||A t||_1 / theta13)), at least 0, from the exponent
+            mantissa, exponent = np.frexp(a_norm / _THETA13)
+            s = np.maximum(exponent - (mantissa == 0.5), 0)
+        else:
+            s = 0
         squarings = int(np.max(s))
         if squarings >= _MAX_SQUARINGS or not math.isfinite(top):
-            raise _not_finite(tables, intervals, t)
-        tau = np.ldexp(t, tables.exponents[intervals] - s)
+            raise _not_finite(tables, intervals.tolist(), t.tolist())
+        tau = np.ldexp(t, arrays.exponents[intervals] - s)
         # Horner from the highest term that a map of the stack needs, degree 13's seventh or
         # degree 9's fifth: the terms above it are 0 for every map, so they move no bit.
-        terms = tables.coefficients[:7 if top > _THETA9 else 5]
+        terms = arrays.coefficients[:7 if top > _THETA9 else 5]
         r = _pade(terms, 2 * intervals + (a_norm > _THETA9), tau, scratch)
         squared, tmp = scratch("squared", r.shape), scratch("tmp", r.shape)
         for i in range(squarings):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
             _mul(r, r, squared, tmp)
             squared[:, 2] += r[:, 2]
             np.copyto(r, squared, where=s > i)
-        np.ldexp(r[:, 2], tables.gamma_exponents[intervals], out=r[:, 2])
+        np.ldexp(r[:, 2], arrays.gamma_exponents[intervals], out=r[:, 2])
         maps = scratch("maps", (t.size, 2, 3))
         np.copyto(maps.transpose(1, 2, 0), r)
     if not np.all(np.isfinite(maps)):
-        raise _not_finite(tables, intervals, t)
+        raise _not_finite(tables, intervals.tolist(), t.tolist())
     return maps
 
 
@@ -231,6 +318,7 @@ def _pade(terms, keys, tau, scratch):
     last row being zero, so only the 2x2 Q is inverted, by its adjugate (well
     conditioned at a scaled 1-norm of at most theta_m).
     """
+    import numpy as np
     n = tau.size
     sigma = np.multiply(tau, tau, out=scratch("sigma", (n,)))
     h, term = scratch("h", (10, n)), scratch("term", (10, n))
@@ -257,12 +345,11 @@ def _pade(terms, keys, tau, scratch):
     return r
 
 
-def _not_finite(tables: _Tables, intervals, t) -> NumericInputError:
+def _not_finite(tables: _Tables, intervals: list, t: list) -> NumericInputError:
     """The refusal of the steps' maps: it names w t where ||A t||_1 is finite and ||w t||_1 is
     above it or not a number, and A t otherwise."""
-    with np.errstate(all="ignore"):
-        a, w = (float(np.max(norms[intervals] * t, initial=0.0))
-                for norms in (tables.a_norms, tables.w_norms))
+    a, w = (_largest([norms[i] * d for i, d in zip(intervals, t)])
+            for norms in (tables.a_norms, tables.w_norms))
     what, norm = (("b*u*t (input column times duration)", w) if math.isfinite(a) and not w <= a
                   else ("a*t (state matrix times duration)", a))
     return NumericInputError(f"matrix exponential is not finite: the 1-norm of {what} reaches "
@@ -271,14 +358,14 @@ def _not_finite(tables: _Tables, intervals, t) -> NumericInputError:
 
 def _tables(dab: DabSchedule) -> _Tables:
     """The `_pade_tables` of the oracle's own augmented matrices [[a, b u], [0, 0]] of the
-    four intervals, made once per design and kept on it, as `_period_start` keeps its runs."""
+    four intervals, b u summed from a zero, made once per design and kept on it, as
+    `_period_start` keeps its runs."""
     if "_oracle_tables" not in vars(dab):
-        aug = np.empty((2, 3, 4))
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite: _step_maps raises
-            for i, seg in enumerate(dab.schedule.segments):
-                aug[:, :2, i] = seg.a
-                aug[:, 2, i] = seg.b @ dab.schedule.u
-        vars(dab)["_oracle_tables"] = _pade_tables(aug)
+        rows = []
+        for seg in dab.schedule.segments:
+            w0, w1 = (sum(b * u for b, u in zip(row, dab.schedule._u)) for row in seg._b)
+            rows.append((*seg._a[0], w0, *seg._a[1], w1))
+        vars(dab)["_oracle_tables"] = _pade_tables(rows)
     return vars(dab)["_oracle_tables"]
 
 
@@ -292,22 +379,45 @@ def _rows(entries: np.ndarray, steps: int = 1):
     return struct.iter_unpack(f"{6 * steps}d", entries)
 
 
+def _eigenvalues(m00: float, m01: float, m10: float, m11: float) -> tuple:
+    """Eigenvalues mu +- delta of the real 2x2 [[m00, m01], [m10, m11]], mu its half trace and
+    delta^2 = h^2 + m01 m10 with h = (m00 - m11) / 2: the oracle's own rule, in Python floats,
+    on the entries scaled by the power of two s (at most 2^1023) that takes the largest to
+    [1/2, 1), so no product overflows. A complex pair comes as exact conjugates. Of a real pair,
+    the one of larger modulus, mu + sign(mu) |delta|, is the diagonal entry on mu's side plus
+    sign(mu) m01 m10 / (|delta| + |h|), which does not cancel as |delta| - |h| would, and the
+    other is det / big."""
+    s = math.ldexp(1.0, -max(math.frexp(max(map(abs, (m00, m01, m10, m11))))[1], -1023))
+    a, b, c, d = s * m00, s * m01, s * m10, s * m11
+    mu, h, bc = 0.5 * (a + d), 0.5 * (a - d), b * c
+    delta2 = h * h + bc
+    r = math.sqrt(abs(delta2))
+    if delta2 < 0.0:
+        return complex(mu / s, r / s), complex(mu / s, -r / s)
+    gap = r + abs(h)  # 0 only where h and delta are: then a = d is the double eigenvalue
+    shift = bc / gap if gap else 0.0
+    big = max(a, d) + shift if mu >= 0.0 else min(a, d) - shift
+    return complex(big / s), complex((a * d - bc) / big / s if big else 0.0)
+
+
 def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float, float]:
     """Period-start state of the unperturbed schedule, iterated from x = 0.
 
     A contraction at rate rho leaves at most change * rho / (1 - rho)
     between the latest iterate and the fixed point, so the run stops once
     that bound reaches tol * (1 + ||x||). rho is the spectral radius of the
-    period map, not a norm of it, so for a non-normal map the bound holds
+    period map Pi, the product of the steps' phi in floats, and comes from
+    `_eigenvalues`; it is not a norm, so for a non-normal map the bound holds
     only asymptotically, once the slowest mode dominates the change. There is
-    nothing to wait for when rho >= 1: MarginalSystemError, before any period.
+    nothing to wait for when rho >= 1 (or is not a number): MarginalSystemError,
+    before any period.
     """
-    phis = np.array(step_maps).reshape(-1, 2, 3)[:, :, :2]
-    pi = phis[0]
-    for phi in phis[1:]:
-        pi = phi @ pi
-    eigenvalues = np.linalg.eigvals(pi)
-    rho = float(np.max(np.abs(eigenvalues)))
+    p00, p01, _, p10, p11, _ = step_maps[0]
+    for a00, a01, _, a10, a11, _ in step_maps[1:]:
+        p00, p01, p10, p11 = (a00 * p00 + a01 * p10, a00 * p01 + a01 * p11,
+                              a10 * p00 + a11 * p10, a10 * p01 + a11 * p11)
+    eigenvalues = _eigenvalues(p00, p01, p10, p11)
+    rho = _largest(map(abs, eigenvalues))
     if not rho < 1.0:
         raise MarginalSystemError(
             f"oracle period map is marginal: spectral radius rho = {rho:.10g} is not below 1, so "
@@ -334,47 +444,60 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float
 
 
 def _period_start(dab: DabSchedule, cfg: SimConfig):
-    """The pre-run's state (x0, x1) and the `_rows` of the four unperturbed step maps it ran
-    on, both made once per design and (periods, tol)."""
+    """The pre-run's state (x0, x1) and the `_step_rows` of the four unperturbed step maps it
+    ran on, both made once per design and (periods, tol)."""
     # The design keeps its own runs, as Schedule keeps its maps: a cache keyed by it would keep
     # every design alive.
     runs = vars(dab).setdefault("_oracle_pre_runs", {})
     key = (cfg.periods, cfg.convergence_tol)
     if key not in runs:
         durations = [seg.duration for seg in dab.schedule.segments]
-        step_maps = list(_rows(_step_maps(_tables(dab), range(4), durations)))
+        step_maps = _step_rows(_tables(dab), range(4), durations)
         runs[key] = _iterate_to_period_start(step_maps, *key), step_maps
     return runs[key]
+
+
+def _waveform(dab: DabSchedule, cfg: SimConfig) -> tuple:
+    """`run_to_steady_state` in Python floats: the period-start state (x0, x1) and one row
+    (t, i_L, v_C, i_rec, v_out) per sample of the final period, which `simulate` writes.
+
+    The outputs are `c_rev` times the state, row by row, each a sum of two products; intervals
+    1 and 4 negate its first column, as `DabSchedule.c_intervals` does.
+    """
+    start, _ = _period_start(dab, cfg)
+    x0, x1 = start
+    durations = [seg.duration for seg in dab.schedule.segments]
+    substeps = cfg.substeps_per_interval
+    substep_maps = _step_rows(_tables(dab), range(4), [d / substeps for d in durations])
+    c00, c01, c10, c11 = c_rev = dab.c_rev
+    k00, k01, k10, k11 = c_fwd = 0.0 - c00, c01, 0.0 - c10, c11  # interval 1's, at t = 0
+    rows = [(0.0, x0, x1, k00 * x0 + k01 * x1, k10 * x0 + k11 * x1)]
+    t_start = 0.0
+    for i, (duration, (a00, a01, g0, a10, a11, g1)) in enumerate(zip(durations, substep_maps)):
+        if duration == 0.0:
+            continue  # no time passes; a duplicate sample would break monotonicity
+        k00, k01, k10, k11 = c_fwd if i in (0, 3) else c_rev  # the interval that closes
+        for j in range(1, substeps + 1):
+            x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
+            rows.append((t_start + duration * (j / substeps), x0, x1,
+                         k00 * x0 + k01 * x1, k10 * x0 + k11 * x1))
+        t_start += duration
+    return start, rows
 
 
 def run_to_steady_state(dab: DabSchedule, cfg: SimConfig):
     """Iterate the raw schedule from x = 0 until the period boundary settles.
 
-    Returns (period-start steady state, final-period Waveform). The pre-run
-    stops by the rule of `_iterate_to_period_start` within cfg.periods, and
-    every later call on this `dab` with the same (periods, tol) reuses it.
+    Returns (period-start steady state, final-period Waveform), the arrays of
+    `_waveform`. The pre-run stops by the rule of `_iterate_to_period_start`
+    within cfg.periods, and every later call on this `dab` with the same
+    (periods, tol) reuses it.
     """
-    (x0, x1), _ = _period_start(dab, cfg)
-    durations = [seg.duration for seg in dab.schedule.segments]
-    substeps = cfg.substeps_per_interval
-    substep_maps = _rows(_step_maps(_tables(dab), range(4), [d / substeps for d in durations]))
-
-    times = [0.0]
-    states = [(x0, x1)]
-    closing = [0]  # the interval whose output matrix each sample carries
-    t_start = 0.0
-    for i, (duration, (a00, a01, g0, a10, a11, g1)) in enumerate(zip(durations, substep_maps)):
-        if duration == 0.0:
-            continue  # no time passes; a duplicate sample would break monotonicity
-        for j in range(1, substeps + 1):
-            x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
-            times.append(t_start + duration * (j / substeps))
-            states.append((x0, x1))
-        closing += [i] * substeps
-        t_start += duration
-    x = np.array(states)
-    y = (np.array(dab.c_intervals)[closing] @ x[..., None])[..., 0]
-    return x[0].copy(), Waveform(t=np.array(times), x=x, y=y)
+    import numpy as np
+    start, rows = _waveform(dab, cfg)
+    table = np.array(rows)
+    return np.array(start), Waveform(t=table[:, 0].copy(), x=table[:, 1:3].copy(),
+                                     y=table[:, 3:].copy())
 
 
 def _resolve_amplitude(injection: Injection, vr: float, comp_gain: float,
@@ -415,6 +538,7 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
     itself, which must sit at the numerical floor. Every bin starts from the
     one cached pre-run, and each row is what its bin gives on its own.
     """
+    import numpy as np
     injection, params = cfg.injection, dab.params
     for f in freqs:
         require_coherent(injection._replace(f=f), params.period)
@@ -457,6 +581,7 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
 
 def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int) -> np.ndarray:
     """Samples c_phys Dr^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`."""
+    import numpy as np
     x0, x1 = x
     tables = _tables(dab)
     n_half = len(durations)

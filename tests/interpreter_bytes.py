@@ -1,8 +1,9 @@
 """The numpy-free commands under other interpreters: the same exit codes and the same bytes.
 
-Runs `steady-state`, `verify` and `bode --model both` on a few config files, once under the
-interpreter running this script and once under each interpreter named, and reports every
-run whose exit code, stdout, stderr or `--out` file differs from the running interpreter's.
+Runs `steady-state`, `verify`, `bode --model both` and `simulate` on a few config files, once
+under the interpreter running this script and once under each interpreter named, and reports
+every run whose exit code, stdout, stderr or `--out` file differs from the running
+interpreter's.
 The configs are README's config block, a design shaped like the benchmark's cli workload
 (each reference parameter jittered within +-10% by a seeded `random.Random`, a 5-point sweep
 from 400 Hz to 4 kHz) and three that `load_config` refuses: an unknown key, a boolean where
@@ -28,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = (("steady-state",), ("verify",), ("bode", "--model", "both"))
+COMMANDS = (("steady-state",), ("verify",), ("bode", "--model", "both"), ("simulate",))
 REFERENCE = dict(n_turns=1.0, L=10e-6, Co=100e-6, Rt=0.05, Rc=0.01, Ro=10.0,
                  Vin=100.0, fs=100e3, D_phase=0.3, Vr=1.0)
 

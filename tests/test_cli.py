@@ -1,12 +1,13 @@
 """End-to-end tests of the command line interface.
 
 Every command runs in process through `tests.conftest.run_cli`, which holds it to README's
-exit-code table and `steady-state`, `verify` and `bode` to loading no numpy. These tests start
-an interpreter, because the process is what they test:
+exit-code table and `steady-state`, `verify`, `bode` and `simulate` to loading no numpy. These
+tests start an interpreter, because the process is what they test:
 
-- `TestSteadyStateWithoutNumpy`, `TestVerifyAndBodeWithoutNumpy` and
-  `test_a_transfer_whose_modulus_overflows_is_a_config_error`, through `run_cli_without_numpy`:
-  numpy is blocked before dabss is imported, as where numpy is not installed;
+- `TestSteadyStateWithoutNumpy`, `TestVerifyAndBodeWithoutNumpy`, `TestSimulateWithoutNumpy`,
+  `TestColdGrids` and `test_a_transfer_whose_modulus_overflows_is_a_config_error`, through
+  `run_cli_without_numpy`: numpy is blocked before dabss is imported, as where numpy is not
+  installed; `TestColdGrids` also through `run_cli_cold`, a fresh interpreter that may load it;
 - `TestMisc`'s import gates, `test_scipy_is_never_imported` (`-X importtime`),
   `test_top_level_names_load_on_first_use` and
   `test_the_float_modules_load_neither_dataclasses_nor_inspect`: only a fresh interpreter shows
@@ -33,6 +34,7 @@ import pytest
 from dabss import (P_PLUS, S_PLUS, DabParams, build_dab, half_cycle_model,
                    solve_periodic_fixed_point, transfer_fixed_freq)
 from dabss import cli, core, oracle, smallsignal
+from dabss.config import load_config
 from dabss.dab import half_cycle_map
 from dabss.smallsignal import HalfCycleModel
 from tests import reference
@@ -176,6 +178,75 @@ class TestVerifyAndBodeWithoutNumpy:
         assert (without.returncode, without.stderr, without.stdout) == (code, normal.err, normal.out)
         assert code == 2 and re.fullmatch(r"error: a value at z = \(.*\) passes the float range\n",
                                           normal.err), normal.err
+
+
+class TestSimulateWithoutNumpy:
+    """`simulate` runs the oracle in Python floats: with numpy unimportable it writes the bytes,
+    exit codes and messages of a normal run, and its state columns are the arrays of
+    `run_to_steady_state`."""
+
+    def test_writes_the_bytes_of_a_normal_run(self, config_file, tmp_path):
+        path = config_file(sim={"substeps_per_interval": 8})
+        outputs = []
+        for k, run in enumerate((run_cli, run_cli_without_numpy)):
+            out = tmp_path / f"wf{k}.csv"
+            proc = run("simulate", path, "--out", str(out))
+            assert proc.returncode == 0 and not proc.stderr, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        x_star, waveform = oracle.run_to_steady_state(
+            build_dab(DabParams(**REFERENCE_KWARGS)), load_config(path).sim)
+        rows = [line.split(",") for line in outputs[0].decode().splitlines()[1:]]
+        assert [cli._fmt(x) for x in x_star] == rows[0][1:3]
+        for row, t, x, y in zip(rows, waveform.t, waveform.x, waveform.y, strict=True):
+            assert row == [cli._fmt(v) for v in (t, *x, *y)]
+
+    @pytest.mark.parametrize("converter, sim, code, message", [
+        pytest.param(dict(Rt=1e9, Rc=0.0, Ro=1e30), None, 3,
+                     "rho = 1 is not below 1, so iteration from x = 0 cannot settle\n"
+                     "eigenvalues: (1+0j) 0j\n", id="blocking"),
+        pytest.param(dict(Co=1e-300), None, 2, "a*t (state matrix times duration) reaches "
+                     "3.497e+294, beyond double precision\n", id="Co=1e-300"),
+        pytest.param(dict(Vin=1e308), None, 2, "b*u*t (input column times duration) reaches "
+                     "inf, beyond double precision\n", id="Vin=1e308"),
+        pytest.param({}, {"periods": 3}, 4, " more periods would meet it\n", id="exhausted")])
+    def test_fails_as_a_normal_run(self, config_file, tmp_path, converter, sim, code, message):
+        path = config_file(converter=dict(REFERENCE_KWARGS, **converter), sim=sim)
+        argv = ("simulate", path, "--out", str(tmp_path / "wf.csv"))
+        normal, without = run_cli(*argv), run_cli_without_numpy(*argv)
+        assert without.returncode == normal.returncode == code, without.stderr
+        assert without.stderr == normal.stderr and normal.stderr.endswith(message)
+        assert not (tmp_path / "wf.csv").exists()
+
+
+def run_cli_cold(*argv: str):
+    """A command in a new interpreter that may import numpy; its last stderr line says whether
+    it did."""
+    script = ("import sys; from dabss.cli import main; code = main(); "
+              "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+
+
+class TestColdGrids:
+    """A cold grid of more than `_COLD_NUMPY_Z` points imports numpy and runs as arrays; where
+    numpy cannot be imported it runs z by z. Both write the bytes of an in-process run."""
+
+    @pytest.mark.parametrize("command, points, loads", [
+        ("bode", smallsignal._COLD_NUMPY_Z, False), ("bode", smallsignal._COLD_NUMPY_Z + 1, True),
+        ("verify", smallsignal._COLD_NUMPY_Z + 1, True)])
+    def test_the_grid_size_decides_the_import_and_no_bit_moves(self, config_file, tmp_path,
+                                                              command, points, loads):
+        path = config_file(sweep={"points": points})
+        runs = []
+        for k, run in enumerate((run_cli, run_cli_cold, run_cli_without_numpy)):
+            out = tmp_path / f"{k}"
+            proc = run(command, path, *([] if command == "verify" else
+                                        ["--model", "both", "--out", str(out)]))
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout if command == "verify" else out.read_bytes())
+            if run is run_cli_cold:
+                assert proc.stderr.splitlines() == [str(loads)]
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestVerifyCommand:
@@ -864,12 +935,14 @@ class TestMisc:
         assert proc.returncode == 0, proc.stderr
 
     COMMANDS = ("steady-state", "verify", "bode", "simulate", "compare")
-    # Whether each command line loads dabss.smallsignal and dabss.oracle: the surface models
-    # where a transfer is evaluated, the simulator where it runs. numpy loads with the simulator
-    # only: neither `import dabss`, `--version` nor NUMPY_FREE_COMMANDS load it.
-    LOADS = {"import": (False, False), "cli-version": (False, False),
-             "steady-state": (False, False), "verify": (True, False), "bode": (True, False),
-             "simulate": (False, True), "compare": (True, True)}
+    # Whether each command line loads numpy, dabss.smallsignal and dabss.oracle: the surface
+    # models where a transfer is evaluated, the simulator where it runs. numpy loads with the
+    # oracle's measurement only, in `compare`: neither `import dabss`, `--version` nor
+    # NUMPY_FREE_COMMANDS load it, and `simulate` runs the oracle in floats.
+    LOADS = {"import": (False, False, False), "cli-version": (False, False, False),
+             "steady-state": (False, False, False), "verify": (False, True, False),
+             "bode": (False, True, False), "simulate": (False, False, True),
+             "compare": (True, True, True)}
 
     @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version"),
                                       *(("-m", "dabss.cli", command) for command in COMMANDS)],
@@ -890,8 +963,8 @@ class TestMisc:
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
         loads = tuple(name in imported for name in ("numpy", "dabss.smallsignal", "dabss.oracle"))
         case = request.node.callspec.id
-        assert loads == (case in self.COMMANDS and case not in NUMPY_FREE_COMMANDS,
-                         *self.LOADS[case])
+        assert loads == self.LOADS[case]
+        assert loads[0] == (case in self.COMMANDS and case not in NUMPY_FREE_COMMANDS)
 
     def test_the_float_modules_load_neither_dataclasses_nor_inspect(self):
         # A frozen dataclass costs a cold command about 0.7 ms to create, and `import

@@ -132,14 +132,15 @@ class TestSteadyState:
         more = re.search(r"; at rate rho about (\d+) more periods would meet it$", str(err.value))
         assert int(more.group(1)) > 0
 
-    def test_a_marginal_period_map_raises_instead_of_iterating(self):
-        # A blocking series path and no load conserve the capacitor state, so
-        # the period map keeps an eigenvalue at 1 and no iteration can settle.
-        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=1e9, Rc=0.0, Ro=1e30)))
+    @pytest.mark.parametrize("rt", [1e9, 1e15])
+    def test_a_marginal_period_map_raises_instead_of_iterating(self, rt):
+        # A blocking series path and no load conserve the capacitor state, so the period map
+        # keeps an eigenvalue at 1 and no iteration can settle. Its floats' rho is exactly 1.
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, Rt=rt, Rc=0.0, Ro=1e30)))
         with pytest.raises(MarginalSystemError) as err:
             run_to_steady_state(dab, SimConfig())
         assert "spectral radius rho = 1 is not below 1" in str(err.value)
-        assert np.max(np.abs(err.value.eigenvalues)) >= 1.0
+        assert max(map(abs, err.value.eigenvalues)) == 1.0
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-11])
     def test_stopping_rule_meets_the_requested_tolerance(self, ref_params, tol):
@@ -260,7 +261,7 @@ class TestFrequencyResponse:
 def step_exponentials(aug):
     """The oracle's kernel on a (k, 3, 3) stack of [[a T, w T], [0, 0]], as (k, 3, 3) maps:
     each matrix the table of an interval of its own, stepped for a duration of 1."""
-    tables = oracle._pade_tables(np.ascontiguousarray(aug[:, :2].transpose(1, 2, 0)))
+    tables = oracle._pade_tables(aug[:, :2].reshape(-1, 6).tolist())
     maps = np.zeros(aug.shape)
     maps[:, :2] = oracle._step_maps(tables, range(len(aug)), np.ones(len(aug)))
     maps[:, 2, 2] = 1.0
@@ -362,9 +363,13 @@ class TestStepExponentials:
         assert np.abs(maps[1][..., 2] / 1e298 - gamma).max() <= 1e-15 * np.abs(gamma).max()
 
     def test_zero_duration_is_exactly_the_identity(self, ref_dab):
-        # Each step's entries (a00, a01, g0, a10, a11, g1): phi = I and gamma = 0.
-        entries = oracle._step_maps(oracle._tables(ref_dab), range(4), [0.0] * 4)
+        # Each step's entries (a00, a01, g0, a10, a11, g1): phi = I and gamma = 0, from the
+        # stacked kernel and, with the same bits, from the float one.
+        tables = oracle._tables(ref_dab)
+        entries = oracle._step_maps(tables, range(4), [0.0] * 4)
         assert list(oracle._rows(entries)) == [(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)] * 4
+        rows = oracle._step_rows(tables, range(4), [0.0] * 4)
+        assert entries.tobytes() == np.array(rows).tobytes()
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 800.0, 1e300])
     def test_a_result_beyond_double_precision_raises(self, entry):
@@ -392,6 +397,138 @@ class TestStepExponentials:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
                 run_to_steady_state(dab, SimConfig())
+
+
+def both_kernels(tables, intervals, durations) -> list:
+    """What `_step_maps` and `_step_rows` give for the same steps: the bytes of their maps, row
+    by row (so -0.0 is not 0.0), or the text of the NumericInputError each raised."""
+    results = []
+    for kernel in (oracle._step_maps, oracle._step_rows):
+        try:
+            results.append(np.asarray(kernel(tables, intervals, durations), float).tobytes())
+        except NumericInputError as exc:
+            results.append(str(exc))
+    return results
+
+
+class TestFloatKernel:
+    """`_step_rows`, the kernel of the pre-run and the waveform in Python floats, gives the bits
+    of the stacked `_step_maps` on the same tables, and refuses with its text."""
+
+    def test_every_map_of_random_designs(self):
+        # Period steps, the waveform's 32 substeps and steps 2^20 times longer, which take
+        # about 10 squarings: in one stack, and each map in a call of its own.
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            dab = build_dab(random_params(rng))
+            tables = oracle._tables(dab)
+            base = [seg.duration for seg in dab.schedule.segments]
+            durations = [d * scale for scale in (1.0, 1.0 / 32.0, 2.0 ** 20) for d in base]
+            intervals = [*range(4)] * 3
+            stacked, floats = both_kernels(tables, intervals, durations)
+            assert isinstance(stacked, bytes) and stacked == floats
+            for i, d in zip(intervals, durations):
+                single = both_kernels(tables, [i], [d])
+                assert isinstance(single[0], bytes) and single[0] == single[1]
+
+    @pytest.mark.parametrize("converter", [
+        # Steps on either side of theta9, a mixed stack; every step on degree 13 with one or
+        # two squarings; about 26 squarings; L and Co times 2^-500 and fs times 2^500.
+        dict(Rt=6.0), dict(Rt=50.0), dict(Rt=1e9, Rc=0.0, Ro=1e30),
+        dict(L=10e-6 * 2.0 ** -500, Co=100e-6 * 2.0 ** -500, fs=100e3 * 2.0 ** 500)],
+        ids=["Rt=6", "Rt=50", "blocking", "time-scaled"])
+    def test_designs_at_the_degree_bound_with_squarings_and_time_scaled(self, converter):
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, **converter)))
+        tables = oracle._tables(dab)
+        base = [seg.duration for seg in dab.schedule.segments]
+        stacked, floats = both_kernels(tables, range(4), base)
+        assert isinstance(stacked, bytes) and stacked == floats
+        for i, d in enumerate(base):
+            single = both_kernels(tables, [i], [d])
+            assert single[0] == single[1]
+
+    @pytest.mark.parametrize("converter, message", [
+        (dict(Co=1e-300), "a*t (state matrix times duration) reaches 3.497e+294"),
+        (dict(Vin=1e308), "b*u*t (input column times duration) reaches inf"),
+        (dict(L=4.7e202, Co=8.5e-296, fs=2.5e-16),
+         "a*t (state matrix times duration) reaches inf")],
+        ids=["53+ squarings", "b u overflows", "a T overflows"])
+    def test_designs_beyond_double_precision_are_refused_alike(self, converter, message):
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, **converter)))
+        durations = [seg.duration for seg in dab.schedule.segments]
+        stacked, floats = both_kernels(oracle._tables(dab), range(4), durations)
+        assert stacked == floats
+        assert floats.startswith("matrix exponential is not finite") and message in floats
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 800.0, 1e300, -800.0])
+    def test_entries_beyond_double_precision_are_refused_alike(self, entry):
+        # 800 overflows and -800 does not; 1e300 needs about 1,000 squarings.
+        tables = oracle._pade_tables([(0.0,) * 6, (entry, 0.0, 0.0, 0.0, 0.0, 0.0)])
+        stacked, floats = both_kernels(tables, [0, 1], [1.0, 1.0])
+        assert stacked == floats
+        assert (entry == -800.0) == isinstance(floats, bytes)
+
+    @pytest.mark.parametrize("above", [False, True], ids=["52 squarings", "53 squarings"])
+    def test_the_squaring_limit_is_one_rule(self, above):
+        # ||A t||_1 = theta13 2^52 takes 52 squarings; one ulp more takes 53, which is refused.
+        norm = oracle._THETA13 * 2.0 ** 52
+        norm = math.nextafter(norm, math.inf) if above else norm
+        tables = oracle._pade_tables([(-norm, 0.0, 1.0, 0.0, -0.5 * norm, 1.0)])
+        stacked, floats = both_kernels(tables, [0], [1.0])
+        assert stacked == floats
+        assert isinstance(floats, str) == above
+        if above:
+            assert floats == ("matrix exponential is not finite: the 1-norm of a*t (state "
+                              f"matrix times duration) reaches {norm:.3e}, beyond double precision")
+
+
+class TestOracleEigenvalues:
+    """The oracle's own 2x2 eigenvalue rule, which gives the pre-run its rho."""
+
+    def test_period_maps_within_a_few_u_of_mpmath(self):
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            dab = build_dab(random_params(rng))
+            rows = oracle._step_rows(oracle._tables(dab), range(4),
+                                     [seg.duration for seg in dab.schedule.segments])
+            pi = np.eye(2)
+            for m in rows:
+                pi = np.array(m).reshape(2, 3)[:, :2] @ pi
+            ours = oracle._eigenvalues(*pi.ravel().tolist())
+            exact = reference.eigenvalues(pi.ravel().tolist())
+            scale = np.abs(pi).sum(axis=0).max()
+            for e in ours:
+                assert min(abs(e - x) for x in exact) <= 4e-16 * scale
+            rho = max(map(abs, exact))  # rho as the pre-run takes it: within a rounding
+            assert abs(max(map(abs, ours)) - rho) <= 2.0 ** -53 * rho
+
+    def test_a_rho_one_ulp_below_one_is_not_rounded_up(self):
+        # A lossless, nearly unloaded design whose period map's floats have spectral radius
+        # 1 - 2^-53 (50-digit mpmath), the diagonal entry m00 plus about 4e-17: mu + delta
+        # rounds that to 1, the diagonal-plus-correction form does not. So the pre-run
+        # iterates, and exhausts its budget, instead of refusing the map as marginal.
+        dab = build_dab(DabParams(
+            n_turns=1.7589367564046976, L=1.0994386073127588e-06, Co=0.001619850469200214,
+            Rt=0.0, Rc=0.0, Ro=8920180119.656918, Vin=187.67620509228058, fs=274356.41105755686,
+            D_phase=1e-06, Vr=1.0))
+        with pytest.raises(ConvergenceError) as err:
+            run_to_steady_state(dab, SimConfig(periods=10))
+        assert err.value.spectral_radius == 1.0 - 2.0 ** -53
+
+    def test_exact_cases(self):
+        assert oracle._eigenvalues(0.0, 1.0, -1.0, 0.0) == (1j, -1j)
+        assert oracle._eigenvalues(1.0, 2.0, 2.0, 4.0) == (5.0, 0.0)
+        assert oracle._eigenvalues(0.0, 0.0, 0.0, 0.0) == (0j, 0j)
+        # Entries near the float range and below the normal range scale to [1/2, 1) first.
+        assert oracle._eigenvalues(1e300, 1e300, -1e300, 1e300) == (1e300 + 1e300j,
+                                                                    1e300 - 1e300j)
+        assert oracle._eigenvalues(2.0 ** -1070, 0.0, 0.0, 2.0 ** -1072) == (
+            2.0 ** -1070, 2.0 ** -1072)
+
+    def test_a_period_map_past_the_float_range_is_marginal(self):
+        # The product of two finite maps overflows: rho is not a number, not an exception.
+        with pytest.raises(MarginalSystemError, match="rho = nan is not below 1"):
+            oracle._iterate_to_period_start([(1e200, 0.0, 0.0, 0.0, 0.5, 0.0)] * 2, 10, 1e-9)
 
 
 class TestIndependence:
@@ -468,20 +605,23 @@ class TestPreRunCache:
         assert len(pre_runs) == 3
 
     def test_the_unperturbed_step_maps_are_made_once(self, ref_params, monkeypatch):
-        # Calls whose first four steps are intervals 1-4 at their own durations: the
-        # pre-run's period maps. Perturbed half cycles never start at the base durations.
+        # Calls of either kernel whose first four steps are intervals 1-4 at their own
+        # durations: the pre-run's period maps. Perturbed half cycles never start at the base
+        # durations.
         dab = build_dab(ref_params)
         base = [seg.duration for seg in dab.schedule.segments]
         unperturbed = []
-        step_maps = oracle._step_maps
 
-        def counting(tables, intervals, durations):
-            if (np.ravel(intervals)[:4].tolist() == [0, 1, 2, 3]
-                    and np.ravel(durations)[:4].tolist() == base):
-                unperturbed.append(np.size(durations))
-            return step_maps(tables, intervals, durations)
+        def counting(kernel):
+            def counted(tables, intervals, durations):
+                if (np.ravel(intervals)[:4].tolist() == [0, 1, 2, 3]
+                        and np.ravel(durations)[:4].tolist() == base):
+                    unperturbed.append(np.size(durations))
+                return kernel(tables, intervals, durations)
+            return counted
 
-        monkeypatch.setattr(oracle, "_step_maps", counting)
+        for name in ("_step_maps", "_step_rows"):
+            monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
         run_to_steady_state(dab, SimConfig())
         for f in (5000.0, 15000.0, 35000.0):
             injection = Injection(f=f, settle_periods=10, measure_periods=20)
