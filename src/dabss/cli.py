@@ -8,9 +8,8 @@ write-temp-then-rename so a failing command never leaves partial output,
 and all output is byte deterministic for identical inputs. Each command imports
 what it runs: `verify`, `bode` and `compare` load `dabss.smallsignal`, and
 `simulate` and `compare` the simulator, `dabss.oracle`. `steady-state`, `verify`,
-`bode` and `simulate` run on Python floats and load no numpy, short of a sweep of
-more than 12,000 points, which imports it where it can (`smallsignal._over_z`);
-`compare` loads it for the oracle's frequency-response measurement.
+`bode` and `simulate` run on Python floats and load no numpy, whatever the size of
+the sweep; `compare` loads it for the oracle's frequency-response measurement.
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ def _coherent_frequencies(cfg: AppConfig, t_half: float) -> list[float]:
 
 def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     import numpy as np
-    from .oracle import measure_frequency_responses, run_to_steady_state
+    from .oracle import _period_start, measure_frequency_responses
     from .smallsignal import half_cycle_model, transfer_fixed_freq
     surface = cfg.surfaces["P+"]
     model = half_cycle_model(dab, surface)
@@ -204,7 +203,7 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
                  for f, row in zip(freqs, transfer_fixed_freq(model, dab.c_rev, z).tolist())]
 
     x_model = fixed_point(dab.schedule._period, "periodic solve")
-    x_sim, _ = run_to_steady_state(dab, cfg.sim)
+    x_sim, _ = _period_start(dab, cfg.sim)
     steady_dev = relative_residual(x_sim, x_model)
 
     lines = [
@@ -212,7 +211,7 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
         f"# steady_state_rel_dev={_fmt(steady_dev)}",
         "f_hz,mag_ratio_irec,phase_diff_deg_irec,mag_ratio_vout,phase_diff_deg_vout",
     ]
-    # Every bin in one oracle run, from the pre-run that run_to_steady_state cached.
+    # Every bin in one oracle run, from the pre-run that _period_start cached.
     measured = measure_frequency_responses(dab, surface, cfg.sim, freqs).tolist()
     for f, row, row_measured in zip(freqs, predicted, measured):
         cells = [_fmt(f)]

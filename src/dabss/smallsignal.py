@@ -48,9 +48,6 @@ if TYPE_CHECKING:
 
 _POLE_GAP = 1e-12  # no transfer is evaluated this close to a pole of phi
 _FEW_Z = 16  # this many z or fewer run z by z in Python floats (`_over_z`)
-# Past this many z a cold `_over_z` imports numpy: at about 3.6 us a point z by z against 0.35 us
-# as arrays, the import's 40 ms or so pays for itself near here.
-_COLD_NUMPY_Z = 12_000
 
 
 class _Entries(NamedTuple):
@@ -139,15 +136,12 @@ def _over_z(body, points: list, near, where: str = "z = {!r}", at=None) -> list:
     """[None if near(w) else body(w) for w in map(at, points)], rows of Python scalars, for a list
     of numbers (z, or frequencies and `at`, which gives their z once for `near` and `body`): more
     than _FEW_Z points go through `at`, `near` and `body` once, as arrays, where numpy is loaded
-    already (a caller with arrays) or, past _COLD_NUMPY_Z points, can be imported; else one by
-    one in floats, which `core` rounds as it rounds arrays. A value past the float range is
+    already (a caller with arrays); else one by one in floats, which `core` rounds as it rounds
+    arrays, so a command never imports numpy for a sweep. A value past the float range is
     refused (`_finite`); in an array pass, where only an overflow or an invalid operation makes
     one, that raises and the pass is redone point by point, so both ways refuse the same points
     and neither warns."""
     np = sys.modules.get("numpy")
-    if np is None and len(points) > _COLD_NUMPY_Z:
-        with contextlib.suppress(ImportError):  # no numpy: z by z
-            import numpy as np
     if np is not None and len(points) > _FEW_Z:
         x = np.array(points)
         with contextlib.suppress(FloatingPointError), np.errstate(over="raise", invalid="raise"):

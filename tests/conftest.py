@@ -29,8 +29,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 README_EXIT_CODES = frozenset(range(6))
 # The commands that run on Python floats alone: a cold run of any of them loads no numpy.
 NUMPY_FREE_COMMANDS = ("steady-state", "verify", "bode", "simulate")
-# The first line of a script after which `import numpy` fails, as where numpy is not installed.
-BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+
+
+@contextlib.contextmanager
+def numpy_blocked():
+    """`import numpy` fails inside the block, as where numpy is not installed; code that looks
+    for a loaded numpy (`sys.modules.get("numpy")`) finds none. The module is back afterwards."""
+    numpy = sys.modules["numpy"]
+    sys.modules["numpy"] = None
+    try:
+        yield
+    finally:
+        sys.modules["numpy"] = numpy
 
 
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -40,21 +50,17 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
 
     Fails the test where an exception escapes `main` (a traceback at the command line), where
     the exit code is not in README's table, or where a command other than `verify` exits 1.
-    For NUMPY_FREE_COMMANDS `import numpy` fails during the call, so the command takes the
-    float path of a cold run, and a numpy import in it escapes as an exception."""
+    NUMPY_FREE_COMMANDS run under `numpy_blocked`, so each takes the float path of a cold run,
+    and a numpy import in it escapes as an exception."""
     command = argv[0] if argv else None
     out, err = io.StringIO(), io.StringIO()
-    numpy = sys.modules["numpy"]
-    if command in NUMPY_FREE_COMMANDS:
-        sys.modules["numpy"] = None
+    blocked = numpy_blocked() if command in NUMPY_FREE_COMMANDS else contextlib.nullcontext()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+        with blocked, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             code = cli.main(list(argv))
     except Exception as exc:
         pytest.fail(f"`dabss {' '.join(argv)}` raised {exc!r}")
-    finally:
-        sys.modules["numpy"] = numpy
     if code not in README_EXIT_CODES or (code == 1 and command != "verify"):
         pytest.fail(f"`dabss {' '.join(argv)}` exited {code!r}: README's table has 0 and 2-5, "
                     "and 1 from verify")

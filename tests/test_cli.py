@@ -1,20 +1,15 @@
 """End-to-end tests of the command line interface.
 
 Every command runs in process through `tests.conftest.run_cli`, which holds it to README's
-exit-code table and `steady-state`, `verify`, `bode` and `simulate` to loading no numpy. These
-tests start an interpreter, because the process is what they test:
+exit-code table and runs `steady-state`, `verify`, `bode` and `simulate` where `import numpy`
+fails, so each takes the float path of a cold run. Only `TestMisc`'s import gates start an
+interpreter (`test_scipy_is_never_imported` with `-X importtime`,
+`test_top_level_names_load_on_first_use` and
+`test_the_float_modules_load_neither_dataclasses_nor_inspect`): only a fresh interpreter shows
+what a cold command line or `import dabss` loads.
 
-- `TestSteadyStateWithoutNumpy`, `TestVerifyAndBodeWithoutNumpy`, `TestSimulateWithoutNumpy`,
-  `TestColdGrids` and `test_a_transfer_whose_modulus_overflows_is_a_config_error`, through
-  `run_cli_without_numpy`: numpy is blocked before dabss is imported, as where numpy is not
-  installed; `TestColdGrids` also through `run_cli_cold`, a fresh interpreter that may load it;
-- `TestMisc`'s import gates, `test_scipy_is_never_imported` (`-X importtime`),
-  `test_top_level_names_load_on_first_use` and
-  `test_the_float_modules_load_neither_dataclasses_nor_inspect`: only a fresh interpreter shows
-  what a cold command line or `import dabss` loads.
-
-The numpy-free tests also run `cli.main` with numpy loaded, whose sweeps of more than 16 points
-go through arrays, and compare its bytes with the float path's.
+`TestVerifyAndBodeWithoutNumpy` also runs `cli.main` with numpy loaded, whose sweeps of more
+than 16 points go through arrays, and compares its bytes with the float path's.
 """
 
 from __future__ import annotations
@@ -38,21 +33,14 @@ from dabss.config import load_config
 from dabss.dab import half_cycle_map
 from dabss.smallsignal import HalfCycleModel
 from tests import reference
-from tests.conftest import (BLOCK_NUMPY, NUMPY_FREE_COMMANDS, REFERENCE_KWARGS, random_params,
-                            run_cli)
-
-
-def run_cli_without_numpy(*argv: str):
-    """A command in a new interpreter where `import numpy` fails."""
-    script = BLOCK_NUMPY + "from dabss.cli import main; sys.exit(main())"
-    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+from tests.conftest import NUMPY_FREE_COMMANDS, REFERENCE_KWARGS, random_params, run_cli
 
 
 class TestSteadyStateCommand:
     def test_reports_fixed_point_and_eigenvalues(self, config_file, tmp_path):
         out = tmp_path / "ss.json"
         proc = run_cli("steady-state", config_file(), "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
         doc = json.loads(out.read_text())
         assert set(doc) == {"eigenvalues_of_Pi", "method", "residual", "x_star"}
         assert doc["method"] == "full"
@@ -68,28 +56,17 @@ class TestSteadyStateCommand:
         path = config_file()
         full_out = tmp_path / "full.json"
         half_out = tmp_path / "half.json"
-        assert run_cli("steady-state", path, "--out", str(full_out)).returncode == 0
-        assert run_cli("steady-state", path, "--method", "half",
-                       "--out", str(half_out)).returncode == 0
+        for method, out in (("full", full_out), ("half", half_out)):
+            proc = run_cli("steady-state", path, "--method", method, "--out", str(out))
+            assert proc.returncode == 0 and not proc.stderr, proc.stderr
         x_full = json.loads(full_out.read_text())["x_star"]
         x_half = json.loads(half_out.read_text())["x_star"]
         np.testing.assert_allclose(x_half, x_full, rtol=1e-12)
 
 
 class TestSteadyStateWithoutNumpy:
-    """`steady-state` runs on the float core alone: with numpy unimportable it writes the bytes,
-    exit codes and messages of a normal run."""
-
-    @pytest.mark.parametrize("method", ["full", "half"])
-    def test_writes_the_bytes_of_a_normal_run(self, config_file, tmp_path, method):
-        path = config_file()
-        outputs = []
-        for k, run in enumerate((run_cli, run_cli_without_numpy)):
-            out = tmp_path / f"ss{k}.json"
-            proc = run("steady-state", path, "--method", method, "--out", str(out))
-            assert proc.returncode == 0 and not proc.stderr, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+    """`steady-state` runs on the float core alone: with numpy unimportable it fails with the
+    exit codes and messages of README's table."""
 
     @pytest.mark.parametrize("method", ["full", "half"])
     @pytest.mark.parametrize("converter, code, message", [
@@ -100,40 +77,33 @@ class TestSteadyStateWithoutNumpy:
         pytest.param(dict(Vin=1e308), 2, "b*u*t (input column times duration)", id="Vin=1e308")])
     def test_fails_as_a_normal_run(self, config_file, tmp_path, method, converter, code, message):
         path = config_file(converter=dict(REFERENCE_KWARGS, **converter))
-        argv = ("steady-state", path, "--method", method, "--out", str(tmp_path / "ss.json"))
-        normal, without = run_cli(*argv), run_cli_without_numpy(*argv)
-        assert without.returncode == normal.returncode == code, without.stderr
-        assert without.stderr == normal.stderr and message in without.stderr
-        assert "Traceback" not in without.stderr and not (tmp_path / "ss.json").exists()
+        proc = run_cli("steady-state", path, "--method", method, "--out", str(tmp_path / "ss.json"))
+        assert proc.returncode == code, proc.stderr
+        assert message in proc.stderr and not (tmp_path / "ss.json").exists()
 
 
 class TestVerifyAndBodeWithoutNumpy:
-    """`verify` and `bode` run on the float rules alone: in an interpreter where numpy cannot
-    be imported they print and write the bytes of `run_cli`'s run and of an in-process run with
-    numpy loaded, whose sweep of more than 16 points goes through arrays."""
+    """`verify` and `bode` run on the float rules alone: where numpy cannot be imported they
+    print and write the bytes of a run with numpy loaded, whose sweep of more than 16 points
+    goes through arrays."""
 
     SWEEPS = {"default": None, "40-points": {"f_min": 10.0, "f_max": 40000.0, "points": 40}}
 
     @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS)
     def test_verify_prints_the_bytes_of_a_normal_run(self, config_file, capsys, sweep):
         path = config_file(sweep=sweep)
-        normal, without = run_cli("verify", path), run_cli_without_numpy("verify", path)
-        assert without.returncode == normal.returncode == 0, without.stderr
+        without = run_cli("verify", path)
+        assert without.returncode == 0 and not without.stderr, without.stderr
         assert cli.main(["verify", path]) == 0
-        assert without.stdout == normal.stdout == capsys.readouterr().out
-        assert not without.stderr
+        assert without.stdout == capsys.readouterr().out
 
     @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS)
     def test_bode_writes_the_bytes_of_a_normal_run(self, config_file, tmp_path, sweep):
         path = config_file(sweep=sweep)
-        outputs = []
-        for k, run in enumerate((run_cli, run_cli_without_numpy)):
-            out = tmp_path / f"bode{k}.csv"
-            proc = run("bode", path, "--model", "both", "--out", str(out))
-            assert proc.returncode == 0 and not proc.stderr, proc.stderr
-            outputs.append(out.read_bytes())
+        proc = run_cli("bode", path, "--model", "both", "--out", str(tmp_path / "a.csv"))
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
         assert cli.main(["bode", path, "--model", "both", "--out", str(tmp_path / "b.csv")]) == 0
-        assert outputs[0] == outputs[1] == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     # The ramp amplitude Vr, the sweep, and the exit codes of verify and bode there.
     RAMPS = {**{f"Vr=2^-{k}": (2.0 ** -k, "40-points", 0 if k < 1013 else 2, 0)
@@ -144,18 +114,16 @@ class TestVerifyAndBodeWithoutNumpy:
     @pytest.mark.parametrize("command", ["verify", "bode"])
     @pytest.mark.parametrize("vr, sweep, verify_code, bode_code", RAMPS.values(), ids=RAMPS)
     def test_refuses_as_a_normal_run_where_values_pass_the_float_range(
-            self, config_file, tmp_path, capsys, monkeypatch, command, vr, sweep, verify_code,
-            bode_code):
-        # Where a transfer or a verify row passes the float range, the arrays of an in-process
-        # run and the floats of an interpreter without numpy refuse at the same z or frequency.
-        # Where bode writes its sweep, every value in it is finite.
-        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+            self, config_file, tmp_path, capsys, command, vr, sweep, verify_code, bode_code):
+        # Where a transfer or a verify row passes the float range, the arrays of a run with numpy
+        # loaded and the floats of one without refuse at the same z or frequency. Where bode
+        # writes its sweep, every value in it is finite. A RuntimeWarning fails the suite.
         path = config_file(converter=dict(REFERENCE_KWARGS, Vr=vr), sweep=self.SWEEPS[sweep])
         extra = [[] if command == "verify" else ["--model", "both", "--out", str(tmp_path / f"{k}")]
                  for k in range(2)]
         code = cli.main([command, path, *extra[0]])
         normal = capsys.readouterr()
-        without = run_cli_without_numpy(command, path, *extra[1])
+        without = run_cli(command, path, *extra[1])
         assert (without.returncode, without.stderr, without.stdout) == (code, normal.err, normal.out)
         assert code == (verify_code if command == "verify" else bode_code), normal.err
         assert code == 0 or normal.err.startswith("error: a value at "), normal.err
@@ -164,39 +132,33 @@ class TestVerifyAndBodeWithoutNumpy:
             assert not re.search(rb"inf|nan", (tmp_path / "0").read_bytes(), re.I)
 
     def test_a_design_whose_roundoff_floor_passes_the_float_range_is_refused(
-            self, config_file, capsys, monkeypatch):
+            self, config_file, capsys):
         # The first random_params design of seed 164 at Vr 2^-1012, where a roundoff floor on
         # its criterion-8 grid passes the float range (`TestDualPathFloor`). verify's own rows
         # pass it first, at z = 1: refused alike with and without numpy, never a PASS with an
         # inf tolerance.
-        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
         params = random_params(np.random.default_rng(164))._replace(Vr=2.0 ** -1012)
         path = config_file(converter=params._asdict())
         code = cli.main(["verify", path])
         normal = capsys.readouterr()
-        without = run_cli_without_numpy("verify", path)
+        without = run_cli("verify", path)
         assert (without.returncode, without.stderr, without.stdout) == (code, normal.err, normal.out)
         assert code == 2 and re.fullmatch(r"error: a value at z = \(.*\) passes the float range\n",
                                           normal.err), normal.err
 
 
 class TestSimulateWithoutNumpy:
-    """`simulate` runs the oracle in Python floats: with numpy unimportable it writes the bytes,
-    exit codes and messages of a normal run, and its state columns are the arrays of
-    `run_to_steady_state`."""
+    """`simulate` runs the oracle in Python floats: with numpy unimportable it writes the
+    arrays of `run_to_steady_state`, and fails with the exit codes and messages of README's
+    table."""
 
     def test_writes_the_bytes_of_a_normal_run(self, config_file, tmp_path):
         path = config_file(sim={"substeps_per_interval": 8})
-        outputs = []
-        for k, run in enumerate((run_cli, run_cli_without_numpy)):
-            out = tmp_path / f"wf{k}.csv"
-            proc = run("simulate", path, "--out", str(out))
-            assert proc.returncode == 0 and not proc.stderr, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        proc = run_cli("simulate", path, "--out", str(tmp_path / "wf.csv"))
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
         x_star, waveform = oracle.run_to_steady_state(
             build_dab(DabParams(**REFERENCE_KWARGS)), load_config(path).sim)
-        rows = [line.split(",") for line in outputs[0].decode().splitlines()[1:]]
+        rows = [line.split(",") for line in (tmp_path / "wf.csv").read_text().splitlines()[1:]]
         assert [cli._fmt(x) for x in x_star] == rows[0][1:3]
         for row, t, x, y in zip(rows, waveform.t, waveform.x, waveform.y, strict=True):
             assert row == [cli._fmt(v) for v in (t, *x, *y)]
@@ -212,41 +174,9 @@ class TestSimulateWithoutNumpy:
         pytest.param({}, {"periods": 3}, 4, " more periods would meet it\n", id="exhausted")])
     def test_fails_as_a_normal_run(self, config_file, tmp_path, converter, sim, code, message):
         path = config_file(converter=dict(REFERENCE_KWARGS, **converter), sim=sim)
-        argv = ("simulate", path, "--out", str(tmp_path / "wf.csv"))
-        normal, without = run_cli(*argv), run_cli_without_numpy(*argv)
-        assert without.returncode == normal.returncode == code, without.stderr
-        assert without.stderr == normal.stderr and normal.stderr.endswith(message)
+        proc = run_cli("simulate", path, "--out", str(tmp_path / "wf.csv"))
+        assert proc.returncode == code and proc.stderr.endswith(message), proc.stderr
         assert not (tmp_path / "wf.csv").exists()
-
-
-def run_cli_cold(*argv: str):
-    """A command in a new interpreter that may import numpy; its last stderr line says whether
-    it did."""
-    script = ("import sys; from dabss.cli import main; code = main(); "
-              "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
-    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
-
-
-class TestColdGrids:
-    """A cold grid of more than `_COLD_NUMPY_Z` points imports numpy and runs as arrays; where
-    numpy cannot be imported it runs z by z. Both write the bytes of an in-process run."""
-
-    @pytest.mark.parametrize("command, points, loads", [
-        ("bode", smallsignal._COLD_NUMPY_Z, False), ("bode", smallsignal._COLD_NUMPY_Z + 1, True),
-        ("verify", smallsignal._COLD_NUMPY_Z + 1, True)])
-    def test_the_grid_size_decides_the_import_and_no_bit_moves(self, config_file, tmp_path,
-                                                              command, points, loads):
-        path = config_file(sweep={"points": points})
-        runs = []
-        for k, run in enumerate((run_cli, run_cli_cold, run_cli_without_numpy)):
-            out = tmp_path / f"{k}"
-            proc = run(command, path, *([] if command == "verify" else
-                                        ["--model", "both", "--out", str(out)]))
-            assert proc.returncode == 0, proc.stderr
-            runs.append(proc.stdout if command == "verify" else out.read_bytes())
-            if run is run_cli_cold:
-                assert proc.stderr.splitlines() == [str(loads)]
-        assert runs[0] == runs[1] == runs[2]
 
 
 class TestVerifyCommand:
@@ -784,19 +714,17 @@ class TestValuesAtTheEdgeOfDoublePrecision:
     def test_a_transfer_whose_modulus_overflows_is_a_config_error(self, config_file, tmp_path,
                                                                    monkeypatch):
         # Vr = 165.11 / DBL_MAX / 1.01, where 165.11 is |H_vout| at 100 Hz for Vr = 1: both parts
-        # of that transfer are finite and its modulus is not. bode refuses it, in process and
-        # without numpy, and compare before it simulates.
+        # of that transfer are finite and its modulus is not. bode refuses it, and compare
+        # before its oracle's pre-run.
         path = config_file(converter=dict(REFERENCE_KWARGS, Vr=9.09e-307), sweep={"points": 3})
         message = ["error: |H| at f = 100.0 Hz passes the float range"]
-        monkeypatch.setattr(oracle, "run_to_steady_state", lambda *_: pytest.fail("simulated"))
+        monkeypatch.setattr(oracle, "_period_start", lambda *_: pytest.fail("simulated"))
         for command, *extra in (["bode", "--model", "both"], ["compare"]):
             out = tmp_path / command
             proc = run_cli(command, path, *extra, "--out", str(out))
             assert proc.returncode == 2, command
             assert proc.stderr.splitlines() == message, command
             assert not out.exists()
-        proc = run_cli_without_numpy("bode", path, "--model", "both", "--out", str(tmp_path / "b"))
-        assert proc.returncode == 2 and proc.stderr.splitlines() == message, proc.stderr
 
     @pytest.mark.parametrize("converter", [
         # L and Co times 1e-150 and fs times 1e150: ||a||_1 near 1e155, every a T as in the
@@ -938,21 +866,24 @@ class TestMisc:
     # Whether each command line loads numpy, dabss.smallsignal and dabss.oracle: the surface
     # models where a transfer is evaluated, the simulator where it runs. numpy loads with the
     # oracle's measurement only, in `compare`: neither `import dabss`, `--version` nor
-    # NUMPY_FREE_COMMANDS load it, and `simulate` runs the oracle in floats.
+    # NUMPY_FREE_COMMANDS load it, and `simulate` runs the oracle in floats. A sweep of 12,001
+    # points, past any size where arrays would pay for numpy's import, runs z by z too.
     LOADS = {"import": (False, False, False), "cli-version": (False, False, False),
              "steady-state": (False, False, False), "verify": (False, True, False),
              "bode": (False, True, False), "simulate": (False, False, True),
-             "compare": (True, True, True)}
+             "compare": (True, True, True), "bode-12001-points": (False, True, False)}
 
     @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version"),
-                                      *(("-m", "dabss.cli", command) for command in COMMANDS)],
-                             ids=["import", "cli-version", *COMMANDS])
+                                      *(("-m", "dabss.cli", command)
+                                        for command in (*COMMANDS, "bode"))],
+                             ids=["import", "cli-version", *COMMANDS, "bode-12001-points"])
     def test_scipy_is_never_imported(self, config_file, tmp_path, argv, request):
         # -X importtime lists every module the interpreter imports, one per line.
-        command = argv[-1]
+        command, case = argv[-1], request.node.callspec.id
         if command in self.COMMANDS:
+            points = 12_001 if case == "bode-12001-points" else 3
             argv += (config_file(sim={"injection": {"settle_periods": 10, "measure_periods": 20}},
-                                 sweep={"f_min": 400.0, "f_max": 4000.0, "points": 3}),)
+                                 sweep={"f_min": 400.0, "f_max": 4000.0, "points": points}),)
             if command != "verify":
                 argv += ("--out", str(tmp_path / "out"))
         proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
@@ -962,7 +893,6 @@ class TestMisc:
         assert "dabss" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
         loads = tuple(name in imported for name in ("numpy", "dabss.smallsignal", "dabss.oracle"))
-        case = request.node.callspec.id
         assert loads == self.LOADS[case]
         assert loads[0] == (case in self.COMMANDS and case not in NUMPY_FREE_COMMANDS)
 

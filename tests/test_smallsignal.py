@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 import random
 import re
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -30,7 +27,7 @@ from dabss.config import Tolerances, load_config
 from dabss.errors import MarginalSystemError, NumericInputError, ParameterError
 from dabss.pwlti import monodromy
 from tests import reference
-from tests.conftest import (BLOCK_NUMPY, REFERENCE_KWARGS, T_SOLVE, fd_sensitivities,
+from tests.conftest import (REFERENCE_KWARGS, T_SOLVE, fd_sensitivities, numpy_blocked,
                             property_range_params, random_params, run_cli, write_config)
 
 
@@ -772,16 +769,10 @@ class TestIdentityChecks:
         assert abs(n.residual - o.residual) <= 4.0 * math.ulp(o.residual)
 
 
-# Every identity_checks residual and the P+ bode_sweep rows of 40 points, as float.hex, of the
-# config files named: run in process, numpy loaded, many z go through arrays; run where numpy
-# cannot be imported, z by z in Python floats.
-FLOAT_PATH_PROBE = """
-from dabss import P_PLUS, build_dab, sweep_frequencies
-from dabss.config import load_config
-from dabss.smallsignal import bode_sweep, identity_checks
-
-
-def probe(paths):
+def float_path_probe(paths: list) -> list:
+    """Every identity_checks residual and the P+ bode_sweep rows of 40 points, as float.hex, of
+    the config files named: with numpy loaded, many z go through arrays; where numpy cannot be
+    imported, z by z in Python floats."""
     out = []
     for path in paths:
         cfg = load_config(path)
@@ -795,26 +786,20 @@ def probe(paths):
                     for kind in ("fix", "sc")
                     for row in bode_sweep(dab, P_PLUS, kind, fs / 1000.0, fs / 2.0, 40)])
     return out
-"""
 
 
 class TestFloatPath:
     """Many z z by z in Python floats, as a command with no numpy runs them, give the bits of
     the array path of an in-process caller."""
 
-    def test_identity_checks_and_bode_rows_match_an_interpreter_without_numpy(self, tmp_path):
+    def test_identity_checks_and_bode_rows_match_without_numpy(self, tmp_path):
         paths = [write_config(tmp_path / f"{name}.json", **kwargs)
                  for name, kwargs in TestIdentityChecks.CONFIGS.items()]
-        script = (BLOCK_NUMPY + "import json\n" + FLOAT_PATH_PROBE
-                  + "\nprint(json.dumps(probe(sys.argv[1:])))")
-        proc = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True,
-                              text=True)
-        assert proc.returncode == 0, proc.stderr
-        namespace = {}
-        exec(FLOAT_PATH_PROBE, namespace)
-        in_process = namespace["probe"](paths)
-        assert json.loads(proc.stdout) == in_process
-        assert len(in_process) == 8 and all(len(rows) == 80 for rows in in_process[1::2])
+        with numpy_blocked():
+            floats = float_path_probe(paths)
+        arrays = float_path_probe(paths)
+        assert floats == arrays
+        assert len(arrays) == 8 and all(len(rows) == 80 for rows in arrays[1::2])
 
     def test_scalar_and_array_pole_gaps_agree_bit_for_bit(self):
         # z from 1e-14 to 1e-4 of each pole, across the 1e-12 gate, and on the unit circle. The
