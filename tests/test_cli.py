@@ -8,8 +8,9 @@ interpreter (`test_scipy_is_never_imported` with `-X importtime`,
 `test_the_float_modules_load_neither_dataclasses_nor_inspect`): only a fresh interpreter shows
 what a cold command line or `import dabss` loads.
 
-`TestVerifyAndBodeWithoutNumpy` also runs `cli.main` with numpy loaded, whose sweeps of more
-than 16 points go through arrays, and compares its bytes with the float path's.
+`TestSteadyStateWithoutNumpy`, `TestVerifyAndBodeWithoutNumpy` and `TestLargeGrids` also run
+`cli.main` with numpy loaded, whose sweeps of more than 16 points go through arrays, and compare
+its bytes with the float path's.
 """
 
 from __future__ import annotations
@@ -65,8 +66,17 @@ class TestSteadyStateCommand:
 
 
 class TestSteadyStateWithoutNumpy:
-    """`steady-state` runs on the float core alone: with numpy unimportable it fails with the
-    exit codes and messages of README's table."""
+    """`steady-state` runs on the float core alone: with numpy unimportable it writes the bytes
+    of a run with numpy loaded, and fails with the exit codes and messages of README's table."""
+
+    @pytest.mark.parametrize("method", ["full", "half"])
+    def test_writes_the_bytes_of_a_normal_run(self, config_file, tmp_path, method):
+        path = config_file()
+        proc = run_cli("steady-state", path, "--method", method, "--out", str(tmp_path / "a.json"))
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        assert cli.main(["steady-state", path, "--method", method,
+                         "--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     @pytest.mark.parametrize("method", ["full", "half"])
     @pytest.mark.parametrize("converter, code, message", [
@@ -145,6 +155,26 @@ class TestVerifyAndBodeWithoutNumpy:
         assert (without.returncode, without.stderr, without.stdout) == (code, normal.err, normal.out)
         assert code == 2 and re.fullmatch(r"error: a value at z = \(.*\) passes the float range\n",
                                           normal.err), normal.err
+
+
+class TestLargeGrids:
+    """A sweep of many thousand points runs z by z where numpy cannot be imported, and writes
+    the bytes of a run with numpy loaded, whose sweep goes through arrays."""
+
+    @pytest.mark.parametrize("command", ["bode", "verify"])
+    @pytest.mark.parametrize("points", [12_001, 20_000])
+    def test_floats_and_arrays_write_the_same_bytes(self, config_file, tmp_path, capsys,
+                                                    command, points):
+        path = config_file(sweep={"points": points})
+        extra = [[] if command == "verify" else ["--model", "both", "--out", str(tmp_path / f"{k}")]
+                 for k in range(2)]
+        without = run_cli(command, path, *extra[0])
+        assert without.returncode == 0 and not without.stderr, without.stderr
+        assert cli.main([command, path, *extra[1]]) == 0
+        if command == "verify":
+            assert without.stdout == capsys.readouterr().out
+        else:
+            assert (tmp_path / "0").read_bytes() == (tmp_path / "1").read_bytes()
 
 
 class TestSimulateWithoutNumpy:
