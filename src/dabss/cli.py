@@ -7,9 +7,9 @@ verify table); diagnostics go to stderr. File writes are
 write-temp-then-rename so a failing command never leaves partial output,
 and all output is byte deterministic for identical inputs. Each command imports
 what it runs: `verify`, `bode` and `compare` load `dabss.smallsignal`, and
-`simulate` and `compare` the simulator, `dabss.oracle`. `steady-state`, `verify`,
-`bode` and `simulate` run on Python floats and load no numpy, whatever the size of
-the sweep; `compare` loads it for the oracle's frequency-response measurement.
+`simulate` and `compare` the simulator, `dabss.oracle`. Every command runs on Python
+floats and loads no numpy, whatever the size of the sweep: `compare` measures the oracle's
+frequency responses in floats too.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import AppConfig, load_config
-from .core import _affine, complex_abs, eigenvalues, fixed_point, relative_residual
+from .core import (_affine, complex_abs, complex_exp, eigenvalues, fixed_point,
+                   relative_residual)
 from .dab import SURFACES, DabSchedule, build_dab, half_cycle_fixed_point
 from .errors import (AmplitudeError, ConfigError, ConvergenceError, MarginalSystemError,
                      NumericInputError, ParameterError, ResolventSingularityError)
@@ -188,19 +189,23 @@ def _coherent_frequencies(cfg: AppConfig, t_half: float) -> list[float]:
     return [m / window for m in sorted(bins)]
 
 
+def _ratio(size: float, measured: float) -> float:
+    """size / measured as IEEE division gives it: inf for a 0 measured, nan for 0 / 0 or NaN."""
+    return size / measured if measured else (math.inf if size else math.nan)
+
+
 def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
-    import numpy as np
-    from .oracle import _period_start, measure_frequency_responses
-    from .smallsignal import half_cycle_model, transfer_fixed_freq
+    from .oracle import _period_start, _responses
+    from .smallsignal import _fixed_freq_rows, half_cycle_model
     surface = cfg.surfaces["P+"]
     model = half_cycle_model(dab, surface)
 
     # The predicted transfers first: one past the float range is refused before the oracle runs.
     freqs = ([cfg.sim.injection.f] if cfg.sim.injection.f is not None
              else _coherent_frequencies(cfg, model.t_half))
-    z = np.exp(2j * np.pi * np.array(freqs) * model.t_half)
+    z = [complex_exp(2j * math.pi * f * model.t_half) for f in freqs]
     predicted = [[(h, _modulus(h, f)) for h in row]
-                 for f, row in zip(freqs, transfer_fixed_freq(model, dab.c_rev, z).tolist())]
+                 for f, row in zip(freqs, _fixed_freq_rows(model, dab.c_rev, z))]
 
     x_model = fixed_point(dab.schedule._period, "periodic solve")
     x_sim, _ = _period_start(dab, cfg.sim)
@@ -212,12 +217,11 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
         "f_hz,mag_ratio_irec,phase_diff_deg_irec,mag_ratio_vout,phase_diff_deg_vout",
     ]
     # Every bin in one oracle run, from the pre-run that _period_start cached.
-    measured = measure_frequency_responses(dab, surface, cfg.sim, freqs).tolist()
+    measured = _responses(dab, surface, cfg.sim, freqs)
     for f, row, row_measured in zip(freqs, predicted, measured):
         cells = [_fmt(f)]
         for (pred, size), meas in zip(row, row_measured):
-            with np.errstate(divide="ignore", invalid="ignore"):  # a 0 measured: inf, or nan
-                cells.append(_fmt(np.float64(size) / complex_abs(meas)))
+            cells.append(_fmt(_ratio(size, complex_abs(meas))))
             cells.append(_fmt(_wrap_degrees(math.degrees(cmath.phase(pred) - cmath.phase(meas)))))
         lines.append(",".join(cells))
     _atomic_write(args.out, "\n".join(lines) + "\n")

@@ -18,13 +18,15 @@ it a legitimate cross-check. The Pade numerator and denominator of each
 interval are tabled once per design, in Python floats, as polynomials in the
 step's duration, so each map costs one Horner pass over its interval's table.
 
-The kernel has two forms that give the same bits. `_step_rows` runs a few maps
-in Python floats: the pre-run's period maps and the waveform's substep maps, so
-`run_to_steady_state` computes in floats and `simulate` loads no numpy.
-`_step_maps` runs a stack of maps as numpy arrays: the perturbed half cycles of
-a frequency-response measurement, whose thread allocates the kernel's work
-arrays once and reuses them for all of its exponentials, while the scalar loops
-read the maps in place. numpy is imported there and at the public array edge.
+The kernel has two forms that give the same bits. `_step_rows` runs maps in Python
+floats: the pre-run's period maps, the waveform's substep maps and, where numpy is not loaded,
+the perturbed half cycles of a frequency-response measurement, so `simulate` and `compare` load
+no numpy. `_step_maps` runs a stack of maps as numpy arrays, for a measurement where numpy is
+loaded already: its thread allocates the kernel's work arrays once and reuses them for all of
+its exponentials, while the scalar loops read the maps in place. Either way a measurement's
+samples and DFT bins follow one float rule, with no BLAS sum, so their bits do not depend on the
+path or the host. Only the stacked kernel, which runs where numpy is loaded already, and the
+public array edge (`run_to_steady_state`, `measure_frequency_responses`) import numpy.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -34,10 +36,13 @@ at the surface instants, and extract the single coherent DFT bin.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
+import sys
 import threading
 from itertools import islice
+from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import Injection, SimConfig, require_coherent
@@ -53,7 +58,8 @@ DEFAULT_AMPLITUDE_RATIO = 1e-4
 # Half cycles whose step maps come from one call of the oracle's exponential;
 # bounds the memory of a measurement's step maps independently of its length.
 # A call pays a fixed cost of some 40 numpy calls: in blocks of 1,024 the
-# oracle-compare measurements of the reference design took about 3% longer.
+# oracle-compare measurements of the reference design took about 3% longer. The float kernel
+# takes the same blocks, since a block's largest norm sets every map's Horner length.
 HALF_CYCLES_PER_EXPM = 2048
 
 
@@ -205,13 +211,13 @@ _thread = threading.local()
 
 def _step_rows(tables: _Tables, intervals, durations) -> list:
     """The maps of `_step_maps` in Python floats, bit for bit: one row (a00, a01, g0, a10, a11,
-    g1) per step, for the few steps of a pre-run or a waveform.
+    g1) per step.
 
     The same tables, degree and squaring rule, and every operation of `_step_maps` in its
     order on one map: IEEE products, sums and quotients, `frexp` and `ldexp`. A map's Horner
     pass runs over as many terms as the whole stack's, as in `_step_maps`, so even the sign of
     a zero is the same. What makes an entry of `_step_maps` inf or NaN (a division by zero, an
-    `ldexp` past the float range) is its refusal here too.
+    `ldexp` past the float range) is its refusal here too; a finite sum clears a row at once.
     """
     intervals, durations = list(intervals), list(durations)
     a_norms = [tables.a_norms[i] * t for i, t in zip(intervals, durations)]
@@ -221,32 +227,46 @@ def _step_rows(tables: _Tables, intervals, durations) -> list:
     if not math.isfinite(top) or max(squarings, default=0) >= _MAX_SQUARINGS:
         raise _not_finite(tables, intervals, durations)
     n_terms = 7 if top > _THETA9 else 5
+    # Each key's Horner pass: its leading term of the stack's n_terms, then the lower ones.
+    horner = [(terms[n_terms - 1], terms[n_terms - 2::-1]) for terms in tables.coefficients]
+    exponents, gamma_exponents, ldexp, isfinite = (tables.exponents, tables.gamma_exponents,
+                                                   math.ldexp, math.isfinite)
     rows = []
     try:
         for i, t, a_norm, s in zip(intervals, durations, a_norms, squarings):
-            tau = math.ldexp(t, tables.exponents[i] - s)
+            tau = ldexp(t, exponents[i] - s)
             sigma = tau * tau
-            terms = tables.coefficients[2 * i + (a_norm > _THETA9)][:n_terms]
-            h = terms[-1]
-            for c in terms[-2::-1]:
-                h = [x * sigma + y for x, y in zip(h, c)]
-            u00, u01, u02, u10, u11, u12 = (x * tau for x in h[:6])
-            q00, q01, q10, q11 = h[6] - u00, h[7] - u01, h[8] - u10, h[9] - u11
+            (h0, h1, h2, h3, h4, h5, h6, h7, h8, h9), lower = horner[2 * i + (a_norm > _THETA9)]
+            for c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 in lower:
+                h0 = h0 * sigma + c0
+                h1 = h1 * sigma + c1
+                h2 = h2 * sigma + c2
+                h3 = h3 * sigma + c3
+                h4 = h4 * sigma + c4
+                h5 = h5 * sigma + c5
+                h6 = h6 * sigma + c6
+                h7 = h7 * sigma + c7
+                h8 = h8 * sigma + c8
+                h9 = h9 * sigma + c9
+            u00, u01, u02 = h0 * tau, h1 * tau, h2 * tau
+            u10, u11, u12 = h3 * tau, h4 * tau, h5 * tau
+            q00, q01, q10, q11 = h6 - u00, h7 - u01, h8 - u10, h9 - u11
             det = (q00 * q11 - q01 * q10) * 0.5
             r00, r01, r02 = ((q11 * u00 - q01 * u10) / det + 1.0, (q11 * u01 - q01 * u11) / det,
                              (q11 * u02 - q01 * u12) / det)
             r10, r11, r12 = ((q00 * u10 - q10 * u00) / det, (q00 * u11 - q10 * u01) / det + 1.0,
                              (q00 * u12 - q10 * u02) / det)
-            for _ in range(s):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
+            for _ in range(s) if s else ():  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
                 r00, r01, r02, r10, r11, r12 = (
                     r00 * r00 + r01 * r10, r00 * r01 + r01 * r11, r00 * r02 + r01 * r12 + r02,
                     r10 * r00 + r11 * r10, r10 * r01 + r11 * r11, r10 * r02 + r11 * r12 + r12)
-            g = tables.gamma_exponents[i]
-            rows.append((r00, r01, math.ldexp(r02, g), r10, r11, math.ldexp(r12, g)))
+            g = gamma_exponents[i]
+            row = r00, r01, ldexp(r02, g), r10, r11, ldexp(r12, g)
+            if not isfinite(sum(row)) and not all(map(isfinite, row)):
+                raise _not_finite(tables, intervals, durations)
+            rows.append(row)
     except (ZeroDivisionError, OverflowError):
         raise _not_finite(tables, intervals, durations) from None
-    if not all(map(math.isfinite, (v for row in rows for v in row))):
-        raise _not_finite(tables, intervals, durations)
     return rows
 
 
@@ -527,7 +547,8 @@ def measure_frequency_response(dab: DabSchedule, surface, cfg: SimConfig) -> np.
 def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
                                 freqs) -> np.ndarray:
     """Injected-sinusoid responses [I_rec, V_out] per volt of control, one row per f in `freqs`,
-    sampled on `surface`, which gives the interval pair `a`, `b` and the comparator `polarity`.
+    sampled on `surface`, which gives the interval pair `a`, `b` and the comparator `polarity`:
+    the rows of `_responses` as one complex array.
 
     Per half cycle k the leading duration moves by polarity * comp_gain *
     v[k] and the trailing one by -polarity * comp_gain * v[k+1], the
@@ -539,13 +560,25 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
     one cached pre-run, and each row is what its bin gives on its own.
     """
     import numpy as np
+    return np.array(_responses(dab, surface, cfg, freqs), dtype=complex).reshape(-1, 2)
+
+
+def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
+    """`measure_frequency_responses` as rows [I_rec, V_out] of Python complex.
+
+    Where numpy is loaded already, the perturbed durations, step maps (`_step_maps`), samples
+    and sums are arrays; otherwise all of it is Python floats (`_step_rows`), so `compare` loads
+    no numpy. Both run the kernel on the same blocks of HALF_CYCLES_PER_EXPM half cycles and
+    every later value by the same IEEE operations, so they give the same bits.
+    """
+    np = sys.modules.get("numpy")
     injection, params = cfg.injection, dab.params
     for f in freqs:
         require_coherent(injection._replace(f=f), params.period)
     t_half = params.t_half
     comp_gain = t_half / params.Vr
-    base = np.array([seg.duration for seg in dab.schedule.segments])
-    amp = _resolve_amplitude(injection, params.Vr, comp_gain, float(base.min()))
+    base = [seg.duration for seg in dab.schedule.segments]
+    amp = _resolve_amplitude(injection, params.Vr, comp_gain, min(base))
 
     # Unperturbed pre-run to the periodic orbit, then walk to the surface instant.
     (x0, x1), step_maps = _period_start(dab, cfg)
@@ -553,57 +586,125 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
         x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
 
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
-    ks = np.arange(n_half)
-    intervals = np.stack([(surface.a - 1 + 2 * ks) % 4, (surface.b - 1 + 2 * ks) % 4], axis=1)
     k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
-    unperturbed = base[intervals]
-    responses = np.empty((len(freqs), 2), dtype=complex)
-    for i, f in enumerate(freqs):
+    # Half cycle k steps through intervals a + 2k and b + 2k (mod 4), two maps in a flat row.
+    a, b = surface.a - 1, surface.b - 1
+    pattern = [a, b, (a + 2) % 4, (b + 2) % 4]
+    if np is None:
+        intervals = pattern * (n_half // 2)
+        unperturbed = [base[i] for i in intervals]
+    else:
+        intervals = np.tile(pattern, n_half // 2)
+        unperturbed = np.array(base)[intervals]
+    gain = surface.polarity * comp_gain
+    responses = []
+    for f in freqs:
         f = float(f)
-        # The whole control sequence, hence every half cycle's perturbed
-        # durations, is known before the run starts; math.sin per sample
-        # rounds as a scalar loop would.
-        phase = 2.0 * math.pi * f * np.arange(n_half + 1) * t_half
-        control = amp * np.fromiter(map(math.sin, phase.tolist()), float, n_half + 1)
-        shift = surface.polarity * comp_gain * control
-        durations = unperturbed + np.stack([shift[:-1], -shift[1:]], axis=-1)
-        if durations.min() < 0.0:
-            bad = np.flatnonzero((durations < 0.0).any(axis=-1))[0]
+        # The whole control sequence, hence every half cycle's perturbed durations, is known
+        # before the run starts; math.sin per sample rounds as a scalar loop would.
+        c = 2.0 * math.pi * f
+        if np is None:
+            control = [amp * math.sin(c * k * t_half) for k in range(n_half + 1)]
+            shift = [gain * v for v in control]
+            durations = unperturbed[:]
+            durations[0::2] = map(add, unperturbed[0::2], shift[:-1])
+            durations[1::2] = map(sub, unperturbed[1::2], shift[1:])
+            low = min(durations)
+        else:
+            phase = c * np.arange(n_half + 1) * t_half
+            control = amp * np.fromiter(map(math.sin, phase.tolist()), float, n_half + 1)
+            shift = gain * control
+            durations = unperturbed + np.stack([shift[:-1], -shift[1:]], axis=-1).ravel()
+            low = durations.min()
+        if low < 0.0:
+            bad = next(j for j, d in enumerate(durations) if d < 0.0) // 2
             raise AmplitudeError(f"perturbation at {f!r} Hz drove a duration "
                                  f"negative at half cycle {bad}")
-        samples = _surface_samples(dab, intervals, durations, (x0, x1), k0)
-        basis = np.exp(-2j * math.pi * f * t_half * np.arange(k0, k0 + n))
-        out_bin = basis @ samples
-        responses[i] = ((2.0 / n) * out_bin if amp == 0.0
-                        else out_bin / (basis @ control[k0:k0 + n]))
+        samples = _surface_samples(dab, intervals, durations, (x0, x1), k0, np)
+        re0, im0, re1, im1, re_in, im_in = _sums(
+            [*samples, control[k0:k0 + n]], -2j * math.pi * f * t_half, k0, np)
+        if amp == 0.0:
+            responses.append([complex(2.0 / n * re0, 2.0 / n * im0),
+                              complex(2.0 / n * re1, 2.0 / n * im1)])
+        else:
+            into = complex(re_in, im_in)
+            responses.append([_quotient(complex(re0, im0), into),
+                              _quotient(complex(re1, im1), into)])
     return responses
 
 
-def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int) -> np.ndarray:
-    """Samples c_phys Dr^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`."""
-    import numpy as np
+def _quotient(a: complex, b: complex) -> complex:
+    """a / b by Python's complex division; over a 0 divisor, where Python raises, each part of a
+    over +0.0 as IEEE division gives it (inf, or nan for 0 or nan), as numpy's division does."""
+    if b:
+        return a / b
+    return complex(*(math.copysign(math.inf, v) if v == v and v else math.nan
+                     for v in (a.real, a.imag)))
+
+
+def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int, np) -> tuple:
+    """Samples c_rev Dr^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`: the
+    I_rec and V_out series, each sample a row of c_rev times Dr^k x_k, two products and a sum.
+    Lists of floats from `_step_rows`, or with `np` arrays from `_step_maps`, the same bits."""
     x0, x1 = x
     tables = _tables(dab)
-    n_half = len(durations)
-    states = np.empty((n_half - first, 2, 1))
+    n_half = len(durations) // 2
+    visited = []
+    visit = visited.append
     for start in range(0, n_half, HALF_CYCLES_PER_EXPM):
         end = min(start + HALF_CYCLES_PER_EXPM, n_half)
-        # A half cycle's two maps are consecutive in the stack, so each row is one half cycle,
-        # read in place from the thread's kernel scratch before the next block's call.
-        rows = _rows(_step_maps(tables, intervals[start:end], durations[start:end]), 2)
+        block = slice(2 * start, 2 * end)
+        # A half cycle's two maps are one row, read in place from the thread's kernel scratch
+        # before the next block's call, or joined from the float kernel's rows.
+        if np is None:
+            maps = _step_rows(tables, intervals[block], durations[block])
+            rows = map(add, maps[0::2], maps[1::2])
+        else:
+            rows = _rows(_step_maps(tables, intervals[block], durations[block]), 2)
         kept = min(max(start, first), end)  # the settle window's states are not recorded
         for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in islice(rows, kept - start):
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
-        visited = []
-        visit = visited.append
         for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in rows:
             visit(x0)
             visit(x1)
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
-        if end > first:
-            states[kept - first:end - first, :, 0] = np.fromiter(
-                visited, float, len(visited)).reshape(-1, 2)
-    states[(first + 1) % 2::2, 0] *= -1.0  # Dr: the inductor current negated
-    return (dab.c_phys @ states)[..., 0]
+    c00, c01, c10, c11 = dab.c_rev
+    odd = (first + 1) % 2  # from here on every second recorded k is odd: Dr negates i_L
+    if np is None:
+        x0s, x1s = visited[0::2], visited[1::2]
+        x0s[odd::2] = map(neg, x0s[odd::2])
+        return ([c00 * u + c01 * v for u, v in zip(x0s, x1s)],
+                [c10 * u + c11 * v for u, v in zip(x0s, x1s)])
+    x0s, x1s = np.array(visited).reshape(-1, 2).T
+    x0s[odd::2] *= -1.0
+    return c00 * x0s + c01 * x1s, c10 * x0s + c11 * x1s
+
+
+def _sums(series, w: complex, first: int, np) -> list:
+    """Re and Im of sum_k e^(w k) s[k - first], k = first, first + 1, ..., of each series s:
+    e^(w k) from cmath.exp (or numpy's exp, which takes the same C library cos and sin), each
+    term a product of a float part and a sample, each sum a halving tree of pairwise sums over
+    the terms zero-padded to a power of two (within gamma_(log2 size) of the exact sum). No BLAS
+    order or FMA enters, so lists of floats and arrays give the same bits on any host."""
+    n = len(series[0])
+    size = 1 << (n - 1).bit_length()
+    if np is None:
+        basis = [cmath.exp(w * k) for k in range(first, first + n)]
+        parts = [z.real for z in basis], [z.imag for z in basis]
+        terms, pad = [], [0.0] * (size - n)
+        for s in series:
+            for part in parts:
+                terms += map(mul, part, s)
+                terms += pad
+        while len(terms) > 2 * len(series):
+            terms = list(map(add, terms[0::2], terms[1::2]))
+        return terms
+    basis, series = np.exp(w * np.arange(first, first + n)), np.array(series)
+    terms = np.zeros((len(series), 2, size))
+    terms[:, 0, :n] = basis.real * series
+    terms[:, 1, :n] = basis.imag * series
+    while terms.shape[-1] > 1:
+        terms = terms[..., 0::2] + terms[..., 1::2]
+    return terms.ravel().tolist()

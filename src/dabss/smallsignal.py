@@ -240,6 +240,15 @@ def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
     return _shaped(z, rows, pairs=True)
 
 
+def _fixed_freq_rows(model: HalfCycleModel, c_phys, z: list) -> list:
+    """`transfer_fixed_freq` at each z of a list, as a list of rows (I_rec, V_out) of Python
+    complex, with the same bits and no numpy import."""
+    c = _flat(c_phys)
+    _, rows = _evaluate(z, lambda w: _response(model, c, _input_vector, w.real, w.imag),
+                        model.poles)
+    return [(complex(r0, s0), complex(r1, s1)) for r0, s0, r1, s1 in rows]
+
+
 def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:
     """Exact control-to-output transfer at z: c_phys (zI - phi)^{-1} (b_cur + z b_next), the
     output pair [I_rec, V_out]; on the unit circle, z = exp(j 2 pi f t_half), the frequency

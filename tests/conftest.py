@@ -27,8 +27,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 # README's exit-code table: 0 success, 1 a failing `verify`, 2-5 a refused or unsolvable run.
 README_EXIT_CODES = frozenset(range(6))
-# The commands that run on Python floats alone: a cold run of any of them loads no numpy.
-NUMPY_FREE_COMMANDS = ("steady-state", "verify", "bode", "simulate")
+# The commands that run on Python floats alone, all five: a cold run of any of them loads no
+# numpy.
+NUMPY_FREE_COMMANDS = ("steady-state", "verify", "bode", "simulate", "compare")
 
 
 @contextlib.contextmanager

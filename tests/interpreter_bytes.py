@@ -1,8 +1,8 @@
-"""The numpy-free commands under other interpreters: the same exit codes and the same bytes.
+"""The commands under other interpreters: the same exit codes and the same bytes.
 
-Runs `steady-state`, `verify`, `bode --model both` and `simulate` on a few config files, once
-under the interpreter running this script and once under each interpreter named, and reports
-every run whose exit code, stdout, stderr or `--out` file differs from the running
+Runs `steady-state`, `verify`, `bode --model both`, `simulate` and `compare` on a few config
+files, once under the interpreter running this script and once under each interpreter named,
+and reports every run whose exit code, stdout, stderr or `--out` file differs from the running
 interpreter's.
 The configs are README's config block, a design shaped like the benchmark's cli workload
 (each reference parameter jittered within +-10% by a seeded `random.Random`, a 5-point sweep
@@ -11,8 +11,8 @@ a number goes, and a missing converter key.
 
     python tests/interpreter_bytes.py PYTHON [PYTHON ...]
 
-dabss comes from this checkout's src/. The script uses the standard library only, and the
-commands it runs load no numpy, so an interpreter without numpy will do. It exits 1 on any
+dabss comes from this checkout's src/. The script uses the standard library only, and no
+command loads numpy, so an interpreter without numpy will do. It exits 1 on any
 difference. The file has no test_ prefix, so pytest does not collect it.
 """
 
@@ -29,7 +29,8 @@ import tempfile
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = (("steady-state",), ("verify",), ("bode", "--model", "both"), ("simulate",))
+COMMANDS = (("steady-state",), ("verify",), ("bode", "--model", "both"), ("simulate",),
+            ("compare",))
 REFERENCE = dict(n_turns=1.0, L=10e-6, Co=100e-6, Rt=0.05, Rc=0.01, Ro=10.0,
                  Vin=100.0, fs=100e3, D_phase=0.3, Vr=1.0)
 

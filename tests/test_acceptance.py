@@ -16,7 +16,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from dabss import (P_MINUS, P_PLUS, S_MINUS, S_PLUS, SURFACES, DabParams, Injection, SimConfig,
                    Surface, build_dab, difference_envelope, half_cycle_model, relative_residual,

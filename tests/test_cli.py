@@ -1,16 +1,16 @@
 """End-to-end tests of the command line interface.
 
 Every command runs in process through `tests.conftest.run_cli`, which holds it to README's
-exit-code table and runs `steady-state`, `verify`, `bode` and `simulate` where `import numpy`
-fails, so each takes the float path of a cold run. Only `TestMisc`'s import gates start an
-interpreter (`test_scipy_is_never_imported` with `-X importtime`,
-`test_top_level_names_load_on_first_use` and
+exit-code table and runs every command (`steady-state`, `verify`, `bode`, `simulate` and
+`compare`) where `import numpy` fails, so each takes the float path of a cold run. Only
+`TestMisc`'s import gates start an interpreter (`test_scipy_is_never_imported` with
+`-X importtime`, `test_top_level_names_load_on_first_use` and
 `test_the_float_modules_load_neither_dataclasses_nor_inspect`): only a fresh interpreter shows
 what a cold command line or `import dabss` loads.
 
-`TestSteadyStateWithoutNumpy`, `TestVerifyAndBodeWithoutNumpy` and `TestLargeGrids` also run
-`cli.main` with numpy loaded, whose sweeps of more than 16 points go through arrays, and compare
-its bytes with the float path's.
+`TestSteadyStateWithoutNumpy`, `TestVerifyAndBodeWithoutNumpy`, `TestCompareWithoutNumpy` and
+`TestLargeGrids` also run `cli.main` with numpy loaded, whose sweeps of more than 16 points and
+whose oracle measurement go through arrays, and compare its bytes with the float path's.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ import sys
 import numpy as np
 import pytest
 
-from dabss import (P_PLUS, S_PLUS, DabParams, build_dab, half_cycle_model,
-                   solve_periodic_fixed_point, transfer_fixed_freq)
+from dabss import P_PLUS, DabParams, build_dab, half_cycle_model, transfer_fixed_freq
 from dabss import cli, core, oracle, smallsignal
 from dabss.config import load_config
 from dabss.dab import half_cycle_map
 from dabss.smallsignal import HalfCycleModel
-from tests import reference
+from tests import interpreter_bytes, reference
 from tests.conftest import NUMPY_FREE_COMMANDS, REFERENCE_KWARGS, random_params, run_cli
 
 
@@ -207,6 +206,67 @@ class TestSimulateWithoutNumpy:
         proc = run_cli("simulate", path, "--out", str(tmp_path / "wf.csv"))
         assert proc.returncode == code and proc.stderr.endswith(message), proc.stderr
         assert not (tmp_path / "wf.csv").exists()
+
+
+class TestCompareWithoutNumpy:
+    """`compare` runs the oracle's measurement in Python floats: with numpy unimportable it writes
+    the bytes of a run with numpy loaded, whose measurement runs on arrays, and fails with the
+    exit codes and messages of README's table."""
+
+    @pytest.mark.parametrize("name", ["readme", "cli-workload", "settle-past-a-block"])
+    def test_writes_the_bytes_of_a_normal_run(self, tmp_path, capsys, name):
+        # README's and the cli workload's measurements (3,600 and 2,100 half cycles) cross a
+        # block of oracle.HALF_CYCLES_PER_EXPM = 2,048 half cycles; the third one's settle
+        # window (2,060 half cycles) ends inside its second block.
+        configs = interpreter_bytes.configs()
+        configs["settle-past-a-block"] = json.dumps({
+            "converter": REFERENCE_KWARGS,
+            "sim": {"injection": {"settle_periods": 1030, "measure_periods": 20}},
+            "sweep": {"f_min": 400.0, "f_max": 4000.0, "points": 3}})
+        path = tmp_path / "config.json"
+        path.write_text(configs[name])
+        proc = run_cli("compare", str(path), "--out", str(tmp_path / "a.csv"))
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        assert cli.main(["compare", str(path), "--out", str(tmp_path / "b.csv")]) == 0
+        assert not capsys.readouterr().err
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("converter, sim, code, message", [
+        pytest.param(dict(Rt=1e9, Rc=0.0, Ro=1e30), None, 3,
+                     "rho = 1 is not below 1, so iteration from x = 0 cannot settle\n"
+                     "eigenvalues: (1+0j) 0j\n", id="blocking"),
+        pytest.param(dict(Co=1e-300), None, 2, "a*t (state matrix times duration) reaches "
+                     "1.499e+294, above the 2.419e+16 up to which the oracle's Pade kernel can "
+                     "cross-check it\n", id="Co=1e-300"),
+        pytest.param(dict(Vin=1e308), None, 2, "b*u*t (input column times duration) reaches "
+                     "inf, beyond double precision\n", id="Vin=1e308"),
+        pytest.param({}, {"periods": 3}, 4, "about 2377 more periods would meet it\n",
+                     id="exhausted"),
+        pytest.param({}, {"injection": {"f": 2000.0, "amplitude": 1e6}}, 5,
+                     "exceeding the shortest interval 1.500e-06 s\n", id="amplitude")])
+    def test_fails_as_a_normal_run(self, config_file, tmp_path, capsys, converter, sim, code,
+                                   message):
+        path = config_file(converter=dict(REFERENCE_KWARGS, **converter), sim=sim)
+        proc = run_cli("compare", path, "--out", str(tmp_path / "a.csv"))
+        assert proc.returncode == code and proc.stderr.endswith(message), proc.stderr
+        assert cli.main(["compare", path, "--out", str(tmp_path / "b.csv")]) == code
+        assert capsys.readouterr().err == proc.stderr
+        assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
+    def test_a_zero_or_nan_measurement_reads_inf_and_nan(self, config_file, tmp_path,
+                                                         monkeypatch):
+        # A measured modulus of 0 under a finite predicted one is an infinite ratio, a NaN one a
+        # NaN ratio and phase, with no ZeroDivisionError and no warning.
+        monkeypatch.setattr(oracle, "_responses", lambda dab, surface, sim, freqs: [
+            [0j, complex(math.nan, math.nan)] for _ in freqs])
+        out = tmp_path / "cmp.csv"
+        proc = run_cli("compare", config_file(sweep={"points": 3}), "--out", str(out))
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        assert len(rows) == 3
+        for _, mag_i, phase_i, mag_v, phase_v in rows:
+            assert (mag_i, mag_v, phase_v) == ("inf", "nan", "nan")
+            assert math.isfinite(float(phase_i))
 
 
 class TestVerifyCommand:
@@ -894,14 +954,13 @@ class TestMisc:
 
     COMMANDS = ("steady-state", "verify", "bode", "simulate", "compare")
     # Whether each command line loads numpy, dabss.smallsignal and dabss.oracle: the surface
-    # models where a transfer is evaluated, the simulator where it runs. numpy loads with the
-    # oracle's measurement only, in `compare`: neither `import dabss`, `--version` nor
-    # NUMPY_FREE_COMMANDS load it, and `simulate` runs the oracle in floats. A sweep of 12,001
-    # points, past any size where arrays would pay for numpy's import, runs z by z too.
+    # models where a transfer is evaluated, the simulator where it runs. No command line loads
+    # numpy: `simulate` and `compare` run the oracle in floats, the measurement too. A sweep of
+    # 12,001 points, past any size where arrays would pay for numpy's import, runs z by z too.
     LOADS = {"import": (False, False, False), "cli-version": (False, False, False),
              "steady-state": (False, False, False), "verify": (False, True, False),
              "bode": (False, True, False), "simulate": (False, False, True),
-             "compare": (True, True, True), "bode-12001-points": (False, True, False)}
+             "compare": (False, True, True), "bode-12001-points": (False, True, False)}
 
     @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version"),
                                       *(("-m", "dabss.cli", command)

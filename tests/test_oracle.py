@@ -24,7 +24,7 @@ from dabss.oracle import (measure_frequency_response, measure_frequency_response
 from dabss import core, dab as dab_module, oracle, pwlti
 from tests import reference
 from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
-                            random_params)
+                            numpy_blocked, random_params)
 
 RECTIFY = np.diag([-1.0, 1.0])  # the inductor current negated: the half-wave state flip
 
@@ -751,8 +751,28 @@ def phi_gamma_pre_run(period_maps, periods, tol):
     raise AssertionError("the reference pre-run did not settle")
 
 
+def halving_sum(terms) -> float:
+    """The DFT rule's sum, written as a recursion: the terms zero-padded to a power of two, the
+    sum of each half taken on its own and the two added."""
+    size = 1 << (len(terms) - 1).bit_length()
+    padded = [*terms, *[0.0] * (size - len(terms))]
+
+    def halves(v):
+        return v[0] if len(v) == 1 else halves(v[:len(v) // 2]) + halves(v[len(v) // 2:])
+
+    return halves(padded)
+
+
+def dft_bin(basis, series) -> complex:
+    """sum_k basis[k] series[k] by the DFT rule: each part of each term a product of floats,
+    each part summed by `halving_sum`."""
+    return complex(halving_sum([b.real * s for b, s in zip(basis, series)]),
+                   halving_sum([b.imag * s for b, s in zip(basis, series)]))
+
+
 def per_step_response(dab, surface, cfg):
-    """measure_frequency_response one half cycle at a time, each step map its own call."""
+    """measure_frequency_response one half cycle at a time, each step map its own call; each
+    sample a row of c_rev times Dr^k x, two products and a sum, and each bin `dft_bin`."""
     injection, params = cfg.injection, dab.params
     segments = dab.schedule.segments
     comp_gain = params.t_half / params.Vr
@@ -763,11 +783,13 @@ def per_step_response(dab, surface, cfg):
     for m in period_maps[:surface.a - 1]:
         x = step(m, x)
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
-    control = np.array([amp * math.sin(2.0 * math.pi * injection.f * k * params.t_half)
-                        for k in range(n_half + 1)])
-    samples = np.empty((n_half, 2))
+    control = [amp * math.sin(2.0 * math.pi * injection.f * k * params.t_half)
+               for k in range(n_half + 1)]
+    c00, c01, c10, c11 = dab.c_rev
+    samples = []
     for k in range(n_half):
-        samples[k] = dab.c_phys @ (np.array(x) if k % 2 == 0 else RECTIFY @ np.array(x))
+        x0, x1 = x if k % 2 == 0 else (-x[0], x[1])
+        samples.append((c00 * x0 + c01 * x1, c10 * x0 + c11 * x1))
         ia = (surface.a - 1 + 2 * k) % 4
         ib = (surface.b - 1 + 2 * k) % 4
         ta = segments[ia].duration + surface.polarity * comp_gain * control[k]
@@ -775,8 +797,9 @@ def per_step_response(dab, surface, cfg):
         for interval, duration in ((ia, ta), (ib, tb)):
             x = step(single_step(dab, interval, duration), x)
     k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
-    basis = np.exp(-2j * math.pi * injection.f * params.t_half * np.arange(k0, k0 + n))
-    return (basis @ samples[k0:k0 + n]) / (basis @ control[k0:k0 + n])
+    basis = np.exp(-2j * math.pi * injection.f * params.t_half * np.arange(k0, k0 + n)).tolist()
+    into = dft_bin(basis, control[k0:k0 + n])
+    return np.array([dft_bin(basis, series) / into for series in zip(*samples[k0:k0 + n])])
 
 
 class TestStackedStepMaps:
@@ -932,3 +955,69 @@ class TestHomogeneousStep:
         reference = homogeneous_states(dab, cfg)
         bound = 2.0 * cfg.convergence_tol * (1.0 + np.linalg.norm(reference, axis=1))
         assert np.all(np.linalg.norm(waveform.x - reference, axis=1) <= bound)
+
+
+def float_responses(dab, surface, cfg, freqs) -> bytes:
+    """The bytes of `oracle._responses` where numpy cannot be imported: Python floats alone."""
+    with numpy_blocked():
+        rows = oracle._responses(dab, surface, cfg, freqs)
+    return np.array(rows, dtype=complex).tobytes()
+
+
+class TestFloatMeasurement:
+    """The measurement in Python floats (`_step_rows`, lists and `_sums`' float branch) gives the
+    bits of the one with numpy loaded (`_step_maps` and arrays), and its sums keep the pairwise
+    error bound."""
+
+    INJECTION = dict(settle_periods=10, measure_periods=20)
+    # A loose tolerance keeps the pre-runs short; both paths start from the same cached one.
+    CFG = dict(periods=10**6, convergence_tol=1e-6)
+
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
+    def test_random_designs_measure_the_same_bits_without_numpy(self, monkeypatch, block):
+        monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
+        rng = np.random.default_rng(35)
+        for i in range(20):
+            dab = build_dab(random_params(rng))
+            surface = (P_PLUS, P_MINUS, S_PLUS, S_MINUS)[i % 4]
+            window = self.INJECTION["measure_periods"] * dab.params.period
+            freqs = [m / window for m in (1, 3, 7)]
+            cfg = SimConfig(**self.CFG, injection=Injection(**self.INJECTION))
+            arrays = measure_frequency_responses(dab, surface, cfg, freqs)
+            assert float_responses(dab, surface, cfg, freqs) == arrays.tobytes(), i
+
+    @pytest.mark.parametrize("converter, amplitude", [
+        # Every step on degree 13 with one or two squarings; steps on either side of theta9, a
+        # mixed stack; degree 13 with more squarings; the zero-amplitude floor probe.
+        (dict(Rt=50.0), None), (dict(Rt=6.0), None), (dict(Co=1e-8), None), ({}, 0.0)],
+        ids=["Rt=50", "Rt=6", "Co=1e-8", "amplitude-0"])
+    def test_designs_by_degree_measure_the_same_bits_without_numpy(self, converter, amplitude):
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, **converter)))
+        window = self.INJECTION["measure_periods"] * dab.params.period
+        freqs = [m / window for m in (1, 3, 7)]
+        cfg = SimConfig(**self.CFG, injection=Injection(amplitude=amplitude, **self.INJECTION))
+        for surface in (P_PLUS, S_MINUS):
+            arrays = measure_frequency_responses(dab, surface, cfg, freqs)
+            assert float_responses(dab, surface, cfg, freqs) == arrays.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 500, 2000, 2049])
+    def test_a_sum_is_within_the_pairwise_bound_of_fsum(self, n):
+        # A halving tree of depth h = ceil(log2 n) errs by at most gamma_h sum |terms| (Higham,
+        # "Accuracy and Stability of Numerical Algorithms", 2nd ed., 4.2); one more u covers
+        # fsum's own rounding. The samples span 60 binades and both signs, so the sums cancel.
+        rng = np.random.default_rng(n)
+        samples = (rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(-30.0, 30.0, n)).tolist()
+        control = rng.standard_normal(n).tolist()
+        w, first = -2j * math.pi * 0.137, 40
+        sums = oracle._sums([samples, control], w, first, None)
+        assert np.array(sums).tobytes() == np.array(
+            oracle._sums([samples, control], w, first, np)).tobytes()
+        basis = [cmath.exp(w * k) for k in range(first, first + n)]
+        depth = (n - 1).bit_length()
+        gamma = (depth + 1) * 2.0 ** -53 / (1.0 - (depth + 1) * 2.0 ** -53)
+        expected = [[part(b) * s for b, s in zip(basis, series)]
+                    for series in (samples, control)
+                    for part in (lambda b: b.real, lambda b: b.imag)]
+        for got, terms in zip(sums, expected, strict=True):
+            assert abs(got - math.fsum(terms)) <= gamma * math.fsum(map(abs, terms))
+            assert got == halving_sum(terms)
