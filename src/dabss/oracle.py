@@ -18,15 +18,17 @@ it a legitimate cross-check. The Pade numerator and denominator of each
 interval are tabled once per design, in Python floats, as polynomials in the
 step's duration, so each map costs one Horner pass over its interval's table.
 
-The kernel has two forms that give the same bits. `_step_rows` runs maps in Python
-floats: the pre-run's period maps, the waveform's substep maps and, where numpy is not loaded,
-the perturbed half cycles of a frequency-response measurement, so `simulate` and `compare` load
-no numpy. `_step_maps` runs a stack of maps as numpy arrays, for a measurement where numpy is
-loaded already: its thread allocates the kernel's work arrays once and reuses them for all of
-its exponentials, while the scalar loops read the maps in place. Either way a measurement's
-samples and DFT bins follow one float rule, with no BLAS sum, so their bits do not depend on the
-path or the host. Only the stacked kernel, which runs where numpy is loaded already, and the
-public array edge (`run_to_steady_state`, `measure_frequency_responses`) import numpy.
+The kernel has two forms that give the same bits. `_step_rows` runs maps in
+Python floats: the pre-run's period maps, the waveform's substep maps and,
+where numpy is not loaded, the perturbed half cycles of a frequency-response
+measurement, so `simulate` and `compare` load no numpy. `_step_maps` runs a
+stack of maps as numpy arrays, for a measurement where numpy is loaded already:
+its thread allocates the kernel's work arrays once and reuses them for all of
+its exponentials, while the scalar loops read the maps in place. Either way a
+measurement's samples and DFT bins follow one float rule, with no BLAS sum, so
+their bits do not depend on the path or the host. Only the stacked kernel,
+which runs where numpy is loaded already, and the public array edge
+(`run_to_steady_state`, `measure_frequency_responses`) import numpy.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -58,8 +60,9 @@ DEFAULT_AMPLITUDE_RATIO = 1e-4
 # Half cycles whose step maps come from one call of the oracle's exponential;
 # bounds the memory of a measurement's step maps independently of its length.
 # A call pays a fixed cost of some 40 numpy calls: in blocks of 1,024 the
-# oracle-compare measurements of the reference design took about 3% longer. The float kernel
-# takes the same blocks, since a block's largest norm sets every map's Horner length.
+# oracle-compare measurements of the reference design took about 3% longer.
+# The float kernel takes the same blocks, since a block's largest norm sets
+# every map's Horner length.
 HALF_CYCLES_PER_EXPM = 2048
 
 
@@ -256,7 +259,7 @@ def _step_rows(tables: _Tables, intervals, durations) -> list:
                              (q11 * u02 - q01 * u12) / det)
             r10, r11, r12 = ((q00 * u10 - q10 * u00) / det, (q00 * u11 - q10 * u01) / det + 1.0,
                              (q00 * u12 - q10 * u02) / det)
-            for _ in range(s) if s else ():  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
+            for _ in range(s):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
                 r00, r01, r02, r10, r11, r12 = (
                     r00 * r00 + r01 * r10, r00 * r01 + r01 * r11, r00 * r02 + r01 * r12 + r02,
                     r10 * r00 + r11 * r10, r10 * r01 + r11 * r11, r10 * r02 + r11 * r12 + r12)
@@ -671,7 +674,7 @@ def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int, np) 
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
     c00, c01, c10, c11 = dab.c_rev
-    odd = (first + 1) % 2  # from here on every second recorded k is odd: Dr negates i_L
+    odd = (first + 1) % 2  # the j-th recorded sample has k = first + j: Dr negates odd k's i_L
     if np is None:
         x0s, x1s = visited[0::2], visited[1::2]
         x0s[odd::2] = map(neg, x0s[odd::2])
@@ -686,8 +689,9 @@ def _sums(series, w: complex, first: int, np) -> list:
     """Re and Im of sum_k e^(w k) s[k - first], k = first, first + 1, ..., of each series s:
     e^(w k) from cmath.exp (or numpy's exp, which takes the same C library cos and sin), each
     term a product of a float part and a sample, each sum a halving tree of pairwise sums over
-    the terms zero-padded to a power of two (within gamma_(log2 size) of the exact sum). No BLAS
-    order or FMA enters, so lists of floats and arrays give the same bits on any host."""
+    the terms zero-padded to a power of two (in error by at most gamma_(log2 size) times the sum
+    of |terms|). No BLAS order or FMA enters, so lists of floats and arrays give the same bits on
+    any host."""
     n = len(series[0])
     size = 1 << (n - 1).bit_length()
     if np is None:
