@@ -8,8 +8,9 @@ write-temp-then-rename so a failing command never leaves partial output,
 and all output is byte deterministic for identical inputs. Each command imports
 what it runs: `verify`, `bode` and `compare` load `dabss.smallsignal`, and
 `simulate` and `compare` the simulator, `dabss.oracle`. Every command runs on Python
-floats and loads no numpy, whatever the size of the sweep: `compare` measures the oracle's
-frequency responses in floats too.
+floats and loads no numpy, whatever the size of the sweep, but for a `compare` whose
+measurement passes `oracle.FLOAT_HALF_CYCLES` half cycles: that one imports numpy for the
+oracle's stacked kernel where numpy is installed, and gives the same bytes without it.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _ratio(size: float, measured: float) -> float:
 
 def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     from .oracle import _period_start, _responses
-    from .smallsignal import _fixed_freq_rows, half_cycle_model
+    from .smallsignal import _input_vector, _transfer_rows, half_cycle_model
     surface = cfg.surfaces["P+"]
     model = half_cycle_model(dab, surface)
 
@@ -204,8 +205,9 @@ def cmd_compare(args, cfg: AppConfig, dab: DabSchedule) -> int:
     freqs = ([cfg.sim.injection.f] if cfg.sim.injection.f is not None
              else _coherent_frequencies(cfg, model.t_half))
     z = [complex_exp(2j * math.pi * f * model.t_half) for f in freqs]
-    predicted = [[(h, _modulus(h, f)) for h in row]
-                 for f, row in zip(freqs, _fixed_freq_rows(model, dab.c_rev, z))]
+    rows = _transfer_rows(model, dab.c_rev, z, _input_vector)  # transfer_fixed_freq's bits
+    predicted = [[(h, _modulus(h, f)) for h in (complex(r0, s0), complex(r1, s1))]
+                 for f, (r0, s0, r1, s1) in zip(freqs, rows)]
 
     x_model = fixed_point(dab.schedule._period, "periodic solve")
     x_sim, _ = _period_start(dab, cfg.sim)

@@ -21,14 +21,15 @@ step's duration, so each map costs one Horner pass over its interval's table.
 The kernel has two forms that give the same bits. `_step_rows` runs maps in
 Python floats: the pre-run's period maps, the waveform's substep maps and,
 where numpy is not loaded, the perturbed half cycles of a frequency-response
-measurement, so `simulate` and `compare` load no numpy. `_step_maps` runs a
-stack of maps as numpy arrays, for a measurement where numpy is loaded already:
-its thread allocates the kernel's work arrays once and reuses them for all of
-its exponentials, while the scalar loops read the maps in place. Either way a
-measurement's samples and DFT bins follow one float rule, with no BLAS sum, so
-their bits do not depend on the path or the host. Only the stacked kernel,
-which runs where numpy is loaded already, and the public array edge
-(`run_to_steady_state`, `measure_frequency_responses`) import numpy.
+measurement of up to FLOAT_HALF_CYCLES, so `simulate` and a short `compare`
+load no numpy. `_step_maps` runs a stack of maps as numpy arrays, for a
+measurement where numpy is loaded already or a longer one: its thread allocates
+the kernel's work arrays once and reuses them for all of its exponentials,
+while the scalar loops read the maps in place. Either way a measurement runs
+block by block, and its samples and DFT bins follow one float rule, with no
+BLAS sum, so their bits do not depend on the path or the host. Only the
+stacked kernel and the public array edge (`run_to_steady_state`,
+`measure_frequency_responses`) import numpy.
 
 Frequency responses are measured the way a network analyzer would: inject a
 sinusoid into the control voltage, recompute the comparator-set durations
@@ -64,6 +65,17 @@ DEFAULT_AMPLITUDE_RATIO = 1e-4
 # The float kernel takes the same blocks, since a block's largest norm sets
 # every map's Horner length.
 HALF_CYCLES_PER_EXPM = 2048
+
+# Half cycles, over all of a measurement's bins, up to which a measurement where numpy is not
+# loaded runs in Python floats; past them it imports numpy for the stacked kernel, if it can.
+# The float kernel costs some 5 us a half cycle more (5.8 against 0.8 us in process) and
+# numpy's import some 55 ms with one BLAS thread (110-150 ms with its default pool): in cold
+# `compare` runs with one BLAS thread the two crossed near 13,000 half cycles.
+FLOAT_HALF_CYCLES = 12_000
+
+# Terms of a DFT sum held at once: a power of two, so each chunk is a subtree of the sum's
+# halving tree.
+SUM_CHUNK = 2048
 
 
 class Waveform(NamedTuple):
@@ -569,12 +581,13 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
 def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
     """`measure_frequency_responses` as rows [I_rec, V_out] of Python complex.
 
-    Where numpy is loaded already, the perturbed durations, step maps (`_step_maps`), samples
-    and sums are arrays; otherwise all of it is Python floats (`_step_rows`), so `compare` loads
-    no numpy. Both run the kernel on the same blocks of HALF_CYCLES_PER_EXPM half cycles and
-    every later value by the same IEEE operations, so they give the same bits.
+    Each bin runs block by block, one kernel call per HALF_CYCLES_PER_EXPM half cycles, and sums
+    its DFT as it goes, so no series of the whole run is kept. Where `_numpy` gives numpy, each
+    block's durations, step maps (`_step_maps`), samples and sums are arrays; otherwise they are
+    Python floats (`_step_rows`). Both make the same IEEE operations on the same blocks, so they
+    give the same bits. (Lists for all but the step maps took an oracle-compare bin from 2.5 to
+    4.9 ms.)
     """
-    np = sys.modules.get("numpy")
     injection, params = cfg.injection, dab.params
     for f in freqs:
         require_coherent(injection._replace(f=f), params.period)
@@ -590,42 +603,24 @@ def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
 
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
     k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
-    # Half cycle k steps through intervals a + 2k and b + 2k (mod 4), two maps in a flat row.
+    np = _numpy(n_half * len(freqs))
+    # Half cycle k steps through intervals a + 2k and b + 2k (mod 4), two steps a half cycle; a
+    # block takes them from its first half cycle's parity on.
     a, b = surface.a - 1, surface.b - 1
     pattern = [a, b, (a + 2) % 4, (b + 2) % 4]
     if np is None:
-        intervals = pattern * (n_half // 2)
+        intervals = pattern * (HALF_CYCLES_PER_EXPM // 2 + 1)
         unperturbed = [base[i] for i in intervals]
     else:
-        intervals = np.tile(pattern, n_half // 2)
+        intervals = np.tile(pattern, HALF_CYCLES_PER_EXPM // 2 + 1)
         unperturbed = np.array(base)[intervals]
     gain = surface.polarity * comp_gain
     responses = []
     for f in freqs:
         f = float(f)
-        # The whole control sequence, hence every half cycle's perturbed durations, is known
-        # before the run starts; math.sin per sample rounds as a scalar loop would.
-        c = 2.0 * math.pi * f
-        if np is None:
-            control = [amp * math.sin(c * k * t_half) for k in range(n_half + 1)]
-            shift = [gain * v for v in control]
-            durations = unperturbed[:]
-            durations[0::2] = map(add, unperturbed[0::2], shift[:-1])
-            durations[1::2] = map(sub, unperturbed[1::2], shift[1:])
-            low = min(durations)
-        else:
-            phase = c * np.arange(n_half + 1) * t_half
-            control = amp * np.fromiter(map(math.sin, phase.tolist()), float, n_half + 1)
-            shift = gain * control
-            durations = unperturbed + np.stack([shift[:-1], -shift[1:]], axis=-1).ravel()
-            low = durations.min()
-        if low < 0.0:
-            bad = next(j for j, d in enumerate(durations) if d < 0.0) // 2
-            raise AmplitudeError(f"perturbation at {f!r} Hz drove a duration "
-                                 f"negative at half cycle {bad}")
-        samples = _surface_samples(dab, intervals, durations, (x0, x1), k0, np)
-        re0, im0, re1, im1, re_in, im_in = _sums(
-            [*samples, control[k0:k0 + n]], -2j * math.pi * f * t_half, k0, np)
+        blocks = _perturbed(f, amp, gain, t_half, intervals, unperturbed, n_half, np)
+        samples = _surface_samples(dab, blocks, (x0, x1), k0, np)
+        re0, im0, re1, im1, re_in, im_in = _sums(samples, -2j * math.pi * f * t_half, k0, n, np)
         if amp == 0.0:
             responses.append([complex(2.0 / n * re0, 2.0 / n * im0),
                               complex(2.0 / n * re1, 2.0 / n * im1)])
@@ -634,6 +629,18 @@ def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
             responses.append([_quotient(complex(re0, im0), into),
                               _quotient(complex(re1, im1), into)])
     return responses
+
+
+def _numpy(half_cycles: int):
+    """numpy for a measurement of `half_cycles` over all its bins: where it is loaded already, or
+    where they pass FLOAT_HALF_CYCLES and it can be imported; None for the float path."""
+    np = sys.modules.get("numpy")
+    if np is None and half_cycles > FLOAT_HALF_CYCLES:
+        try:
+            import numpy as np
+        except ImportError:  # an interpreter without numpy measures in floats at any length
+            return None
+    return np
 
 
 def _quotient(a: complex, b: complex) -> complex:
@@ -645,70 +652,150 @@ def _quotient(a: complex, b: complex) -> complex:
                      for v in (a.real, a.imag)))
 
 
-def _surface_samples(dab: DabSchedule, intervals, durations, x, first: int, np) -> tuple:
-    """Samples c_rev Dr^k x_k, k = first, ..., half cycles - 1, of the run from x_0 = `x`: the
-    I_rec and V_out series, each sample a row of c_rev times Dr^k x_k, two products and a sum.
-    Lists of floats from `_step_rows`, or with `np` arrays from `_step_maps`, the same bits."""
-    x0, x1 = x
-    tables = _tables(dab)
-    n_half = len(durations) // 2
-    visited = []
-    visit = visited.append
+def _perturbed(f: float, amp: float, gain: float, t_half: float, intervals, unperturbed,
+               n_half: int, np):
+    """Per block of HALF_CYCLES_PER_EXPM half cycles, from k = 0: (its first half cycle, the
+    control v[k] of its half cycles and of the next one, its steps' intervals and durations).
+
+    Half cycle k's leading duration moves by gain * v[k] and its trailing one by -gain * v[k+1];
+    v[k] = amp sin(2 pi f k t_half), math.sin per sample, as a scalar loop rounds it. A duration
+    turns negative only past the amplitude that `_resolve_amplitude` allows.
+    """
+    c = 2.0 * math.pi * f
     for start in range(0, n_half, HALF_CYCLES_PER_EXPM):
         end = min(start + HALF_CYCLES_PER_EXPM, n_half)
-        block = slice(2 * start, 2 * end)
+        steps = slice(2 * (start % 2), 2 * (start % 2 + end - start))
+        if np is None:
+            control = [amp * math.sin(c * k * t_half) for k in range(start, end + 1)]
+            shift = [gain * v for v in control]
+            durations = unperturbed[steps]
+            durations[0::2] = map(add, durations[0::2], shift[:-1])
+            durations[1::2] = map(sub, durations[1::2], shift[1:])
+            low = min(durations)
+        else:
+            phase = c * np.arange(start, end + 1) * t_half
+            control = amp * np.fromiter(map(math.sin, phase.tolist()), float, end + 1 - start)
+            shift = gain * control
+            durations = unperturbed[steps].copy()
+            durations[0::2] += shift[:-1]
+            durations[1::2] -= shift[1:]
+            low = durations.min()
+        if low < 0.0:
+            bad = start + next(j for j, d in enumerate(durations) if d < 0.0) // 2
+            raise AmplitudeError(f"perturbation at {f!r} Hz drove a duration "
+                                 f"negative at half cycle {bad}")
+        yield start, control, intervals[steps], durations
+
+
+def _surface_samples(dab: DabSchedule, blocks, x, first: int, np):
+    """The run from x_0 = `x` through `_perturbed`'s `blocks`, one kernel call a block: per block
+    that reaches `first`, (k, I_rec, V_out, v) of its half cycles from k on, k >= first, the
+    samples c_rev Dr^k x_k, each a row of c_rev times Dr^k x_k (two products and a sum), and the
+    control. Lists of floats from `_step_rows`, or with `np` arrays from `_step_maps`, the same
+    bits."""
+    x0, x1 = x
+    tables = _tables(dab)
+    c00, c01, c10, c11 = dab.c_rev
+    for start, control, intervals, durations in blocks:
+        end = start + len(durations) // 2
         # A half cycle's two maps are one row, read in place from the thread's kernel scratch
         # before the next block's call, or joined from the float kernel's rows.
         if np is None:
-            maps = _step_rows(tables, intervals[block], durations[block])
+            maps = _step_rows(tables, intervals, durations)
             rows = map(add, maps[0::2], maps[1::2])
         else:
-            rows = _rows(_step_maps(tables, intervals[block], durations[block]), 2)
+            rows = _rows(_step_maps(tables, intervals, durations), 2)
         kept = min(max(start, first), end)  # the settle window's states are not recorded
         for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in islice(rows, kept - start):
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
+        visited = []
+        visit = visited.append
         for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in rows:
             visit(x0)
             visit(x1)
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
-    c00, c01, c10, c11 = dab.c_rev
-    odd = (first + 1) % 2  # the j-th recorded sample has k = first + j: Dr negates odd k's i_L
-    if np is None:
-        x0s, x1s = visited[0::2], visited[1::2]
-        x0s[odd::2] = map(neg, x0s[odd::2])
-        return ([c00 * u + c01 * v for u, v in zip(x0s, x1s)],
-                [c10 * u + c11 * v for u, v in zip(x0s, x1s)])
-    x0s, x1s = np.array(visited).reshape(-1, 2).T
-    x0s[odd::2] *= -1.0
-    return c00 * x0s + c01 * x1s, c10 * x0s + c11 * x1s
+        if kept == end:
+            continue
+        odd = (kept + 1) % 2  # the j-th recorded state has k = kept + j: Dr negates odd k's i_L
+        v = control[kept - start:end - start]
+        if np is None:
+            x0s, x1s = visited[0::2], visited[1::2]
+            x0s[odd::2] = map(neg, x0s[odd::2])
+            yield (kept, [c00 * u + c01 * w for u, w in zip(x0s, x1s)],
+                   [c10 * u + c11 * w for u, w in zip(x0s, x1s)], v)
+        else:
+            x0s, x1s = np.array(visited).reshape(-1, 2).T
+            x0s[odd::2] *= -1.0
+            yield kept, c00 * x0s + c01 * x1s, c10 * x0s + c11 * x1s, v
 
 
-def _sums(series, w: complex, first: int, np) -> list:
-    """Re and Im of sum_k e^(w k) s[k - first], k = first, first + 1, ..., of each series s:
-    e^(w k) from cmath.exp (or numpy's exp, which takes the same C library cos and sin), each
-    term a product of a float part and a sample, each sum a halving tree of pairwise sums over
-    the terms zero-padded to a power of two (in error by at most gamma_(log2 size) times the sum
-    of |terms|). No BLAS order or FMA enters, so lists of floats and arrays give the same bits on
-    any host."""
-    n = len(series[0])
-    size = 1 << (n - 1).bit_length()
+def _sums(pieces, w: complex, first: int, n: int, np) -> list:
+    """Re and Im of sum_k e^(w k) s_k, k = first, ..., first + n - 1, of each series s of the
+    `pieces` (k, *series), consecutive runs of samples from k = first on.
+
+    e^(w k) comes from cmath.exp (or numpy's exp, which takes the same C library cos and sin),
+    each term is a product of a float part and a sample, and each sum is a halving tree of
+    pairwise sums over the terms zero-padded to a power of two (in error by at most gamma_(log2
+    size) times the sum of |terms|). It is taken SUM_CHUNK terms at a time, then over the chunks'
+    sums zero-padded likewise: the same tree, with no more than a chunk of terms held. No BLAS
+    order or FMA enters, so lists of floats and arrays give the same bits on any host.
+    """
+    size = min(1 << (n - 1).bit_length(), SUM_CHUNK)
+    partial = [_chunk_sums(chunk, w, size, np) for chunk in _chunks(pieces, size)]
+    padded = [0.0] * ((1 << (len(partial) - 1).bit_length()) - len(partial))
+    return _halved([v for sums in zip(*partial) for v in (*sums, *padded)], len(partial[0]))
+
+
+def _chunks(pieces, size: int):
+    """The `pieces` (k, *series) regrouped into chunks of `size` samples, each a list of its
+    pieces; the last chunk may be short."""
+    chunk, filled = [], 0
+    for k, *series in pieces:
+        at, m = 0, len(series[0])
+        while at < m:
+            take = min(size - filled, m - at)
+            chunk.append((k + at, *(s[at:at + take] for s in series)))
+            at, filled = at + take, filled + take
+            if filled == size:
+                yield chunk
+                chunk, filled = [], 0
+    if chunk:
+        yield chunk
+
+
+def _chunk_sums(chunk, w: complex, size: int, np) -> list:
+    """Re and Im of sum_k e^(w k) s_k over the pieces (k, *series) of one chunk, for each series:
+    each a halving tree over its terms zero-padded to `size`, a power of two."""
     if np is None:
-        basis = [cmath.exp(w * k) for k in range(first, first + n)]
-        parts = [z.real for z in basis], [z.imag for z in basis]
-        terms, pad = [], [0.0] * (size - n)
-        for s in series:
-            for part in parts:
-                terms += map(mul, part, s)
+        parts = []
+        for k, *series in chunk:
+            basis = [cmath.exp(w * j) for j in range(k, k + len(series[0]))]
+            parts.append((series, [z.real for z in basis], [z.imag for z in basis]))
+        pad = [0.0] * (size - sum(len(real) for _, real, _ in parts))
+        terms = []
+        for i in range(len(chunk[0]) - 1):
+            for p in (1, 2):
+                for piece in parts:
+                    terms += map(mul, piece[p], piece[0][i])
                 terms += pad
-        while len(terms) > 2 * len(series):
-            terms = list(map(add, terms[0::2], terms[1::2]))
-        return terms
-    basis, series = np.exp(w * np.arange(first, first + n)), np.array(series)
-    terms = np.zeros((len(series), 2, size))
-    terms[:, 0, :n] = basis.real * series
-    terms[:, 1, :n] = basis.imag * series
+        return _halved(terms, 2 * (len(chunk[0]) - 1))
+    terms, at = np.zeros((len(chunk[0]) - 1, 2, size)), 0
+    for k, *series in chunk:
+        m = len(series[0])
+        basis = np.exp(w * np.arange(k, k + m))
+        terms[:, 0, at:at + m] = basis.real * series
+        terms[:, 1, at:at + m] = basis.imag * series
+        at += m
     while terms.shape[-1] > 1:
         terms = terms[..., 0::2] + terms[..., 1::2]
     return terms.ravel().tolist()
+
+
+def _halved(terms: list, parts: int) -> list:
+    """The halving-tree sums of `parts` runs of `terms`, all of one power-of-two length: each
+    level adds neighbours pairwise."""
+    while len(terms) > parts:
+        terms = list(map(add, terms[0::2], terms[1::2]))
+    return terms

@@ -233,20 +233,16 @@ def _response(model: HalfCycleModel, c: list, rhs, zr, zi):
     return matrix_times(c, resolvent_solve(e.phi, zr, zi, [rhs(e, zr, zi)])[0])
 
 
+def _transfer_rows(model: HalfCycleModel, c_phys, z, rhs) -> list:
+    """`_response` at z, one number or a sequence: a planar row (Re, Im of I_rec, of V_out) per
+    z, in Python floats."""
+    c = _flat(c_phys)
+    return _evaluate(z, lambda w: _response(model, c, rhs, w.real, w.imag), model.poles)[1]
+
+
 def _transfer(model: HalfCycleModel, c_phys, z, rhs) -> np.ndarray:
     """`_response` at z, one number or an array: a complex array z.shape + (2,)."""
-    c = _flat(c_phys)
-    _, rows = _evaluate(z, lambda w: _response(model, c, rhs, w.real, w.imag), model.poles)
-    return _shaped(z, rows, pairs=True)
-
-
-def _fixed_freq_rows(model: HalfCycleModel, c_phys, z: list) -> list:
-    """`transfer_fixed_freq` at each z of a list, as a list of rows (I_rec, V_out) of Python
-    complex, with the same bits and no numpy import."""
-    c = _flat(c_phys)
-    _, rows = _evaluate(z, lambda w: _response(model, c, _input_vector, w.real, w.imag),
-                        model.poles)
-    return [(complex(r0, s0), complex(r1, s1)) for r0, s0, r1, s1 in rows]
+    return _shaped(z, _transfer_rows(model, c_phys, z, rhs), pairs=True)
 
 
 def transfer_fixed_freq(model: HalfCycleModel, c_phys: np.ndarray, z) -> np.ndarray:

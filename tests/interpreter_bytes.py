@@ -11,9 +11,11 @@ a number goes, and a missing converter key.
 
     python tests/interpreter_bytes.py PYTHON [PYTHON ...]
 
-dabss comes from this checkout's src/. The script uses the standard library only, and no
-command loads numpy, so an interpreter without numpy will do. It exits 1 on any
-difference. The file has no test_ prefix, so pytest does not collect it.
+dabss comes from this checkout's src/. The script uses the standard library only, and an
+interpreter without numpy will do: no command needs numpy. A `compare` whose measurement
+passes oracle.FLOAT_HALF_CYCLES (README's) imports it where it is installed and runs in
+floats where it is not, with the same bytes. It exits 1 on any difference. The file has no
+test_ prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations

@@ -213,16 +213,24 @@ class TestCompareWithoutNumpy:
     the bytes of a run with numpy loaded, whose measurement runs on arrays, and fails with the
     exit codes and messages of README's table."""
 
-    @pytest.mark.parametrize("name", ["readme", "cli-workload", "settle-past-a-block"])
+    @pytest.mark.parametrize("name", ["readme", "cli-workload", "settle-past-a-block",
+                                      "amplitude-1e-323", "amplitude-5e-324"])
     def test_writes_the_bytes_of_a_normal_run(self, tmp_path, capsys, name):
         # README's and the cli workload's measurements (3,600 and 2,100 half cycles) cross a
-        # block of oracle.HALF_CYCLES_PER_EXPM = 2,048 half cycles; the third one's settle
-        # window (2,060 half cycles) ends inside its second block.
+        # block of oracle.HALF_CYCLES_PER_EXPM = 2,048 half cycles, and README's 21 bins pass
+        # oracle.FLOAT_HALF_CYCLES, so with numpy loaded they run on arrays; the third one's
+        # settle window (2,060 half cycles) ends inside its second block. At the two subnormal
+        # amplitudes the input bin is a few subnormals, so each bin's quotient overflows.
         configs = interpreter_bytes.configs()
         configs["settle-past-a-block"] = json.dumps({
             "converter": REFERENCE_KWARGS,
             "sim": {"injection": {"settle_periods": 1030, "measure_periods": 20}},
             "sweep": {"f_min": 400.0, "f_max": 4000.0, "points": 3}})
+        for amplitude in (1e-323, 5e-324):
+            configs[f"amplitude-{amplitude!r}"] = json.dumps({
+                "converter": REFERENCE_KWARGS,
+                "sim": {"injection": {"f": 5000.0, "amplitude": amplitude,
+                                      "settle_periods": 10, "measure_periods": 20}}})
         path = tmp_path / "config.json"
         path.write_text(configs[name])
         proc = run_cli("compare", str(path), "--out", str(tmp_path / "a.csv"))
@@ -954,24 +962,29 @@ class TestMisc:
 
     COMMANDS = ("steady-state", "verify", "bode", "simulate", "compare")
     # Whether each command line loads numpy, dabss.smallsignal and dabss.oracle: the surface
-    # models where a transfer is evaluated, the simulator where it runs. No command line loads
-    # numpy: `simulate` and `compare` run the oracle in floats, the measurement too. A sweep of
-    # 12,001 points, past any size where arrays would pay for numpy's import, runs z by z too.
+    # models where a transfer is evaluated, the simulator where it runs. `simulate` and a short
+    # `compare` run the oracle in floats, the measurement too; a sweep of 12,001 points, past any
+    # size where arrays would pay for numpy's import, runs z by z too. Only a measurement past
+    # oracle.FLOAT_HALF_CYCLES (3 bins of 8,020 half cycles here) imports numpy.
     LOADS = {"import": (False, False, False), "cli-version": (False, False, False),
              "steady-state": (False, False, False), "verify": (False, True, False),
              "bode": (False, True, False), "simulate": (False, False, True),
-             "compare": (False, True, True), "bode-12001-points": (False, True, False)}
+             "compare": (False, True, True), "bode-12001-points": (False, True, False),
+             "compare-4000-periods": (True, True, True)}
 
     @pytest.mark.parametrize("argv", [("-c", "import dabss"), ("-m", "dabss.cli", "--version"),
                                       *(("-m", "dabss.cli", command)
-                                        for command in (*COMMANDS, "bode"))],
-                             ids=["import", "cli-version", *COMMANDS, "bode-12001-points"])
+                                        for command in (*COMMANDS, "bode", "compare"))],
+                             ids=["import", "cli-version", *COMMANDS, "bode-12001-points",
+                                  "compare-4000-periods"])
     def test_scipy_is_never_imported(self, config_file, tmp_path, argv, request):
         # -X importtime lists every module the interpreter imports, one per line.
         command, case = argv[-1], request.node.callspec.id
         if command in self.COMMANDS:
             points = 12_001 if case == "bode-12001-points" else 3
-            argv += (config_file(sim={"injection": {"settle_periods": 10, "measure_periods": 20}},
+            measure = 4000 if case == "compare-4000-periods" else 20
+            argv += (config_file(sim={"injection": {"settle_periods": 10,
+                                                    "measure_periods": measure}},
                                  sweep={"f_min": 400.0, "f_max": 4000.0, "points": points}),)
             if command != "verify":
                 argv += ("--out", str(tmp_path / "out"))
@@ -983,7 +996,8 @@ class TestMisc:
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
         loads = tuple(name in imported for name in ("numpy", "dabss.smallsignal", "dabss.oracle"))
         assert loads == self.LOADS[case]
-        assert loads[0] == (case in self.COMMANDS and case not in NUMPY_FREE_COMMANDS)
+        assert loads[0] == (case == "compare-4000-periods"
+                            or case in self.COMMANDS and case not in NUMPY_FREE_COMMANDS)
 
     def test_the_float_modules_load_neither_dataclasses_nor_inspect(self):
         # A frozen dataclass costs a cold command about 0.7 ms to create, and `import

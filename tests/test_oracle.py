@@ -1000,18 +1000,38 @@ class TestFloatMeasurement:
             arrays = measure_frequency_responses(dab, surface, cfg, freqs)
             assert float_responses(dab, surface, cfg, freqs) == arrays.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 500, 2000, 2049])
+    def test_a_quotient_by_zero_is_numpys(self):
+        # Python's complex division raises on a 0 divisor; numpy's divides each part by +0.0:
+        # the same infinities, and NaN where numpy gives one (whose sign `compare` never prints).
+        parts = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
+        for a in (complex(re, im) for re in parts for im in parts):
+            for b in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    expected = complex(np.complex128(a) / np.complex128(b))
+                got = oracle._quotient(a, b)
+                for x, y in ((got.real, expected.real), (got.imag, expected.imag)):
+                    assert x == y or math.isnan(x) and math.isnan(y), (a, b, got, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 500, 2000, 2049, 6200])
     def test_a_sum_is_within_the_pairwise_bound_of_fsum(self, n):
         # A halving tree of depth h = ceil(log2 n) errs by at most gamma_h sum |terms| (Higham,
         # "Accuracy and Stability of Numerical Algorithms", 2nd ed., 4.2); one more u covers
         # fsum's own rounding. The samples span 60 binades and both signs, so the sums cancel.
+        # They come in runs of uneven lengths, as a measurement's blocks hand them over, and the
+        # chunked sum is the one tree over all of them.
         rng = np.random.default_rng(n)
         samples = (rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(-30.0, 30.0, n)).tolist()
         control = rng.standard_normal(n).tolist()
         w, first = -2j * math.pi * 0.137, 40
-        sums = oracle._sums([samples, control], w, first, None)
+        cuts = [0, *sorted(rng.choice(np.arange(1, n), min(n - 1, 4), replace=False)), n]
+
+        def pieces(form):
+            return [(first + i, form(samples[i:j]), form(control[i:j]))
+                    for i, j in zip(cuts, cuts[1:])]
+
+        sums = oracle._sums(pieces(list), w, first, n, None)
         assert np.array(sums).tobytes() == np.array(
-            oracle._sums([samples, control], w, first, np)).tobytes()
+            oracle._sums(pieces(np.array), w, first, n, np)).tobytes()
         basis = [cmath.exp(w * k) for k in range(first, first + n)]
         depth = (n - 1).bit_length()
         gamma = (depth + 1) * 2.0 ** -53 / (1.0 - (depth + 1) * 2.0 ** -53)
