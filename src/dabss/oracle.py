@@ -26,9 +26,9 @@ load no numpy. `_step_maps` runs a stack of maps as numpy arrays, for a
 measurement where numpy is loaded already or a longer one: its thread allocates
 the kernel's work arrays once and reuses them for all of its exponentials,
 while the scalar loops read the maps in place. Either way a measurement runs
-block by block, and its samples and DFT bins follow one float rule, with no
-BLAS sum, so their bits do not depend on the path or the host. Only the
-stacked kernel and the public array edge (`run_to_steady_state`,
+block by block, and its samples and DFT bins (`dabss.dft`) follow one float
+rule, with no BLAS sum, so their bits do not depend on the path or the host.
+Only the stacked kernel and the public array edge (`run_to_steady_state`,
 `measure_frequency_responses`) import numpy.
 
 Frequency responses are measured the way a network analyzer would: inject a
@@ -39,13 +39,12 @@ at the surface instants, and extract the single coherent DFT bin.
 
 from __future__ import annotations
 
-import cmath
 import math
 import struct
 import sys
 import threading
 from itertools import islice
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import Injection, SimConfig, require_coherent
@@ -72,10 +71,6 @@ HALF_CYCLES_PER_EXPM = 2048
 # numpy's import some 55 ms with one BLAS thread (110-150 ms with its default pool): in cold
 # `compare` runs with one BLAS thread the two crossed near 13,000 half cycles.
 FLOAT_HALF_CYCLES = 12_000
-
-# Terms of a DFT sum held at once: a power of two, so each chunk is a subtree of the sum's
-# halving tree.
-SUM_CHUNK = 2048
 
 
 class Waveform(NamedTuple):
@@ -584,10 +579,11 @@ def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
     Each bin runs block by block, one kernel call per HALF_CYCLES_PER_EXPM half cycles, and sums
     its DFT as it goes, so no series of the whole run is kept. Where `_numpy` gives numpy, each
     block's durations, step maps (`_step_maps`), samples and sums are arrays; otherwise they are
-    Python floats (`_step_rows`). Both make the same IEEE operations on the same blocks, so they
-    give the same bits. (Lists for all but the step maps took an oracle-compare bin from 2.5 to
-    4.9 ms.)
+    Python floats (`_step_rows`). Both make the same IEEE operations on the same blocks, and
+    `dabss.dft` sums each bin by one float rule, so they give the same bits. (Lists for all but
+    the step maps took an oracle-compare bin from 2.5 to 4.9 ms.)
     """
+    from .dft import bin_sums, quotient
     injection, params = cfg.injection, dab.params
     for f in freqs:
         require_coherent(injection._replace(f=f), params.period)
@@ -620,14 +616,15 @@ def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
         f = float(f)
         blocks = _perturbed(f, amp, gain, t_half, intervals, unperturbed, n_half, np)
         samples = _surface_samples(dab, blocks, (x0, x1), k0, np)
-        re0, im0, re1, im1, re_in, im_in = _sums(samples, -2j * math.pi * f * t_half, k0, n, np)
+        sums = bin_sums(samples, -2j * math.pi * f * t_half, k0, n, np)
+        re0, im0, re1, im1, re_in, im_in = sums
         if amp == 0.0:
             responses.append([complex(2.0 / n * re0, 2.0 / n * im0),
                               complex(2.0 / n * re1, 2.0 / n * im1)])
         else:
             into = complex(re_in, im_in)
-            responses.append([_quotient(complex(re0, im0), into),
-                              _quotient(complex(re1, im1), into)])
+            responses.append([quotient(complex(re0, im0), into),
+                              quotient(complex(re1, im1), into)])
     return responses
 
 
@@ -641,15 +638,6 @@ def _numpy(half_cycles: int):
         except ImportError:  # an interpreter without numpy measures in floats at any length
             return None
     return np
-
-
-def _quotient(a: complex, b: complex) -> complex:
-    """a / b by Python's complex division; over a 0 divisor, where Python raises, each part of a
-    over +0.0 as IEEE division gives it (inf, or nan for 0 or nan), as numpy's division does."""
-    if b:
-        return a / b
-    return complex(*(math.copysign(math.inf, v) if v == v and v else math.nan
-                     for v in (a.real, a.imag)))
 
 
 def _perturbed(f: float, amp: float, gain: float, t_half: float, intervals, unperturbed,
@@ -729,73 +717,3 @@ def _surface_samples(dab: DabSchedule, blocks, x, first: int, np):
             x0s, x1s = np.array(visited).reshape(-1, 2).T
             x0s[odd::2] *= -1.0
             yield kept, c00 * x0s + c01 * x1s, c10 * x0s + c11 * x1s, v
-
-
-def _sums(pieces, w: complex, first: int, n: int, np) -> list:
-    """Re and Im of sum_k e^(w k) s_k, k = first, ..., first + n - 1, of each series s of the
-    `pieces` (k, *series), consecutive runs of samples from k = first on.
-
-    e^(w k) comes from cmath.exp (or numpy's exp, which takes the same C library cos and sin),
-    each term is a product of a float part and a sample, and each sum is a halving tree of
-    pairwise sums over the terms zero-padded to a power of two (in error by at most gamma_(log2
-    size) times the sum of |terms|). It is taken SUM_CHUNK terms at a time, then over the chunks'
-    sums zero-padded likewise: the same tree, with no more than a chunk of terms held. No BLAS
-    order or FMA enters, so lists of floats and arrays give the same bits on any host.
-    """
-    size = min(1 << (n - 1).bit_length(), SUM_CHUNK)
-    partial = [_chunk_sums(chunk, w, size, np) for chunk in _chunks(pieces, size)]
-    padded = [0.0] * ((1 << (len(partial) - 1).bit_length()) - len(partial))
-    return _halved([v for sums in zip(*partial) for v in (*sums, *padded)], len(partial[0]))
-
-
-def _chunks(pieces, size: int):
-    """The `pieces` (k, *series) regrouped into chunks of `size` samples, each a list of its
-    pieces; the last chunk may be short."""
-    chunk, filled = [], 0
-    for k, *series in pieces:
-        at, m = 0, len(series[0])
-        while at < m:
-            take = min(size - filled, m - at)
-            chunk.append((k + at, *(s[at:at + take] for s in series)))
-            at, filled = at + take, filled + take
-            if filled == size:
-                yield chunk
-                chunk, filled = [], 0
-    if chunk:
-        yield chunk
-
-
-def _chunk_sums(chunk, w: complex, size: int, np) -> list:
-    """Re and Im of sum_k e^(w k) s_k over the pieces (k, *series) of one chunk, for each series:
-    each a halving tree over its terms zero-padded to `size`, a power of two."""
-    if np is None:
-        parts = []
-        for k, *series in chunk:
-            basis = [cmath.exp(w * j) for j in range(k, k + len(series[0]))]
-            parts.append((series, [z.real for z in basis], [z.imag for z in basis]))
-        pad = [0.0] * (size - sum(len(real) for _, real, _ in parts))
-        terms = []
-        for i in range(len(chunk[0]) - 1):
-            for p in (1, 2):
-                for piece in parts:
-                    terms += map(mul, piece[p], piece[0][i])
-                terms += pad
-        return _halved(terms, 2 * (len(chunk[0]) - 1))
-    terms, at = np.zeros((len(chunk[0]) - 1, 2, size)), 0
-    for k, *series in chunk:
-        m = len(series[0])
-        basis = np.exp(w * np.arange(k, k + m))
-        terms[:, 0, at:at + m] = basis.real * series
-        terms[:, 1, at:at + m] = basis.imag * series
-        at += m
-    while terms.shape[-1] > 1:
-        terms = terms[..., 0::2] + terms[..., 1::2]
-    return terms.ravel().tolist()
-
-
-def _halved(terms: list, parts: int) -> list:
-    """The halving-tree sums of `parts` runs of `terms`, all of one power-of-two length: each
-    level adds neighbours pairwise."""
-    while len(terms) > parts:
-        terms = list(map(add, terms[0::2], terms[1::2]))
-    return terms

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import cmath
+import contextlib
 import inspect
 import math
 import re
@@ -21,7 +22,7 @@ from dabss.errors import (AmplitudeError, ConfigError, ConvergenceError, Margina
                           NumericInputError)
 from dabss.oracle import (measure_frequency_response, measure_frequency_responses,
                           run_to_steady_state)
-from dabss import core, dab as dab_module, oracle, pwlti
+from dabss import core, dab as dab_module, dft, oracle, pwlti
 from tests import reference
 from tests.conftest import (REFERENCE_KWARGS, augmented_step_matrices, max_abs_relative,
                             numpy_blocked, random_params)
@@ -717,6 +718,24 @@ class TestMultiBin:
         measure_frequency_responses(ref_dab, P_PLUS, cfg, freqs[:1])  # pre-run cached
         assert peak(freqs) <= 1.5 * peak(freqs[:1])
 
+    @pytest.mark.parametrize("floats", [False, True], ids=["arrays", "floats"])
+    def test_memory_does_not_grow_with_the_window(self, ref_dab, floats):
+        # A bin runs a block at a time and sums its DFT a chunk at a time, so a window of 16,000
+        # half cycles holds no more than one of 4,000, on either path.
+        def peak(measure):
+            cfg = SimConfig(injection=Injection(settle_periods=10, measure_periods=measure))
+            freqs = [3 / (measure * ref_dab.params.period)]
+            tracemalloc.start()
+            try:
+                with numpy_blocked() if floats else contextlib.nullcontext():
+                    oracle._responses(ref_dab, P_PLUS, cfg, freqs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2000)  # pre-run cached, kernel scratch grown
+        assert peak(8000) <= 1.2 * peak(2000)
+
 
 def single_step(dab, interval, duration):
     """One oracle step's entries (a00, a01, g0, a10, a11, g1), from its own call of the
@@ -965,7 +984,7 @@ def float_responses(dab, surface, cfg, freqs) -> bytes:
 
 
 class TestFloatMeasurement:
-    """The measurement in Python floats (`_step_rows`, lists and `_sums`' float branch) gives the
+    """The measurement in Python floats (`_step_rows`, lists and `dft.bin_sums`' float branch) gives the
     bits of the one with numpy loaded (`_step_maps` and arrays), and its sums keep the pairwise
     error bound."""
 
@@ -1008,7 +1027,7 @@ class TestFloatMeasurement:
             for b in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     expected = complex(np.complex128(a) / np.complex128(b))
-                got = oracle._quotient(a, b)
+                got = dft.quotient(a, b)
                 for x, y in ((got.real, expected.real), (got.imag, expected.imag)):
                     assert x == y or math.isnan(x) and math.isnan(y), (a, b, got, expected)
 
@@ -1029,9 +1048,9 @@ class TestFloatMeasurement:
             return [(first + i, form(samples[i:j]), form(control[i:j]))
                     for i, j in zip(cuts, cuts[1:])]
 
-        sums = oracle._sums(pieces(list), w, first, n, None)
+        sums = dft.bin_sums(pieces(list), w, first, n, None)
         assert np.array(sums).tobytes() == np.array(
-            oracle._sums(pieces(np.array), w, first, n, np)).tobytes()
+            dft.bin_sums(pieces(np.array), w, first, n, np)).tobytes()
         basis = [cmath.exp(w * k) for k in range(first, first + n)]
         depth = (n - 1).bit_length()
         gamma = (depth + 1) * 2.0 ** -53 / (1.0 - (depth + 1) * 2.0 ** -53)
