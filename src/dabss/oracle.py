@@ -57,8 +57,8 @@ if TYPE_CHECKING:
 # Injection amplitude fallback: fraction of the ramp amplitude.
 DEFAULT_AMPLITUDE_RATIO = 1e-4
 
-# Half cycles whose step maps come from one call of the oracle's exponential;
-# bounds the memory of a measurement's step maps independently of its length.
+# Half cycles a measurement runs at a time, their step maps from one call of the
+# oracle's exponential; bounds a measurement's memory independently of its length.
 # A call pays a fixed cost of some 40 numpy calls: in blocks of 1,024 the
 # oracle-compare measurements of the reference design took about 3% longer.
 # The float kernel takes the same blocks, since a block's largest norm sets
@@ -67,9 +67,10 @@ HALF_CYCLES_PER_EXPM = 2048
 
 # Half cycles, over all of a measurement's bins, up to which a measurement where numpy is not
 # loaded runs in Python floats; past them it imports numpy for the stacked kernel, if it can.
-# The float kernel costs some 5 us a half cycle more (5.8 against 0.8 us in process) and
-# numpy's import some 55 ms with one BLAS thread (110-150 ms with its default pool): in cold
-# `compare` runs with one BLAS thread the two crossed near 13,000 half cycles.
+# On a 2-vCPU Xeon under Python 3.11 the float measurement took 5.8 us a half cycle against
+# the stacked kernel's 0.8 us in process, and numpy's import 55 ms with one BLAS thread
+# (110-150 ms with its default pool): in cold `compare` runs with one BLAS thread the two
+# crossed near 13,000 half cycles.
 FLOAT_HALF_CYCLES = 12_000
 
 
@@ -580,8 +581,8 @@ def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
     its DFT as it goes, so no series of the whole run is kept. Where `_numpy` gives numpy, each
     block's durations, step maps (`_step_maps`), samples and sums are arrays; otherwise they are
     Python floats (`_step_rows`). Both make the same IEEE operations on the same blocks, and
-    `dabss.dft` sums each bin by one float rule, so they give the same bits. (Lists for all but
-    the step maps took an oracle-compare bin from 2.5 to 4.9 ms.)
+    `dabss.dft` sums each bin by one float rule, so they give the same bits. (On a 2-vCPU Xeon,
+    lists for all but the step maps took an oracle-compare bin from 2.5 to 4.9 ms.)
     """
     from .dft import bin_sums, quotient
     injection, params = cfg.injection, dab.params
