@@ -26,8 +26,10 @@ load no numpy. `_step_maps` runs a stack of maps as numpy arrays, for a
 measurement where numpy is loaded already or a longer one: its thread allocates
 the kernel's work arrays once and reuses them for all of its exponentials,
 while the scalar loops read the maps in place. Either way a measurement runs
-block by block, and its samples and DFT bins (`dabss.dft`) follow one float
-rule, with no BLAS sum, so their bits do not depend on the path or the host.
+block by block, over the settle window and then over the measured one, each
+measured block one subtree of its DFT bin's halving tree (`dabss.dft`), and its
+samples and sums follow one float rule, with no BLAS sum, so their bits do not
+depend on the path or the host.
 Only the stacked kernel and the public array edge (`run_to_steady_state`,
 `measure_frequency_responses`) import numpy.
 
@@ -43,7 +45,6 @@ import math
 import struct
 import sys
 import threading
-from itertools import islice
 from operator import add, neg, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -62,7 +63,9 @@ DEFAULT_AMPLITUDE_RATIO = 1e-4
 # A call pays a fixed cost of some 40 numpy calls: in blocks of 1,024 the
 # oracle-compare measurements of the reference design took about 3% longer.
 # The float kernel takes the same blocks, since a block's largest norm sets
-# every map's Horner length.
+# every map's Horner length. A power of two: the measured blocks start at the
+# end of the settle window, so each is one subtree of the DFT's halving tree
+# (`dabss.dft`), summed as it comes.
 HALF_CYCLES_PER_EXPM = 2048
 
 # Half cycles, over all of a measurement's bins, up to which a measurement where numpy is not
@@ -293,17 +296,18 @@ def _step_maps(tables: _Tables, intervals, durations) -> np.ndarray:
     ufunc over all maps of the stack at once, one pass for both degrees, so a
     map's bits do not depend on the stack it came in.
 
-    The call works in its thread's one scratch, grown to the largest stack yet and
-    kept for the process, so no design or measurement allocates the kernel's
-    memory or faults it in again; the result is a view into it, valid until the
-    thread's next call. The thread also keeps the `_arrays` of the last tables it
-    was handed.
+    The call works in its thread's one scratch, made for a full measurement
+    block's 2 HALF_CYCLES_PER_EXPM maps or the largest stack yet and kept for the
+    process, so no design or measurement allocates the kernel's memory again (a
+    short settle block comes before a full one); the result is a view into it,
+    valid until the thread's next call. The thread also keeps the `_arrays` of
+    the last tables it was handed.
     """
     import numpy as np
     intervals, t = np.ravel(intervals), np.ravel(durations)
     scratch = getattr(_thread, "scratch", None)
     if scratch is None or scratch.maps < t.size:
-        scratch = _thread.scratch = _Scratch(t.size)
+        scratch = _thread.scratch = _Scratch(max(t.size, 2 * HALF_CYCLES_PER_EXPM))
     held = getattr(_thread, "tables", None)
     if held is None or held[0] is not tables:
         held = _thread.tables = tables, _arrays(tables)
@@ -577,12 +581,13 @@ def measure_frequency_responses(dab: DabSchedule, surface, cfg: SimConfig,
 def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
     """`measure_frequency_responses` as rows [I_rec, V_out] of Python complex.
 
-    Each bin runs block by block, one kernel call per HALF_CYCLES_PER_EXPM half cycles, and sums
-    its DFT as it goes, so no series of the whole run is kept. Where `_numpy` gives numpy, each
-    block's durations, step maps (`_step_maps`), samples and sums are arrays; otherwise they are
-    Python floats (`_step_rows`). Both make the same IEEE operations on the same blocks, and
-    `dabss.dft` sums each bin by one float rule, so they give the same bits. (On a 2-vCPU Xeon,
-    lists for all but the step maps took an oracle-compare bin from 2.5 to 4.9 ms.)
+    Each bin runs block by block, one kernel call per HALF_CYCLES_PER_EXPM half cycles of each
+    window, and sums its DFT a block at a time, so no series of the whole run is kept. Where
+    `_numpy` gives numpy, each block's durations, step maps (`_step_maps`), samples and sums are
+    arrays; otherwise they are Python floats (`_step_rows`). Both make the same IEEE operations
+    on the same blocks, and `dabss.dft` sums each bin by one float rule, so they give the same
+    bits. (On a 2-vCPU Xeon, lists for all but the step maps took an oracle-compare bin from 2.5
+    to 4.9 ms.)
     """
     from .dft import bin_sums, quotient
     injection, params = cfg.injection, dab.params
@@ -615,10 +620,9 @@ def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
     responses = []
     for f in freqs:
         f = float(f)
-        blocks = _perturbed(f, amp, gain, t_half, intervals, unperturbed, n_half, np)
+        blocks = _perturbed(f, amp, gain, t_half, intervals, unperturbed, k0, n_half, np)
         samples = _surface_samples(dab, blocks, (x0, x1), k0, np)
-        sums = bin_sums(samples, -2j * math.pi * f * t_half, k0, n, np)
-        re0, im0, re1, im1, re_in, im_in = sums
+        re0, im0, re1, im1, re_in, im_in = bin_sums(samples, -2j * math.pi * f * t_half, np)
         if amp == 0.0:
             responses.append([complex(2.0 / n * re0, 2.0 / n * im0),
                               complex(2.0 / n * re1, 2.0 / n * im1)])
@@ -642,17 +646,19 @@ def _numpy(half_cycles: int):
 
 
 def _perturbed(f: float, amp: float, gain: float, t_half: float, intervals, unperturbed,
-               n_half: int, np):
-    """Per block of HALF_CYCLES_PER_EXPM half cycles, from k = 0: (its first half cycle, the
-    control v[k] of its half cycles and of the next one, its steps' intervals and durations).
+               first: int, n_half: int, np):
+    """Per block of HALF_CYCLES_PER_EXPM half cycles, over [0, first) and then over [first,
+    n_half), so a block ends where the settle window does: (its first half cycle, the control
+    v[k] of its half cycles and of the next one, its steps' intervals and durations).
 
     Half cycle k's leading duration moves by gain * v[k] and its trailing one by -gain * v[k+1];
-    v[k] = amp sin(2 pi f k t_half), math.sin per sample, as a scalar loop rounds it. A duration
-    turns negative only past the amplitude that `_resolve_amplitude` allows.
+    v[k] = amp sin(2 pi f k t_half), math.sin per sample, as a scalar loop rounds it.
     """
     c = 2.0 * math.pi * f
-    for start in range(0, n_half, HALF_CYCLES_PER_EXPM):
-        end = min(start + HALF_CYCLES_PER_EXPM, n_half)
+    blocks = ((start, min(start + HALF_CYCLES_PER_EXPM, end))
+              for low, end in ((0, first), (first, n_half))
+              for start in range(low, end, HALF_CYCLES_PER_EXPM))
+    for start, end in blocks:
         steps = slice(2 * (start % 2), 2 * (start % 2 + end - start))
         if np is None:
             control = [amp * math.sin(c * k * t_half) for k in range(start, end + 1)]
@@ -660,7 +666,6 @@ def _perturbed(f: float, amp: float, gain: float, t_half: float, intervals, unpe
             durations = unperturbed[steps]
             durations[0::2] = map(add, durations[0::2], shift[:-1])
             durations[1::2] = map(sub, durations[1::2], shift[1:])
-            low = min(durations)
         else:
             phase = c * np.arange(start, end + 1) * t_half
             control = amp * np.fromiter(map(math.sin, phase.tolist()), float, end + 1 - start)
@@ -668,25 +673,18 @@ def _perturbed(f: float, amp: float, gain: float, t_half: float, intervals, unpe
             durations = unperturbed[steps].copy()
             durations[0::2] += shift[:-1]
             durations[1::2] -= shift[1:]
-            low = durations.min()
-        if low < 0.0:
-            bad = start + next(j for j, d in enumerate(durations) if d < 0.0) // 2
-            raise AmplitudeError(f"perturbation at {f!r} Hz drove a duration "
-                                 f"negative at half cycle {bad}")
         yield start, control, intervals[steps], durations
 
 
 def _surface_samples(dab: DabSchedule, blocks, x, first: int, np):
     """The run from x_0 = `x` through `_perturbed`'s `blocks`, one kernel call a block: per block
-    that reaches `first`, (k, I_rec, V_out, v) of its half cycles from k on, k >= first, the
-    samples c_rev Dr^k x_k, each a row of c_rev times Dr^k x_k (two products and a sum), and the
-    control. Lists of floats from `_step_rows`, or with `np` arrays from `_step_maps`, the same
-    bits."""
+    from `first` on, (k, I_rec, V_out, v) of its half cycles, the samples c_rev Dr^k x_k, each a
+    row of c_rev times Dr^k x_k (two products and a sum), and the control. Lists of floats from
+    `_step_rows`, or with `np` arrays from `_step_maps`, the same bits."""
     x0, x1 = x
     tables = _tables(dab)
     c00, c01, c10, c11 = dab.c_rev
     for start, control, intervals, durations in blocks:
-        end = start + len(durations) // 2
         # A half cycle's two maps are one row, read in place from the thread's kernel scratch
         # before the next block's call, or joined from the float kernel's rows.
         if np is None:
@@ -694,10 +692,11 @@ def _surface_samples(dab: DabSchedule, blocks, x, first: int, np):
             rows = map(add, maps[0::2], maps[1::2])
         else:
             rows = _rows(_step_maps(tables, intervals, durations), 2)
-        kept = min(max(start, first), end)  # the settle window's states are not recorded
-        for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in islice(rows, kept - start):
-            x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
-            x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
+        if start < first:  # the settle window's states are not recorded
+            for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in rows:
+                x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
+                x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
+            continue
         visited = []
         visit = visited.append
         for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in rows:
@@ -705,16 +704,13 @@ def _surface_samples(dab: DabSchedule, blocks, x, first: int, np):
             visit(x1)
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
-        if kept == end:
-            continue
-        odd = (kept + 1) % 2  # the j-th recorded state has k = kept + j: Dr negates odd k's i_L
-        v = control[kept - start:end - start]
+        odd = (start + 1) % 2  # the j-th visited state has k = start + j: Dr negates odd k's i_L
         if np is None:
             x0s, x1s = visited[0::2], visited[1::2]
             x0s[odd::2] = map(neg, x0s[odd::2])
-            yield (kept, [c00 * u + c01 * w for u, w in zip(x0s, x1s)],
-                   [c10 * u + c11 * w for u, w in zip(x0s, x1s)], v)
+            yield (start, [c00 * u + c01 * w for u, w in zip(x0s, x1s)],
+                   [c10 * u + c11 * w for u, w in zip(x0s, x1s)], control[:-1])
         else:
             x0s, x1s = np.array(visited).reshape(-1, 2).T
             x0s[odd::2] *= -1.0
-            yield kept, c00 * x0s + c01 * x1s, c10 * x0s + c11 * x1s, v
+            yield start, c00 * x0s + c01 * x1s, c10 * x0s + c11 * x1s, control[:-1]

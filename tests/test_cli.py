@@ -216,11 +216,12 @@ class TestCompareWithoutNumpy:
     @pytest.mark.parametrize("name", ["readme", "cli-workload", "settle-past-a-block",
                                       "amplitude-1e-323", "amplitude-5e-324"])
     def test_writes_the_bytes_of_a_normal_run(self, tmp_path, capsys, name):
-        # README's and the cli workload's measurements (3,600 and 2,100 half cycles) cross a
-        # block of oracle.HALF_CYCLES_PER_EXPM = 2,048 half cycles, and README's 21 bins pass
-        # oracle.FLOAT_HALF_CYCLES, so with numpy loaded they run on arrays; the third one's
-        # settle window (2,060 half cycles) ends inside its second block. At the two subnormal
-        # amplitudes the input bin is a few subnormals, so each bin's quotient overflows.
+        # README's and the cli workload's measurements (1,600 settle half cycles, then 2,000 or
+        # 500 measured) take one block of oracle.HALF_CYCLES_PER_EXPM = 2,048 half cycles for
+        # each window, and README's 21 bins pass oracle.FLOAT_HALF_CYCLES, so with numpy loaded
+        # they run on arrays; the third one's settle window (2,060 half cycles) takes a full
+        # block and a short one. At the two subnormal amplitudes the input bin is a few
+        # subnormals, so each bin's quotient overflows.
         configs = interpreter_bytes.configs()
         configs["settle-past-a-block"] = json.dumps({
             "converter": REFERENCE_KWARGS,
@@ -251,7 +252,9 @@ class TestCompareWithoutNumpy:
         pytest.param({}, {"periods": 3}, 4, "about 2377 more periods would meet it\n",
                      id="exhausted"),
         pytest.param({}, {"injection": {"f": 2000.0, "amplitude": 1e6}}, 5,
-                     "exceeding the shortest interval 1.500e-06 s\n", id="amplitude")])
+                     "exceeding the shortest interval 1.500e-06 s\n", id="amplitude"),
+        pytest.param(dict(D_phase=1e-320), None, 5, "error: automatic amplitude halving failed "
+                     "to fit the shortest interval\n", id="D_phase=1e-320")])
     def test_fails_as_a_normal_run(self, config_file, tmp_path, capsys, converter, sim, code,
                                    message):
         path = config_file(converter=dict(REFERENCE_KWARGS, **converter), sim=sim)
@@ -897,6 +900,44 @@ class TestTempFile:
         assert created == ({tmp_path / out} if code == 0 else set())
         if code == 0:
             assert json.loads((tmp_path / out).read_text())["x_star"]
+
+
+    def test_a_temp_name_in_use_is_drawn_again(self, config_file, tmp_path, monkeypatch):
+        # The first name drawn is taken, so the second is used, and the file of the first is
+        # not touched.
+        draws = iter([b"\0" * 6, b"\1" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        taken = tmp_path / f".ss.json.{'00' * 6}.tmp"
+        taken.write_text("another writer's\n")
+        assert run_cli("steady-state", config_file(), "--out", str(tmp_path / "ss.json")) \
+            .returncode == 0
+        assert taken.read_text() == "another writer's\n"
+        assert {p.name for p in tmp_path.iterdir()} >= {"ss.json", taken.name}
+        assert not (tmp_path / f".ss.json.{'01' * 6}.tmp").exists()
+
+    def test_a_hundred_names_in_use_exit_two(self, config_file, tmp_path, monkeypatch):
+        path = config_file()
+        monkeypatch.setattr(os, "urandom", lambda n: b"\0" * n)
+        (tmp_path / f".ss.json.{'00' * 6}.tmp").write_text("another writer's\n")
+        before = set(tmp_path.iterdir())
+        proc = run_cli("steady-state", path, "--out", str(tmp_path / "ss.json"))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: cannot write --out {str(tmp_path / 'ss.json')!r}: no "
+                               f"unused temporary name next to {str(tmp_path / 'ss.json')!r}\n")
+        assert set(tmp_path.iterdir()) == before
+
+    def test_a_failed_rename_removes_the_temp_file(self, config_file, tmp_path, monkeypatch):
+        def failing(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        path = config_file()
+        before = set(tmp_path.iterdir())
+        monkeypatch.setattr(os, "replace", failing)
+        proc = run_cli("steady-state", path, "--out", str(tmp_path / "ss.json"))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: cannot write --out {str(tmp_path / 'ss.json')!r}: "
+                               "Permission denied\n")
+        assert set(tmp_path.iterdir()) == before
 
 
 def _after_importing_numpy(function):

@@ -249,6 +249,38 @@ class TestFrequencyResponse:
         with pytest.raises(AmplitudeError):
             measure_frequency_response(ref_dab, P_PLUS, cfg)
 
+    @pytest.mark.parametrize("floats", [False, True], ids=["arrays", "floats"])
+    def test_the_largest_allowed_amplitude_drives_no_duration_negative(self, ref_dab, monkeypatch,
+                                                                      floats):
+        # comp_gain * amplitude at most the shortest interval, the largest amplitude that
+        # `_resolve_amplitude` lets through: |amplitude * sin| <= amplitude and rounding is
+        # monotone, so no shift passes the duration it moves. At 5 kHz the sine reaches +-1.
+        params = ref_dab.params
+        comp_gain = params.t_half / params.Vr
+        shortest = min(seg.duration for seg in ref_dab.schedule.segments)
+        amp = shortest / comp_gain
+        while comp_gain * amp > shortest:
+            amp = math.nextafter(amp, 0.0)
+        while comp_gain * math.nextafter(amp, math.inf) <= shortest:
+            amp = math.nextafter(amp, math.inf)
+        lows = []
+
+        def recording(kernel):
+            def recorded(tables, intervals, durations):
+                lows.append(min(np.ravel(durations).tolist()))
+                return kernel(tables, intervals, durations)
+            return recorded
+
+        for name in ("_step_maps", "_step_rows"):
+            monkeypatch.setattr(oracle, name, recording(getattr(oracle, name)))
+        cfg = SimConfig(injection=Injection(f=5000.0, amplitude=amp, settle_periods=10,
+                                            measure_periods=20))
+        for surface in (P_PLUS, P_MINUS, S_PLUS, S_MINUS):
+            with numpy_blocked() if floats else contextlib.nullcontext():
+                rows = oracle._responses(ref_dab, surface, cfg, [5000.0])
+            assert all(map(cmath.isfinite, rows[0]))
+        assert 0.0 <= min(lows) < 1e-9 * shortest
+
     def test_missing_injection_rejected(self, ref_dab):
         with pytest.raises(ConfigError):
             measure_frequency_response(ref_dab, P_PLUS, SimConfig())
@@ -469,6 +501,15 @@ class TestFloatKernel:
         assert stacked == floats
         assert (entry == -800.0) == isinstance(floats, bytes)
 
+    def test_a_forcing_column_past_the_float_range_is_refused_alike(self):
+        # A = 0 and ||w||_1 = 1e300 for 1e10 s: the last ldexp of the float kernel's forcing
+        # column overflows, where the stacked one gives inf.
+        tables = oracle._pade_tables([(0.0, 0.0, 1e300, 0.0, 0.0, 0.0)])
+        stacked, floats = both_kernels(tables, [0], [1e10])
+        assert stacked == floats == ("matrix exponential is not finite: the 1-norm of b*u*t "
+                                     "(input column times duration) reaches inf, beyond double "
+                                     "precision")
+
     @pytest.mark.parametrize("above", [False, True], ids=["52 squarings", "53 squarings"])
     def test_the_squaring_limit_is_one_rule(self, above):
         # ||A t||_1 = theta13 2^52 takes 52 squarings; one ulp more takes 53, which is refused.
@@ -662,7 +703,7 @@ class TestMultiBin:
 
     @pytest.mark.parametrize("surface", [P_PLUS, S_MINUS], ids=lambda s: s.label)
     @pytest.mark.parametrize("amplitude", [1e-4, None], ids=["explicit", "automatic"])
-    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 8])
     @pytest.mark.parametrize("group", [2**17, 2 * 60])
     def test_rows_equal_one_bin_calls(self, ref_dab, monkeypatch, surface, amplitude, block,
                                       group):
@@ -688,20 +729,6 @@ class TestMultiBin:
         with pytest.raises(ConfigError, match="non-coherent"):
             measure_frequency_responses(ref_dab, P_PLUS, cfg, [5000.0, 7000.0])
 
-    def test_negative_duration_names_the_first_offending_bin(self, ref_dab, monkeypatch):
-        # The first bin in list order that drives a duration negative is named, as alone.
-        segments = ref_dab.schedule.segments
-        comp_gain = ref_dab.params.t_half / ref_dab.params.Vr
-        amp = 1.5 * min(seg.duration for seg in segments) / comp_gain
-        monkeypatch.setattr(oracle, "_resolve_amplitude", lambda *args: amp)
-        cfg = SimConfig(injection=Injection(**self.INJECTION))
-        with pytest.raises(AmplitudeError) as one_bin:
-            measure_frequency_responses(ref_dab, P_PLUS, cfg, [15000.0])
-        with pytest.raises(AmplitudeError) as two_bins:
-            measure_frequency_responses(ref_dab, P_PLUS, cfg, [15000.0, 5000.0])
-        assert str(two_bins.value) == str(one_bin.value)
-        assert str(one_bin.value).startswith("perturbation at 15000.0 Hz drove a duration ")
-
     def test_memory_does_not_grow_with_the_bin_count(self, ref_dab):
         injection = Injection(settle_periods=10, measure_periods=40)
         cfg = SimConfig(injection=injection)
@@ -718,23 +745,35 @@ class TestMultiBin:
         measure_frequency_responses(ref_dab, P_PLUS, cfg, freqs[:1])  # pre-run cached
         assert peak(freqs) <= 1.5 * peak(freqs[:1])
 
-    @pytest.mark.parametrize("floats", [False, True], ids=["arrays", "floats"])
-    def test_memory_does_not_grow_with_the_window(self, ref_dab, floats):
-        # A bin runs a block at a time and sums its DFT a chunk at a time, so a window of 16,000
-        # half cycles holds no more than one of 4,000, on either path.
-        def peak(measure):
-            cfg = SimConfig(injection=Injection(settle_periods=10, measure_periods=measure))
-            freqs = [3 / (measure * ref_dab.params.period)]
+    def test_blocks_are_a_power_of_two(self):
+        # Each measured block is then one subtree of its bin's halving tree (`dabss.dft`).
+        block = oracle.HALF_CYCLES_PER_EXPM
+        assert block > 0 and block & (block - 1) == 0
+
+    @pytest.mark.parametrize("floats, block", [(False, 128), (True, 64)],
+                             ids=["arrays", "floats"])
+    def test_memory_does_not_grow_with_the_window(self, ref_dab, monkeypatch, floats, block):
+        # A bin runs a block at a time and sums its DFT a block at a time, so a window of 32
+        # blocks holds no more than one of 8, on either path, but for each block's six partial
+        # sums. The blocks are small, since tracemalloc slows the float path some 60 times, but
+        # large enough that a block's own peak outweighs the partial sums of 24 more.
+        monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
+
+        def measure(periods):
+            cfg = SimConfig(injection=Injection(settle_periods=10, measure_periods=periods))
+            with numpy_blocked() if floats else contextlib.nullcontext():
+                oracle._responses(ref_dab, P_PLUS, cfg, [3 / (periods * ref_dab.params.period)])
+
+        def peak(periods):
             tracemalloc.start()
             try:
-                with numpy_blocked() if floats else contextlib.nullcontext():
-                    oracle._responses(ref_dab, P_PLUS, cfg, freqs)
+                measure(periods)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(2000)  # pre-run cached, kernel scratch grown
-        assert peak(8000) <= 1.2 * peak(2000)
+        measure(4 * block)  # pre-run cached, kernel scratch grown
+        assert peak(16 * block) <= 1.2 * peak(4 * block)
 
 
 def single_step(dab, interval, duration):
@@ -828,7 +867,7 @@ class TestStackedStepMaps:
 
     @pytest.mark.parametrize("surface", [P_PLUS, S_MINUS], ids=lambda s: s.label)
     @pytest.mark.parametrize("amplitude", [1e-4, None], ids=["explicit", "automatic"])
-    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 8])
     def test_response_equals_the_per_step_loop_bit_for_bit(self, ref_dab, monkeypatch,
                                                           surface, amplitude, block):
         monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
@@ -836,11 +875,10 @@ class TestStackedStepMaps:
         np.testing.assert_array_equal(measure_frequency_response(ref_dab, surface, cfg),
                                       per_step_response(ref_dab, surface, cfg))
 
-    @pytest.mark.parametrize("block", [20, 1])
+    @pytest.mark.parametrize("block", [4, 1])
     def test_a_settle_window_ending_on_a_block_boundary_equals_the_per_step_loop(
             self, ref_dab, monkeypatch, block):
-        # The 20 settle half cycles end where a block of 20 (or of 1) ends, so the first
-        # recorded state opens a block.
+        # The 20 settle half cycles are whole blocks of 4 (or of 1), so no settle block is short.
         monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
         cfg = SimConfig(injection=Injection(**self.INJECTION))
         assert 2 * cfg.injection.settle_periods % block == 0
@@ -884,26 +922,6 @@ class TestStackedStepMaps:
                     x = step(m, x)
                     states.append(x)
             np.testing.assert_array_equal(waveform.x, np.array(states), err_msg=f"seed {seed}")
-
-    def test_negative_duration_names_the_first_offending_half_cycle(self, ref_dab, monkeypatch):
-        params = ref_dab.params
-        segments = ref_dab.schedule.segments
-        comp_gain = params.t_half / params.Vr
-        amp = 1.5 * min(seg.duration for seg in segments) / comp_gain
-        monkeypatch.setattr(oracle, "_resolve_amplitude", lambda *args: amp)
-        injection = Injection(**self.INJECTION)
-        control = [amp * math.sin(2.0 * math.pi * injection.f * k * params.t_half)
-                   for k in range(2 * 30 + 1)]
-
-        def negative(k):
-            ta = segments[(2 * k) % 4].duration + P_PLUS.polarity * comp_gain * control[k]
-            tb = segments[(1 + 2 * k) % 4].duration - P_PLUS.polarity * comp_gain * control[k + 1]
-            return ta < 0.0 or tb < 0.0
-
-        first = next(k for k in range(2 * 30) if negative(k))
-        assert first > 0
-        with pytest.raises(AmplitudeError, match=rf"negative at half cycle {first}$"):
-            measure_frequency_response(ref_dab, P_PLUS, SimConfig(injection=injection))
 
 
 def homogeneous_states(dab, cfg):
@@ -949,11 +967,12 @@ class TestHomogeneousStep:
     INJECTION = dict(settle_periods=10, measure_periods=20)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7, 1])
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 8, 1])
     @pytest.mark.parametrize("group", [2**17, 2 * 60])
     def test_three_bins_equal_the_phi_gamma_recursion(self, monkeypatch, seed, block, group):
-        # Blocks of 7 straddle the first measured half cycle (20); blocks of 1 take one
-        # exponential call per half cycle. A group of 2 x 60 passes the bins as 2 + 1.
+        # Blocks of 8 leave a short one at the end of the settle window (20 half cycles) and
+        # sum the 40 measured ones as five subtrees; blocks of 1 take one exponential call per
+        # half cycle. A group of 2 x 60 passes the bins as 2 + 1.
         dab = build_dab(random_params(np.random.default_rng(seed)))
         surface = (P_PLUS, P_MINUS, S_PLUS, S_MINUS)[seed % 4]
         monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
@@ -992,8 +1011,10 @@ class TestFloatMeasurement:
     # A loose tolerance keeps the pre-runs short; both paths start from the same cached one.
     CFG = dict(periods=10**6, convergence_tol=1e-6)
 
-    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 7])
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 16])
     def test_random_designs_measure_the_same_bits_without_numpy(self, monkeypatch, block):
+        # Blocks of 16 end short at the end of the settle window (20 half cycles) and of the
+        # measured one (40): each path pads the last subtree of a bin.
         monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
         rng = np.random.default_rng(35)
         for i in range(20):
@@ -1036,21 +1057,24 @@ class TestFloatMeasurement:
         # A halving tree of depth h = ceil(log2 n) errs by at most gamma_h sum |terms| (Higham,
         # "Accuracy and Stability of Numerical Algorithms", 2nd ed., 4.2); one more u covers
         # fsum's own rounding. The samples span 60 binades and both signs, so the sums cancel.
-        # They come in runs of uneven lengths, as a measurement's blocks hand them over, and the
-        # chunked sum is the one tree over all of them.
+        # They come in one piece, or in pieces of one power-of-two size, the last one no longer,
+        # as a measurement's blocks hand them over: the sum over the pieces is the one tree over
+        # all of them, as lists and as arrays.
         rng = np.random.default_rng(n)
         samples = (rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(-30.0, 30.0, n)).tolist()
         control = rng.standard_normal(n).tolist()
         w, first = -2j * math.pi * 0.137, 40
-        cuts = [0, *sorted(rng.choice(np.arange(1, n), min(n - 1, 4), replace=False)), n]
+        whole = 1 << (n - 1).bit_length()
 
-        def pieces(form):
-            return [(first + i, form(samples[i:j]), form(control[i:j]))
-                    for i, j in zip(cuts, cuts[1:])]
+        def pieces(form, size):
+            return [(first + i, form(samples[i:i + size]), form(control[i:i + size]))
+                    for i in range(0, n, size)]
 
-        sums = dft.bin_sums(pieces(list), w, first, n, None)
-        assert np.array(sums).tobytes() == np.array(
-            dft.bin_sums(pieces(np.array), w, first, n, np)).tobytes()
+        sums = dft.bin_sums(pieces(list, whole), w, None)
+        for size in (whole, 1 << int(rng.integers(whole.bit_length()))):
+            for form, module in ((list, None), (np.array, np)):
+                got = dft.bin_sums(pieces(form, size), w, module)
+                assert np.array(got).tobytes() == np.array(sums).tobytes(), (size, form)
         basis = [cmath.exp(w * k) for k in range(first, first + n)]
         depth = (n - 1).bit_length()
         gamma = (depth + 1) * 2.0 ** -53 / (1.0 - (depth + 1) * 2.0 ** -53)

@@ -121,6 +121,12 @@ class TestAugmentedExpm:
         with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
             expm_map(x, np.ones(2))
 
+    def test_rejects_a_result_that_overflows_past_its_exponentials(self):
+        # e^700 and e^-700 are finite, but the off-diagonal entry of e^X is about e^700 / 1400
+        # times x01 = 1e10, past the float range: refused by the check of the result.
+        with pytest.raises(NumericInputError, match="matrix exponential is not finite"):
+            expm_map([[700.0, 1e10], [0.0, -700.0]], np.zeros(2))
+
     def test_the_refusal_sits_exactly_at_theta13_times_2_to_the_52(self):
         # The oracle's Pade kernel takes 52 squarings at this 1-norm and 53 above it. exp(-x)
         # underflows to a finite 0 on both sides, so only the norm tells them apart.
@@ -280,6 +286,10 @@ class TestSegmentValidation:
         with pytest.raises(DimensionError):
             Segment(a=np.zeros((2, 2)), b=np.zeros((3, 1)), duration=1.0)
 
+    def test_rejects_a_vector_state_matrix(self):
+        with pytest.raises(DimensionError, match="segment matrices must be 2-d"):
+            Segment(a=np.zeros(2), b=np.zeros((2, 1)), duration=1.0)
+
     def test_rejects_negative_duration(self):
         with pytest.raises(NumericInputError):
             Segment(a=np.zeros((2, 2)), b=np.zeros((2, 1)), duration=-1e-9)
@@ -305,6 +315,10 @@ class TestScheduleValidation:
     def test_rejects_2d_input_vector(self):
         with pytest.raises(DimensionError):
             Schedule(segments=(self._segment(),), u=np.array([[1.0]]))
+
+    def test_rejects_a_nan_input_vector(self):
+        with pytest.raises(NumericInputError, match="input vector must be finite"):
+            Schedule(segments=(self._segment(),), u=[math.nan])
 
     def test_rejects_input_length_mismatch(self):
         with pytest.raises(DimensionError):
