@@ -25,11 +25,14 @@ measurement of up to FLOAT_HALF_CYCLES, so `simulate` and a short `compare`
 load no numpy. `_step_maps` runs a stack of maps as numpy arrays, for a
 measurement where numpy is loaded already or a longer one: its thread allocates
 the kernel's work arrays once and reuses them for all of its exponentials,
-while the scalar loops read the maps in place. Either way a measurement runs
-block by block, over the settle window and then over the measured one, each
-measured block one subtree of its DFT bin's halving tree (`dabss.dft`), and its
-samples and sums follow one float rule, with no BLAS sum, so their bits do not
-depend on the path or the host.
+while the scalar loops read the maps in place. Both take the steps' durations and
+the pattern of intervals they cycle through, a measurement block's four
+(a, b, a + 2, b + 2); `_step_maps` lays the stack out as one row per interval of
+the pattern, so each Horner term adds a row's coefficients at once, with no
+gather per map. Either way a measurement runs block by block, over the settle
+window and then over the measured one, each measured block one subtree of its
+DFT bin's halving tree (`dabss.dft`), and its samples and sums follow one float
+rule, with no BLAS sum, so their bits do not depend on the path or the host.
 Only the stacked kernel and the public array edge (`run_to_steady_state`,
 `measure_frequency_responses`) import numpy.
 
@@ -45,6 +48,8 @@ import math
 import struct
 import sys
 import threading
+from functools import partial
+from itertools import cycle, islice
 from operator import add, neg, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -129,19 +134,22 @@ class _Scratch:
     """Work arrays of `_step_maps` for stacks of up to `maps` maps, which every call
     handed this scratch reuses.
 
-    `scratch(name, shape)` is a C-contiguous view of the front of the slot
-    `name`, which holds ENTRIES[name] entries per map.
+    `scratch(name, shape)` is a C-contiguous view of the front of the slot `name`, which holds
+    ENTRIES[name] entries per map and is made at its first use: `term` only by a stack whose
+    interval rows straddle theta9, which gathers its coefficients map by map.
     """
 
     ENTRIES = dict(h=10, term=10, r=6, squared=6, tmp=6, maps=6, sigma=1, det=1)
 
     def __init__(self, maps: int):
         import numpy as np
-        self.maps = maps
-        self._slots = {name: np.empty(n * maps) for name, n in self.ENTRIES.items()}
+        self.maps, self._empty, self._slots = maps, np.empty, {}
 
     def __call__(self, name: str, shape) -> np.ndarray:
-        return self._slots[name][:math.prod(shape)].reshape(shape)
+        slot = self._slots.get(name)
+        if slot is None:
+            slot = self._slots[name] = self._empty(self.ENTRIES[name] * self.maps)
+        return slot[:math.prod(shape)].reshape(shape)
 
 
 def _mul(p, q, out, tmp):
@@ -223,7 +231,7 @@ def _arrays(tables: _Tables) -> _Tables:
 _thread = threading.local()
 
 
-def _step_rows(tables: _Tables, intervals, durations) -> list:
+def _step_rows(tables: _Tables, pattern, durations) -> list:
     """The maps of `_step_maps` in Python floats, bit for bit: one row (a00, a01, g0, a10, a11,
     g1) per step.
 
@@ -233,13 +241,14 @@ def _step_rows(tables: _Tables, intervals, durations) -> list:
     a zero is the same. What makes an entry of `_step_maps` inf or NaN (a division by zero, an
     `ldexp` past the float range) is its refusal here too; a finite sum clears a row at once.
     """
-    intervals, durations = list(intervals), list(durations)
+    durations = list(durations)
+    intervals = list(islice(cycle(pattern), len(durations)))
     a_norms = [tables.a_norms[i] * t for i, t in zip(intervals, durations)]
     top = _largest(a_norms)
     squarings = ([max(e - (m == 0.5), 0) for m, e in (math.frexp(a / _THETA13) for a in a_norms)]
                  if top > _THETA13 else [0] * len(a_norms))
     if not math.isfinite(top) or max(squarings, default=0) >= _MAX_SQUARINGS:
-        raise _not_finite(tables, intervals, durations)
+        raise _not_finite(tables, pattern, durations)
     n_terms = 7 if top > _THETA9 else 5
     # Each key's Horner pass: its leading term of the stack's n_terms, then the lower ones.
     horner = [(terms[n_terms - 1], terms[n_terms - 2::-1]) for terms in tables.coefficients]
@@ -277,24 +286,27 @@ def _step_rows(tables: _Tables, intervals, durations) -> list:
             g = gamma_exponents[i]
             row = r00, r01, ldexp(r02, g), r10, r11, ldexp(r12, g)
             if not isfinite(sum(row)) and not all(map(isfinite, row)):
-                raise _not_finite(tables, intervals, durations)
+                raise _not_finite(tables, pattern, durations)
             rows.append(row)
     except (ZeroDivisionError, OverflowError):
-        raise _not_finite(tables, intervals, durations) from None
+        raise _not_finite(tables, pattern, durations) from None
     return rows
 
 
-def _step_maps(tables: _Tables, intervals, durations) -> np.ndarray:
-    """Maps [phi | gamma] = top rows of exp([[A, w], [0, 0]] t) of the steps `intervals[i]`
-    for `durations[i]`, from the `tables` of their intervals.
+def _step_maps(tables: _Tables, pattern, durations) -> np.ndarray:
+    """Maps [phi | gamma] = top rows of exp([[A, w], [0, 0]] t) of the steps of `durations`,
+    step j through interval pattern[j % len(pattern)], from the `tables` of the intervals. The
+    steps fill whole cycles of the pattern.
 
-    Returns one C-contiguous (steps, 2, 3) array, the steps in the order of
-    `durations.ravel()`. Pade scaling and squaring (Higham, SIAM J. Matrix Anal.
-    Appl. 26(4), 2005) at the degree that each map's own ||A t||_1 calls for: up
-    to theta9 the degree-9 approximant and no squaring, above it the degree-13
-    approximant and the squarings that take ||A t||_1 to theta13. Every step is a
-    ufunc over all maps of the stack at once, one pass for both degrees, so a
-    map's bits do not depend on the stack it came in.
+    Returns one C-contiguous (steps, 2, 3) array, the steps in the order of `durations`. Pade
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005) at the degree that
+    each map's own ||A t||_1 calls for: up to theta9 the degree-9 approximant and no squaring,
+    above it the degree-13 approximant and the squarings that take ||A t||_1 to theta13. The
+    kernel views the steps as interval rows, (len(pattern), cycles), row r every step of
+    interval pattern[r], so a row's norms, exponents and Pade coefficients are each one entry
+    broadcast over its maps, with no gather per map. Every step is a ufunc over all maps of the
+    stack at once, one pass for both degrees, so a map's bits do not depend on the stack it
+    came in.
 
     The call works in its thread's one scratch, made for a full measurement
     block's 2 HALF_CYCLES_PER_EXPM maps or the largest stack yet and kept for the
@@ -304,7 +316,8 @@ def _step_maps(tables: _Tables, intervals, durations) -> np.ndarray:
     the last tables it was handed.
     """
     import numpy as np
-    intervals, t = np.ravel(intervals), np.ravel(durations)
+    t, pattern = np.ravel(durations), np.asarray(pattern)[:, None]
+    rows = np.ascontiguousarray(t.reshape(-1, pattern.size).T)
     scratch = getattr(_thread, "scratch", None)
     if scratch is None or scratch.maps < t.size:
         scratch = _thread.scratch = _Scratch(max(t.size, 2 * HALF_CYCLES_PER_EXPM))
@@ -314,7 +327,7 @@ def _step_maps(tables: _Tables, intervals, durations) -> np.ndarray:
     arrays = held[1]
     # Overflow, division by zero and invalid operations are left to the finiteness checks.
     with np.errstate(all="ignore"):
-        a_norm = arrays.a_norms[intervals] * t
+        a_norm = arrays.a_norms[pattern] * rows
         top = a_norm.max(initial=0.0)
         if top > _THETA13:  # ceil(log2(||A t||_1 / theta13)), at least 0, from the exponent
             mantissa, exponent = np.frexp(a_norm / _THETA13)
@@ -323,55 +336,69 @@ def _step_maps(tables: _Tables, intervals, durations) -> np.ndarray:
             s = 0
         squarings = int(np.max(s))
         if squarings >= _MAX_SQUARINGS or not math.isfinite(top):
-            raise _not_finite(tables, intervals.tolist(), t.tolist())
-        tau = np.ldexp(t, arrays.exponents[intervals] - s)
+            raise _not_finite(tables, pattern.ravel().tolist(), t.tolist())
+        tau = np.ldexp(rows, arrays.exponents[pattern] - s)
+        high = a_norm > _THETA9
+        if (high == high[:, :1]).all():  # each row on one side of theta9: one key a row
+            high = high[:, :1]
         # Horner from the highest term that a map of the stack needs, degree 13's seventh or
         # degree 9's fifth: the terms above it are 0 for every map, so they move no bit.
         terms = arrays.coefficients[:7 if top > _THETA9 else 5]
-        r = _pade(terms, 2 * intervals + (a_norm > _THETA9), tau, scratch)
+        r = _pade(terms, 2 * pattern + high, tau, scratch)
         squared, tmp = scratch("squared", r.shape), scratch("tmp", r.shape)
         for i in range(squarings):  # [[P, g], [0, 1]]^2 = [[P^2, P g + g], [0, 1]]
             _mul(r, r, squared, tmp)
             squared[:, 2] += r[:, 2]
             np.copyto(r, squared, where=s > i)
-        np.ldexp(r[:, 2], arrays.gamma_exponents[intervals], out=r[:, 2])
-        maps = scratch("maps", (t.size, 2, 3))
-        np.copyto(maps.transpose(1, 2, 0), r)
+        np.ldexp(r[:, 2], arrays.gamma_exponents[pattern], out=r[:, 2])
+        maps = scratch("maps", (*rows.shape[::-1], 2, 3))
+        np.copyto(maps.transpose(2, 3, 1, 0), r)
     if not np.all(np.isfinite(maps)):
-        raise _not_finite(tables, intervals.tolist(), t.tolist())
-    return maps
+        raise _not_finite(tables, pattern.ravel().tolist(), t.tolist())
+    return maps.reshape(t.size, 2, 3)
 
 
 def _pade(terms, keys, tau, scratch):
-    """Top rows of the Pade approximant r = (V - U)^-1 (V + U) of each map, with U and V
-    from the coefficient `terms` of its key at its `tau`, as (2, 3, maps).
+    """Top rows of the Pade approximant r = (V - U)^-1 (V + U) of each map of the interval rows
+    `tau`, (rows, maps), with U and V from the coefficient `terms` (n_terms, 10, keys) of its
+    key at its tau, as (2, 3, rows, maps).
 
-    A map's ten entries of U / tau and of V's state block are one Horner pass in
-    sigma = tau^2 over its key's terms; where a degree-9 key meets the two
-    leading terms of degree 13, they are 0, and 0 sigma + 0 is exactly 0. The
-    denominator [[Q, q], [0, b0]] leaves q out of r = I + 2 (V - U)^-1 U, U's
-    last row being zero, so only the 2x2 Q is inverted, by its adjugate (well
-    conditioned at a scaled 1-norm of at most theta_m).
+    `keys` holds one key a row, (rows, 1), where each row's maps take one degree: the Horner
+    pass then adds each term as the row's ten coefficients, broadcast over its maps. Where a
+    row's maps straddle theta9 (an interval's ||A t||_1 within the injection's shift of it) it
+    holds one key a map, (rows, maps), and each term gathers each map's coefficients into the
+    scratch's `term` slot. A map's ten entries of U / tau and of V's state block are one
+    Horner pass in sigma = tau^2 over its key's terms; where a degree-9 key meets the two
+    leading terms of degree 13, they are 0, and 0 sigma + 0 is exactly 0. The denominator
+    [[Q, q], [0, b0]] leaves q out of r = I + 2 (V - U)^-1 U, U's last row being zero, so only
+    the 2x2 Q is inverted, by its adjugate (well conditioned at a scaled 1-norm of at most
+    theta_m).
     """
     import numpy as np
-    n = tau.size
-    sigma = np.multiply(tau, tau, out=scratch("sigma", (n,)))
-    h, term = scratch("h", (10, n)), scratch("term", (10, n))
-    # take() keeps each entry contiguous over the maps; with keys in range, "clip" only
-    # spares it the temporary copy that the default mode makes of `out`.
-    np.take(terms[-1], keys, axis=1, out=h, mode="clip")
-    for c in terms[-2::-1]:
-        h *= sigma
-        h += np.take(c, keys, axis=1, out=term, mode="clip")
-    u, q = h[:6].reshape(2, 3, n), h[6:].reshape(2, 2, n)
+    shape = tau.shape
+    sigma = np.multiply(tau, tau, out=scratch("sigma", shape))
+    h = scratch("h", (10, *shape))
+    if keys.shape[1] == 1:  # a row's ten coefficients of each term, broadcast over its maps
+        np.copyto(h, terms[-1][:, keys])
+        for c in terms[-2::-1, :, keys]:
+            h *= sigma
+            h += c
+    else:  # each map's own; take() keeps each entry contiguous over the maps, and with keys
+        # in range, "clip" only spares it the temporary copy that the default mode makes of `out`
+        np.take(terms[-1], keys, axis=1, out=h, mode="clip")
+        term = scratch("term", h.shape)
+        for c in terms[-2::-1]:
+            h *= sigma
+            h += np.take(c, keys, axis=1, out=term, mode="clip")
+    u, q = h[:6].reshape(2, 3, *shape), h[6:].reshape(2, 2, *shape)
     u *= tau
     q -= u[:, :2]
-    r, tmp = scratch("r", (2, 3, n)), scratch("tmp", (3, n))
+    r, tmp = scratch("r", (2, 3, *shape)), scratch("tmp", (3, *shape))
     np.multiply(q[1, 1], u[0], out=r[0])  # adj(Q) U, row by row
     r[0] -= np.multiply(q[0, 1], u[1], out=tmp)
     np.multiply(q[0, 0], u[1], out=r[1])
     r[1] -= np.multiply(q[1, 0], u[0], out=tmp)
-    det = np.multiply(q[0, 0], q[1, 1], out=scratch("det", (n,)))
+    det = np.multiply(q[0, 0], q[1, 1], out=scratch("det", shape))
     det -= np.multiply(q[0, 1], q[1, 0], out=tmp[0])
     det *= 0.5  # 2 adj(Q) U / det, with the exact factor 2 taken on det alone
     r /= det
@@ -380,10 +407,10 @@ def _pade(terms, keys, tau, scratch):
     return r
 
 
-def _not_finite(tables: _Tables, intervals: list, t: list) -> NumericInputError:
-    """The refusal of the steps' maps: it names w t where ||A t||_1 is finite and ||w t||_1 is
-    above it or not a number, and A t otherwise."""
-    a, w = (_largest([norms[i] * d for i, d in zip(intervals, t)])
+def _not_finite(tables: _Tables, pattern, t: list) -> NumericInputError:
+    """The refusal of the maps of steps `t` through the intervals of `pattern` in turn: it names
+    w t where ||A t||_1 is finite and ||w t||_1 is above it or not a number, and A t otherwise."""
+    a, w = (_largest([norms[i] * d for i, d in zip(cycle(pattern), t)])
             for norms in (tables.a_norms, tables.w_norms))
     what, norm = (("b*u*t (input column times duration)", w) if math.isfinite(a) and not w <= a
                   else ("a*t (state matrix times duration)", a))
@@ -436,7 +463,8 @@ def _eigenvalues(m00: float, m01: float, m10: float, m11: float) -> tuple:
 
 
 def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float, float]:
-    """Period-start state of the unperturbed schedule, iterated from x = 0.
+    """Period-start state of the unperturbed schedule, iterated from x = 0 through the four
+    `step_maps` of a period.
 
     A contraction at rate rho leaves at most change * rho / (1 - rho)
     between the latest iterate and the fixed point, so the run stops once
@@ -458,11 +486,16 @@ def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float
             f"oracle period map is marginal: spectral radius rho = {rho:.10g} is not below 1, so "
             "iteration from x = 0 cannot settle", eigenvalues=eigenvalues)
     scale = rho / (1.0 - rho)
+    # The four steps of a period, one map after the other, unpacked once.
+    ((a00, a01, a02, a10, a11, a12), (b00, b01, b02, b10, b11, b12),
+     (c00, c01, c02, c10, c11, c12), (e00, e01, e02, e10, e11, e12)) = step_maps
     x0 = x1 = 0.0
     for _ in range(periods):
         p0, p1 = x0, x1
-        for a00, a01, g0, a10, a11, g1 in step_maps:
-            x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
+        x0, x1 = a00 * x0 + a01 * x1 + a02, a10 * x0 + a11 * x1 + a12
+        x0, x1 = b00 * x0 + b01 * x1 + b02, b10 * x0 + b11 * x1 + b12
+        x0, x1 = c00 * x0 + c01 * x1 + c02, c10 * x0 + c11 * x1 + c12
+        x0, x1 = e00 * x0 + e01 * x1 + e02, e10 * x0 + e11 * x1 + e12
         d0, d1 = x0 - p0, x1 - p1
         change = math.sqrt(d0 * d0 + d1 * d1)
         limit = tol * (1.0 + math.sqrt(x0 * x0 + x1 * x1))
@@ -606,22 +639,19 @@ def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
     n_half = 2 * (injection.settle_periods + injection.measure_periods)
     k0, n = 2 * injection.settle_periods, 2 * injection.measure_periods
     np = _numpy(n_half * len(freqs))
-    # Half cycle k steps through intervals a + 2k and b + 2k (mod 4), two steps a half cycle; a
-    # block takes them from its first half cycle's parity on.
+    # Half cycle k steps through intervals a + 2k and b + 2k (mod 4), two steps a half cycle: a
+    # block that starts on an odd half cycle takes the pattern from its third entry on.
     a, b = surface.a - 1, surface.b - 1
     pattern = [a, b, (a + 2) % 4, (b + 2) % 4]
-    if np is None:
-        intervals = pattern * (HALF_CYCLES_PER_EXPM // 2 + 1)
-        unperturbed = [base[i] for i in intervals]
-    else:
-        intervals = np.tile(pattern, HALF_CYCLES_PER_EXPM // 2 + 1)
-        unperturbed = np.array(base)[intervals]
+    phases = pattern, pattern[2:] + pattern[:2]
+    unperturbed, periods = [base[i] for i in pattern], HALF_CYCLES_PER_EXPM // 2 + 1
+    unperturbed = unperturbed * periods if np is None else np.tile(unperturbed, periods)
     gain = surface.polarity * comp_gain
     responses = []
     for f in freqs:
         f = float(f)
-        blocks = _perturbed(f, amp, gain, t_half, intervals, unperturbed, k0, n_half, np)
-        samples = _surface_samples(dab, blocks, (x0, x1), k0, np)
+        perturbed = partial(_perturbed, f, amp, gain, t_half, phases, unperturbed, np)
+        samples = _surface_samples(dab, perturbed, (x0, x1), k0, n_half, np)
         re0, im0, re1, im1, re_in, im_in = bin_sums(samples, -2j * math.pi * f * t_half, np)
         if amp == 0.0:
             responses.append([complex(2.0 / n * re0, 2.0 / n * im0),
@@ -645,72 +675,83 @@ def _numpy(half_cycles: int):
     return np
 
 
-def _perturbed(f: float, amp: float, gain: float, t_half: float, intervals, unperturbed,
-               first: int, n_half: int, np):
-    """Per block of HALF_CYCLES_PER_EXPM half cycles, over [0, first) and then over [first,
-    n_half), so a block ends where the settle window does: (its first half cycle, the control
-    v[k] of its half cycles and of the next one, its steps' intervals and durations).
+def _surface_samples(dab: DabSchedule, perturbed, x, first: int, n_half: int, np):
+    """The run from x_0 = `x` block by block, per HALF_CYCLES_PER_EXPM half cycles over [0,
+    first) and then over [first, n_half), so a block ends where the settle window does: from
+    `first` on, the `_block_samples` of each block of `perturbed` (`_perturbed`)."""
+    for low, end in ((0, first), (first, n_half)):
+        for start in range(low, end, HALF_CYCLES_PER_EXPM):
+            stop = min(start + HALF_CYCLES_PER_EXPM, end)
+            x, samples = _block_samples(dab, perturbed(start, stop), x, start >= first, np)
+            if samples:
+                yield samples
 
-    Half cycle k's leading duration moves by gain * v[k] and its trailing one by -gain * v[k+1];
-    v[k] = amp sin(2 pi f k t_half), math.sin per sample, as a scalar loop rounds it.
+
+def _perturbed(f: float, amp: float, gain: float, t_half: float, phases, unperturbed, np,
+               start: int, end: int) -> tuple:
+    """The half cycles [start, end) of a measurement: (start, the control v[k] of its half
+    cycles and of the next one, its steps' pattern of intervals, their durations).
+
+    A block takes the interval pattern of its first half cycle's parity from `phases`, all of
+    it where the block runs whole periods, as every block does but one of a single half cycle:
+    HALF_CYCLES_PER_EXPM is a power of two and both windows run whole periods. Half cycle k's
+    leading duration moves by gain * v[k] and its trailing one by -gain * v[k+1]; v[k] = amp
+    sin(2 pi f k t_half), math.sin per sample, as a scalar loop rounds it.
     """
     c = 2.0 * math.pi * f
-    blocks = ((start, min(start + HALF_CYCLES_PER_EXPM, end))
-              for low, end in ((0, first), (first, n_half))
-              for start in range(low, end, HALF_CYCLES_PER_EXPM))
-    for start, end in blocks:
-        steps = slice(2 * (start % 2), 2 * (start % 2 + end - start))
-        if np is None:
-            control = [amp * math.sin(c * k * t_half) for k in range(start, end + 1)]
-            shift = [gain * v for v in control]
-            durations = unperturbed[steps]
-            durations[0::2] = map(add, durations[0::2], shift[:-1])
-            durations[1::2] = map(sub, durations[1::2], shift[1:])
-        else:
-            phase = c * np.arange(start, end + 1) * t_half
-            control = amp * np.fromiter(map(math.sin, phase.tolist()), float, end + 1 - start)
-            shift = gain * control
-            durations = unperturbed[steps].copy()
-            durations[0::2] += shift[:-1]
-            durations[1::2] -= shift[1:]
-        yield start, control, intervals[steps], durations
+    steps = slice(2 * (start % 2), 2 * (start % 2 + end - start))
+    if np is None:
+        control = [amp * math.sin(c * k * t_half) for k in range(start, end + 1)]
+        shift = [gain * v for v in control]
+        durations = unperturbed[steps]
+        durations[0::2] = map(add, durations[0::2], shift[:-1])
+        durations[1::2] = map(sub, durations[1::2], shift[1:])
+    else:
+        phase = c * np.arange(start, end + 1) * t_half
+        control = amp * np.fromiter(map(math.sin, phase.tolist()), float, end + 1 - start)
+        shift = gain * control
+        durations = unperturbed[steps].copy()
+        durations[0::2] += shift[:-1]
+        durations[1::2] -= shift[1:]
+    return start, control, phases[start % 2][:2 * (end - start)], durations
 
 
-def _surface_samples(dab: DabSchedule, blocks, x, first: int, np):
-    """The run from x_0 = `x` through `_perturbed`'s `blocks`, one kernel call a block: per block
-    from `first` on, (k, I_rec, V_out, v) of its half cycles, the samples c_rev Dr^k x_k, each a
-    row of c_rev times Dr^k x_k (two products and a sum), and the control. Lists of floats from
-    `_step_rows`, or with `np` arrays from `_step_maps`, the same bits."""
+def _block_samples(dab: DabSchedule, block, x, sampled: bool, np) -> tuple:
+    """One `_perturbed` block's run from x: (the state after it, and where it is `sampled`, (k,
+    I_rec, V_out, v) of its half cycles k = start, start + 1, ..., the samples c_rev Dr^k x_k,
+    each a row of c_rev times Dr^k x_k, two products and a sum, and the control; None where
+    not). Lists of floats from `_step_rows`, or with `np` arrays from `_step_maps`, the same
+    bits. A call of its own, so the block's durations, maps and visited states are freed before
+    its samples are summed."""
+    start, control, pattern, durations = block
     x0, x1 = x
     tables = _tables(dab)
-    c00, c01, c10, c11 = dab.c_rev
-    for start, control, intervals, durations in blocks:
-        # A half cycle's two maps are one row, read in place from the thread's kernel scratch
-        # before the next block's call, or joined from the float kernel's rows.
-        if np is None:
-            maps = _step_rows(tables, intervals, durations)
-            rows = map(add, maps[0::2], maps[1::2])
-        else:
-            rows = _rows(_step_maps(tables, intervals, durations), 2)
-        if start < first:  # the settle window's states are not recorded
-            for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in rows:
-                x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
-                x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
-            continue
-        visited = []
-        visit = visited.append
+    # A half cycle's two maps are one row, read in place from the thread's kernel scratch
+    # before the next block's call, or joined from the float kernel's rows.
+    if np is None:
+        maps = _step_rows(tables, pattern, durations)
+        rows = map(add, maps[0::2], maps[1::2])
+    else:
+        rows = _rows(_step_maps(tables, pattern, durations), 2)
+    if not sampled:  # the settle window's states are not recorded
         for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in rows:
-            visit(x0)
-            visit(x1)
             x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
             x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
-        odd = (start + 1) % 2  # the j-th visited state has k = start + j: Dr negates odd k's i_L
-        if np is None:
-            x0s, x1s = visited[0::2], visited[1::2]
-            x0s[odd::2] = map(neg, x0s[odd::2])
-            yield (start, [c00 * u + c01 * w for u, w in zip(x0s, x1s)],
-                   [c10 * u + c11 * w for u, w in zip(x0s, x1s)], control[:-1])
-        else:
-            x0s, x1s = np.array(visited).reshape(-1, 2).T
-            x0s[odd::2] *= -1.0
-            yield start, c00 * x0s + c01 * x1s, c10 * x0s + c11 * x1s, control[:-1]
+        return (x0, x1), None
+    visited = []
+    visit = visited.append
+    for (a00, a01, g0, a10, a11, g1, b00, b01, h0, b10, b11, h1) in rows:
+        visit(x0)
+        visit(x1)
+        x0, x1 = a00 * x0 + a01 * x1 + g0, a10 * x0 + a11 * x1 + g1
+        x0, x1 = b00 * x0 + b01 * x1 + h0, b10 * x0 + b11 * x1 + h1
+    c00, c01, c10, c11 = dab.c_rev
+    odd = (start + 1) % 2  # the j-th visited state has k = start + j: Dr negates odd k's i_L
+    if np is None:
+        x0s, x1s = visited[0::2], visited[1::2]
+        x0s[odd::2] = map(neg, x0s[odd::2])
+        return (x0, x1), (start, [c00 * u + c01 * w for u, w in zip(x0s, x1s)],
+                          [c10 * u + c11 * w for u, w in zip(x0s, x1s)], control[:-1])
+    x0s, x1s = np.fromiter(visited, float, len(visited)).reshape(-1, 2).T
+    x0s[odd::2] *= -1.0
+    return (x0, x1), (start, c00 * x0s + c01 * x1s, c10 * x0s + c11 * x1s, control[:-1])

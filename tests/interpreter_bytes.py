@@ -6,16 +6,18 @@ and reports every run whose exit code, stdout, stderr or `--out` file differs fr
 interpreter's.
 The configs are README's config block, a design shaped like the benchmark's cli workload
 (each reference parameter jittered within +-10% by a seeded `random.Random`, a 5-point sweep
-from 400 Hz to 4 kHz) and three that `load_config` refuses: an unknown key, a boolean where
-a number goes, and a missing converter key.
+from 400 Hz to 4 kHz), the reference design at a switching frequency whose interval steps
+straddle the oracle's low Pade degree bound, measured past oracle.FLOAT_HALF_CYCLES, and three
+that `load_config` refuses: an unknown key, a boolean where a number goes, and a missing
+converter key.
 
     python tests/interpreter_bytes.py PYTHON [PYTHON ...]
 
 dabss comes from this checkout's src/. The script uses the standard library only, and an
 interpreter without numpy will do: no command needs numpy. A `compare` whose measurement
-passes oracle.FLOAT_HALF_CYCLES (README's) imports it where it is installed and runs in
-floats where it is not, with the same bytes. It exits 1 on any difference. The file has no
-test_ prefix, so pytest does not collect it.
+passes oracle.FLOAT_HALF_CYCLES (README's and the straddling design's) imports it where it
+is installed and runs in floats where it is not, with the same bytes. It exits 1 on any
+difference. The file has no test_ prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -45,9 +47,15 @@ def configs() -> dict:
     cli = {"converter": {k: v * rng.uniform(0.9, 1.1) for k, v in REFERENCE.items()},
            "sim": {"injection": {"settle_periods": 800, "measure_periods": 250}},
            "sweep": {"f_min": 400.0, "f_max": 4000.0, "points": 5, "spacing": "log"}}
+    # fs 16,833.77 Hz takes the steps of intervals 2 and 4 to within 3e-7 of theta9, so the
+    # injection moves them to either side of it; 5 bins of 3,000 half cycles pass
+    # oracle.FLOAT_HALF_CYCLES, so `compare` runs the stacked kernel where numpy is installed.
+    straddling = {"converter": dict(REFERENCE, fs=16833.77),
+                  "sim": {"injection": {"settle_periods": 800, "measure_periods": 700}},
+                  "sweep": {"f_min": 100.0, "f_max": 1000.0, "points": 5, "spacing": "log"}}
     missing = dict(REFERENCE)
     del missing["Vr"]
-    return {"readme": block, "cli-workload": json.dumps(cli),
+    return {"readme": block, "cli-workload": json.dumps(cli), "straddling": json.dumps(straddling),
             "unknown-key": json.dumps({"converter": REFERENCE, "sweep": {"n": 3}}),
             "boolean": json.dumps({"converter": {**REFERENCE, "Ro": True}}),
             "missing-key": json.dumps({"converter": missing})}

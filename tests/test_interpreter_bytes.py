@@ -1,9 +1,10 @@
-"""tests/interpreter_bytes.py's config files, loaded in process: two that run, three refused."""
+"""tests/interpreter_bytes.py's config files, loaded in process: three that run, three refused."""
 
 from __future__ import annotations
 
 import pytest
 
+from dabss import oracle
 from dabss.config import load_config
 from dabss.errors import ConfigError
 from tests import interpreter_bytes
@@ -14,7 +15,7 @@ def test_the_configs_cover_running_designs_and_refused_files(tmp_path):
                "boolean": "'converter.Ro' must be a number, got True",
                "missing-key": "missing required key 'converter.Vr'"}
     configs = interpreter_bytes.configs()
-    assert list(configs) == ["readme", "cli-workload", *refused]
+    assert list(configs) == ["readme", "cli-workload", "straddling", *refused]
     for name, text in configs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)
@@ -24,3 +25,5 @@ def test_the_configs_cover_running_designs_and_refused_files(tmp_path):
             assert str(err.value) == refused[name]
         else:
             assert load_config(path).sweep.points == (25 if name == "readme" else 5)
+    sim = load_config(tmp_path / "straddling.json").sim.injection
+    assert 5 * 2 * (sim.settle_periods + sim.measure_periods) > oracle.FLOAT_HALF_CYCLES

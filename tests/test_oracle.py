@@ -360,8 +360,9 @@ class TestStepExponentials:
         pade = oracle._pade
 
         def counting(terms, keys, tau, scratch):
-            # Odd keys are the intervals' degree-13 tables, even ones their degree-9 tables.
-            degrees.append((len(terms), {13 if key % 2 else 9 for key in keys.tolist()}))
+            # Odd keys are the intervals' degree-13 tables, even ones their degree-9 tables: one
+            # key an interval row, or one a map where a row straddles theta9.
+            degrees.append((len(terms), {13 if key % 2 else 9 for key in keys.ravel().tolist()}))
             return pade(terms, keys, tau, scratch)
 
         monkeypatch.setattr(oracle, "_pade", counting)
@@ -568,9 +569,11 @@ class TestOracleEigenvalues:
             2.0 ** -1070, 2.0 ** -1072)
 
     def test_a_period_map_past_the_float_range_is_marginal(self):
-        # The product of two finite maps overflows: rho is not a number, not an exception.
+        # The product of two finite maps overflows: rho is not a number, not an exception. The
+        # period's other two steps are the identity.
         with pytest.raises(MarginalSystemError, match="rho = nan is not below 1"):
-            oracle._iterate_to_period_start([(1e200, 0.0, 0.0, 0.0, 0.5, 0.0)] * 2, 10, 1e-9)
+            oracle._iterate_to_period_start([(1e200, 0.0, 0.0, 0.0, 0.5, 0.0)] * 2
+                                            + [(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)] * 2, 10, 1e-9)
 
 
 class TestIndependence:
@@ -775,6 +778,37 @@ class TestMultiBin:
         measure(4 * block)  # pre-run cached, kernel scratch grown
         assert peak(16 * block) <= 1.2 * peak(4 * block)
 
+    @pytest.mark.parametrize("floats, per_half_cycle", [(False, 96), (True, 192)],
+                             ids=["arrays", "floats"])
+    def test_a_block_is_summed_without_its_maps_and_states(self, ref_dab, monkeypatch, floats,
+                                                          per_half_cycle):
+        # While a measured block's DFT terms are summed, the measurement holds that block's
+        # samples and control and the window's unperturbed durations, not its step maps, visited
+        # states or perturbed durations. Per half cycle of a block of 256, measured 57-59 bytes
+        # as arrays and 121-131 as lists of floats; 186-190 and 662-679 where the samples came
+        # from a suspended generator that held them all.
+        block = 256
+        monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
+        cfg = SimConfig(injection=Injection(settle_periods=10, measure_periods=block))
+        f = 3 / (block * ref_dab.params.period)
+        held = []
+        piece_sums = dft._piece_sums
+
+        def recording(*args):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return piece_sums(*args)
+
+        with numpy_blocked() if floats else contextlib.nullcontext():
+            oracle._responses(ref_dab, P_PLUS, cfg, [f])  # pre-run cached, kernel scratch grown
+            monkeypatch.setattr(dft, "_piece_sums", recording)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                oracle._responses(ref_dab, P_PLUS, cfg, [f])
+            finally:
+                tracemalloc.stop()
+        assert len(held) == 2 and max(held) <= per_half_cycle * block
+
 
 def single_step(dab, interval, duration):
     """One oracle step's entries (a00, a01, g0, a10, a11, g1), from its own call of the
@@ -897,6 +931,34 @@ class TestStackedStepMaps:
         for surface in (P_PLUS, S_MINUS):
             np.testing.assert_array_equal(measure_frequency_response(dab, surface, cfg),
                                           per_step_response(dab, surface, cfg))
+
+    @pytest.mark.parametrize("block", [oracle.HALF_CYCLES_PER_EXPM, 1])
+    def test_rows_that_straddle_the_low_degree_bound_equal_the_per_step_loop(self, monkeypatch,
+                                                                            block):
+        # fs = 16,833.77 Hz puts the steps of intervals 2 and 4 within 3e-7 relative below
+        # theta9, so the injection moves them to either side of it: in those interval rows the
+        # stacked kernel gives each map its own degree. Blocks of one half cycle start on odd
+        # half cycles too, each with its own phase of the interval pattern. Arrays and floats.
+        dab = build_dab(DabParams(**dict(REFERENCE_KWARGS, fs=16833.77)))
+        norms = [np.abs(seg.a * seg.duration).sum(axis=0).max() for seg in dab.schedule.segments]
+        assert 0.0 < 1.0 - max(norms) / oracle._THETA9 < 3e-7
+        monkeypatch.setattr(oracle, "HALF_CYCLES_PER_EXPM", block)
+        keys = []
+        pade = oracle._pade
+
+        def recording(terms, k, tau, scratch):
+            keys.append(k.shape)
+            return pade(terms, k, tau, scratch)
+
+        monkeypatch.setattr(oracle, "_pade", recording)
+        f = 3 / (self.INJECTION["measure_periods"] * dab.params.period)
+        cfg = SimConfig(injection=Injection(**dict(self.INJECTION, f=f)))
+        for surface in (P_PLUS, S_MINUS):
+            expected = per_step_response(dab, surface, cfg)
+            keys.clear()
+            np.testing.assert_array_equal(measure_frequency_response(dab, surface, cfg), expected)
+            assert any(shape[1] > 1 for shape in keys) == (block > 1)
+            assert float_responses(dab, surface, cfg, [f]) == expected.tobytes()
 
     def test_a_measurement_without_settling_equals_the_per_step_loop(self, ref_dab):
         # Every half cycle from the first is sampled.
