@@ -48,7 +48,6 @@ import math
 import struct
 import sys
 import threading
-from functools import partial
 from itertools import cycle, islice
 from operator import add, neg, sub
 from typing import TYPE_CHECKING, NamedTuple
@@ -134,22 +133,19 @@ class _Scratch:
     """Work arrays of `_step_maps` for stacks of up to `maps` maps, which every call
     handed this scratch reuses.
 
-    `scratch(name, shape)` is a C-contiguous view of the front of the slot `name`, which holds
-    ENTRIES[name] entries per map and is made at its first use: `term` only by a stack whose
-    interval rows straddle theta9, which gathers its coefficients map by map.
+    `scratch(name, shape)` is a C-contiguous view of the front of the slot
+    `name`, which holds ENTRIES[name] entries per map.
     """
 
-    ENTRIES = dict(h=10, term=10, r=6, squared=6, tmp=6, maps=6, sigma=1, det=1)
+    ENTRIES = dict(h=10, r=6, squared=6, tmp=6, maps=6, sigma=1, det=1)
 
     def __init__(self, maps: int):
         import numpy as np
-        self.maps, self._empty, self._slots = maps, np.empty, {}
+        self.maps = maps
+        self._slots = {name: np.empty(n * maps) for name, n in self.ENTRIES.items()}
 
     def __call__(self, name: str, shape) -> np.ndarray:
-        slot = self._slots.get(name)
-        if slot is None:
-            slot = self._slots[name] = self._empty(self.ENTRIES[name] * self.maps)
-        return slot[:math.prod(shape)].reshape(shape)
+        return self._slots[name][:math.prod(shape)].reshape(shape)
 
 
 def _mul(p, q, out, tmp):
@@ -304,9 +300,9 @@ def _step_maps(tables: _Tables, pattern, durations) -> np.ndarray:
     above it the degree-13 approximant and the squarings that take ||A t||_1 to theta13. The
     kernel views the steps as interval rows, (len(pattern), cycles), row r every step of
     interval pattern[r], so a row's norms, exponents and Pade coefficients are each one entry
-    broadcast over its maps, with no gather per map. Every step is a ufunc over all maps of the
-    stack at once, one pass for both degrees, so a map's bits do not depend on the stack it
-    came in.
+    broadcast over its maps, with no gather per map except of the coefficients of a row whose
+    maps straddle theta9 (`_pade`). Every step is a ufunc over all maps of the stack at once, one
+    pass for both degrees, so a map's bits do not depend on the stack it came in.
 
     The call works in its thread's one scratch, made for a full measurement
     block's 2 HALF_CYCLES_PER_EXPM maps or the largest stack yet and kept for the
@@ -363,33 +359,24 @@ def _pade(terms, keys, tau, scratch):
     `tau`, (rows, maps), with U and V from the coefficient `terms` (n_terms, 10, keys) of its
     key at its tau, as (2, 3, rows, maps).
 
-    `keys` holds one key a row, (rows, 1), where each row's maps take one degree: the Horner
-    pass then adds each term as the row's ten coefficients, broadcast over its maps. Where a
-    row's maps straddle theta9 (an interval's ||A t||_1 within the injection's shift of it) it
-    holds one key a map, (rows, maps), and each term gathers each map's coefficients into the
-    scratch's `term` slot. A map's ten entries of U / tau and of V's state block are one
-    Horner pass in sigma = tau^2 over its key's terms; where a degree-9 key meets the two
-    leading terms of degree 13, they are 0, and 0 sigma + 0 is exactly 0. The denominator
-    [[Q, q], [0, b0]] leaves q out of r = I + 2 (V - U)^-1 U, U's last row being zero, so only
-    the 2x2 Q is inverted, by its adjugate (well conditioned at a scaled 1-norm of at most
-    theta_m).
+    `keys` holds one key a row, (rows, 1), where each row's maps take one degree, and one key a
+    map, (rows, maps), where a row's maps straddle theta9 (an interval's ||A t||_1 within the
+    injection's shift of it): each Horner term takes its coefficients of `keys`, ten a row
+    broadcast over the row's maps or ten a map. A map's ten entries of U / tau and of V's state
+    block are one Horner pass in sigma = tau^2 over its key's terms; where a degree-9 key meets
+    the two leading terms of degree 13, they are 0, and 0 sigma + 0 is exactly 0. The
+    denominator [[Q, q], [0, b0]] leaves q out of r = I + 2 (V - U)^-1 U, U's last row being
+    zero, so only the 2x2 Q is inverted, by its adjugate (well conditioned at a scaled 1-norm of
+    at most theta_m).
     """
     import numpy as np
     shape = tau.shape
     sigma = np.multiply(tau, tau, out=scratch("sigma", shape))
     h = scratch("h", (10, *shape))
-    if keys.shape[1] == 1:  # a row's ten coefficients of each term, broadcast over its maps
-        np.copyto(h, terms[-1][:, keys])
-        for c in terms[-2::-1, :, keys]:
-            h *= sigma
-            h += c
-    else:  # each map's own; take() keeps each entry contiguous over the maps, and with keys
-        # in range, "clip" only spares it the temporary copy that the default mode makes of `out`
-        np.take(terms[-1], keys, axis=1, out=h, mode="clip")
-        term = scratch("term", h.shape)
-        for c in terms[-2::-1]:
-            h *= sigma
-            h += np.take(c, keys, axis=1, out=term, mode="clip")
+    np.copyto(h, terms[-1].take(keys, axis=1))
+    for c in terms[-2::-1]:
+        h *= sigma
+        h += c.take(keys, axis=1)
     u, q = h[:6].reshape(2, 3, *shape), h[6:].reshape(2, 2, *shape)
     u *= tau
     q -= u[:, :2]
@@ -463,8 +450,8 @@ def _eigenvalues(m00: float, m01: float, m10: float, m11: float) -> tuple:
 
 
 def _iterate_to_period_start(step_maps, periods: int, tol: float) -> tuple[float, float]:
-    """Period-start state of the unperturbed schedule, iterated from x = 0 through the four
-    `step_maps` of a period.
+    """Period-start state of the unperturbed schedule, iterated from x = 0 through the
+    `step_maps` of a period, which must be exactly four: the loop steps through them written out.
 
     A contraction at rate rho leaves at most change * rho / (1 - rho)
     between the latest iterate and the fixed point, so the run stops once
@@ -650,8 +637,8 @@ def _responses(dab: DabSchedule, surface, cfg: SimConfig, freqs) -> list:
     responses = []
     for f in freqs:
         f = float(f)
-        perturbed = partial(_perturbed, f, amp, gain, t_half, phases, unperturbed, np)
-        samples = _surface_samples(dab, perturbed, (x0, x1), k0, n_half, np)
+        samples = _surface_samples(dab, (x0, x1), k0, n_half, f, amp, gain, t_half, phases,
+                                   unperturbed, np)
         re0, im0, re1, im1, re_in, im_in = bin_sums(samples, -2j * math.pi * f * t_half, np)
         if amp == 0.0:
             responses.append([complex(2.0 / n * re0, 2.0 / n * im0),
@@ -675,20 +662,23 @@ def _numpy(half_cycles: int):
     return np
 
 
-def _surface_samples(dab: DabSchedule, perturbed, x, first: int, n_half: int, np):
+def _surface_samples(dab: DabSchedule, x, first: int, n_half: int, f: float, amp: float,
+                     gain: float, t_half: float, phases, unperturbed, np):
     """The run from x_0 = `x` block by block, per HALF_CYCLES_PER_EXPM half cycles over [0,
     first) and then over [first, n_half), so a block ends where the settle window does: from
-    `first` on, the `_block_samples` of each block of `perturbed` (`_perturbed`)."""
+    `first` on, the `_block_samples` of each `_perturbed` block."""
     for low, end in ((0, first), (first, n_half)):
         for start in range(low, end, HALF_CYCLES_PER_EXPM):
             stop = min(start + HALF_CYCLES_PER_EXPM, end)
-            x, samples = _block_samples(dab, perturbed(start, stop), x, start >= first, np)
+            x, samples = _block_samples(
+                dab, _perturbed(f, amp, gain, t_half, phases, unperturbed, start, stop, np), x,
+                start >= first, np)
             if samples:
                 yield samples
 
 
-def _perturbed(f: float, amp: float, gain: float, t_half: float, phases, unperturbed, np,
-               start: int, end: int) -> tuple:
+def _perturbed(f: float, amp: float, gain: float, t_half: float, phases, unperturbed,
+               start: int, end: int, np) -> tuple:
     """The half cycles [start, end) of a measurement: (start, the control v[k] of its half
     cycles and of the next one, its steps' pattern of intervals, their durations).
 
