@@ -29,10 +29,13 @@ while the scalar loops read the maps in place. Both take the steps' durations an
 the pattern of intervals they cycle through, a measurement block's four
 (a, b, a + 2, b + 2); `_step_maps` lays the stack out as one row per interval of
 the pattern, so each Horner term adds a row's coefficients at once, with no
-gather per map. Either way a measurement runs block by block, over the settle
-window and then over the measured one, each measured block one subtree of its
-DFT bin's halving tree (`dabss.dft`), and its samples and sums follow one float
-rule, with no BLAS sum, so their bits do not depend on the path or the host.
+gather per map. `_step_rows` makes each distinct step of a call once (one map in
+four or five on the cli workload's config); `_step_maps` makes every map, since a
+`np.unique` per row and a gather back made an oracle-compare op's 16 blocks
+slower (6.9 -> 9.0 ms). Either way a measurement runs block by block, over the
+settle window and then over the measured one, each measured block one subtree of
+its DFT bin's halving tree (`dabss.dft`), and its samples and sums follow one
+float rule, with no BLAS sum, so their bits do not depend on the path or the host.
 Only the stacked kernel and the public array edge (`run_to_steady_state`,
 `measure_frequency_responses`) import numpy.
 
@@ -48,7 +51,7 @@ import math
 import struct
 import sys
 import threading
-from itertools import cycle, islice
+from itertools import cycle
 from operator import add, neg, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -74,11 +77,13 @@ HALF_CYCLES_PER_EXPM = 2048
 
 # Half cycles, over all of a measurement's bins, up to which a measurement where numpy is not
 # loaded runs in Python floats; past them it imports numpy for the stacked kernel, if it can.
-# On a 2-vCPU Xeon under Python 3.11 the float measurement took 5.8 us a half cycle against
-# the stacked kernel's 0.8 us in process, and numpy's import 55 ms with one BLAS thread
-# (110-150 ms with its default pool): in cold `compare` runs with one BLAS thread the two
-# crossed near 13,000 half cycles.
-FLOAT_HALF_CYCLES = 12_000
+# On a 2-vCPU Xeon under Python 3.11, in process, the float measurement took 2.8 us a half
+# cycle on the cli workload's config, whose bins repeat their steps (one map in five made),
+# and 5.5 us on one whose bins repeat little (one in two), against the stacked kernel's 0.9-1.0
+# us; numpy's import took 87 ms with one BLAS thread (two to three times that with its default
+# pool). In cold `compare` runs with one BLAS thread the two crossed near 55,000 and 16,500
+# half cycles; the limit sits below the lower.
+FLOAT_HALF_CYCLES = 16_000
 
 
 class Waveform(NamedTuple):
@@ -236,10 +241,21 @@ def _step_rows(tables: _Tables, pattern, durations) -> list:
     pass runs over as many terms as the whole stack's, as in `_step_maps`, so even the sign of
     a zero is the same. What makes an entry of `_step_maps` inf or NaN (a division by zero, an
     `ldexp` past the float range) is its refusal here too; a finite sum clears a row at once.
+
+    A map depends only on its interval, its duration and the stack's Horner length, and the
+    distinct steps have the stack's largest norm, so each distinct step is made once and every
+    step that repeats it gets its row: a coherent bin repeats its control samples, and a shift
+    of 1e-9 s on 1e-6 s rounds most of them alike. A step is keyed by its interval and its
+    duration's bits, so 0.0 and -0.0 stay apart (a NaN is refused before any map is made).
     """
     durations = list(durations)
-    intervals = list(islice(cycle(pattern), len(durations)))
-    a_norms = [tables.a_norms[i] * t for i, t in zip(intervals, durations)]
+    n, width = len(durations), len(pattern)
+    bits = struct.unpack(f"{n}q", struct.pack(f"{n}d", *durations))
+    steps = {i: {} for i in pattern}  # each interval's distinct steps, by their duration's bits
+    for r, i in enumerate(pattern):
+        steps[i].update(zip(bits[r::width], durations[r::width]))
+    distinct = [(i, t) for i, ts in steps.items() for t in ts.values()]
+    a_norms = [tables.a_norms[i] * t for i, t in distinct]
     top = _largest(a_norms)
     squarings = ([max(e - (m == 0.5), 0) for m, e in (math.frexp(a / _THETA13) for a in a_norms)]
                  if top > _THETA13 else [0] * len(a_norms))
@@ -252,7 +268,7 @@ def _step_rows(tables: _Tables, pattern, durations) -> list:
                                                    math.ldexp, math.isfinite)
     rows = []
     try:
-        for i, t, a_norm, s in zip(intervals, durations, a_norms, squarings):
+        for (i, t), a_norm, s in zip(distinct, a_norms, squarings):
             tau = ldexp(t, exponents[i] - s)
             sigma = tau * tau
             (h0, h1, h2, h3, h4, h5, h6, h7, h8, h9), lower = horner[2 * i + (a_norm > _THETA9)]
@@ -286,7 +302,11 @@ def _step_rows(tables: _Tables, pattern, durations) -> list:
             rows.append(row)
     except (ZeroDivisionError, OverflowError):
         raise _not_finite(tables, pattern, durations) from None
-    return rows
+    rows, maps = iter(rows), [None] * n
+    made = {i: dict(zip(ts, rows)) for i, ts in steps.items()}
+    for r, i in enumerate(pattern):
+        maps[r::width] = map(made[i].__getitem__, bits[r::width])
+    return maps
 
 
 def _step_maps(tables: _Tables, pattern, durations) -> np.ndarray:

@@ -48,10 +48,10 @@ def configs() -> dict:
            "sim": {"injection": {"settle_periods": 800, "measure_periods": 250}},
            "sweep": {"f_min": 400.0, "f_max": 4000.0, "points": 5, "spacing": "log"}}
     # fs 16,833.77 Hz takes the steps of intervals 2 and 4 to within 3e-7 of theta9, so the
-    # injection moves them to either side of it; 5 bins of 3,000 half cycles pass
+    # injection moves them to either side of it; 5 bins of 4,000 half cycles pass
     # oracle.FLOAT_HALF_CYCLES, so `compare` runs the stacked kernel where numpy is installed.
     straddling = {"converter": dict(REFERENCE, fs=16833.77),
-                  "sim": {"injection": {"settle_periods": 800, "measure_periods": 700}},
+                  "sim": {"injection": {"settle_periods": 1300, "measure_periods": 700}},
                   "sweep": {"f_min": 100.0, "f_max": 1000.0, "points": 5, "spacing": "log"}}
     missing = dict(REFERENCE)
     del missing["Vr"]

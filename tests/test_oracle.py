@@ -6,8 +6,10 @@ import ast
 import cmath
 import contextlib
 import inspect
+import itertools
 import math
 import re
+import struct
 import tracemalloc
 import warnings
 
@@ -480,6 +482,32 @@ class TestFloatKernel:
         for i, d in enumerate(base):
             single = both_kernels(tables, [i], [d])
             assert single[0] == single[1]
+
+    def test_a_repeated_step_is_made_once_with_the_stacked_bits(self, ref_dab):
+        # Each interval repeats its own duration; interval 0 also takes 0.0 and -0.0 (twice),
+        # intervals 1 and 2 a signed zero, and interval 3 interval 1's duration (twice).
+        tables = oracle._tables(ref_dab)
+        d0, d1, d2, d3 = (seg.duration for seg in ref_dab.schedule.segments)
+        durations = [d0, d1, d2, d3, 0.0, d1, d2, d1, -0.0, d1, -0.0, d3, d0, 0.0, d2, d1,
+                     -0.0, d1, d2, d3]
+        stacked, floats = both_kernels(tables, range(4), durations)
+        assert isinstance(stacked, bytes) and stacked == floats
+        # One row object per interval and duration bits: each distinct step is made once.
+        rows = oracle._step_rows(tables, range(4), durations)
+        steps = [(j % 4, struct.pack("d", d)) for j, d in enumerate(durations)]
+        for j, k in itertools.combinations(range(len(rows)), 2):
+            assert (rows[j] is rows[k]) == (steps[j] == steps[k])
+        assert struct.pack("6d", *rows[4]) != struct.pack("6d", *rows[8])  # 0.0 and -0.0
+
+    def test_a_repeated_step_whose_map_is_not_finite_is_refused_alike(self):
+        # Interval 1's map overflows at 1.0, which it takes twice, and interval 0 (A = 0) repeats
+        # 2.0; the message names the largest ||A t||_1 of every step, 800 at 1.0, as the stacked
+        # kernel's does.
+        tables = oracle._pade_tables([(0.0,) * 6, (800.0, 0.0, 0.0, 0.0, 0.0, 0.0)])
+        stacked, floats = both_kernels(tables, [0, 1], [2.0, 0.5, 2.0, 1.0, 2.0, 1.0])
+        assert stacked == floats == ("matrix exponential is not finite: the 1-norm of a*t (state "
+                                     "matrix times duration) reaches 8.000e+02, beyond double "
+                                     "precision")
 
     @pytest.mark.parametrize("converter, message", [
         (dict(Co=1e-300), "a*t (state matrix times duration) reaches 3.497e+294"),
